@@ -36,7 +36,7 @@ from .errors import (
     PeriodicSpectraError,
 )
 from .floquet import band_grid, essential_spectrum
-from .graphs import PeriodicGraph, Vertex, periodic_oracle
+from .graphs import PeriodicGraph, Vertex, box_cells, periodic_oracle
 from .io import load_graph_file, load_perturbation_file, perturbation_from_spec
 from .perturbation import PerturbedGraph, find_unperturbed_box
 from .truncation import compare_spectra, spectrum_of_box, truncate, zero_mode_count
@@ -287,7 +287,7 @@ def _cmd_lambda_set(args) -> int:
         f"v{i + 1}" for i in range(base.cell_size)
     ]
     rows = []
-    for cell in _window_cells(window):
+    for cell in box_cells(window):
         bits = []
         for label in range(base.cell_size):
             x = Vertex(cell, label)
@@ -297,16 +297,6 @@ def _cmd_lambda_set(args) -> int:
     ctx.write_manifest()
     ctx.write_csv(header, rows)
     return 0
-
-
-def _window_cells(window):
-    if not window:
-        yield ()
-        return
-    lo, hi = window[0]
-    for first in range(lo, hi + 1):
-        for rest in _window_cells(window[1:]):
-            yield (first,) + rest
 
 
 def _cmd_condition_p(args) -> int:
@@ -362,12 +352,7 @@ def _cmd_weyl_check(args) -> int:
         args.out or "weyl_check",
         _resolve_threads(args.threads),
     )
-    pool = ctx.pool()
-    try:
-        rows = residual_sweep(perturbed, args.lam, ns, window, args.grid, pool=pool)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    rows = residual_sweep(perturbed, args.lam, ns, window, args.grid)
     slope = fit_loglog_slope([r.n for r in rows], [r.residual for r in rows])
     header = ["n", "x_n", "residual", "sup_norm", "bound"]
     csv_rows = [

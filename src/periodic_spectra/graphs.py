@@ -13,9 +13,10 @@ self-adjoint.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -97,10 +98,6 @@ class PeriodicGraph:
             out.append(e.reversed())
         return out
 
-    def bridge_count(self) -> int:
-        """Number of oriented edges whose index is nonzero."""
-        return 2 * sum(1 for e in self.edges if e.is_bridge)
-
 
 def build_periodic(dim: int, cell_size: int, edges: Iterable[FundEdge]) -> PeriodicGraph:
     """Validate edge templates, canonicalize orientations and derive degrees.
@@ -137,6 +134,13 @@ def build_periodic(dim: int, cell_size: int, edges: Iterable[FundEdge]) -> Perio
             stacklevel=2,
         )
     return PeriodicGraph(dim, cell_size, tuple(stored), tuple(degrees))
+
+
+def box_cells(box: Sequence[tuple[int, int]]) -> Iterator[Cell]:
+    """Cells of the box ``[lo, hi]`` per axis in lexicographic order (the
+    last axis varies fastest); an empty box sequence yields the single cell
+    ``()``."""
+    return itertools.product(*(range(lo, hi + 1) for lo, hi in box))
 
 
 def edge_index(origin: Vertex, target: Vertex) -> Cell:

@@ -34,6 +34,7 @@ from .graphs import (
     State,
     Vertex,
     apply_laplacian,
+    box_cells,
     periodic_oracle,
     propagation_length,
 )
@@ -282,22 +283,13 @@ def in_unperturbed_set(graph: PerturbedGraph, x: Vertex) -> bool:
     return graph.unperturbed.contains(x)
 
 
-def _box_cells(center: Cell, half: int) -> Iterable[Cell]:
-    if not center:
-        yield ()
-        return
-    for first in range(center[0] - half, center[0] + half + 1):
-        for rest in _box_cells(center[1:], half):
-            yield (first,) + rest
-
-
 def box_is_clear(graph: PerturbedGraph, center: Cell, n: int) -> bool:
     """Is the box of radius ``n`` (padded by the propagation length) around
     ``center`` entirely inside the unperturbed set?"""
     half = n + propagation_length(graph.base) - 1
     members = graph.unperturbed
     s = graph.base.cell_size
-    for cell in _box_cells(center, half):
+    for cell in box_cells([(c - half, c + half) for c in center]):
         for label in range(s):
             x = Vertex(cell, label)
             if not graph.in_common(x) or not members._contains_known(x):
@@ -322,21 +314,11 @@ def find_unperturbed_box(
     half = n + propagation_length(graph.base) - 1
     bounds = (-half, half)
     searched = 0
-    for cell in _window_cells(window):
+    for cell in box_cells(window):
         searched += 1
         if box_is_clear(graph, cell, n):
             return WindowReport(n, Vertex(cell, 0), searched, bounds)
     return WindowReport(n, None, searched, bounds)
-
-
-def _window_cells(window: Window) -> Iterable[Cell]:
-    if not window:
-        yield ()
-        return
-    lo, hi = window[0]
-    for first in range(lo, hi + 1):
-        for rest in _window_cells(window[1:]):
-            yield (first,) + rest
 
 
 def embed_state(graph: PerturbedGraph, psi: Mapping[Vertex, complex]) -> State:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import EmptyBoxError, InputError
 from .floquet import SpectrumApprox
-from .graphs import GraphOracle, PeriodicOracle, Vertex
+from .graphs import GraphOracle, PeriodicOracle, Vertex, box_cells
 
 Window = tuple[tuple[int, int], ...]
 
@@ -97,16 +97,6 @@ class TruncationReport:
     boundary_count: int | None = None
 
 
-def _box_cells(box: Window):
-    if not box:
-        yield ()
-        return
-    lo, hi = box[0]
-    for first in range(lo, hi + 1):
-        for rest in _box_cells(box[1:]):
-            yield (first,) + rest
-
-
 def truncate(oracle: GraphOracle, box: Window, periodic_wrap: bool = False) -> BoxGraph:
     """Restrict the graph to cells inside ``box``.
 
@@ -123,7 +113,7 @@ def truncate(oracle: GraphOracle, box: Window, periodic_wrap: bool = False) -> B
             raise InputError("periodic wrap needs a purely periodic oracle")
         return _truncate_wrapped(oracle, box)
     vertices: list[Vertex] = []
-    for cell in _box_cells(box):
+    for cell in box_cells(box):
         for v in oracle.vertices_in_cell(cell):
             if oracle.contains(v):
                 vertices.append(v)
@@ -170,12 +160,12 @@ def _truncate_wrapped(oracle: PeriodicOracle, box: Window) -> BoxGraph:
     los = [lo for lo, _ in box]
     vertices = [
         Vertex(cell, label)
-        for cell in _box_cells(box)
+        for cell in box_cells(box)
         for label in range(graph.cell_size)
     ]
     index = {v: i for i, v in enumerate(vertices)}
     pair_counts: dict[tuple[int, int], int] = {}
-    for cell in _box_cells(box):
+    for cell in box_cells(box):
         for e in graph.edges:
             target_cell = tuple(
                 lo + ((c + x - lo) % ln)

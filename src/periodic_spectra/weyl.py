@@ -16,27 +16,22 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BadEigenpairError, InputError, NoClearBoxError
+from .errors import (
+    BadEigenpairError,
+    InputError,
+    InternalInvariantError,
+    NoClearBoxError,
+)
 from .floquet import floquet_matrix, locate_band_value
 from .graphs import (
     Cell,
     PeriodicGraph,
     State,
     Vertex,
-    apply_laplacian,
-    propagation_length,
-    sup_norm,
-    translate_state,
-    weighted_norm,
+    box_cells,
 )
-from .perturbation import (
-    PerturbedGraph,
-    Window,
-    apply_defect,
-    embed_state,
-    embedding_norm_bounds,
-    find_unperturbed_box,
-)
+from .perturbation import PerturbedGraph, Window, find_unperturbed_box
+from .region import Region
 
 _EIGENPAIR_TOL = 1e-9
 
@@ -78,16 +73,7 @@ class TentCutoff:
 
     def support_cells(self) -> Iterable[Cell]:
         """All cells where the tent is nonzero: [-n+1, n-1]^dim."""
-        return _cube(self.dim, self.n - 1)
-
-
-def _cube(dim: int, half: int) -> Iterable[Cell]:
-    if dim == 0:
-        yield ()
-        return
-    for first in range(-half, half + 1):
-        for rest in _cube(dim - 1, half):
-            yield (first,) + rest
+        return box_cells([(-self.n + 1, self.n - 1)] * self.dim)
 
 
 def _tent_array(n: int, m: np.ndarray) -> np.ndarray:
@@ -131,15 +117,7 @@ def windowed_bloch_state(
     weighted norm of the result is ``tent_norm_sq(n, d)`` times the squared
     weighted cell norm of ``xi0``.
     """
-    lam = rayleigh_value(graph, k0, xi0)
-    m = floquet_matrix(graph, k0).entries
-    r = m @ xi0 - lam * xi0
-    gap = float(np.sqrt(np.sum(np.abs(r) ** 2 * np.asarray(graph.degrees))))
-    if gap > _EIGENPAIR_TOL:
-        raise BadEigenpairError(
-            f"vector is not an eigenvector at this quasimomentum "
-            f"(band {band}, residual {gap:.3e})"
-        )
+    _check_eigenpair(graph, band, k0, xi0)
     k0 = np.asarray(k0, dtype=float)
     tent = TentCutoff(n, graph.dim)
     psi: State = {}
@@ -151,6 +129,30 @@ def windowed_bloch_state(
             if val != 0:
                 psi[Vertex(cell, label)] = complex(val)
     return psi
+
+
+def _check_eigenpair(graph: PeriodicGraph, band: int, k0, xi0: np.ndarray) -> None:
+    lam = rayleigh_value(graph, k0, xi0)
+    m = floquet_matrix(graph, k0).entries
+    r = m @ xi0 - lam * xi0
+    gap = float(np.sqrt(np.sum(np.abs(r) ** 2 * np.asarray(graph.degrees))))
+    if gap > _EIGENPAIR_TOL:
+        raise BadEigenpairError(
+            f"vector is not an eigenvector at this quasimomentum "
+            f"(band {band}, residual {gap:.3e})"
+        )
+
+
+def _bloch_grid(region: Region, k0: np.ndarray, xi0: np.ndarray, n: int) -> np.ndarray:
+    """``windowed_bloch_state`` in closed form on the region's grid:
+    tent(m) * exp(i k0.m) * xi0[label] at offset m from the centre."""
+    offsets = np.arange(-region.half, region.half + 1)
+    tent = np.ones(())
+    phase = np.zeros(())
+    for k in k0:
+        tent = np.multiply.outer(tent, _tent_array(n, offsets))
+        phase = np.add.outer(phase, k * offsets)
+    return np.multiply.outer(np.exp(1j * phase) * tent, xi0)
 
 
 def rayleigh_value(graph: PeriodicGraph, k0, xi0: np.ndarray) -> float:
@@ -175,6 +177,8 @@ class WeylState:
     embed_norm: float
     lam: float
     base_vector: State  # translated, pre-embedding state on the base graph
+    region: Region  # padded box the state was built on
+    grid: np.ndarray  # base_vector on the region's grid
 
 
 def build_weyl_state(
@@ -186,10 +190,11 @@ def build_weyl_state(
 ) -> WeylState:
     """Compose the full construction for one half-width ``n``.
 
-    Finds a clear box in ``window``, locates the band value, windows the Bloch
-    state, moves it onto the box center, transplants it into the perturbed
-    graph and normalizes.  Raises ``NoClearBoxError`` when the window has no
-    admissible center and ``NotInSpectrumError`` when the value is off-band.
+    Finds a clear box in ``window``, locates the band value, compiles the
+    padded box into a ``Region``, builds the windowed Bloch state on it around
+    the box center, transplants it into the perturbed graph and normalizes.
+    Raises ``NoClearBoxError`` when the window has no admissible center and
+    ``NotInSpectrumError`` when the value is off-band.
     """
     report = find_unperturbed_box(graph, n, window)
     if report.center is None:
@@ -198,13 +203,19 @@ def build_weyl_state(
             f"(searched {report.searched} centers)"
         )
     band, k0, xi0 = locate_band_value(graph.base, lambda_target, grid_per_axis)
-    psi = windowed_bloch_state(graph.base, band, k0, xi0, n)
-    moved = translate_state(psi, report.center.cell)
-    embedded = embed_state(graph, moved)
-    c = weighted_norm(embedded, graph.oracle)
-    vector = {v: val / c for v, val in embedded.items()}
+    _check_eigenpair(graph.base, band, k0, xi0)
+    region = Region(graph, report.center.cell, report.box_bounds[1])
+    grid = _bloch_grid(region, np.asarray(k0, dtype=float), xi0, n)
+    flat = grid.reshape(-1)
+    embedded = region.embed(grid)
+    c = region.norm(embedded)
+    embedded /= c
     return WeylState(
-        vector=vector,
+        vector={
+            region.names[r]: complex(val)
+            for r, val in enumerate(embedded[: region.kept])
+            if val != 0
+        },
         band=band,
         k0=tuple(np.asarray(k0, dtype=float).tolist()),
         xi0=xi0,
@@ -212,16 +223,26 @@ def build_weyl_state(
         center=report.center,
         embed_norm=c,
         lam=rayleigh_value(graph.base, k0, xi0),
-        base_vector=moved,
+        base_vector={
+            region.vertices[i]: complex(val)
+            for i, val in enumerate(flat)
+            if val != 0
+        },
+        region=region,
+        grid=grid,
     )
+
+
+def _state_rows(state: WeylState) -> np.ndarray:
+    """The normalized transplanted state as a row vector of its region."""
+    return state.region.embed(state.grid) / state.embed_norm
 
 
 def residual(graph: PerturbedGraph, state: WeylState, lam: float) -> float:
     """Weighted norm of (perturbed Laplacian - lam) applied to the state."""
-    lap = apply_laplacian(state.vector, graph.oracle)
-    keys = set(lap) | set(state.vector)
-    diff = {v: lap.get(v, 0.0) - lam * state.vector.get(v, 0.0) for v in keys}
-    return weighted_norm(diff, graph.oracle)
+    region = state.region
+    f = _state_rows(state)
+    return region.norm(region.laplacian(f) - lam * f)
 
 
 def embedded_route_residual(
@@ -233,26 +254,14 @@ def embedded_route_residual(
     padded box is clear this equals ``residual`` up to roundoff, because the
     defect operator annihilates the state.
     """
-    lap = apply_laplacian(state.base_vector, graph.base_oracle)
-    keys = set(lap) | set(state.base_vector)
-    diff = {v: lap.get(v, 0.0) - lam * state.base_vector.get(v, 0.0) for v in keys}
-    return weighted_norm(embed_state(graph, diff), graph.oracle) / state.embed_norm
-
-
-def box_support(graph: PerturbedGraph, center: Vertex, n: int) -> list[Vertex]:
-    """All base vertices of the padded box around ``center``."""
-    half = n + propagation_length(graph.base) - 1
-    out = []
-    for offset in _cube(graph.base.dim, half):
-        cell = tuple(c + o for c, o in zip(center.cell, offset))
-        for label in range(graph.base.cell_size):
-            out.append(Vertex(cell, label))
-    return out
+    region = state.region
+    diff = region.base_laplacian(state.grid) - lam * state.grid
+    return region.norm(region.embed(diff)) / state.embed_norm
 
 
 def sup_norm_bound(graph: PerturbedGraph, state: WeylState) -> float:
     """A priori bound on the state's largest amplitude."""
-    lower, _ = embedding_norm_bounds(graph, box_support(graph, state.center, state.n))
+    lower, _ = state.region.embedding_norm_bounds()
     return (1.0 / lower) * tent_norm_sq(state.n, graph.base.dim) ** -0.5
 
 
@@ -264,9 +273,7 @@ def residual_bound(graph: PerturbedGraph, state: WeylState) -> float:
     shifted-tent difference sum.  Conservative: worst-case embedding bounds
     over the padded box are used on both sides.
     """
-    lower, upper = embedding_norm_bounds(
-        graph, box_support(graph, state.center, state.n)
-    )
+    lower, upper = state.region.embedding_norm_bounds()
     n = state.n
     bridge_sum = 0.0
     bridges = 0
@@ -302,16 +309,39 @@ class ResidualRow:
 def residual_row(
     graph: PerturbedGraph, state: WeylState, lam: float
 ) -> ResidualRow:
-    defect = apply_defect(graph, state.base_vector)
-    return ResidualRow(
+    """Measure one state and check its certificate.
+
+    Raises ``InternalInvariantError`` when the residual exceeds the bound or
+    departs from the route residual by more than 1e-12 * max(1, residual),
+    or when the defect is nonzero on a clear box.  The bound gets the same
+    roundoff allowance because it is exactly 0 when no edge leaves the cell,
+    while the measured residual of such a state is roundoff, not 0.
+    """
+    row = ResidualRow(
         n=state.n,
         center=state.center,
         residual=residual(graph, state, lam),
-        sup_norm=sup_norm(state.vector),
+        sup_norm=float(np.max(np.abs(_state_rows(state)))),
         bound=residual_bound(graph, state),
         route_residual=embedded_route_residual(graph, state, lam),
-        defect_sup=sup_norm(defect),
+        defect_sup=float(np.max(np.abs(state.region.defect(state.grid)))),
     )
+    where = f"at n={row.n}, centre {row.center}"
+    roundoff = 1e-12 * max(1.0, row.residual)
+    if not row.residual - row.bound <= roundoff:
+        raise InternalInvariantError(
+            f"residual {row.residual!r} exceeds its bound {row.bound!r} {where}"
+        )
+    if not abs(row.route_residual - row.residual) <= roundoff:
+        raise InternalInvariantError(
+            f"route residual {row.route_residual!r} differs from residual "
+            f"{row.residual!r} {where}"
+        )
+    if state.region.clear and row.defect_sup != 0.0:
+        raise InternalInvariantError(
+            f"defect sup {row.defect_sup!r} is not 0 on the clear box {where}"
+        )
+    return row
 
 
 def residual_sweep(
@@ -320,21 +350,13 @@ def residual_sweep(
     ns: Sequence[int],
     window: Window,
     grid_per_axis: int = 64,
-    pool=None,
 ) -> list[ResidualRow]:
-    """Residual rows for each half-width in ``ns`` (deterministic order).
-
-    ``pool`` may be a concurrent.futures executor; rows are computed
-    independently and gathered in the order of ``ns``.
-    """
-
-    def one(n: int) -> ResidualRow:
+    """Residual rows for each half-width in ``ns``, in that order."""
+    rows = []
+    for n in ns:
         state = build_weyl_state(graph, lam, n, window, grid_per_axis)
-        return residual_row(graph, state, lam)
-
-    if pool is None:
-        return [one(n) for n in ns]
-    return list(pool.map(one, ns))
+        rows.append(residual_row(graph, state, lam))
+    return rows
 
 
 def fit_loglog_slope(ns: Sequence[int], values: Sequence[float]) -> float:

@@ -1,10 +1,12 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
-from periodic_spectra import make_g11
+from periodic_spectra import make_g11, weyl
 from periodic_spectra.cli import main
+from periodic_spectra.region import Region
 from periodic_spectra.io import (
     graph_to_spec,
     load_graph_file,
@@ -195,6 +197,37 @@ class TestWeylCheck:
         assert (tmp_path / "one.json").read_bytes() == (
             tmp_path / "four.json"
         ).read_bytes()
+
+
+    @pytest.mark.parametrize(
+        "owner, attr, fake, message",
+        [
+            (weyl, "residual_bound", lambda graph, state: 1e-9, "exceeds its bound"),
+            (
+                weyl, "embedded_route_residual", lambda graph, state, lam: 0.0,
+                "differs from residual",
+            ),
+            (
+                Region, "defect", lambda self, grid: np.ones(len(self.names)),
+                "is not 0 on the clear box",
+            ),
+        ],
+    )
+    def test_broken_certificate_is_internal_error(
+        self, tmp_path, monkeypatch, capsys, owner, attr, fake, message
+    ):
+        monkeypatch.setattr(owner, attr, fake)
+        code = run(
+            tmp_path,
+            "weyl-check", "--graph", "builtin:lattice2",
+            "--perturbation", "builtin:half_plane",
+            "--lambda", "0.0", "--n-list", "2",
+            "--out", str(tmp_path / "wc"),
+        )
+        assert code == 4
+        err = capsys.readouterr().err
+        assert message in err
+        assert "at n=2, centre (-6,3|v0)" in err
 
 
 class TestTruncateCommand:

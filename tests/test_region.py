@@ -1,0 +1,263 @@
+"""The array route of a residual row against the dict route.
+
+``build_weyl_state`` and ``residual_row`` evaluate a row on a compiled
+``Region``; the dict operators of ``graphs`` and ``perturbation`` compute the
+same quantities vertex by vertex.  Both must agree to 1e-12 relative, with
+the defect exactly zero on clear boxes.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from periodic_spectra import (
+    Patch,
+    PerturbedGraph,
+    Vertex,
+    apply_defect,
+    apply_laplacian,
+    build_weyl_state,
+    embed_state,
+    embedding_norm_bounds,
+    find_unperturbed_box,
+    locate_band_value,
+    make_cone,
+    make_counterexample,
+    make_g11,
+    make_half_plane,
+    make_lattice,
+    make_random_pendant,
+    residual,
+    residual_bound,
+    residual_row,
+    shifted_tent_diff_sum,
+    tent_norm_sq,
+    translate_state,
+    weighted_norm,
+    windowed_bloch_state,
+)
+from periodic_spectra.errors import VertexNotInCommonSubgraphError
+from periodic_spectra.graphs import box_cells, sup_norm
+from periodic_spectra.region import Region
+from periodic_spectra.weyl import embedded_route_residual, sup_norm_bound
+
+REL = 1e-12
+GRID = 16  # band-location grid per axis; small keeps 3-D cases quick
+QUANTITIES = ("norm", "residual", "route_residual", "bound", "sup_norm_bound", "sup_norm")
+
+
+def dict_route(graph, lam, n, window):
+    """Every number of a residual row through the dict operators."""
+    report = find_unperturbed_box(graph, n, window)
+    band, k0, xi0 = locate_band_value(graph.base, lam, GRID)
+    psi = windowed_bloch_state(graph.base, band, k0, xi0, n)
+    moved = translate_state(psi, report.center.cell)
+    embedded = embed_state(graph, moved)
+    norm = weighted_norm(embedded, graph.oracle)
+    vector = {v: x / norm for v, x in embedded.items()}
+    lap = apply_laplacian(vector, graph.oracle)
+    diff = {v: lap.get(v, 0.0) - lam * vector.get(v, 0.0) for v in set(lap) | set(vector)}
+    base_lap = apply_laplacian(moved, graph.base_oracle)
+    base_diff = {
+        v: base_lap.get(v, 0.0) - lam * moved.get(v, 0.0)
+        for v in set(base_lap) | set(moved)
+    }
+    half = report.box_bounds[1]
+    box = [
+        Vertex(cell, label)
+        for cell in box_cells([(c - half, c + half) for c in report.center.cell])
+        for label in range(graph.base.cell_size)
+    ]
+    lower, upper = embedding_norm_bounds(graph, box)
+    bridges = [e for e in graph.base.oriented_edges() if e.is_bridge]
+    bridge_sum = sum(
+        shifted_tent_diff_sum(n, comp) for e in bridges for comp in e.index if comp
+    )
+    bound = np.sqrt((upper / lower) ** 2 * len(bridges) * bridge_sum / tent_norm_sq(n, 1))
+    return {
+        "center": report.center,
+        "vector": vector,
+        "base_vector": moved,
+        "norm": norm,
+        "residual": weighted_norm(diff, graph.oracle),
+        "route_residual": weighted_norm(embed_state(graph, base_diff), graph.oracle) / norm,
+        "bound": float(bound),
+        "sup_norm_bound": (1.0 / lower) * tent_norm_sq(n, graph.base.dim) ** -0.5,
+        "sup_norm": sup_norm(vector),
+        "defect_sup": sup_norm(apply_defect(graph, moved)),
+    }
+
+
+def region_route(graph, lam, n, window):
+    state = build_weyl_state(graph, lam, n, window, GRID)
+    row = residual_row(graph, state, lam)
+    return {
+        "center": state.center,
+        "vector": state.vector,
+        "base_vector": state.base_vector,
+        "norm": state.embed_norm,
+        "residual": residual(graph, state, lam),
+        "route_residual": embedded_route_residual(graph, state, lam),
+        "bound": residual_bound(graph, state),
+        "sup_norm_bound": sup_norm_bound(graph, state),
+        "sup_norm": row.sup_norm,
+        "defect_sup": row.defect_sup,
+        "row": row,
+    }
+
+
+def close(a, b) -> bool:
+    return abs(a - b) <= REL * abs(b)
+
+
+def assert_routes_agree(graph, lam, n, window):
+    ref = dict_route(graph, lam, n, window)
+    got = region_route(graph, lam, n, window)
+    assert got["center"] == ref["center"]
+    for key in QUANTITIES:
+        assert close(got[key], ref[key]), (key, got[key], ref[key])
+    row = got["row"]
+    assert (row.residual, row.route_residual, row.bound) == (
+        got["residual"], got["route_residual"], got["bound"]
+    )
+    assert got["defect_sup"] == 0.0 and ref["defect_sup"] == 0.0
+    for key in ("vector", "base_vector"):
+        assert list(got[key]) == list(ref[key])
+        for v, val in ref[key].items():
+            assert abs(got[key][v] - val) <= REL * abs(val)
+
+
+CATALOG_CASES = {
+    "half_plane": (lambda: make_half_plane().perturbation, ((-12, 12), (-12, 12)), 4),
+    "cone": (lambda: make_cone().perturbation, ((0, 20), (0, 20)), 4),
+    "counterexample": (lambda: make_counterexample().perturbation, ((-30, 30),), 8),
+    "random_pendant": (lambda: make_random_pendant(0.1, 5).perturbation, ((0, 40), (0, 40)), 2),
+    "random_pendant_3d": (
+        lambda: make_random_pendant(0.02, 5, dim=3).perturbation, ((0, 12),) * 3, 2
+    ),
+}
+def _band_value(graph, u: float) -> float:
+    """A value inside the bands of the base: lattices fill [-1, 1], the
+    pendant chain has [-1, -1/3] u [1/3, 1]."""
+    if graph.base.cell_size == 1:
+        return -0.95 + 1.9 * u
+    return (-0.95 + 1.1 * u) if u < 0.5 else (0.4 + 1.1 * (u - 0.5))
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_CASES))
+@given(u=st.floats(0.0, 1.0), m=st.integers(1, 8))
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_catalog_routes_agree(name, u, m):
+    make, window, n_max = CATALOG_CASES[name]
+    graph = make()
+    n = 1 + (m - 1) % n_max
+    assert_routes_agree(graph, _band_value(graph, u), n, window)
+
+
+R = 3  # explicit patches change only cells in [-R, R]^d
+
+
+@st.composite
+def explicit_patches(draw):
+    """Lattice or pendant chain with removed vertices and edges, added
+    vertices and edges, and renamed vertices near the origin."""
+    base = draw(st.sampled_from([make_lattice(2), make_lattice(1), make_g11().base]))
+    s = base.cell_size
+    cells = list(box_cells([(-R, R)] * base.dim))
+    vertices = st.builds(Vertex, st.sampled_from(cells), st.integers(0, s - 1))
+    removed = draw(st.frozensets(vertices, max_size=3))
+    renamed = draw(st.frozensets(vertices, max_size=6)) - removed
+    rename = {x: Vertex(x.cell, s + 1 + x.label) for x in renamed}
+    added = frozenset(
+        Vertex(c, s) for c in draw(st.frozensets(st.sampled_from(cells), max_size=3))
+    )
+    templates = base.oriented_edges()
+    removed_edges = tuple(
+        (x, Vertex(tuple(a + b for a, b in zip(x.cell, e.index)), e.target))
+        for x, e in draw(
+            st.lists(st.tuples(vertices, st.sampled_from(templates)), max_size=3)
+        )
+        if x.label == e.origin
+    )
+    names = sorted(
+        [rename.get(x, x) for c in cells for x in (Vertex(c, a) for a in range(s))
+         if x not in removed] + list(added),
+        key=lambda v: (v.cell, v.label),
+    )
+    added_edges = tuple(
+        draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)), max_size=4))
+    )
+    patch = Patch(
+        removed_vertices=removed,
+        removed_edges=removed_edges,
+        added_vertices=added,
+        added_edges=added_edges,
+    )
+    return PerturbedGraph(base, patch, rename=rename, name="explicit")
+
+
+@given(graph=explicit_patches(), u=st.floats(0.0, 1.0), n=st.integers(1, 3))
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_explicit_patch_routes_agree(graph, u, n):
+    # every cell with first coordinate >= R + 2 lies in the unperturbed set,
+    # so the window always holds a clear box
+    window = ((-R, R + 2 + n),) + ((-R, R),) * (graph.base.dim - 1)
+    assert_routes_agree(graph, _band_value(graph, u), n, window)
+
+
+@given(
+    graph=explicit_patches(),
+    n=st.integers(1, 3),
+    offset=st.integers(-R - 1, R + 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_region_operators_match_dict_operators_on_any_box(graph, n, offset, seed):
+    """Boxes that overlap the patch: the operators still match the dict ones."""
+    base = graph.base
+    center = (offset,) * base.dim
+    region = Region(graph, center, n)
+    rng = np.random.default_rng(seed)
+    grid = rng.normal(size=region.shape) + 1j * rng.normal(size=region.shape)
+    inner = tuple(slice(1, -1) for _ in range(base.dim))
+    support = np.zeros(region.shape, dtype=bool)
+    support[inner] = True  # one cell inside the faces, where base_laplacian is exact
+    grid[~support] = 0.0
+    flat = grid.reshape(-1)
+    for i, x in enumerate(region.vertices):
+        # the dict Laplacian divides by the degree: isolated vertices carry no value
+        if graph.in_common(x) and graph.oracle.degree(graph.phi_inv(x)) == 0:
+            flat[i] = 0.0
+    psi = {v: complex(x) for v, x in zip(region.vertices, flat) if x != 0}
+    rows = region.embed(grid)
+
+    def as_dict(values):
+        return {region.names[r]: complex(x) for r, x in enumerate(values) if x != 0}
+
+    def assert_same(values, reference):
+        got = as_dict(values)
+        for v in set(got) | set(reference):
+            ref = reference.get(v, 0.0)
+            assert abs(got.get(v, 0.0) - ref) <= REL * max(1.0, abs(ref)), v
+
+    embedded = embed_state(graph, psi)
+    assert_same(rows, embedded)
+    assert close(region.norm(rows), weighted_norm(embedded, graph.oracle))
+    assert_same(region.laplacian(rows), apply_laplacian(embedded, graph.oracle))
+    assert_same(region.defect(grid), apply_defect(graph, psi))
+    base_lap = apply_laplacian(psi, graph.base_oracle)
+    lap = region.base_laplacian(grid).reshape(-1)
+    for i, x in enumerate(region.vertices):
+        assert abs(lap[i] - base_lap.get(x, 0.0)) <= REL * max(1.0, abs(lap[i]))
+    for name, member in zip(region.names, region.unperturbed):
+        x = graph.phi(name)
+        assert member == (x is not None and graph.unperturbed.contains(x))
+    assert region.clear == all(
+        graph.in_common(x) and graph.unperturbed.contains(x) for x in region.vertices
+    )
+    if region.kept == len(region.vertices):
+        assert region.embedding_norm_bounds() == embedding_norm_bounds(graph, region.vertices)
+    else:
+        with pytest.raises(VertexNotInCommonSubgraphError):
+            region.embedding_norm_bounds()
