@@ -106,11 +106,8 @@ def make_half_plane() -> CatalogEntry:
     base = make_lattice(2)
     patch = PredicatePatch(
         keep=lambda v: v.cell[1] >= 0,
-        influence_radius=1,
     )
-    graph = PerturbedGraph(
-        base, patch, name="half_plane", lambda_closed_form="x2 >= 1"
-    )
+    graph = PerturbedGraph(base, patch, name="half_plane")
     return CatalogEntry(
         name="half_plane",
         base=base,
@@ -142,11 +139,8 @@ def make_cone() -> CatalogEntry:
     patch = PredicatePatch(
         keep=lambda v: v.cell[0] >= 0 and v.cell[1] >= 0,
         added_neighbors=added_neighbors,
-        influence_radius=1,
     )
-    graph = PerturbedGraph(
-        base, patch, name="cone", lambda_closed_form="x1 >= 1 and x2 >= 1"
-    )
+    graph = PerturbedGraph(base, patch, name="cone")
     return CatalogEntry(
         name="cone",
         base=base,
@@ -191,14 +185,8 @@ def make_random_pendant(p: float, seed: int, dim: int = 2) -> CatalogEntry:
         added_contains=added_contains,
         added_neighbors=added_neighbors,
         added_in_cell=added_in_cell,
-        influence_radius=0,
     )
-    graph = PerturbedGraph(
-        base,
-        patch,
-        name=f"random_pendant(p={p}, seed={seed})",
-        lambda_closed_form="no pendant drawn at the cell",
-    )
+    graph = PerturbedGraph(base, patch, name=f"random_pendant(p={p}, seed={seed})")
     return CatalogEntry(
         name="random_pendant",
         base=base,
@@ -240,14 +228,8 @@ def make_counterexample() -> CatalogEntry:
         added_contains=added_contains,
         added_neighbors=added_neighbors,
         added_in_cell=added_in_cell,
-        influence_radius=0,
     )
-    graph = PerturbedGraph(
-        base,
-        patch,
-        name="counterexample",
-        lambda_closed_form="x < 0, or the original pendant (label 1) at x >= 0",
-    )
+    graph = PerturbedGraph(base, patch, name="counterexample")
     return CatalogEntry(
         name="counterexample",
         base=base,

@@ -286,14 +286,11 @@ def _cmd_lambda_set(args) -> int:
     header = [f"cell_{j + 1}" for j in range(base.dim)] + [
         f"v{i + 1}" for i in range(base.cell_size)
     ]
-    rows = []
-    for cell in box_cells(window):
-        bits = []
-        for label in range(base.cell_size):
-            x = Vertex(cell, label)
-            member = perturbed.in_common(x) and perturbed.unperturbed.contains(x)
-            bits.append("1" if member else "0")
-        rows.append([str(c) for c in cell] + bits)
+    bits = np.where(perturbed.unperturbed.mask(window), "1", "0")
+    rows = [
+        [str(c) for c in cell] + row
+        for cell, row in zip(box_cells(window), bits.reshape(-1, base.cell_size).tolist())
+    ]
     ctx.write_manifest()
     ctx.write_csv(header, rows)
     return 0

@@ -14,6 +14,7 @@ self-adjoint.
 from __future__ import annotations
 
 import itertools
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -136,6 +137,9 @@ def build_periodic(dim: int, cell_size: int, edges: Iterable[FundEdge]) -> Perio
     return PeriodicGraph(dim, cell_size, tuple(stored), tuple(degrees))
 
 
+Window = tuple[tuple[int, int], ...]  # inclusive ``(lo, hi)`` per axis
+
+
 def box_cells(box: Sequence[tuple[int, int]]) -> Iterator[Cell]:
     """Cells of the box ``[lo, hi]`` per axis in lexicographic order (the
     last axis varies fastest); an empty box sequence yields the single cell
@@ -199,16 +203,19 @@ class PeriodicOracle(GraphOracle):
             rev = e.reversed()
             templates[rev.origin].append((rev.index, rev.target))
         self._templates = tuple(tuple(t) for t in templates)
+        self._dim = graph.dim
+        self._size = graph.cell_size
 
     def contains(self, v: Vertex) -> bool:
-        return len(v.cell) == self.graph.dim and 0 <= v.label < self.graph.cell_size
+        return len(v.cell) == self._dim and 0 <= v.label < self._size
 
     def out_edges(self, v: Vertex) -> tuple[Vertex, ...]:
-        if not self.contains(v):
+        cell, label = v.cell, v.label
+        if len(cell) != self._dim or not 0 <= label < self._size:
             raise VertexNotInGraphError(f"{v} is not a vertex of this graph")
+        add = operator.add
         return tuple(
-            Vertex(tuple(c + o for c, o in zip(v.cell, off)), lbl)
-            for off, lbl in self._templates[v.label]
+            [Vertex(tuple(map(add, cell, off)), lbl) for off, lbl in self._templates[label]]
         )
 
     def degree(self, v: Vertex) -> int:

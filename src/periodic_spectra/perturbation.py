@@ -15,6 +15,7 @@ everything outside that image.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
@@ -33,13 +34,12 @@ from .graphs import (
     PeriodicGraph,
     State,
     Vertex,
+    Window,
     apply_laplacian,
     box_cells,
     periodic_oracle,
     propagation_length,
 )
-
-Window = tuple[tuple[int, int], ...]
 
 _NO_NEIGHBORS: tuple[Vertex, ...] = ()
 
@@ -71,16 +71,13 @@ class PredicatePatch:
     ``keep`` decides which base vertices survive; ``added_contains`` tests
     membership of new vertices; ``added_neighbors`` lists, for any vertex of
     the perturbed graph, the targets of added edges at it (symmetrically and
-    with multiplicity).  ``influence_radius`` declares how far, in cells, the
-    patch can reach around a vertex; degree and unperturbed-set queries are
-    decidable from that neighborhood alone.
+    with multiplicity).
     """
 
     keep: Callable[[Vertex], bool]
     added_contains: Callable[[Vertex], bool] = lambda v: False
     added_neighbors: Callable[[Vertex], tuple[Vertex, ...]] = lambda v: _NO_NEIGHBORS
     added_in_cell: Callable[[Cell], tuple[Vertex, ...]] = lambda cell: _NO_NEIGHBORS
-    influence_radius: int = 0
 
 
 class PerturbedOracle(GraphOracle):
@@ -99,18 +96,26 @@ class PerturbedOracle(GraphOracle):
 
     def out_edges(self, v: Vertex) -> tuple[Vertex, ...]:
         g = self._g
-        if not self.contains(v):
+        # ``contains(v)`` and ``phi(v)`` resolved in one pass
+        base_name = g._rename_inverse.get(v)
+        if base_name is None and g._is_base_name(v) and v not in g._rename:
+            base_name = v if g._keep(v) else None
+            present = base_name is not None
+        else:
+            present = base_name is not None or g._added_contains(v)
+        if not present:
             raise VertexNotInGraphError(f"{v} is not a vertex of the perturbed graph")
-        base_name = g.phi(v)
         targets: list[Vertex] = []
         if base_name is not None:
+            keep = g._keep
             removed = g._removed_count
+            rename = g._rename
             for t in g.base_oracle.out_edges(base_name):
-                if not g._keep(t):
+                if not keep(t):
                     continue
                 if removed and removed.get(_pair_key(base_name, t), 0) > 0:
                     continue
-                targets.append(g.phi_inv(t))
+                targets.append(rename.get(t, t))
         targets.extend(g._added_neighbors(v))
         return tuple(targets)
 
@@ -127,16 +132,16 @@ class PerturbedOracle(GraphOracle):
 
 
 class UnperturbedSet:
-    """Membership query for the unperturbed set, cached per vertex.
+    """Membership in the unperturbed set, per vertex or for a whole box.
 
     A kept base vertex belongs iff its perturbed degree equals its base degree
     and every base edge at it keeps both endpoints and is not removed.
+    ``contains`` answers for one vertex; ``mask`` answers for every vertex of
+    a box at once, and the scalar test is its reference.
     """
 
-    def __init__(self, owner: "PerturbedGraph", closed_form: str | None = None):
+    def __init__(self, owner: "PerturbedGraph"):
         self._g = owner
-        self._cache: dict[Vertex, bool] = {}
-        self.closed_form = closed_form
 
     def contains(self, x: Vertex) -> bool:
         if not self._g.in_common(x):
@@ -148,20 +153,79 @@ class UnperturbedSet:
     __contains__ = contains
 
     def _contains_known(self, x: Vertex) -> bool:
-        hit = self._cache.get(x)
-        if hit is not None:
-            return hit
         g = self._g
-        ok = True
         removed = g._removed_count
         for t in g.base_oracle.out_edges(x):
             if not g._keep(t) or (removed and removed.get(_pair_key(x, t), 0) > 0):
-                ok = False
-                break
-        if ok:
-            ok = g.oracle.degree(g.phi_inv(x)) == g.base_oracle.degree(x)
-        self._cache[x] = ok  # idempotent write; safe under concurrent insertion
-        return ok
+                return False
+        return g.oracle.degree(g.phi_inv(x)) == g.base_oracle.degree(x)
+
+    def mask(self, box: Window) -> np.ndarray:
+        """Membership of every vertex of ``box`` as a boolean array of shape
+        ``(sizes..., cell_size)``, cells in lexicographic order and labels
+        last; an entry is ``in_common(x) and _contains_known(x)``.
+
+        The kept grid over the box padded by the propagation length is ANDed
+        with itself shifted by every oriented edge template, and the endpoints
+        of removed base edges are cleared.  A vertex that survives has all of
+        its base edges, so it belongs iff no added edge meets it.  The
+        finitely many vertices named in the rename table take the scalar
+        test.
+        """
+        g = self._g
+        base = g.base
+        if len(box) != base.dim:
+            raise InputError(f"box has {len(box)} axes, graph has dimension {base.dim}")
+        s = base.cell_size
+        sizes = tuple(max(hi - lo + 1, 0) for lo, hi in box)
+        if 0 in sizes:
+            return np.zeros(sizes + (s,), dtype=bool)
+        pad = propagation_length(base)
+        padded = [(lo - pad, hi + pad) for lo, hi in box]
+        shape = tuple(n + 2 * pad for n in sizes) + (s,)
+        in_common = g.in_common
+        kept = np.fromiter(
+            (in_common(Vertex(c, a)) for c, a in itertools.product(box_cells(padded), range(s))),
+            dtype=bool,
+            count=int(np.prod(shape)),
+        ).reshape(shape)
+        out = kept[tuple(slice(pad, pad + n) for n in sizes)].copy()
+        for e in base.oriented_edges():
+            ahead = tuple(slice(pad + i, pad + i + n) for i, n in zip(e.index, sizes))
+            out[..., e.origin] &= kept[ahead + (e.target,)]
+
+        def position(x: Vertex) -> tuple[int, ...] | None:
+            if not g._is_base_name(x):
+                return None
+            at = tuple(c - lo for c, (lo, _) in zip(x.cell, box))
+            if all(0 <= i < n for i, n in zip(at, sizes)):
+                return at + (x.label,)
+            return None
+
+        for a, la, b, lb in g._removed_count or ():
+            u, v = Vertex(a, la), Vertex(b, lb)
+            if g._is_base_name(u) and v in g.base_oracle.out_edges(u):
+                for x in (u, v):
+                    at = position(x)
+                    if at is not None:
+                        out[at] = False
+        # a renamed vertex's perturbed name differs from its base name, and a
+        # rename target may shadow a base name: these take the scalar test
+        named = {}
+        for x in itertools.chain(g._rename, g._rename_inverse):
+            at = position(x)
+            if at is not None:
+                named[at] = x
+                out[at] = False
+        added = g._added_neighbors
+        flat = out.reshape(-1)
+        candidates = itertools.compress(
+            itertools.product(box_cells(box), range(s)), flat.tolist()
+        )
+        flat[np.flatnonzero(flat)] = [not added(Vertex(c, a)) for c, a in candidates]
+        for at, x in named.items():
+            out[at] = in_common(x) and self._contains_known(x)
+        return out
 
 
 @dataclass(frozen=True)
@@ -188,7 +252,6 @@ class PerturbedGraph:
         patch: Patch | PredicatePatch,
         rename: Mapping[Vertex, Vertex] | None = None,
         name: str = "",
-        lambda_closed_form: str | None = None,
     ):
         self.base = base
         self.base_oracle = periodic_oracle(base)
@@ -206,13 +269,12 @@ class PerturbedGraph:
             self._added_neighbors = patch.added_neighbors
             self._added_in_cell = patch.added_in_cell
             self._removed_count: dict | None = None
-            self.influence_radius = patch.influence_radius
         by_cell: dict[Cell, list[Vertex]] = {}
         for v in self._rename_inverse:
             by_cell.setdefault(v.cell, []).append(v)
         self._renamed_by_cell = {c: tuple(vs) for c, vs in by_cell.items()}
         self.oracle = PerturbedOracle(self)
-        self.unperturbed = UnperturbedSet(self, lambda_closed_form)
+        self.unperturbed = UnperturbedSet(self)
 
     def _renamed_into_cell(self, cell: Cell) -> tuple[Vertex, ...]:
         return self._renamed_by_cell.get(cell, ())
@@ -252,11 +314,6 @@ class PerturbedGraph:
         self._added_contains = lambda v: v in added_v
         self._added_neighbors = lambda v: frozen.get(v, _NO_NEIGHBORS)
         self._added_in_cell = lambda cell: frozen_cells.get(cell, ())
-        reach = [0]
-        for u, v in patch.added_edges:
-            if len(u.cell) == len(v.cell):
-                reach.append(max(abs(a - b) for a, b in zip(u.cell, v.cell)))
-        self.influence_radius = max(reach)
 
     def _is_base_name(self, v: Vertex) -> bool:
         return len(v.cell) == self.base.dim and 0 <= v.label < self.base.cell_size
@@ -287,23 +344,20 @@ def box_is_clear(graph: PerturbedGraph, center: Cell, n: int) -> bool:
     """Is the box of radius ``n`` (padded by the propagation length) around
     ``center`` entirely inside the unperturbed set?"""
     half = n + propagation_length(graph.base) - 1
-    members = graph.unperturbed
-    s = graph.base.cell_size
-    for cell in box_cells([(c - half, c + half) for c in center]):
-        for label in range(s):
-            x = Vertex(cell, label)
-            if not graph.in_common(x) or not members._contains_known(x):
-                return False
-    return True
+    return bool(graph.unperturbed.mask([(c - half, c + half) for c in center]).all())
 
 
 def find_unperturbed_box(
     graph: PerturbedGraph, n: int, window: Window
 ) -> WindowReport:
-    """Scan candidate centers in lexicographic order over ``window``.
+    """First center, in lexicographic order over ``window``, whose padded box
+    lies inside the unperturbed set.
 
-    Returns the first center whose padded box lies inside the unperturbed
-    set, or a report with ``center=None`` when the window is exhausted.
+    ``searched`` is the center's rank plus one, or the number of centers in
+    the window with ``center=None`` when none is clear.  Centers are taken
+    in slabs of 1, 2, 4, ... rows along the first axis; each row of the
+    membership mask is computed once, and a summed-area table counts the
+    clear cells of every box in a slab at once.
     """
     if n < 1:
         raise InputError(f"box radius must be >= 1, got {n}")
@@ -312,13 +366,46 @@ def find_unperturbed_box(
             f"window has {len(window)} axes, graph has dimension {graph.base.dim}"
         )
     half = n + propagation_length(graph.base) - 1
+    side = 2 * half + 1
     bounds = (-half, half)
-    searched = 0
-    for cell in box_cells(window):
-        searched += 1
-        if box_is_clear(graph, cell, n):
+    (lo, hi), rest = window[0], window[1:]
+    across = [(a - half, b + half) for a, b in rest]
+    per_row = int(np.prod([max(b - a + 1, 0) for a, b in rest]))
+    if hi < lo or per_row == 0:
+        return WindowReport(n, None, 0, bounds)
+    members = graph.unperturbed
+    # rows holds the clear cells of the window's cell rows first - half ..
+    # first + half - 1; a slab of centres needs them up to last + half
+    rows = members.mask([(lo - half, lo + half - 1)] + across).all(axis=-1)
+    first, slab = lo, 1
+    while first <= hi:
+        last = min(first + slab - 1, hi)
+        fresh = members.mask([(first + half, last + half)] + across)
+        rows = np.concatenate([rows[len(rows) - 2 * half :], fresh.all(axis=-1)])
+        clear = _box_sums(rows, side) == side ** len(window)
+        hits = np.flatnonzero(clear)
+        if hits.size:
+            at = np.unravel_index(hits[0], clear.shape)
+            origin = (first,) + tuple(a for a, _ in rest)
+            cell = tuple(int(i) + c for i, c in zip(at, origin))
+            searched = (first - lo) * per_row + int(hits[0]) + 1
             return WindowReport(n, Vertex(cell, 0), searched, bounds)
-    return WindowReport(n, None, searched, bounds)
+        first, slab = last + 1, 2 * slab
+    return WindowReport(n, None, (hi - lo + 1) * per_row, bounds)
+
+
+def _box_sums(cells: np.ndarray, side: int) -> np.ndarray:
+    """Number of true entries in every box of ``side`` cells per axis that
+    fits inside ``cells``: a summed-area table built one axis at a time (a
+    cumulative sum with a leading zero), differenced ``side`` apart."""
+    sums = cells.astype(np.int64)
+    for axis in range(sums.ndim):
+        lead = (slice(None),) * axis
+        table = np.cumsum(sums, axis=axis)
+        zero = np.zeros_like(table[lead + (slice(0, 1),)])
+        table = np.concatenate([zero, table], axis=axis)
+        sums = table[lead + (slice(side, None),)] - table[lead + (slice(None, -side),)]
+    return sums
 
 
 def embed_state(graph: PerturbedGraph, psi: Mapping[Vertex, complex]) -> State:

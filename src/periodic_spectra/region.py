@@ -12,8 +12,9 @@ and is compiled once per test state.  It has two sides:
   neighbour arrays keep only targets that are rows themselves.
 
 The embedding index carries grid values onto the rows, and the unperturbed
-mask of the rows (read from ``UnperturbedSet._contains_known``) zeroes the
-defect.  The dict operators ``graphs.apply_laplacian``, ``weighted_norm``,
+mask of the rows zeroes the defect: the box rows read it from
+``UnperturbedSet.mask`` of the box, the rows outside the box from the scalar
+``UnperturbedSet._contains_known``.  The dict operators ``graphs.apply_laplacian``, ``weighted_norm``,
 ``perturbation.embed_state``, ``apply_defect`` and ``embedding_norm_bounds``
 compute the same quantities vertex by vertex and are the reference for this
 route.
@@ -45,11 +46,8 @@ class Region:
         s = base.cell_size
         side = 2 * half + 1
         self.shape = (side,) * base.dim + (s,)
-        self.vertices = [
-            Vertex(cell, label)
-            for cell in box_cells([(c - half, c + half) for c in center])
-            for label in range(s)
-        ]
+        box = [(c - half, c + half) for c in center]
+        self.vertices = [Vertex(cell, label) for cell in box_cells(box) for label in range(s)]
 
         names: list[Vertex] = []
         row_of: dict[Vertex, int] = {}
@@ -90,7 +88,7 @@ class Region:
         )
 
         members = graph.unperturbed
-        mask = [members._contains_known(self.vertices[i]) for i in kept_at]
+        mask = members.mask(box).reshape(-1)[self._kept_at].tolist()
         for v in names[self.kept:]:
             x = graph.phi(v)
             mask.append(x is not None and members._contains_known(x))

@@ -17,9 +17,7 @@ import numpy as np
 
 from .errors import EmptyBoxError, InputError
 from .floquet import SpectrumApprox
-from .graphs import GraphOracle, PeriodicOracle, Vertex, box_cells
-
-Window = tuple[tuple[int, int], ...]
+from .graphs import GraphOracle, PeriodicOracle, Vertex, Window, box_cells
 
 _DENSE_LIMIT = 4000
 

@@ -28,9 +28,10 @@ from .graphs import (
     PeriodicGraph,
     State,
     Vertex,
+    Window,
     box_cells,
 )
-from .perturbation import PerturbedGraph, Window, find_unperturbed_box
+from .perturbation import PerturbedGraph, find_unperturbed_box
 from .region import Region
 
 _EIGENPAIR_TOL = 1e-9

@@ -86,7 +86,7 @@ class TestDecoratedSquareLattice:
         assert np.max(np.abs(eigs - np.sort(lambdas.reshape(-1)))) <= 1e-9
 
     def test_half_plane_cut_weyl_decay(self, graph):
-        patch = PredicatePatch(keep=lambda v: v.cell[1] >= 0, influence_radius=1)
+        patch = PredicatePatch(keep=lambda v: v.cell[1] >= 0)
         cut = PerturbedGraph(graph, patch, name="decorated_half_plane")
         window = ((-40, 40), (0, 60))
         residuals = []

@@ -1,0 +1,304 @@
+"""The window-wide membership mask and the box search against scalar routes.
+
+``UnperturbedSet.mask`` answers membership for a whole box at once and
+``find_unperturbed_box`` searches its slabs with a summed-area table.  The
+references here are the per-vertex test ``in_common(x) and
+_contains_known(x)`` and the lexicographic centre-by-centre scan built on it;
+both routes must agree exactly.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from periodic_spectra import (
+    Patch,
+    PerturbedGraph,
+    Vertex,
+    WindowReport,
+    find_unperturbed_box,
+    make_cone,
+    make_counterexample,
+    make_g11,
+    make_half_plane,
+    make_lattice,
+    make_random_pendant,
+)
+from periodic_spectra.cli import main
+from periodic_spectra.errors import InputError, VertexNotInGraphError
+from periodic_spectra.graphs import box_cells, propagation_length
+from periodic_spectra.perturbation import UnperturbedSet, _pair_key
+
+
+def scalar_mask(graph, box):
+    """Membership of every box vertex, one scalar test at a time."""
+    s = graph.base.cell_size
+    sizes = tuple(max(hi - lo + 1, 0) for lo, hi in box)
+    members = graph.unperturbed
+    values = [
+        graph.in_common(x) and members._contains_known(x)
+        for x in (Vertex(cell, a) for cell in box_cells(box) for a in range(s))
+    ]
+    return np.array(values, dtype=bool).reshape(sizes + (s,))
+
+
+def scan_reference(graph, n, window):
+    """Centre-by-centre lexicographic scan: the first centre whose padded box
+    passes the scalar test, with ``searched`` counting every centre tried."""
+    half = n + propagation_length(graph.base) - 1
+    members = graph.unperturbed
+    searched = 0
+    for cell in box_cells(window):
+        searched += 1
+        box = [(c - half, c + half) for c in cell]
+        if all(
+            graph.in_common(x) and members._contains_known(x)
+            for x in (Vertex(c, a) for c in box_cells(box) for a in range(graph.base.cell_size))
+        ):
+            return WindowReport(n, Vertex(cell, 0), searched, (-half, half))
+    return WindowReport(n, None, searched, (-half, half))
+
+
+CATALOG = {
+    "half_plane": lambda: make_half_plane().perturbation,
+    "cone": lambda: make_cone().perturbation,
+    "counterexample": lambda: make_counterexample().perturbation,
+    "random_pendant_1d": lambda: make_random_pendant(0.3, 11, dim=1).perturbation,
+    "random_pendant_2d": lambda: make_random_pendant(0.1, 5).perturbation,
+    "random_pendant_3d": lambda: make_random_pendant(0.05, 5, dim=3).perturbation,
+}
+GRAPHS = {name: make() for name, make in CATALOG.items()}
+
+
+def boxes(dim, reach=8, width=7):
+    """Boxes near the origin (where the catalog perturbations have their
+    boundaries), empty ones included."""
+    axis = st.tuples(st.integers(-reach, reach), st.integers(-1, width)).map(
+        lambda t: (t[0], t[0] + t[1])
+    )
+    return st.tuples(*[axis] * dim)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_catalog_mask_matches_scalar_test(name, data):
+    graph = GRAPHS[name]
+    box = data.draw(boxes(graph.base.dim, width=4 if graph.base.dim == 3 else 7))
+    got = graph.unperturbed.mask(box)
+    assert got.dtype == bool
+    np.testing.assert_array_equal(got, scalar_mask(graph, box))
+
+
+R = 3  # explicit patches change only cells in [-R, R]^d
+
+
+@st.composite
+def explicit_patches(draw):
+    """Lattice or pendant chain with removed vertices, removed pairs (base
+    edges or not), added vertices and edges, and a rename table whose targets
+    are new names or other base names."""
+    base = draw(st.sampled_from([make_lattice(2), make_lattice(1), make_g11().base]))
+    s = base.cell_size
+    cells = list(box_cells([(-R, R)] * base.dim))
+    vertices = st.builds(Vertex, st.sampled_from(cells), st.integers(0, s - 1))
+    removed = draw(st.frozensets(vertices, max_size=3))
+    rename = {}
+    for x in sorted(draw(st.frozensets(vertices, max_size=6)) - removed, key=repr):
+        onto_base = draw(st.booleans())
+        target = draw(vertices) if onto_base else Vertex(x.cell, s + 1 + x.label)
+        if target != x and target not in rename.values():
+            rename[x] = target
+    added = frozenset(
+        Vertex(c, s) for c in draw(st.frozensets(st.sampled_from(cells), max_size=3))
+    )
+    templates = base.oriented_edges()
+    removed_edges = tuple(
+        (x, Vertex(tuple(a + b for a, b in zip(x.cell, e.index)), e.target))
+        for x, e in draw(
+            st.lists(st.tuples(vertices, st.sampled_from(templates)), max_size=3)
+        )
+        if x.label == e.origin
+    ) + tuple(draw(st.lists(st.tuples(vertices, vertices), max_size=2)))
+    names = sorted(
+        {rename.get(x, x) for c in cells for x in (Vertex(c, a) for a in range(s))
+         if x not in removed} | set(rename.values()) | added,
+        key=lambda v: (v.cell, v.label),
+    )
+    added_edges = tuple(
+        draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)), max_size=4))
+    )
+    patch = Patch(
+        removed_vertices=removed,
+        removed_edges=removed_edges,
+        added_vertices=added,
+        added_edges=added_edges,
+    )
+    return PerturbedGraph(base, patch, rename=rename, name="explicit")
+
+
+@given(graph=explicit_patches(), data=st.data())
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_explicit_patch_mask_matches_scalar_test(graph, data):
+    box = data.draw(boxes(graph.base.dim, reach=R + 2, width=2 * R + 2))
+    np.testing.assert_array_equal(graph.unperturbed.mask(box), scalar_mask(graph, box))
+
+
+def test_rename_onto_base_name_takes_scalar_test():
+    # (1) is renamed onto the base name (5); the perturbed vertex called (5)
+    # carries the edges of (1), which lost its neighbour (0)
+    graph = PerturbedGraph(
+        make_lattice(1),
+        Patch(removed_vertices=frozenset({Vertex((0,), 0)})),
+        rename={Vertex((1,), 0): Vertex((5,), 0)},
+    )
+    got = graph.unperturbed.mask(((-2, 8),))
+    np.testing.assert_array_equal(got, scalar_mask(graph, ((-2, 8),)))
+    assert not got[7, 0]
+
+
+def reference_out_edges(graph, v):
+    """``out_edges`` as ``contains`` followed by ``phi``."""
+    if not graph.oracle.contains(v):
+        raise VertexNotInGraphError(str(v))
+    x = graph.phi(v)
+    targets = []
+    if x is not None:
+        removed = graph._removed_count
+        for t in graph.base_oracle.out_edges(x):
+            if graph._keep(t) and not (removed and removed.get(_pair_key(x, t), 0)):
+                targets.append(graph.phi_inv(t))
+    return tuple(targets) + tuple(graph._added_neighbors(v))
+
+
+@given(graph=explicit_patches())
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_out_edges_matches_contains_then_phi(graph):
+    s = graph.base.cell_size
+    cells = box_cells([(-R - 1, R + 1)] * graph.base.dim)
+    names = [Vertex(c, a) for c in cells for a in range(s + 2 + s)]
+    names += list(graph._rename.values())
+    for v in names:
+        if graph.oracle.contains(v):
+            assert graph.oracle.out_edges(v) == reference_out_edges(graph, v)
+        else:
+            with pytest.raises(VertexNotInGraphError):
+                graph.oracle.out_edges(v)
+
+
+def test_out_edges_rejects_absent_vertices():
+    half_plane = make_half_plane().perturbation
+    pendant = make_random_pendant(0.5, 3).perturbation
+    bare = next(c for c in box_cells([(0, 20), (0, 0)]) if not pendant._added_neighbors(Vertex(c, 0)))
+    renamed = PerturbedGraph(make_lattice(1), Patch(), rename={Vertex((0,), 0): Vertex((0,), 5)})
+    for graph, v in [
+        (half_plane, Vertex((0, -1), 0)),  # removed base vertex
+        (half_plane, Vertex((0, 0, 0), 0)),  # wrong dimension
+        (pendant, Vertex(bare, 1)),  # added label where no pendant was drawn
+        (renamed, Vertex((0,), 0)),  # base name renamed away
+    ]:
+        with pytest.raises(VertexNotInGraphError):
+            graph.oracle.out_edges(v)
+    assert sorted(renamed.oracle.out_edges(Vertex((0,), 5)), key=repr) == [
+        Vertex((-1,), 0), Vertex((1,), 0)
+    ]
+
+
+def test_mask_rejects_wrong_dimension():
+    with pytest.raises(InputError):
+        GRAPHS["half_plane"].unperturbed.mask(((0, 3),))
+
+
+def test_no_per_vertex_cache():
+    graph = make_cone().perturbation
+    graph.unperturbed.mask(((-5, 5), (-5, 5)))
+    graph.unperturbed.contains(Vertex((3, 3), 0))
+    assert vars(graph.unperturbed).keys() == {"_g"}
+
+
+SEARCHES = [
+    # hit at the first centre
+    ("half_plane", 2, ((-3, 3), (3, 9))),
+    ("counterexample", 4, ((-30, 30),)),
+    # hit at the last centre
+    ("half_plane", 3, ((-4, 4), (-6, 4))),
+    ("cone", 2, ((-6, 3), (-6, 3))),
+    ("counterexample", 3, ((-20, -4),)),
+    # no hit
+    ("half_plane", 2, ((-10, 10), (-8, 2))),
+    ("cone", 3, ((-5, 30), (-5, 3))),
+    ("counterexample", 2, ((0, 40),)),
+    ("random_pendant_2d", 6, ((-10, 10), (-10, 10))),
+    # empty windows (lo > hi on some axis)
+    ("half_plane", 2, ((3, 2), (0, 5))),
+    ("half_plane", 2, ((0, 5), (3, 2))),
+    ("counterexample", 1, ((1, 0),)),
+    # windows narrower than the box
+    ("half_plane", 5, ((0, 0), (6, 7))),
+    ("half_plane", 5, ((-1, 1), (4, 7))),
+    ("cone", 4, ((5, 6), (0, 10))),
+    ("random_pendant_3d", 1, ((0, 1), (0, 2), (0, 1))),
+]
+
+
+@pytest.mark.parametrize("name, n, window", SEARCHES)
+def test_search_matches_reference_scan(name, n, window):
+    graph = GRAPHS[name]
+    assert find_unperturbed_box(graph, n, window) == scan_reference(graph, n, window)
+
+
+def test_search_cases_cover_first_last_and_no_hit():
+    kinds = set()
+    for name, n, window in SEARCHES:
+        report = scan_reference(GRAPHS[name], n, window)
+        total = int(np.prod([max(hi - lo + 1, 0) for lo, hi in window]))
+        if report.center is None:
+            kinds.add("empty" if total == 0 else "none")
+        else:
+            kinds.add({1: "first", total: "last"}.get(report.searched, "middle"))
+    assert {"first", "last", "none", "empty"} <= kinds
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+@given(data=st.data())
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_search_matches_reference_scan_on_random_windows(name, data):
+    graph = GRAPHS[name]
+    dim = graph.base.dim
+    window = data.draw(boxes(dim, reach=10, width=3 if dim == 3 else 12))
+    n = data.draw(st.integers(1, 2 if dim == 3 else 4))
+    assert find_unperturbed_box(graph, n, window) == scan_reference(graph, n, window)
+
+
+@given(graph=explicit_patches(), data=st.data())
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_search_matches_reference_scan_on_explicit_patches(graph, data):
+    window = data.draw(boxes(graph.base.dim, reach=R + 3, width=2 * R + 4))
+    n = data.draw(st.integers(1, 3))
+    assert find_unperturbed_box(graph, n, window) == scan_reference(graph, n, window)
+
+
+def _lambda_set(tmp_path, out, graph, pert, window):
+    argv = ["lambda-set", "--graph", graph, f"--window={window}", "--out", str(tmp_path / out)]
+    if pert is not None:
+        argv[3:3] = ["--perturbation", pert]
+    assert main(argv) == 0
+    return (tmp_path / f"{out}.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "graph, pert, window",
+    [
+        ("builtin:lattice2", "builtin:half_plane", "-6,6,-4,5"),
+        ("builtin:lattice2", "builtin:cone", "-3,8,-3,8"),
+        ("builtin:g11", "builtin:counterexample", "-9,9"),
+        ("builtin:random_pendant,p=0.3,seed=4", None, "-7,7,-7,7"),
+        ("builtin:random_pendant,p=0.3,seed=4,dim=3", None, "-3,3,-3,3,-3,3"),
+        ("builtin:lattice2", "builtin:half_plane", "2,1,0,3"),
+    ],
+)
+def test_lambda_set_csv_matches_scalar_route(tmp_path, monkeypatch, graph, pert, window):
+    fast = _lambda_set(tmp_path, "fast", graph, pert, window)
+    monkeypatch.setattr(UnperturbedSet, "mask", lambda self, box: scalar_mask(self._g, box))
+    assert _lambda_set(tmp_path, "scalar", graph, pert, window) == fast
