@@ -36,7 +36,7 @@ from .errors import (
     PeriodicSpectraError,
 )
 from .floquet import band_grid, essential_spectrum
-from .graphs import PeriodicGraph, Vertex, box_cells, periodic_oracle
+from .graphs import PeriodicGraph, Vertex, periodic_oracle
 from .io import load_graph_file, load_perturbation_file, perturbation_from_spec
 from .perturbation import PerturbedGraph, find_unperturbed_box
 from .truncation import compare_spectra, spectrum_of_box, truncate, zero_mode_count
@@ -45,8 +45,40 @@ from .weyl import fit_loglog_slope, residual_sweep
 ENV_THREADS = "PERIODIC_SPECTRA_THREADS"
 
 
+# Rows written per chunk, so a large table never exists as one string.
+_CHUNK_ROWS = 65536
+
+
 def _fmt(x) -> str:
     return format(float(x), ".17g")
+
+
+def _format_columns(columns) -> list[list[str]]:
+    """The cell texts of a table given as one-dimensional columns.
+
+    Floats are written by ``_fmt``, integers by ``str`` and text passes
+    through unchanged.  Each distinct value of a column is formatted once and
+    its text shared by every row holding it; floats are told apart by bit
+    pattern, so ``-0.0``, ``0.0``, ``nan`` and ``±inf`` keep their own texts.
+    """
+    out = []
+    for column in columns:
+        arr = np.asarray(column)
+        kind = arr.dtype.kind
+        if kind == "U":
+            out.append(arr.tolist())
+            continue
+        if kind == "f":
+            bits = np.ascontiguousarray(arr, dtype=np.float64).view(np.uint64)
+            keys, inverse = np.unique(bits, return_inverse=True)
+            texts = [_fmt(x) for x in keys.view(np.float64).tolist()]
+        elif kind in "iu":
+            keys, inverse = np.unique(arr, return_inverse=True)
+            texts = [str(x) for x in keys.tolist()]
+        else:
+            raise TypeError(f"cannot write a column of dtype {arr.dtype}")
+        out.append(np.array(texts, dtype=object)[inverse].tolist())
+    return out
 
 
 def _json_text(obj, indent: int = 0) -> str:
@@ -111,12 +143,20 @@ class RunContext:
         path.write_text(self.manifest_text)
         return path
 
-    def write_csv(self, header: list[str], rows: list[list[str]]) -> Path:
-        path = self._path(".csv")
-        lines = [f"# manifest-sha256: {self.digest}", ",".join(header)]
-        lines.extend(",".join(row) for row in rows)
-        path.write_text("\n".join(lines) + "\n")
+    def _write_table(
+        self, extension: str, header_line: str, cells: list[list[str]], sep: str
+    ) -> Path:
+        path = self._path(extension)
+        with path.open("w") as out:
+            out.write(f"# manifest-sha256: {self.digest}\n{header_line}\n")
+            for start in range(0, len(cells[0]), _CHUNK_ROWS):
+                chunk = (column[start:start + _CHUNK_ROWS] for column in cells)
+                out.write("\n".join(map(sep.join, zip(*chunk))) + "\n")
         return path
+
+    def write_csv(self, header: list[str], cells: list[list[str]]) -> Path:
+        """Write a table whose columns ``cells`` come from ``_format_columns``."""
+        return self._write_table(".csv", ",".join(header), cells, ",")
 
     def write_json(self, payload: dict) -> Path:
         path = self._path(".json")
@@ -125,12 +165,9 @@ class RunContext:
         path.write_text(_json_text(body) + "\n")
         return path
 
-    def write_plot_data(self, columns: list[str], rows: list[list[str]]) -> Path:
-        path = self._path(".dat")
-        lines = [f"# manifest-sha256: {self.digest}", "# " + " ".join(columns)]
-        lines.extend(" ".join(row) for row in rows)
-        path.write_text("\n".join(lines) + "\n")
-        return path
+    def write_plot_data(self, header: list[str], cells: list[list[str]]) -> Path:
+        """Write ``cells`` (as for ``write_csv``) space-separated."""
+        return self._write_table(".dat", "# " + " ".join(header), cells, " ")
 
 
 def _resolve_threads(value: int | None) -> int:
@@ -235,14 +272,11 @@ def _cmd_bands(args) -> int:
     header = [f"k_{j + 1}" for j in range(base.dim)] + [
         f"lambda_{i + 1}" for i in range(base.cell_size)
     ]
-    rows = [
-        [_fmt(x) for x in ks[r]] + [_fmt(x) for x in lambdas[r]]
-        for r in range(ks.shape[0])
-    ]
+    cells = _format_columns([*ks.T, *lambdas.T])
     ctx.write_manifest()
-    ctx.write_csv(header, rows)
+    ctx.write_csv(header, cells)
     if args.emit_plot_data:
-        ctx.write_plot_data(header, rows)
+        ctx.write_plot_data(header, cells)
     return 0
 
 
@@ -286,13 +320,12 @@ def _cmd_lambda_set(args) -> int:
     header = [f"cell_{j + 1}" for j in range(base.dim)] + [
         f"v{i + 1}" for i in range(base.cell_size)
     ]
-    bits = np.where(perturbed.unperturbed.mask(window), "1", "0")
-    rows = [
-        [str(c) for c in cell] + row
-        for cell, row in zip(box_cells(window), bits.reshape(-1, base.cell_size).tolist())
-    ]
+    mask = perturbed.unperturbed.mask(window).reshape(-1, base.cell_size)
+    axes = [np.arange(lo, hi + 1) for lo, hi in window]
+    cells = [axis.ravel() for axis in np.meshgrid(*axes, indexing="ij")]
+    bits = mask.astype(np.uint8).T
     ctx.write_manifest()
-    ctx.write_csv(header, rows)
+    ctx.write_csv(header, _format_columns([*cells, *bits]))
     return 0
 
 
@@ -350,20 +383,17 @@ def _cmd_weyl_check(args) -> int:
         _resolve_threads(args.threads),
     )
     rows = residual_sweep(perturbed, args.lam, ns, window, args.grid)
-    slope = fit_loglog_slope([r.n for r in rows], [r.residual for r in rows])
-    header = ["n", "x_n", "residual", "sup_norm", "bound"]
-    csv_rows = [
-        [
-            str(r.n),
-            _vertex_label(r.center),
-            _fmt(r.residual),
-            _fmt(r.sup_norm),
-            _fmt(r.bound),
-        ]
-        for r in rows
-    ]
+    row_ns = [r.n for r in rows]
+    residuals = [r.residual for r in rows]
+    bounds = [r.bound for r in rows]
+    slope = fit_loglog_slope(row_ns, residuals)
+    labels = [_vertex_label(r.center) for r in rows]
+    sup_norms = [r.sup_norm for r in rows]
     ctx.write_manifest()
-    ctx.write_csv(header, csv_rows)
+    ctx.write_csv(
+        ["n", "x_n", "residual", "sup_norm", "bound"],
+        _format_columns([row_ns, labels, residuals, sup_norms, bounds]),
+    )
     ctx.write_json(
         {
             "lambda": args.lam,
@@ -384,8 +414,7 @@ def _cmd_weyl_check(args) -> int:
     )
     if args.emit_plot_data:
         ctx.write_plot_data(
-            ["n", "residual", "bound"],
-            [[str(r.n), _fmt(r.residual), _fmt(r.bound)] for r in rows],
+            ["n", "residual", "bound"], _format_columns([row_ns, residuals, bounds])
         )
     return 0
 
@@ -420,10 +449,7 @@ def _cmd_truncate(args) -> int:
     reference = essential_spectrum(base, grid)
     report = compare_spectra(lam, reference, eps, box_graph=box_graph, vectors=vec)
     ctx.write_manifest()
-    ctx.write_csv(
-        ["index", "lambda"],
-        [[str(i), _fmt(x)] for i, x in enumerate(lam)],
-    )
+    ctx.write_csv(["index", "lambda"], _format_columns([np.arange(len(lam)), lam]))
     ctx.write_json(
         {
             "vertices": len(box_graph),

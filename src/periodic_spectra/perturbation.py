@@ -436,14 +436,6 @@ def embedding_norm_bounds(
     return lower, upper
 
 
-def degree_ratio_bounds(
-    graph: PerturbedGraph, support: Iterable[Vertex]
-) -> tuple[float, float]:
-    """Raw worst-case degree ratios (the squares of ``embedding_norm_bounds``)."""
-    dprime, dbase = _support_degrees(graph, support)
-    return min(dprime) / max(dbase), max(dprime) / min(dbase)
-
-
 def _support_degrees(graph: PerturbedGraph, support: Iterable[Vertex]):
     dprime: list[int] = []
     dbase: list[int] = []

@@ -71,11 +71,6 @@ class BoxGraph:
         inv_sqrt = 1.0 / np.sqrt(self.degrees.astype(float))
         return inv_sqrt[:, None] * a * inv_sqrt[None, :]
 
-    def lap_apply(self, values: np.ndarray) -> np.ndarray:
-        """Apply the degree-normalized adjacency operator to a vector."""
-        a = self.adjacency()
-        return (a @ values) / self.degrees.astype(float)
-
     def neighbor_lists(self) -> list[list[int]]:
         n = len(self.vertices)
         out: list[list[int]] = [[] for _ in range(n)]

@@ -1,11 +1,17 @@
+import hashlib
 import json
 import os
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from periodic_spectra import make_g11, weyl
-from periodic_spectra.cli import main
+from periodic_spectra import band_grid, cli, get_entry, make_g11, weyl
+from periodic_spectra.cli import RunContext, _fmt, _format_columns, main
 from periodic_spectra.region import Region
 from periodic_spectra.io import (
     graph_to_spec,
@@ -25,6 +31,22 @@ def run(tmp_path, *argv):
 
 def read_json(path):
     return json.loads(path.read_text())
+
+
+def row_by_row(columns, sep):
+    """Reference for the column formatter: the row-by-row join it replaced,
+    every cell formatted on its own (floats by ``_fmt``, integers by ``str``,
+    text as given).  ``columns`` is a list of (kind, values) pairs."""
+    cell = {"float": _fmt, "int": str, "text": str}
+    nrows = len(columns[0][1])
+    return [
+        sep.join(cell[kind](values[r]) for kind, values in columns)
+        for r in range(nrows)
+    ]
+
+
+def table_text(digest, header_line, lines):
+    return "\n".join([f"# manifest-sha256: {digest}", header_line, *lines]) + "\n"
 
 
 class TestSigmaEss:
@@ -91,6 +113,25 @@ class TestBands:
         assert (tmp_path / "bands.dat").exists()
         assert (tmp_path / "bands.manifest.json").exists()
 
+    @pytest.mark.parametrize("name, grid", [("g21", 16), ("lattice3", 8)])
+    def test_tables_equal_row_by_row_reference(self, tmp_path, name, grid):
+        run(
+            tmp_path,
+            "bands", "--graph", f"builtin:{name}", "--grid", str(grid),
+            "--out", str(tmp_path / "b"), "--emit-plot-data",
+        )
+        base = get_entry(name).base
+        ks, lambdas = band_grid(base, grid)
+        header = [f"k_{j + 1}" for j in range(base.dim)] + [
+            f"lambda_{i + 1}" for i in range(base.cell_size)
+        ]
+        columns = [("float", col) for col in [*ks.T, *lambdas.T]]
+        digest = hashlib.sha256((tmp_path / "b.manifest.json").read_bytes()).hexdigest()
+        csv = table_text(digest, ",".join(header), row_by_row(columns, ","))
+        dat = table_text(digest, "# " + " ".join(header), row_by_row(columns, " "))
+        assert (tmp_path / "b.csv").read_bytes() == csv.encode()
+        assert (tmp_path / "b.dat").read_bytes() == dat.encode()
+
     def test_manifest_hash_stamped_everywhere(self, tmp_path):
         run(
             tmp_path,
@@ -117,6 +158,72 @@ class TestBands:
         assert (tmp_path / "t1.manifest.json").read_text() == (
             tmp_path / "t2.manifest.json"
         ).read_text()
+
+
+SPECIAL_FLOATS = [
+    0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+    2.2250738585072014e-308 / 3, float(np.uint64(0x7FF8000000000001).view(np.float64)),
+    1.0, 0.1, 1e308,
+]
+CELLS = {
+    "float": st.sampled_from([0.0, -0.0]) | st.sampled_from(SPECIAL_FLOATS) | st.floats(),
+    "int": st.integers(-(2**63), 2**63 - 1),
+    "text": st.text(alphabet="-;v0123456789xyz", max_size=6),
+}
+
+
+@st.composite
+def tables(draw):
+    """(kind, values) pairs of one length; values repeat from a small pool
+    and come as a list or an array."""
+    nrows = draw(st.sampled_from([0, 1]) | st.integers(2, 30))
+    out = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(sorted(CELLS)))
+        pool = draw(st.lists(CELLS[kind], min_size=1, max_size=4))
+        values = draw(st.lists(st.sampled_from(pool), min_size=nrows, max_size=nrows))
+        if draw(st.booleans()):
+            values = np.array(values, dtype={"float": float, "int": np.int64, "text": str}[kind])
+        out.append((kind, values))
+    return out
+
+
+def write_both(cols, chunk_rows):
+    header = [f"c{j}" for j in range(len(cols))]
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_CHUNK_ROWS", chunk_rows):
+        ctx = RunContext("table", {}, str(Path(tmp) / "t"), 1)
+        cells = _format_columns([values for _, values in cols])
+        csv = ctx.write_csv(header, cells).read_text()
+        dat = ctx.write_plot_data(header, cells).read_text()
+    return ctx.digest, header, csv, dat
+
+
+def fixed_table(nrows):
+    return [
+        ("int", list(range(7, 7 + nrows))),
+        ("text", ["0;0;v1"] * nrows),
+        ("float", np.full(nrows, -0.0)),
+    ]
+
+
+class TestColumnFormatter:
+    @given(cols=tables(), chunk_rows=st.integers(1, 8))
+    @example(cols=fixed_table(0), chunk_rows=4)
+    @example(cols=fixed_table(1), chunk_rows=4)
+    @settings(max_examples=150, deadline=None)
+    def test_equals_row_by_row_join(self, cols, chunk_rows):
+        digest, header, csv, dat = write_both(cols, chunk_rows)
+        assert csv == table_text(digest, ",".join(header), row_by_row(cols, ","))
+        assert dat == table_text(digest, "# " + " ".join(header), row_by_row(cols, " "))
+
+    def test_distinct_bit_patterns_keep_their_text(self):
+        values = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324])
+        (cells,) = _format_columns([values])
+        assert cells == ["0", "-0", "nan", "inf", "-inf", "0", "-0", "4.9406564584124654e-324"]
+
+    def test_other_dtypes_rejected(self):
+        with pytest.raises(TypeError):
+            _format_columns([np.array([True, False])])
 
 
 class TestLambdaSet:

@@ -22,7 +22,13 @@ from periodic_spectra.errors import (
     VertexNotInCommonSubgraphError,
 )
 from periodic_spectra.graphs import Vertex, apply_laplacian
-from periodic_spectra.perturbation import degree_ratio_bounds
+
+
+def degree_ratio_bounds(graph, support):
+    """Raw worst-case degree ratios (the squares of ``embedding_norm_bounds``)."""
+    dprime = [graph.oracle.degree(graph.phi_inv(x)) for x in support]
+    dbase = [graph.base_oracle.degree(x) for x in support]
+    return min(dprime) / max(dbase), max(dprime) / min(dbase)
 
 
 def pendant_everywhere():

@@ -16,6 +16,11 @@ from periodic_spectra.errors import EmptyBoxError, InputError
 from periodic_spectra.graphs import FundEdge, Vertex, vert
 
 
+def lap_apply(box, values):
+    """Apply the box's degree-normalized adjacency operator to a vector."""
+    return (box.adjacency() @ values) / box.degrees.astype(float)
+
+
 class TestTruncate:
     def test_wrapped_ring(self, lattice1):
         ring = truncate(periodic_oracle(lattice1), ((0, 255),), periodic_wrap=True)
@@ -186,7 +191,7 @@ class TestZeroModes:
             vec = np.zeros(len(box))
             vec[box.index[Vertex((x,), 1)]] = 1.0 / np.sqrt(2.0)
             vec[box.index[Vertex((x,), 2)]] = -1.0 / np.sqrt(2.0)
-            out = box.lap_apply(vec)
+            out = lap_apply(box, vec)
             assert np.max(np.abs(out)) <= 1e-15
 
     def test_zero_modes_monotone_in_box(self, counterexample):
