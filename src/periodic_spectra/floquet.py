@@ -167,6 +167,13 @@ def essential_spectrum(
     are merged; bands narrower than ``flat_tol`` are recorded as flat points.
     """
     _, lambdas = band_grid(graph, grid_per_axis)
+    return _band_union(lambdas, grid_per_axis, flat_tol)
+
+
+def _band_union(
+    lambdas: np.ndarray, grid_per_axis: int, flat_tol: float = DEFAULT_FLAT_TOL
+) -> SpectrumApprox:
+    """Interval rule of ``essential_spectrum`` applied to ``band_grid`` samples."""
     raw = []
     flats = []
     for i in range(lambdas.shape[1]):
@@ -222,18 +229,18 @@ def locate_band_value(
     Scans the grid for the closest band sample, then refines coordinate by
     coordinate with golden-section searches over one grid cell until the
     band value matches ``target`` to ``refine_tol``.  Raises
-    ``NotInSpectrumError`` when no band sample comes within ``match_tol``.
+    ``NotInSpectrumError`` when no band sample comes within ``match_tol`` or
+    when the refined band value still misses ``target`` by more than
+    ``refine_tol``.
     """
     ks, lambdas = band_grid(graph, grid_per_axis)
     gaps = np.abs(lambdas - target).reshape(-1)
     idx = int(np.argmin(gaps))
     row, band = divmod(idx, graph.cell_size)
-    if gaps[idx] > match_tol:
-        spectrum = essential_spectrum(graph, grid_per_axis)
-        if spectrum.distance(target) > match_tol:
-            raise NotInSpectrumError(
-                f"{target} is not within {match_tol} of any band"
-            )
+    if gaps[idx] > match_tol and (
+        _band_union(lambdas, grid_per_axis).distance(target) > match_tol
+    ):
+        raise NotInSpectrumError(f"{target} is not within {match_tol} of any band")
     k = np.array(ks[row], dtype=float)
     step = 2.0 * np.pi / grid_per_axis
 
@@ -247,8 +254,14 @@ def locate_band_value(
             k[axis] = _golden_refine(
                 lambda x: mismatch_along(axis, x), k[axis] - step, k[axis] + step
             )
-        if abs(_band_value(graph, k, band) - target) <= refine_tol:
+        mismatch = abs(_band_value(graph, k, band) - target)
+        if mismatch <= refine_tol:
             break
+    else:
+        raise NotInSpectrumError(
+            f"band {band} misses {target} by {mismatch:.3e} at k = {tuple(k.tolist())} "
+            f"after refinement (refine_tol {refine_tol})"
+        )
     sample = band_eigensystem(floquet_matrix(graph, k), graph.degrees)
     xi = sample.eigenvectors[:, band]
     return band, k, xi

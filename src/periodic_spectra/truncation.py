@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyBoxError, InputError
+from .errors import EmptyBoxError, InputError, InternalInvariantError
 from .floquet import SpectrumApprox
 from .graphs import GraphOracle, PeriodicOracle, Vertex, Window, box_cells
 
@@ -23,31 +23,30 @@ _DENSE_LIMIT = 4000
 
 
 class BoxGraph:
-    """Finite restriction of a graph to a lattice box."""
+    """Finite restriction of a graph to a lattice box.
+
+    ``rows`` and ``cols`` list the box's oriented edges as row-index pairs,
+    exactly as ``out_edges`` gives them: every edge in both orientations,
+    loops twice, parallel edges once per copy.
+    """
 
     def __init__(
         self,
         vertices: list[Vertex],
-        pair_counts: dict[tuple[int, int], int],
+        rows: np.ndarray,
+        cols: np.ndarray,
         box: Window,
         wrapped: bool,
         dropped: int,
     ):
         self.vertices = tuple(vertices)
         self.index = {v: i for i, v in enumerate(self.vertices)}
+        self.rows = rows
+        self.cols = cols
         self.box = box
         self.wrapped = wrapped
         self.dropped = dropped
-        n = len(self.vertices)
-        deg = np.zeros(n, dtype=np.int64)
-        for (i, j), c in pair_counts.items():
-            deg[i] += c
-            if i != j:
-                deg[j] += c
-            else:
-                deg[i] += c  # loops count twice
-        self.degrees = deg
-        self._pairs = pair_counts
+        self.degrees = np.bincount(rows, minlength=len(self.vertices))
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -56,12 +55,7 @@ class BoxGraph:
         """Dense symmetric adjacency with multiplicities (loops doubled)."""
         n = len(self.vertices)
         a = np.zeros((n, n), dtype=float)
-        for (i, j), c in self._pairs.items():
-            if i == j:
-                a[i, i] += 2.0 * c
-            else:
-                a[i, j] += c
-                a[j, i] += c
+        np.add.at(a, (self.rows, self.cols), 1.0)
         return a
 
     def normalized_symmetric(self) -> np.ndarray:
@@ -70,15 +64,6 @@ class BoxGraph:
         a = self.adjacency()
         inv_sqrt = 1.0 / np.sqrt(self.degrees.astype(float))
         return inv_sqrt[:, None] * a * inv_sqrt[None, :]
-
-    def neighbor_lists(self) -> list[list[int]]:
-        n = len(self.vertices)
-        out: list[list[int]] = [[] for _ in range(n)]
-        for (i, j), _ in self._pairs.items():
-            out[i].append(j)
-            if i != j:
-                out[j].append(i)
-        return out
 
 
 @dataclass(frozen=True)
@@ -93,82 +78,62 @@ class TruncationReport:
 def truncate(oracle: GraphOracle, box: Window, periodic_wrap: bool = False) -> BoxGraph:
     """Restrict the graph to cells inside ``box``.
 
-    With ``periodic_wrap`` (purely periodic graphs only) edges leaving the box
-    re-enter modulo the box lengths.  Without it the induced subgraph is
-    taken, degrees recomputed, and vertices left isolated are dropped (their
-    number is recorded on the result).
+    Without ``periodic_wrap`` the induced subgraph is taken, degrees
+    recomputed, and vertices left isolated are dropped (their number is
+    recorded on the result).  With it (purely periodic graphs only) edges
+    leaving the box re-enter modulo the box lengths.  Raises
+    ``InternalInvariantError`` when the oracle's edges are not symmetric.
     """
     for lo, hi in box:
         if lo > hi:
             raise EmptyBoxError(f"box side [{lo}, {hi}] is empty")
-    if periodic_wrap:
-        if not isinstance(oracle, PeriodicOracle):
-            raise InputError("periodic wrap needs a purely periodic oracle")
-        return _truncate_wrapped(oracle, box)
-    vertices: list[Vertex] = []
-    for cell in box_cells(box):
-        for v in oracle.vertices_in_cell(cell):
-            if oracle.contains(v):
-                vertices.append(v)
+    if periodic_wrap and not isinstance(oracle, PeriodicOracle):
+        raise InputError("periodic wrap needs a purely periodic oracle")
+    vertices = [
+        v for c in box_cells(box) for v in oracle.vertices_in_cell(c) if oracle.contains(v)
+    ]
     if not vertices:
         raise EmptyBoxError("box contains no vertices of the graph")
     vertices.sort(key=lambda v: (v.cell, v.label))
     index = {v: i for i, v in enumerate(vertices)}
-    oriented: dict[tuple[int, int], int] = {}
-    for v in vertices:
-        i = index[v]
+    sides = [(lo, hi - lo + 1) for lo, hi in box]
+    rows, cols = [], []
+    for i, v in enumerate(vertices):
         for t in oracle.out_edges(v):
             j = index.get(t)
-            if j is not None:
-                oriented[(i, j)] = oriented.get((i, j), 0) + 1
-    pair_counts: dict[tuple[int, int], int] = {}
-    for (i, j), c in oriented.items():
-        if i < j:
-            pair_counts[(i, j)] = c
-        elif i == j:
-            # loops appear twice in out_edges
-            pair_counts[(i, i)] = c // 2
-    incident = [False] * len(vertices)
-    for i, j in pair_counts:
-        incident[i] = True
-        incident[j] = True
-    keep = [i for i in range(len(vertices)) if incident[i]]
-    dropped = len(vertices) - len(keep)
-    if not keep:
+            if j is None and periodic_wrap:  # re-enter modulo the box lengths
+                cell = tuple(lo + (c - lo) % ln for c, (lo, ln) in zip(t.cell, sides))
+                j = index[Vertex(cell, t.label)]
+            if j is not None:  # None: outside an induced box
+                rows.append(i)
+                cols.append(j)
+    rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
+    _audit_symmetry(vertices, rows, cols)
+    keep = np.bincount(rows, minlength=len(vertices)) > 0
+    if not keep.any():
         raise EmptyBoxError("every vertex in the box is isolated")
+    dropped = len(vertices) - int(keep.sum())
     if dropped:
-        remap = {old: new for new, old in enumerate(keep)}
-        pair_counts = {
-            (remap[i], remap[j]): c for (i, j), c in pair_counts.items()
-        }
-        vertices = [vertices[i] for i in keep]
-    return BoxGraph(vertices, pair_counts, box, wrapped=False, dropped=dropped)
+        remap = np.cumsum(keep) - 1
+        rows, cols = remap[rows], remap[cols]
+        vertices = [v for v, k in zip(vertices, keep) if k]
+    return BoxGraph(vertices, rows, cols, box, periodic_wrap, dropped)
 
 
-def _truncate_wrapped(oracle: PeriodicOracle, box: Window) -> BoxGraph:
-    graph = oracle.graph
-    if len(box) != graph.dim:
-        raise InputError(f"box has {len(box)} axes, graph dimension is {graph.dim}")
-    lengths = [hi - lo + 1 for lo, hi in box]
-    los = [lo for lo, _ in box]
-    vertices = [
-        Vertex(cell, label)
-        for cell in box_cells(box)
-        for label in range(graph.cell_size)
-    ]
-    index = {v: i for i, v in enumerate(vertices)}
-    pair_counts: dict[tuple[int, int], int] = {}
-    for cell in box_cells(box):
-        for e in graph.edges:
-            target_cell = tuple(
-                lo + ((c + x - lo) % ln)
-                for c, x, lo, ln in zip(cell, e.index, los, lengths)
-            )
-            i = index[Vertex(cell, e.origin)]
-            j = index[Vertex(target_cell, e.target)]
-            key = (i, j) if i <= j else (j, i)
-            pair_counts[key] = pair_counts.get(key, 0) + 1
-    return BoxGraph(list(vertices), pair_counts, box, wrapped=True, dropped=0)
+def _audit_symmetry(vertices: list[Vertex], rows: np.ndarray, cols: np.ndarray) -> None:
+    n = len(vertices)
+    forward, backward = np.sort(rows * n + cols), np.sort(cols * n + rows)
+    differ = np.flatnonzero(forward != backward)
+    if differ.size:
+        # below the first difference the sorted keys agree, so the smaller
+        # key there is listed more often in one direction than in the other
+        key = min(forward[differ[0]], backward[differ[0]])
+        i, j = divmod(int(key), n)
+        raise InternalInvariantError(
+            f"oracle adjacency is not symmetric: {vertices[i]} -> {vertices[j]} is listed "
+            f"{np.count_nonzero(forward == key)} times, {vertices[j]} -> {vertices[i]} "
+            f"{np.count_nonzero(backward == key)} times"
+        )
 
 
 def spectrum_of_box(box_graph: BoxGraph, with_vectors: bool = False):
@@ -214,7 +179,6 @@ def compare_spectra(
 
 def _count_boundary_modes(box_graph: BoxGraph, vectors: np.ndarray) -> int:
     near = _near_boundary_mask(box_graph, radius=2)
-    deg = box_graph.degrees.astype(float)
     # vectors are columns of the symmetric form; |column|^2 already carries
     # the degree weight of the normalized operator's eigenfunctions
     mass = np.abs(vectors) ** 2
@@ -224,23 +188,12 @@ def _count_boundary_modes(box_graph: BoxGraph, vectors: np.ndarray) -> int:
 
 
 def _near_boundary_mask(box_graph: BoxGraph, radius: int) -> np.ndarray:
-    on_edge = np.zeros(len(box_graph), dtype=bool)
-    for i, v in enumerate(box_graph.vertices):
-        for (lo, hi), c in zip(box_graph.box, v.cell):
-            if c == lo or c == hi:
-                on_edge[i] = True
-                break
-    frontier = set(np.nonzero(on_edge)[0].tolist())
-    seen = set(frontier)
-    neighbors = box_graph.neighbor_lists()
+    cells = np.array([v.cell for v in box_graph.vertices])
+    lo, hi = np.array(box_graph.box).T
+    near = np.any((cells == lo) | (cells == hi), axis=1)
     for _ in range(radius):
-        frontier = {
-            j for i in frontier for j in neighbors[i] if j not in seen
-        }
-        seen |= frontier
-    mask = np.zeros(len(box_graph), dtype=bool)
-    mask[list(seen)] = True
-    return mask
+        near[box_graph.cols[near[box_graph.rows]]] = True
+    return near
 
 
 def zero_mode_count(box_graph: BoxGraph, tol: float) -> int:

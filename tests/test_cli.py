@@ -412,6 +412,15 @@ class TestErrorPaths:
             "--lambda", "0.0", "--n-list", "2", "--window=-10,10",
         ) == 3
 
+    def test_missed_band_value_is_math_error(self, tmp_path):
+        # 5e-7 above the spectrum [-1, 1]: the grid matches, the refinement misses
+        assert run(
+            tmp_path,
+            "weyl-check", "--graph", "builtin:lattice2",
+            "--perturbation", "builtin:half_plane",
+            "--lambda", "1.0000005", "--n-list", "4,8,16",
+        ) == 3
+
     def test_no_clear_box_is_math_error(self, tmp_path):
         assert run(
             tmp_path,

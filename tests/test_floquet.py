@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -206,6 +208,12 @@ class TestLocate:
     def test_off_band_rejected(self, g11):
         with pytest.raises(NotInSpectrumError):
             locate_band_value(g11.base, 0.0, 64)
+
+    def test_refinement_miss_rejected(self, lattice2):
+        # within match_tol of the band top 1, so only the refinement sees the miss
+        message = "band 0 misses 1.0000005 by 5.000e-07 at k = ("
+        with pytest.raises(NotInSpectrumError, match=re.escape(message)):
+            locate_band_value(lattice2, 1.0000005, 64)
 
     def test_generic_targets_hit(self, g21):
         spec = essential_spectrum(g21.base, 64)

@@ -1,7 +1,22 @@
+"""Box truncation, checked against an independent pair-count construction.
+
+``truncate`` builds induced and wrapped boxes from one oriented edge list.
+The reference below folds oriented counts into an ``(i, j)`` pair dict
+(loops halved), builds wrapped boxes separately from the edge templates, and
+finds the near-boundary ring by a set-based search.
+"""
+
+import re
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from periodic_spectra import (
+    PerturbedGraph,
+    PredicatePatch,
+    SpectrumApprox,
     band_grid,
     build_periodic,
     compare_spectra,
@@ -12,8 +27,12 @@ from periodic_spectra import (
     truncate,
     zero_mode_count,
 )
-from periodic_spectra.errors import EmptyBoxError, InputError
-from periodic_spectra.graphs import FundEdge, Vertex, vert
+from periodic_spectra.errors import EmptyBoxError, InputError, InternalInvariantError
+from periodic_spectra.graphs import FundEdge, Vertex, box_cells, vert
+from periodic_spectra.truncation import _near_boundary_mask
+
+from test_graphs import small_graphs
+from test_region import explicit_patches
 
 
 def lap_apply(box, values):
@@ -202,3 +221,137 @@ class TestZeroModes:
         ]
         assert counts == sorted(counts)
         assert counts[0] >= 6
+
+
+class TestSymmetryAudit:
+    @pytest.mark.parametrize(
+        "at_origin, at_five, message",
+        [
+            ((vert(5),), (), "(0|v0) -> (5|v0) is listed 1 times, (5|v0) -> (0|v0) 0 times"),
+            (
+                (vert(5), vert(5)), (vert(0),),
+                "(0|v0) -> (5|v0) is listed 2 times, (5|v0) -> (0|v0) 1 times",
+            ),
+        ],
+    )
+    def test_one_sided_added_edge_rejected(self, lattice1, at_origin, at_five, message):
+        added = {vert(0): at_origin, vert(5): at_five}
+        patch = PredicatePatch(
+            keep=lambda v: True, added_neighbors=lambda v: added.get(v, ())
+        )
+        oracle = PerturbedGraph(lattice1, patch, name="one-sided").oracle
+        with pytest.raises(InternalInvariantError, match=re.escape(message)):
+            truncate(oracle, ((-3, 10),))
+
+
+def reference_truncate(oracle, box, periodic_wrap):
+    """Vertices, pair counts ``{(i, j): c}`` with ``i <= j`` (a loop counted
+    once) and the number of dropped vertices."""
+    if periodic_wrap:
+        graph = oracle.graph
+        vertices = [Vertex(c, a) for c in box_cells(box) for a in range(graph.cell_size)]
+        index = {v: i for i, v in enumerate(vertices)}
+        pairs = {}
+        for cell in box_cells(box):
+            for e in graph.edges:
+                target = tuple(
+                    lo + ((c + x - lo) % (hi - lo + 1))
+                    for c, x, (lo, hi) in zip(cell, e.index, box)
+                )
+                i = index[Vertex(cell, e.origin)]
+                j = index[Vertex(target, e.target)]
+                key = (min(i, j), max(i, j))
+                pairs[key] = pairs.get(key, 0) + 1
+        return vertices, pairs, 0
+    vertices = sorted(
+        (v for c in box_cells(box) for v in oracle.vertices_in_cell(c) if oracle.contains(v)),
+        key=lambda v: (v.cell, v.label),
+    )
+    if not vertices:
+        raise EmptyBoxError("no vertices")
+    index = {v: i for i, v in enumerate(vertices)}
+    oriented = {}
+    for v in vertices:
+        for t in oracle.out_edges(v):
+            j = index.get(t)
+            if j is not None:
+                key = (index[v], j)
+                oriented[key] = oriented.get(key, 0) + 1
+    pairs = {(i, j): c if i < j else c // 2 for (i, j), c in oriented.items() if i <= j}
+    keep = sorted({i for pair in pairs for i in pair})
+    if not keep:
+        raise EmptyBoxError("all isolated")
+    remap = {old: new for new, old in enumerate(keep)}
+    pairs = {(remap[i], remap[j]): c for (i, j), c in pairs.items()}
+    return [vertices[i] for i in keep], pairs, len(vertices) - len(keep)
+
+
+def reference_adjacency(n, pairs):
+    a = np.zeros((n, n))
+    for (i, j), c in pairs.items():
+        if i == j:
+            a[i, i] += 2.0 * c
+        else:
+            a[i, j] += c
+            a[j, i] += c
+    return a
+
+
+def reference_near_mask(vertices, pairs, box, radius):
+    neighbors = [[] for _ in vertices]
+    for i, j in pairs:
+        neighbors[i].append(j)
+        neighbors[j].append(i)
+    seen = {
+        i for i, v in enumerate(vertices)
+        if any(c in (lo, hi) for (lo, hi), c in zip(box, v.cell))
+    }
+    frontier = set(seen)
+    for _ in range(radius):
+        frontier = {j for i in frontier for j in neighbors[i] if j not in seen}
+        seen |= frontier
+    return np.isin(np.arange(len(vertices)), list(seen))
+
+
+@st.composite
+def boxes_to_truncate(draw):
+    """Induced boxes over random periodic graphs and explicit patches, and
+    wrapped boxes over their base graphs with a first axis of length 1 or 2."""
+    graph = draw(st.one_of(small_graphs(), explicit_patches()))
+    base = getattr(graph, "base", graph)
+    wrap = draw(st.booleans())
+    if wrap or base is graph:
+        oracle = periodic_oracle(base)
+    else:
+        oracle = graph.oracle
+    box = []
+    for axis in range(base.dim):
+        lo = draw(st.integers(-4, 2))
+        length = draw(st.sampled_from([1, 2]) if wrap and axis == 0 else st.integers(1, 6))
+        box.append((lo, lo + length - 1))
+    return oracle, tuple(box), wrap
+
+
+@given(boxes_to_truncate())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_edge_list_equals_pair_counts(case):
+    oracle, box, wrap = case
+    try:
+        vertices, pairs, dropped = reference_truncate(oracle, box, wrap)
+    except EmptyBoxError:
+        with pytest.raises(EmptyBoxError):
+            truncate(oracle, box, periodic_wrap=wrap)
+        return
+    got = truncate(oracle, box, periodic_wrap=wrap)
+    adjacency = reference_adjacency(len(vertices), pairs)
+    near = reference_near_mask(vertices, pairs, box, radius=2)
+    assert got.vertices == tuple(vertices)
+    assert got.dropped == dropped
+    assert np.array_equal(got.degrees, adjacency.sum(axis=1).astype(np.int64))
+    assert np.array_equal(got.adjacency(), adjacency)
+    assert np.array_equal(_near_boundary_mask(got, 2), near)
+    eigs, vecs = spectrum_of_box(got, with_vectors=True)
+    mass = np.abs(vecs) ** 2
+    expected = int(np.sum(mass[near].sum(axis=0) >= 0.5 * mass.sum(axis=0)))
+    band = SpectrumApprox(((-1.0, 1.0),), (), 2, 1e-8)
+    assert compare_spectra(eigs, band, 1e-9, got, vecs).boundary_count == expected
