@@ -51,7 +51,9 @@ def main() -> None:
         import json
 
         payload = json.loads((prefix.parent / (prefix.name + ".json")).read_text())
-        print(f"{perturbation:<28} {lam:>8.2f} {payload['slope']:>8.3f}")
+        slope = payload["slope"]  # null for fewer than two distinct n
+        slope_text = "-" if slope is None else f"{slope:.3f}"
+        print(f"{perturbation:<28} {lam:>8.2f} {slope_text:>8}")
     print(f"\nper-run CSV/JSON/plot data in {out_dir}/")
 
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    InternalInvariantError,
     IsolatedVertexError,
     VertexNotInGraphError,
 )
@@ -189,6 +190,25 @@ class GraphOracle:
     def vertices_in_cell(self, cell: Cell) -> tuple[Vertex, ...]:
         """All vertices of the graph whose lattice coordinate is ``cell``."""
         raise NotImplementedError
+
+
+def audit_symmetry(vertices: Sequence[Vertex], rows: np.ndarray, cols: np.ndarray) -> None:
+    """Check that the oriented edges ``rows[k] -> cols[k]`` between
+    ``vertices`` list every edge from both ends with the same multiplicity;
+    raise ``InternalInvariantError`` naming one pair and both counts if not."""
+    n = len(vertices)
+    forward, backward = np.sort(rows * n + cols), np.sort(cols * n + rows)
+    differ = np.flatnonzero(forward != backward)
+    if differ.size:
+        # below the first difference the sorted keys agree, so the smaller
+        # key there is listed more often in one direction than in the other
+        key = min(forward[differ[0]], backward[differ[0]])
+        i, j = divmod(int(key), n)
+        raise InternalInvariantError(
+            f"oracle adjacency is not symmetric: {vertices[i]} -> {vertices[j]} is listed "
+            f"{np.count_nonzero(forward == key)} times, {vertices[j]} -> {vertices[i]} "
+            f"{np.count_nonzero(backward == key)} times"
+        )
 
 
 class PeriodicOracle(GraphOracle):

@@ -2,9 +2,9 @@
 
 A perturbation removes base vertices/edges and adds new ones, possibly
 infinitely many.  The common subgraph consists of the kept base vertices with
-the untouched base edges; an identification map (identity unless a finite
-rename table is given) carries states between the base and the perturbed
-graph.
+the untouched base edges.  A kept base vertex keeps its base name in the
+perturbed graph, so states move between the two graphs unchanged on the
+common subgraph.
 
 The key derived object is the *unperturbed set*: kept base vertices whose
 degree and full edge neighborhood survive the perturbation untouched.  On its
@@ -88,45 +88,30 @@ class PerturbedOracle(GraphOracle):
 
     def contains(self, v: Vertex) -> bool:
         g = self._g
-        if v in g._rename_inverse:
-            return True
-        if g._is_base_name(v) and v not in g._rename:
-            return g._keep(v)
-        return g._added_contains(v)
+        return g.in_common(v) or g._added_contains(v)
 
     def out_edges(self, v: Vertex) -> tuple[Vertex, ...]:
+        """A kept base vertex has its surviving base edges plus its added
+        edges; any other vertex is an added vertex or absent."""
         g = self._g
-        # ``contains(v)`` and ``phi(v)`` resolved in one pass
-        base_name = g._rename_inverse.get(v)
-        if base_name is None and g._is_base_name(v) and v not in g._rename:
-            base_name = v if g._keep(v) else None
-            present = base_name is not None
-        else:
-            present = base_name is not None or g._added_contains(v)
-        if not present:
-            raise VertexNotInGraphError(f"{v} is not a vertex of the perturbed graph")
-        targets: list[Vertex] = []
-        if base_name is not None:
+        if g.in_common(v):
             keep = g._keep
             removed = g._removed_count
-            rename = g._rename
-            for t in g.base_oracle.out_edges(base_name):
-                if not keep(t):
-                    continue
-                if removed and removed.get(_pair_key(base_name, t), 0) > 0:
-                    continue
-                targets.append(rename.get(t, t))
+            targets = [
+                t
+                for t in g.base_oracle.out_edges(v)
+                if keep(t) and not (removed and removed.get(_pair_key(v, t), 0) > 0)
+            ]
+        elif g._added_contains(v):
+            targets = []
+        else:
+            raise VertexNotInGraphError(f"{v} is not a vertex of the perturbed graph")
         targets.extend(g._added_neighbors(v))
         return tuple(targets)
 
     def vertices_in_cell(self, cell) -> tuple[Vertex, ...]:
         g = self._g
-        out: list[Vertex] = []
-        for label in range(g.base.cell_size):
-            v = Vertex(cell, label)
-            if g._keep(v) and v not in g._rename:
-                out.append(v)
-        out.extend(v for v in g._renamed_into_cell(cell))
+        out = [v for v in (Vertex(cell, a) for a in range(g.base.cell_size)) if g._keep(v)]
         out.extend(g._added_in_cell(cell))
         return tuple(out)
 
@@ -158,7 +143,7 @@ class UnperturbedSet:
         for t in g.base_oracle.out_edges(x):
             if not g._keep(t) or (removed and removed.get(_pair_key(x, t), 0) > 0):
                 return False
-        return g.oracle.degree(g.phi_inv(x)) == g.base_oracle.degree(x)
+        return g.oracle.degree(x) == g.base_oracle.degree(x)
 
     def mask(self, box: Window) -> np.ndarray:
         """Membership of every vertex of ``box`` as a boolean array of shape
@@ -168,9 +153,7 @@ class UnperturbedSet:
         The kept grid over the box padded by the propagation length is ANDed
         with itself shifted by every oriented edge template, and the endpoints
         of removed base edges are cleared.  A vertex that survives has all of
-        its base edges, so it belongs iff no added edge meets it.  The
-        finitely many vertices named in the rename table take the scalar
-        test.
+        its base edges, so it belongs iff no added edge meets it.
         """
         g = self._g
         base = g.base
@@ -193,38 +176,19 @@ class UnperturbedSet:
         for e in base.oriented_edges():
             ahead = tuple(slice(pad + i, pad + i + n) for i, n in zip(e.index, sizes))
             out[..., e.origin] &= kept[ahead + (e.target,)]
-
-        def position(x: Vertex) -> tuple[int, ...] | None:
-            if not g._is_base_name(x):
-                return None
-            at = tuple(c - lo for c, (lo, _) in zip(x.cell, box))
-            if all(0 <= i < n for i, n in zip(at, sizes)):
-                return at + (x.label,)
-            return None
-
         for a, la, b, lb in g._removed_count or ():
             u, v = Vertex(a, la), Vertex(b, lb)
             if g._is_base_name(u) and v in g.base_oracle.out_edges(u):
                 for x in (u, v):
-                    at = position(x)
-                    if at is not None:
-                        out[at] = False
-        # a renamed vertex's perturbed name differs from its base name, and a
-        # rename target may shadow a base name: these take the scalar test
-        named = {}
-        for x in itertools.chain(g._rename, g._rename_inverse):
-            at = position(x)
-            if at is not None:
-                named[at] = x
-                out[at] = False
+                    at = tuple(c - lo for c, (lo, _) in zip(x.cell, box))
+                    if all(0 <= i < n for i, n in zip(at, sizes)):
+                        out[at + (x.label,)] = False
         added = g._added_neighbors
         flat = out.reshape(-1)
         candidates = itertools.compress(
             itertools.product(box_cells(box), range(s)), flat.tolist()
         )
         flat[np.flatnonzero(flat)] = [not added(Vertex(c, a)) for c, a in candidates]
-        for at, x in named.items():
-            out[at] = in_common(x) and self._contains_known(x)
         return out
 
 
@@ -241,26 +205,16 @@ class WindowReport:
 class PerturbedGraph:
     """A base periodic graph plus a patch, with derived oracles.
 
-    ``rename`` optionally maps finitely many kept base vertices to different
-    names in the perturbed graph (the identification defaults to the identity
-    on shared coordinates).
+    A kept base vertex keeps its base name.  Every other vertex of the
+    perturbed graph is an added vertex, which may reuse the name of a removed
+    base vertex.
     """
 
-    def __init__(
-        self,
-        base: PeriodicGraph,
-        patch: Patch | PredicatePatch,
-        rename: Mapping[Vertex, Vertex] | None = None,
-        name: str = "",
-    ):
+    def __init__(self, base: PeriodicGraph, patch: Patch | PredicatePatch, name: str = ""):
         self.base = base
         self.base_oracle = periodic_oracle(base)
         self.name = name
         self.patch = patch
-        self._rename: dict[Vertex, Vertex] = dict(rename or {})
-        self._rename_inverse = {v: k for k, v in self._rename.items()}
-        if len(self._rename_inverse) != len(self._rename):
-            raise InputError("rename table must be injective")
         if isinstance(patch, Patch):
             self._init_from_patch(patch)
         else:
@@ -269,15 +223,8 @@ class PerturbedGraph:
             self._added_neighbors = patch.added_neighbors
             self._added_in_cell = patch.added_in_cell
             self._removed_count: dict | None = None
-        by_cell: dict[Cell, list[Vertex]] = {}
-        for v in self._rename_inverse:
-            by_cell.setdefault(v.cell, []).append(v)
-        self._renamed_by_cell = {c: tuple(vs) for c, vs in by_cell.items()}
         self.oracle = PerturbedOracle(self)
         self.unperturbed = UnperturbedSet(self)
-
-    def _renamed_into_cell(self, cell: Cell) -> tuple[Vertex, ...]:
-        return self._renamed_by_cell.get(cell, ())
 
     def _init_from_patch(self, patch: Patch) -> None:
         removed_v = patch.removed_vertices
@@ -290,18 +237,14 @@ class PerturbedGraph:
             if u not in removed_v and v not in removed_v
         ]
         self._removed_count = Counter(_pair_key(u, v) for u, v in removed_edges)
+        self._keep = lambda v: v not in removed_v
         added_v = set(patch.added_vertices)
         for v in added_v:
-            if self._is_base_name(v) and v not in removed_v and v not in self._rename:
+            if self.in_common(v):
                 raise InputError(f"added vertex {v} collides with a base vertex")
         neighbor_map: dict[Vertex, list[Vertex]] = {}
-        present = lambda v: (
-            v in added_v
-            or v in self._rename_inverse
-            or (self._is_base_name(v) and v not in removed_v and v not in self._rename)
-        )
         for u, v in patch.added_edges:
-            if not (present(u) and present(v)):
+            if not all(self.in_common(w) or w in added_v for w in (u, v)):
                 raise InputError(f"added edge ({u}, {v}) references an absent vertex")
             neighbor_map.setdefault(u, []).append(v)
             neighbor_map.setdefault(v, []).append(u)
@@ -310,7 +253,6 @@ class PerturbedGraph:
         for v in sorted(added_v, key=lambda u: (u.cell, u.label)):
             added_by_cell.setdefault(v.cell, []).append(v)
         frozen_cells = {c: tuple(vs) for c, vs in added_by_cell.items()}
-        self._keep = lambda v: v not in removed_v
         self._added_contains = lambda v: v in added_v
         self._added_neighbors = lambda v: frozen.get(v, _NO_NEIGHBORS)
         self._added_in_cell = lambda cell: frozen_cells.get(cell, ())
@@ -321,18 +263,6 @@ class PerturbedGraph:
     def in_common(self, x: Vertex) -> bool:
         """Is ``x`` a vertex of the common subgraph (a kept base vertex)?"""
         return self._is_base_name(x) and self._keep(x)
-
-    def phi_inv(self, x: Vertex) -> Vertex:
-        """Name of the common-subgraph vertex ``x`` inside the perturbed graph."""
-        return self._rename.get(x, x)
-
-    def phi(self, v: Vertex) -> Vertex | None:
-        """Base name of a perturbed-graph vertex, or None for added vertices."""
-        if v in self._rename_inverse:
-            return self._rename_inverse[v]
-        if self._is_base_name(v) and v not in self._rename and self._keep(v):
-            return v
-        return None
 
 
 def in_unperturbed_set(graph: PerturbedGraph, x: Vertex) -> bool:
@@ -411,14 +341,10 @@ def _box_sums(cells: np.ndarray, side: int) -> np.ndarray:
 def embed_state(graph: PerturbedGraph, psi: Mapping[Vertex, complex]) -> State:
     """Transplant a base-graph state into the perturbed graph.
 
-    Values on the common subgraph move through the identification; values
-    outside it are dropped, and added vertices carry zero.
+    Values on the common subgraph keep their vertex; values outside it are
+    dropped, and added vertices carry zero.
     """
-    out: State = {}
-    for v, val in psi.items():
-        if graph.in_common(v):
-            out[graph.phi_inv(v)] = val
-    return out
+    return {v: val for v, val in psi.items() if graph.in_common(v)}
 
 
 def embedding_norm_bounds(
@@ -444,7 +370,7 @@ def _support_degrees(graph: PerturbedGraph, support: Iterable[Vertex]):
             raise VertexNotInCommonSubgraphError(
                 f"{x} is not a vertex of the common subgraph"
             )
-        dprime.append(graph.oracle.degree(graph.phi_inv(x)))
+        dprime.append(graph.oracle.degree(x))
         dbase.append(graph.base_oracle.degree(x))
     if not dprime:
         raise EmptySupportError("support is empty")
@@ -464,8 +390,7 @@ def apply_defect(graph: PerturbedGraph, psi: Mapping[Vertex, complex]) -> State:
     keys = sorted(set(lifted) | set(pushed), key=lambda v: (v.cell, v.label))
     out: State = {}
     for v in keys:
-        x = graph.phi(v)
-        if x is not None and graph.unperturbed._contains_known(x):
+        if graph.in_common(v) and graph.unperturbed._contains_known(v):
             out[v] = 0.0
         else:
             out[v] = lifted.get(v, 0.0) - pushed.get(v, 0.0)

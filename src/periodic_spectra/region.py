@@ -6,18 +6,19 @@ and is compiled once per test state.  It has two sides:
 * the *base side* is the dense grid ``(2h+1, ..., 2h+1, cell_size)`` of base
   vertices in lexicographic cell order, labels last.  The base Laplacian acts
   on it by one shift-and-add per oriented edge template and asks no oracle;
-* the *perturbed side* lists, as rows, the perturbed names of the kept box
-  vertices (in grid order) followed by every neighbour outside them.  Each
-  row's neighbours and degree come from exactly one ``out_edges`` call; the
-  neighbour arrays keep only targets that are rows themselves.
+* the *perturbed side* lists, as rows, the kept box vertices (in grid
+  order) followed by every neighbour outside them.  Each row's neighbours
+  and degree come from exactly one ``out_edges`` call; the neighbour arrays
+  keep only targets that are rows themselves, and ``graphs.audit_symmetry``
+  checks that they list every edge from both ends.
 
 The embedding index carries grid values onto the rows, and the unperturbed
 mask of the rows zeroes the defect: the box rows read it from
 ``UnperturbedSet.mask`` of the box, the rows outside the box from the scalar
-``UnperturbedSet._contains_known``.  The dict operators ``graphs.apply_laplacian``, ``weighted_norm``,
-``perturbation.embed_state``, ``apply_defect`` and ``embedding_norm_bounds``
-compute the same quantities vertex by vertex and are the reference for this
-route.
+``UnperturbedSet._contains_known``.  The dict operators
+``graphs.apply_laplacian``, ``weighted_norm``, ``perturbation.embed_state``,
+``apply_defect`` and ``embedding_norm_bounds`` compute the same quantities
+vertex by vertex and are the reference for this route.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import VertexNotInCommonSubgraphError
-from .graphs import Cell, Vertex, box_cells
+from .graphs import Cell, Vertex, audit_symmetry, box_cells
 from .perturbation import PerturbedGraph
 
 
@@ -54,9 +55,8 @@ class Region:
         kept_at: list[int] = []  # grid position of each kept row
         for i, x in enumerate(self.vertices):
             if graph.in_common(x):
-                name = graph.phi_inv(x)
-                row_of[name] = len(names)
-                names.append(name)
+                row_of[x] = len(names)
+                names.append(x)
                 kept_at.append(i)
         self.kept = len(names)
         self._kept_at = np.array(kept_at, dtype=np.intp)
@@ -86,12 +86,12 @@ class Region:
         self._entry_rows = np.repeat(
             np.arange(len(names), dtype=np.intp), np.diff(np.array(indptr))
         )
+        audit_symmetry(names, self._entry_rows, self.indices)
 
         members = graph.unperturbed
         mask = members.mask(box).reshape(-1)[self._kept_at].tolist()
         for v in names[self.kept:]:
-            x = graph.phi(v)
-            mask.append(x is not None and members._contains_known(x))
+            mask.append(graph.in_common(v) and members._contains_known(v))
         self.unperturbed = np.array(mask, dtype=bool)
 
         self._base_degrees = np.asarray(base.degrees, dtype=float)

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyBoxError, InputError, InternalInvariantError
+from .errors import EmptyBoxError, InputError
 from .floquet import SpectrumApprox
-from .graphs import GraphOracle, PeriodicOracle, Vertex, Window, box_cells
+from .graphs import GraphOracle, PeriodicOracle, Vertex, Window, audit_symmetry, box_cells
 
 _DENSE_LIMIT = 4000
 
@@ -108,7 +108,7 @@ def truncate(oracle: GraphOracle, box: Window, periodic_wrap: bool = False) -> B
                 rows.append(i)
                 cols.append(j)
     rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
-    _audit_symmetry(vertices, rows, cols)
+    audit_symmetry(vertices, rows, cols)
     keep = np.bincount(rows, minlength=len(vertices)) > 0
     if not keep.any():
         raise EmptyBoxError("every vertex in the box is isolated")
@@ -118,22 +118,6 @@ def truncate(oracle: GraphOracle, box: Window, periodic_wrap: bool = False) -> B
         rows, cols = remap[rows], remap[cols]
         vertices = [v for v, k in zip(vertices, keep) if k]
     return BoxGraph(vertices, rows, cols, box, periodic_wrap, dropped)
-
-
-def _audit_symmetry(vertices: list[Vertex], rows: np.ndarray, cols: np.ndarray) -> None:
-    n = len(vertices)
-    forward, backward = np.sort(rows * n + cols), np.sort(cols * n + rows)
-    differ = np.flatnonzero(forward != backward)
-    if differ.size:
-        # below the first difference the sorted keys agree, so the smaller
-        # key there is listed more often in one direction than in the other
-        key = min(forward[differ[0]], backward[differ[0]])
-        i, j = divmod(int(key), n)
-        raise InternalInvariantError(
-            f"oracle adjacency is not symmetric: {vertices[i]} -> {vertices[j]} is listed "
-            f"{np.count_nonzero(forward == key)} times, {vertices[j]} -> {vertices[i]} "
-            f"{np.count_nonzero(backward == key)} times"
-        )
 
 
 def spectrum_of_box(box_graph: BoxGraph, with_vectors: bool = False):

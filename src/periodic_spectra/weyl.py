@@ -360,8 +360,11 @@ def residual_sweep(
     return rows
 
 
-def fit_loglog_slope(ns: Sequence[int], values: Sequence[float]) -> float:
-    """Least-squares slope of log(value) against log(n)."""
+def fit_loglog_slope(ns: Sequence[int], values: Sequence[float]) -> float | None:
+    """Least-squares slope of log(value) against log(n), or None when fewer
+    than two distinct n leave the slope undetermined."""
+    if len(set(ns)) < 2:
+        return None
     x = np.log(np.asarray(ns, dtype=float))
     y = np.log(np.asarray(values, dtype=float))
     slope, _ = np.polyfit(x, y, 1)

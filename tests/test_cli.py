@@ -289,6 +289,20 @@ class TestWeylCheck:
             assert row["residual"] <= row["bound"]
             assert row["defect_sup"] == 0.0
 
+    @pytest.mark.parametrize("n_list", ["8", "8,8"])
+    def test_one_distinct_n_has_no_slope(self, tmp_path, n_list):
+        code = run(
+            tmp_path,
+            "weyl-check", "--graph", "builtin:lattice2",
+            "--perturbation", "builtin:half_plane",
+            "--lambda", "0.0", "--n-list", n_list,
+            "--out", str(tmp_path / "wc"),
+        )
+        assert code == 0
+        payload = read_json(tmp_path / "wc.json")
+        assert payload["slope"] is None
+        assert len(payload["rows"]) == len(n_list.split(","))
+
     def test_thread_count_invariance(self, tmp_path):
         for label, threads in (("one", "1"), ("four", "4")):
             run(

@@ -97,20 +97,15 @@ R = 3  # explicit patches change only cells in [-R, R]^d
 @st.composite
 def explicit_patches(draw):
     """Lattice or pendant chain with removed vertices, removed pairs (base
-    edges or not), added vertices and edges, and a rename table whose targets
-    are new names or other base names."""
+    edges or not), added vertices and edges, and removed base vertices that
+    are added back under the same name."""
     base = draw(st.sampled_from([make_lattice(2), make_lattice(1), make_g11().base]))
     s = base.cell_size
     cells = list(box_cells([(-R, R)] * base.dim))
     vertices = st.builds(Vertex, st.sampled_from(cells), st.integers(0, s - 1))
     removed = draw(st.frozensets(vertices, max_size=3))
-    rename = {}
-    for x in sorted(draw(st.frozensets(vertices, max_size=6)) - removed, key=repr):
-        onto_base = draw(st.booleans())
-        target = draw(vertices) if onto_base else Vertex(x.cell, s + 1 + x.label)
-        if target != x and target not in rename.values():
-            rename[x] = target
-    added = frozenset(
+    readded = frozenset(x for x in sorted(removed, key=repr) if draw(st.booleans()))
+    added = readded | frozenset(
         Vertex(c, s) for c in draw(st.frozensets(st.sampled_from(cells), max_size=3))
     )
     templates = base.oriented_edges()
@@ -122,11 +117,13 @@ def explicit_patches(draw):
         if x.label == e.origin
     ) + tuple(draw(st.lists(st.tuples(vertices, vertices), max_size=2)))
     names = sorted(
-        {rename.get(x, x) for c in cells for x in (Vertex(c, a) for a in range(s))
-         if x not in removed} | set(rename.values()) | added,
+        {x for c in cells for x in (Vertex(c, a) for a in range(s)) if x not in removed}
+        | added,
         key=lambda v: (v.cell, v.label),
     )
-    added_edges = tuple(
+    # every vertex added back takes an edge, so its neighbours list it
+    added_edges = tuple((x, draw(st.sampled_from(names))) for x in sorted(readded, key=repr))
+    added_edges += tuple(
         draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)), max_size=4))
     )
     patch = Patch(
@@ -135,7 +132,7 @@ def explicit_patches(draw):
         added_vertices=added,
         added_edges=added_edges,
     )
-    return PerturbedGraph(base, patch, rename=rename, name="explicit")
+    return PerturbedGraph(base, patch, name="explicit")
 
 
 @given(graph=explicit_patches(), data=st.data())
@@ -145,41 +142,31 @@ def test_explicit_patch_mask_matches_scalar_test(graph, data):
     np.testing.assert_array_equal(graph.unperturbed.mask(box), scalar_mask(graph, box))
 
 
-def test_rename_onto_base_name_takes_scalar_test():
-    # (1) is renamed onto the base name (5); the perturbed vertex called (5)
-    # carries the edges of (1), which lost its neighbour (0)
-    graph = PerturbedGraph(
-        make_lattice(1),
-        Patch(removed_vertices=frozenset({Vertex((0,), 0)})),
-        rename={Vertex((1,), 0): Vertex((5,), 0)},
-    )
-    got = graph.unperturbed.mask(((-2, 8),))
-    np.testing.assert_array_equal(got, scalar_mask(graph, ((-2, 8),)))
-    assert not got[7, 0]
-
-
 def reference_out_edges(graph, v):
-    """``out_edges`` as ``contains`` followed by ``phi``."""
+    """``out_edges`` as ``contains`` followed by the surviving base edges of a
+    common-subgraph vertex, then the added edges."""
     if not graph.oracle.contains(v):
         raise VertexNotInGraphError(str(v))
-    x = graph.phi(v)
     targets = []
-    if x is not None:
+    if graph.in_common(v):
         removed = graph._removed_count
-        for t in graph.base_oracle.out_edges(x):
-            if graph._keep(t) and not (removed and removed.get(_pair_key(x, t), 0)):
-                targets.append(graph.phi_inv(t))
+        for t in graph.base_oracle.out_edges(v):
+            if graph._keep(t) and not (removed and removed.get(_pair_key(v, t), 0)):
+                targets.append(t)
     return tuple(targets) + tuple(graph._added_neighbors(v))
+
+
+def _names_near_patch(graph):
+    """Every name an explicit patch can use, and some it cannot."""
+    s = graph.base.cell_size
+    cells = box_cells([(-R - 1, R + 1)] * graph.base.dim)
+    return [Vertex(c, a) for c in cells for a in range(s + 2 + s)]
 
 
 @given(graph=explicit_patches())
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_out_edges_matches_contains_then_phi(graph):
-    s = graph.base.cell_size
-    cells = box_cells([(-R - 1, R + 1)] * graph.base.dim)
-    names = [Vertex(c, a) for c in cells for a in range(s + 2 + s)]
-    names += list(graph._rename.values())
-    for v in names:
+    for v in _names_near_patch(graph):
         if graph.oracle.contains(v):
             assert graph.oracle.out_edges(v) == reference_out_edges(graph, v)
         else:
@@ -187,22 +174,27 @@ def test_out_edges_matches_contains_then_phi(graph):
                 graph.oracle.out_edges(v)
 
 
+@given(graph=explicit_patches())
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_out_edges_list_every_edge_from_both_ends(graph):
+    oracle = graph.oracle
+    for v in filter(oracle.contains, _names_near_patch(graph)):
+        targets = oracle.out_edges(v)
+        for t in set(targets):
+            assert oracle.out_edges(t).count(v) == targets.count(t), (v, t)
+
+
 def test_out_edges_rejects_absent_vertices():
     half_plane = make_half_plane().perturbation
     pendant = make_random_pendant(0.5, 3).perturbation
     bare = next(c for c in box_cells([(0, 20), (0, 0)]) if not pendant._added_neighbors(Vertex(c, 0)))
-    renamed = PerturbedGraph(make_lattice(1), Patch(), rename={Vertex((0,), 0): Vertex((0,), 5)})
     for graph, v in [
         (half_plane, Vertex((0, -1), 0)),  # removed base vertex
         (half_plane, Vertex((0, 0, 0), 0)),  # wrong dimension
         (pendant, Vertex(bare, 1)),  # added label where no pendant was drawn
-        (renamed, Vertex((0,), 0)),  # base name renamed away
     ]:
         with pytest.raises(VertexNotInGraphError):
             graph.oracle.out_edges(v)
-    assert sorted(renamed.oracle.out_edges(Vertex((0,), 5)), key=repr) == [
-        Vertex((-1,), 0), Vertex((1,), 0)
-    ]
 
 
 def test_mask_rejects_wrong_dimension():

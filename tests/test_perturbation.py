@@ -13,6 +13,7 @@ from periodic_spectra import (
     find_unperturbed_box,
     in_unperturbed_set,
     make_lattice,
+    truncate,
     vert,
     weighted_norm,
 )
@@ -22,11 +23,12 @@ from periodic_spectra.errors import (
     VertexNotInCommonSubgraphError,
 )
 from periodic_spectra.graphs import Vertex, apply_laplacian
+from periodic_spectra.region import Region
 
 
 def degree_ratio_bounds(graph, support):
     """Raw worst-case degree ratios (the squares of ``embedding_norm_bounds``)."""
-    dprime = [graph.oracle.degree(graph.phi_inv(x)) for x in support]
+    dprime = [graph.oracle.degree(x) for x in support]
     dbase = [graph.base_oracle.degree(x) for x in support]
     return min(dprime) / max(dbase), max(dprime) / min(dbase)
 
@@ -218,8 +220,7 @@ class TestDefect:
             }
             out = apply_defect(graph, psi)
             for v, val in out.items():
-                x = graph.phi(v)
-                if x is not None and graph.in_common(x) and in_unperturbed_set(graph, x):
+                if graph.in_common(v) and in_unperturbed_set(graph, v):
                     assert val == 0.0
 
     def test_interior_delta_annihilated(self, half_plane):
@@ -262,8 +263,7 @@ class TestDefect:
             psi = _state_near(x, base_oracle, rng)
             lhs = embed_state(graph, apply_laplacian(psi, base_oracle))
             rhs = apply_laplacian(embed_state(graph, psi), graph.oracle)
-            xp = graph.phi_inv(x)
-            assert abs(lhs.get(xp, 0.0) - rhs.get(xp, 0.0)) < 1e-14
+            assert abs(lhs.get(x, 0.0) - rhs.get(x, 0.0)) < 1e-14
             checked += 1
         assert checked == 1000
 
@@ -315,22 +315,29 @@ class TestExplicitPatch:
                 Patch(added_edges=((vert(0), vert(0, label=3)),)),
             )
 
-    def test_rename_table(self, lattice1):
-        alias = vert(3, label=9)
+    def test_removed_vertex_added_back(self, lattice2):
+        # (0, 0) loses its base edges and returns as an added vertex with one
+        # added edge to (1, 0)
+        x = vert(0, 0)
         patch = Patch(
-            added_vertices=frozenset({vert(0, label=1)}),
-            added_edges=((vert(0), vert(0, label=1)),),
+            removed_vertices=frozenset({x}),
+            added_vertices=frozenset({x}),
+            added_edges=((x, vert(1, 0)),),
         )
-        graph = PerturbedGraph(lattice1, patch, rename={vert(3): alias})
-        assert graph.oracle.contains(alias)
-        assert not graph.oracle.contains(vert(3))
-        assert graph.phi(alias) == vert(3)
-        # neighbors of the renamed vertex resolve through the table
-        assert set(graph.oracle.out_edges(alias)) == {vert(2), vert(4)}
-        assert set(graph.oracle.out_edges(vert(2))) == {vert(1), alias}
-        out = embed_state(graph, {vert(3): 2.0})
-        assert out == {alias: 2.0}
-        assert in_unperturbed_set(graph, vert(3))
+        graph = PerturbedGraph(lattice2, patch)
+        assert graph.oracle.contains(x)
+        assert not graph.in_common(x)
+        assert graph.oracle.out_edges(x) == (vert(1, 0),)
+        assert graph.oracle.out_edges(vert(1, 0)).count(x) == 1
+        assert graph.oracle.degree(vert(0, 1)) == 3
+        assert embed_state(graph, {x: 2.0, vert(1, 0): 1.0}) == {vert(1, 0): 1.0}
+        box = truncate(graph.oracle, ((-2, 2), (-2, 2)))
+        assert len(box) == 25
+        assert box.degrees[box.index[vert(1, 0)]] == 4
+        assert box.degrees[box.index[x]] == 1
+        region = Region(graph, (0, 0), 2)
+        assert x in region.names[region.kept:]
+        assert not region.unperturbed[region.names.index(x)]
 
     def test_removed_vertex_prunes_incident_removed_edges(self, lattice1):
         patch = Patch(

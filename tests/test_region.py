@@ -6,6 +6,8 @@ same quantities vertex by vertex.  Both must agree to 1e-12 relative, with
 the defect exactly zero on clear boxes.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from periodic_spectra import (
     Patch,
     PerturbedGraph,
+    PredicatePatch,
     Vertex,
     apply_defect,
     apply_laplacian,
@@ -37,7 +40,7 @@ from periodic_spectra import (
     weighted_norm,
     windowed_bloch_state,
 )
-from periodic_spectra.errors import VertexNotInCommonSubgraphError
+from periodic_spectra.errors import InternalInvariantError, VertexNotInCommonSubgraphError
 from periodic_spectra.graphs import box_cells, sup_norm
 from periodic_spectra.region import Region
 from periodic_spectra.weyl import embedded_route_residual, sup_norm_bound
@@ -161,15 +164,15 @@ R = 3  # explicit patches change only cells in [-R, R]^d
 @st.composite
 def explicit_patches(draw):
     """Lattice or pendant chain with removed vertices and edges, added
-    vertices and edges, and renamed vertices near the origin."""
+    vertices and edges, and removed base vertices added back under the same
+    name, near the origin."""
     base = draw(st.sampled_from([make_lattice(2), make_lattice(1), make_g11().base]))
     s = base.cell_size
     cells = list(box_cells([(-R, R)] * base.dim))
     vertices = st.builds(Vertex, st.sampled_from(cells), st.integers(0, s - 1))
     removed = draw(st.frozensets(vertices, max_size=3))
-    renamed = draw(st.frozensets(vertices, max_size=6)) - removed
-    rename = {x: Vertex(x.cell, s + 1 + x.label) for x in renamed}
-    added = frozenset(
+    readded = frozenset(x for x in sorted(removed, key=repr) if draw(st.booleans()))
+    added = readded | frozenset(
         Vertex(c, s) for c in draw(st.frozensets(st.sampled_from(cells), max_size=3))
     )
     templates = base.oriented_edges()
@@ -181,11 +184,13 @@ def explicit_patches(draw):
         if x.label == e.origin
     )
     names = sorted(
-        [rename.get(x, x) for c in cells for x in (Vertex(c, a) for a in range(s))
-         if x not in removed] + list(added),
+        [x for c in cells for x in (Vertex(c, a) for a in range(s)) if x not in removed]
+        + list(added),
         key=lambda v: (v.cell, v.label),
     )
-    added_edges = tuple(
+    # every vertex added back takes an edge, so its neighbours list it
+    added_edges = tuple((x, draw(st.sampled_from(names))) for x in sorted(readded, key=repr))
+    added_edges += tuple(
         draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)), max_size=4))
     )
     patch = Patch(
@@ -194,7 +199,7 @@ def explicit_patches(draw):
         added_vertices=added,
         added_edges=added_edges,
     )
-    return PerturbedGraph(base, patch, rename=rename, name="explicit")
+    return PerturbedGraph(base, patch, name="explicit")
 
 
 @given(graph=explicit_patches(), u=st.floats(0.0, 1.0), n=st.integers(1, 3))
@@ -227,7 +232,7 @@ def test_region_operators_match_dict_operators_on_any_box(graph, n, offset, seed
     flat = grid.reshape(-1)
     for i, x in enumerate(region.vertices):
         # the dict Laplacian divides by the degree: isolated vertices carry no value
-        if graph.in_common(x) and graph.oracle.degree(graph.phi_inv(x)) == 0:
+        if graph.in_common(x) and graph.oracle.degree(x) == 0:
             flat[i] = 0.0
     psi = {v: complex(x) for v, x in zip(region.vertices, flat) if x != 0}
     rows = region.embed(grid)
@@ -251,8 +256,7 @@ def test_region_operators_match_dict_operators_on_any_box(graph, n, offset, seed
     for i, x in enumerate(region.vertices):
         assert abs(lap[i] - base_lap.get(x, 0.0)) <= REL * max(1.0, abs(lap[i]))
     for name, member in zip(region.names, region.unperturbed):
-        x = graph.phi(name)
-        assert member == (x is not None and graph.unperturbed.contains(x))
+        assert member == (graph.in_common(name) and graph.unperturbed.contains(name))
     assert region.clear == all(
         graph.in_common(x) and graph.unperturbed.contains(x) for x in region.vertices
     )
@@ -261,3 +265,13 @@ def test_region_operators_match_dict_operators_on_any_box(graph, n, offset, seed
     else:
         with pytest.raises(VertexNotInCommonSubgraphError):
             region.embedding_norm_bounds()
+
+
+def test_one_sided_added_edge_fails_the_audit():
+    # (0, 0) lists an added edge to (2, 1), which does not list it back
+    one_sided = {Vertex((0, 0), 0): (Vertex((2, 1), 0),)}
+    patch = PredicatePatch(keep=lambda v: True, added_neighbors=lambda v: one_sided.get(v, ()))
+    graph = PerturbedGraph(make_lattice(2), patch, name="one-sided")
+    message = "(0,0|v0) -> (2,1|v0) is listed 1 times, (2,1|v0) -> (0,0|v0) 0 times"
+    with pytest.raises(InternalInvariantError, match=re.escape(message)):
+        Region(graph, (0, 0), 2)
