@@ -101,11 +101,21 @@ def make_g21() -> CatalogEntry:
     )
 
 
+def _everywhere(cells: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    return np.ones(len(labels), dtype=bool)
+
+
+def _nowhere(cells: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    return np.zeros(len(labels), dtype=bool)
+
+
 def make_half_plane() -> CatalogEntry:
     """Z^2 cut to the half-plane x2 >= 0; untouched set is x2 >= 1."""
     base = make_lattice(2)
     patch = PredicatePatch(
         keep=lambda v: v.cell[1] >= 0,
+        keep_array=lambda cells, labels: cells[:, 1] >= 0,
+        has_added_array=_nowhere,
     )
     graph = PerturbedGraph(base, patch, name="half_plane")
     return CatalogEntry(
@@ -136,9 +146,15 @@ def make_cone() -> CatalogEntry:
             return (Vertex((x2, 0), 0),)
         return ()
 
+    def has_added_array(cells: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        x1, x2 = cells[:, 0], cells[:, 1]
+        return (labels == 0) & (((x2 == 0) & (x1 >= 1)) | ((x1 == 0) & (x2 >= 1)))
+
     patch = PredicatePatch(
         keep=lambda v: v.cell[0] >= 0 and v.cell[1] >= 0,
         added_neighbors=added_neighbors,
+        keep_array=lambda cells, labels: (cells >= 0).all(axis=1),
+        has_added_array=has_added_array,
     )
     graph = PerturbedGraph(base, patch, name="cone")
     return CatalogEntry(
@@ -180,11 +196,16 @@ def make_random_pendant(p: float, seed: int, dim: int = 2) -> CatalogEntry:
     def added_in_cell(cell) -> tuple[Vertex, ...]:
         return (Vertex(cell, 1),) if has_pendant(cell) else ()
 
+    def has_added_array(cells: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        return ((labels == 0) | (labels == 1)) & bernoulli_array(seed, cells, p)
+
     patch = PredicatePatch(
         keep=lambda v: True,
         added_contains=added_contains,
         added_neighbors=added_neighbors,
         added_in_cell=added_in_cell,
+        keep_array=_everywhere,
+        has_added_array=has_added_array,
     )
     graph = PerturbedGraph(base, patch, name=f"random_pendant(p={p}, seed={seed})")
     return CatalogEntry(
@@ -223,11 +244,16 @@ def make_counterexample() -> CatalogEntry:
     def added_in_cell(cell) -> tuple[Vertex, ...]:
         return (Vertex(cell, 2),) if cell[0] >= 0 else ()
 
+    def has_added_array(cells: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        return (cells[:, 0] >= 0) & ((labels == 0) | (labels == 2))
+
     patch = PredicatePatch(
         keep=lambda v: True,
         added_contains=added_contains,
         added_neighbors=added_neighbors,
         added_in_cell=added_in_cell,
+        keep_array=_everywhere,
+        has_added_array=has_added_array,
     )
     graph = PerturbedGraph(base, patch, name="counterexample")
     return CatalogEntry(

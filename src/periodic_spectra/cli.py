@@ -36,7 +36,7 @@ from .errors import (
     PeriodicSpectraError,
 )
 from .floquet import band_grid, essential_spectrum
-from .graphs import PeriodicGraph, Vertex, periodic_oracle
+from .graphs import PeriodicGraph, Vertex, box_cell_array, periodic_oracle
 from .io import load_graph_file, load_perturbation_file, perturbation_from_spec
 from .perturbation import PerturbedGraph, find_unperturbed_box
 from .truncation import compare_spectra, spectrum_of_box, truncate, zero_mode_count
@@ -321,11 +321,9 @@ def _cmd_lambda_set(args) -> int:
         f"v{i + 1}" for i in range(base.cell_size)
     ]
     mask = perturbed.unperturbed.mask(window).reshape(-1, base.cell_size)
-    axes = [np.arange(lo, hi + 1) for lo, hi in window]
-    cells = [axis.ravel() for axis in np.meshgrid(*axes, indexing="ij")]
     bits = mask.astype(np.uint8).T
     ctx.write_manifest()
-    ctx.write_csv(header, _format_columns([*cells, *bits]))
+    ctx.write_csv(header, _format_columns([*box_cell_array(window).T, *bits]))
     return 0
 
 

@@ -14,6 +14,7 @@ self-adjoint.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import warnings
 from dataclasses import dataclass
@@ -23,6 +24,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    InputError,
     InternalInvariantError,
     IsolatedVertexError,
     VertexNotInGraphError,
@@ -146,6 +148,21 @@ def box_cells(box: Sequence[tuple[int, int]]) -> Iterator[Cell]:
     last axis varies fastest); an empty box sequence yields the single cell
     ``()``."""
     return itertools.product(*(range(lo, hi + 1) for lo, hi in box))
+
+
+def box_cell_array(box: Sequence[tuple[int, int]], at: np.ndarray | None = None) -> np.ndarray:
+    """The cells of ``box`` as an int64 array of shape ``(m, d)`` in
+    ``box_cells`` order, or only the cells at positions ``at`` of that order;
+    raises ``InputError`` when a coordinate does not fit in 64 bits."""
+    limit = 1 << 63
+    if any(lo < -limit or hi >= limit for lo, hi in box if lo <= hi):
+        raise InputError(f"box {list(box)} has coordinates outside the 64-bit range")
+    sizes = [max(hi - lo + 1, 0) for lo, hi in box]
+    if at is None:
+        at = np.arange(math.prod(sizes))
+    cells = np.stack(np.unravel_index(at, sizes), axis=1, dtype=np.int64)
+    cells += np.array([lo for lo, _ in box], dtype=np.int64)
+    return cells
 
 
 def edge_index(origin: Vertex, target: Vertex) -> Cell:

@@ -15,7 +15,7 @@ everything outside that image.
 
 from __future__ import annotations
 
-import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
@@ -25,6 +25,7 @@ import numpy as np
 from .errors import (
     EmptySupportError,
     InputError,
+    InternalInvariantError,
     VertexNotInCommonSubgraphError,
     VertexNotInGraphError,
 )
@@ -36,12 +37,23 @@ from .graphs import (
     Vertex,
     Window,
     apply_laplacian,
-    box_cells,
+    box_cell_array,
     periodic_oracle,
     propagation_length,
 )
+from .randomfield import cell_hash, cell_hash_array
+from .truncation import _MASK_LIMIT
 
 _NO_NEIGHBORS: tuple[Vertex, ...] = ()
+
+# Array form of a vertex predicate: int64 cells (m, d), labels (m,) -> bool (m,).
+RowPredicate = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+# Besides the box corners, ``mask`` checks every this many rows of a hook's
+# answer against the scalar predicate.
+_SAMPLE_STRIDE = 4096
+# Rows per hook call, so a hook's temporaries stay small and in cache.
+_HOOK_ROWS = 1 << 16
 
 
 def _pair_key(u: Vertex, v: Vertex) -> tuple:
@@ -71,13 +83,28 @@ class PredicatePatch:
     ``keep`` decides which base vertices survive; ``added_contains`` tests
     membership of new vertices; ``added_neighbors`` lists, for any vertex of
     the perturbed graph, the targets of added edges at it (symmetrically and
-    with multiplicity).
+    with multiplicity); ``added_in_cell`` lists the added vertices of a cell.
+    These scalar callables are the contract.
+
+    ``keep_array`` and ``has_added_array`` are optional array forms that
+    ``UnperturbedSet.mask`` calls instead, on 65,536 rows at a time.  Each
+    takes an int64 array ``cells`` of shape ``(m, d)`` and a label array
+    ``labels`` of shape ``(m,)`` and returns a bool array of shape ``(m,)``:
+    ``keep_array`` is
+    ``keep`` row by row, ``has_added_array`` is true where ``added_neighbors``
+    lists anything (it is asked only about kept base vertices).  A missing
+    hook is replaced by the scalar callable applied row by row.  Every
+    ``mask`` call checks both hooks against the scalar callables on the rows
+    at the box corners and every 4096th row, and raises
+    ``InternalInvariantError`` naming the first vertex where they differ.
     """
 
     keep: Callable[[Vertex], bool]
     added_contains: Callable[[Vertex], bool] = lambda v: False
     added_neighbors: Callable[[Vertex], tuple[Vertex, ...]] = lambda v: _NO_NEIGHBORS
     added_in_cell: Callable[[Cell], tuple[Vertex, ...]] = lambda cell: _NO_NEIGHBORS
+    keep_array: RowPredicate | None = None
+    has_added_array: RowPredicate | None = None
 
 
 class PerturbedOracle(GraphOracle):
@@ -150,10 +177,13 @@ class UnperturbedSet:
         ``(sizes..., cell_size)``, cells in lexicographic order and labels
         last; an entry is ``in_common(x) and _contains_known(x)``.
 
-        The kept grid over the box padded by the propagation length is ANDed
-        with itself shifted by every oriented edge template, and the endpoints
-        of removed base edges are cleared.  A vertex that survives has all of
-        its base edges, so it belongs iff no added edge meets it.
+        The kept grid (``keep_array``) over the box padded by the propagation
+        length is ANDed with itself shifted by every oriented edge template,
+        and the endpoints of removed base edges are cleared.  A vertex that
+        survives has all of its base edges, so it belongs iff
+        ``has_added_array`` is false at it.  A padded box of more than
+        ``_MASK_LIMIT`` vertices raises ``InputError`` before anything is
+        allocated.
         """
         g = self._g
         base = g.base
@@ -166,12 +196,13 @@ class UnperturbedSet:
         pad = propagation_length(base)
         padded = [(lo - pad, hi + pad) for lo, hi in box]
         shape = tuple(n + 2 * pad for n in sizes) + (s,)
-        in_common = g.in_common
-        kept = np.fromiter(
-            (in_common(Vertex(c, a)) for c, a in itertools.product(box_cells(padded), range(s))),
-            dtype=bool,
-            count=int(np.prod(shape)),
-        ).reshape(shape)
+        count = math.prod(shape)
+        if count > _MASK_LIMIT:
+            raise InputError(
+                f"box {list(box)} padded by {pad} has {count} vertices; "
+                f"the unperturbed-set mask is capped at {_MASK_LIMIT}"
+            )
+        kept = _checked_hook(g._keep_array, g._keep, padded, s, "keep_array").reshape(shape)
         out = kept[tuple(slice(pad, pad + n) for n in sizes)].copy()
         for e in base.oriented_edges():
             ahead = tuple(slice(pad + i, pad + i + n) for i, n in zip(e.index, sizes))
@@ -183,13 +214,83 @@ class UnperturbedSet:
                     at = tuple(c - lo for c, (lo, _) in zip(x.cell, box))
                     if all(0 <= i < n for i, n in zip(at, sizes)):
                         out[at + (x.label,)] = False
-        added = g._added_neighbors
         flat = out.reshape(-1)
-        candidates = itertools.compress(
-            itertools.product(box_cells(box), range(s)), flat.tolist()
+        rows = np.flatnonzero(flat)
+        flat[rows] = ~_checked_hook(
+            g._has_added_array, g._has_added, box, s, "has_added_array", rows
         )
-        flat[np.flatnonzero(flat)] = [not added(Vertex(c, a)) for c, a in candidates]
         return out
+
+
+def _checked_hook(
+    hook: RowPredicate,
+    scalar: Callable[[Vertex], bool],
+    box: Window,
+    s: int,
+    name: str,
+    rows: np.ndarray | None = None,
+) -> np.ndarray:
+    """``hook`` at the vertices of ``box`` with positions ``rows`` (all by
+    default) in the order cells first, labels last, asked ``_HOOK_ROWS`` rows
+    at a time.  Each answer is compared with ``scalar`` at the rows whose cell
+    is a corner of ``box`` and at every ``_SAMPLE_STRIDE``-th row; the first
+    vertex where they differ raises ``InternalInvariantError``."""
+    total = math.prod(hi - lo + 1 for lo, hi in box) * s if rows is None else len(rows)
+    got = np.empty(total, dtype=bool)
+    for start in range(0, total, _HOOK_ROWS):
+        stop = min(start + _HOOK_ROWS, total)
+        at = np.arange(start, stop) if rows is None else rows[start:stop]
+        cell_at, labels = np.divmod(at, s)
+        cells = box_cell_array(box, cell_at)
+        answer = np.asarray(hook(cells, labels))
+        if answer.dtype != bool or answer.shape != labels.shape:
+            raise InternalInvariantError(
+                f"{name} returned an array of dtype {answer.dtype} and shape "
+                f"{answer.shape}, expected bool and {labels.shape}"
+            )
+        corners = np.arange(len(at))
+        for axis, (lo, hi) in enumerate(box):
+            side = cells[corners, axis]
+            corners = corners[(side == lo) | (side == hi)]
+        strided = np.arange(-start % _SAMPLE_STRIDE, len(at), _SAMPLE_STRIDE)
+        for i in np.union1d(corners, strided).tolist():
+            v = Vertex(tuple(cells[i].tolist()), int(labels[i]))
+            if bool(scalar(v)) != answer[i]:
+                raise InternalInvariantError(
+                    f"{name} gives {bool(answer[i])} at {v}, its scalar predicate "
+                    f"{not answer[i]}"
+                )
+        got[start:stop] = answer
+    return got
+
+
+def _row_by_row(predicate: Callable[[Vertex], bool]) -> RowPredicate:
+    """Array form of a scalar vertex predicate: one call per row."""
+
+    def apply(cells: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        rows = zip(map(tuple, cells.tolist()), labels.tolist())
+        return np.fromiter(
+            (bool(predicate(Vertex(c, a))) for c, a in rows), dtype=bool, count=len(labels)
+        )
+
+    return apply
+
+
+def _finite_membership(vertices: Iterable[Vertex]) -> RowPredicate:
+    """Array form of ``v in vertices`` for a finite vertex set.  A row whose
+    ``cell_hash`` of ``(cell..., label)`` is a member's hash is a candidate,
+    and each candidate is then looked up exactly."""
+    members = frozenset(vertices)
+    hashes = np.array([cell_hash(0, v.cell + (v.label,)) for v in members], dtype=np.uint64)
+
+    def contains(cells: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        rows = np.column_stack([cells, labels])
+        out = np.isin(cell_hash_array(0, rows), hashes)
+        at = np.flatnonzero(out)
+        out[at] = [Vertex(tuple(r[:-1]), r[-1]) in members for r in rows[at].tolist()]
+        return out
+
+    return contains
 
 
 @dataclass(frozen=True)
@@ -223,6 +324,8 @@ class PerturbedGraph:
             self._added_neighbors = patch.added_neighbors
             self._added_in_cell = patch.added_in_cell
             self._removed_count: dict | None = None
+            self._keep_array = patch.keep_array or _row_by_row(patch.keep)
+            self._has_added_array = patch.has_added_array or _row_by_row(self._has_added)
         self.oracle = PerturbedOracle(self)
         self.unperturbed = UnperturbedSet(self)
 
@@ -238,6 +341,8 @@ class PerturbedGraph:
         ]
         self._removed_count = Counter(_pair_key(u, v) for u, v in removed_edges)
         self._keep = lambda v: v not in removed_v
+        removed_at = _finite_membership(removed_v)
+        self._keep_array = lambda cells, labels: ~removed_at(cells, labels)
         added_v = set(patch.added_vertices)
         for v in added_v:
             if self.in_common(v):
@@ -256,6 +361,10 @@ class PerturbedGraph:
         self._added_contains = lambda v: v in added_v
         self._added_neighbors = lambda v: frozen.get(v, _NO_NEIGHBORS)
         self._added_in_cell = lambda cell: frozen_cells.get(cell, ())
+        self._has_added_array = _finite_membership(frozen)
+
+    def _has_added(self, v: Vertex) -> bool:
+        return bool(self._added_neighbors(v))
 
     def _is_base_name(self, v: Vertex) -> bool:
         return len(v.cell) == self.base.dim and 0 <= v.label < self.base.cell_size

@@ -39,16 +39,21 @@ def bernoulli(seed: int, cell: tuple[int, ...], p: float) -> bool:
     return (cell_hash(seed, cell) >> 11) * 2.0**-53 < p
 
 
-def bernoulli_array(seed: int, cells: np.ndarray, p: float) -> np.ndarray:
-    """Vectorized ``bernoulli`` over an ``(m, d)`` integer array of cells."""
+def cell_hash_array(seed: int, cells: np.ndarray) -> np.ndarray:
+    """Vectorized ``cell_hash`` over an ``(m, d)`` integer array of cells."""
     cells = np.asarray(cells, dtype=np.int64)
     if cells.ndim == 1:
         cells = cells[:, None]
     with np.errstate(over="ignore"):
-        state = np.full(cells.shape[0], _mix(seed & _MASK), dtype=np.uint64)
+        state = np.full(cells.shape[0], _mix(int(seed) & _MASK), dtype=np.uint64)
         for j in range(cells.shape[1]):
             state = _mix_u64(state ^ cells[:, j].astype(np.uint64))
-    return (state >> np.uint64(11)).astype(np.float64) * 2.0**-53 < p
+    return state
+
+
+def bernoulli_array(seed: int, cells: np.ndarray, p: float) -> np.ndarray:
+    """Vectorized ``bernoulli`` over an ``(m, d)`` integer array of cells."""
+    return (cell_hash_array(seed, cells) >> np.uint64(11)).astype(np.float64) * 2.0**-53 < p
 
 
 def _mix_u64(state: np.ndarray) -> np.ndarray:

@@ -15,11 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyBoxError, InputError
+from .errors import EmptyBoxError, InputError, InternalInvariantError
 from .floquet import SpectrumApprox
 from .graphs import GraphOracle, PeriodicOracle, Vertex, Window, audit_symmetry, box_cells
 
+# Size caps checked before allocating.  ``_DENSE_LIMIT`` caps the vertices of
+# a box solved densely.  ``_MASK_LIMIT`` caps the vertices of the padded box
+# of one ``UnperturbedSet.mask`` call: the mask holds about 13 bytes per such
+# vertex (measured on a 2001 x 2001 window), so the cap bounds it near 210 MiB
+# and leaves a 2001 x 2001 or 255^3 window room to run.
 _DENSE_LIMIT = 4000
+_MASK_LIMIT = 1 << 24
 
 
 class BoxGraph:
@@ -82,7 +88,9 @@ def truncate(oracle: GraphOracle, box: Window, periodic_wrap: bool = False) -> B
     recomputed, and vertices left isolated are dropped (their number is
     recorded on the result).  With it (purely periodic graphs only) edges
     leaving the box re-enter modulo the box lengths.  Raises
-    ``InternalInvariantError`` when the oracle's edges are not symmetric.
+    ``InternalInvariantError`` when the oracle's edges are not symmetric, or
+    when an edge reaches a vertex in a box cell that ``vertices_in_cell`` does
+    not list.
     """
     for lo, hi in box:
         if lo > hi:
@@ -104,6 +112,11 @@ def truncate(oracle: GraphOracle, box: Window, periodic_wrap: bool = False) -> B
             if j is None and periodic_wrap:  # re-enter modulo the box lengths
                 cell = tuple(lo + (c - lo) % ln for c, (lo, ln) in zip(t.cell, sides))
                 j = index[Vertex(cell, t.label)]
+            elif j is None and all(lo <= c <= hi for c, (lo, hi) in zip(t.cell, box)):
+                raise InternalInvariantError(
+                    f"{v} has an edge to {t}, which lies in a box cell but is not "
+                    f"listed by vertices_in_cell"
+                )
             if j is not None:  # None: outside an induced box
                 rows.append(i)
                 cols.append(j)

@@ -451,6 +451,28 @@ class TestErrorPaths:
             "--n", "1", "--window", "0,5",
         ) == 2
 
+    @pytest.mark.parametrize("command, extra", [("lambda-set", []), ("condition-p", ["--n", "3"])])
+    def test_window_beyond_the_mask_cap(self, tmp_path, capsys, command, extra):
+        # 2e9 cells per axis: refused before any array is allocated
+        axis = "-1000000000,1000000000"
+        assert run(
+            tmp_path,
+            command, "--graph", "builtin:lattice2",
+            "--perturbation", "builtin:random_pendant,p=0.5,seed=7",
+            *extra, f"--window={axis},{axis}", "--out", str(tmp_path / "big"),
+        ) == 2
+        assert "unperturbed-set mask is capped at" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_window_beyond_64_bits(self, tmp_path, capsys):
+        # the box padded by one cell reaches 2**63
+        assert run(
+            tmp_path,
+            "lambda-set", "--graph", "builtin:lattice2", "--perturbation", "builtin:half_plane",
+            "--window=9223372036854775800,9223372036854775807,0,3",
+        ) == 2
+        assert "outside the 64-bit range" in capsys.readouterr().err
+
     def test_base_mismatch_rejected(self, tmp_path):
         assert run(
             tmp_path,

@@ -2,9 +2,9 @@
 
 Each case runs one command in-process and compares its exit code exactly and
 each ``.csv``/``.json`` output with the stored file.  Text is compared
-exactly; a number is compared to 1e-12 relative, with an absolute floor of
-1e-15 for values that are zero up to roundoff, so counts, centres and labels
-must match exactly.  The manifest digest is left out: it changes with the
+exactly; a CSV cell that is an integer is compared exactly, and any other
+number to 1e-12 relative, with an absolute floor of 1e-15 for values that are
+zero up to roundoff, so counts, centres and labels must match exactly.  The manifest digest is left out: it changes with the
 library version, and the determinism tests in ``test_cli.py`` cover it.
 
 Regenerate the files with ``PYTHONPATH=src python tests/test_golden.py``, and
@@ -34,6 +34,21 @@ CASES = {
         "lambda-set", "--graph", "builtin:lattice2", "--perturbation", "builtin:cone",
         "--window=-2,8,-2,8",
     ],
+    "lambda_set_pendant_2d": [
+        "lambda-set", "--graph", "builtin:lattice2",
+        "--perturbation", "builtin:random_pendant,p=0.3,seed=5", "--window=-9,6,-4,11",
+    ],
+    # cells near -2**62 and 2**62 take the 64-bit wrap of the pendant field
+    "lambda_set_pendant_far": [
+        "lambda-set", "--graph", "builtin:lattice2",
+        "--perturbation", "builtin:random_pendant,p=0.5,seed=7",
+        "--window=4611686018427387899,4611686018427387906,"
+        "-4611686018427387906,-4611686018427387899",
+    ],
+    "lambda_set_counterexample": [
+        "lambda-set", "--graph", "builtin:g11", "--perturbation", "builtin:counterexample",
+        "--window=-6,6",
+    ],
     "condition_p_hit": [
         "condition-p", "--graph", "builtin:lattice2",
         "--perturbation", "builtin:random_pendant,p=0.5,seed=7",
@@ -43,6 +58,11 @@ CASES = {
         "condition-p", "--graph", "builtin:lattice2",
         "--perturbation", "builtin:random_pendant,p=0.5,seed=7",
         "--n", "3", "--window", "0,10,0,10",
+    ],
+    "condition_p_pendant_miss": [
+        "condition-p", "--graph", "builtin:lattice2",
+        "--perturbation", "builtin:random_pendant,p=0.2,seed=11",
+        "--n", "4", "--window=-20,-5,-12,3",
     ],
     "weyl_half_plane": [
         "weyl-check", "--graph", "builtin:half_plane",
@@ -102,6 +122,12 @@ def _same_number(a: float, b: float) -> bool:
 
 
 def _same_cell(a: str, b: str) -> bool:
+    # integers (cell coordinates, counts, membership bits) compare exactly,
+    # also beyond the 53 bits a float holds
+    try:
+        return int(a) == int(b)
+    except ValueError:
+        pass
     try:
         return _same_number(float(a), float(b))
     except ValueError:

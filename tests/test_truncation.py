@@ -243,6 +243,23 @@ class TestSymmetryAudit:
         with pytest.raises(InternalInvariantError, match=re.escape(message)):
             truncate(oracle, ((-3, 10),))
 
+    def test_edge_to_an_unlisted_box_vertex_rejected(self, lattice2):
+        # the pendant is a vertex with an edge, but added_in_cell omits it, so
+        # an induced box would drop the edge and give (0,0) degree 4, not 5
+        pendant = vert(0, 0, label=1)
+        patch = PredicatePatch(
+            keep=lambda v: True,
+            added_contains=lambda v: v == pendant,
+            added_neighbors=lambda v: {vert(0, 0): (pendant,), pendant: (vert(0, 0),)}.get(
+                v, ()
+            ),
+        )
+        oracle = PerturbedGraph(lattice2, patch, name="unlisted").oracle
+        assert oracle.degree(vert(0, 0)) == 5
+        message = re.escape("(0,0|v0) has an edge to (0,0|v1)")
+        with pytest.raises(InternalInvariantError, match=message):
+            truncate(oracle, ((-2, 2), (-2, 2)))
+
 
 def reference_truncate(oracle, box, periodic_wrap):
     """Vertices, pair counts ``{(i, j): c}`` with ``i <= j`` (a loop counted
