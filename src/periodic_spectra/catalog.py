@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InputError
 from .floquet import SpectrumApprox
-from .graphs import FundEdge, PeriodicGraph, Vertex, build_periodic
+from .graphs import FundEdge, PeriodicGraph, Vertex, box_cell_array, build_periodic
 from .perturbation import PerturbedGraph, PredicatePatch
 from .randomfield import bernoulli, bernoulli_array
 
@@ -298,10 +298,7 @@ def clear_box_monte_carlo(
     if trials < 1:
         raise InputError(f"trials must be >= 1, got {trials}")
     side = 2 * n + 1
-    offsets = np.array(
-        [np.unravel_index(i, (side,) * dim) for i in range(side**dim)],
-        dtype=np.int64,
-    )
+    offsets = box_cell_array([(0, side - 1)] * dim)
 
     def count_chunk(bounds: tuple[int, int]) -> int:
         lo, hi = bounds

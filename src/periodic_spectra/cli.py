@@ -53,31 +53,31 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _format_columns(columns) -> list[list[str]]:
+def _format_columns(columns) -> list[tuple[np.ndarray, np.ndarray]]:
     """The cell texts of a table given as one-dimensional columns.
 
-    Floats are written by ``_fmt``, integers by ``str`` and text passes
-    through unchanged.  Each distinct value of a column is formatted once and
-    its text shared by every row holding it; floats are told apart by bit
-    pattern, so ``-0.0``, ``0.0``, ``nan`` and ``±inf`` keep their own texts.
+    Each column comes back as ``(texts, inverse)``: its distinct cell texts
+    as an object array and, per row, the index of the row's text, in the
+    smallest unsigned dtype that holds it.  Floats are written by ``_fmt``,
+    integers by ``str`` and text passes through unchanged.  Each distinct
+    value is formatted once; floats are told apart by bit pattern, so
+    ``-0.0``, ``0.0``, ``nan`` and ``±inf`` keep their own texts.
     """
     out = []
     for column in columns:
         arr = np.asarray(column)
         kind = arr.dtype.kind
-        if kind == "U":
-            out.append(arr.tolist())
-            continue
         if kind == "f":
             bits = np.ascontiguousarray(arr, dtype=np.float64).view(np.uint64)
             keys, inverse = np.unique(bits, return_inverse=True)
             texts = [_fmt(x) for x in keys.view(np.float64).tolist()]
-        elif kind in "iu":
+        elif kind in "iuU":
             keys, inverse = np.unique(arr, return_inverse=True)
             texts = [str(x) for x in keys.tolist()]
         else:
             raise TypeError(f"cannot write a column of dtype {arr.dtype}")
-        out.append(np.array(texts, dtype=object)[inverse].tolist())
+        index_type = np.min_scalar_type(max(len(texts) - 1, 0))
+        out.append((np.array(texts, dtype=object), inverse.astype(index_type)))
     return out
 
 
@@ -143,18 +143,21 @@ class RunContext:
         path.write_text(self.manifest_text)
         return path
 
-    def _write_table(
-        self, extension: str, header_line: str, cells: list[list[str]], sep: str
-    ) -> Path:
+    def _write_table(self, extension: str, header_line: str, cells, sep: str) -> Path:
+        """Write ``cells`` from ``_format_columns``, expanding each column's
+        texts ``_CHUNK_ROWS`` rows at a time."""
         path = self._path(extension)
         with path.open("w") as out:
             out.write(f"# manifest-sha256: {self.digest}\n{header_line}\n")
-            for start in range(0, len(cells[0]), _CHUNK_ROWS):
-                chunk = (column[start:start + _CHUNK_ROWS] for column in cells)
+            for start in range(0, len(cells[0][1]), _CHUNK_ROWS):
+                chunk = (
+                    texts[inverse[start:start + _CHUNK_ROWS]].tolist()
+                    for texts, inverse in cells
+                )
                 out.write("\n".join(map(sep.join, zip(*chunk))) + "\n")
         return path
 
-    def write_csv(self, header: list[str], cells: list[list[str]]) -> Path:
+    def write_csv(self, header: list[str], cells) -> Path:
         """Write a table whose columns ``cells`` come from ``_format_columns``."""
         return self._write_table(".csv", ",".join(header), cells, ",")
 
@@ -165,7 +168,7 @@ class RunContext:
         path.write_text(_json_text(body) + "\n")
         return path
 
-    def write_plot_data(self, header: list[str], cells: list[list[str]]) -> Path:
+    def write_plot_data(self, header: list[str], cells) -> Path:
         """Write ``cells`` (as for ``write_csv``) space-separated."""
         return self._write_table(".dat", "# " + " ".join(header), cells, " ")
 

@@ -55,12 +55,10 @@ class NoClearBoxError(MathDomainError):
 
 
 class BadEigenpairError(MathDomainError):
-    """A supplied vector is not an eigenvector of the given fiber matrix."""
+    """A cell vector fails the eigenpair check at its quasimomentum: its
+    degree-weighted fiber residual ``||M xi - lambda xi||_deg``, with lambda
+    its Rayleigh quotient, exceeds the tolerance."""
 
 
 class InternalInvariantError(PeriodicSpectraError):
     """A structural invariant failed; indicates a corrupted description."""
-
-
-class NonHermitianError(InternalInvariantError):
-    """The symmetrized fiber matrix is not Hermitian within tolerance."""

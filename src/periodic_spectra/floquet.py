@@ -3,8 +3,12 @@
 For each quasimomentum k in the torus [0, 2pi)^d the infinite operator
 restricts to an s x s fiber matrix; sorting its eigenvalues gives the band
 functions, and the spectrum of the infinite graph is the union of the band
-images.  The fiber matrix is similar to a Hermitian matrix via conjugation
-with sqrt(degree), which is how everything here is diagonalized.
+images.  One assembler, ``fiber_matrices``, builds every fiber matrix, in
+batches and in the symmetric form ``D^{-1/2} A(k) D^{-1/2}`` (D the label
+degrees), which is Hermitian and similar to the row-normalized operator
+``D^{-1} A(k)``.  Band grids, band location and eigenpairs all diagonalize
+its output; an eigenvector u of the symmetric form is pulled back to the
+row-normalized operator's eigenvector ``u / sqrt(deg)``.
 """
 
 from __future__ import annotations
@@ -13,21 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonHermitianError, NotInSpectrumError
-from .graphs import PeriodicGraph
+from .errors import DimensionMismatchError, NotInSpectrumError
+from .graphs import PeriodicGraph, box_cell_array
 
-_HERM_TOL = 1e-9
 _MERGE_TOL = 1e-10
 DEFAULT_FLAT_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class FloquetMatrix:
-    """Fiber matrix at one quasimomentum; entry (i, j) sums exp(i k.index)/deg_i
-    over oriented edges from label i to label j."""
-
-    k: tuple[float, ...]
-    entries: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -62,68 +56,71 @@ class SpectrumApprox:
         return tuple(x for pair in self.intervals for x in pair)
 
 
-def floquet_matrix(graph: PeriodicGraph, k) -> FloquetMatrix:
-    """Assemble the fiber matrix at quasimomentum ``k``.
+def _fiber_assembler(graph: PeriodicGraph):
+    """``ks -> fiber_matrices(graph, ks)`` with the graph's template arrays
+    built once, for callers that assemble at many quasimomenta one by one."""
+    d = np.asarray(graph.degrees, dtype=float)
+    s = graph.cell_size
+    # A template whose index repeats the previous template's (a zero-index
+    # edge and its reversal) reuses its phase: index None.
+    templates = []
+    previous = None
+    for e in graph.oriented_edges():
+        index = None if e.index == previous else np.asarray(e.index, dtype=float)
+        templates.append((e.origin, e.target, index, np.sqrt(d[e.origin] * d[e.target])))
+        previous = e.index
+
+    def assemble(ks: np.ndarray) -> np.ndarray:
+        h = np.zeros((ks.shape[0], s, s), dtype=complex)
+        for origin, target, index, weight in templates:
+            if index is not None:
+                phase = np.exp(1j * (ks @ index))
+            h[:, origin, target] += phase / weight
+        return 0.5 * (h + np.conj(np.swapaxes(h, 1, 2)))
+
+    return assemble
+
+
+def fiber_matrices(graph: PeriodicGraph, ks) -> np.ndarray:
+    """The Hermitian fiber matrices ``D^{-1/2} A(k) D^{-1/2}`` at the rows of
+    ``ks`` (shape ``(M, d)``), as an ``(M, s, s)`` array.
 
     Both orientations of every stored template contribute: the template
-    (i, j, index) adds exp(i k.index)/deg_i at (i, j) and the conjugate phase
-    over deg_j at (j, i).
+    (i, j, index) adds exp(i k.index)/sqrt(deg_i deg_j) at (i, j) and the
+    conjugate phase at (j, i).  The sum is then averaged with its conjugate
+    transpose, so the result is Hermitian by construction.
     """
-    k = np.atleast_1d(np.asarray(k, dtype=float))
-    if k.shape != (graph.dim,):
-        from .errors import DimensionMismatchError
-
+    ks = np.asarray(ks, dtype=float)
+    if ks.ndim != 2 or ks.shape[1] != graph.dim:
         raise DimensionMismatchError(
-            f"quasimomentum has shape {k.shape}, expected ({graph.dim},)"
+            f"quasimomenta have shape {ks.shape}, expected (M, {graph.dim})"
         )
-    s = graph.cell_size
-    m = np.zeros((s, s), dtype=complex)
-    for e in graph.oriented_edges():
-        phase = np.exp(1j * float(np.dot(k, e.index)))
-        m[e.origin, e.target] += phase / graph.degrees[e.origin]
-    return FloquetMatrix(tuple(k.tolist()), m)
+    return _fiber_assembler(graph)(ks)
 
 
-def _hermitian_similarity(m: FloquetMatrix, degrees) -> np.ndarray:
-    d = np.asarray(degrees, dtype=float)
-    h = np.sqrt(d)[:, None] * m.entries * (1.0 / np.sqrt(d))[None, :]
-    gap = np.max(np.abs(h - h.conj().T))
-    if gap > _HERM_TOL:
-        raise NonHermitianError(
-            f"symmetrized fiber matrix deviates from Hermitian by {gap:.3e}"
-        )
-    return 0.5 * (h + h.conj().T)
+def band_eigensystem(graph: PeriodicGraph, k) -> BandSample:
+    """Diagonalize the fiber matrix at quasimomentum ``k``.
 
-
-def band_eigensystem(m: FloquetMatrix, degrees) -> BandSample:
-    """Diagonalize one fiber matrix.
-
-    Eigenvalues come back ascending; eigenvectors are pulled back through the
-    degree similarity, which leaves them normalized in the weighted cell
+    Eigenvalues come back ascending; eigenvectors are pulled back by
+    ``1/sqrt(deg)``, which leaves them normalized in the weighted cell
     product ``<x, y> = sum conj(x_i) y_i deg_i``.
     """
-    h = _hermitian_similarity(m, degrees)
-    lambdas, u = np.linalg.eigh(h)
-    d = np.asarray(degrees, dtype=float)
-    vecs = u / np.sqrt(d)[:, None]
-    return BandSample(m.k, lambdas, vecs)
+    k = np.atleast_1d(np.asarray(k, dtype=float))
+    lambdas, u = np.linalg.eigh(fiber_matrices(graph, k[None, :]))
+    vecs = u[0] / np.sqrt(np.asarray(graph.degrees, dtype=float))[:, None]
+    return BandSample(tuple(k.tolist()), lambdas[0], vecs)
 
 
-def _grid_axis(grid_per_axis: int) -> np.ndarray:
+def grid_points(dim: int, grid_per_axis: int) -> np.ndarray:
+    """All grid quasimomenta ``2 pi m / grid`` in lexicographic axis order,
+    shape (grid^dim, dim)."""
     if grid_per_axis < 2 or grid_per_axis % 2 != 0:
         raise ValueError(
             "grid_per_axis must be an even integer >= 2 so the grid hits both "
             "k=0 and k=pi exactly"
         )
-    t = np.arange(grid_per_axis, dtype=float)
-    return 2.0 * np.pi * t / grid_per_axis
-
-
-def grid_points(dim: int, grid_per_axis: int) -> np.ndarray:
-    """All grid quasimomenta in lexicographic axis order, shape (grid^dim, dim)."""
-    axis = _grid_axis(grid_per_axis)
-    mesh = np.meshgrid(*([axis] * dim), indexing="ij")
-    return np.stack([m.reshape(-1) for m in mesh], axis=-1)
+    cells = box_cell_array([(0, grid_per_axis - 1)] * dim)
+    return 2.0 * np.pi * cells / grid_per_axis
 
 
 def band_grid(graph: PeriodicGraph, grid_per_axis: int) -> tuple[np.ndarray, np.ndarray]:
@@ -134,15 +131,7 @@ def band_grid(graph: PeriodicGraph, grid_per_axis: int) -> tuple[np.ndarray, np.
     batch; the grid ordering is fixed, so results are deterministic.
     """
     ks = grid_points(graph.dim, grid_per_axis)
-    s = graph.cell_size
-    d = np.asarray(graph.degrees, dtype=float)
-    h = np.zeros((ks.shape[0], s, s), dtype=complex)
-    for e in graph.oriented_edges():
-        phase = np.exp(1j * (ks @ np.asarray(e.index, dtype=float)))
-        h[:, e.origin, e.target] += phase / np.sqrt(d[e.origin] * d[e.target])
-    h = 0.5 * (h + np.conj(np.swapaxes(h, 1, 2)))
-    lambdas = np.linalg.eigvalsh(h)
-    return ks, lambdas
+    return ks, np.linalg.eigvalsh(fiber_matrices(graph, ks))
 
 
 def _merge_intervals(
@@ -188,12 +177,6 @@ def _band_union(
         resolution=grid_per_axis,
         flat_tol=flat_tol,
     )
-
-
-def _band_value(graph: PeriodicGraph, k: np.ndarray, band: int) -> float:
-    m = floquet_matrix(graph, k)
-    h = _hermitian_similarity(m, graph.degrees)
-    return float(np.linalg.eigvalsh(h)[band])
 
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
@@ -243,18 +226,21 @@ def locate_band_value(
         raise NotInSpectrumError(f"{target} is not within {match_tol} of any band")
     k = np.array(ks[row], dtype=float)
     step = 2.0 * np.pi / grid_per_axis
+    assemble = _fiber_assembler(graph)
+    probe = np.empty((1, graph.dim))
 
     def mismatch_along(axis: int, x: float) -> float:
-        probe = k.copy()
-        probe[axis] = x
-        return abs(_band_value(graph, probe, band) - target)
+        """|band value - target| at k with its coordinate ``axis`` set to x."""
+        probe[0] = k
+        probe[0, axis] = x
+        return abs(float(np.linalg.eigvalsh(assemble(probe))[0, band]) - target)
 
     for _ in range(8):
         for axis in range(graph.dim):
             k[axis] = _golden_refine(
                 lambda x: mismatch_along(axis, x), k[axis] - step, k[axis] + step
             )
-        mismatch = abs(_band_value(graph, k, band) - target)
+        mismatch = mismatch_along(0, k[0])
         if mismatch <= refine_tol:
             break
     else:
@@ -262,6 +248,5 @@ def locate_band_value(
             f"band {band} misses {target} by {mismatch:.3e} at k = {tuple(k.tolist())} "
             f"after refinement (refine_tol {refine_tol})"
         )
-    sample = band_eigensystem(floquet_matrix(graph, k), graph.degrees)
-    xi = sample.eigenvectors[:, band]
+    xi = band_eigensystem(graph, k).eigenvectors[:, band]
     return band, k, xi

@@ -14,7 +14,6 @@ self-adjoint.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 import warnings
 from dataclasses import dataclass
@@ -159,9 +158,16 @@ def box_cell_array(box: Sequence[tuple[int, int]], at: np.ndarray | None = None)
         raise InputError(f"box {list(box)} has coordinates outside the 64-bit range")
     sizes = [max(hi - lo + 1, 0) for lo, hi in box]
     if at is None:
-        at = np.arange(math.prod(sizes))
-    cells = np.stack(np.unravel_index(at, sizes), axis=1, dtype=np.int64)
-    cells += np.array([lo for lo, _ in box], dtype=np.int64)
+        # the whole box: each axis's coordinates broadcast over the others
+        cells = np.empty((*sizes, len(box)), dtype=np.int64)
+        for axis, ((lo, _), size) in enumerate(zip(box, sizes)):
+            shape = [1] * len(box)
+            shape[axis] = size
+            cells[..., axis] = (lo + np.arange(size, dtype=np.int64)).reshape(shape)
+        return cells.reshape(-1, len(box))
+    cells = np.empty((len(at), len(box)), dtype=np.int64)
+    for axis, offsets in enumerate(np.unravel_index(at, sizes)):
+        np.add(offsets, box[axis][0], out=cells[:, axis])
     return cells
 
 

@@ -22,7 +22,7 @@ from .errors import (
     InternalInvariantError,
     NoClearBoxError,
 )
-from .floquet import floquet_matrix, locate_band_value
+from .floquet import fiber_matrices, locate_band_value
 from .graphs import (
     Cell,
     PeriodicGraph,
@@ -132,11 +132,22 @@ def windowed_bloch_state(
     return psi
 
 
+def _symmetric_pair(graph: PeriodicGraph, k0, xi0: np.ndarray):
+    """The symmetric fiber matrix H at ``k0``, ``y = sqrt(deg) * xi0`` and the
+    Rayleigh quotient of y under H.
+
+    H = D^{1/2} M D^{-1/2} for the row-normalized fiber matrix M, so the
+    weighted residual of xi0 under M is the plain residual of y under H and
+    the weighted Rayleigh quotients agree.
+    """
+    h = fiber_matrices(graph, np.reshape(np.asarray(k0, dtype=float), (1, -1)))[0]
+    y = np.sqrt(np.asarray(graph.degrees, dtype=float)) * xi0
+    return h, y, float(np.real(np.vdot(y, h @ y) / np.vdot(y, y)))
+
+
 def _check_eigenpair(graph: PeriodicGraph, band: int, k0, xi0: np.ndarray) -> None:
-    lam = rayleigh_value(graph, k0, xi0)
-    m = floquet_matrix(graph, k0).entries
-    r = m @ xi0 - lam * xi0
-    gap = float(np.sqrt(np.sum(np.abs(r) ** 2 * np.asarray(graph.degrees))))
+    h, y, lam = _symmetric_pair(graph, k0, xi0)
+    gap = float(np.linalg.norm(h @ y - lam * y))
     if gap > _EIGENPAIR_TOL:
         raise BadEigenpairError(
             f"vector is not an eigenvector at this quasimomentum "
@@ -158,11 +169,7 @@ def _bloch_grid(region: Region, k0: np.ndarray, xi0: np.ndarray, n: int) -> np.n
 
 def rayleigh_value(graph: PeriodicGraph, k0, xi0: np.ndarray) -> float:
     """Band value attached to an eigenvector: its weighted Rayleigh quotient."""
-    d = np.asarray(graph.degrees, dtype=float)
-    m = floquet_matrix(graph, k0).entries
-    num = np.sum(np.conj(xi0) * (m @ xi0) * d)
-    den = np.sum(np.abs(xi0) ** 2 * d)
-    return float(np.real(num / den))
+    return _symmetric_pair(graph, k0, xi0)[2]
 
 
 @dataclass(frozen=True)
@@ -176,10 +183,8 @@ class WeylState:
     n: int
     center: Vertex
     embed_norm: float
-    lam: float
-    base_vector: State  # translated, pre-embedding state on the base graph
     region: Region  # padded box the state was built on
-    grid: np.ndarray  # base_vector on the region's grid
+    grid: np.ndarray  # translated, pre-embedding base-graph state on the region's grid
 
 
 def build_weyl_state(
@@ -207,7 +212,6 @@ def build_weyl_state(
     _check_eigenpair(graph.base, band, k0, xi0)
     region = Region(graph, report.center.cell, report.box_bounds[1])
     grid = _bloch_grid(region, np.asarray(k0, dtype=float), xi0, n)
-    flat = grid.reshape(-1)
     embedded = region.embed(grid)
     c = region.norm(embedded)
     embedded /= c
@@ -223,12 +227,6 @@ def build_weyl_state(
         n=n,
         center=report.center,
         embed_norm=c,
-        lam=rayleigh_value(graph.base, k0, xi0),
-        base_vector={
-            region.vertices[i]: complex(val)
-            for i, val in enumerate(flat)
-            if val != 0
-        },
         region=region,
         grid=grid,
     )

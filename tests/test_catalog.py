@@ -11,6 +11,7 @@ from periodic_spectra import (
 )
 from periodic_spectra.catalog import entry_names
 from periodic_spectra.errors import InputError
+from periodic_spectra.graphs import box_cell_array
 from periodic_spectra.randomfield import bernoulli, bernoulli_array, cell_hash
 
 
@@ -153,6 +154,16 @@ class TestClearBoxProbability:
         a = clear_box_monte_carlo(1, 0.5, 2, 50_000, seed=11, chunk=1024)
         b = clear_box_monte_carlo(1, 0.5, 2, 50_000, seed=11, chunk=65536)
         assert a == b
+
+    @pytest.mark.parametrize("side,dim", [(1, 1), (3, 1), (3, 2), (5, 3)])
+    def test_monte_carlo_offsets_match_unravel(self, side, dim):
+        # clear_box_monte_carlo takes its box offsets from box_cell_array
+        expected = np.array(
+            [np.unravel_index(i, (side,) * dim) for i in range(side**dim)],
+            dtype=np.int64,
+        )
+        got = box_cell_array([(0, side - 1)] * dim)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
     def test_monte_carlo_pool_invariant(self):
         from concurrent.futures import ThreadPoolExecutor

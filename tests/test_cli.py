@@ -218,8 +218,11 @@ class TestColumnFormatter:
 
     def test_distinct_bit_patterns_keep_their_text(self):
         values = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324])
-        (cells,) = _format_columns([values])
-        assert cells == ["0", "-0", "nan", "inf", "-inf", "0", "-0", "4.9406564584124654e-324"]
+        ((texts, inverse),) = _format_columns([values])
+        assert texts[inverse].tolist() == [
+            "0", "-0", "nan", "inf", "-inf", "0", "-0", "4.9406564584124654e-324"
+        ]
+        assert len(texts) == 6 and inverse.dtype == np.uint8
 
     def test_other_dtypes_rejected(self):
         with pytest.raises(TypeError):

@@ -6,29 +6,59 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from periodic_spectra import (
-    FloquetMatrix,
     band_eigensystem,
     band_grid,
     essential_spectrum,
-    floquet_matrix,
+    fiber_matrices,
+    get_entry,
     locate_band_value,
     propagation_length,
 )
-from periodic_spectra.errors import NonHermitianError, NotInSpectrumError
+from periodic_spectra.errors import DimensionMismatchError, NotInSpectrumError
+from periodic_spectra.floquet import grid_points
 
 from test_graphs import small_graphs
+
+
+def row_normalized(graph, k) -> np.ndarray:
+    """Reference fiber matrix, assembled per k: entry (i, j) sums
+    exp(i k.index)/deg_i over the oriented templates from label i to label j."""
+    k = np.atleast_1d(np.asarray(k, dtype=float))
+    m = np.zeros((graph.cell_size, graph.cell_size), dtype=complex)
+    for e in graph.oriented_edges():
+        m[e.origin, e.target] += np.exp(1j * float(np.dot(k, e.index))) / graph.degrees[e.origin]
+    return m
+
+
+def reference_bands(graph, k) -> np.ndarray:
+    """Ascending eigenvalues of ``row_normalized`` through the degree
+    similarity ``D^{1/2} M D^{-1/2}``, symmetrized."""
+    sq = np.sqrt(np.asarray(graph.degrees, dtype=float))
+    h = sq[:, None] * row_normalized(graph, k) / sq[None, :]
+    return np.linalg.eigvalsh(0.5 * (h + h.conj().T))
+
+
+def pulled_back(graph, k) -> np.ndarray:
+    """``D^{-1/2} fiber_matrices D^{1/2}`` at one k: the assembler's symmetric
+    form carried back to the row-normalized operator."""
+    sq = np.sqrt(np.asarray(graph.degrees, dtype=float))
+    h = fiber_matrices(graph, np.reshape(np.asarray(k, dtype=float), (1, -1)))[0]
+    return h / sq[:, None] * sq[None, :]
+
+
+CATALOG = ["lattice1", "lattice2", "lattice3", "g11", "g21"]
 
 
 class TestAssembly:
     def test_z_is_cosine(self, lattice1):
         for k in (0.0, 0.3, np.pi / 2, np.pi):
-            m = floquet_matrix(lattice1, [k])
-            assert m.entries.shape == (1, 1)
-            assert m.entries[0, 0] == pytest.approx(np.cos(k), abs=1e-15)
+            m = pulled_back(lattice1, [k])
+            assert m.shape == (1, 1)
+            assert m[0, 0] == pytest.approx(np.cos(k), abs=1e-15)
 
     def test_pendant_chain_matrix(self, g11):
         k = 0.7
-        m = floquet_matrix(g11.base, [k]).entries
+        m = pulled_back(g11.base, [k])
         expected = np.array(
             [[2.0 * np.cos(k) / 3.0, 1.0 / 3.0], [1.0, 0.0]], dtype=complex
         )
@@ -38,64 +68,83 @@ class TestAssembly:
     def test_row_sums_one_at_zero(self, maker, request):
         entry = request.getfixturevalue(maker)
         graph = getattr(entry, "base", entry)
-        m = floquet_matrix(graph, [0.0] * graph.dim).entries
+        m = pulled_back(graph, [0.0] * graph.dim)
         assert np.allclose(m.sum(axis=1), 1.0, atol=1e-12)
 
     @pytest.mark.parametrize("maker", ["lattice2", "g11", "g21"])
     def test_degree_similarity_hermitian(self, maker, rng, request):
         entry = request.getfixturevalue(maker)
         graph = getattr(entry, "base", entry)
-        d = np.asarray(graph.degrees, dtype=float)
-        for _ in range(20):
-            k = rng.uniform(0.0, 2.0 * np.pi, size=graph.dim)
-            m = floquet_matrix(graph, k).entries
-            h = np.sqrt(d)[:, None] * m / np.sqrt(d)[None, :]
-            assert np.max(np.abs(h - h.conj().T)) <= 1e-12
+        ks = rng.uniform(0.0, 2.0 * np.pi, size=(20, graph.dim))
+        h = fiber_matrices(graph, ks)
+        assert h.shape == (20, graph.cell_size, graph.cell_size)
+        assert np.array_equal(h, np.conj(np.swapaxes(h, 1, 2)))
+
+    @pytest.mark.parametrize("name", CATALOG)
+    def test_pullback_matches_row_normalized(self, name, rng):
+        graph = get_entry(name).base
+        for k in rng.uniform(-2.0 * np.pi, 2.0 * np.pi, size=(20, graph.dim)):
+            assert np.allclose(pulled_back(graph, k), row_normalized(graph, k), rtol=0, atol=1e-15)
+
+    def test_wrong_shape_rejected(self, lattice2):
+        for ks in (np.zeros((3, 3)), np.zeros(2), np.zeros((1, 2, 1))):
+            with pytest.raises(DimensionMismatchError):
+                fiber_matrices(lattice2, ks)
+
+
+@given(small_graphs(), st.floats(-2 * np.pi, 2 * np.pi))
+@settings(max_examples=80, deadline=None)
+def test_pullback_matches_row_normalized_on_small_graphs(graph, k):
+    # small graphs carry loops, parallel edges and two-cell hops
+    assert np.allclose(pulled_back(graph, [k]), row_normalized(graph, [k]), rtol=0, atol=1e-15)
+
+
+def test_grid_points_match_meshgrid():
+    for dim, grid in ((1, 2), (1, 64), (2, 16), (3, 8)):
+        axis = 2.0 * np.pi * np.arange(grid, dtype=float) / grid
+        mesh = np.meshgrid(*([axis] * dim), indexing="ij")
+        expected = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+        got = grid_points(dim, grid)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
 
 class TestEigensystem:
     def test_z_at_pi(self, lattice1):
-        sample = band_eigensystem(floquet_matrix(lattice1, [np.pi]), lattice1.degrees)
+        sample = band_eigensystem(lattice1, [np.pi])
         assert sample.lambdas == pytest.approx([-1.0])
 
     def test_pendant_chain_at_zero(self, g11):
-        sample = band_eigensystem(
-            floquet_matrix(g11.base, [0.0]), g11.base.degrees
-        )
+        sample = band_eigensystem(g11.base, [0.0])
         assert sample.lambdas == pytest.approx([-1.0 / 3.0, 1.0])
 
     def test_pendant_chain_at_pi(self, g11):
-        sample = band_eigensystem(
-            floquet_matrix(g11.base, [np.pi]), g11.base.degrees
-        )
+        sample = band_eigensystem(g11.base, [np.pi])
         assert sample.lambdas == pytest.approx([-1.0, 1.0 / 3.0])
 
     def test_eigenvector_residual_weighted(self, g21):
         graph = g21.base
         d = np.asarray(graph.degrees, dtype=float)
         for k in (0.0, 0.4, 2.0):
-            m = floquet_matrix(graph, [k])
-            sample = band_eigensystem(m, graph.degrees)
+            m = row_normalized(graph, [k])
+            sample = band_eigensystem(graph, [k])
             for i in range(graph.cell_size):
                 xi = sample.eigenvectors[:, i]
-                r = m.entries @ xi - sample.lambdas[i] * xi
+                r = m @ xi - sample.lambdas[i] * xi
                 weighted = np.sqrt(np.sum(np.abs(r) ** 2 * d))
                 assert weighted <= 1e-9
                 cell_norm = np.sum(np.abs(xi) ** 2 * d)
                 assert cell_norm == pytest.approx(1.0, abs=1e-12)
 
-    def test_non_hermitian_rejected(self):
-        corrupt = FloquetMatrix((0.0,), np.array([[0.0, 1.0], [0.0, 0.0]]))
-        with pytest.raises(NonHermitianError):
-            band_eigensystem(corrupt, (1, 1))
+    def test_wrong_shape_rejected(self, lattice2, g11):
+        for graph, k in ((lattice2, [0.1]), (lattice2, [0.1, 0.2, 0.3]), (g11.base, [[0.1], [0.2]])):
+            with pytest.raises(DimensionMismatchError):
+                band_eigensystem(graph, k)
 
     @pytest.mark.parametrize("maker", ["lattice1", "lattice2", "g11", "g21"])
     def test_top_eigenvalue_at_zero_is_one(self, maker, request):
         entry = request.getfixturevalue(maker)
         graph = getattr(entry, "base", entry)
-        sample = band_eigensystem(
-            floquet_matrix(graph, [0.0] * graph.dim), graph.degrees
-        )
+        sample = band_eigensystem(graph, [0.0] * graph.dim)
         assert sample.lambdas[-1] == pytest.approx(1.0, abs=1e-12)
         top = sample.eigenvectors[:, -1]
         assert np.allclose(top / top[0], np.ones(graph.cell_size), atol=1e-9)
@@ -155,7 +204,7 @@ class TestEssentialSpectrum:
             [FundEdge(0, 0, (0,)), FundEdge(0, 0, (1,)), FundEdge(0, 0, (1,))],
         )
         assert g.degrees == (6,)
-        m = floquet_matrix(g, [0.3]).entries
+        m = pulled_back(g, [0.3])
         expected = (2.0 + 4.0 * np.cos(0.3)) / 6.0
         assert m[0, 0] == pytest.approx(expected, abs=1e-15)
         spec = essential_spectrum(g, 64)
@@ -183,8 +232,8 @@ class TestBandSymmetry:
         graph = getattr(entry, "base", entry)
         for _ in range(20):
             k = rng.uniform(0, 2 * np.pi, size=graph.dim)
-            plus = band_eigensystem(floquet_matrix(graph, k), graph.degrees)
-            minus = band_eigensystem(floquet_matrix(graph, -k), graph.degrees)
+            plus = band_eigensystem(graph, k)
+            minus = band_eigensystem(graph, -k)
             assert np.allclose(plus.lambdas, minus.lambdas, atol=1e-10)
 
 
@@ -221,16 +270,14 @@ class TestLocate:
             if not spec.contains(target, tol=1e-6):
                 continue
             band, k, xi = locate_band_value(g21.base, target, 64)
-            sample = band_eigensystem(
-                floquet_matrix(g21.base, k), g21.base.degrees
-            )
+            sample = band_eigensystem(g21.base, k)
             assert abs(sample.lambdas[band] - target) <= 1e-8
 
 
 @given(small_graphs(), st.floats(0.0, 2 * np.pi))
 @settings(max_examples=80, deadline=None)
 def test_spectrum_inside_unit_interval(graph, k):
-    sample = band_eigensystem(floquet_matrix(graph, [k]), graph.degrees)
+    sample = band_eigensystem(graph, [k])
     assert np.all(sample.lambdas >= -1.0 - 1e-9)
     assert np.all(sample.lambdas <= 1.0 + 1e-9)
 
@@ -240,8 +287,7 @@ def test_spectrum_inside_unit_interval(graph, k):
 def test_batched_grid_matches_single_point(graph):
     ks, lambdas = band_grid(graph, 8)
     for row in range(0, ks.shape[0], 3):
-        sample = band_eigensystem(floquet_matrix(graph, ks[row]), graph.degrees)
-        assert np.allclose(sample.lambdas, lambdas[row], atol=1e-12)
+        assert np.allclose(reference_bands(graph, ks[row]), lambdas[row], atol=1e-12)
 
 
 def test_brute_force_ring_cross_check(lattice1, g11):

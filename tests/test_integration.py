@@ -14,7 +14,6 @@ from periodic_spectra import (
     build_weyl_state,
     essential_spectrum,
     fit_loglog_slope,
-    floquet_matrix,
     periodic_oracle,
     residual_row,
     spectrum_of_box,
@@ -22,6 +21,7 @@ from periodic_spectra import (
 )
 from periodic_spectra.graphs import FundEdge, Vertex, apply_laplacian
 
+from test_floquet import pulled_back
 from test_graphs import small_graphs
 
 
@@ -40,7 +40,7 @@ def test_bloch_wave_action_matches_fiber_matrix(graph):
         for i in range(graph.cell_size)
     }
     out = apply_laplacian(psi, periodic_oracle(graph))
-    fiber = floquet_matrix(graph, k).entries @ xi
+    fiber = pulled_back(graph, k) @ xi
     # interior cells: one propagation layer inside the window
     from periodic_spectra import propagation_length
 
@@ -99,9 +99,7 @@ class TestDecoratedSquareLattice:
         assert fit_loglog_slope([4, 8, 16], residuals) <= -0.8
 
     def test_eigenvector_pullback_normalization(self, graph):
-        sample = band_eigensystem(
-            floquet_matrix(graph, [0.4, 1.1]), graph.degrees
-        )
+        sample = band_eigensystem(graph, [0.4, 1.1])
         d = np.asarray(graph.degrees, dtype=float)
         for j in range(2):
             xi = sample.eigenvectors[:, j]

@@ -25,6 +25,8 @@ from periodic_spectra.errors import (
 from periodic_spectra.graphs import Vertex, apply_laplacian
 from periodic_spectra.region import Region
 
+from test_weyl import base_vector
+
 
 def degree_ratio_bounds(graph, support):
     """Raw worst-case degree ratios (the squares of ``embedding_norm_bounds``)."""
@@ -240,7 +242,7 @@ class TestDefect:
         graph = entry.perturbation
         window = ((0, 40), (0, 40))
         state = build_weyl_state(graph, 0.0, 4, window)
-        out = apply_defect(graph, state.base_vector)
+        out = apply_defect(graph, base_vector(state))
         assert max(abs(v) for v in out.values()) == 0.0
 
     @pytest.mark.parametrize(

@@ -45,6 +45,8 @@ from periodic_spectra.graphs import box_cells, sup_norm
 from periodic_spectra.region import Region
 from periodic_spectra.weyl import embedded_route_residual, sup_norm_bound
 
+from test_weyl import base_vector
+
 REL = 1e-12
 GRID = 16  # band-location grid per axis; small keeps 3-D cases quick
 QUANTITIES = ("norm", "residual", "route_residual", "bound", "sup_norm_bound", "sup_norm")
@@ -98,7 +100,7 @@ def region_route(graph, lam, n, window):
     return {
         "center": state.center,
         "vector": state.vector,
-        "base_vector": state.base_vector,
+        "base_vector": base_vector(state),
         "norm": state.embed_norm,
         "residual": residual(graph, state, lam),
         "route_residual": embedded_route_residual(graph, state, lam),
