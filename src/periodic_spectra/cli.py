@@ -56,12 +56,16 @@ def _fmt(x) -> str:
 def _format_columns(columns) -> list[tuple[np.ndarray, np.ndarray]]:
     """The cell texts of a table given as one-dimensional columns.
 
-    Each column comes back as ``(texts, inverse)``: its distinct cell texts
-    as an object array and, per row, the index of the row's text, in the
-    smallest unsigned dtype that holds it.  Floats are written by ``_fmt``,
-    integers by ``str`` and text passes through unchanged.  Each distinct
-    value is formatted once; floats are told apart by bit pattern, so
-    ``-0.0``, ``0.0``, ``nan`` and ``±inf`` keep their own texts.
+    Each column comes back as ``(texts, inverse)``: cell texts as an object
+    array and, per row, the index of the row's text, in the smallest unsigned
+    dtype that holds it.  Floats are written by ``_fmt``, integers by ``str``
+    and text passes through unchanged.  The texts are the column's distinct
+    values, each formatted once; floats are told apart by bit pattern, so
+    ``-0.0``, ``0.0``, ``nan`` and ``±inf`` keep their own texts.  An integer
+    column whose values span fewer numbers than it has rows takes the texts
+    of every integer from its least to its greatest value instead, some of
+    which may not occur, and ``inverse`` is the value minus the least one:
+    no sort is needed.
     """
     out = []
     for column in columns:
@@ -71,6 +75,10 @@ def _format_columns(columns) -> list[tuple[np.ndarray, np.ndarray]]:
             bits = np.ascontiguousarray(arr, dtype=np.float64).view(np.uint64)
             keys, inverse = np.unique(bits, return_inverse=True)
             texts = [_fmt(x) for x in keys.view(np.float64).tolist()]
+        elif kind in "iu" and arr.size and int(arr.max()) - int(arr.min()) < arr.size:
+            low = int(arr.min())
+            texts = [str(x) for x in range(low, int(arr.max()) + 1)]
+            inverse = arr - arr.dtype.type(low)
         elif kind in "iuU":
             keys, inverse = np.unique(arr, return_inverse=True)
             texts = [str(x) for x in keys.tolist()]

@@ -31,7 +31,7 @@ from .graphs import (
     Window,
     box_cells,
 )
-from .perturbation import PerturbedGraph, find_unperturbed_box
+from .perturbation import PerturbedGraph, WindowReport, find_unperturbed_box
 from .region import Region
 
 _EIGENPAIR_TOL = 1e-9
@@ -202,16 +202,40 @@ def build_weyl_state(
     Raises ``NoClearBoxError`` when the window has no admissible center and
     ``NotInSpectrumError`` when the value is off-band.
     """
+    report = _clear_box(graph, n, window)
+    location = _band_location(graph.base, lambda_target, grid_per_axis)
+    return _state_on_box(graph, report, location)
+
+
+def _clear_box(graph: PerturbedGraph, n: int, window: Window) -> WindowReport:
+    """The first clear box of radius ``n`` in ``window``, or ``NoClearBoxError``."""
     report = find_unperturbed_box(graph, n, window)
     if report.center is None:
         raise NoClearBoxError(
             f"no box of radius {n} inside the unperturbed set over window "
             f"(searched {report.searched} centers)"
         )
-    band, k0, xi0 = locate_band_value(graph.base, lambda_target, grid_per_axis)
-    _check_eigenpair(graph.base, band, k0, xi0)
+    return report
+
+
+def _band_location(
+    base: PeriodicGraph, lambda_target: float, grid_per_axis: int
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """``locate_band_value`` with its eigenpair checked."""
+    band, k0, xi0 = locate_band_value(base, lambda_target, grid_per_axis)
+    _check_eigenpair(base, band, k0, xi0)
+    return band, k0, xi0
+
+
+def _state_on_box(
+    graph: PerturbedGraph, report: WindowReport, location: tuple[int, np.ndarray, np.ndarray]
+) -> WeylState:
+    """The normalized state of half-width ``report.n`` for the band location
+    ``(band, k0, xi0)``, built on the region of the box ``report`` found."""
+    band, k0, xi0 = location
+    k0 = np.asarray(k0, dtype=float)
     region = Region(graph, report.center.cell, report.box_bounds[1])
-    grid = _bloch_grid(region, np.asarray(k0, dtype=float), xi0, n)
+    grid = _bloch_grid(region, k0, xi0, report.n)
     embedded = region.embed(grid)
     c = region.norm(embedded)
     embedded /= c
@@ -222,9 +246,9 @@ def build_weyl_state(
             if val != 0
         },
         band=band,
-        k0=tuple(np.asarray(k0, dtype=float).tolist()),
+        k0=tuple(k0.tolist()),
         xi0=xi0,
-        n=n,
+        n=report.n,
         center=report.center,
         embed_norm=c,
         region=region,
@@ -350,11 +374,18 @@ def residual_sweep(
     window: Window,
     grid_per_axis: int = 64,
 ) -> list[ResidualRow]:
-    """Residual rows for each half-width in ``ns``, in that order."""
+    """Residual rows for each half-width in ``ns``, in that order.
+
+    The band value is located once, after the box search of the first
+    half-width, as ``build_weyl_state`` would do it, and shared by every row.
+    """
     rows = []
+    location = None
     for n in ns:
-        state = build_weyl_state(graph, lam, n, window, grid_per_axis)
-        rows.append(residual_row(graph, state, lam))
+        report = _clear_box(graph, n, window)
+        if location is None:
+            location = _band_location(graph.base, lam, grid_per_axis)
+        rows.append(residual_row(graph, _state_on_box(graph, report, location), lam))
     return rows
 
 

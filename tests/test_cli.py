@@ -224,6 +224,34 @@ class TestColumnFormatter:
         ]
         assert len(texts) == 6 and inverse.dtype == np.uint8
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.array([3, 1, 2, 3, 3]),  # narrow: every integer of the range
+            np.array([0, 1000, 5, 5]),  # wide: the distinct values
+            np.array([-5, -3, -5, -5], dtype=np.int32),
+            np.array([-7, 2**40, -7]),
+            np.array([2**62, 2**62 - 1, 2**62, 2**62 - 3, 2**62]),
+            np.array([-(2**62), -(2**62) + 2, -(2**62), 5]),
+            np.array([-(2**62), 2**62]),  # the range overflows int64
+            np.array([-(2**63), 2**63 - 1] * 3),
+            np.array([-128, 127] + [0] * 300, dtype=np.int8),  # difference wraps in int8
+            np.array([2**63 + 1, 2**63, 2**64 - 1], dtype=np.uint64),
+            np.array([2**64 - 1, 2**64 - 3, 2**64 - 1, 2**63 + 5], dtype=np.uint64),
+            np.array([2**64 - 1, 2**64 - 2, 2**64 - 1], dtype=np.uint64),
+            np.array([], dtype=np.int64),
+        ],
+    )
+    def test_integer_columns(self, values):
+        ((texts, inverse),) = _format_columns([values])
+        assert texts[inverse].tolist() == [str(v) for v in values.tolist()]
+        assert inverse.dtype == np.min_scalar_type(max(len(texts) - 1, 0))
+        low, high = (int(values.min()), int(values.max())) if values.size else (0, -1)
+        if high - low < len(values):
+            assert texts.tolist() == [str(v) for v in range(low, high + 1)]
+        else:
+            assert texts.tolist() == [str(v) for v in sorted(set(values.tolist()))]
+
     def test_other_dtypes_rejected(self):
         with pytest.raises(TypeError):
             _format_columns([np.array([True, False])])

@@ -3,10 +3,12 @@
 ``build_weyl_state`` and ``residual_row`` evaluate a row on a compiled
 ``Region``; the dict operators of ``graphs`` and ``perturbation`` compute the
 same quantities vertex by vertex.  Both must agree to 1e-12 relative, with
-the defect exactly zero on clear boxes.
+the defect exactly zero on clear boxes.  ``Region`` itself must compile
+exactly what ``reference_region``, one ``out_edges`` call per row, compiles.
 """
 
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -40,8 +42,11 @@ from periodic_spectra import (
     weighted_norm,
     windowed_bloch_state,
 )
+from periodic_spectra import region as region_module
 from periodic_spectra.errors import InternalInvariantError, VertexNotInCommonSubgraphError
 from periodic_spectra.graphs import box_cells, sup_norm
+from periodic_spectra.perturbation import PerturbedOracle
+from periodic_spectra.cli import main
 from periodic_spectra.region import Region
 from periodic_spectra.weyl import embedded_route_residual, sup_norm_bound
 
@@ -277,3 +282,115 @@ def test_one_sided_added_edge_fails_the_audit():
     message = "(0,0|v0) -> (2,1|v0) is listed 1 times, (2,1|v0) -> (0,0|v0) 0 times"
     with pytest.raises(InternalInvariantError, match=re.escape(message)):
         Region(graph, (0, 0), 2)
+
+
+def reference_region(graph, center, half):
+    """The rows of ``Region`` from one ``in_common`` test per box vertex and
+    one ``out_edges`` call per row: kept box vertices in grid order, then
+    their outside neighbours in the order the rows list them."""
+    s = graph.base.cell_size
+    box = [(c - half, c + half) for c in center]
+    vertices = [Vertex(cell, label) for cell in box_cells(box) for label in range(s)]
+    names, row_of, kept_at = [], {}, []
+    for i, x in enumerate(vertices):
+        if graph.in_common(x):
+            row_of[x] = len(names)
+            names.append(x)
+            kept_at.append(i)
+    kept = len(names)
+    indptr, indices, degrees = [0], [], []
+    for r in range(kept):
+        targets = graph.oracle.out_edges(names[r])
+        for t in targets:
+            if t not in row_of:
+                row_of[t] = len(names)
+                names.append(t)
+            indices.append(row_of[t])
+        degrees.append(len(targets))
+        indptr.append(len(indices))
+    for r in range(kept, len(names)):
+        targets = graph.oracle.out_edges(names[r])
+        indices.extend(row_of[t] for t in targets if t in row_of)
+        degrees.append(len(targets))
+        indptr.append(len(indices))
+    mask = graph.unperturbed.mask(box).reshape(-1)[kept_at].tolist()
+    mask += [graph.in_common(v) and graph.unperturbed._contains_known(v) for v in names[kept:]]
+    return SimpleNamespace(
+        names=names,
+        kept=kept,
+        degrees=np.array(degrees, dtype=np.int64),
+        indices=np.array(indices, dtype=np.intp),
+        entry_rows=np.repeat(np.arange(len(names)), np.diff(indptr)),
+        unperturbed=np.array(mask, dtype=bool),
+    )
+
+
+def assert_compiles_like_reference(graph, center, half):
+    got, ref = Region(graph, center, half), reference_region(graph, center, half)
+    assert got.names == ref.names
+    assert got.kept == ref.kept
+    for key in ("degrees", "indices", "unperturbed"):
+        np.testing.assert_array_equal(getattr(got, key), getattr(ref, key), err_msg=key)
+        assert getattr(got, key).dtype == getattr(ref, key).dtype, key
+    np.testing.assert_array_equal(got._entry_rows, ref.entry_rows)
+
+
+COMPILE_CASES = {name: make() for name, (make, _, _) in CATALOG_CASES.items()}
+
+
+@given(data=st.data())
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_catalog_region_compiles_like_reference(data):
+    """Boxes near the origin, where the catalog perturbations have their
+    boundaries, so clear, partly clear and fully perturbed boxes all occur."""
+    graph = COMPILE_CASES[data.draw(st.sampled_from(sorted(COMPILE_CASES)))]
+    dim = graph.base.dim
+    center = data.draw(st.tuples(*[st.integers(-6, 6)] * dim))
+    half = data.draw(st.integers(0, 2 if dim == 3 else 5))
+    assert_compiles_like_reference(graph, center, half)
+
+
+@given(graph=explicit_patches(), offset=st.integers(-R - 3, R + 3), half=st.integers(0, 4))
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_explicit_patch_region_compiles_like_reference(graph, offset, half):
+    """Boxes that overlap the patch, with removed base vertices added back
+    under their base name."""
+    assert_compiles_like_reference(graph, (offset,) * graph.base.dim, half)
+
+
+def test_clear_box_asks_the_oracle_only_on_the_ring(monkeypatch):
+    graph = make_half_plane().perturbation
+    h = 40
+    calls = []
+    out_edges = PerturbedOracle.out_edges
+    monkeypatch.setattr(
+        PerturbedOracle, "out_edges", lambda self, v: calls.append(v) or out_edges(self, v)
+    )
+    region = Region(graph, (0, h + 1), h)
+    assert region.clear
+    side, pad = 2 * h + 1, 1
+    interior = (side - 2 * pad) ** 2
+    ring = side**2 - interior
+    outside = len(region.names) - region.kept
+    samples = 2**2 + interior // 4096 + 1  # corners of the interior block, every 4096th row
+    assert outside == 4 * side
+    # one call per ring and outside row, one more per outside row for the
+    # degree test of its unperturbed bit, and the self-check's samples
+    assert len(calls) <= ring + 2 * outside + samples
+    assert 4 * len(calls) < side**2  # O(h^(d-1)) calls for side^2 box rows
+
+
+def test_tampered_template_fails_the_self_check(tmp_path, monkeypatch, capsys):
+    """Templates listed in another order than the oracle's give rows that
+    differ from ``out_edges``: weyl-check stops with exit 4."""
+    shifts = region_module._label_shifts
+    monkeypatch.setattr(
+        region_module, "_label_shifts", lambda *args: [s[::-1] for s in shifts(*args)]
+    )
+    code = main([
+        "weyl-check", "--graph", "builtin:lattice2", "--perturbation", "builtin:half_plane",
+        "--lambda", "0.0", "--n-list", "2", "--out", str(tmp_path / "wc"),
+    ])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "edge templates give (-7,2|v0) the neighbours" in err

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from periodic_spectra import (
     locate_band_value,
     residual,
     residual_row,
+    residual_sweep,
     shifted_tent_diff_parts,
     shifted_tent_diff_sum,
     tent_norm_sq,
@@ -22,6 +24,8 @@ from periodic_spectra import (
     weighted_norm,
     windowed_bloch_state,
 )
+from periodic_spectra import weyl
+from periodic_spectra.cli import main
 from periodic_spectra.errors import BadEigenpairError, NoClearBoxError
 from periodic_spectra.graphs import vert
 from periodic_spectra.weyl import (
@@ -187,6 +191,29 @@ class TestWeylState:
     def test_no_clear_box_raises(self, half_plane):
         with pytest.raises(NoClearBoxError):
             build_weyl_state(half_plane.perturbation, 0.0, 4, ((0, 4), (0, 4)))
+
+
+class TestResidualSweep:
+    def test_band_value_located_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return locate_band_value(*args)
+
+        monkeypatch.setattr(weyl, "locate_band_value", counted)
+        code = main([
+            "weyl-check", "--graph", "builtin:lattice2", "--perturbation", "builtin:half_plane",
+            "--lambda", "0.3", "--n-list", "4,8,16", "--out", str(tmp_path / "wc"),
+        ])
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_boxless_off_band_input_reports_the_box(self, half_plane):
+        # 2.0 is off-band, but the missing box is found first
+        message = "no box of radius 4 inside the unperturbed set over window (searched 25 centers)"
+        with pytest.raises(NoClearBoxError, match=re.escape(message)):
+            residual_sweep(half_plane.perturbation, 2.0, [4, 8], ((0, 4), (0, 4)))
 
 
 class TestResidual:
