@@ -164,13 +164,17 @@ class UnperturbedSet:
 
     __contains__ = contains
 
-    def _contains_known(self, x: Vertex) -> bool:
+    def _contains_known(self, x: Vertex, degree: int | None = None) -> bool:
+        """Membership of a kept base vertex ``x``; ``degree`` is its perturbed
+        degree when the caller already has it from ``out_edges``."""
         g = self._g
         removed = g._removed_count
         for t in g.base_oracle.out_edges(x):
             if not g._keep(t) or (removed and removed.get(_pair_key(x, t), 0) > 0):
                 return False
-        return g.oracle.degree(x) == g.base_oracle.degree(x)
+        if degree is None:
+            degree = g.oracle.degree(x)
+        return degree == g.base_oracle.degree(x)
 
     def mask(self, box: Window) -> np.ndarray:
         """Membership of every vertex of ``box`` as a boolean array of shape

@@ -28,7 +28,8 @@ block and at every 4096th interior row are compared with ``out_edges``, and
 ``graphs.audit_symmetry`` checks that the CSR lists every edge from both
 ends.  The unperturbed mask of the rows zeroes the defect: the box rows read
 it from ``UnperturbedSet.mask``, the outside rows from the scalar
-``UnperturbedSet._contains_known``.  The dict operators
+``UnperturbedSet._contains_known`` given the degree their ``out_edges`` call
+already returned.  The dict operators
 ``graphs.apply_laplacian``, ``weighted_norm``, ``perturbation.embed_state``,
 ``apply_defect`` and ``embedding_norm_bounds`` compute the same quantities
 vertex by vertex and are the reference for this route.
@@ -121,8 +122,9 @@ class Region:
         audit_symmetry(self.names, self._entry_rows, self.indices)
 
         mask = members.reshape(-1)[self._kept_at].tolist()
-        for v in self.names[first:]:
-            mask.append(graph.in_common(v) and graph.unperturbed._contains_known(v))
+        known = graph.unperturbed._contains_known
+        for v, d in zip(self.names[first:], outside_degrees.tolist()):
+            mask.append(graph.in_common(v) and known(v, d))
         self.unperturbed = np.array(mask, dtype=bool)
 
         self._base_degrees = np.asarray(base.degrees, dtype=float)

@@ -69,7 +69,32 @@ class BoxGraph:
         degree-normalized adjacency operator."""
         a = self.adjacency()
         inv_sqrt = 1.0 / np.sqrt(self.degrees.astype(float))
-        return inv_sqrt[:, None] * a * inv_sqrt[None, :]
+        a *= inv_sqrt[:, None]
+        a *= inv_sqrt[None, :]
+        return a
+
+    def sides(self) -> np.ndarray | None:
+        """Side (False or True) of every vertex such that each edge joins the
+        two sides, or None when an edge joins two vertices of one side (a loop
+        or an odd cycle).  Breadth first over each component, from its first
+        vertex, on a CSR of the edges built by one ``argsort``."""
+        targets = self.cols[np.argsort(self.rows, kind="stable")].tolist()
+        bounds = [0, *np.cumsum(self.degrees).tolist()]
+        side = [-1] * len(self.vertices)
+        for start in range(len(side)):
+            if side[start] >= 0:
+                continue
+            side[start] = 0
+            queue = [start]
+            for v in queue:
+                other = 1 - side[v]
+                for t in targets[bounds[v] : bounds[v + 1]]:
+                    if side[t] < 0:
+                        side[t] = other
+                        queue.append(t)
+                    elif side[t] != other:
+                        return None
+        return np.array(side, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -134,18 +159,69 @@ def truncate(oracle: GraphOracle, box: Window, periodic_wrap: bool = False) -> B
 
 
 def spectrum_of_box(box_graph: BoxGraph, with_vectors: bool = False):
-    """Ascending eigenvalues of the box operator (optionally eigenvectors of
-    its symmetric form)."""
-    if len(box_graph) > _DENSE_LIMIT:
+    """Ascending eigenvalues of the box operator, and with ``with_vectors``
+    the orthonormal eigenvectors of its symmetric form ``D^-1/2 A D^-1/2`` as
+    the columns of an ``(n, n)`` array.
+
+    A bipartite box (``BoxGraph.sides`` is not None) orders its vertices as
+    sides ``P`` and ``Q``; there the symmetric form is ``[[0, B], [B^T, 0]]``
+    with ``B = D_P^-1/2 A[P, Q] D_Q^-1/2``, so its spectrum is ``-s``, then
+    ``|p - q|`` zeros, then ``s`` ascending, for the singular values ``s`` of
+    ``B``.  The eigenvector of ``-+s_i`` is ``[u_i; -+v_i] / sqrt(2)`` and
+    the extra zero modes are the remaining columns of ``U`` (or ``V``), so one
+    SVD of the ``p x q`` block replaces the ``eigh`` of the ``n x n`` form.
+    Every other box (loops, odd cycles: induced ``cone`` boxes over its
+    glued arcs, odd wraps) is solved by ``eigh``/``eigvalsh`` of
+    ``normalized_symmetric()``, which is also the reference for the split.
+
+    Within a degenerate eigenspace the two routes return different bases, so
+    ``compare_spectra``'s ``boundary_count``, which counts basis vectors, can
+    differ between them on boxes with many localized zero modes.
+    ``zero_mode_count`` calls this function again for the values: the
+    benchmark's self-test expects two solves per ``truncate`` command."""
+    n = len(box_graph)
+    if n > _DENSE_LIMIT:
         raise InputError(
-            f"box has {len(box_graph)} vertices; dense solves are capped at "
-            f"{_DENSE_LIMIT}"
+            f"box has {n} vertices; dense solves are capped at {_DENSE_LIMIT}"
         )
-    h = box_graph.normalized_symmetric()
-    if with_vectors:
-        lam, vec = np.linalg.eigh(h)
-        return lam, vec
-    return np.linalg.eigvalsh(h)
+    sides = box_graph.sides()
+    if sides is None:
+        h = box_graph.normalized_symmetric()
+        if with_vectors:
+            lam, vec = np.linalg.eigh(h)
+            return lam, vec
+        return np.linalg.eigvalsh(h)
+    at_p, at_q = np.flatnonzero(~sides), np.flatnonzero(sides)
+    p, q = len(at_p), len(at_q)
+    position = np.empty(n, dtype=np.intp)
+    position[at_p] = np.arange(p)
+    position[at_q] = np.arange(q)
+    from_p = ~sides[box_graph.rows]
+    rows, cols = box_graph.rows[from_p], box_graph.cols[from_p]
+    b = np.zeros((p, q))
+    np.add.at(b, (position[rows], position[cols]), 1.0)
+    inv_sqrt = 1.0 / np.sqrt(box_graph.degrees.astype(float))
+    b *= inv_sqrt[at_p, None]
+    b *= inv_sqrt[None, at_q]
+    if not with_vectors:
+        s = np.linalg.svd(b, compute_uv=False)
+        return np.concatenate([-s, np.zeros(n - 2 * len(s)), s[::-1]])
+    u, s, vt = np.linalg.svd(b)
+    del b
+    r = len(s)
+    lam = np.concatenate([-s, np.zeros(n - 2 * r), s[::-1]])
+    u[:, :r] *= np.sqrt(0.5)
+    vt[:r] *= np.sqrt(0.5)
+    vec = np.zeros((n, n))
+    vec[at_p, :r] = u[:, :r]
+    vec[at_q, :r] = -vt[:r].T
+    vec[at_p, n - r :] = u[:, r - 1 :: -1]
+    vec[at_q, n - r :] = vt[r - 1 :: -1].T
+    if p > r:
+        vec[at_p, r : n - r] = u[:, r:]
+    else:
+        vec[at_q, r : n - r] = vt[r:].T
+    return lam, vec
 
 
 def compare_spectra(
@@ -178,10 +254,22 @@ def _count_boundary_modes(box_graph: BoxGraph, vectors: np.ndarray) -> int:
     near = _near_boundary_mask(box_graph, radius=2)
     # vectors are columns of the symmetric form; |column|^2 already carries
     # the degree weight of the normalized operator's eigenfunctions
-    mass = np.abs(vectors) ** 2
-    total = mass.sum(axis=0)
-    boundary = mass[near].sum(axis=0)
-    return int(np.sum(boundary >= 0.5 * total))
+    boundary = (np.abs(vectors[near]) ** 2).sum(axis=0)
+    return int(np.sum(boundary >= 0.5 * _column_mass(vectors)))
+
+
+def _column_mass(vectors: np.ndarray) -> np.ndarray:
+    """``(np.abs(vectors) ** 2).sum(axis=0)`` holding 256 rows of squares at
+    a time.  The running total is the first row of each block's sum, so the
+    rows are added one after another in order, as numpy's axis-0 sum adds the
+    rows of a C-ordered array, and the result has the same bits."""
+    block = 256
+    buf = np.zeros((block + 1, vectors.shape[1]))
+    for start in range(0, len(vectors), block):
+        rows = vectors[start : start + block]
+        buf[1 : len(rows) + 1] = np.abs(rows) ** 2
+        buf[0] = buf[: len(rows) + 1].sum(axis=0)
+    return buf[0]
 
 
 def _near_boundary_mask(box_graph: BoxGraph, radius: int) -> np.ndarray:

@@ -374,9 +374,9 @@ def test_clear_box_asks_the_oracle_only_on_the_ring(monkeypatch):
     outside = len(region.names) - region.kept
     samples = 2**2 + interior // 4096 + 1  # corners of the interior block, every 4096th row
     assert outside == 4 * side
-    # one call per ring and outside row, one more per outside row for the
-    # degree test of its unperturbed bit, and the self-check's samples
-    assert len(calls) <= ring + 2 * outside + samples
+    # one call per ring and outside row (whose unperturbed bit reuses the
+    # degree of that call) and the self-check's samples
+    assert len(calls) <= ring + outside + samples
     assert 4 * len(calls) < side**2  # O(h^(d-1)) calls for side^2 box rows
 
 

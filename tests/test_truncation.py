@@ -3,7 +3,10 @@
 ``truncate`` builds induced and wrapped boxes from one oriented edge list.
 The reference below folds oriented counts into an ``(i, j)`` pair dict
 (loops halved), builds wrapped boxes separately from the edge templates, and
-finds the near-boundary ring by a set-based search.
+finds the near-boundary ring by a set-based search.  ``spectrum_of_box``
+solves a bipartite box by one SVD of its off-diagonal block; the dense
+``eigvalsh`` of ``normalized_symmetric()`` and a two-colouring over the dense
+adjacency are the reference for that route.
 """
 
 import re
@@ -21,6 +24,9 @@ from periodic_spectra import (
     build_periodic,
     compare_spectra,
     essential_spectrum,
+    make_cone,
+    make_g21,
+    make_half_plane,
     make_lattice,
     periodic_oracle,
     spectrum_of_box,
@@ -29,7 +35,7 @@ from periodic_spectra import (
 )
 from periodic_spectra.errors import EmptyBoxError, InputError, InternalInvariantError
 from periodic_spectra.graphs import FundEdge, Vertex, box_cells, vert
-from periodic_spectra.truncation import _near_boundary_mask
+from periodic_spectra.truncation import _column_mass, _near_boundary_mask
 
 from test_graphs import small_graphs
 from test_region import explicit_patches
@@ -372,3 +378,98 @@ def test_edge_list_equals_pair_counts(case):
     expected = int(np.sum(mass[near].sum(axis=0) >= 0.5 * mass.sum(axis=0)))
     band = SpectrumApprox(((-1.0, 1.0),), (), 2, 1e-8)
     assert compare_spectra(eigs, band, 1e-9, got, vecs).boundary_count == expected
+
+
+def reference_sides(box):
+    """Colour every component from its first vertex, level by level over the
+    dense adjacency, then look for an edge inside one side (a loop is one)."""
+    a = box.adjacency()
+    side = np.full(len(box), -1)
+    for start in range(len(box)):
+        if side[start] >= 0:
+            continue
+        side[start] = 0
+        frontier = [start]
+        while frontier:
+            following = []
+            for v in frontier:
+                for t in np.flatnonzero(a[v]):
+                    if side[t] < 0:
+                        side[t] = 1 - side[v]
+                        following.append(t)
+            frontier = following
+    if a[side[:, None] == side[None, :]].any():
+        return None
+    return side.astype(bool)
+
+
+@st.composite
+def boxes_to_solve(draw):
+    """Induced boxes over random periodic graphs and explicit patches, and
+    wrapped boxes over their base graphs with sides of length 1 to 5, so that
+    wraps of odd length occur."""
+    graph = draw(st.one_of(small_graphs(), explicit_patches()))
+    base = getattr(graph, "base", graph)
+    wrap = draw(st.booleans())
+    oracle = periodic_oracle(base) if wrap or base is graph else graph.oracle
+    box = []
+    for _ in range(base.dim):
+        lo = draw(st.integers(-4, 2))
+        box.append((lo, lo + draw(st.integers(1, 5)) - 1))
+    return oracle, tuple(box), wrap
+
+
+@given(boxes_to_solve())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_bipartite_split_equals_dense_solve(case):
+    oracle, box, wrap = case
+    try:
+        got = truncate(oracle, box, periodic_wrap=wrap)
+    except EmptyBoxError:
+        return
+    sides, expected = got.sides(), reference_sides(got)
+    assert (sides is None) == (expected is None)
+    if sides is not None:
+        assert np.array_equal(sides, expected)
+    h = got.normalized_symmetric()
+    reference = np.linalg.eigvalsh(h)
+    lam, vecs = spectrum_of_box(got, with_vectors=True)
+    assert np.max(np.abs(spectrum_of_box(got) - reference)) <= 1e-12
+    assert np.max(np.abs(lam - reference)) <= 1e-12
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(len(got)))) <= 1e-12
+    assert np.max(np.abs(h @ vecs - vecs * lam)) <= 1e-12
+    assert zero_mode_count(got, 1e-12) == int(np.sum(np.abs(reference) <= 1e-12))
+
+
+@pytest.mark.parametrize(
+    "make_box, bipartite",
+    [
+        (lambda: truncate(make_half_plane().perturbation.oracle, ((0, 50), (-25, 25))), True),
+        (lambda: truncate(periodic_oracle(make_g21().base), ((0, 99),)), True),  # p = 100, q = 200
+        (lambda: truncate(periodic_oracle(make_lattice(2)), ((0, 5), (0, 5)), True), True),
+        (lambda: truncate(make_cone().perturbation.oracle, ((-5, 12), (-5, 12))), False),
+        (lambda: truncate(periodic_oracle(make_lattice(2)), ((0, 4), (0, 5)), True), False),
+        (lambda: truncate(periodic_oracle(make_lattice(1)), ((0, 0),), True), False),
+    ],
+    ids=["half_plane", "g21", "even_wrap", "cone", "odd_wrap", "loop"],
+)
+def test_route_of_catalog_boxes(make_box, bipartite):
+    """Half-plane boxes and even wraps take the SVD; induced cone boxes, odd
+    wraps and loops take ``eigh`` and return its exact output."""
+    box = make_box()
+    assert (box.sides() is not None) == bipartite
+    h = box.normalized_symmetric()
+    lam, vecs = spectrum_of_box(box, with_vectors=True)
+    if not bipartite:
+        dense_lam, dense_vecs = np.linalg.eigh(h)
+        assert np.array_equal(lam, dense_lam) and np.array_equal(vecs, dense_vecs)
+        assert np.array_equal(spectrum_of_box(box), np.linalg.eigvalsh(h))
+    assert np.max(np.abs(lam - np.linalg.eigvalsh(h))) <= 1e-12
+    assert np.max(np.abs(h @ vecs - vecs * lam)) <= 1e-12
+    assert np.all(np.diff(lam) >= 0)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (255, 3), (256, 5), (257, 7), (700, 40)])
+def test_column_mass_has_the_bits_of_the_full_sum(shape):
+    vectors = np.random.default_rng(sum(shape)).standard_normal(shape)
+    assert np.array_equal(_column_mass(vectors), (np.abs(vectors) ** 2).sum(axis=0))
