@@ -27,6 +27,12 @@ from .graphs import GraphOracle, PeriodicOracle, Vertex, Window, audit_symmetry,
 _DENSE_LIMIT = 4000
 _MASK_LIMIT = 1 << 24
 
+# A singular value at most this counts as zero when a bipartite box's zero
+# space is sized.  Rounding fixes the eigenvectors of eigenvalues this close
+# only to about 1e-16 / 1e-9, so below it the solver, not the matrix, picks
+# the basis.
+_ZERO_SINGULAR = 1e-9
+
 
 class BoxGraph:
     """Finite restriction of a graph to a lattice box.
@@ -174,9 +180,13 @@ def spectrum_of_box(box_graph: BoxGraph, with_vectors: bool = False):
     glued arcs, odd wraps) is solved by ``eigh``/``eigvalsh`` of
     ``normalized_symmetric()``, which is also the reference for the split.
 
-    Within a degenerate eigenspace the two routes return different bases, so
-    ``compare_spectra``'s ``boundary_count``, which counts basis vectors, can
-    differ between them on boxes with many localized zero modes.
+    ``compare_spectra``'s ``boundary_count`` counts basis vectors, so inside
+    a degenerate eigenspace it depends on the basis the solver picks.  The
+    zero space is where a box's localized modes (pendant vertices, a
+    defect's kernel) pile up, so when it has more than one dimension
+    (``|p - q| > 1``, or a singular value at most ``_ZERO_SINGULAR``) the
+    vectors come from ``eigh`` of ``normalized_symmetric()``, the basis that
+    ``truncate`` has always reported; the values still come from the SVD.
     ``zero_mode_count`` calls this function again for the values: the
     benchmark's self-test expects two solves per ``truncate`` command."""
     n = len(box_graph)
@@ -185,14 +195,25 @@ def spectrum_of_box(box_graph: BoxGraph, with_vectors: bool = False):
             f"box has {n} vertices; dense solves are capped at {_DENSE_LIMIT}"
         )
     sides = box_graph.sides()
-    if sides is None:
-        h = box_graph.normalized_symmetric()
-        if with_vectors:
-            lam, vec = np.linalg.eigh(h)
-            return lam, vec
-        return np.linalg.eigvalsh(h)
+    if sides is not None:
+        solved = _bipartite_solve(box_graph, sides, with_vectors)
+        if solved is not None:
+            return solved
+    h = box_graph.normalized_symmetric()
+    if with_vectors:
+        lam, vec = np.linalg.eigh(h)
+        return lam, vec
+    return np.linalg.eigvalsh(h)
+
+
+def _bipartite_solve(box_graph: BoxGraph, sides: np.ndarray, with_vectors: bool):
+    """``spectrum_of_box`` of a bipartite box from the SVD of its block, or
+    None when vectors are asked for and the zero space is degenerate."""
+    n = len(box_graph)
     at_p, at_q = np.flatnonzero(~sides), np.flatnonzero(sides)
     p, q = len(at_p), len(at_q)
+    if with_vectors and abs(p - q) > 1:
+        return None
     position = np.empty(n, dtype=np.intp)
     position[at_p] = np.arange(p)
     position[at_q] = np.arange(q)
@@ -208,6 +229,8 @@ def spectrum_of_box(box_graph: BoxGraph, with_vectors: bool = False):
         return np.concatenate([-s, np.zeros(n - 2 * len(s)), s[::-1]])
     u, s, vt = np.linalg.svd(b)
     del b
+    if len(s) and s[-1] <= _ZERO_SINGULAR:
+        return None
     r = len(s)
     lam = np.concatenate([-s, np.zeros(n - 2 * r), s[::-1]])
     u[:, :r] *= np.sqrt(0.5)
@@ -255,21 +278,10 @@ def _count_boundary_modes(box_graph: BoxGraph, vectors: np.ndarray) -> int:
     # vectors are columns of the symmetric form; |column|^2 already carries
     # the degree weight of the normalized operator's eigenfunctions
     boundary = (np.abs(vectors[near]) ** 2).sum(axis=0)
-    return int(np.sum(boundary >= 0.5 * _column_mass(vectors)))
-
-
-def _column_mass(vectors: np.ndarray) -> np.ndarray:
-    """``(np.abs(vectors) ** 2).sum(axis=0)`` holding 256 rows of squares at
-    a time.  The running total is the first row of each block's sum, so the
-    rows are added one after another in order, as numpy's axis-0 sum adds the
-    rows of a C-ordered array, and the result has the same bits."""
-    block = 256
-    buf = np.zeros((block + 1, vectors.shape[1]))
-    for start in range(0, len(vectors), block):
-        rows = vectors[start : start + block]
-        buf[1 : len(rows) + 1] = np.abs(rows) ** 2
-        buf[0] = buf[: len(rows) + 1].sum(axis=0)
-    return buf[0]
+    mass = np.zeros(vectors.shape[1])
+    for row in vectors:  # row after row, as an axis-0 sum adds a C-ordered array
+        mass += row * row
+    return int(np.sum(boundary >= 0.5 * mass))
 
 
 def _near_boundary_mask(box_graph: BoxGraph, radius: int) -> np.ndarray:

@@ -35,7 +35,7 @@ from periodic_spectra import (
 )
 from periodic_spectra.errors import EmptyBoxError, InputError, InternalInvariantError
 from periodic_spectra.graphs import FundEdge, Vertex, box_cells, vert
-from periodic_spectra.truncation import _column_mass, _near_boundary_mask
+from periodic_spectra.truncation import _near_boundary_mask
 
 from test_graphs import small_graphs
 from test_region import explicit_patches
@@ -439,37 +439,62 @@ def test_bipartite_split_equals_dense_solve(case):
     assert np.max(np.abs(vecs.T @ vecs - np.eye(len(got)))) <= 1e-12
     assert np.max(np.abs(h @ vecs - vecs * lam)) <= 1e-12
     assert zero_mode_count(got, 1e-12) == int(np.sum(np.abs(reference) <= 1e-12))
+    if sides is None or np.sum(np.abs(reference) <= 1e-9) > 1:
+        dense_lam, dense_vecs = np.linalg.eigh(h)
+        assert np.array_equal(lam, dense_lam) and np.array_equal(vecs, dense_vecs)
 
 
 @pytest.mark.parametrize(
-    "make_box, bipartite",
+    "make_box, vector_solvers, value_solver",
     [
-        (lambda: truncate(make_half_plane().perturbation.oracle, ((0, 50), (-25, 25))), True),
-        (lambda: truncate(periodic_oracle(make_g21().base), ((0, 99),)), True),  # p = 100, q = 200
-        (lambda: truncate(periodic_oracle(make_lattice(2)), ((0, 5), (0, 5)), True), True),
-        (lambda: truncate(make_cone().perturbation.oracle, ((-5, 12), (-5, 12))), False),
-        (lambda: truncate(periodic_oracle(make_lattice(2)), ((0, 4), (0, 5)), True), False),
-        (lambda: truncate(periodic_oracle(make_lattice(1)), ((0, 0),), True), False),
+        (lambda: truncate(make_half_plane().perturbation.oracle, ((0, 50), (-25, 25))),
+         ["svd"], "svd"),
+        (lambda: truncate(periodic_oracle(make_lattice(1)), ((0, 5),), True), ["svd"], "svd"),
+        # p = 100, q = 200: a 100-dimensional zero space
+        (lambda: truncate(periodic_oracle(make_g21().base), ((0, 99),)), ["eigh"], "svd"),
+        # p = q = 18 and zero singular values: cos(a) + cos(b) = 0 on the 6 x 6 torus
+        (lambda: truncate(periodic_oracle(make_lattice(2)), ((0, 5), (0, 5)), True),
+         ["svd", "eigh"], "svd"),
+        (lambda: truncate(make_cone().perturbation.oracle, ((-5, 12), (-5, 12))),
+         ["eigh"], "eigvalsh"),
+        (lambda: truncate(periodic_oracle(make_lattice(2)), ((0, 4), (0, 5)), True),
+         ["eigh"], "eigvalsh"),
+        (lambda: truncate(periodic_oracle(make_lattice(1)), ((0, 0),), True),
+         ["eigh"], "eigvalsh"),
     ],
-    ids=["half_plane", "g21", "even_wrap", "cone", "odd_wrap", "loop"],
+    ids=["half_plane", "even_ring", "g21", "even_torus", "cone", "odd_wrap", "loop"],
 )
-def test_route_of_catalog_boxes(make_box, bipartite):
-    """Half-plane boxes and even wraps take the SVD; induced cone boxes, odd
-    wraps and loops take ``eigh`` and return its exact output."""
+def test_route_of_catalog_boxes(make_box, vector_solvers, value_solver, monkeypatch):
+    """Half-plane boxes and even wraps take the SVD; a bipartite box with a
+    degenerate zero space takes its vectors from ``eigh``, as do induced cone
+    boxes, odd wraps and loops, and returns ``eigh``'s exact output."""
     box = make_box()
-    assert (box.sides() is not None) == bipartite
     h = box.normalized_symmetric()
+    dense_lam, dense_vecs = np.linalg.eigh(h)
+    dense_values = np.linalg.eigvalsh(h)
+    calls = []
+
+    def counted(name):
+        solver = getattr(np.linalg, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return solver(*args, **kwargs)
+
+        return call
+
+    for name in ("eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, counted(name))
     lam, vecs = spectrum_of_box(box, with_vectors=True)
-    if not bipartite:
-        dense_lam, dense_vecs = np.linalg.eigh(h)
+    assert calls == vector_solvers
+    calls.clear()
+    values = spectrum_of_box(box)
+    assert calls == [value_solver]
+    if vector_solvers[-1] == "eigh":
         assert np.array_equal(lam, dense_lam) and np.array_equal(vecs, dense_vecs)
-        assert np.array_equal(spectrum_of_box(box), np.linalg.eigvalsh(h))
-    assert np.max(np.abs(lam - np.linalg.eigvalsh(h))) <= 1e-12
+    if value_solver == "eigvalsh":
+        assert np.array_equal(values, dense_values)
+    assert np.max(np.abs(values - dense_values)) <= 1e-12
+    assert np.max(np.abs(lam - dense_values)) <= 1e-12
     assert np.max(np.abs(h @ vecs - vecs * lam)) <= 1e-12
-    assert np.all(np.diff(lam) >= 0)
-
-
-@pytest.mark.parametrize("shape", [(1, 1), (255, 3), (256, 5), (257, 7), (700, 40)])
-def test_column_mass_has_the_bits_of_the_full_sum(shape):
-    vectors = np.random.default_rng(sum(shape)).standard_normal(shape)
-    assert np.array_equal(_column_mass(vectors), (np.abs(vectors) ** 2).sum(axis=0))
+    assert np.all(np.diff(lam) >= 0) and np.all(np.diff(values) >= 0)
