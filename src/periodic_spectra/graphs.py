@@ -17,7 +17,7 @@ import itertools
 import operator
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -215,21 +215,27 @@ class GraphOracle:
         raise NotImplementedError
 
 
-def audit_symmetry(vertices: Sequence[Vertex], rows: np.ndarray, cols: np.ndarray) -> None:
-    """Check that the oriented edges ``rows[k] -> cols[k]`` between
-    ``vertices`` list every edge from both ends with the same multiplicity;
-    raise ``InternalInvariantError`` naming one pair and both counts if not."""
-    n = len(vertices)
-    forward, backward = np.sort(rows * n + cols), np.sort(cols * n + rows)
+def audit_symmetry(
+    n: int, name: Callable[[int], Vertex], rows: np.ndarray, cols: np.ndarray
+) -> None:
+    """Check that the oriented edges ``rows[k] -> cols[k]`` between ``n``
+    vertices list every edge from both ends with the same multiplicity;
+    raise ``InternalInvariantError`` naming one pair (``name`` gives the
+    vertex of an index) and both counts if not."""
+    forward, backward = rows * n, cols * n  # sorted in place: entries can be many
+    forward += cols
+    backward += rows
+    forward.sort()
+    backward.sort()
     differ = np.flatnonzero(forward != backward)
     if differ.size:
         # below the first difference the sorted keys agree, so the smaller
         # key there is listed more often in one direction than in the other
         key = min(forward[differ[0]], backward[differ[0]])
-        i, j = divmod(int(key), n)
+        u, v = map(name, divmod(int(key), n))
         raise InternalInvariantError(
-            f"oracle adjacency is not symmetric: {vertices[i]} -> {vertices[j]} is listed "
-            f"{np.count_nonzero(forward == key)} times, {vertices[j]} -> {vertices[i]} "
+            f"oracle adjacency is not symmetric: {u} -> {v} is listed "
+            f"{np.count_nonzero(forward == key)} times, {v} -> {u} "
             f"{np.count_nonzero(backward == key)} times"
         )
 

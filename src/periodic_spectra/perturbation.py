@@ -189,6 +189,12 @@ class UnperturbedSet:
         ``_MASK_LIMIT`` vertices raises ``InputError`` before anything is
         allocated.
         """
+        return self._kept_and_mask(box)[1]
+
+    def _kept_and_mask(self, box: Window) -> tuple[np.ndarray, np.ndarray]:
+        """``mask(box)`` and the kept grid it is read from, which covers
+        ``box`` padded by the propagation length (both empty for an empty
+        box)."""
         g = self._g
         base = g.base
         if len(box) != base.dim:
@@ -196,7 +202,8 @@ class UnperturbedSet:
         s = base.cell_size
         sizes = tuple(max(hi - lo + 1, 0) for lo, hi in box)
         if 0 in sizes:
-            return np.zeros(sizes + (s,), dtype=bool)
+            empty = np.zeros(sizes + (s,), dtype=bool)
+            return empty, empty
         pad = propagation_length(base)
         padded = [(lo - pad, hi + pad) for lo, hi in box]
         shape = tuple(n + 2 * pad for n in sizes) + (s,)
@@ -223,7 +230,7 @@ class UnperturbedSet:
         flat[rows] = ~_checked_hook(
             g._has_added_array, g._has_added, box, s, "has_added_array", rows
         )
-        return out
+        return kept, out
 
 
 def _checked_hook(

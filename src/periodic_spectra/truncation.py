@@ -152,7 +152,7 @@ def truncate(oracle: GraphOracle, box: Window, periodic_wrap: bool = False) -> B
                 rows.append(i)
                 cols.append(j)
     rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
-    audit_symmetry(vertices, rows, cols)
+    audit_symmetry(len(vertices), vertices.__getitem__, rows, cols)
     keep = np.bincount(rows, minlength=len(vertices)) > 0
     if not keep.any():
         raise EmptyBoxError("every vertex in the box is isolated")

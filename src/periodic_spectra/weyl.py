@@ -12,6 +12,7 @@ alongside the measurement.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -176,7 +177,6 @@ def rayleigh_value(graph: PeriodicGraph, k0, xi0: np.ndarray) -> float:
 class WeylState:
     """A normalized transplanted test state with its construction metadata."""
 
-    vector: State
     band: int
     k0: tuple[float, ...]
     xi0: np.ndarray
@@ -185,6 +185,14 @@ class WeylState:
     embed_norm: float
     region: Region  # padded box the state was built on
     grid: np.ndarray  # translated, pre-embedding base-graph state on the region's grid
+
+    @cached_property
+    def vector(self) -> State:
+        """The state on the kept box vertices, zeros dropped, built when
+        first read."""
+        rows = _state_rows(self)[: self.region.kept]
+        names = self.region.names
+        return {names[r]: complex(rows[r]) for r in np.flatnonzero(rows).tolist()}
 
 
 def build_weyl_state(
@@ -236,21 +244,13 @@ def _state_on_box(
     k0 = np.asarray(k0, dtype=float)
     region = Region(graph, report.center.cell, report.box_bounds[1])
     grid = _bloch_grid(region, k0, xi0, report.n)
-    embedded = region.embed(grid)
-    c = region.norm(embedded)
-    embedded /= c
     return WeylState(
-        vector={
-            region.names[r]: complex(val)
-            for r, val in enumerate(embedded[: region.kept])
-            if val != 0
-        },
         band=band,
         k0=tuple(k0.tolist()),
         xi0=xi0,
         n=report.n,
         center=report.center,
-        embed_norm=c,
+        embed_norm=region.norm(region.embed(grid)),
         region=region,
         grid=grid,
     )

@@ -8,6 +8,7 @@ exactly what ``reference_region``, one ``out_edges`` call per row, compiles.
 """
 
 import re
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -36,6 +37,7 @@ from periodic_spectra import (
     residual,
     residual_bound,
     residual_row,
+    residual_sweep,
     shifted_tent_diff_sum,
     tent_norm_sq,
     translate_state,
@@ -43,6 +45,7 @@ from periodic_spectra import (
     windowed_bloch_state,
 )
 from periodic_spectra import region as region_module
+from periodic_spectra import weyl as weyl_module
 from periodic_spectra.errors import InternalInvariantError, VertexNotInCommonSubgraphError
 from periodic_spectra.graphs import box_cells, sup_norm
 from periodic_spectra.perturbation import PerturbedOracle
@@ -380,6 +383,76 @@ def test_clear_box_asks_the_oracle_only_on_the_ring(monkeypatch):
     assert 4 * len(calls) < side**2  # O(h^(d-1)) calls for side^2 box rows
 
 
+def count_oracle_calls(monkeypatch, graph, center, half):
+    """A ``Region`` and how often its compile asked ``out_edges`` at each vertex."""
+    calls = Counter()
+    out_edges = PerturbedOracle.out_edges
+    with monkeypatch.context() as m:
+        m.setattr(
+            PerturbedOracle, "out_edges", lambda self, v: calls.update([v]) or out_edges(self, v)
+        )
+        region = Region(graph, center, half)
+    return region, calls
+
+
+def self_check_samples(region) -> int:
+    """Most rows the template self-check asks: the corners of the block of
+    the box rows and of the outside rows, and every 4096th row of each."""
+    corners = 2 ** region.graph.base.dim * region.shape[-1]
+    outside = region.size - region.kept
+    return 2 * corners + -(-region.kept // 4096) + -(-outside // 4096)
+
+
+def test_clear_box_asks_the_oracle_only_for_the_self_check(monkeypatch):
+    graph = make_half_plane().perturbation
+    # y >= 1 is the unperturbed set: the outside rows are in it too
+    region, calls = count_oracle_calls(monkeypatch, graph, (0, 72), 70)
+    assert region.clear and region.unperturbed.all()
+    assert region.kept == 141**2 and region.size - region.kept == 4 * 141
+    assert sum(calls.values()) <= self_check_samples(region)
+
+
+def test_perturbed_box_asks_the_oracle_once_per_clear_bit_row(monkeypatch):
+    graph = make_half_plane().perturbation
+    region, calls = count_oracle_calls(monkeypatch, graph, (0, 0), 10)
+    bits = dict(zip(region.names, region.unperturbed.tolist()))
+    clear_bit = [v for v, bit in bits.items() if not bit]
+    # the box row on the edge y = 0 and the two outside rows beside it
+    assert sorted(clear_bit, key=repr) == sorted(
+        [Vertex((x, 0), 0) for x in range(-11, 12)], key=repr
+    )
+    assert set(calls) <= set(bits) and set(calls.values()) == {1}
+    sampled = [v for v in calls if bits[v]]
+    assert len(calls) == len(clear_bit) + len(sampled)
+    assert 0 < len(sampled) <= self_check_samples(region)
+
+
+def test_residual_sweep_builds_no_names(monkeypatch):
+    graph = make_half_plane().perturbation
+    lam, n, window = 0.3, 6, ((-3, 3), (-3, 12))
+    states = []
+    row = weyl_module.residual_row
+
+    def keep_state(g, state, lam):
+        states.append(state)
+        return row(g, state, lam)
+
+    monkeypatch.setattr(weyl_module, "residual_row", keep_state)
+    residual_sweep(graph, lam, [n], window, GRID)
+    (state,) = states
+    region, center = state.region, state.center.cell
+    assert region.clear
+    assert "names" not in vars(region) and "vector" not in vars(state)
+    assert region.names == reference_region(graph, center, region.half).names
+    band, k0, xi0 = locate_band_value(graph.base, lam, GRID)
+    psi = windowed_bloch_state(graph.base, band, k0, xi0, n)
+    embedded = embed_state(graph, translate_state(psi, center))
+    norm = weighted_norm(embedded, graph.oracle)
+    assert list(state.vector) == list(embedded)
+    for v, x in embedded.items():
+        assert abs(state.vector[v] - x / norm) <= REL * abs(x / norm)
+
+
 def test_tampered_template_fails_the_self_check(tmp_path, monkeypatch, capsys):
     """Templates listed in another order than the oracle's give rows that
     differ from ``out_edges``: weyl-check stops with exit 4."""
@@ -393,4 +466,4 @@ def test_tampered_template_fails_the_self_check(tmp_path, monkeypatch, capsys):
     ])
     assert code == 4
     err = capsys.readouterr().err
-    assert "edge templates give (-7,2|v0) the neighbours" in err
+    assert "edge templates give (-8,1|v0) the neighbours" in err
