@@ -17,6 +17,7 @@ import hashlib
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from .catalog import (
 )
 from .errors import (
     InputError,
+    InternalInvariantError,
     MathDomainError,
     ParseError,
     PeriodicSpectraError,
@@ -151,23 +153,41 @@ class RunContext:
         path.write_text(self.manifest_text)
         return path
 
-    def _write_table(self, extension: str, header_line: str, cells, sep: str) -> Path:
-        """Write ``cells`` from ``_format_columns``, expanding each column's
-        texts ``_CHUNK_ROWS`` rows at a time."""
-        path = self._path(extension)
-        with path.open("w") as out:
-            out.write(f"# manifest-sha256: {self.digest}\n{header_line}\n")
-            for start in range(0, len(cells[0][1]), _CHUNK_ROWS):
+    def _write_table(self, header: list[str], cells, extensions: tuple[str, ...]) -> list[Path]:
+        """Write ``cells`` from ``_format_columns`` to a ``.csv`` and/or a
+        ``.dat`` file, expanding each column's texts ``_CHUNK_ROWS`` rows at a
+        time.  Each chunk is formatted once, joined with ``,``; the ``.dat``
+        file gets the same text with every ``,`` turned into a space, so a
+        cell text that holds a separator raises ``InternalInvariantError``."""
+        heads = {".csv": ",".join(header), ".dat": "# " + " ".join(header)}
+        paths = [self._path(extension) for extension in extensions]
+        total = len(cells[0][1])
+        with ExitStack() as stack:
+            outs = [stack.enter_context(path.open("w")) for path in paths]
+            for out, extension in zip(outs, extensions):
+                out.write(f"# manifest-sha256: {self.digest}\n{heads[extension]}\n")
+            for start in range(0, total, _CHUNK_ROWS):
                 chunk = (
                     texts[inverse[start:start + _CHUNK_ROWS]].tolist()
                     for texts, inverse in cells
                 )
-                out.write("\n".join(map(sep.join, zip(*chunk))) + "\n")
-        return path
+                text = "\n".join(map(",".join, zip(*chunk))) + "\n"
+                rows = min(_CHUNK_ROWS, total - start)
+                if text.count(",") != rows * (len(cells) - 1) or (
+                    ".dat" in extensions and " " in text
+                ):
+                    raise InternalInvariantError(
+                        f"a cell of the table {header} holds a separator (',' or ' ')"
+                    )
+                for out, extension in zip(outs, extensions):
+                    out.write(text if extension == ".csv" else text.replace(",", " "))
+        return paths
 
-    def write_csv(self, header: list[str], cells) -> Path:
-        """Write a table whose columns ``cells`` come from ``_format_columns``."""
-        return self._write_table(".csv", ",".join(header), cells, ",")
+    def write_csv(self, header: list[str], cells, plot_data: bool = False) -> Path:
+        """Write a table whose columns ``cells`` come from ``_format_columns``;
+        with ``plot_data`` the same rows also go space-separated to the
+        ``.dat`` file, from the same formatted text."""
+        return self._write_table(header, cells, (".csv", ".dat") if plot_data else (".csv",))[0]
 
     def write_json(self, payload: dict) -> Path:
         path = self._path(".json")
@@ -178,7 +198,7 @@ class RunContext:
 
     def write_plot_data(self, header: list[str], cells) -> Path:
         """Write ``cells`` (as for ``write_csv``) space-separated."""
-        return self._write_table(".dat", "# " + " ".join(header), cells, " ")
+        return self._write_table(header, cells, (".dat",))[0]
 
 
 def _resolve_threads(value: int | None) -> int:
@@ -283,11 +303,8 @@ def _cmd_bands(args) -> int:
     header = [f"k_{j + 1}" for j in range(base.dim)] + [
         f"lambda_{i + 1}" for i in range(base.cell_size)
     ]
-    cells = _format_columns([*ks.T, *lambdas.T])
     ctx.write_manifest()
-    ctx.write_csv(header, cells)
-    if args.emit_plot_data:
-        ctx.write_plot_data(header, cells)
+    ctx.write_csv(header, _format_columns([*ks.T, *lambdas.T]), plot_data=args.emit_plot_data)
     return 0
 
 

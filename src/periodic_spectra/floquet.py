@@ -154,8 +154,16 @@ def essential_spectrum(
     Each sorted band is continuous on the torus, so its sampled image is the
     interval between its grid minimum and maximum.  Overlapping band intervals
     are merged; bands narrower than ``flat_tol`` are recorded as flat points.
+
+    Only half the torus is diagonalized: the fiber matrix at ``-k`` is the
+    complex conjugate of the one at ``k`` and has the same eigenvalues, and
+    of every pair ``k, -k`` of grid points one has ``m_1 <= grid/2``.  Those
+    are the first ``(grid/2 + 1) * grid^(d-1)`` rows of the lexicographic
+    grid.
     """
-    _, lambdas = band_grid(graph, grid_per_axis)
+    ks = grid_points(graph.dim, grid_per_axis)
+    half = (grid_per_axis // 2 + 1) * grid_per_axis ** (graph.dim - 1)
+    lambdas = np.linalg.eigvalsh(fiber_matrices(graph, ks[:half]))
     return _band_union(lambdas, grid_per_axis, flat_tol)
 
 

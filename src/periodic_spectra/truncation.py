@@ -1,37 +1,62 @@
 """Finite box restrictions and their spectra.
 
 Truncation to a box gives an honest finite graph whose degree-normalized
-adjacency operator can be diagonalized densely.  Two boundary conditions are
+adjacency operator is diagonalized exactly.  Two boundary conditions are
 supported: the induced subgraph (degrees recomputed inside the box, edge
 effects quantified rather than suppressed) and, for purely periodic graphs, a
-wrapped closure where edges reconnect modulo the box lengths.  Wrapped boxes
-diagonalize exactly on the band samples, which makes them a sharp cross-check
-of the fiber-matrix route.
+wrapped closure where edges reconnect modulo the box lengths.  A wrapped box
+with lengths ``L`` is the quotient ``Z^d / L Z^d`` of the periodic graph, and
+Bloch variables block-diagonalize it exactly, so ``spectrum_of_box`` solves it
+from the fiber matrices at ``k = 2 pi m / L``.  A wrap is therefore not an
+independent cross-check of the fiber route: the tests compare wraps with the
+dense ``eigvalsh`` of ``normalized_symmetric()``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import EmptyBoxError, InputError, InternalInvariantError
-from .floquet import SpectrumApprox
-from .graphs import GraphOracle, PeriodicOracle, Vertex, Window, audit_symmetry, box_cells
+from .floquet import SpectrumApprox, fiber_matrices
+from .graphs import (
+    GraphOracle,
+    PeriodicGraph,
+    PeriodicOracle,
+    Vertex,
+    Window,
+    audit_symmetry,
+    box_cell_array,
+    box_cells,
+)
 
 # Size caps checked before allocating.  ``_DENSE_LIMIT`` caps the vertices of
-# a box solved densely.  ``_MASK_LIMIT`` caps the vertices of the padded box
+# an induced box, which is solved densely; a wrap is solved by fibers and has
+# no cap.  ``_MASK_LIMIT`` caps the vertices of the padded box
 # of one ``UnperturbedSet.mask`` call: the mask holds about 13 bytes per such
 # vertex (measured on a 2001 x 2001 window), so the cap bounds it near 210 MiB
 # and leaves a 2001 x 2001 or 255^3 window room to run.
 _DENSE_LIMIT = 4000
 _MASK_LIMIT = 1 << 24
 
-# A singular value at most this counts as zero when a bipartite box's zero
-# space is sized.  Rounding fixes the eigenvectors of eigenvalues this close
-# only to about 1e-16 / 1e-9, so below it the solver, not the matrix, picks
-# the basis.
-_ZERO_SINGULAR = 1e-9
+# Ascending eigenvalues split into clusters at gaps above this.  Rounding fixes
+# the eigenvectors of eigenvalues this close only to about 1e-16 / 1e-9, so
+# inside a cluster the solver, not the matrix, picks the basis, and the
+# boundary count looks only at the cluster's whole eigenspace.
+_CLUSTER_GAP = 1e-9
+
+# Roundoff allowance of the moment certificate, per vertex: ``sum(lam)`` and
+# ``sum(lam**2)`` may miss their closed forms by ``n * _MOMENT_TOL``.  A
+# backward-stable symmetric solver moves each eigenvalue of the form (norm
+# at most 1) by at most about ``n * eps``, under 1e-12 for ``n`` up to
+# ``_DENSE_LIMIT``; on catalog boxes of up to 40,000 vertices the misses are
+# below ``5e-15 * n``.
+_MOMENT_TOL = 1e-12
+
+# Entries of one batch of cluster Gram inputs in the boundary count.
+_GRAM_BATCH = 1 << 22
 
 
 class BoxGraph:
@@ -39,7 +64,8 @@ class BoxGraph:
 
     ``rows`` and ``cols`` list the box's oriented edges as row-index pairs,
     exactly as ``out_edges`` gives them: every edge in both orientations,
-    loops twice, parallel edges once per copy.
+    loops twice, parallel edges once per copy.  ``periodic`` is the periodic
+    graph a wrapped box is the quotient of, and None for an induced box.
     """
 
     def __init__(
@@ -48,7 +74,7 @@ class BoxGraph:
         rows: np.ndarray,
         cols: np.ndarray,
         box: Window,
-        wrapped: bool,
+        periodic: PeriodicGraph | None,
         dropped: int,
     ):
         self.vertices = tuple(vertices)
@@ -56,12 +82,39 @@ class BoxGraph:
         self.rows = rows
         self.cols = cols
         self.box = box
-        self.wrapped = wrapped
+        self.periodic = periodic
         self.dropped = dropped
         self.degrees = np.bincount(rows, minlength=len(self.vertices))
 
     def __len__(self) -> int:
         return len(self.vertices)
+
+    @property
+    def wrapped(self) -> bool:
+        return self.periodic is not None
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """Each vertex's cell minus the box's low corner, shape ``(n, d)``."""
+        cells = np.array([v.cell for v in self.vertices], dtype=np.int64)
+        return cells - np.array([lo for lo, _ in self.box], dtype=np.int64)
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """Each vertex's label."""
+        return np.array([v.label for v in self.vertices], dtype=np.intp)
+
+    @cached_property
+    def moments(self) -> tuple[float, float]:
+        """``(trace, squared Frobenius norm)`` of the symmetric form, that is
+        ``sum_i A_ii / d_i`` and ``sum_ij A_ij**2 / (d_i d_j)``, from one
+        ``np.unique`` over the ``(row, col)`` pair keys."""
+        n = len(self.vertices)
+        keys, counts = np.unique(self.rows * n + self.cols, return_counts=True)
+        i, j = np.divmod(keys, n)
+        d = self.degrees.astype(float)
+        entries = counts / np.sqrt(d[i] * d[j])
+        return float(entries[i == j].sum()), float(np.dot(entries, entries))
 
     def adjacency(self) -> np.ndarray:
         """Dense symmetric adjacency with multiplicities (loops doubled)."""
@@ -161,59 +214,125 @@ def truncate(oracle: GraphOracle, box: Window, periodic_wrap: bool = False) -> B
         remap = np.cumsum(keep) - 1
         rows, cols = remap[rows], remap[cols]
         vertices = [v for v, k in zip(vertices, keep) if k]
-    return BoxGraph(vertices, rows, cols, box, periodic_wrap, dropped)
+    periodic = oracle.graph if periodic_wrap else None
+    return BoxGraph(vertices, rows, cols, box, periodic, dropped)
+
+
+@dataclass(frozen=True)
+class BlochVectors:
+    """Orthonormal eigenvectors of a wrapped box's symmetric form as Bloch
+    waves, one per eigenvalue of ``spectrum_of_box`` in the same order.
+
+    Column ``j`` is ``exp(2 pi i m_j . x / L) u_j[a] / sqrt(|L|)`` at the
+    vertex of label ``a`` whose cell is ``x`` past the box's low corner, where
+    ``m_j = modes[j]``, ``L`` the box lengths, ``|L|`` their product and
+    ``u_j = fibers[j]`` the unit eigenvector of the fiber matrix at
+    ``k = 2 pi m_j / L``.  No ``n x n`` array is built: ``rows`` gives the
+    entries at chosen vertices only.
+    """
+
+    lengths: tuple[int, ...]
+    modes: np.ndarray
+    fibers: np.ndarray
+
+    def rows(self, offsets: np.ndarray, labels: np.ndarray, columns: np.ndarray) -> np.ndarray:
+        """Entries at the vertices ``(offsets, labels)`` of the columns
+        ``columns`` (any shape ``(..., m)``), shape ``(..., len(labels), m)``.
+        The phase is reduced modulo ``L`` in integers before scaling."""
+        lengths = np.array(self.lengths, dtype=np.int64)
+        modes = self.modes[columns][..., None, :, :]
+        turns = ((offsets[:, None, :] * modes) % lengths / lengths).sum(axis=-1)
+        amplitude = np.swapaxes(self.fibers[columns][..., labels], -1, -2)
+        return np.exp(2j * np.pi * turns) * amplitude / np.sqrt(lengths.prod())
 
 
 def spectrum_of_box(box_graph: BoxGraph, with_vectors: bool = False):
     """Ascending eigenvalues of the box operator, and with ``with_vectors``
-    the orthonormal eigenvectors of its symmetric form ``D^-1/2 A D^-1/2`` as
-    the columns of an ``(n, n)`` array.
+    orthonormal eigenvectors of its symmetric form ``D^-1/2 A D^-1/2`` in the
+    same order.  One of three routes solves the box:
 
-    A bipartite box (``BoxGraph.sides`` is not None) orders its vertices as
-    sides ``P`` and ``Q``; there the symmetric form is ``[[0, B], [B^T, 0]]``
-    with ``B = D_P^-1/2 A[P, Q] D_Q^-1/2``, so its spectrum is ``-s``, then
-    ``|p - q|`` zeros, then ``s`` ascending, for the singular values ``s`` of
-    ``B``.  The eigenvector of ``-+s_i`` is ``[u_i; -+v_i] / sqrt(2)`` and
-    the extra zero modes are the remaining columns of ``U`` (or ``V``), so one
-    SVD of the ``p x q`` block replaces the ``eigh`` of the ``n x n`` form.
-    Every other box (loops, odd cycles: induced ``cone`` boxes over its
-    glued arcs, odd wraps) is solved by ``eigh``/``eigvalsh`` of
-    ``normalized_symmetric()``, which is also the reference for the split.
+    - A wrapped box with lengths ``L`` is the quotient ``Z^d / L Z^d``, which
+      the discrete Fourier transform block-diagonalizes: its spectrum is the
+      union of the fiber spectra at ``k = 2 pi m / L``, ``m`` in the box
+      ``[0, L)``, from one batched ``eigh`` (or ``eigvalsh``) of
+      ``fiber_matrices``.  The vectors come back as ``BlochVectors``, with no
+      ``n x n`` array and no ``_DENSE_LIMIT``.
+    - A bipartite induced box (``BoxGraph.sides`` is not None) orders its
+      vertices as sides ``P`` and ``Q``; there the symmetric form is
+      ``[[0, B], [B^T, 0]]`` with ``B = D_P^-1/2 A[P, Q] D_Q^-1/2``, so its
+      spectrum is ``-s``, then ``|p - q|`` zeros, then ``s`` ascending, for
+      the singular values ``s`` of ``B``.  The eigenvector of ``-+s_i`` is
+      ``[u_i; -+v_i] / sqrt(2)`` and the extra zero modes are the remaining
+      columns of ``U`` (or ``V``), an ``(n, n)`` array.
+    - Every other induced box (loops, odd cycles: ``cone`` boxes over its
+      glued arcs) takes ``eigh``/``eigvalsh`` of ``normalized_symmetric()``.
 
-    ``compare_spectra``'s ``boundary_count`` counts basis vectors, so inside
-    a degenerate eigenspace it depends on the basis the solver picks.  The
-    zero space is where a box's localized modes (pendant vertices, a
-    defect's kernel) pile up, so when it has more than one dimension
-    (``|p - q| > 1``, or a singular value at most ``_ZERO_SINGULAR``) the
-    vectors come from ``eigh`` of ``normalized_symmetric()``, the basis that
-    ``truncate`` has always reported; the values still come from the SVD.
+    Every solve is checked by ``_check_moments`` (exit code 4 on a miss).
     ``zero_mode_count`` calls this function again for the values: the
     benchmark's self-test expects two solves per ``truncate`` command."""
+    if box_graph.wrapped:
+        solved = _bloch_solve(box_graph, with_vectors)
+    else:
+        n = len(box_graph)
+        if n > _DENSE_LIMIT:
+            raise InputError(
+                f"box has {n} vertices; dense solves are capped at {_DENSE_LIMIT}"
+            )
+        sides = box_graph.sides()
+        if sides is None:
+            solved = _dense_solve(box_graph, with_vectors)
+        else:
+            solved = _bipartite_solve(box_graph, sides, with_vectors)
+    _check_moments(box_graph, solved[0] if with_vectors else solved)
+    return solved
+
+
+def _check_moments(box_graph: BoxGraph, lam: np.ndarray) -> None:
+    """Raise ``InternalInvariantError`` unless ``lam`` has one value per
+    vertex, ``sum(lam)`` equals the trace of the symmetric form and
+    ``sum(lam**2)`` its squared Frobenius norm, both to ``n * _MOMENT_TOL``.
+    A missing, extra, negated or rescaled value fails; a permuted spectrum
+    passes, as it has the same moments."""
     n = len(box_graph)
-    if n > _DENSE_LIMIT:
-        raise InputError(
-            f"box has {n} vertices; dense solves are capped at {_DENSE_LIMIT}"
+    trace, square = box_graph.moments
+    allowance = n * _MOMENT_TOL
+    if lam.shape != (n,):
+        raise InternalInvariantError(
+            f"box solve gave {lam.shape} eigenvalues for {n} vertices"
         )
-    sides = box_graph.sides()
-    if sides is not None:
-        solved = _bipartite_solve(box_graph, sides, with_vectors)
-        if solved is not None:
-            return solved
+    misses = (abs(float(lam.sum()) - trace), abs(float(np.dot(lam, lam)) - square))
+    if max(misses) > allowance:
+        raise InternalInvariantError(
+            f"box eigenvalues miss their moments: |sum(lam) - trace| = {misses[0]:.3e}, "
+            f"|sum(lam^2) - |H|_F^2| = {misses[1]:.3e}, allowance {allowance:.3e}"
+        )
+
+
+def _bloch_solve(box_graph: BoxGraph, with_vectors: bool):
+    """``spectrum_of_box`` of a wrapped box from its fiber matrices."""
+    lengths = tuple(hi - lo + 1 for lo, hi in box_graph.box)
+    modes = box_cell_array([(0, ln - 1) for ln in lengths])
+    h = fiber_matrices(box_graph.periodic, 2.0 * np.pi * modes / np.array(lengths))
+    if not with_vectors:
+        return np.sort(np.linalg.eigvalsh(h).reshape(-1))
+    lam, u = np.linalg.eigh(h)
+    s = h.shape[1]
+    order = np.argsort(lam.reshape(-1), kind="stable")
+    fibers = np.swapaxes(u, 1, 2).reshape(-1, s)[order]
+    return lam.reshape(-1)[order], BlochVectors(lengths, np.repeat(modes, s, axis=0)[order], fibers)
+
+
+def _dense_solve(box_graph: BoxGraph, with_vectors: bool):
+    """``spectrum_of_box`` of any box from its dense symmetric form."""
     h = box_graph.normalized_symmetric()
-    if with_vectors:
-        lam, vec = np.linalg.eigh(h)
-        return lam, vec
-    return np.linalg.eigvalsh(h)
+    return np.linalg.eigh(h) if with_vectors else np.linalg.eigvalsh(h)
 
 
 def _bipartite_solve(box_graph: BoxGraph, sides: np.ndarray, with_vectors: bool):
-    """``spectrum_of_box`` of a bipartite box from the SVD of its block, or
-    None when vectors are asked for and the zero space is degenerate."""
+    """``spectrum_of_box`` of a bipartite box from the SVD of its block."""
     n = len(box_graph)
     at_p, at_q = np.flatnonzero(~sides), np.flatnonzero(sides)
     p, q = len(at_p), len(at_q)
-    if with_vectors and abs(p - q) > 1:
-        return None
     position = np.empty(n, dtype=np.intp)
     position[at_p] = np.arange(p)
     position[at_q] = np.arange(q)
@@ -229,8 +348,6 @@ def _bipartite_solve(box_graph: BoxGraph, sides: np.ndarray, with_vectors: bool)
         return np.concatenate([-s, np.zeros(n - 2 * len(s)), s[::-1]])
     u, s, vt = np.linalg.svd(b)
     del b
-    if len(s) and s[-1] <= _ZERO_SINGULAR:
-        return None
     r = len(s)
     lam = np.concatenate([-s, np.zeros(n - 2 * r), s[::-1]])
     u[:, :r] *= np.sqrt(0.5)
@@ -252,13 +369,13 @@ def compare_spectra(
     reference: SpectrumApprox,
     eps: float,
     box_graph: BoxGraph | None = None,
-    vectors: np.ndarray | None = None,
+    vectors: np.ndarray | BlochVectors | None = None,
 ) -> TruncationReport:
     """Fraction of eigenvalues within ``eps`` of the reference intervals.
 
-    When the box and eigenvectors are supplied, eigenvectors holding at least
-    half their weighted mass within graph distance 2 of the box's geometric
-    boundary are counted as boundary modes.
+    When the box and the eigenvectors ``spectrum_of_box`` gave with the
+    (ascending) eigenvalues are supplied, ``boundary_count`` counts the
+    boundary modes, as ``_count_boundary_modes`` defines them.
     """
     if eps <= 0:
         raise InputError(f"eps must be positive, got {eps}")
@@ -269,25 +386,95 @@ def compare_spectra(
     fraction = inside / len(eigs)
     boundary_count: int | None = None
     if box_graph is not None and vectors is not None:
-        boundary_count = _count_boundary_modes(box_graph, vectors)
+        boundary_count = _count_boundary_modes(box_graph, np.array(eigs), vectors)
     return TruncationReport(tuple(eigs), fraction, boundary_count)
 
 
-def _count_boundary_modes(box_graph: BoxGraph, vectors: np.ndarray) -> int:
+def _count_boundary_modes(
+    box_graph: BoxGraph, eigenvalues: np.ndarray, vectors: np.ndarray | BlochVectors
+) -> int:
+    """Number of boundary modes, a function of the box alone.
+
+    The ascending eigenvalues split into clusters at gaps above
+    ``_CLUSTER_GAP``.  For a cluster whose eigenvectors have the rows ``W``
+    at the vertices within graph distance 2 of the box's geometric boundary,
+    the count adds the eigenvalues of ``W^H W`` that are at least 1/2: the
+    squared cosines of the principal angles between the cluster's eigenspace
+    and those coordinates.  They do not depend on the basis of the cluster or
+    on the order of the vertices, and on a simple eigenvalue the count is
+    the old column rule (at least half of the unit mass near the boundary).
+    When a cluster has more columns than there are near rows, ``W W^H``
+    (the same nonzero eigenvalues) is taken instead.
+    """
     near = _near_boundary_mask(box_graph, radius=2)
-    # vectors are columns of the symmetric form; |column|^2 already carries
-    # the degree weight of the normalized operator's eigenfunctions
-    boundary = (np.abs(vectors[near]) ** 2).sum(axis=0)
-    mass = np.zeros(vectors.shape[1])
-    for row in vectors:  # row after row, as an axis-0 sum adds a C-ordered array
-        mass += row * row
-    return int(np.sum(boundary >= 0.5 * mass))
+    r = int(near.sum())
+    if r == 0:
+        return 0
+    if isinstance(vectors, BlochVectors):
+        grams = _bloch_grams(box_graph, near, vectors)
+    else:
+        grams = _dense_grams(vectors[near])
+    bounds = np.concatenate(
+        [[0], np.flatnonzero(np.diff(eigenvalues) > _CLUSTER_GAP) + 1, [len(eigenvalues)]]
+    )
+    sizes = np.diff(bounds)
+    count = 0
+    for m in np.unique(sizes).tolist():
+        firsts = bounds[:-1][sizes == m]
+        step = max(1, _GRAM_BATCH // (m * max(m, r)))
+        for start in range(0, len(firsts), step):
+            columns = firsts[start : start + step, None] + np.arange(m)
+            count += int(np.sum(np.linalg.eigvalsh(grams(columns)) >= 0.5))
+    return count
+
+
+def _dense_grams(near_rows: np.ndarray):
+    """Cluster Grams from the near rows of an ``(n, n)`` eigenvector array:
+    columns ``(c, m)`` give ``c`` Grams of size ``min(m, r)``."""
+
+    def grams(columns: np.ndarray) -> np.ndarray:
+        w = np.moveaxis(near_rows[:, columns], 0, 1)  # (c, r, m)
+        if columns.shape[1] <= near_rows.shape[0]:
+            return np.conj(np.swapaxes(w, 1, 2)) @ w
+        return w @ np.conj(np.swapaxes(w, 1, 2))
+
+    return grams
+
+
+def _bloch_grams(box_graph: BoxGraph, near: np.ndarray, vectors: BlochVectors):
+    """Cluster Grams of a wrapped box's Bloch vectors.
+
+    For Bloch columns ``j`` and ``l``, ``(W^H W)_jl`` is ``sum_a conj(u_j[a])
+    u_l[a] S_a(m_l - m_j)`` with ``S_a(m) = sum_x exp(2 pi i m . x / L) /
+    |L|`` over the near cells ``x`` of label ``a``: one inverse FFT of the
+    near indicator per label gives every ``S_a``, so no near row is built.
+    A cluster with more columns than near rows builds its rows ``W``
+    (``BlochVectors.rows``) and takes ``W W^H``.
+    """
+    offsets, labels = box_graph.offsets[near], box_graph.labels[near]
+    lengths = vectors.lengths
+    indicator = np.zeros((vectors.fibers.shape[1], *lengths))
+    indicator[(labels, *offsets.T)] = 1.0
+    factor = np.fft.ifftn(indicator, axes=tuple(range(1, len(lengths) + 1)))
+    factor = factor.reshape(len(indicator), -1)
+
+    def grams(columns: np.ndarray) -> np.ndarray:
+        if columns.shape[1] > len(labels):
+            w = vectors.rows(offsets, labels, columns)  # (c, r, m)
+            return w @ np.conj(np.swapaxes(w, 1, 2))
+        modes = vectors.modes[columns]
+        shift = (modes[:, None, :, :] - modes[:, :, None, :]) % np.array(lengths)
+        at = np.ravel_multi_index(tuple(np.moveaxis(shift, -1, 0)), lengths)
+        u = vectors.fibers[columns]
+        return np.einsum("cja,cla,acjl->cjl", np.conj(u), u, factor[:, at])
+
+    return grams
 
 
 def _near_boundary_mask(box_graph: BoxGraph, radius: int) -> np.ndarray:
-    cells = np.array([v.cell for v in box_graph.vertices])
-    lo, hi = np.array(box_graph.box).T
-    near = np.any((cells == lo) | (cells == hi), axis=1)
+    lengths = np.array([hi - lo for lo, hi in box_graph.box])
+    offsets = box_graph.offsets
+    near = np.any((offsets == 0) | (offsets == lengths), axis=1)
     for _ in range(radius):
         near[box_graph.cols[near[box_graph.rows]]] = True
     return near

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from periodic_spectra import band_grid, cli, get_entry, make_g11, weyl
 from periodic_spectra.cli import RunContext, _fmt, _format_columns, main
+from periodic_spectra.errors import InternalInvariantError
 from periodic_spectra.region import Region
 from periodic_spectra.io import (
     graph_to_spec,
@@ -215,6 +216,29 @@ class TestColumnFormatter:
         digest, header, csv, dat = write_both(cols, chunk_rows)
         assert csv == table_text(digest, ",".join(header), row_by_row(cols, ","))
         assert dat == table_text(digest, "# " + " ".join(header), row_by_row(cols, " "))
+
+    @given(cols=tables(), chunk_rows=st.integers(1, 8))
+    @example(cols=fixed_table(0), chunk_rows=4)
+    @settings(max_examples=100, deadline=None)
+    def test_csv_with_plot_data_equals_two_writes(self, cols, chunk_rows):
+        """One pass that formats each chunk once for both files writes the
+        bytes of a separate ``.csv`` and ``.dat`` write."""
+        digest, header, csv, dat = write_both(cols, chunk_rows)
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+            cli, "_CHUNK_ROWS", chunk_rows
+        ):
+            ctx = RunContext("table", {}, str(Path(tmp) / "t"), 1)
+            cells = _format_columns([values for _, values in cols])
+            both_csv = ctx.write_csv(header, cells, plot_data=True).read_text()
+            both_dat = Path(tmp, "t.dat").read_text()
+        assert (both_csv, both_dat) == (csv, dat)
+
+    @pytest.mark.parametrize("text, plot_data", [("a,b", False), ("a,b", True), ("a b", True)])
+    def test_cell_holding_a_separator_rejected(self, tmp_path, text, plot_data):
+        ctx = RunContext("table", {}, str(tmp_path / "t"), 1)
+        cells = _format_columns([np.array([1, 2]), [text, "c"]])
+        with pytest.raises(InternalInvariantError, match="separator"):
+            ctx.write_csv(["n", "label"], cells, plot_data=plot_data)
 
     def test_distinct_bit_patterns_keep_their_text(self):
         values = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324])

@@ -15,7 +15,8 @@ from periodic_spectra import (
     propagation_length,
 )
 from periodic_spectra.errors import DimensionMismatchError, NotInSpectrumError
-from periodic_spectra.floquet import grid_points
+from periodic_spectra.catalog import entry_names
+from periodic_spectra.floquet import _band_union, grid_points
 
 from test_graphs import small_graphs
 
@@ -291,11 +292,26 @@ def test_batched_grid_matches_single_point(graph):
 
 
 def test_brute_force_ring_cross_check(lattice1, g11):
-    # periodic ring of 256 cells: eigenvalues must fall inside the sampled bands
-    from periodic_spectra import periodic_oracle, spectrum_of_box, truncate
+    # periodic ring of 256 cells: eigenvalues must fall inside the sampled
+    # bands; the dense solve, not spectrum_of_box, which solves wraps by fibers
+    from periodic_spectra import periodic_oracle, truncate
 
     for graph in (lattice1, g11.base):
         ring = truncate(periodic_oracle(graph), ((0, 255),), periodic_wrap=True)
-        eigs = spectrum_of_box(ring)
+        eigs = np.linalg.eigvalsh(ring.normalized_symmetric())
         spec = essential_spectrum(graph, 256)
         assert all(spec.distance(x) <= 1e-9 for x in eigs)
+
+
+@pytest.mark.parametrize("name", entry_names())
+def test_half_torus_equals_full_grid_union(name):
+    """``essential_spectrum`` diagonalizes only the grid rows with
+    ``m_1 <= grid/2``; the union over the full grid is the same."""
+    params = {"p": 0.5, "seed": 7} if name == "random_pendant" else {}
+    graph = get_entry(name, **params).base
+    for grid in (2, 6, 16 if graph.dim == 3 else 64):
+        half = essential_spectrum(graph, grid)
+        full = _band_union(band_grid(graph, grid)[1], grid)
+        assert len(half.intervals) == len(full.intervals)
+        assert np.max(np.abs(np.subtract(half.endpoints(), full.endpoints()))) <= 1e-15
+        assert np.allclose(half.flat_points, full.flat_points, rtol=0, atol=1e-15)

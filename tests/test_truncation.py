@@ -4,12 +4,18 @@
 The reference below folds oriented counts into an ``(i, j)`` pair dict
 (loops halved), builds wrapped boxes separately from the edge templates, and
 finds the near-boundary ring by a set-based search.  ``spectrum_of_box``
-solves a bipartite box by one SVD of its off-diagonal block; the dense
-``eigvalsh`` of ``normalized_symmetric()`` and a two-colouring over the dense
-adjacency are the reference for that route.
+solves a wrap from its fiber matrices and a bipartite induced box by one SVD
+of its off-diagonal block; the dense ``eigh``/``eigvalsh`` of
+``normalized_symmetric()`` and a two-colouring over the dense adjacency are
+the reference for both routes, and for the boundary count.
 """
 
+import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from periodic_spectra import (
+    BlochVectors,
     PerturbedGraph,
     PredicatePatch,
     SpectrumApprox,
@@ -25,9 +32,11 @@ from periodic_spectra import (
     compare_spectra,
     essential_spectrum,
     make_cone,
+    make_g11,
     make_g21,
     make_half_plane,
     make_lattice,
+    make_random_pendant,
     periodic_oracle,
     spectrum_of_box,
     truncate,
@@ -35,6 +44,8 @@ from periodic_spectra import (
 )
 from periodic_spectra.errors import EmptyBoxError, InputError, InternalInvariantError
 from periodic_spectra.graphs import FundEdge, Vertex, box_cells, vert
+from periodic_spectra import truncation
+from periodic_spectra.cli import main
 from periodic_spectra.truncation import _near_boundary_mask
 
 from test_graphs import small_graphs
@@ -44,6 +55,39 @@ from test_region import explicit_patches
 def lap_apply(box, values):
     """Apply the box's degree-normalized adjacency operator to a vector."""
     return (box.adjacency() @ values) / box.degrees.astype(float)
+
+
+def dense_eigs(box):
+    """The reference spectrum of any box: dense ``eigvalsh`` of its form."""
+    return np.linalg.eigvalsh(box.normalized_symmetric())
+
+
+def dense_basis(box, vecs):
+    """The eigenvectors ``spectrum_of_box`` gave as an ``(n, n)`` array: a
+    wrap's ``BlochVectors`` evaluated at every vertex."""
+    if isinstance(vecs, BlochVectors):
+        return vecs.rows(box.offsets, box.labels, np.arange(len(box)))
+    return vecs
+
+
+def reference_boundary_count(h, near):
+    """Boundary count of the form ``h`` from its dense ``eigh``: clusters at
+    gaps above 1e-9, and per cluster the eigenvalues >= 1/2 of ``W^T W`` for
+    its near rows ``W``."""
+    lam, vecs = np.linalg.eigh(h)
+    count, start = 0, 0
+    for end in [*(np.flatnonzero(np.diff(lam) > 1e-9) + 1).tolist(), len(lam)]:
+        w = vecs[near, start:end]
+        count += int(np.sum(np.linalg.eigvalsh(w.T @ w) >= 0.5))
+        start = end
+    return count
+
+
+def column_rule_count(vecs, near):
+    """The count before clusters: columns with at least half their mass on
+    the near rows."""
+    mass = np.abs(vecs) ** 2
+    return int(np.sum(mass[near].sum(axis=0) >= 0.5 * mass.sum(axis=0)))
 
 
 class TestTruncate:
@@ -112,7 +156,7 @@ class TestSpectrumOfBox:
 
     def test_wrapped_pendant_ring_inside_bands(self, g11):
         ring = truncate(periodic_oracle(g11.base), ((0, 255),), periodic_wrap=True)
-        eigs = spectrum_of_box(ring)
+        eigs = dense_eigs(ring)
         spec = essential_spectrum(g11.base, 256)
         assert all(spec.distance(x) <= 1e-9 for x in eigs)
 
@@ -134,9 +178,10 @@ class TestSpectrumOfBox:
             ],
         )
         ring = truncate(periodic_oracle(g), ((0, 63),), periodic_wrap=True)
-        eigs = np.sort(spectrum_of_box(ring))
+        eigs = dense_eigs(ring)
         _, lambdas = band_grid(g, 64)
         assert np.max(np.abs(eigs - np.sort(lambdas.reshape(-1)))) <= 1e-9
+        assert np.max(np.abs(spectrum_of_box(ring) - eigs)) <= 1e-12
 
     def test_dense_solve_cap(self, lattice2):
         big = truncate(periodic_oracle(lattice2), ((0, 63), (0, 63)))
@@ -152,17 +197,18 @@ class TestSpectrumOfBox:
         graph = getattr(entry, "base", entry)
         box = tuple((0, axis_len - 1) for _ in range(graph.dim))
         ring = truncate(periodic_oracle(graph), box, periodic_wrap=True)
-        eigs = np.sort(spectrum_of_box(ring))
+        eigs = dense_eigs(ring)
         _, lambdas = band_grid(graph, axis_len)
         samples = np.sort(lambdas.reshape(-1))
         assert eigs.shape == samples.shape
         assert np.max(np.abs(eigs - samples)) <= 1e-9
+        assert np.max(np.abs(spectrum_of_box(ring) - eigs)) <= 1e-12
 
 
 class TestCompare:
     def test_wrapped_inside_fraction_one(self, g11):
         ring = truncate(periodic_oracle(g11.base), ((0, 255),), periodic_wrap=True)
-        eigs = spectrum_of_box(ring)
+        eigs = dense_eigs(ring)
         spec = essential_spectrum(g11.base, 256)
         report = compare_spectra(eigs, spec, 1e-9)
         assert report.inside_fraction == 1.0
@@ -374,8 +420,8 @@ def test_edge_list_equals_pair_counts(case):
     assert np.array_equal(got.adjacency(), adjacency)
     assert np.array_equal(_near_boundary_mask(got, 2), near)
     eigs, vecs = spectrum_of_box(got, with_vectors=True)
-    mass = np.abs(vecs) ** 2
-    expected = int(np.sum(mass[near].sum(axis=0) >= 0.5 * mass.sum(axis=0)))
+    inv_sqrt = 1.0 / np.sqrt(adjacency.sum(axis=1))
+    expected = reference_boundary_count(adjacency * np.outer(inv_sqrt, inv_sqrt), near)
     band = SpectrumApprox(((-1.0, 1.0),), (), 2, 1e-8)
     assert compare_spectra(eigs, band, 1e-9, got, vecs).boundary_count == expected
 
@@ -434,12 +480,13 @@ def test_bipartite_split_equals_dense_solve(case):
     h = got.normalized_symmetric()
     reference = np.linalg.eigvalsh(h)
     lam, vecs = spectrum_of_box(got, with_vectors=True)
+    basis = dense_basis(got, vecs)
     assert np.max(np.abs(spectrum_of_box(got) - reference)) <= 1e-12
     assert np.max(np.abs(lam - reference)) <= 1e-12
-    assert np.max(np.abs(vecs.T @ vecs - np.eye(len(got)))) <= 1e-12
-    assert np.max(np.abs(h @ vecs - vecs * lam)) <= 1e-12
+    assert np.max(np.abs(np.conj(basis.T) @ basis - np.eye(len(got)))) <= 1e-12
+    assert np.max(np.abs(h @ basis - basis * lam)) <= 1e-12
     assert zero_mode_count(got, 1e-12) == int(np.sum(np.abs(reference) <= 1e-12))
-    if sides is None or np.sum(np.abs(reference) <= 1e-9) > 1:
+    if sides is None and not wrap:
         dense_lam, dense_vecs = np.linalg.eigh(h)
         assert np.array_equal(lam, dense_lam) and np.array_equal(vecs, dense_vecs)
 
@@ -449,25 +496,26 @@ def test_bipartite_split_equals_dense_solve(case):
     [
         (lambda: truncate(make_half_plane().perturbation.oracle, ((0, 50), (-25, 25))),
          ["svd"], "svd"),
-        (lambda: truncate(periodic_oracle(make_lattice(1)), ((0, 5),), True), ["svd"], "svd"),
+        (lambda: truncate(periodic_oracle(make_lattice(1)), ((0, 5),), True),
+         ["eigh of fibers"], "eigvalsh of fibers"),
         # p = 100, q = 200: a 100-dimensional zero space
-        (lambda: truncate(periodic_oracle(make_g21().base), ((0, 99),)), ["eigh"], "svd"),
-        # p = q = 18 and zero singular values: cos(a) + cos(b) = 0 on the 6 x 6 torus
+        (lambda: truncate(periodic_oracle(make_g21().base), ((0, 99),)), ["svd"], "svd"),
+        # cos(a) + cos(b) = 0 on the 6 x 6 torus: a degenerate zero space
         (lambda: truncate(periodic_oracle(make_lattice(2)), ((0, 5), (0, 5)), True),
-         ["svd", "eigh"], "svd"),
+         ["eigh of fibers"], "eigvalsh of fibers"),
         (lambda: truncate(make_cone().perturbation.oracle, ((-5, 12), (-5, 12))),
          ["eigh"], "eigvalsh"),
         (lambda: truncate(periodic_oracle(make_lattice(2)), ((0, 4), (0, 5)), True),
-         ["eigh"], "eigvalsh"),
+         ["eigh of fibers"], "eigvalsh of fibers"),
         (lambda: truncate(periodic_oracle(make_lattice(1)), ((0, 0),), True),
-         ["eigh"], "eigvalsh"),
+         ["eigh of fibers"], "eigvalsh of fibers"),
     ],
     ids=["half_plane", "even_ring", "g21", "even_torus", "cone", "odd_wrap", "loop"],
 )
 def test_route_of_catalog_boxes(make_box, vector_solvers, value_solver, monkeypatch):
-    """Half-plane boxes and even wraps take the SVD; a bipartite box with a
-    degenerate zero space takes its vectors from ``eigh``, as do induced cone
-    boxes, odd wraps and loops, and returns ``eigh``'s exact output."""
+    """Wraps, even or odd, take one batched solve of their fiber matrices;
+    bipartite induced boxes take the SVD, whatever their zero space; induced
+    cone boxes take the dense ``eigh`` and return its exact output."""
     box = make_box()
     h = box.normalized_symmetric()
     dense_lam, dense_vecs = np.linalg.eigh(h)
@@ -477,9 +525,9 @@ def test_route_of_catalog_boxes(make_box, vector_solvers, value_solver, monkeypa
     def counted(name):
         solver = getattr(np.linalg, name)
 
-        def call(*args, **kwargs):
-            calls.append(name)
-            return solver(*args, **kwargs)
+        def call(a, *args, **kwargs):
+            calls.append(name + (" of fibers" if np.ndim(a) == 3 else ""))
+            return solver(a, *args, **kwargs)
 
         return call
 
@@ -490,11 +538,198 @@ def test_route_of_catalog_boxes(make_box, vector_solvers, value_solver, monkeypa
     calls.clear()
     values = spectrum_of_box(box)
     assert calls == [value_solver]
-    if vector_solvers[-1] == "eigh":
+    if vector_solvers == ["eigh"]:
         assert np.array_equal(lam, dense_lam) and np.array_equal(vecs, dense_vecs)
     if value_solver == "eigvalsh":
         assert np.array_equal(values, dense_values)
+    basis = dense_basis(box, vecs)
     assert np.max(np.abs(values - dense_values)) <= 1e-12
     assert np.max(np.abs(lam - dense_values)) <= 1e-12
-    assert np.max(np.abs(h @ vecs - vecs * lam)) <= 1e-12
+    assert np.max(np.abs(h @ basis - basis * lam)) <= 1e-12
     assert np.all(np.diff(lam) >= 0) and np.all(np.diff(values) >= 0)
+
+
+@pytest.mark.parametrize(
+    "graph, box",
+    [
+        (make_g11().base, ((0, 599),)),
+        (make_g11().base, ((3, 3),)),  # one cell: the chain edges become loops
+        (make_lattice(2), ((0, 4), (0, 6))),
+        (make_lattice(2), ((0, 0), (0, 9))),
+        (make_g21().base, ((0, 99),)),
+        (make_lattice(3), ((0, 7), (0, 7), (0, 6))),
+    ],
+    ids=["g11_600", "g11_1", "lattice2_5x7", "lattice2_1x10", "g21_100", "lattice3_8x8x7"],
+)
+def test_bloch_wrap_equals_dense_solve(graph, box):
+    """Values, zero modes and boundary count of the Bloch route equal the
+    dense solve's.  On g21 the flat band's cluster has more columns than
+    there are near rows, so its Gram is built from the rows."""
+    wrap = truncate(periodic_oracle(graph), box, periodic_wrap=True)
+    reference = dense_eigs(wrap)
+    lam, vecs = spectrum_of_box(wrap, with_vectors=True)
+    assert isinstance(vecs, BlochVectors)
+    assert np.max(np.abs(lam - reference)) <= 1e-12
+    assert np.max(np.abs(spectrum_of_box(wrap) - reference)) <= 1e-12
+    assert zero_mode_count(wrap, 1e-12) == int(np.sum(np.abs(reference) <= 1e-12))
+    near = _near_boundary_mask(wrap, 2)
+    expected = reference_boundary_count(wrap.normalized_symmetric(), near)
+    assert boundary_count(wrap) == expected
+
+
+def test_large_lattice_wrap_runs(tmp_path):
+    """A 200 x 200 wrap (40,000 vertices) is past the dense cap but not the
+    Bloch route's."""
+    out = tmp_path / "wrap"
+    argv = ["truncate", "--graph", "builtin:lattice2", "--box=0,199,0,199", "--wrap",
+            "--out", str(out)]
+    assert main(argv) == 0
+    payload = json.loads(out.with_suffix(".json").read_text())
+    assert payload["vertices"] == 40000
+    # cos(a) + cos(b) = 0 on the 200 x 200 grid: b = 100 +- a, twice at a = 0, 100
+    assert payload["zero_modes"] == 398
+
+
+def _dropping(solve):
+    def dropped(*args):
+        solved = solve(*args)
+        return (solved[0][1:], solved[1]) if isinstance(solved, tuple) else solved[1:]
+
+    return dropped
+
+
+def _negating(solve):
+    def negated(*args):
+        solved = solve(*args)
+        lam = (solved[0] if isinstance(solved, tuple) else solved).copy()
+        lam[-1] = -lam[-1]
+        return (lam, solved[1]) if isinstance(solved, tuple) else lam
+
+    return negated
+
+
+@pytest.mark.parametrize("tamper", [_dropping, _negating], ids=["drop", "negate"])
+@pytest.mark.parametrize(
+    "route, make_box",
+    [
+        ("_bipartite_solve", lambda: truncate(make_half_plane().perturbation.oracle,
+                                              ((0, 10), (-5, 5)))),
+        ("_dense_solve", lambda: truncate(make_cone().perturbation.oracle, ((-5, 8), (-5, 8)))),
+        ("_bloch_solve", lambda: truncate(periodic_oracle(make_g11().base), ((0, 40),), True)),
+    ],
+    ids=["svd", "eigh", "bloch"],
+)
+@pytest.mark.parametrize("with_vectors", [False, True])
+def test_moment_certificate_rejects_a_tampered_solve(route, make_box, tamper, with_vectors,
+                                                     monkeypatch):
+    box = make_box()
+    spectrum_of_box(box, with_vectors=with_vectors)  # the honest solve passes
+    monkeypatch.setattr(truncation, route, tamper(getattr(truncation, route)))
+    with pytest.raises(InternalInvariantError, match="eigenvalues"):
+        spectrum_of_box(box, with_vectors=with_vectors)
+
+
+def test_moment_certificate_exits_4(tmp_path, monkeypatch):
+    monkeypatch.setattr(truncation, "_bloch_solve", _negating(truncation._bloch_solve))
+    argv = ["truncate", "--graph", "builtin:g11", "--box=0,40", "--wrap",
+            "--out", str(tmp_path / "t")]
+    assert main(argv) == 4
+
+
+def test_moments_are_the_trace_and_frobenius_norm():
+    for box in (
+        truncate(make_cone().perturbation.oracle, ((-5, 8), (-5, 8))),
+        truncate(periodic_oracle(make_lattice(1)), ((0, 0),), True),  # loops
+        truncate(periodic_oracle(make_g21().base), ((0, 2),), True),
+    ):
+        h = box.normalized_symmetric()
+        trace, square = box.moments
+        assert trace == pytest.approx(np.trace(h), abs=1e-13)
+        assert square == pytest.approx(np.sum(h * h), abs=1e-13)
+
+
+def permuted(box, order):
+    """The same box with its vertices listed in ``order``."""
+    position = np.empty(len(order), dtype=np.intp)
+    position[order] = np.arange(len(order))
+    return truncation.BoxGraph(
+        [box.vertices[i] for i in order], position[box.rows], position[box.cols],
+        box.box, box.periodic, box.dropped,
+    )
+
+
+def boundary_count(box):
+    lam, vecs = spectrum_of_box(box, with_vectors=True)
+    return compare_spectra(lam, SpectrumApprox(((-1.0, 1.0),), (), 2, 1e-8), 1.0, box,
+                           vecs).boundary_count
+
+
+@given(boxes_to_solve(), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_boundary_count_is_invariant(case, random):
+    """The count does not change when the vertices are listed in another
+    order, or when each cluster's basis is rotated."""
+    oracle, box, wrap = case
+    try:
+        got = truncate(oracle, box, periodic_wrap=wrap)
+    except EmptyBoxError:
+        return
+    count = boundary_count(got)
+    order = list(range(len(got)))
+    random.shuffle(order)
+    assert boundary_count(permuted(got, np.array(order))) == count
+    lam, vecs = spectrum_of_box(got, with_vectors=True)
+    basis = dense_basis(got, vecs)
+    rng = np.random.default_rng(random.getrandbits(32))
+    cuts = [0, *(np.flatnonzero(np.diff(lam) > 1e-9) + 1).tolist(), len(lam)]
+    for start, end in zip(cuts, cuts[1:]):
+        q, _ = np.linalg.qr(rng.standard_normal((end - start, end - start)))
+        basis[:, start:end] = basis[:, start:end] @ q
+    band = SpectrumApprox(((-1.0, 1.0),), (), 2, 1e-8)
+    assert compare_spectra(lam, band, 1.0, got, basis).boundary_count == count
+
+
+@pytest.mark.parametrize(
+    "make_box",
+    [
+        lambda: truncate(make_half_plane().perturbation.oracle, ((0, 12), (-3, 9))),
+        lambda: truncate(make_cone().perturbation.oracle, ((-5, 9), (-4, 9))),
+        lambda: truncate(periodic_oracle(make_g11().base), ((0, 30),)),
+        lambda: truncate(make_random_pendant(0.1, seed=4).perturbation.oracle,
+                         ((-5, 2), (1, 9))),
+    ],
+    ids=["half_plane", "cone", "g11_path", "random_pendant"],
+)
+def test_count_on_a_simple_spectrum_is_the_column_rule(make_box):
+    box = make_box()
+    lam, vecs = spectrum_of_box(box, with_vectors=True)
+    assert np.min(np.diff(lam)) > 1e-9  # simple: every cluster is one column
+    near = _near_boundary_mask(box, 2)
+    assert boundary_count(box) == column_rule_count(vecs, near)
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        (["--graph", "builtin:lattice2", "--perturbation", "builtin:random_pendant,p=0.3,seed=4",
+          "--box=-15,15,-15,15"], 69),
+        (["--graph", "builtin:g21", "--box=0,99"], 4),
+    ],
+    ids=["random_pendant", "g21"],
+)
+def test_truncate_json_is_the_same_for_any_blas_thread_count(tmp_path, argv, count):
+    src = Path(__file__).resolve().parent.parent / "src"
+    texts = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+        out = tmp_path / f"t{threads}"
+        code = "import sys; from periodic_spectra.cli import main; sys.exit(main(sys.argv[1:]))"
+        done = subprocess.run(
+            [sys.executable, "-c", code, "truncate", *argv, "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        texts.append(out.with_suffix(".json").read_text())
+    assert texts[0] == texts[1]
+    assert json.loads(texts[0])["boundary_count"] == count
