@@ -272,11 +272,17 @@ def make_counterexample() -> CatalogEntry:
 def clear_box_probability(n: int, p: float, dim: int = 2) -> float:
     """Chance that a pendant-free box of radius ``n`` sits at a given cell:
     (1 - p) to the number of cells in the box."""
-    if n < 1:
-        raise InputError(f"box radius must be >= 1, got {n}")
+    _check_box(n, dim)
     if not 0.0 <= p <= 1.0:
         raise InputError(f"probability must be in [0, 1], got {p}")
     return (1.0 - p) ** ((2 * n + 1) ** dim)
+
+
+def _check_box(n: int, dim: int) -> None:
+    if n < 1:
+        raise InputError(f"box radius must be >= 1, got {n}")
+    if dim < 1:
+        raise InputError(f"dimension must be >= 1, got {dim}")
 
 
 def clear_box_monte_carlo(
@@ -291,10 +297,16 @@ def clear_box_monte_carlo(
     """Monte Carlo estimate of ``clear_box_probability``.
 
     Draws ``trials`` disjoint boxes from one seeded pendant field (disjoint
-    boxes see independent cells) and counts the pendant-free ones.  Chunks are
-    evaluated independently and reduced by integer sum, so the estimate is
-    identical for any pool size.
+    boxes see independent cells) and counts the pendant-free ones.  A chunk
+    keeps the start cells of its boxes that are still clear and, offset by
+    offset in ``box_cell_array`` order, hashes only those boxes' cells and
+    drops each box at its first pendant, stopping when none is left.  A
+    cell's bit does not depend on when it is hashed, so the survivors are
+    exactly the clear boxes.  Chunks are evaluated independently and reduced
+    by integer sum, so the estimate is identical for any ``chunk`` and any
+    pool size.
     """
+    _check_box(n, dim)
     if trials < 1:
         raise InputError(f"trials must be >= 1, got {trials}")
     side = 2 * n + 1
@@ -302,14 +314,19 @@ def clear_box_monte_carlo(
 
     def count_chunk(bounds: tuple[int, int]) -> int:
         lo, hi = bounds
-        base = np.zeros((hi - lo, dim), dtype=np.int64)
-        # boxes tile along the first axis, spaced one box apart
-        base[:, 0] = np.arange(lo, hi, dtype=np.int64) * side
-        clear = np.ones(hi - lo, dtype=bool)
+        # boxes tile along the first axis, spaced one box apart: box t starts
+        # at cell (t * side, 0, ..., 0), so a start is kept as its first
+        # coordinate
+        first = np.arange(lo, hi, dtype=np.int64) * side
         for off in offsets:
-            cells = base + off
-            clear &= ~bernoulli_array(seed, cells, p)
-        return int(np.sum(clear))
+            if not len(first):
+                break
+            # column-major, so the hash reads each coordinate contiguously
+            cells = np.empty((len(first), dim), dtype=np.int64, order="F")
+            np.add(first, off[0], out=cells[:, 0])
+            cells[:, 1:] = off[1:]
+            first = first[~bernoulli_array(seed, cells, p)]
+        return len(first)
 
     bounds = [
         (lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)

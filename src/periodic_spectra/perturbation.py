@@ -404,7 +404,9 @@ def find_unperturbed_box(
     the window with ``center=None`` when none is clear.  Centers are taken
     in slabs of 1, 2, 4, ... rows along the first axis; each row of the
     membership mask is computed once, and a summed-area table counts the
-    clear cells of every box in a slab at once.
+    clear cells of every box in a slab at once.  Mask rows are asked in
+    pieces along the first axis that stay within ``_MASK_LIMIT``; only a
+    window whose single padded row is past the cap raises ``InputError``.
     """
     if n < 1:
         raise InputError(f"box radius must be >= 1, got {n}")
@@ -412,7 +414,8 @@ def find_unperturbed_box(
         raise InputError(
             f"window has {len(window)} axes, graph has dimension {graph.base.dim}"
         )
-    half = n + propagation_length(graph.base) - 1
+    pad = propagation_length(graph.base)
+    half = n + pad - 1
     side = 2 * half + 1
     bounds = (-half, half)
     (lo, hi), rest = window[0], window[1:]
@@ -420,15 +423,27 @@ def find_unperturbed_box(
     per_row = int(np.prod([max(b - a + 1, 0) for a, b in rest]))
     if hi < lo or per_row == 0:
         return WindowReport(n, None, 0, bounds)
-    members = graph.unperturbed
+    padded_row = math.prod(b - a + 1 + 2 * pad for a, b in across) * graph.base.cell_size
+    piece = max(_MASK_LIMIT // padded_row - 2 * pad, 1)
+
+    def clear_cells(first: int, last: int) -> np.ndarray:
+        """Clear cells of the cell rows ``first .. last`` across the window,
+        from one ``mask`` call per ``piece`` rows."""
+        starts = range(first, last + 1, piece) if last - first >= piece else (first,)
+        pieces = [
+            graph.unperturbed.mask([(a, min(a + piece - 1, last))] + across).all(axis=-1)
+            for a in starts
+        ]
+        return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+
     # rows holds the clear cells of the window's cell rows first - half ..
     # first + half - 1; a slab of centres needs them up to last + half
-    rows = members.mask([(lo - half, lo + half - 1)] + across).all(axis=-1)
+    rows = clear_cells(lo - half, lo + half - 1)
     first, slab = lo, 1
     while first <= hi:
         last = min(first + slab - 1, hi)
-        fresh = members.mask([(first + half, last + half)] + across)
-        rows = np.concatenate([rows[len(rows) - 2 * half :], fresh.all(axis=-1)])
+        fresh = clear_cells(first + half, last + half)
+        rows = np.concatenate([rows[len(rows) - 2 * half :], fresh])
         clear = _box_sums(rows, side) == side ** len(window)
         hits = np.flatnonzero(clear)
         if hits.size:

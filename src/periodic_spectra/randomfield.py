@@ -40,25 +40,39 @@ def bernoulli(seed: int, cell: tuple[int, ...], p: float) -> bool:
 
 
 def cell_hash_array(seed: int, cells: np.ndarray) -> np.ndarray:
-    """Vectorized ``cell_hash`` over an ``(m, d)`` integer array of cells."""
+    """Vectorized ``cell_hash`` over an ``(m, d)`` integer array of cells (a
+    1-D array is ``m`` cells of one coordinate).
+
+    The bits equal ``cell_hash`` row by row.  The input is left unchanged: one
+    state array and one scratch buffer are allocated per call, each
+    coordinate column is XORed in through a ``uint64`` view of its int64
+    values (two's complement, the scalar ``coord & _MASK``), and every mix
+    step runs in place.
+    """
     cells = np.asarray(cells, dtype=np.int64)
     if cells.ndim == 1:
         cells = cells[:, None]
-    with np.errstate(over="ignore"):
-        state = np.full(cells.shape[0], _mix(int(seed) & _MASK), dtype=np.uint64)
-        for j in range(cells.shape[1]):
-            state = _mix_u64(state ^ cells[:, j].astype(np.uint64))
+    state = np.full(cells.shape[0], _mix(int(seed) & _MASK), dtype=np.uint64)
+    scratch = np.empty_like(state)
+    for j in range(cells.shape[1]):
+        state ^= cells[:, j].view(np.uint64)
+        _mix_u64(state, scratch)
     return state
 
 
 def bernoulli_array(seed: int, cells: np.ndarray, p: float) -> np.ndarray:
     """Vectorized ``bernoulli`` over an ``(m, d)`` integer array of cells."""
-    return (cell_hash_array(seed, cells) >> np.uint64(11)).astype(np.float64) * 2.0**-53 < p
+    state = cell_hash_array(seed, cells)
+    state >>= np.uint64(11)
+    return state.astype(np.float64) * 2.0**-53 < p
 
 
-def _mix_u64(state: np.ndarray) -> np.ndarray:
-    state = state + np.uint64(_GAMMA)
-    z = state
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+def _mix_u64(state: np.ndarray, scratch: np.ndarray) -> None:
+    """``_mix`` of every entry of ``state``, in place and modulo 2^64;
+    ``scratch`` is an array of the same shape that takes the shifts."""
+    state += np.uint64(_GAMMA)
+    state ^= np.right_shift(state, np.uint64(30), out=scratch)
+    state *= np.uint64(_MIX1)
+    state ^= np.right_shift(state, np.uint64(27), out=scratch)
+    state *= np.uint64(_MIX2)
+    state ^= np.right_shift(state, np.uint64(31), out=scratch)

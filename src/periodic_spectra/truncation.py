@@ -379,15 +379,18 @@ def compare_spectra(
     """
     if eps <= 0:
         raise InputError(f"eps must be positive, got {eps}")
-    eigs = [float(x) for x in eigenvalues]
-    if not eigs:
+    eigs = np.asarray(eigenvalues, dtype=np.float64)
+    if not eigs.size:
         return TruncationReport((), 1.0, None)
-    inside = sum(1 for x in eigs if reference.distance(x) <= eps)
-    fraction = inside / len(eigs)
+    # ``reference.distance(x) <= eps`` for every x at once: with eps > 0,
+    # max(lo - x, x - hi, 0) <= eps holds iff both differences are <= eps
+    lo, hi = np.array(reference.intervals, dtype=np.float64).reshape(-1, 2).T
+    near = (lo - eigs[:, None] <= eps) & (eigs[:, None] - hi <= eps)
+    fraction = int(np.count_nonzero(near.any(axis=1))) / eigs.size
     boundary_count: int | None = None
     if box_graph is not None and vectors is not None:
-        boundary_count = _count_boundary_modes(box_graph, np.array(eigs), vectors)
-    return TruncationReport(tuple(eigs), fraction, boundary_count)
+        boundary_count = _count_boundary_modes(box_graph, eigs, vectors)
+    return TruncationReport(tuple(eigs.tolist()), fraction, boundary_count)
 
 
 def _count_boundary_modes(

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from periodic_spectra import (
     clear_box_monte_carlo,
@@ -9,10 +13,11 @@ from periodic_spectra import (
     make_random_pendant,
     vert,
 )
+from periodic_spectra import catalog
 from periodic_spectra.catalog import entry_names
 from periodic_spectra.errors import InputError
 from periodic_spectra.graphs import box_cell_array
-from periodic_spectra.randomfield import bernoulli, bernoulli_array, cell_hash
+from periodic_spectra.randomfield import bernoulli, bernoulli_array, cell_hash, cell_hash_array
 
 
 class TestReferenceSpectra:
@@ -133,6 +138,21 @@ class TestRandomField:
         values = [cell_hash(0, (x, 0)) / 2.0**64 for x in range(4096)]
         assert abs(np.mean(values) - 0.5) < 0.02
 
+    def test_array_hash_at_the_int64_edges(self):
+        edge = [-(2**63), 2**63 - 1, -1, -7, 0, 5]
+        cells = np.array(list(itertools.product(edge, repeat=2)), dtype=np.int64)
+        kept = cells.copy()
+        for seed in (0, -3, 2**63 - 1, -(2**63)):
+            got = cell_hash_array(seed, cells)
+            assert got.dtype == np.uint64
+            assert got.tolist() == [cell_hash(seed, tuple(map(int, c))) for c in kept]
+            assert np.array_equal(cells, kept)
+            column = kept[:, 0].copy()
+            assert cell_hash_array(seed, column).tolist() == [
+                cell_hash(seed, (int(c),)) for c in kept[:, 0]
+            ]
+            assert np.array_equal(column, kept[:, 0])
+
 
 class TestClearBoxProbability:
     def test_half_at_radius_one(self):
@@ -172,3 +192,56 @@ class TestClearBoxProbability:
         with ThreadPoolExecutor(max_workers=4) as pool:
             parallel = clear_box_monte_carlo(1, 0.5, 2, 50_000, seed=11, pool=pool)
         assert serial == parallel
+
+    @pytest.mark.parametrize("n, dim", [(1, 0), (1, -1), (0, 2), (-2, 1)])
+    def test_monte_carlo_rejects_bad_boxes(self, n, dim):
+        message = "dimension must be >= 1" if dim < 1 else "box radius must be >= 1"
+        with pytest.raises(InputError, match=message):
+            clear_box_monte_carlo(n, 0.5, dim, 10, seed=1)
+        with pytest.raises(InputError, match=message):
+            clear_box_probability(n, 0.5, dim)
+
+    @given(
+        n=st.integers(1, 2),
+        dim=st.integers(1, 3),
+        p=st.sampled_from([0.0, 0.03, 0.5, 1.0]),
+        trials=st.integers(1, 40),
+        seed=st.integers(-(2**63), 2**63 - 1),
+        chunk=st.sampled_from([1, 7, 65536]),
+    )
+    @example(n=1, dim=2, p=0.5, trials=40, seed=-5, chunk=7)
+    @example(n=2, dim=3, p=0.03, trials=9, seed=-(2**63), chunk=7)
+    @settings(max_examples=40, deadline=None)
+    def test_monte_carlo_matches_every_cell_reference(self, n, dim, p, trials, seed, chunk):
+        assume(chunk == 1 or trials % chunk)
+        assert clear_box_monte_carlo(n, p, dim, trials, seed, chunk=chunk) == (
+            every_cell_estimate(n, p, dim, trials, seed)
+        )
+
+    @pytest.mark.parametrize("n, dim", [(1, 1), (1, 2), (2, 2), (1, 3)])
+    def test_monte_carlo_hashes_until_the_first_pendant(self, monkeypatch, n, dim):
+        hashed = []
+
+        def counted(seed, cells, p):
+            hashed.append(len(cells))
+            return bernoulli_array(seed, cells, p)
+
+        monkeypatch.setattr(catalog, "bernoulli_array", counted)
+        trials = 1000
+        assert clear_box_monte_carlo(n, 1.0, dim, trials, seed=4, chunk=300) == 0.0
+        # one call per chunk: a chunk stops once no box is left
+        assert hashed == [300, 300, 300, 100]
+        hashed.clear()
+        assert clear_box_monte_carlo(n, 0.0, dim, trials, seed=4, chunk=300) == 1.0
+        assert sum(hashed) == trials * (2 * n + 1) ** dim
+
+
+def every_cell_estimate(n, p, dim, trials, seed):
+    """The Monte Carlo estimate with every cell of every box drawn by the
+    scalar ``bernoulli``: box ``t`` starts at cell ``(t * (2n + 1), 0, ...)``."""
+    side = 2 * n + 1
+    clear = 0
+    for t in range(trials):
+        cells = itertools.product(range(t * side, (t + 1) * side), *[range(side)] * (dim - 1))
+        clear += not any([bernoulli(seed, cell, p) for cell in cells])
+    return clear / trials

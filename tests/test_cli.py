@@ -452,6 +452,25 @@ class TestRandomTrial:
             )
         assert (tmp_path / "s.json").read_bytes() == (tmp_path / "p.json").read_bytes()
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--dim", "0", "dimension must be >= 1, got 0"),
+            ("--dim", "-1", "dimension must be >= 1, got -1"),
+            ("--n", "0", "box radius must be >= 1, got 0"),
+        ],
+    )
+    def test_bad_box_exits_2(self, tmp_path, capsys, flag, value, message):
+        argv = {"--p": "0.5", "--n": "1", "--dim": "2", "--trials": "100", "--seed": "3"}
+        argv[flag] = value
+        code = run(
+            tmp_path, "random-trial", *[x for kv in argv.items() for x in kv],
+            "--out", str(tmp_path / "mc"),
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
 
 class TestErrorPaths:
     def test_missing_file_is_parse_error(self, tmp_path):

@@ -7,6 +7,8 @@ _contains_known(x)`` and the lexicographic centre-by-centre scan built on it;
 both routes must agree exactly.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -25,6 +27,7 @@ from periodic_spectra import (
     make_lattice,
     make_random_pendant,
 )
+from periodic_spectra import perturbation
 from periodic_spectra.cli import main
 from periodic_spectra.errors import InputError, VertexNotInGraphError
 from periodic_spectra.graphs import box_cells, propagation_length
@@ -269,6 +272,85 @@ def test_search_matches_reference_scan_on_explicit_patches(graph, data):
     window = data.draw(boxes(graph.base.dim, reach=R + 3, width=2 * R + 4))
     n = data.draw(st.integers(1, 3))
     assert find_unperturbed_box(graph, n, window) == scan_reference(graph, n, window)
+
+
+def record_mask_calls(monkeypatch):
+    """Every box ``UnperturbedSet.mask`` is asked for from now on."""
+    calls = []
+    mask = UnperturbedSet.mask
+
+    def recording(self, box):
+        calls.append([tuple(axis) for axis in box])
+        return mask(self, box)
+
+    monkeypatch.setattr(UnperturbedSet, "mask", recording)
+    return calls
+
+
+def padded_size(graph, box):
+    """Vertices of ``box`` padded by the propagation length: what the mask
+    cap is checked against."""
+    pad = propagation_length(graph.base)
+    return math.prod(hi - lo + 1 + 2 * pad for lo, hi in box) * graph.base.cell_size
+
+
+def across(graph, n, window):
+    half = n + propagation_length(graph.base) - 1
+    return half, [(lo - half, hi + half) for lo, hi in window[1:]]
+
+
+def slab_calls(graph, n, window, stop):
+    """The boxes a search asks ``mask`` for when every slab fits under the
+    cap: the ``2 half`` cell rows before the first centre row, then the rows
+    of slabs of 1, 2, 4, ... centre rows, up to the slab that holds centre
+    row ``stop`` (every slab when ``stop`` is None)."""
+    half, rest = across(graph, n, window)
+    lo, hi = window[0]
+    calls = [[(lo - half, lo + half - 1)] + rest]
+    first, slab = lo, 1
+    while first <= hi:
+        last = min(first + slab - 1, hi)
+        calls.append([(first + half, last + half)] + rest)
+        if stop is not None and first <= stop <= last:
+            break
+        first, slab = last + 1, 2 * slab
+    return calls
+
+
+@pytest.mark.parametrize("name, n, window", SEARCHES)
+def test_search_under_the_cap_asks_one_mask_per_slab(monkeypatch, name, n, window):
+    graph = GRAPHS[name]
+    calls = record_mask_calls(monkeypatch)
+    report = find_unperturbed_box(graph, n, window)
+    stop = None if report.center is None else report.center.cell[0]
+    nonempty = all(lo <= hi for lo, hi in window)
+    assert calls == (slab_calls(graph, n, window, stop) if nonempty else [])
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5])
+@pytest.mark.parametrize("name, n, window", SEARCHES)
+def test_search_in_pieces_under_a_small_cap(monkeypatch, name, n, window, rows):
+    graph = GRAPHS[name]
+    whole = find_unperturbed_box(graph, n, window)
+    limit = padded_size(graph, [(0, rows - 1)] + across(graph, n, window)[1])
+    monkeypatch.setattr(perturbation, "_MASK_LIMIT", limit)
+    calls = record_mask_calls(monkeypatch)
+    assert find_unperturbed_box(graph, n, window) == whole
+    assert all(padded_size(graph, box) <= limit for box in calls)
+    assert all(hi - lo + 1 <= rows for (lo, hi), *_ in calls)
+
+
+def test_search_refuses_a_single_row_past_the_cap(tmp_path, monkeypatch):
+    graph = GRAPHS["half_plane"]
+    window = ((-3, 3), (3, 9))
+    limit = padded_size(graph, [(0, 0)] + across(graph, 2, window)[1]) - 1
+    monkeypatch.setattr(perturbation, "_MASK_LIMIT", limit)
+    with pytest.raises(InputError, match=f"capped at {limit}"):
+        find_unperturbed_box(graph, 2, window)
+    argv = ["condition-p", "--graph", "builtin:lattice2", "--perturbation",
+            "builtin:half_plane", "--n", "2", "--window=-3,3,3,9",
+            "--out", str(tmp_path / "cond")]
+    assert main(argv) == 2
 
 
 def _lambda_set(tmp_path, out, graph, pert, window):

@@ -238,6 +238,28 @@ class TestCompare:
         with pytest.raises(InputError):
             compare_spectra([0.0], spec, 0.0)
 
+    @pytest.mark.parametrize("eps", [1e-9, 0.02, 0.3])
+    def test_inside_fraction_follows_the_scalar_rule_at_the_edges(self, eps):
+        spec = SpectrumApprox(((-1.0, -1.0 / 3.0), (1.0 / 3.0, 1.0), (1.5, 1.5)), (1.5,), 8, 1e-8)
+        values = []
+        for lo, hi in spec.intervals:
+            for x in (lo - eps, hi + eps):
+                values += [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+        values += [0.0, 0.5, 1.25, 2.0]
+        report = compare_spectra(values, spec, eps)
+        rule = [spec.distance(float(x)) <= eps for x in values]
+        for x, expected in zip(values, rule):
+            assert compare_spectra([x], spec, eps).inside_fraction == float(expected)
+        inside = sum(rule)
+        assert 0 < inside < len(values)
+        assert report.inside_fraction == inside / len(values)
+        assert report.eigenvalues == tuple(float(x) for x in values)
+
+    def test_no_intervals_holds_no_eigenvalue(self):
+        spec = SpectrumApprox((), (), 8, 1e-8)
+        assert compare_spectra([0.0, 1.0], spec, 0.5).inside_fraction == 0.0
+        assert compare_spectra([], spec, 0.5).inside_fraction == 1.0
+
 
 class TestZeroModes:
     def test_counterexample_box(self, counterexample):
