@@ -155,30 +155,40 @@ class RunContext:
 
     def _write_table(self, header: list[str], cells, extensions: tuple[str, ...]) -> list[Path]:
         """Write ``cells`` from ``_format_columns`` to a ``.csv`` and/or a
-        ``.dat`` file, expanding each column's texts ``_CHUNK_ROWS`` rows at a
-        time.  Each chunk is formatted once, joined with ``,``; the ``.dat``
-        file gets the same text with every ``,`` turned into a space, so a
-        cell text that holds a separator raises ``InternalInvariantError``."""
+        ``.dat`` file, ``_CHUNK_ROWS`` rows at a time.  Each column's distinct
+        texts get their separator once: ``,`` after every column but the
+        last, a newline after the last.  A chunk fills one (rows, columns)
+        object array from them and is joined once; the ``.dat`` file gets the
+        same text with every ``,`` turned into a space.  A header that does
+        not name every column, columns of different lengths, or a cell text
+        that holds a separator (``,``, or a space when a ``.dat`` is written)
+        raise ``InternalInvariantError``."""
+        lengths = {len(inverse) for _, inverse in cells}
+        if len(header) != len(cells) or len(lengths) != 1:
+            raise InternalInvariantError(
+                f"the table {header} has {len(cells)} columns of lengths {sorted(lengths)}"
+            )
+        separators = ", " if ".dat" in extensions else ","
+        for texts, _ in cells:
+            joined = "".join(texts.tolist())
+            if any(separator in joined for separator in separators):
+                raise InternalInvariantError(
+                    f"a cell of the table {header} holds a separator (',' or ' ')"
+                )
+        suffixed = [texts + "," for texts, _ in cells[:-1]] + [cells[-1][0] + "\n"]
         heads = {".csv": ",".join(header), ".dat": "# " + " ".join(header)}
         paths = [self._path(extension) for extension in extensions]
-        total = len(cells[0][1])
+        (total,) = lengths
+        grid = np.empty((min(total, _CHUNK_ROWS), len(cells)), dtype=object)
         with ExitStack() as stack:
             outs = [stack.enter_context(path.open("w")) for path in paths]
             for out, extension in zip(outs, extensions):
                 out.write(f"# manifest-sha256: {self.digest}\n{heads[extension]}\n")
             for start in range(0, total, _CHUNK_ROWS):
-                chunk = (
-                    texts[inverse[start:start + _CHUNK_ROWS]].tolist()
-                    for texts, inverse in cells
-                )
-                text = "\n".join(map(",".join, zip(*chunk))) + "\n"
-                rows = min(_CHUNK_ROWS, total - start)
-                if text.count(",") != rows * (len(cells) - 1) or (
-                    ".dat" in extensions and " " in text
-                ):
-                    raise InternalInvariantError(
-                        f"a cell of the table {header} holds a separator (',' or ' ')"
-                    )
+                chunk = grid[:total - start]
+                for column, (texts, (_, inverse)) in enumerate(zip(suffixed, cells)):
+                    chunk[:, column] = texts[inverse[start:start + _CHUNK_ROWS]]
+                text = "".join(chunk.ravel().tolist())
                 for out, extension in zip(outs, extensions):
                     out.write(text if extension == ".csv" else text.replace(",", " "))
         return paths

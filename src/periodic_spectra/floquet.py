@@ -61,21 +61,25 @@ def _fiber_assembler(graph: PeriodicGraph):
     built once, for callers that assemble at many quasimomenta one by one."""
     d = np.asarray(graph.degrees, dtype=float)
     s = graph.cell_size
-    # A template whose index repeats the previous template's (a zero-index
-    # edge and its reversal) reuses its phase: index None.
-    templates = []
-    previous = None
-    for e in graph.oriented_edges():
-        index = None if e.index == previous else np.asarray(e.index, dtype=float)
-        templates.append((e.origin, e.target, index, np.sqrt(d[e.origin] * d[e.target])))
-        previous = e.index
+    # The oriented templates are reversed pairs: a stored template (i, j, x)
+    # and its reversal (j, i, -x), both of weight sqrt(d_i d_j), whose phase
+    # is the conjugate.  Each pair's phase is made once.
+    templates = [
+        (e.origin, e.target, np.asarray(e.index, dtype=float),
+         np.sqrt(d[e.origin] * d[e.target]))
+        for e in graph.edges
+    ]
 
     def assemble(ks: np.ndarray) -> np.ndarray:
         h = np.zeros((ks.shape[0], s, s), dtype=complex)
+        phase = np.empty(ks.shape[0], dtype=complex)
         for origin, target, index, weight in templates:
-            if index is not None:
-                phase = np.exp(1j * (ks @ index))
-            h[:, origin, target] += phase / weight
+            theta = ks @ index
+            np.cos(theta, out=phase.real)
+            np.sin(theta, out=phase.imag)
+            phase /= weight
+            h[:, origin, target] += phase
+            h[:, target, origin] += np.conj(phase)
         return 0.5 * (h + np.conj(np.swapaxes(h, 1, 2)))
 
     return assemble

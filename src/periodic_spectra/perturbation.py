@@ -459,11 +459,14 @@ def find_unperturbed_box(
 def _box_sums(cells: np.ndarray, side: int) -> np.ndarray:
     """Number of true entries in every box of ``side`` cells per axis that
     fits inside ``cells``: a summed-area table built one axis at a time (a
-    cumulative sum with a leading zero), differenced ``side`` apart."""
-    sums = cells.astype(np.int64)
+    cumulative sum with a leading zero), differenced ``side`` apart.  No sum
+    exceeds the number of cells, so it is counted in int32 unless there are
+    2**31 cells or more."""
+    dtype = np.int32 if cells.size < 2**31 else np.int64
+    sums = cells.astype(dtype)
     for axis in range(sums.ndim):
         lead = (slice(None),) * axis
-        table = np.cumsum(sums, axis=axis)
+        table = np.cumsum(sums, axis=axis, dtype=dtype)
         zero = np.zeros_like(table[lead + (slice(0, 1),)])
         table = np.concatenate([zero, table], axis=axis)
         sums = table[lead + (slice(side, None),)] - table[lead + (slice(None, -side),)]

@@ -240,6 +240,28 @@ class TestColumnFormatter:
         with pytest.raises(InternalInvariantError, match="separator"):
             ctx.write_csv(["n", "label"], cells, plot_data=plot_data)
 
+    def test_space_in_a_csv_only_table_accepted(self, tmp_path):
+        ctx = RunContext("table", {}, str(tmp_path / "t"), 1)
+        cells = _format_columns([np.array([1, 2]), ["a b", "c"]])
+        text = ctx.write_csv(["n", "label"], cells).read_text()
+        assert text.splitlines()[1:] == ["n,label", "1,a b", "2,c"]
+        assert not (tmp_path / "t.dat").exists()
+
+    @pytest.mark.parametrize(
+        "header, columns",
+        [
+            (["n"], [np.array([1, 2]), np.array([0.5, 1.5])]),  # header too short
+            (["n", "x", "y"], [np.array([1, 2]), np.array([0.5, 1.5])]),  # too long
+            (["n", "x"], [np.array([1, 2, 3]), np.array([0.5, 1.5])]),  # ragged
+            (["n", "x"], [np.array([], dtype=int), np.array([0.5])]),
+        ],
+    )
+    @pytest.mark.parametrize("plot_data", [False, True])
+    def test_table_shape_mismatch_rejected(self, tmp_path, header, columns, plot_data):
+        ctx = RunContext("table", {}, str(tmp_path / "t"), 1)
+        with pytest.raises(InternalInvariantError, match="columns of lengths"):
+            ctx.write_csv(header, _format_columns(columns), plot_data=plot_data)
+
     def test_distinct_bit_patterns_keep_their_text(self):
         values = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324])
         ((texts, inverse),) = _format_columns([values])

@@ -16,7 +16,7 @@ from periodic_spectra import (
 )
 from periodic_spectra.errors import DimensionMismatchError, NotInSpectrumError
 from periodic_spectra.catalog import entry_names
-from periodic_spectra.floquet import _band_union, grid_points
+from periodic_spectra.floquet import _band_union, _fiber_assembler, grid_points
 
 from test_graphs import small_graphs
 
@@ -98,6 +98,61 @@ class TestAssembly:
 def test_pullback_matches_row_normalized_on_small_graphs(graph, k):
     # small graphs carry loops, parallel edges and two-cell hops
     assert np.allclose(pulled_back(graph, [k]), row_normalized(graph, [k]), rtol=0, atol=1e-15)
+
+
+def exp_per_template(graph, ks) -> np.ndarray:
+    """Reference assembly with one complex ``exp`` per oriented template, in
+    ``oriented_edges`` order; a template whose index repeats the previous
+    one's reuses its phase.  The assembler pairs each template with its
+    reversal instead and must give the same bits."""
+    d = np.asarray(graph.degrees, dtype=float)
+    h = np.zeros((ks.shape[0], graph.cell_size, graph.cell_size), dtype=complex)
+    previous = None
+    for e in graph.oriented_edges():
+        if e.index != previous:
+            phase = np.exp(1j * (ks @ np.asarray(e.index, dtype=float)))
+        h[:, e.origin, e.target] += phase / np.sqrt(d[e.origin] * d[e.target])
+        previous = e.index
+    return 0.5 * (h + np.conj(np.swapaxes(h, 1, 2)))
+
+
+def assert_same_bits(graph, ks):
+    ks = np.asarray(ks, dtype=float)
+    got = _fiber_assembler(graph)(ks)
+    want = exp_per_template(graph, ks)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def catalog_graphs():
+    for name in entry_names():
+        params = {"p": 0.5, "seed": 7} if name == "random_pendant" else {}
+        yield get_entry(name, **params).base
+
+
+@pytest.mark.parametrize("graph", list(catalog_graphs()), ids=entry_names())
+def test_paired_phases_match_exp_per_template(graph, rng):
+    # a whole grid and random points, then one row at a time as the
+    # probes of locate_band_value
+    ks = np.concatenate([
+        grid_points(graph.dim, 8),
+        rng.uniform(-50.0, 50.0, size=(200, graph.dim)),
+        -grid_points(graph.dim, 4),
+    ])
+    assert_same_bits(graph, ks)
+    for row in ks[::17]:
+        assert_same_bits(graph, row[None, :])
+
+
+@given(
+    small_graphs(),
+    st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=40),
+)
+@settings(max_examples=80, deadline=None)
+def test_paired_phases_match_exp_per_template_on_small_graphs(graph, ks):
+    # small graphs carry loops, parallel edges and zero-index templates
+    ks = np.asarray(ks)[:, None]
+    assert_same_bits(graph, ks)
+    assert_same_bits(graph, ks[:1])
 
 
 def test_grid_points_match_meshgrid():

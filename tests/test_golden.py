@@ -1,7 +1,7 @@
 """Golden outputs: small CLI commands checked against files in tests/data/golden.
 
 Each case runs one command in-process and compares its exit code exactly and
-each ``.csv``/``.json`` output with the stored file.  Text is compared
+each ``.csv``/``.dat``/``.json`` output with the stored file.  Text is compared
 exactly; a CSV cell that is an integer is compared exactly, and any other
 number to 1e-12 relative, with an absolute floor of 1e-15 for values that are
 zero up to roundoff, so counts, centres and labels must match exactly.  The manifest digest is left out: it changes with the
@@ -29,6 +29,9 @@ PATCH = str(DATA / "patch_lattice2.json")
 
 CASES = {
     "bands_g21": ["bands", "--graph", "builtin:g21", "--grid", "16"],
+    "bands_lattice3": [
+        "bands", "--graph", "builtin:lattice3", "--grid", "8", "--emit-plot-data",
+    ],
     "sigma_ess_g21": ["sigma-ess", "--graph", "builtin:g21", "--grid", "64"],
     "lambda_set_cone": [
         "lambda-set", "--graph", "builtin:lattice2", "--perturbation", "builtin:cone",
@@ -106,13 +109,14 @@ CASES = {
 
 
 def run_case(name: str, out_dir: Path) -> tuple[int, dict[str, str]]:
-    """Exit code of case ``name`` and its ``.csv``/``.json`` outputs by file name."""
+    """Exit code of case ``name`` and its ``.csv``/``.dat``/``.json`` outputs by
+    file name."""
     argv = CASES[name] + ["--threads", "1", "--out", str(out_dir / name)]
     code = main(argv)
     files = {
         path.name: path.read_text()
         for path in sorted(out_dir.glob(f"{name}.*"))
-        if path.suffix in (".csv", ".json") and not path.name.endswith(".manifest.json")
+        if path.suffix in (".csv", ".dat", ".json") and not path.name.endswith(".manifest.json")
     }
     return code, files
 
@@ -146,9 +150,9 @@ def _same_json(a, b) -> bool:
     return a == b
 
 
-def _table(text: str) -> list[list[str]]:
+def _table(text: str, separator: str) -> list[list[str]]:
     # the first line holds the manifest digest
-    return [line.split(",") for line in text.splitlines()[1:]]
+    return [line.split(separator) for line in text.splitlines()[1:]]
 
 
 def _exit_codes() -> dict[str, int]:
@@ -169,7 +173,8 @@ def test_golden_outputs(name, tmp_path):
             want.pop("manifest_sha256")
             assert _same_json(got, want), file_name
         else:
-            got, want = _table(text), _table(golden)
+            separator = " " if file_name.endswith(".dat") else ","
+            got, want = _table(text, separator), _table(golden, separator)
             assert len(got) == len(want), file_name
             for row, (g, w) in enumerate(zip(got, want)):
                 assert len(g) == len(w) and all(map(_same_cell, g, w)), (file_name, row)

@@ -23,6 +23,7 @@ from periodic_spectra.errors import (
     VertexNotInCommonSubgraphError,
 )
 from periodic_spectra.graphs import Vertex, apply_laplacian
+from periodic_spectra.perturbation import _box_sums
 from periodic_spectra.region import Region
 
 from test_weyl import base_vector
@@ -128,6 +129,16 @@ class TestConditionSearch:
     def test_bad_radius_rejected(self, cone):
         with pytest.raises(InputError):
             find_unperturbed_box(cone.perturbation, 0, ((0, 5), (0, 5)))
+
+    @pytest.mark.parametrize("shape", [(1,), (9,), (5, 7), (4, 1, 6)])
+    def test_box_sums_count_every_box_in_int32(self, shape, rng):
+        cells = rng.random(shape) < 0.6
+        for side in range(1, min(shape) + 1):
+            sums = _box_sums(cells, side)
+            assert sums.dtype == np.int32
+            starts = np.ndindex(*(m - side + 1 for m in shape))
+            want = [cells[tuple(slice(a, a + side) for a in at)].sum() for at in starts]
+            assert sums.reshape(-1).tolist() == want
 
 
 class TestEmbedding:
