@@ -37,27 +37,19 @@ from .graphs import (
     GraphOracle,
     PeriodicGraph,
     Vertex,
-    apply_laplacian,
     build_periodic,
     edge_index,
     periodic_oracle,
     propagation_length,
-    translate_state,
     vert,
-    weighted_inner,
-    weighted_norm,
 )
 from .perturbation import (
     Patch,
     PerturbedGraph,
     PredicatePatch,
     WindowReport,
-    apply_defect,
     box_is_clear,
-    embed_state,
-    embedding_norm_bounds,
     find_unperturbed_box,
-    in_unperturbed_set,
 )
 from .region import Region
 from .truncation import (
@@ -71,7 +63,6 @@ from .truncation import (
 )
 from .weyl import (
     ResidualRow,
-    TentCutoff,
     WeylState,
     build_weyl_state,
     fit_loglog_slope,
@@ -82,8 +73,6 @@ from .weyl import (
     shifted_tent_diff_parts,
     shifted_tent_diff_sum,
     tent_norm_sq,
-    tent_value,
-    windowed_bloch_state,
 )
 
 __all__ = [
@@ -101,13 +90,10 @@ __all__ = [
     "Region",
     "ResidualRow",
     "SpectrumApprox",
-    "TentCutoff",
     "TruncationReport",
     "Vertex",
     "WeylState",
     "WindowReport",
-    "apply_defect",
-    "apply_laplacian",
     "band_eigensystem",
     "band_grid",
     "box_is_clear",
@@ -117,14 +103,11 @@ __all__ = [
     "clear_box_probability",
     "compare_spectra",
     "edge_index",
-    "embed_state",
-    "embedding_norm_bounds",
     "essential_spectrum",
     "fiber_matrices",
     "find_unperturbed_box",
     "fit_loglog_slope",
     "get_entry",
-    "in_unperturbed_set",
     "locate_band_value",
     "make_cone",
     "make_counterexample",
@@ -143,12 +126,7 @@ __all__ = [
     "shifted_tent_diff_sum",
     "spectrum_of_box",
     "tent_norm_sq",
-    "tent_value",
-    "translate_state",
     "truncate",
     "vert",
-    "weighted_inner",
-    "weighted_norm",
-    "windowed_bloch_state",
     "zero_mode_count",
 ]

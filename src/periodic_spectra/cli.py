@@ -460,7 +460,7 @@ def _cmd_truncate(args) -> int:
     perturbed = _resolve_perturbation(args.perturbation, base, entry)
     box = _parse_window(args.box, base.dim)
     eps = args.eps if args.eps is not None else (1e-9 if args.wrap else 0.02)
-    grid = args.grid or (256 if base.dim == 1 else 64)
+    grid = args.grid if args.grid is not None else (256 if base.dim == 1 else 64)
     ctx = RunContext(
         "truncate",
         {

@@ -13,11 +13,12 @@ row-normalized operator's eigenvector ``u / sqrt(deg)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotInSpectrumError
+from .errors import DimensionMismatchError, InputError, NotInSpectrumError
 from .graphs import PeriodicGraph, box_cell_array
 
 _MERGE_TOL = 1e-10
@@ -117,11 +118,12 @@ def band_eigensystem(graph: PeriodicGraph, k) -> BandSample:
 
 def grid_points(dim: int, grid_per_axis: int) -> np.ndarray:
     """All grid quasimomenta ``2 pi m / grid`` in lexicographic axis order,
-    shape (grid^dim, dim)."""
+    shape (grid^dim, dim); raises ``InputError`` unless ``grid_per_axis`` is
+    even and at least 2."""
     if grid_per_axis < 2 or grid_per_axis % 2 != 0:
-        raise ValueError(
-            "grid_per_axis must be an even integer >= 2 so the grid hits both "
-            "k=0 and k=pi exactly"
+        raise InputError(
+            "the grid must be an even integer >= 2 so that it hits both k=0 "
+            f"and k=pi exactly, got {grid_per_axis}"
         )
     cells = box_cell_array([(0, grid_per_axis - 1)] * dim)
     return 2.0 * np.pi * cells / grid_per_axis
@@ -158,6 +160,7 @@ def essential_spectrum(
     Each sorted band is continuous on the torus, so its sampled image is the
     interval between its grid minimum and maximum.  Overlapping band intervals
     are merged; bands narrower than ``flat_tol`` are recorded as flat points.
+    A ``flat_tol`` that is negative or not finite raises ``InputError``.
 
     Only half the torus is diagonalized: the fiber matrix at ``-k`` is the
     complex conjugate of the one at ``k`` and has the same eigenvalues, and
@@ -165,6 +168,8 @@ def essential_spectrum(
     are the first ``(grid/2 + 1) * grid^(d-1)`` rows of the lexicographic
     grid.
     """
+    if not (math.isfinite(flat_tol) and flat_tol >= 0):
+        raise InputError(f"flat_tol must be finite and >= 0, got {flat_tol}")
     ks = grid_points(graph.dim, grid_per_axis)
     half = (grid_per_axis // 2 + 1) * grid_per_axis ** (graph.dim - 1)
     lambdas = np.linalg.eigvalsh(fiber_matrices(graph, ks[:half]))

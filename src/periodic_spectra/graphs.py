@@ -5,7 +5,9 @@ living at every lattice cell of Z^d, plus a multiset of edge templates.  Each
 template connects ``(cell, origin)`` to ``(cell + index, target)`` for every
 cell, so the whole (infinite) graph is generated by finitely many records.
 
-States are finitely supported maps ``Vertex -> complex`` held as plain dicts.
+States are finitely supported functions on the vertices, held as arrays over
+a compiled box (``region.Region``); the dict form ``State`` and its
+vertex-by-vertex operators are the tests' reference, in ``tests/reference.py``.
 All norms and inner products are degree-weighted: ``<f, g> = sum conj(f(x)) *
 g(x) * deg(x)``, which makes the degree-normalized adjacency operator
 self-adjoint.
@@ -13,11 +15,10 @@ self-adjoint.
 
 from __future__ import annotations
 
-import itertools
 import operator
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -43,9 +44,6 @@ class Vertex:
 
     cell: Cell
     label: int
-
-    def shifted(self, offset: Cell) -> "Vertex":
-        return Vertex(tuple(c + o for c, o in zip(self.cell, offset)), self.label)
 
     def __repr__(self) -> str:  # compact: (1,-2|v0)
         return f"({','.join(map(str, self.cell))}|v{self.label})"
@@ -142,17 +140,11 @@ def build_periodic(dim: int, cell_size: int, edges: Iterable[FundEdge]) -> Perio
 Window = tuple[tuple[int, int], ...]  # inclusive ``(lo, hi)`` per axis
 
 
-def box_cells(box: Sequence[tuple[int, int]]) -> Iterator[Cell]:
-    """Cells of the box ``[lo, hi]`` per axis in lexicographic order (the
-    last axis varies fastest); an empty box sequence yields the single cell
-    ``()``."""
-    return itertools.product(*(range(lo, hi + 1) for lo, hi in box))
-
-
 def box_cell_array(box: Sequence[tuple[int, int]], at: np.ndarray | None = None) -> np.ndarray:
     """The cells of ``box`` as an int64 array of shape ``(m, d)`` in
-    ``box_cells`` order, or only the cells at positions ``at`` of that order;
-    raises ``InputError`` when a coordinate does not fit in 64 bits."""
+    lexicographic order (the last axis varies fastest), or only the cells at
+    positions ``at`` of that order; raises ``InputError`` when a coordinate
+    does not fit in 64 bits."""
     limit = 1 << 63
     if any(lo < -limit or hi >= limit for lo, hi in box if lo <= hi):
         raise InputError(f"box {list(box)} has coordinates outside the 64-bit range")
@@ -278,65 +270,3 @@ class PeriodicOracle(GraphOracle):
 
 def periodic_oracle(graph: PeriodicGraph) -> PeriodicOracle:
     return PeriodicOracle(graph)
-
-
-def _sorted_items(psi: Mapping[Vertex, complex]):
-    return sorted(psi.items(), key=lambda kv: (kv[0].cell, kv[0].label))
-
-
-def weighted_norm(psi: Mapping[Vertex, complex], oracle: GraphOracle) -> float:
-    """Degree-weighted l2 norm ``sqrt(sum |psi(x)|^2 deg x)``."""
-    if not psi:
-        return 0.0
-    terms = []
-    for v, val in _sorted_items(psi):
-        if not oracle.contains(v):
-            raise VertexNotInGraphError(f"state supported on {v}, not in graph")
-        terms.append(abs(val) ** 2 * oracle.degree(v))
-    return float(np.sqrt(np.sum(np.array(terms, dtype=float))))
-
-
-def weighted_inner(
-    psi: Mapping[Vertex, complex], phi: Mapping[Vertex, complex], oracle: GraphOracle
-) -> complex:
-    """Degree-weighted inner product, conjugate-linear in the first slot."""
-    keys = set(psi) & set(phi)
-    if not keys:
-        return 0.0 + 0.0j
-    terms = []
-    for v in sorted(keys, key=lambda u: (u.cell, u.label)):
-        if not oracle.contains(v):
-            raise VertexNotInGraphError(f"state supported on {v}, not in graph")
-        terms.append(np.conj(psi[v]) * phi[v] * oracle.degree(v))
-    return complex(np.sum(np.array(terms, dtype=complex)))
-
-
-def sup_norm(psi: Mapping[Vertex, complex]) -> float:
-    return max((abs(v) for v in psi.values()), default=0.0)
-
-
-def apply_laplacian(psi: Mapping[Vertex, complex], oracle: GraphOracle) -> State:
-    """Degree-normalized adjacency average ``(Lf)(x) = mean of f over neighbors``.
-
-    Evaluated on the support of ``psi`` together with one adjacency layer
-    around it, which contains the full support of the result.
-    """
-    window: set[Vertex] = set()
-    for v in psi:
-        if not oracle.contains(v):
-            raise VertexNotInGraphError(f"state supported on {v}, not in graph")
-        window.add(v)
-        window.update(oracle.out_edges(v))
-    out: State = {}
-    for x in sorted(window, key=lambda u: (u.cell, u.label)):
-        targets = oracle.out_edges(x)
-        acc = np.sum(
-            np.array([psi.get(t, 0.0) for t in targets], dtype=complex)
-        ) if targets else 0.0
-        out[x] = complex(acc) / len(targets)
-    return out
-
-
-def translate_state(psi: Mapping[Vertex, complex], shift: Cell) -> State:
-    """Move a state by ``shift`` cells: the value at cell m moves to m + shift."""
-    return {v.shifted(shift): val for v, val in psi.items()}

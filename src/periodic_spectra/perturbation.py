@@ -18,12 +18,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .errors import (
-    EmptySupportError,
     InputError,
     InternalInvariantError,
     VertexNotInCommonSubgraphError,
@@ -33,21 +32,24 @@ from .graphs import (
     Cell,
     GraphOracle,
     PeriodicGraph,
-    State,
     Vertex,
     Window,
-    apply_laplacian,
     box_cell_array,
     periodic_oracle,
     propagation_length,
 )
 from .randomfield import cell_hash, cell_hash_array
-from .truncation import _MASK_LIMIT
 
 _NO_NEIGHBORS: tuple[Vertex, ...] = ()
 
 # Array form of a vertex predicate: int64 cells (m, d), labels (m,) -> bool (m,).
 RowPredicate = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+# Vertices of the padded box of one ``UnperturbedSet.mask`` call, checked
+# before allocating: the mask holds about 13 bytes per such vertex (measured
+# on a 2001 x 2001 window), so the cap bounds it near 210 MiB and leaves a
+# 2001 x 2001 or 255^3 window room to run.
+_MASK_LIMIT = 1 << 24
 
 # Besides the box corners, ``mask`` checks every this many rows of a hook's
 # answer against the scalar predicate.
@@ -382,11 +384,6 @@ class PerturbedGraph:
         return self._is_base_name(x) and self._keep(x)
 
 
-def in_unperturbed_set(graph: PerturbedGraph, x: Vertex) -> bool:
-    """Does the perturbation leave ``x`` and its whole edge neighborhood alone?"""
-    return graph.unperturbed.contains(x)
-
-
 def box_is_clear(graph: PerturbedGraph, center: Cell, n: int) -> bool:
     """Is the box of radius ``n`` (padded by the propagation length) around
     ``center`` entirely inside the unperturbed set?"""
@@ -471,62 +468,3 @@ def _box_sums(cells: np.ndarray, side: int) -> np.ndarray:
         table = np.concatenate([zero, table], axis=axis)
         sums = table[lead + (slice(side, None),)] - table[lead + (slice(None, -side),)]
     return sums
-
-
-def embed_state(graph: PerturbedGraph, psi: Mapping[Vertex, complex]) -> State:
-    """Transplant a base-graph state into the perturbed graph.
-
-    Values on the common subgraph keep their vertex; values outside it are
-    dropped, and added vertices carry zero.
-    """
-    return {v: val for v, val in psi.items() if graph.in_common(v)}
-
-
-def embedding_norm_bounds(
-    graph: PerturbedGraph, support: Iterable[Vertex]
-) -> tuple[float, float]:
-    """Two-sided bounds for the embedding's norm ratio over a given support.
-
-    For any state supported there, ``lower * |psi| <= |embed(psi)| <=
-    upper * |psi|``.  The bounds square-root the worst-case degree ratios, so
-    they are valid but not always sharp.
-    """
-    dprime, dbase = _support_degrees(graph, support)
-    lower = float(np.sqrt(min(dprime) / max(dbase)))
-    upper = float(np.sqrt(max(dprime) / min(dbase)))
-    return lower, upper
-
-
-def _support_degrees(graph: PerturbedGraph, support: Iterable[Vertex]):
-    dprime: list[int] = []
-    dbase: list[int] = []
-    for x in support:
-        if not graph.in_common(x):
-            raise VertexNotInCommonSubgraphError(
-                f"{x} is not a vertex of the common subgraph"
-            )
-        dprime.append(graph.oracle.degree(x))
-        dbase.append(graph.base_oracle.degree(x))
-    if not dprime:
-        raise EmptySupportError("support is empty")
-    return dprime, dbase
-
-
-def apply_defect(graph: PerturbedGraph, psi: Mapping[Vertex, complex]) -> State:
-    """Apply the defect operator to a base-graph state.
-
-    Computes (perturbed Laplacian after embedding) minus (embedding after base
-    Laplacian), then zeroes every coordinate lying over the unperturbed set.
-    The result lives on the perturbed graph and vanishes identically when the
-    state's neighborhood never touches the perturbed part.
-    """
-    lifted = apply_laplacian(embed_state(graph, psi), graph.oracle)
-    pushed = embed_state(graph, apply_laplacian(psi, graph.base_oracle))
-    keys = sorted(set(lifted) | set(pushed), key=lambda v: (v.cell, v.label))
-    out: State = {}
-    for v in keys:
-        if graph.in_common(v) and graph.unperturbed._contains_known(v):
-            out[v] = 0.0
-        else:
-            out[v] = lifted.get(v, 0.0) - pushed.get(v, 0.0)
-    return out

@@ -39,8 +39,8 @@ ends.  The unperturbed bits also zero the defect.  A row off the
 once-grown grid has no mask bit: it takes one ``out_edges`` call and is not
 in the unperturbed set, because only an added edge joins it to a box row
 and the audit makes it list that edge back.  The dict
-operators ``graphs.apply_laplacian``, ``weighted_norm``,
-``perturbation.embed_state``, ``apply_defect`` and ``embedding_norm_bounds``
+operators ``apply_laplacian``, ``weighted_norm``, ``embed_state``,
+``apply_defect`` and ``embedding_norm_bounds`` of ``tests/reference.py``
 compute the same quantities vertex by vertex and are the reference for this
 route.
 """
@@ -61,7 +61,6 @@ from .graphs import (
     Vertex,
     audit_symmetry,
     box_cell_array,
-    box_cells,
     propagation_length,
 )
 from .perturbation import _SAMPLE_STRIDE, PerturbedGraph
@@ -234,12 +233,6 @@ class Region:
         """The vertex of every row, built when first read."""
         return self._names_of(self._keys)
 
-    @cached_property
-    def vertices(self) -> list[Vertex]:
-        """Every box vertex, kept or not, in grid order."""
-        s = self.shape[-1]
-        return [Vertex(cell, label) for cell in box_cells(self._box) for label in range(s)]
-
     @property
     def clear(self) -> bool:
         """Is every box vertex kept and inside the unperturbed set?"""
@@ -286,9 +279,18 @@ class Region:
         return np.where(self.unperturbed, 0.0, lifted - pushed)
 
     def embedding_norm_bounds(self) -> tuple[float, float]:
-        """``perturbation.embedding_norm_bounds`` over every box vertex."""
+        """Two-sided bounds ``(lower, upper)`` on the embedding's norm ratio
+        over every box vertex: the square roots of the worst-case ratios of
+        perturbed to base degree.  A box vertex outside the common subgraph
+        raises ``VertexNotInCommonSubgraphError`` naming the first one."""
         if self.kept != math.prod(self.shape):
-            x = next(v for v in self.vertices if not self.graph.in_common(v))
+            # ``_kept_at`` is sorted, so the first box position it misses is
+            # the first i with ``_kept_at[i] != i``, or ``kept`` if none is
+            missing = np.flatnonzero(self._kept_at != np.arange(self.kept))
+            first = int(missing[0]) if missing.size else self.kept
+            s = self.shape[-1]
+            (cell,) = box_cell_array(self._box, np.array([first // s])).tolist()
+            x = Vertex(tuple(cell), first % s)
             raise VertexNotInCommonSubgraphError(
                 f"{x} is not a vertex of the common subgraph"
             )

@@ -14,6 +14,7 @@ dense ``eigvalsh`` of ``normalized_symmetric()``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,23 +30,22 @@ from .graphs import (
     Window,
     audit_symmetry,
     box_cell_array,
-    box_cells,
 )
 
-# Size caps checked before allocating.  ``_DENSE_LIMIT`` caps the vertices of
-# an induced box, which is solved densely; a wrap is solved by fibers and has
-# no cap.  ``_MASK_LIMIT`` caps the vertices of the padded box
-# of one ``UnperturbedSet.mask`` call: the mask holds about 13 bytes per such
-# vertex (measured on a 2001 x 2001 window), so the cap bounds it near 210 MiB
-# and leaves a 2001 x 2001 or 255^3 window room to run.
+# Vertices of an induced box, which is solved densely, checked before
+# allocating; a wrap is solved by fibers and has no cap.
 _DENSE_LIMIT = 4000
-_MASK_LIMIT = 1 << 24
 
 # Ascending eigenvalues split into clusters at gaps above this.  Rounding fixes
 # the eigenvectors of eigenvalues this close only to about 1e-16 / 1e-9, so
 # inside a cluster the solver, not the matrix, picks the basis, and the
 # boundary count looks only at the cluster's whole eigenspace.
 _CLUSTER_GAP = 1e-9
+
+# A cluster counts the eigenvalues of its Gram that are at least 1/2.  A mode
+# with exactly half its mass near the boundary comes out of the solvers a few
+# ulps above or below 1/2, so values this close below 1/2 count too.
+_HALF_TOL = 1e-9
 
 # Roundoff allowance of the moment certificate, per vertex: ``sum(lam)`` and
 # ``sum(lam**2)`` may miss their closed forms by ``n * _MOMENT_TOL``.  A
@@ -78,7 +78,6 @@ class BoxGraph:
         dropped: int,
     ):
         self.vertices = tuple(vertices)
-        self.index = {v: i for i, v in enumerate(self.vertices)}
         self.rows = rows
         self.cols = cols
         self.box = box
@@ -88,6 +87,11 @@ class BoxGraph:
 
     def __len__(self) -> int:
         return len(self.vertices)
+
+    @cached_property
+    def index(self) -> dict[Vertex, int]:
+        """Row of every vertex, built when first read."""
+        return {v: i for i, v in enumerate(self.vertices)}
 
     @property
     def wrapped(self) -> bool:
@@ -174,7 +178,8 @@ def truncate(oracle: GraphOracle, box: Window, periodic_wrap: bool = False) -> B
     leaving the box re-enter modulo the box lengths.  Raises
     ``InternalInvariantError`` when the oracle's edges are not symmetric, or
     when an edge reaches a vertex in a box cell that ``vertices_in_cell`` does
-    not list.
+    not list, and ``InputError`` when a box coordinate does not fit in 64
+    bits.
     """
     for lo, hi in box:
         if lo > hi:
@@ -182,7 +187,10 @@ def truncate(oracle: GraphOracle, box: Window, periodic_wrap: bool = False) -> B
     if periodic_wrap and not isinstance(oracle, PeriodicOracle):
         raise InputError("periodic wrap needs a purely periodic oracle")
     vertices = [
-        v for c in box_cells(box) for v in oracle.vertices_in_cell(c) if oracle.contains(v)
+        v
+        for c in map(tuple, box_cell_array(box).tolist())
+        for v in oracle.vertices_in_cell(c)
+        if oracle.contains(v)
     ]
     if not vertices:
         raise EmptyBoxError("box contains no vertices of the graph")
@@ -375,10 +383,11 @@ def compare_spectra(
 
     When the box and the eigenvectors ``spectrum_of_box`` gave with the
     (ascending) eigenvalues are supplied, ``boundary_count`` counts the
-    boundary modes, as ``_count_boundary_modes`` defines them.
+    boundary modes, as ``_count_boundary_modes`` defines them.  An ``eps``
+    that is not positive and finite raises ``InputError``.
     """
-    if eps <= 0:
-        raise InputError(f"eps must be positive, got {eps}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise InputError(f"eps must be positive and finite, got {eps}")
     eigs = np.asarray(eigenvalues, dtype=np.float64)
     if not eigs.size:
         return TruncationReport((), 1.0, None)
@@ -401,7 +410,8 @@ def _count_boundary_modes(
     The ascending eigenvalues split into clusters at gaps above
     ``_CLUSTER_GAP``.  For a cluster whose eigenvectors have the rows ``W``
     at the vertices within graph distance 2 of the box's geometric boundary,
-    the count adds the eigenvalues of ``W^H W`` that are at least 1/2: the
+    the count adds the eigenvalues of ``W^H W`` that are at least 1/2 (less
+    ``_HALF_TOL``, so that an exact half does not follow roundoff): the
     squared cosines of the principal angles between the cluster's eigenspace
     and those coordinates.  They do not depend on the basis of the cluster or
     on the order of the vertices, and on a simple eigenvalue the count is
@@ -427,7 +437,7 @@ def _count_boundary_modes(
         step = max(1, _GRAM_BATCH // (m * max(m, r)))
         for start in range(0, len(firsts), step):
             columns = firsts[start : start + step, None] + np.arange(m)
-            count += int(np.sum(np.linalg.eigvalsh(grams(columns)) >= 0.5))
+            count += int(np.sum(np.linalg.eigvalsh(grams(columns)) >= 0.5 - _HALF_TOL))
     return count
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,32 +24,11 @@ from .errors import (
     NoClearBoxError,
 )
 from .floquet import fiber_matrices, locate_band_value
-from .graphs import (
-    Cell,
-    PeriodicGraph,
-    State,
-    Vertex,
-    Window,
-    box_cells,
-)
+from .graphs import PeriodicGraph, State, Vertex, Window
 from .perturbation import PerturbedGraph, WindowReport, find_unperturbed_box
 from .region import Region
 
 _EIGENPAIR_TOL = 1e-9
-
-
-def tent_value(n: int, m: Cell | int) -> float:
-    """Product tent: each axis contributes max(0, 1 - |m_j| / n)."""
-    if n < 1:
-        raise InputError(f"tent half-width must be >= 1, got {n}")
-    coords = (m,) if isinstance(m, int) else m
-    out = 1.0
-    for c in coords:
-        t = abs(c) / n
-        if t >= 1.0:
-            return 0.0
-        out *= 1.0 - t
-    return out
 
 
 def tent_norm_sq(n: int, dim: int) -> float:
@@ -58,24 +37,6 @@ def tent_norm_sq(n: int, dim: int) -> float:
     if n < 1 or dim < 1:
         raise InputError("tent parameters must satisfy n >= 1, dim >= 1")
     return ((2.0 * n * n + 1.0) / (3.0 * n)) ** dim
-
-
-@dataclass(frozen=True)
-class TentCutoff:
-    """Discrete tent window of half-width ``n`` in ``dim`` axes."""
-
-    n: int
-    dim: int
-
-    def value(self, m: Cell) -> float:
-        return tent_value(self.n, m)
-
-    def norm_sq(self) -> float:
-        return tent_norm_sq(self.n, self.dim)
-
-    def support_cells(self) -> Iterable[Cell]:
-        """All cells where the tent is nonzero: [-n+1, n-1]^dim."""
-        return box_cells([(-self.n + 1, self.n - 1)] * self.dim)
 
 
 def _tent_array(n: int, m: np.ndarray) -> np.ndarray:
@@ -109,30 +70,6 @@ def shifted_tent_diff_parts(n: int, shift: int) -> tuple[float, float, float]:
     return middle, tail, tail
 
 
-def windowed_bloch_state(
-    graph: PeriodicGraph, band: int, k0: np.ndarray, xi0: np.ndarray, n: int
-) -> State:
-    """Bloch wave with cell vector ``xi0`` at quasimomentum ``k0``, windowed by
-    the tent of half-width ``n``; supported on cells [-n+1, n-1]^d.
-
-    ``xi0`` must be an eigenvector of the fiber matrix at ``k0``; the squared
-    weighted norm of the result is ``tent_norm_sq(n, d)`` times the squared
-    weighted cell norm of ``xi0``.
-    """
-    _check_eigenpair(graph, band, k0, xi0)
-    k0 = np.asarray(k0, dtype=float)
-    tent = TentCutoff(n, graph.dim)
-    psi: State = {}
-    for cell in tent.support_cells():
-        rho = tent.value(cell)
-        phase = np.exp(1j * float(np.dot(k0, cell)))
-        for label in range(graph.cell_size):
-            val = phase * rho * xi0[label]
-            if val != 0:
-                psi[Vertex(cell, label)] = complex(val)
-    return psi
-
-
 def _symmetric_pair(graph: PeriodicGraph, k0, xi0: np.ndarray):
     """The symmetric fiber matrix H at ``k0``, ``y = sqrt(deg) * xi0`` and the
     Rayleigh quotient of y under H.
@@ -157,8 +94,9 @@ def _check_eigenpair(graph: PeriodicGraph, band: int, k0, xi0: np.ndarray) -> No
 
 
 def _bloch_grid(region: Region, k0: np.ndarray, xi0: np.ndarray, n: int) -> np.ndarray:
-    """``windowed_bloch_state`` in closed form on the region's grid:
-    tent(m) * exp(i k0.m) * xi0[label] at offset m from the centre."""
+    """The tent-windowed Bloch state on the region's grid: tent(m) *
+    exp(i k0.m) * xi0[label] at offset m from the centre, where the tent of
+    half-width n is the product over axes of max(0, 1 - |m_j| / n)."""
     offsets = np.arange(-region.half, region.half + 1)
     tent = np.ones(())
     phase = np.zeros(())

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from periodic_spectra import (
-    apply_defect,
     band_grid,
     build_weyl_state,
     clear_box_monte_carlo,
@@ -37,6 +36,7 @@ from periodic_spectra import (
 from periodic_spectra.cli import main as cli_main
 from periodic_spectra.graphs import Vertex
 
+from reference import apply_defect
 from test_weyl import base_vector
 
 

@@ -3,16 +3,28 @@ experiment scripts, so a renamed or deleted function fails here rather than
 when a script is next run by hand."""
 
 import ast
+import importlib
 import importlib.util
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import periodic_spectra
+from periodic_spectra.graphs import Vertex
+from periodic_spectra.region import Region
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
+
+# The vertex-by-vertex operators and the cell iterator of ``reference.py``.
+REFERENCE_ONLY = (
+    "apply_laplacian", "weighted_norm", "weighted_inner", "translate_state", "sup_norm",
+    "_sorted_items", "embed_state", "apply_defect", "embedding_norm_bounds",
+    "_support_degrees", "in_unperturbed_set", "windowed_bloch_state", "TentCutoff",
+    "tent_value", "box_cells",
+)
 
 
 def test_all_names_resolve():
@@ -31,6 +43,23 @@ def test_every_public_import_is_exported():
             bound.update(t.id for t in node.targets if isinstance(t, ast.Name))
     public = {name for name in bound if not name.startswith("_")}
     assert public - set(periodic_spectra.__all__) == set()
+
+
+def test_reference_route_is_not_in_the_package():
+    """The dict reference route lives with the tests, so the package keeps
+    one route per operator and one cell iterator (``box_cell_array``)."""
+    modules = [periodic_spectra] + [
+        importlib.import_module(f"periodic_spectra.{info.name}")
+        for info in pkgutil.iter_modules(periodic_spectra.__path__)
+    ]
+    found = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in REFERENCE_ONLY
+        if hasattr(module, name)
+    ]
+    assert found == []
+    assert not hasattr(Region, "vertices") and not hasattr(Vertex, "shifted")
 
 
 def test_spectra_report_runs(capsys):

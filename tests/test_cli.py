@@ -569,6 +569,50 @@ class TestErrorPaths:
         ) == 2
         assert "outside the 64-bit range" in capsys.readouterr().err
 
+    def test_truncate_box_beyond_64_bits(self, tmp_path, capsys):
+        assert run(
+            tmp_path,
+            "truncate", "--graph", "builtin:lattice1",
+            "--box=9223372036854775807,9223372036854775808",
+        ) == 2
+        assert "outside the 64-bit range" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("grid", ["0", "1", "7", "-2"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["bands", "--graph", "builtin:lattice1"],
+            ["sigma-ess", "--graph", "builtin:lattice1"],
+            ["weyl-check", "--graph", "builtin:lattice2", "--perturbation",
+             "builtin:half_plane", "--lambda", "0.0", "--n-list", "2"],
+            ["truncate", "--graph", "builtin:lattice1", "--box=0,5"],
+        ],
+        ids=["bands", "sigma-ess", "weyl-check", "truncate"],
+    )
+    def test_bad_grid_exits_2(self, tmp_path, capsys, command, grid):
+        assert run(tmp_path, *command, f"--grid={grid}", "--out", str(tmp_path / "o")) == 2
+        assert "k=0 and k=pi exactly, got " + grid in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command, flag, message",
+        [
+            (["truncate", "--graph", "builtin:lattice1", "--box=0,5"], "--eps",
+             "eps must be positive and finite"),
+            (["truncate", "--graph", "builtin:g11", "--box=0,5", "--wrap"], "--eps",
+             "eps must be positive and finite"),
+            (["sigma-ess", "--graph", "builtin:g21", "--grid", "8"], "--flat-tol",
+             "flat_tol must be finite and >= 0"),
+        ],
+        ids=["truncate", "truncate-wrap", "sigma-ess"],
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-08"])
+    def test_bad_tolerance_exits_2(self, tmp_path, capsys, command, flag, message, value):
+        assert run(tmp_path, *command, f"{flag}={value}", "--out", str(tmp_path / "o")) == 2
+        assert f"{message}, got {value}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_base_mismatch_rejected(self, tmp_path):
         assert run(
             tmp_path,

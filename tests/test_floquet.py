@@ -14,7 +14,7 @@ from periodic_spectra import (
     locate_band_value,
     propagation_length,
 )
-from periodic_spectra.errors import DimensionMismatchError, NotInSpectrumError
+from periodic_spectra.errors import DimensionMismatchError, InputError, NotInSpectrumError
 from periodic_spectra.catalog import entry_names
 from periodic_spectra.floquet import _band_union, _fiber_assembler, grid_points
 
@@ -232,7 +232,7 @@ class TestEssentialSpectrum:
         assert spec.flat_points == pytest.approx([0.0])
 
     def test_odd_grid_rejected(self, lattice1):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="got 63"):
             essential_spectrum(lattice1, 63)
 
     def test_flat_band_inside_wide_band_still_recorded(self):

@@ -19,8 +19,9 @@ from periodic_spectra import (
     spectrum_of_box,
     truncate,
 )
-from periodic_spectra.graphs import FundEdge, Vertex, apply_laplacian
+from periodic_spectra.graphs import FundEdge, Vertex
 
+from reference import apply_laplacian
 from test_floquet import pulled_back
 from test_graphs import small_graphs
 

@@ -30,8 +30,10 @@ from periodic_spectra import (
 from periodic_spectra import perturbation
 from periodic_spectra.cli import main
 from periodic_spectra.errors import InputError, VertexNotInGraphError
-from periodic_spectra.graphs import box_cells, propagation_length
+from periodic_spectra.graphs import propagation_length
 from periodic_spectra.perturbation import UnperturbedSet, _pair_key
+
+from reference import box_cells
 
 
 def scalar_mask(graph, box):

@@ -5,27 +5,29 @@ from periodic_spectra import (
     Patch,
     PerturbedGraph,
     PredicatePatch,
-    apply_defect,
     box_is_clear,
     build_weyl_state,
-    embed_state,
-    embedding_norm_bounds,
     find_unperturbed_box,
-    in_unperturbed_set,
     make_lattice,
     truncate,
     vert,
-    weighted_norm,
 )
 from periodic_spectra.errors import (
     EmptySupportError,
     InputError,
     VertexNotInCommonSubgraphError,
 )
-from periodic_spectra.graphs import Vertex, apply_laplacian
+from periodic_spectra.graphs import Vertex
 from periodic_spectra.perturbation import _box_sums
 from periodic_spectra.region import Region
 
+from reference import (
+    apply_defect,
+    apply_laplacian,
+    embed_state,
+    embedding_norm_bounds,
+    weighted_norm,
+)
 from test_weyl import base_vector
 
 
@@ -55,14 +57,14 @@ def pendant_everywhere():
 class TestUnperturbedSet:
     def test_cone_closed_form(self, cone):
         graph = cone.perturbation
-        assert in_unperturbed_set(graph, vert(1, 1))
-        assert not in_unperturbed_set(graph, vert(3, 0))
-        assert not in_unperturbed_set(graph, vert(0, 5))
+        assert graph.unperturbed.contains(vert(1, 1))
+        assert not graph.unperturbed.contains(vert(3, 0))
+        assert not graph.unperturbed.contains(vert(0, 5))
 
     def test_half_plane_closed_form(self, half_plane):
         graph = half_plane.perturbation
-        assert in_unperturbed_set(graph, vert(0, 1))
-        assert not in_unperturbed_set(graph, vert(5, 0))
+        assert graph.unperturbed.contains(vert(0, 1))
+        assert not graph.unperturbed.contains(vert(5, 0))
 
     def test_random_pendant_reduces_to_field(self, random_pendant_half):
         graph = random_pendant_half.perturbation
@@ -70,7 +72,7 @@ class TestUnperturbedSet:
         for x in range(-20, 21):
             for y in range(-20, 21):
                 v = vert(x, y)
-                assert in_unperturbed_set(graph, v) == reference(v)
+                assert graph.unperturbed.contains(v) == reference(v)
 
     @pytest.mark.parametrize("name", ["cone", "half_plane"])
     def test_closed_forms_on_large_window(self, name, request):
@@ -82,21 +84,21 @@ class TestUnperturbedSet:
                 v = vert(x, y)
                 if not graph.in_common(v):
                     continue
-                if in_unperturbed_set(graph, v) != entry.reference_lambda(v):
+                if graph.unperturbed.contains(v) != entry.reference_lambda(v):
                     mismatches += 1
         assert mismatches == 0
 
     def test_outside_common_subgraph_rejected(self, half_plane):
         with pytest.raises(VertexNotInCommonSubgraphError):
-            in_unperturbed_set(half_plane.perturbation, vert(0, -3))
+            half_plane.perturbation.unperturbed.contains(vert(0, -3))
 
     def test_counterexample_untouched_pendants(self, counterexample):
         graph = counterexample.perturbation
         # the decorated chain loses membership for x >= 0, its pendant does not
-        assert in_unperturbed_set(graph, vert(-3))
-        assert in_unperturbed_set(graph, vert(-3, label=1))
-        assert not in_unperturbed_set(graph, vert(2))
-        assert in_unperturbed_set(graph, vert(2, label=1))
+        assert graph.unperturbed.contains(vert(-3))
+        assert graph.unperturbed.contains(vert(-3, label=1))
+        assert not graph.unperturbed.contains(vert(2))
+        assert graph.unperturbed.contains(vert(2, label=1))
 
 
 class TestConditionSearch:
@@ -233,7 +235,7 @@ class TestDefect:
             }
             out = apply_defect(graph, psi)
             for v, val in out.items():
-                if graph.in_common(v) and in_unperturbed_set(graph, v):
+                if graph.in_common(v) and graph.unperturbed.contains(v):
                     assert val == 0.0
 
     def test_interior_delta_annihilated(self, half_plane):
@@ -271,7 +273,7 @@ class TestDefect:
             cell = tuple(int(c) for c in rng.integers(-25, 26, size=dim))
             label = int(rng.integers(0, graph.base.cell_size))
             x = Vertex(cell, label)
-            if not graph.in_common(x) or not in_unperturbed_set(graph, x):
+            if not graph.in_common(x) or not graph.unperturbed.contains(x):
                 continue
             psi = _state_near(x, base_oracle, rng)
             lhs = embed_state(graph, apply_laplacian(psi, base_oracle))
@@ -307,9 +309,9 @@ class TestExplicitPatch:
         assert graph.oracle.degree(vert(1)) == 1
         assert graph.oracle.degree(vert(5)) == 3
         assert graph.oracle.degree(vert(5, label=1)) == 1
-        assert not in_unperturbed_set(graph, vert(1))
-        assert not in_unperturbed_set(graph, vert(5))
-        assert in_unperturbed_set(graph, vert(3))
+        assert not graph.unperturbed.contains(vert(1))
+        assert not graph.unperturbed.contains(vert(5))
+        assert graph.unperturbed.contains(vert(3))
 
     def test_remove_edge(self, lattice1):
         patch = Patch(removed_edges=((vert(0), vert(1)),))
@@ -317,9 +319,9 @@ class TestExplicitPatch:
         assert graph.oracle.degree(vert(0)) == 1
         assert graph.oracle.degree(vert(1)) == 1
         assert graph.oracle.degree(vert(2)) == 2
-        assert not in_unperturbed_set(graph, vert(0))
-        assert not in_unperturbed_set(graph, vert(1))
-        assert in_unperturbed_set(graph, vert(2))
+        assert not graph.unperturbed.contains(vert(0))
+        assert not graph.unperturbed.contains(vert(1))
+        assert graph.unperturbed.contains(vert(2))
 
     def test_added_edge_to_absent_vertex_rejected(self, lattice1):
         with pytest.raises(InputError):
@@ -364,8 +366,8 @@ class TestExplicitPatch:
 class TestLambdaCache:
     def test_cached_answers_stable(self, cone):
         graph = cone.perturbation
-        first = [in_unperturbed_set(graph, vert(x, 1)) for x in range(20)]
-        second = [in_unperturbed_set(graph, vert(x, 1)) for x in range(20)]
+        first = [graph.unperturbed.contains(vert(x, 1)) for x in range(20)]
+        second = [graph.unperturbed.contains(vert(x, 1)) for x in range(20)]
         assert first == second
 
 

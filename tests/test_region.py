@@ -1,8 +1,8 @@
 """The array route of a residual row against the dict route.
 
 ``build_weyl_state`` and ``residual_row`` evaluate a row on a compiled
-``Region``; the dict operators of ``graphs`` and ``perturbation`` compute the
-same quantities vertex by vertex.  Both must agree to 1e-12 relative, with
+``Region``; the dict operators of ``reference.py`` compute the same
+quantities vertex by vertex.  Both must agree to 1e-12 relative, with
 the defect exactly zero on clear boxes.  ``Region`` itself must compile
 exactly what ``reference_region``, one ``out_edges`` call per row, compiles.
 """
@@ -21,11 +21,7 @@ from periodic_spectra import (
     PerturbedGraph,
     PredicatePatch,
     Vertex,
-    apply_defect,
-    apply_laplacian,
     build_weyl_state,
-    embed_state,
-    embedding_norm_bounds,
     find_unperturbed_box,
     locate_band_value,
     make_cone,
@@ -40,19 +36,27 @@ from periodic_spectra import (
     residual_sweep,
     shifted_tent_diff_sum,
     tent_norm_sq,
-    translate_state,
-    weighted_norm,
-    windowed_bloch_state,
 )
 from periodic_spectra import region as region_module
 from periodic_spectra import weyl as weyl_module
 from periodic_spectra.errors import InternalInvariantError, VertexNotInCommonSubgraphError
-from periodic_spectra.graphs import box_cells, sup_norm
 from periodic_spectra.perturbation import PerturbedOracle
 from periodic_spectra.cli import main
 from periodic_spectra.region import Region
 from periodic_spectra.weyl import embedded_route_residual, sup_norm_bound
 
+from reference import (
+    apply_defect,
+    apply_laplacian,
+    box_cells,
+    embed_state,
+    embedding_norm_bounds,
+    region_vertices,
+    sup_norm,
+    translate_state,
+    weighted_norm,
+    windowed_bloch_state,
+)
 from test_weyl import base_vector
 
 REL = 1e-12
@@ -240,11 +244,12 @@ def test_region_operators_match_dict_operators_on_any_box(graph, n, offset, seed
     support[inner] = True  # one cell inside the faces, where base_laplacian is exact
     grid[~support] = 0.0
     flat = grid.reshape(-1)
-    for i, x in enumerate(region.vertices):
+    vertices = region_vertices(region)
+    for i, x in enumerate(vertices):
         # the dict Laplacian divides by the degree: isolated vertices carry no value
         if graph.in_common(x) and graph.oracle.degree(x) == 0:
             flat[i] = 0.0
-    psi = {v: complex(x) for v, x in zip(region.vertices, flat) if x != 0}
+    psi = {v: complex(x) for v, x in zip(vertices, flat) if x != 0}
     rows = region.embed(grid)
 
     def as_dict(values):
@@ -263,17 +268,18 @@ def test_region_operators_match_dict_operators_on_any_box(graph, n, offset, seed
     assert_same(region.defect(grid), apply_defect(graph, psi))
     base_lap = apply_laplacian(psi, graph.base_oracle)
     lap = region.base_laplacian(grid).reshape(-1)
-    for i, x in enumerate(region.vertices):
+    for i, x in enumerate(vertices):
         assert abs(lap[i] - base_lap.get(x, 0.0)) <= REL * max(1.0, abs(lap[i]))
     for name, member in zip(region.names, region.unperturbed):
         assert member == (graph.in_common(name) and graph.unperturbed.contains(name))
     assert region.clear == all(
-        graph.in_common(x) and graph.unperturbed.contains(x) for x in region.vertices
+        graph.in_common(x) and graph.unperturbed.contains(x) for x in vertices
     )
-    if region.kept == len(region.vertices):
-        assert region.embedding_norm_bounds() == embedding_norm_bounds(graph, region.vertices)
+    if region.kept == len(vertices):
+        assert region.embedding_norm_bounds() == embedding_norm_bounds(graph, vertices)
     else:
-        with pytest.raises(VertexNotInCommonSubgraphError):
+        first = next(x for x in vertices if not graph.in_common(x))
+        with pytest.raises(VertexNotInCommonSubgraphError, match=re.escape(f"{first} is not")):
             region.embedding_norm_bounds()
 
 

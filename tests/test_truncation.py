@@ -10,6 +10,7 @@ of its off-diagonal block; the dense ``eigh``/``eigvalsh`` of
 the reference for both routes, and for the boundary count.
 """
 
+import itertools
 import json
 import os
 import re
@@ -24,6 +25,7 @@ from hypothesis import strategies as st
 
 from periodic_spectra import (
     BlochVectors,
+    Patch,
     PerturbedGraph,
     PredicatePatch,
     SpectrumApprox,
@@ -43,11 +45,12 @@ from periodic_spectra import (
     zero_mode_count,
 )
 from periodic_spectra.errors import EmptyBoxError, InputError, InternalInvariantError
-from periodic_spectra.graphs import FundEdge, Vertex, box_cells, vert
+from periodic_spectra.graphs import FundEdge, Vertex, vert
 from periodic_spectra import truncation
 from periodic_spectra.cli import main
 from periodic_spectra.truncation import _near_boundary_mask
 
+from reference import box_cells
 from test_graphs import small_graphs
 from test_region import explicit_patches
 
@@ -73,21 +76,21 @@ def dense_basis(box, vecs):
 def reference_boundary_count(h, near):
     """Boundary count of the form ``h`` from its dense ``eigh``: clusters at
     gaps above 1e-9, and per cluster the eigenvalues >= 1/2 of ``W^T W`` for
-    its near rows ``W``."""
+    its near rows ``W``, a value within 1e-9 below 1/2 included."""
     lam, vecs = np.linalg.eigh(h)
     count, start = 0, 0
     for end in [*(np.flatnonzero(np.diff(lam) > 1e-9) + 1).tolist(), len(lam)]:
         w = vecs[near, start:end]
-        count += int(np.sum(np.linalg.eigvalsh(w.T @ w) >= 0.5))
+        count += int(np.sum(np.linalg.eigvalsh(w.T @ w) >= 0.5 - 1e-9))
         start = end
     return count
 
 
 def column_rule_count(vecs, near):
     """The count before clusters: columns with at least half their mass on
-    the near rows."""
+    the near rows, up to 1e-9."""
     mass = np.abs(vecs) ** 2
-    return int(np.sum(mass[near].sum(axis=0) >= 0.5 * mass.sum(axis=0)))
+    return int(np.sum(mass[near].sum(axis=0) >= (0.5 - 1e-9) * mass.sum(axis=0)))
 
 
 class TestTruncate:
@@ -100,6 +103,7 @@ class TestTruncate:
     def test_pendant_chain_path(self, g11):
         path = truncate(periodic_oracle(g11.base), ((0, 199),))
         assert len(path) == 400
+        assert "index" not in vars(path)  # built when first read
         # interior chain vertices keep degree 3; the two ends lose a neighbor
         end = path.index[vert(0)]
         interior = path.index[vert(100)]
@@ -235,8 +239,9 @@ class TestCompare:
 
     def test_bad_eps_rejected(self, g11):
         spec = essential_spectrum(g11.base, 64)
-        with pytest.raises(InputError):
-            compare_spectra([0.0], spec, 0.0)
+        for eps in (0.0, -1.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(InputError, match="eps must be positive and finite"):
+                compare_spectra([0.0], spec, eps)
 
     @pytest.mark.parametrize("eps", [1e-9, 0.02, 0.3])
     def test_inside_fraction_follows_the_scalar_rule_at_the_edges(self, eps):
@@ -709,6 +714,25 @@ def test_boundary_count_is_invariant(case, random):
         basis[:, start:end] = basis[:, start:end] @ q
     band = SpectrumApprox(((-1.0, 1.0),), (), 2, 1e-8)
     assert compare_spectra(lam, band, 1.0, got, basis).boundary_count == count
+
+
+def test_modes_with_half_their_mass_near_the_boundary_count():
+    """A five-vertex path whose last vertex lies on a face of the box: the
+    modes at +-1/sqrt(2) have exactly half their mass within two steps of
+    it, which the solvers put a few ulps above or below 1/2 depending on the
+    order of the vertices.  Both count, in every order."""
+    patch = Patch(
+        removed_vertices=frozenset({vert(-1)}),
+        added_vertices=frozenset({vert(-1), vert(-1, label=1)}),
+        added_edges=((vert(-1), vert(-1, label=1)), (vert(-1, label=1), vert(0))),
+    )
+    box = truncate(PerturbedGraph(make_lattice(1), patch).oracle, ((-2, 2),))
+    assert box.vertices == (vert(-1), vert(-1, label=1), vert(0), vert(1), vert(2))
+    near = _near_boundary_mask(box, 2)
+    assert near.tolist() == [False, False, True, True, True]
+    assert reference_boundary_count(box.normalized_symmetric(), near) == 5
+    orders = itertools.permutations(range(len(box)))
+    assert {boundary_count(permuted(box, np.array(order))) for order in orders} == {5}
 
 
 @pytest.mark.parametrize(

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from periodic_spectra import (
     PerturbedGraph,
     PredicatePatch,
-    TentCutoff,
-    apply_defect,
     build_weyl_state,
     fit_loglog_slope,
     locate_band_value,
@@ -20,9 +18,6 @@ from periodic_spectra import (
     shifted_tent_diff_parts,
     shifted_tent_diff_sum,
     tent_norm_sq,
-    tent_value,
-    weighted_norm,
-    windowed_bloch_state,
 )
 from periodic_spectra import weyl
 from periodic_spectra.cli import main
@@ -34,14 +29,22 @@ from periodic_spectra.weyl import (
     sup_norm_bound,
 )
 
+from reference import (
+    TentCutoff,
+    apply_defect,
+    region_vertices,
+    tent_value,
+    weighted_norm,
+    windowed_bloch_state,
+)
+
 
 def base_vector(state) -> dict:
     """The translated, pre-embedding base-graph state of ``state``: its grid
     keyed by the region's vertices, zeros dropped."""
+    vertices = region_vertices(state.region)
     return {
-        state.region.vertices[i]: complex(val)
-        for i, val in enumerate(state.grid.reshape(-1))
-        if val != 0
+        vertices[i]: complex(val) for i, val in enumerate(state.grid.reshape(-1)) if val != 0
     }
 
 
