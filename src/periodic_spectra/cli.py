@@ -123,13 +123,11 @@ def _json_text(obj, indent: int = 0) -> str:
 
 
 class RunContext:
-    """Resolved parameters, manifest digest and output paths for one run."""
+    """Manifest digest and output paths for one run.  The output prefix is
+    ``out``, or the command name with ``-`` turned into ``_``."""
 
-    def __init__(self, command: str, params: dict, out_prefix: str, threads: int):
-        self.command = command
-        self.params = params
-        self.prefix = Path(out_prefix)
-        self.threads = threads
+    def __init__(self, command: str, params: dict, out: str | None):
+        self.prefix = Path(out or command.replace("-", "_"))
         manifest = {
             "command": command,
             "version": __version__,
@@ -137,11 +135,6 @@ class RunContext:
         }
         self.manifest_text = _json_text(manifest) + "\n"
         self.digest = hashlib.sha256(self.manifest_text.encode()).hexdigest()
-
-    def pool(self):
-        if self.threads <= 1:
-            return None
-        return ThreadPoolExecutor(max_workers=self.threads)
 
     def _path(self, extension: str) -> Path:
         path = Path(str(self.prefix) + extension)
@@ -153,16 +146,20 @@ class RunContext:
         path.write_text(self.manifest_text)
         return path
 
-    def _write_table(self, header: list[str], cells, extensions: tuple[str, ...]) -> list[Path]:
-        """Write ``cells`` from ``_format_columns`` to a ``.csv`` and/or a
-        ``.dat`` file, ``_CHUNK_ROWS`` rows at a time.  Each column's distinct
-        texts get their separator once: ``,`` after every column but the
-        last, a newline after the last.  A chunk fills one (rows, columns)
-        object array from them and is joined once; the ``.dat`` file gets the
-        same text with every ``,`` turned into a space.  A header that does
-        not name every column, columns of different lengths, or a cell text
-        that holds a separator (``,``, or a space when a ``.dat`` is written)
+    def write_table(
+        self, header: list[str], columns, extensions: tuple[str, ...] = (".csv",)
+    ) -> list[Path]:
+        """Write the one-dimensional ``columns``, formatted by
+        ``_format_columns``, to a ``.csv`` and/or a ``.dat`` file,
+        ``_CHUNK_ROWS`` rows at a time.  Each column's distinct texts get
+        their separator once: ``,`` after every column but the last, a
+        newline after the last.  A chunk fills one (rows, columns) object
+        array from them and is joined once; the ``.dat`` file gets the same
+        text with every ``,`` turned into a space.  A header that does not
+        name every column, columns of different lengths, or a cell text that
+        holds a separator (``,``, or a space when a ``.dat`` is written)
         raise ``InternalInvariantError``."""
+        cells = _format_columns(columns)
         lengths = {len(inverse) for _, inverse in cells}
         if len(header) != len(cells) or len(lengths) != 1:
             raise InternalInvariantError(
@@ -193,22 +190,12 @@ class RunContext:
                     out.write(text if extension == ".csv" else text.replace(",", " "))
         return paths
 
-    def write_csv(self, header: list[str], cells, plot_data: bool = False) -> Path:
-        """Write a table whose columns ``cells`` come from ``_format_columns``;
-        with ``plot_data`` the same rows also go space-separated to the
-        ``.dat`` file, from the same formatted text."""
-        return self._write_table(header, cells, (".csv", ".dat") if plot_data else (".csv",))[0]
-
     def write_json(self, payload: dict) -> Path:
         path = self._path(".json")
         body = {"manifest_sha256": self.digest}
         body.update(payload)
         path.write_text(_json_text(body) + "\n")
         return path
-
-    def write_plot_data(self, header: list[str], cells) -> Path:
-        """Write ``cells`` (as for ``write_csv``) space-separated."""
-        return self._write_table(header, cells, (".dat",))[0]
 
 
 def _resolve_threads(value: int | None) -> int:
@@ -303,18 +290,14 @@ def _vertex_json(v: Vertex | None):
 
 def _cmd_bands(args) -> int:
     base, _ = _resolve_graph(args.graph)
-    ctx = RunContext(
-        "bands",
-        {"graph": args.graph, "grid": args.grid},
-        args.out or "bands",
-        _resolve_threads(args.threads),
-    )
+    ctx = RunContext("bands", {"graph": args.graph, "grid": args.grid}, args.out)
     ks, lambdas = band_grid(base, args.grid)
     header = [f"k_{j + 1}" for j in range(base.dim)] + [
         f"lambda_{i + 1}" for i in range(base.cell_size)
     ]
     ctx.write_manifest()
-    ctx.write_csv(header, _format_columns([*ks.T, *lambdas.T]), plot_data=args.emit_plot_data)
+    extensions = (".csv", ".dat") if args.emit_plot_data else (".csv",)
+    ctx.write_table(header, [*ks.T, *lambdas.T], extensions)
     return 0
 
 
@@ -323,8 +306,7 @@ def _cmd_sigma_ess(args) -> int:
     ctx = RunContext(
         "sigma-ess",
         {"graph": args.graph, "grid": args.grid, "flat_tol": args.flat_tol},
-        args.out or "sigma_ess",
-        _resolve_threads(args.threads),
+        args.out,
     )
     spectrum = essential_spectrum(base, args.grid, args.flat_tol)
     ctx.write_manifest()
@@ -352,8 +334,7 @@ def _cmd_lambda_set(args) -> int:
             "perturbation": args.perturbation,
             "window": args.window,
         },
-        args.out or "lambda_set",
-        _resolve_threads(args.threads),
+        args.out,
     )
     header = [f"cell_{j + 1}" for j in range(base.dim)] + [
         f"v{i + 1}" for i in range(base.cell_size)
@@ -361,7 +342,7 @@ def _cmd_lambda_set(args) -> int:
     mask = perturbed.unperturbed.mask(window).reshape(-1, base.cell_size)
     bits = mask.astype(np.uint8).T
     ctx.write_manifest()
-    ctx.write_csv(header, _format_columns([*box_cell_array(window).T, *bits]))
+    ctx.write_table(header, [*box_cell_array(window).T, *bits])
     return 0
 
 
@@ -377,8 +358,7 @@ def _cmd_condition_p(args) -> int:
             "n": args.n,
             "window": args.window,
         },
-        args.out or "condition_p",
-        _resolve_threads(args.threads),
+        args.out,
     )
     report = find_unperturbed_box(perturbed, args.n, window)
     ctx.write_manifest()
@@ -415,8 +395,7 @@ def _cmd_weyl_check(args) -> int:
             "window": window_text,
             "grid": args.grid,
         },
-        args.out or "weyl_check",
-        _resolve_threads(args.threads),
+        args.out,
     )
     rows = residual_sweep(perturbed, args.lam, ns, window, args.grid)
     row_ns = [r.n for r in rows]
@@ -426,9 +405,9 @@ def _cmd_weyl_check(args) -> int:
     labels = [_vertex_label(r.center) for r in rows]
     sup_norms = [r.sup_norm for r in rows]
     ctx.write_manifest()
-    ctx.write_csv(
+    ctx.write_table(
         ["n", "x_n", "residual", "sup_norm", "bound"],
-        _format_columns([row_ns, labels, residuals, sup_norms, bounds]),
+        [row_ns, labels, residuals, sup_norms, bounds],
     )
     ctx.write_json(
         {
@@ -449,9 +428,7 @@ def _cmd_weyl_check(args) -> int:
         }
     )
     if args.emit_plot_data:
-        ctx.write_plot_data(
-            ["n", "residual", "bound"], _format_columns([row_ns, residuals, bounds])
-        )
+        ctx.write_table(["n", "residual", "bound"], [row_ns, residuals, bounds], (".dat",))
     return 0
 
 
@@ -471,8 +448,7 @@ def _cmd_truncate(args) -> int:
             "eps": eps,
             "grid": grid,
         },
-        args.out or "truncate",
-        _resolve_threads(args.threads),
+        args.out,
     )
     if args.wrap:
         if perturbed is not None:
@@ -485,7 +461,7 @@ def _cmd_truncate(args) -> int:
     reference = essential_spectrum(base, grid)
     report = compare_spectra(lam, reference, eps, box_graph=box_graph, vectors=vec)
     ctx.write_manifest()
-    ctx.write_csv(["index", "lambda"], _format_columns([np.arange(len(lam)), lam]))
+    ctx.write_table(["index", "lambda"], [np.arange(len(lam)), lam])
     ctx.write_json(
         {
             "vertices": len(box_graph),
@@ -509,11 +485,10 @@ def _cmd_random_trial(args) -> int:
             "trials": args.trials,
             "seed": args.seed,
         },
-        args.out or "random_trial",
-        _resolve_threads(args.threads),
+        args.out,
     )
     expected = clear_box_probability(args.n, args.p, args.dim)
-    pool = ctx.pool()
+    pool = ThreadPoolExecutor(max_workers=args.threads) if args.threads > 1 else None
     try:
         estimate = clear_box_monte_carlo(
             args.n, args.p, args.dim, args.trials, args.seed, pool=pool
@@ -633,6 +608,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if "threads" in args:
+            args.threads = _resolve_threads(args.threads)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -231,8 +231,10 @@ def locate_band_value(
     band value matches ``target`` to ``refine_tol``.  Raises
     ``NotInSpectrumError`` when no band sample comes within ``match_tol`` or
     when the refined band value still misses ``target`` by more than
-    ``refine_tol``.
+    ``refine_tol``, and ``InputError`` when ``target`` is not finite.
     """
+    if not math.isfinite(target):
+        raise InputError(f"the band value must be finite, got {target}")
     ks, lambdas = band_grid(graph, grid_per_axis)
     gaps = np.abs(lambdas - target).reshape(-1)
     idx = int(np.argmin(gaps))

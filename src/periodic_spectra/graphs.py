@@ -15,6 +15,7 @@ self-adjoint.
 
 from __future__ import annotations
 
+import math
 import operator
 import warnings
 from dataclasses import dataclass
@@ -139,17 +140,29 @@ def build_periodic(dim: int, cell_size: int, edges: Iterable[FundEdge]) -> Perio
 
 Window = tuple[tuple[int, int], ...]  # inclusive ``(lo, hi)`` per axis
 
+# Cells of a whole box that ``box_cell_array`` lists, checked before
+# allocating.  The size of the unperturbed-set mask cap: 256^3 cells (the
+# ``bands`` grid 256 of a 3-D graph) sit exactly at it.
+_BOX_CELL_LIMIT = 1 << 24
+
 
 def box_cell_array(box: Sequence[tuple[int, int]], at: np.ndarray | None = None) -> np.ndarray:
     """The cells of ``box`` as an int64 array of shape ``(m, d)`` in
     lexicographic order (the last axis varies fastest), or only the cells at
     positions ``at`` of that order; raises ``InputError`` when a coordinate
-    does not fit in 64 bits."""
+    does not fit in 64 bits, or when the whole box is asked for and has more
+    than ``_BOX_CELL_LIMIT`` cells."""
     limit = 1 << 63
     if any(lo < -limit or hi >= limit for lo, hi in box if lo <= hi):
         raise InputError(f"box {list(box)} has coordinates outside the 64-bit range")
     sizes = [max(hi - lo + 1, 0) for lo, hi in box]
     if at is None:
+        count = math.prod(sizes)
+        if count > _BOX_CELL_LIMIT:
+            raise InputError(
+                f"box {list(box)} has {count} cells; a whole box is capped at "
+                f"{_BOX_CELL_LIMIT}"
+            )
         # the whole box: each axis's coordinates broadcast over the others
         cells = np.empty((*sizes, len(box)), dtype=np.int64)
         for axis, ((lo, _), size) in enumerate(zip(box, sizes)):

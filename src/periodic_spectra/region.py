@@ -5,7 +5,8 @@ and is compiled once per test state.  It has two sides:
 
 * the *base side* is the dense grid ``(2h+1, ..., 2h+1, cell_size)`` of base
   vertices in lexicographic cell order, labels last.  The base Laplacian acts
-  on it by one shift-and-add per oriented edge template and asks no oracle;
+  on it, padded with zeros by the propagation length, by one shift-and-add
+  per oriented edge template, and asks no oracle;
 * the *perturbed side* lists, as rows, the kept box vertices (in grid
   order) followed by every neighbour outside them, with CSR neighbour arrays
   that keep only targets that are rows themselves.
@@ -42,7 +43,7 @@ and the audit makes it list that edge back.  The dict
 operators ``apply_laplacian``, ``weighted_norm``, ``embed_state``,
 ``apply_defect`` and ``embedding_norm_bounds`` of ``tests/reference.py``
 compute the same quantities vertex by vertex and are the reference for this
-route.
+route; its ``state_vector`` reads a test state's rows back as such a dict.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ class Region:
         side = 2 * half + 1
         self.shape = (side,) * dim + (s,)
         self._box = [(c - half, c + half) for c in center]
-        pad = propagation_length(base)
+        self._pad = pad = propagation_length(base)
         kept, members = graph.unperturbed._kept_and_mask(
             [(lo - pad, hi + pad) for lo, hi in self._box]
         )
@@ -113,12 +114,6 @@ class Region:
         self.unperturbed = np.zeros(self.size, dtype=bool)
         on = self._keys < self._grid_keys
         self.unperturbed[on] = self._member[self._keys[on]]
-
-        self._templates = [
-            (e.origin, e.target, *_shift_slices(e.index, side))
-            for e in base.oriented_edges()
-            if all(abs(i) < side for i in e.index)
-        ]
 
     def _compile(self, box_keys: np.ndarray) -> np.ndarray:
         """Set the row keys, ``size``, ``degrees`` and ``indices`` from the
@@ -243,10 +238,14 @@ class Region:
     def base_laplacian(self, grid: np.ndarray) -> np.ndarray:
         """Base Laplacian of a grid state, taken as zero outside the box;
         exact on the box for states supported ``propagation_length`` cells
-        inside its faces."""
+        inside its faces.  The grid is padded by the propagation length, so
+        every edge template reads one full shifted slice of it."""
+        pad, side = self._pad, self.shape[0]
+        padded = np.pad(grid, [(pad, pad)] * (grid.ndim - 1) + [(0, 0)])
         out = np.zeros_like(grid)
-        for a, b, dst, src in self._templates:
-            out[dst + (a,)] += grid[src + (b,)]
+        for e in self.graph.base.oriented_edges():
+            ahead = tuple(slice(pad + i, pad + i + side) for i in e.index)
+            out[..., e.origin] += padded[ahead + (e.target,)]
         return out / self._base_degrees
 
     def embed(self, grid: np.ndarray) -> np.ndarray:
@@ -331,16 +330,3 @@ def _entry_slots(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     first = np.cumsum(counts) - counts
     return np.repeat(starts - first, counts) + np.arange(int(counts.sum()))
 
-
-def _shift_slices(index: Cell, side: int) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
-    """Slices with ``out[dst] += grid[src]`` reading the value ``index`` cells
-    ahead along every axis."""
-    dst, src = [], []
-    for i in index:
-        if i >= 0:
-            dst.append(slice(0, side - i))
-            src.append(slice(i, side))
-        else:
-            dst.append(slice(-i, side))
-            src.append(slice(0, side + i))
-    return tuple(dst), tuple(src)

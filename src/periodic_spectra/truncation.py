@@ -164,7 +164,6 @@ class BoxGraph:
 class TruncationReport:
     """Comparison of box eigenvalues against a reference spectrum."""
 
-    eigenvalues: tuple[float, ...]
     inside_fraction: float
     boundary_count: int | None = None
 
@@ -390,7 +389,7 @@ def compare_spectra(
         raise InputError(f"eps must be positive and finite, got {eps}")
     eigs = np.asarray(eigenvalues, dtype=np.float64)
     if not eigs.size:
-        return TruncationReport((), 1.0, None)
+        return TruncationReport(1.0, None)
     # ``reference.distance(x) <= eps`` for every x at once: with eps > 0,
     # max(lo - x, x - hi, 0) <= eps holds iff both differences are <= eps
     lo, hi = np.array(reference.intervals, dtype=np.float64).reshape(-1, 2).T
@@ -399,7 +398,7 @@ def compare_spectra(
     boundary_count: int | None = None
     if box_graph is not None and vectors is not None:
         boundary_count = _count_boundary_modes(box_graph, eigs, vectors)
-    return TruncationReport(tuple(eigs.tolist()), fraction, boundary_count)
+    return TruncationReport(fraction, boundary_count)
 
 
 def _count_boundary_modes(

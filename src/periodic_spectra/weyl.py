@@ -12,7 +12,6 @@ alongside the measurement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -24,7 +23,7 @@ from .errors import (
     NoClearBoxError,
 )
 from .floquet import fiber_matrices, locate_band_value
-from .graphs import PeriodicGraph, State, Vertex, Window
+from .graphs import PeriodicGraph, Vertex, Window
 from .perturbation import PerturbedGraph, WindowReport, find_unperturbed_box
 from .region import Region
 
@@ -124,14 +123,6 @@ class WeylState:
     region: Region  # padded box the state was built on
     grid: np.ndarray  # translated, pre-embedding base-graph state on the region's grid
 
-    @cached_property
-    def vector(self) -> State:
-        """The state on the kept box vertices, zeros dropped, built when
-        first read."""
-        rows = _state_rows(self)[: self.region.kept]
-        names = self.region.names
-        return {names[r]: complex(rows[r]) for r in np.flatnonzero(rows).tolist()}
-
 
 def build_weyl_state(
     graph: PerturbedGraph,
@@ -199,16 +190,14 @@ def _state_rows(state: WeylState) -> np.ndarray:
     return state.region.embed(state.grid) / state.embed_norm
 
 
-def residual(graph: PerturbedGraph, state: WeylState, lam: float) -> float:
+def residual(state: WeylState, lam: float) -> float:
     """Weighted norm of (perturbed Laplacian - lam) applied to the state."""
     region = state.region
     f = _state_rows(state)
     return region.norm(region.laplacian(f) - lam * f)
 
 
-def embedded_route_residual(
-    graph: PerturbedGraph, state: WeylState, lam: float
-) -> float:
+def embedded_route_residual(state: WeylState, lam: float) -> float:
     """The same residual computed through the base graph.
 
     Applies (base Laplacian - lam) before transplanting; when the state's
@@ -220,13 +209,13 @@ def embedded_route_residual(
     return region.norm(region.embed(diff)) / state.embed_norm
 
 
-def sup_norm_bound(graph: PerturbedGraph, state: WeylState) -> float:
+def sup_norm_bound(state: WeylState) -> float:
     """A priori bound on the state's largest amplitude."""
     lower, _ = state.region.embedding_norm_bounds()
-    return (1.0 / lower) * tent_norm_sq(state.n, graph.base.dim) ** -0.5
+    return (1.0 / lower) * tent_norm_sq(state.n, state.region.graph.base.dim) ** -0.5
 
 
-def residual_bound(graph: PerturbedGraph, state: WeylState) -> float:
+def residual_bound(state: WeylState) -> float:
     """Evaluated closed-form bound on the residual for this state.
 
     Squares to (upper/lower)^2 * (#oriented bridges) * (1-D tent mass)^-1 *
@@ -238,7 +227,7 @@ def residual_bound(graph: PerturbedGraph, state: WeylState) -> float:
     n = state.n
     bridge_sum = 0.0
     bridges = 0
-    for e in graph.base.oriented_edges():
+    for e in state.region.graph.base.oriented_edges():
         if not e.is_bridge:
             continue
         bridges += 1
@@ -267,9 +256,7 @@ class ResidualRow:
     defect_sup: float
 
 
-def residual_row(
-    graph: PerturbedGraph, state: WeylState, lam: float
-) -> ResidualRow:
+def residual_row(state: WeylState, lam: float) -> ResidualRow:
     """Measure one state and check its certificate.
 
     Raises ``InternalInvariantError`` when the residual exceeds the bound or
@@ -281,10 +268,10 @@ def residual_row(
     row = ResidualRow(
         n=state.n,
         center=state.center,
-        residual=residual(graph, state, lam),
+        residual=residual(state, lam),
         sup_norm=float(np.max(np.abs(_state_rows(state)))),
-        bound=residual_bound(graph, state),
-        route_residual=embedded_route_residual(graph, state, lam),
+        bound=residual_bound(state),
+        route_residual=embedded_route_residual(state, lam),
         defect_sup=float(np.max(np.abs(state.region.defect(state.grid)))),
     )
     where = f"at n={row.n}, centre {row.center}"
@@ -323,7 +310,7 @@ def residual_sweep(
         report = _clear_box(graph, n, window)
         if location is None:
             location = _band_location(graph.base, lam, grid_per_axis)
-        rows.append(residual_row(graph, _state_on_box(graph, report, location), lam))
+        rows.append(residual_row(_state_on_box(graph, report, location), lam))
     return rows
 
 

@@ -19,7 +19,7 @@ from periodic_spectra.errors import (
 from periodic_spectra.graphs import Cell, GraphOracle, PeriodicGraph, State, Vertex
 from periodic_spectra.perturbation import PerturbedGraph
 from periodic_spectra.region import Region
-from periodic_spectra.weyl import _check_eigenpair, tent_norm_sq
+from periodic_spectra.weyl import WeylState, _check_eigenpair, _state_rows, tent_norm_sq
 
 
 def box_cells(box: Sequence[tuple[int, int]]) -> Iterator[Cell]:
@@ -33,6 +33,14 @@ def region_vertices(region: Region) -> list[Vertex]:
     """Every box vertex of ``region``, kept or not, in grid order."""
     s = region.shape[-1]
     return [Vertex(cell, label) for cell in box_cells(region._box) for label in range(s)]
+
+
+def state_vector(state: WeylState) -> State:
+    """The normalized transplanted test state on its kept box vertices as a
+    dict, zeros dropped, in row order."""
+    rows = _state_rows(state)[: state.region.kept]
+    names = state.region.names
+    return {names[r]: complex(rows[r]) for r in np.flatnonzero(rows).tolist()}
 
 
 def _sorted_items(psi: Mapping[Vertex, complex]):

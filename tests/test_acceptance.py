@@ -205,7 +205,7 @@ def test_criterion_08_residual_decay(announce):
         residuals = []
         for n in (4, 8, 16, 32):
             state = build_weyl_state(graph, lam, n, window)
-            row = residual_row(graph, state, lam)
+            row = residual_row(state, lam)
             residuals.append(row.residual)
             if row.residual > row.bound:
                 ok = False

@@ -3,8 +3,10 @@ experiment scripts, so a renamed or deleted function fails here rather than
 when a script is next run by hand."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -12,8 +14,11 @@ import sys
 from pathlib import Path
 
 import periodic_spectra
+from periodic_spectra import weyl
+from periodic_spectra.cli import RunContext
 from periodic_spectra.graphs import Vertex
 from periodic_spectra.region import Region
+from periodic_spectra.truncation import TruncationReport
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -24,6 +29,11 @@ REFERENCE_ONLY = (
     "_sorted_items", "embed_state", "apply_defect", "embedding_norm_bounds",
     "_support_degrees", "in_unperturbed_set", "windowed_bloch_state", "TentCutoff",
     "tent_value", "box_cells",
+)
+
+# The certificate of a test state: each reads the graph from the state.
+CERTIFICATE = (
+    "residual", "embedded_route_residual", "sup_norm_bound", "residual_bound", "residual_row",
 )
 
 
@@ -60,6 +70,45 @@ def test_reference_route_is_not_in_the_package():
     ]
     assert found == []
     assert not hasattr(Region, "vertices") and not hasattr(Vertex, "shifted")
+
+
+def test_unread_fields_and_arguments_stay_deleted(tmp_path):
+    """Fields no command reads, the graph argument a certificate takes from
+    its state, and the per-command thread plumbing of ``RunContext``."""
+    assert [f.name for f in dataclasses.fields(TruncationReport)] == [
+        "inside_fraction", "boundary_count",
+    ]
+    assert not hasattr(weyl.WeylState, "vector")
+    assert "vector" not in {f.name for f in dataclasses.fields(weyl.WeylState)}
+    ctx = RunContext("bands", {}, str(tmp_path / "t"))
+    assert not hasattr(ctx, "pool") and not hasattr(ctx, "threads")
+    assert "threads" not in inspect.signature(RunContext).parameters
+    for name in CERTIFICATE:
+        assert "graph" not in inspect.signature(getattr(weyl, name)).parameters, name
+
+
+def test_every_module_uses_what_it_imports():
+    """A standard-library stand-in for a linter's unused-import check: every
+    name a package module imports is read somewhere in it.  ``__init__``
+    imports to re-export and is left out."""
+    unused = []
+    for path in sorted(Path(periodic_spectra.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used
+        ]
+    assert unused == []
 
 
 def test_spectra_report_runs(capsys):

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from periodic_spectra import band_grid, cli, get_entry, make_g11, weyl
+from periodic_spectra import graphs as graphs_module
 from periodic_spectra.cli import RunContext, _fmt, _format_columns, main
 from periodic_spectra.errors import InternalInvariantError
 from periodic_spectra.region import Region
@@ -48,6 +49,23 @@ def row_by_row(columns, sep):
 
 def table_text(digest, header_line, lines):
     return "\n".join([f"# manifest-sha256: {digest}", header_line, *lines]) + "\n"
+
+
+# One small run of every file-writing command, and the output prefix it
+# takes without ``--out``.
+SMALL_RUNS = [
+    (["bands", "--graph", "builtin:lattice1", "--grid", "4"], "bands"),
+    (["sigma-ess", "--graph", "builtin:lattice1", "--grid", "4"], "sigma_ess"),
+    (["lambda-set", "--graph", "builtin:lattice2", "--perturbation", "builtin:cone",
+      "--window", "0,3,0,3"], "lambda_set"),
+    (["condition-p", "--graph", "builtin:lattice2", "--perturbation", "builtin:cone",
+      "--n", "1", "--window", "0,10,0,10"], "condition_p"),
+    (["weyl-check", "--graph", "builtin:lattice2", "--perturbation", "builtin:half_plane",
+      "--lambda", "0.0", "--n-list", "2"], "weyl_check"),
+    (["truncate", "--graph", "builtin:lattice1", "--box=0,5"], "truncate"),
+    (["random-trial", "--p", "0.5", "--n", "1", "--trials", "100", "--seed", "3"],
+     "random_trial"),
+]
 
 
 class TestSigmaEss:
@@ -192,10 +210,11 @@ def tables(draw):
 def write_both(cols, chunk_rows):
     header = [f"c{j}" for j in range(len(cols))]
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_CHUNK_ROWS", chunk_rows):
-        ctx = RunContext("table", {}, str(Path(tmp) / "t"), 1)
-        cells = _format_columns([values for _, values in cols])
-        csv = ctx.write_csv(header, cells).read_text()
-        dat = ctx.write_plot_data(header, cells).read_text()
+        ctx = RunContext("table", {}, str(Path(tmp) / "t"))
+        columns = [values for _, values in cols]
+        (csv,) = ctx.write_table(header, columns)
+        (dat,) = ctx.write_table(header, columns, (".dat",))
+        csv, dat = csv.read_text(), dat.read_text()
     return ctx.digest, header, csv, dat
 
 
@@ -227,23 +246,22 @@ class TestColumnFormatter:
         with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
             cli, "_CHUNK_ROWS", chunk_rows
         ):
-            ctx = RunContext("table", {}, str(Path(tmp) / "t"), 1)
-            cells = _format_columns([values for _, values in cols])
-            both_csv = ctx.write_csv(header, cells, plot_data=True).read_text()
-            both_dat = Path(tmp, "t.dat").read_text()
+            ctx = RunContext("table", {}, str(Path(tmp) / "t"))
+            paths = ctx.write_table(header, [values for _, values in cols], (".csv", ".dat"))
+            both_csv, both_dat = (path.read_text() for path in paths)
         assert (both_csv, both_dat) == (csv, dat)
 
     @pytest.mark.parametrize("text, plot_data", [("a,b", False), ("a,b", True), ("a b", True)])
     def test_cell_holding_a_separator_rejected(self, tmp_path, text, plot_data):
-        ctx = RunContext("table", {}, str(tmp_path / "t"), 1)
-        cells = _format_columns([np.array([1, 2]), [text, "c"]])
+        ctx = RunContext("table", {}, str(tmp_path / "t"))
+        extensions = (".csv", ".dat") if plot_data else (".csv",)
         with pytest.raises(InternalInvariantError, match="separator"):
-            ctx.write_csv(["n", "label"], cells, plot_data=plot_data)
+            ctx.write_table(["n", "label"], [np.array([1, 2]), [text, "c"]], extensions)
 
     def test_space_in_a_csv_only_table_accepted(self, tmp_path):
-        ctx = RunContext("table", {}, str(tmp_path / "t"), 1)
-        cells = _format_columns([np.array([1, 2]), ["a b", "c"]])
-        text = ctx.write_csv(["n", "label"], cells).read_text()
+        ctx = RunContext("table", {}, str(tmp_path / "t"))
+        (path,) = ctx.write_table(["n", "label"], [np.array([1, 2]), ["a b", "c"]])
+        text = path.read_text()
         assert text.splitlines()[1:] == ["n,label", "1,a b", "2,c"]
         assert not (tmp_path / "t.dat").exists()
 
@@ -258,9 +276,10 @@ class TestColumnFormatter:
     )
     @pytest.mark.parametrize("plot_data", [False, True])
     def test_table_shape_mismatch_rejected(self, tmp_path, header, columns, plot_data):
-        ctx = RunContext("table", {}, str(tmp_path / "t"), 1)
+        ctx = RunContext("table", {}, str(tmp_path / "t"))
+        extensions = (".csv", ".dat") if plot_data else (".csv",)
         with pytest.raises(InternalInvariantError, match="columns of lengths"):
-            ctx.write_csv(header, _format_columns(columns), plot_data=plot_data)
+            ctx.write_table(header, columns, extensions)
 
     def test_distinct_bit_patterns_keep_their_text(self):
         values = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324])
@@ -400,11 +419,8 @@ class TestWeylCheck:
     @pytest.mark.parametrize(
         "owner, attr, fake, message",
         [
-            (weyl, "residual_bound", lambda graph, state: 1e-9, "exceeds its bound"),
-            (
-                weyl, "embedded_route_residual", lambda graph, state, lam: 0.0,
-                "differs from residual",
-            ),
+            (weyl, "residual_bound", lambda state: 1e-9, "exceeds its bound"),
+            (weyl, "embedded_route_residual", lambda state, lam: 0.0, "differs from residual"),
             (
                 Region, "defect", lambda self, grid: np.ones(len(self.names)),
                 "is not 0 on the clear box",
@@ -613,6 +629,44 @@ class TestErrorPaths:
         assert f"{message}, got {value}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_lambda_exits_2(self, tmp_path, capsys, value):
+        assert run(
+            tmp_path,
+            "weyl-check", "--graph", "builtin:lattice2", "--perturbation", "builtin:half_plane",
+            f"--lambda={value}", "--n-list", "2", "--out", str(tmp_path / "o"),
+        ) == 2
+        assert f"the band value must be finite, got {value}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bands", "--graph", "builtin:lattice3", "--grid", "100000"],
+            ["sigma-ess", "--graph", "builtin:lattice2", "--grid", "8192"],
+            ["weyl-check", "--graph", "builtin:lattice2", "--perturbation",
+             "builtin:half_plane", "--lambda", "0.0", "--n-list", "2", "--grid", "8192"],
+            ["truncate", "--graph", "builtin:lattice1", "--box=0,5", "--grid", "16777218"],
+            ["truncate", "--graph", "builtin:lattice2", "--box=0,4096,0,4096", "--wrap"],
+            ["random-trial", "--p", "0.5", "--n", "100000", "--dim", "3", "--trials", "1",
+             "--seed", "0"],
+        ],
+        ids=["bands", "sigma-ess", "weyl-check", "truncate", "truncate-wrap", "random-trial"],
+    )
+    def test_box_beyond_the_cell_cap_exits_2(self, tmp_path, capsys, argv):
+        assert run(tmp_path, *argv, "--out", str(tmp_path / "o")) == 2
+        assert "a whole box is capped at 16777216" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_box_at_the_cell_cap_runs(self, tmp_path, monkeypatch):
+        """The cap is inclusive: with it lowered to 4^3 cells, a 3-D
+        ``bands`` grid of 4 runs and one of 6 exits 2."""
+        monkeypatch.setattr(graphs_module, "_BOX_CELL_LIMIT", 64)
+        argv = ["bands", "--graph", "builtin:lattice3", "--out", str(tmp_path / "o")]
+        assert run(tmp_path, *argv, "--grid", "4") == 0
+        assert len((tmp_path / "o.csv").read_text().splitlines()) == 2 + 64
+        assert run(tmp_path, *argv, "--grid", "6") == 2
+
     def test_base_mismatch_rejected(self, tmp_path):
         assert run(
             tmp_path,
@@ -688,6 +742,19 @@ class TestResolution:
             "--lambda", "0.0", "--n-list", "2",
             "--out", str(tmp_path / "env2"),
         ) == 2
+
+    @pytest.mark.parametrize("argv, prefix", SMALL_RUNS, ids=[p for _, p in SMALL_RUNS])
+    def test_bad_thread_variable_exits_2(self, tmp_path, monkeypatch, capsys, argv, prefix):
+        monkeypatch.setenv("PERIODIC_SPECTRA_THREADS", "nope")
+        assert run(tmp_path, *argv) == 2
+        assert "PERIODIC_SPECTRA_THREADS must be an integer" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, prefix", SMALL_RUNS, ids=[p for _, p in SMALL_RUNS])
+    def test_default_prefix_is_the_command_name(self, tmp_path, argv, prefix):
+        assert run(tmp_path, *argv) == 0
+        assert (tmp_path / f"{prefix}.manifest.json").exists()
+        assert {path.name.split(".")[0] for path in tmp_path.iterdir()} == {prefix}
 
     def test_perturbed_entry_as_graph(self, tmp_path):
         code = run(

@@ -94,7 +94,7 @@ class TestDecoratedSquareLattice:
         residuals = []
         for n in (4, 8, 16):
             state = build_weyl_state(cut, 0.5, n, window)
-            row = residual_row(cut, state, 0.5)
+            row = residual_row(state, 0.5)
             assert row.defect_sup == 0.0
             assert row.residual <= row.bound
             residuals.append(row.residual)
@@ -130,7 +130,7 @@ def test_residual_chain_on_arbitrary_graphs(graph):
     if find_unperturbed_box(perturbed, n, ((-30, 30),)).center is None:
         return
     state = build_weyl_state(perturbed, target, n, ((-30, 30),), grid_per_axis=16)
-    row = residual_row(perturbed, state, target)
+    row = residual_row(state, target)
     assert row.residual <= row.bound + 1e-12
     assert abs(row.residual - row.route_residual) <= 1e-10
     assert row.defect_sup == 0.0

@@ -52,6 +52,7 @@ from reference import (
     embed_state,
     embedding_norm_bounds,
     region_vertices,
+    state_vector,
     sup_norm,
     translate_state,
     weighted_norm,
@@ -108,16 +109,16 @@ def dict_route(graph, lam, n, window):
 
 def region_route(graph, lam, n, window):
     state = build_weyl_state(graph, lam, n, window, GRID)
-    row = residual_row(graph, state, lam)
+    row = residual_row(state, lam)
     return {
         "center": state.center,
-        "vector": state.vector,
+        "vector": state_vector(state),
         "base_vector": base_vector(state),
         "norm": state.embed_norm,
-        "residual": residual(graph, state, lam),
-        "route_residual": embedded_route_residual(graph, state, lam),
-        "bound": residual_bound(graph, state),
-        "sup_norm_bound": sup_norm_bound(graph, state),
+        "residual": residual(state, lam),
+        "route_residual": embedded_route_residual(state, lam),
+        "bound": residual_bound(state),
+        "sup_norm_bound": sup_norm_bound(state),
         "sup_norm": row.sup_norm,
         "defect_sup": row.defect_sup,
         "row": row,
@@ -439,24 +440,25 @@ def test_residual_sweep_builds_no_names(monkeypatch):
     states = []
     row = weyl_module.residual_row
 
-    def keep_state(g, state, lam):
+    def keep_state(state, lam):
         states.append(state)
-        return row(g, state, lam)
+        return row(state, lam)
 
     monkeypatch.setattr(weyl_module, "residual_row", keep_state)
     residual_sweep(graph, lam, [n], window, GRID)
     (state,) = states
     region, center = state.region, state.center.cell
     assert region.clear
-    assert "names" not in vars(region) and "vector" not in vars(state)
+    assert "names" not in vars(region)
     assert region.names == reference_region(graph, center, region.half).names
     band, k0, xi0 = locate_band_value(graph.base, lam, GRID)
     psi = windowed_bloch_state(graph.base, band, k0, xi0, n)
     embedded = embed_state(graph, translate_state(psi, center))
     norm = weighted_norm(embedded, graph.oracle)
-    assert list(state.vector) == list(embedded)
+    vector = state_vector(state)
+    assert list(vector) == list(embedded)
     for v, x in embedded.items():
-        assert abs(state.vector[v] - x / norm) <= REL * abs(x / norm)
+        assert abs(vector[v] - x / norm) <= REL * abs(x / norm)
 
 
 def test_tampered_template_fails_the_self_check(tmp_path, monkeypatch, capsys):

@@ -33,6 +33,7 @@ from reference import (
     TentCutoff,
     apply_defect,
     region_vertices,
+    state_vector,
     tent_value,
     weighted_norm,
     windowed_bloch_state,
@@ -168,9 +169,10 @@ class TestWeylState:
         graph = cone.perturbation
         state = build_weyl_state(graph, 0.0, 4, ((0, 40), (0, 40)))
         assert state.center == vert(5, 5)
-        norm = weighted_norm(state.vector, graph.oracle)
+        vector = state_vector(state)
+        norm = weighted_norm(vector, graph.oracle)
         assert norm == pytest.approx(1.0, abs=1e-12)
-        for v in state.vector:
+        for v in vector:
             assert all(abs(c - ctr) <= 3 for c, ctr in zip(v.cell, state.center.cell))
 
     def test_half_plane_centered_on_axis(self, half_plane):
@@ -181,15 +183,16 @@ class TestWeylState:
     def test_peak_sits_at_center(self, half_plane):
         graph = half_plane.perturbation
         state = build_weyl_state(graph, 0.0, 4, ((-30, 30), (-30, 30)))
-        peak = max(state.vector, key=lambda v: abs(state.vector[v]))
+        vector = state_vector(state)
+        peak = max(vector, key=lambda v: abs(vector[v]))
         assert peak.cell == state.center.cell
 
     def test_sup_norm_bound_holds(self, half_plane):
         graph = half_plane.perturbation
         for n in (1, 2, 4, 8):
             state = build_weyl_state(graph, 0.0, n, ((-30, 30), (-30, 30)))
-            observed = max(abs(v) for v in state.vector.values())
-            assert observed <= sup_norm_bound(graph, state) + 1e-12
+            observed = max(abs(v) for v in state_vector(state).values())
+            assert observed <= sup_norm_bound(state) + 1e-12
 
     def test_no_clear_box_raises(self, half_plane):
         with pytest.raises(NoClearBoxError):
@@ -225,29 +228,29 @@ class TestResidual:
         lam = 0.5
         state = build_weyl_state(graph, lam, 4, ((0, 0),))
         assert state.center == vert(0)
-        direct = residual(graph, state, lam)
-        via_base = embedded_route_residual(graph, state, lam)
+        direct = residual(state, lam)
+        via_base = embedded_route_residual(state, lam)
         assert direct == pytest.approx(via_base, abs=1e-13)
 
     def test_route_identity_on_half_plane(self, half_plane):
         graph = half_plane.perturbation
         for n in (2, 4, 8):
             state = build_weyl_state(graph, 0.0, n, ((-20, 20), (0, 30)))
-            a = residual(graph, state, 0.0)
-            b = embedded_route_residual(graph, state, 0.0)
+            a = residual(state, 0.0)
+            b = embedded_route_residual(state, 0.0)
             assert abs(a - b) <= 1e-10
 
     def test_small_state_residual_below_operator_bound(self, cone):
         graph = cone.perturbation
         state = build_weyl_state(graph, 0.0, 1, ((0, 20), (0, 20)))
-        assert residual(graph, state, 0.0) <= 2.0
+        assert residual(state, 0.0) <= 2.0
 
     def test_rows_against_bound(self, half_plane):
         graph = half_plane.perturbation
         window = ((-40, 40), (-40, 40))
         for n in (2, 4, 8):
             state = build_weyl_state(graph, 0.7, n, window)
-            row = residual_row(graph, state, 0.7)
+            row = residual_row(state, 0.7)
             assert row.residual <= row.bound
             assert row.defect_sup == 0.0
 
@@ -257,7 +260,7 @@ class TestResidual:
         rows = []
         for n in (4, 8, 16, 32):
             state = build_weyl_state(graph, 0.0, n, window)
-            rows.append(residual(graph, state, 0.0))
+            rows.append(residual(state, 0.0))
         slope = fit_loglog_slope([4, 8, 16, 32], rows)
         assert slope <= -0.8
 
