@@ -24,7 +24,6 @@ from .catalog import (
     make_random_pendant,
 )
 from .floquet import (
-    BandSample,
     SpectrumApprox,
     band_eigensystem,
     band_grid,
@@ -38,7 +37,6 @@ from .graphs import (
     PeriodicGraph,
     Vertex,
     build_periodic,
-    edge_index,
     periodic_oracle,
     propagation_length,
     vert,
@@ -48,7 +46,6 @@ from .perturbation import (
     PerturbedGraph,
     PredicatePatch,
     WindowReport,
-    box_is_clear,
     find_unperturbed_box,
 )
 from .region import Region
@@ -77,7 +74,6 @@ from .weyl import (
 
 __all__ = [
     "__version__",
-    "BandSample",
     "BlochVectors",
     "BoxGraph",
     "CatalogEntry",
@@ -96,13 +92,11 @@ __all__ = [
     "WindowReport",
     "band_eigensystem",
     "band_grid",
-    "box_is_clear",
     "build_periodic",
     "build_weyl_state",
     "clear_box_monte_carlo",
     "clear_box_probability",
     "compare_spectra",
-    "edge_index",
     "essential_spectrum",
     "fiber_matrices",
     "find_unperturbed_box",

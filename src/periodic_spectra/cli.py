@@ -41,7 +41,7 @@ from .floquet import band_grid, essential_spectrum
 from .graphs import PeriodicGraph, Vertex, box_cell_array, periodic_oracle
 from .io import load_graph_file, load_perturbation_file, perturbation_from_spec
 from .perturbation import PerturbedGraph, find_unperturbed_box
-from .truncation import compare_spectra, spectrum_of_box, truncate, zero_mode_count
+from .truncation import check_eps, compare_spectra, spectrum_of_box, truncate, zero_mode_count
 from .weyl import fit_loglog_slope, residual_sweep
 
 ENV_THREADS = "PERIODIC_SPECTRA_THREADS"
@@ -450,6 +450,8 @@ def _cmd_truncate(args) -> int:
         },
         args.out,
     )
+    reference = essential_spectrum(base, grid)
+    check_eps(eps)
     if args.wrap:
         if perturbed is not None:
             raise InputError("--wrap applies to purely periodic graphs only")
@@ -458,7 +460,6 @@ def _cmd_truncate(args) -> int:
         oracle = perturbed.oracle if perturbed is not None else periodic_oracle(base)
         box_graph = truncate(oracle, box)
     lam, vec = spectrum_of_box(box_graph, with_vectors=True)
-    reference = essential_spectrum(base, grid)
     report = compare_spectra(lam, reference, eps, box_graph=box_graph, vectors=vec)
     ctx.write_manifest()
     ctx.write_table(["index", "lambda"], [np.arange(len(lam)), lam])
@@ -469,7 +470,7 @@ def _cmd_truncate(args) -> int:
             "inside_fraction": report.inside_fraction,
             "boundary_count": report.boundary_count,
             "eps": eps,
-            "zero_modes": zero_mode_count(box_graph, 1e-12),
+            "zero_modes": zero_mode_count(box_graph),
         }
     )
     return 0

@@ -26,16 +26,6 @@ DEFAULT_FLAT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class BandSample:
-    """Eigen-decomposition of one fiber matrix: ascending eigenvalues and,
-    optionally, eigenvectors normalized in the degree-weighted cell product."""
-
-    k: tuple[float, ...]
-    lambdas: np.ndarray
-    eigenvectors: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class SpectrumApprox:
     """Band-union spectrum: disjoint closed intervals, flat bands noted."""
 
@@ -43,9 +33,6 @@ class SpectrumApprox:
     flat_points: tuple[float, ...]
     resolution: int
     flat_tol: float
-
-    def contains(self, value: float, tol: float = 0.0) -> bool:
-        return any(lo - tol <= value <= hi + tol for lo, hi in self.intervals)
 
     def distance(self, value: float) -> float:
         return min(
@@ -103,17 +90,17 @@ def fiber_matrices(graph: PeriodicGraph, ks) -> np.ndarray:
     return _fiber_assembler(graph)(ks)
 
 
-def band_eigensystem(graph: PeriodicGraph, k) -> BandSample:
-    """Diagonalize the fiber matrix at quasimomentum ``k``.
+def band_eigensystem(graph: PeriodicGraph, k) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonalize the fiber matrix at quasimomentum ``k``: ``(lambdas,
+    eigenvectors)``, as ``eigh`` gives them.
 
-    Eigenvalues come back ascending; eigenvectors are pulled back by
-    ``1/sqrt(deg)``, which leaves them normalized in the weighted cell
+    Eigenvalues come back ascending; the eigenvector columns are pulled back
+    by ``1/sqrt(deg)``, which leaves them normalized in the weighted cell
     product ``<x, y> = sum conj(x_i) y_i deg_i``.
     """
     k = np.atleast_1d(np.asarray(k, dtype=float))
     lambdas, u = np.linalg.eigh(fiber_matrices(graph, k[None, :]))
-    vecs = u[0] / np.sqrt(np.asarray(graph.degrees, dtype=float))[:, None]
-    return BandSample(tuple(k.tolist()), lambdas[0], vecs)
+    return lambdas[0], u[0] / np.sqrt(np.asarray(graph.degrees, dtype=float))[:, None]
 
 
 def grid_points(dim: int, grid_per_axis: int) -> np.ndarray:
@@ -140,12 +127,10 @@ def band_grid(graph: PeriodicGraph, grid_per_axis: int) -> tuple[np.ndarray, np.
     return ks, np.linalg.eigvalsh(fiber_matrices(graph, ks))
 
 
-def _merge_intervals(
-    raw: list[tuple[float, float]], tol: float = _MERGE_TOL
-) -> tuple[tuple[float, float], ...]:
+def _merge_intervals(raw: list[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
     merged: list[list[float]] = []
     for lo, hi in sorted(raw):
-        if merged and lo <= merged[-1][1] + tol:
+        if merged and lo <= merged[-1][1] + _MERGE_TOL:
             merged[-1][1] = max(merged[-1][1], hi)
         else:
             merged.append([lo, hi])
@@ -197,15 +182,20 @@ def _band_union(
 
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_STEPS = 40
+
+# How close ``locate_band_value`` needs a band sample, then the refined value.
+_MATCH_TOL = 1e-6
+_REFINE_TOL = 1e-8
 
 
-def _golden_refine(f, lo: float, hi: float, steps: int = 40) -> float:
-    """Golden-section minimizer of a scalar function on [lo, hi]."""
+def _golden_refine(f, lo: float, hi: float) -> float:
+    """Golden-section minimizer of a scalar function on [lo, hi], ``_GOLDEN_STEPS`` steps."""
     a, b = lo, hi
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(steps):
+    for _ in range(_GOLDEN_STEPS):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
@@ -218,20 +208,16 @@ def _golden_refine(f, lo: float, hi: float, steps: int = 40) -> float:
 
 
 def locate_band_value(
-    graph: PeriodicGraph,
-    target: float,
-    grid_per_axis: int,
-    match_tol: float = 1e-6,
-    refine_tol: float = 1e-8,
+    graph: PeriodicGraph, target: float, grid_per_axis: int
 ) -> tuple[int, np.ndarray, np.ndarray]:
     """Find a band index h and quasimomentum k with band_h(k) = target.
 
     Scans the grid for the closest band sample, then refines coordinate by
     coordinate with golden-section searches over one grid cell until the
-    band value matches ``target`` to ``refine_tol``.  Raises
-    ``NotInSpectrumError`` when no band sample comes within ``match_tol`` or
+    band value matches ``target`` to ``_REFINE_TOL``.  Raises
+    ``NotInSpectrumError`` when no band sample comes within ``_MATCH_TOL`` or
     when the refined band value still misses ``target`` by more than
-    ``refine_tol``, and ``InputError`` when ``target`` is not finite.
+    ``_REFINE_TOL``, and ``InputError`` when ``target`` is not finite.
     """
     if not math.isfinite(target):
         raise InputError(f"the band value must be finite, got {target}")
@@ -239,10 +225,10 @@ def locate_band_value(
     gaps = np.abs(lambdas - target).reshape(-1)
     idx = int(np.argmin(gaps))
     row, band = divmod(idx, graph.cell_size)
-    if gaps[idx] > match_tol and (
-        _band_union(lambdas, grid_per_axis).distance(target) > match_tol
+    if gaps[idx] > _MATCH_TOL and (
+        _band_union(lambdas, grid_per_axis).distance(target) > _MATCH_TOL
     ):
-        raise NotInSpectrumError(f"{target} is not within {match_tol} of any band")
+        raise NotInSpectrumError(f"{target} is not within {_MATCH_TOL} of any band")
     k = np.array(ks[row], dtype=float)
     step = 2.0 * np.pi / grid_per_axis
     assemble = _fiber_assembler(graph)
@@ -260,12 +246,11 @@ def locate_band_value(
                 lambda x: mismatch_along(axis, x), k[axis] - step, k[axis] + step
             )
         mismatch = mismatch_along(0, k[0])
-        if mismatch <= refine_tol:
+        if mismatch <= _REFINE_TOL:
             break
     else:
         raise NotInSpectrumError(
             f"band {band} misses {target} by {mismatch:.3e} at k = {tuple(k.tolist())} "
-            f"after refinement (refine_tol {refine_tol})"
+            f"after refinement (refine_tol {_REFINE_TOL})"
         )
-    xi = band_eigensystem(graph, k).eigenvectors[:, band]
-    return band, k, xi
+    return band, k, band_eigensystem(graph, k)[1][:, band]

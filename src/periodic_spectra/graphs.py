@@ -19,6 +19,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -100,6 +101,16 @@ class PeriodicGraph:
             out.append(e.reversed())
         return out
 
+    @cached_property
+    def templates(self) -> tuple[tuple[tuple[Cell, int], ...], ...]:
+        """Per label, the ``(index, target)`` of every oriented template at it
+        in ``oriented_edges()`` order, the one order in which ``PeriodicOracle``
+        lists a vertex's neighbours and ``Region`` builds its template rows."""
+        out: list[list[tuple[Cell, int]]] = [[] for _ in range(self.cell_size)]
+        for e in self.oriented_edges():
+            out[e.origin].append((e.index, e.target))
+        return tuple(map(tuple, out))
+
 
 def build_periodic(dim: int, cell_size: int, edges: Iterable[FundEdge]) -> PeriodicGraph:
     """Validate edge templates, canonicalize orientations and derive degrees.
@@ -176,15 +187,6 @@ def box_cell_array(box: Sequence[tuple[int, int]], at: np.ndarray | None = None)
     return cells
 
 
-def edge_index(origin: Vertex, target: Vertex) -> Cell:
-    """Lattice displacement ``target.cell - origin.cell`` of an oriented edge."""
-    if len(origin.cell) != len(target.cell):
-        raise DimensionMismatchError(
-            f"vertices {origin} and {target} have different dimensions"
-        )
-    return tuple(t - o for o, t in zip(origin.cell, target.cell))
-
-
 def propagation_length(graph: PeriodicGraph) -> int:
     """Largest absolute component of any edge index.
 
@@ -250,13 +252,6 @@ class PeriodicOracle(GraphOracle):
 
     def __init__(self, graph: PeriodicGraph):
         self.graph = graph
-        # per-label adjacency templates: label -> ((cell offset, target label), ...)
-        templates: list[list[tuple[Cell, int]]] = [[] for _ in range(graph.cell_size)]
-        for e in graph.edges:
-            templates[e.origin].append((e.index, e.target))
-            rev = e.reversed()
-            templates[rev.origin].append((rev.index, rev.target))
-        self._templates = tuple(tuple(t) for t in templates)
         self._dim = graph.dim
         self._size = graph.cell_size
 
@@ -269,13 +264,8 @@ class PeriodicOracle(GraphOracle):
             raise VertexNotInGraphError(f"{v} is not a vertex of this graph")
         add = operator.add
         return tuple(
-            [Vertex(tuple(map(add, cell, off)), lbl) for off, lbl in self._templates[label]]
+            [Vertex(tuple(map(add, cell, off)), lbl) for off, lbl in self.graph.templates[label]]
         )
-
-    def degree(self, v: Vertex) -> int:
-        if not self.contains(v):
-            raise VertexNotInGraphError(f"{v} is not a vertex of this graph")
-        return len(self._templates[v.label])
 
     def vertices_in_cell(self, cell: Cell) -> tuple[Vertex, ...]:
         return tuple(Vertex(cell, label) for label in range(self.graph.cell_size))

@@ -164,8 +164,6 @@ class UnperturbedSet:
             )
         return self._contains_known(x)
 
-    __contains__ = contains
-
     def _contains_known(self, x: Vertex) -> bool:
         """Membership of a kept base vertex ``x``."""
         g = self._g
@@ -382,13 +380,6 @@ class PerturbedGraph:
     def in_common(self, x: Vertex) -> bool:
         """Is ``x`` a vertex of the common subgraph (a kept base vertex)?"""
         return self._is_base_name(x) and self._keep(x)
-
-
-def box_is_clear(graph: PerturbedGraph, center: Cell, n: int) -> bool:
-    """Is the box of radius ``n`` (padded by the propagation length) around
-    ``center`` entirely inside the unperturbed set?"""
-    half = n + propagation_length(graph.base) - 1
-    return bool(graph.unperturbed.mask([(c - half, c + half) for c in center]).all())
 
 
 def find_unperturbed_box(

@@ -18,7 +18,8 @@ then fills every row, in the box or outside it:
 
 * a row whose unperturbed bit is set has exactly its base edges, so its
   entries come from one array shift per oriented edge template (in the
-  oracle's template order) and its degree is the base degree of its label;
+  order of ``PeriodicGraph.templates``, which the oracle lists too) and its
+  degree is the base degree of its label;
 * every other row (a perturbed or added vertex, or a base name outside the
   common subgraph) takes one ``out_edges`` call, and only its targets are
   looked up by name.
@@ -315,13 +316,13 @@ def _ask(graph: PerturbedGraph, vertices: Sequence[Vertex]) -> tuple[list[Vertex
 
 def _label_shifts(base: PeriodicGraph, strides: list[int]) -> list[list[int]]:
     """Per label, the shift of grid position (cell strides ``strides``) to
-    the target of each oriented edge template at it, listed in
-    ``PeriodicOracle`` order (each stored template, then its reversal)."""
-    shifts: list[list[int]] = [[] for _ in range(base.cell_size)]
-    for e in base.oriented_edges():
-        step = sum(i * k for i, k in zip(e.index, strides))
-        shifts[e.origin].append(step + e.target - e.origin)
-    return shifts
+    the target of each oriented edge template at it, read from
+    ``base.templates``, the table whose order ``PeriodicOracle.out_edges``
+    lists neighbours in and ``Region._check_templates`` compares against."""
+    return [
+        [sum(i * k for i, k in zip(index, strides)) + target - label for index, target in at]
+        for label, at in enumerate(base.templates)
+    ]
 
 
 def _entry_slots(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -32,9 +32,14 @@ from .graphs import (
     box_cell_array,
 )
 
-# Vertices of an induced box, which is solved densely, checked before
-# allocating; a wrap is solved by fibers and has no cap.
+# Vertices of an induced box, which is solved densely, checked while its
+# cells are listed, ``_CELL_CHUNK`` at a time; a wrap is solved by fibers and
+# has no cap.
 _DENSE_LIMIT = 4000
+_CELL_CHUNK = 4096
+
+# Eigenvalues this close to zero are zero modes.
+_ZERO_TOL = 1e-12
 
 # Ascending eigenvalues split into clusters at gaps above this.  Rounding fixes
 # the eigenvectors of eigenvalues this close only to about 1e-16 / 1e-9, so
@@ -87,11 +92,6 @@ class BoxGraph:
 
     def __len__(self) -> int:
         return len(self.vertices)
-
-    @cached_property
-    def index(self) -> dict[Vertex, int]:
-        """Row of every vertex, built when first read."""
-        return {v: i for i, v in enumerate(self.vertices)}
 
     @property
     def wrapped(self) -> bool:
@@ -177,20 +177,25 @@ def truncate(oracle: GraphOracle, box: Window, periodic_wrap: bool = False) -> B
     leaving the box re-enter modulo the box lengths.  Raises
     ``InternalInvariantError`` when the oracle's edges are not symmetric, or
     when an edge reaches a vertex in a box cell that ``vertices_in_cell`` does
-    not list, and ``InputError`` when a box coordinate does not fit in 64
-    bits.
+    not list, and ``InputError`` when ``box_cell_array`` refuses the box or an
+    induced box lists more than ``_DENSE_LIMIT`` vertices, checked every
+    ``_CELL_CHUNK`` cells and before any ``out_edges`` call.
     """
     for lo, hi in box:
         if lo > hi:
             raise EmptyBoxError(f"box side [{lo}, {hi}] is empty")
     if periodic_wrap and not isinstance(oracle, PeriodicOracle):
         raise InputError("periodic wrap needs a purely periodic oracle")
-    vertices = [
-        v
-        for c in map(tuple, box_cell_array(box).tolist())
-        for v in oracle.vertices_in_cell(c)
-        if oracle.contains(v)
-    ]
+    cells = box_cell_array(box)
+    vertices: list[Vertex] = []
+    for start in range(0, len(cells), _CELL_CHUNK):
+        for c in map(tuple, cells[start : start + _CELL_CHUNK].tolist()):
+            vertices += filter(oracle.contains, oracle.vertices_in_cell(c))
+        if not periodic_wrap and len(vertices) > _DENSE_LIMIT:
+            raise InputError(
+                f"box lists more than {_DENSE_LIMIT} vertices; dense solves are "
+                f"capped at {_DENSE_LIMIT}"
+            )
     if not vertices:
         raise EmptyBoxError("box contains no vertices of the graph")
     vertices.sort(key=lambda v: (v.cell, v.label))
@@ -280,11 +285,6 @@ def spectrum_of_box(box_graph: BoxGraph, with_vectors: bool = False):
     if box_graph.wrapped:
         solved = _bloch_solve(box_graph, with_vectors)
     else:
-        n = len(box_graph)
-        if n > _DENSE_LIMIT:
-            raise InputError(
-                f"box has {n} vertices; dense solves are capped at {_DENSE_LIMIT}"
-            )
         sides = box_graph.sides()
         if sides is None:
             solved = _dense_solve(box_graph, with_vectors)
@@ -371,6 +371,12 @@ def _bipartite_solve(box_graph: BoxGraph, sides: np.ndarray, with_vectors: bool)
     return lam, vec
 
 
+def check_eps(eps: float) -> None:
+    """Raise ``InputError`` unless ``eps`` is positive and finite."""
+    if not (math.isfinite(eps) and eps > 0):
+        raise InputError(f"eps must be positive and finite, got {eps}")
+
+
 def compare_spectra(
     eigenvalues,
     reference: SpectrumApprox,
@@ -385,8 +391,7 @@ def compare_spectra(
     boundary modes, as ``_count_boundary_modes`` defines them.  An ``eps``
     that is not positive and finite raises ``InputError``.
     """
-    if not (math.isfinite(eps) and eps > 0):
-        raise InputError(f"eps must be positive and finite, got {eps}")
+    check_eps(eps)
     eigs = np.asarray(eigenvalues, dtype=np.float64)
     if not eigs.size:
         return TruncationReport(1.0, None)
@@ -492,9 +497,6 @@ def _near_boundary_mask(box_graph: BoxGraph, radius: int) -> np.ndarray:
     return near
 
 
-def zero_mode_count(box_graph: BoxGraph, tol: float) -> int:
-    """Number of eigenvalues within ``tol`` of zero."""
-    if tol < 0:
-        raise InputError(f"tolerance must be >= 0, got {tol}")
-    eigs = spectrum_of_box(box_graph)
-    return int(np.sum(np.abs(eigs) <= tol))
+def zero_mode_count(box_graph: BoxGraph) -> int:
+    """Number of eigenvalues within ``_ZERO_TOL`` of zero."""
+    return int(np.sum(np.abs(spectrum_of_box(box_graph)) <= _ZERO_TOL))

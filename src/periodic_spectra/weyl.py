@@ -105,18 +105,10 @@ def _bloch_grid(region: Region, k0: np.ndarray, xi0: np.ndarray, n: int) -> np.n
     return np.multiply.outer(np.exp(1j * phase) * tent, xi0)
 
 
-def rayleigh_value(graph: PeriodicGraph, k0, xi0: np.ndarray) -> float:
-    """Band value attached to an eigenvector: its weighted Rayleigh quotient."""
-    return _symmetric_pair(graph, k0, xi0)[2]
-
-
 @dataclass(frozen=True)
 class WeylState:
     """A normalized transplanted test state with its construction metadata."""
 
-    band: int
-    k0: tuple[float, ...]
-    xi0: np.ndarray
     n: int
     center: Vertex
     embed_norm: float
@@ -169,14 +161,10 @@ def _state_on_box(
 ) -> WeylState:
     """The normalized state of half-width ``report.n`` for the band location
     ``(band, k0, xi0)``, built on the region of the box ``report`` found."""
-    band, k0, xi0 = location
-    k0 = np.asarray(k0, dtype=float)
+    _, k0, xi0 = location
     region = Region(graph, report.center.cell, report.box_bounds[1])
-    grid = _bloch_grid(region, k0, xi0, report.n)
+    grid = _bloch_grid(region, np.asarray(k0, dtype=float), xi0, report.n)
     return WeylState(
-        band=band,
-        k0=tuple(k0.tolist()),
-        xi0=xi0,
         n=report.n,
         center=report.center,
         embed_norm=region.norm(region.embed(grid)),
@@ -260,10 +248,11 @@ def residual_row(state: WeylState, lam: float) -> ResidualRow:
     """Measure one state and check its certificate.
 
     Raises ``InternalInvariantError`` when the residual exceeds the bound or
-    departs from the route residual by more than 1e-12 * max(1, residual),
-    or when the defect is nonzero on a clear box.  The bound gets the same
-    roundoff allowance because it is exactly 0 when no edge leaves the cell,
-    while the measured residual of such a state is roundoff, not 0.
+    departs from the route residual, or the sup norm exceeds
+    ``sup_norm_bound``, by more than 1e-12 * max(1, value), or when the
+    defect is nonzero on a clear box.  The bound gets the same roundoff
+    allowance because it is exactly 0 when no edge leaves the cell, while the
+    measured residual of such a state is roundoff, not 0.
     """
     row = ResidualRow(
         n=state.n,
@@ -279,6 +268,11 @@ def residual_row(state: WeylState, lam: float) -> ResidualRow:
     if not row.residual - row.bound <= roundoff:
         raise InternalInvariantError(
             f"residual {row.residual!r} exceeds its bound {row.bound!r} {where}"
+        )
+    sup_bound = sup_norm_bound(state)
+    if not row.sup_norm - sup_bound <= 1e-12 * max(1.0, row.sup_norm):
+        raise InternalInvariantError(
+            f"sup norm {row.sup_norm!r} exceeds its bound {sup_bound!r} {where}"
         )
     if not abs(row.route_residual - row.residual) <= roundoff:
         raise InternalInvariantError(

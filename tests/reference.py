@@ -19,6 +19,7 @@ from periodic_spectra.errors import (
 from periodic_spectra.graphs import Cell, GraphOracle, PeriodicGraph, State, Vertex
 from periodic_spectra.perturbation import PerturbedGraph
 from periodic_spectra.region import Region
+from periodic_spectra.truncation import BoxGraph
 from periodic_spectra.weyl import WeylState, _check_eigenpair, _state_rows, tent_norm_sq
 
 
@@ -33,6 +34,11 @@ def region_vertices(region: Region) -> list[Vertex]:
     """Every box vertex of ``region``, kept or not, in grid order."""
     s = region.shape[-1]
     return [Vertex(cell, label) for cell in box_cells(region._box) for label in range(s)]
+
+
+def box_index(box_graph: BoxGraph) -> dict[Vertex, int]:
+    """Row of every vertex of a truncated box."""
+    return {v: i for i, v in enumerate(box_graph.vertices)}
 
 
 def state_vector(state: WeylState) -> State:

@@ -9,12 +9,13 @@ import importlib.util
 import inspect
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import periodic_spectra
-from periodic_spectra import weyl
+from periodic_spectra import floquet, graphs, perturbation, truncation, weyl
 from periodic_spectra.cli import RunContext
 from periodic_spectra.graphs import Vertex
 from periodic_spectra.region import Region
@@ -35,6 +36,18 @@ REFERENCE_ONLY = (
 CERTIFICATE = (
     "residual", "embedded_route_residual", "sup_norm_bound", "residual_bound", "residual_row",
 )
+
+# Public functions that nothing in the package or in ``scripts/`` calls, each
+# kept on purpose.
+UNCALLED = {
+    # the file-format writer that pairs with ``load_graph_file``
+    "io.write_graph_file",
+    # the split of the bound that the acceptance suite checks
+    "weyl.shifted_tent_diff_parts",
+}
+
+# Parameter names that only ever took their default and are constants now.
+CONSTANT_PARAMETERS = ("match_tol", "refine_tol", "tol")
 
 
 def test_all_names_resolve():
@@ -85,6 +98,58 @@ def test_unread_fields_and_arguments_stay_deleted(tmp_path):
     assert "threads" not in inspect.signature(RunContext).parameters
     for name in CERTIFICATE:
         assert "graph" not in inspect.signature(getattr(weyl, name)).parameters, name
+    assert [f.name for f in dataclasses.fields(weyl.WeylState)] == [
+        "n", "center", "embed_norm", "region", "grid",
+    ]
+    for module, name in [
+        (floquet, "BandSample"), (graphs, "edge_index"), (perturbation, "box_is_clear"),
+        (weyl, "rayleigh_value"), (periodic_spectra, "BandSample"),
+        (periodic_spectra, "edge_index"), (periodic_spectra, "box_is_clear"),
+    ]:
+        assert not hasattr(module, name), (module.__name__, name)
+    assert not hasattr(truncation.BoxGraph, "index")
+    assert not hasattr(perturbation.UnperturbedSet, "__contains__")
+    assert "degree" not in graphs.PeriodicOracle.__dict__
+    modules = [
+        importlib.import_module(f"periodic_spectra.{info.name}")
+        for info in pkgutil.iter_modules(periodic_spectra.__path__)
+    ]
+    for module in modules:
+        for owner in [module, *(c for c in vars(module).values() if inspect.isclass(c))]:
+            for name, value in vars(owner).items():
+                if inspect.isfunction(value) and value.__module__ == module.__name__:
+                    taken = inspect.signature(value).parameters
+                    assert not set(CONSTANT_PARAMETERS) & set(taken), (owner, name)
+
+
+def test_every_public_function_has_a_caller():
+    """Every public top-level function and public method of a package module
+    (``__init__`` re-exports and is left out) is named as a word somewhere
+    besides its own ``def``: in a package module or in ``scripts/``.  A
+    second way to ask what another function answers shows up here."""
+    package = Path(periodic_spectra.__file__).parent
+    texts = {
+        path: path.read_text()
+        for path in [*sorted(package.glob("*.py")), *sorted(SCRIPTS.glob("*.py"))]
+        if path.name != "__init__.py"
+    }
+    uncalled = set()
+    for path, text in texts.items():
+        if path.parent != package:
+            continue
+        for node in ast.parse(text).body:
+            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            for member in members:
+                if not isinstance(member, ast.FunctionDef) or member.name.startswith("_"):
+                    continue
+                word = re.compile(rf"\b{member.name}\b")
+                definition = re.compile(rf"\bdef {member.name}\b")
+                mentions = sum(
+                    len(word.findall(t)) - len(definition.findall(t)) for t in texts.values()
+                )
+                if mentions == 0:
+                    uncalled.add(f"{path.stem}.{member.name}")
+    assert uncalled == UNCALLED
 
 
 def test_every_module_uses_what_it_imports():

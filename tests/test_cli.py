@@ -47,6 +47,10 @@ def row_by_row(columns, sep):
     ]
 
 
+def refuse_box(*args, **kwargs):
+    raise AssertionError("the box was built before the flags were checked")
+
+
 def table_text(digest, header_line, lines):
     return "\n".join([f"# manifest-sha256: {digest}", header_line, *lines]) + "\n"
 
@@ -421,6 +425,7 @@ class TestWeylCheck:
         [
             (weyl, "residual_bound", lambda state: 1e-9, "exceeds its bound"),
             (weyl, "embedded_route_residual", lambda state, lam: 0.0, "differs from residual"),
+            (weyl, "sup_norm_bound", lambda state: 0.0, "exceeds its bound"),
             (
                 Region, "defect", lambda self, grid: np.ones(len(self.names)),
                 "is not 0 on the clear box",
@@ -606,7 +611,8 @@ class TestErrorPaths:
         ],
         ids=["bands", "sigma-ess", "weyl-check", "truncate"],
     )
-    def test_bad_grid_exits_2(self, tmp_path, capsys, command, grid):
+    def test_bad_grid_exits_2(self, tmp_path, capsys, monkeypatch, command, grid):
+        monkeypatch.setattr(cli, "truncate", refuse_box)  # flags are checked first
         assert run(tmp_path, *command, f"--grid={grid}", "--out", str(tmp_path / "o")) == 2
         assert "k=0 and k=pi exactly, got " + grid in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
@@ -624,7 +630,10 @@ class TestErrorPaths:
         ids=["truncate", "truncate-wrap", "sigma-ess"],
     )
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-08"])
-    def test_bad_tolerance_exits_2(self, tmp_path, capsys, command, flag, message, value):
+    def test_bad_tolerance_exits_2(
+        self, tmp_path, capsys, monkeypatch, command, flag, message, value
+    ):
+        monkeypatch.setattr(cli, "truncate", refuse_box)  # flags are checked first
         assert run(tmp_path, *command, f"{flag}={value}", "--out", str(tmp_path / "o")) == 2
         assert f"{message}, got {value}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
@@ -657,6 +666,28 @@ class TestErrorPaths:
         assert run(tmp_path, *argv, "--out", str(tmp_path / "o")) == 2
         assert "a whole box is capped at 16777216" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_oversized_induced_box_is_refused_while_listed(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """An induced box past the dense cap exits 2 once it has listed more
+        than 4000 vertices, not after listing all 250,000."""
+        calls = []
+        listed = graphs_module.PeriodicOracle.vertices_in_cell
+
+        def counted(self, cell):
+            calls.append(cell)
+            return listed(self, cell)
+
+        monkeypatch.setattr(graphs_module.PeriodicOracle, "vertices_in_cell", counted)
+        assert run(
+            tmp_path,
+            "truncate", "--graph", "builtin:lattice2", "--box=0,499,0,499",
+            "--out", str(tmp_path / "o"),
+        ) == 2
+        assert "box lists more than 4000 vertices" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        assert len(calls) <= 8000
 
     def test_box_at_the_cell_cap_runs(self, tmp_path, monkeypatch):
         """The cap is inclusive: with it lowered to 4^3 cells, a 3-D

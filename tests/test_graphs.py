@@ -7,7 +7,6 @@ from periodic_spectra import (
     FundEdge,
     Vertex,
     build_periodic,
-    edge_index,
     periodic_oracle,
     propagation_length,
     vert,
@@ -112,26 +111,6 @@ class TestOracle:
                 forward = o.out_edges(v).count(u)
                 backward = o.out_edges(u).count(v)
                 assert forward == backward, (v, u)
-
-
-class TestEdgeIndex:
-    def test_neighbor_in_z(self):
-        assert edge_index(vert(0), vert(1)) == (1,)
-
-    def test_z2_step(self):
-        assert edge_index(vert(2, 3), vert(2, 4)) == (0, 1)
-
-    def test_translation_invariance(self, rng):
-        for _ in range(50):
-            o = vert(*rng.integers(-9, 9, size=2))
-            t = vert(*rng.integers(-9, 9, size=2))
-            a = tuple(int(x) for x in rng.integers(-9, 9, size=2))
-            o2, t2 = (Vertex(tuple(np.add(v.cell, a).tolist()), v.label) for v in (o, t))
-            assert edge_index(o2, t2) == edge_index(o, t)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            edge_index(vert(0), vert(0, 0))
 
 
 class TestPropagationLength:

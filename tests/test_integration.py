@@ -101,10 +101,10 @@ class TestDecoratedSquareLattice:
         assert fit_loglog_slope([4, 8, 16], residuals) <= -0.8
 
     def test_eigenvector_pullback_normalization(self, graph):
-        sample = band_eigensystem(graph, [0.4, 1.1])
+        _, vectors = band_eigensystem(graph, [0.4, 1.1])
         d = np.asarray(graph.degrees, dtype=float)
         for j in range(2):
-            xi = sample.eigenvectors[:, j]
+            xi = vectors[:, j]
             assert np.sum(np.abs(xi) ** 2 * d) == pytest.approx(1.0, abs=1e-12)
 
 

@@ -5,7 +5,6 @@ from periodic_spectra import (
     Patch,
     PerturbedGraph,
     PredicatePatch,
-    box_is_clear,
     build_weyl_state,
     find_unperturbed_box,
     make_lattice,
@@ -24,6 +23,7 @@ from periodic_spectra.region import Region
 from reference import (
     apply_defect,
     apply_laplacian,
+    box_index,
     embed_state,
     embedding_norm_bounds,
     weighted_norm,
@@ -126,7 +126,8 @@ class TestConditionSearch:
         report = find_unperturbed_box(graph, 4, ((0, 30), (0, 30)))
         assert report.center is not None
         for smaller in (1, 2, 3):
-            assert box_is_clear(graph, report.center.cell, smaller)
+            centre = tuple((c, c) for c in report.center.cell)
+            assert find_unperturbed_box(graph, smaller, centre).center is not None
 
     def test_bad_radius_rejected(self, cone):
         with pytest.raises(InputError):
@@ -348,8 +349,9 @@ class TestExplicitPatch:
         assert embed_state(graph, {x: 2.0, vert(1, 0): 1.0}) == {vert(1, 0): 1.0}
         box = truncate(graph.oracle, ((-2, 2), (-2, 2)))
         assert len(box) == 25
-        assert box.degrees[box.index[vert(1, 0)]] == 4
-        assert box.degrees[box.index[x]] == 1
+        index = box_index(box)
+        assert box.degrees[index[vert(1, 0)]] == 4
+        assert box.degrees[index[x]] == 1
         region = Region(graph, (0, 0), 2)
         assert x in region.names[region.kept:]
         assert not region.unperturbed[region.names.index(x)]
