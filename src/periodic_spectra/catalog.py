@@ -15,8 +15,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError
-from .floquet import SpectrumApprox
-from .graphs import FundEdge, PeriodicGraph, Vertex, box_cell_array, build_periodic
+from .floquet import DEFAULT_FLAT_TOL, SpectrumApprox
+from .graphs import Cell, FundEdge, PeriodicGraph, Vertex, box_cell_array, build_periodic
 from .perturbation import PerturbedGraph, PredicatePatch
 from .randomfield import bernoulli, bernoulli_array
 
@@ -38,7 +38,7 @@ def _spectrum(intervals, flats=()) -> SpectrumApprox:
         intervals=tuple(intervals),
         flat_points=tuple(flats),
         resolution=0,
-        flat_tol=1e-8,
+        flat_tol=DEFAULT_FLAT_TOL,
     )
 
 
@@ -101,21 +101,13 @@ def make_g21() -> CatalogEntry:
     )
 
 
-def _everywhere(cells: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    return np.ones(len(labels), dtype=bool)
-
-
-def _nowhere(cells: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    return np.zeros(len(labels), dtype=bool)
-
-
 def make_half_plane() -> CatalogEntry:
     """Z^2 cut to the half-plane x2 >= 0; untouched set is x2 >= 1."""
     base = make_lattice(2)
     patch = PredicatePatch(
         keep=lambda v: v.cell[1] >= 0,
         keep_array=lambda cells, labels: cells[:, 1] >= 0,
-        has_added_array=_nowhere,
+        has_added_array=lambda cells, labels: np.zeros(len(labels), dtype=bool),
     )
     graph = PerturbedGraph(base, patch, name="half_plane")
     return CatalogEntry(
@@ -167,6 +159,32 @@ def make_cone() -> CatalogEntry:
     )
 
 
+def _pendants(
+    label: int, where: Callable[[Cell], bool], where_array: Callable[[np.ndarray], np.ndarray]
+) -> PredicatePatch:
+    """Keep every base vertex and hang one added vertex of ``label`` on the
+    label-0 vertex of each cell where ``where`` holds; ``where_array`` is its
+    array form over int64 cells of shape ``(m, d)``."""
+
+    def added_neighbors(v: Vertex) -> tuple[Vertex, ...]:
+        if not where(v.cell):
+            return ()
+        if v.label == 0:
+            return (Vertex(v.cell, label),)
+        return (Vertex(v.cell, 0),) if v.label == label else ()
+
+    return PredicatePatch(
+        keep=lambda v: True,
+        added_contains=lambda v: v.label == label and where(v.cell),
+        added_neighbors=added_neighbors,
+        added_in_cell=lambda cell: (Vertex(cell, label),) if where(cell) else (),
+        keep_array=lambda cells, labels: np.ones(len(labels), dtype=bool),
+        has_added_array=lambda cells, labels: (
+            ((labels == 0) | (labels == label)) & where_array(cells)
+        ),
+    )
+
+
 def make_random_pendant(p: float, seed: int, dim: int = 2) -> CatalogEntry:
     """Z^dim with a pendant attached independently at each cell.
 
@@ -177,35 +195,8 @@ def make_random_pendant(p: float, seed: int, dim: int = 2) -> CatalogEntry:
     if not 0.0 <= p <= 1.0:
         raise InputError(f"pendant probability must be in [0, 1], got {p}")
     base = make_lattice(dim)
-
-    def has_pendant(cell) -> bool:
-        return bernoulli(seed, cell, p)
-
-    def added_contains(v: Vertex) -> bool:
-        return v.label == 1 and has_pendant(v.cell)
-
-    def added_neighbors(v: Vertex) -> tuple[Vertex, ...]:
-        if not has_pendant(v.cell):
-            return ()
-        if v.label == 0:
-            return (Vertex(v.cell, 1),)
-        if v.label == 1:
-            return (Vertex(v.cell, 0),)
-        return ()
-
-    def added_in_cell(cell) -> tuple[Vertex, ...]:
-        return (Vertex(cell, 1),) if has_pendant(cell) else ()
-
-    def has_added_array(cells: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        return ((labels == 0) | (labels == 1)) & bernoulli_array(seed, cells, p)
-
-    patch = PredicatePatch(
-        keep=lambda v: True,
-        added_contains=added_contains,
-        added_neighbors=added_neighbors,
-        added_in_cell=added_in_cell,
-        keep_array=_everywhere,
-        has_added_array=has_added_array,
+    patch = _pendants(
+        1, lambda cell: bernoulli(seed, cell, p), lambda cells: bernoulli_array(seed, cells, p)
     )
     graph = PerturbedGraph(base, patch, name=f"random_pendant(p={p}, seed={seed})")
     return CatalogEntry(
@@ -213,7 +204,7 @@ def make_random_pendant(p: float, seed: int, dim: int = 2) -> CatalogEntry:
         base=base,
         perturbation=graph,
         reference_spectrum=_spectrum([(-1.0, 1.0)]) if p < 1.0 else None,
-        reference_lambda=lambda v: not has_pendant(v.cell),
+        reference_lambda=lambda v: not bernoulli(seed, v.cell, p),
         note=f"Z^{dim} with pendant probability {p}, seed {seed}",
     )
 
@@ -226,35 +217,8 @@ def make_counterexample() -> CatalogEntry:
     set is every vertex with x < 0 together with the original pendants at
     x >= 0 (those keep their degree and their only edge).
     """
-    g11 = make_g11()
-    base = g11.base
-
-    def added_contains(v: Vertex) -> bool:
-        return v.label == 2 and v.cell[0] >= 0
-
-    def added_neighbors(v: Vertex) -> tuple[Vertex, ...]:
-        if v.cell[0] < 0:
-            return ()
-        if v.label == 0:
-            return (Vertex(v.cell, 2),)
-        if v.label == 2:
-            return (Vertex(v.cell, 0),)
-        return ()
-
-    def added_in_cell(cell) -> tuple[Vertex, ...]:
-        return (Vertex(cell, 2),) if cell[0] >= 0 else ()
-
-    def has_added_array(cells: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        return (cells[:, 0] >= 0) & ((labels == 0) | (labels == 2))
-
-    patch = PredicatePatch(
-        keep=lambda v: True,
-        added_contains=added_contains,
-        added_neighbors=added_neighbors,
-        added_in_cell=added_in_cell,
-        keep_array=_everywhere,
-        has_added_array=has_added_array,
-    )
+    base = make_g11().base
+    patch = _pendants(2, lambda cell: cell[0] >= 0, lambda cells: cells[:, 0] >= 0)
     graph = PerturbedGraph(base, patch, name="counterexample")
     return CatalogEntry(
         name="counterexample",
@@ -354,17 +318,28 @@ def entry_names() -> list[str]:
     return sorted(_PLAIN_BUILDERS) + ["random_pendant"]
 
 
+def _pendant_parameter(params: dict, name: str, kind: type, default=None):
+    """Pop the ``random_pendant`` parameter ``name`` as a ``kind`` (``float``
+    or ``int``) from a number of that kind or its text; anything else, or a
+    missing parameter without a default, raises ``InputError``."""
+    if name not in params and default is None:
+        raise InputError(f"random_pendant needs parameter '{name}'")
+    value = params.pop(name, default)
+    if isinstance(value, (kind, int, str)) and not isinstance(value, bool):
+        try:
+            return kind(value)
+        except (ValueError, OverflowError):
+            pass
+    what = "a number" if kind is float else "an integer"
+    raise InputError(f"random_pendant parameter {name} must be {what}, got {value!r}")
+
+
 def get_entry(name: str, **params) -> CatalogEntry:
     """Look up a catalog entry by name; ``random_pendant`` takes p and seed."""
     if name == "random_pendant":
-        try:
-            p = float(params.pop("p"))
-            seed = int(params.pop("seed"))
-        except KeyError as missing:
-            raise InputError(
-                f"random_pendant needs parameter {missing}"
-            ) from None
-        dim = int(params.pop("dim", 2))
+        p = _pendant_parameter(params, "p", float)
+        seed = _pendant_parameter(params, "seed", int)
+        dim = _pendant_parameter(params, "dim", int, 2)
         if params:
             raise InputError(f"unknown random_pendant parameters: {sorted(params)}")
         return make_random_pendant(p, seed, dim)

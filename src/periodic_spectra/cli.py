@@ -18,6 +18,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,7 @@ from .errors import (
     ParseError,
     PeriodicSpectraError,
 )
-from .floquet import band_grid, essential_spectrum
+from .floquet import DEFAULT_FLAT_TOL, band_grid, essential_spectrum
 from .graphs import PeriodicGraph, Vertex, box_cell_array, periodic_oracle
 from .io import load_graph_file, load_perturbation_file, perturbation_from_spec
 from .perturbation import PerturbedGraph, find_unperturbed_box
@@ -413,18 +414,7 @@ def _cmd_weyl_check(args) -> int:
         {
             "lambda": args.lam,
             "slope": slope,
-            "rows": [
-                {
-                    "n": r.n,
-                    "center": _vertex_json(r.center),
-                    "residual": r.residual,
-                    "sup_norm": r.sup_norm,
-                    "bound": r.bound,
-                    "route_residual": r.route_residual,
-                    "defect_sup": r.defect_sup,
-                }
-                for r in rows
-            ],
+            "rows": [dict(asdict(r), center=_vertex_json(r.center)) for r in rows],
         }
     )
     if args.emit_plot_data:
@@ -467,8 +457,7 @@ def _cmd_truncate(args) -> int:
         {
             "vertices": len(box_graph),
             "dropped": box_graph.dropped,
-            "inside_fraction": report.inside_fraction,
-            "boundary_count": report.boundary_count,
+            **asdict(report),
             "eps": eps,
             "zero_modes": zero_mode_count(box_graph),
         }
@@ -558,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sigma-ess", help="essential spectrum as interval union")
     common(p)
     p.add_argument("--grid", type=int, required=True)
-    p.add_argument("--flat-tol", type=float, default=1e-8)
+    p.add_argument("--flat-tol", type=float, default=DEFAULT_FLAT_TOL)
     p.set_defaults(func=_cmd_sigma_ess)
 
     p = sub.add_parser("lambda-set", help="bitmap of the unperturbed set")

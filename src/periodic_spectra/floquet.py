@@ -40,9 +40,6 @@ class SpectrumApprox:
             default=float("inf"),
         )
 
-    def endpoints(self) -> tuple[float, ...]:
-        return tuple(x for pair in self.intervals for x in pair)
-
 
 def _fiber_assembler(graph: PeriodicGraph):
     """``ks -> fiber_matrices(graph, ks)`` with the graph's template arrays

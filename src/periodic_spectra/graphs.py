@@ -157,30 +157,43 @@ Window = tuple[tuple[int, int], ...]  # inclusive ``(lo, hi)`` per axis
 _BOX_CELL_LIMIT = 1 << 24
 
 
+def box_cell_count(box: Sequence[tuple[int, int]]) -> int:
+    """The number of cells of ``box``; raises ``InputError`` when a
+    coordinate does not fit in 64 bits or there are more than
+    ``_BOX_CELL_LIMIT``."""
+    count = math.prod(_cell_sizes(box))
+    if count > _BOX_CELL_LIMIT:
+        raise InputError(
+            f"box {list(box)} has {count} cells; a whole box is capped at "
+            f"{_BOX_CELL_LIMIT}"
+        )
+    return count
+
+
+def _cell_sizes(box: Sequence[tuple[int, int]]) -> list[int]:
+    """Cells per axis of ``box``, once every coordinate fits in 64 bits."""
+    limit = 1 << 63
+    if any(lo < -limit or hi >= limit for lo, hi in box if lo <= hi):
+        raise InputError(f"box {list(box)} has coordinates outside the 64-bit range")
+    return [max(hi - lo + 1, 0) for lo, hi in box]
+
+
 def box_cell_array(box: Sequence[tuple[int, int]], at: np.ndarray | None = None) -> np.ndarray:
     """The cells of ``box`` as an int64 array of shape ``(m, d)`` in
     lexicographic order (the last axis varies fastest), or only the cells at
     positions ``at`` of that order; raises ``InputError`` when a coordinate
-    does not fit in 64 bits, or when the whole box is asked for and has more
-    than ``_BOX_CELL_LIMIT`` cells."""
-    limit = 1 << 63
-    if any(lo < -limit or hi >= limit for lo, hi in box if lo <= hi):
-        raise InputError(f"box {list(box)} has coordinates outside the 64-bit range")
-    sizes = [max(hi - lo + 1, 0) for lo, hi in box]
+    does not fit in 64 bits, or when the whole box is asked for and
+    ``box_cell_count`` refuses it."""
+    sizes = _cell_sizes(box)
     if at is None:
-        count = math.prod(sizes)
-        if count > _BOX_CELL_LIMIT:
-            raise InputError(
-                f"box {list(box)} has {count} cells; a whole box is capped at "
-                f"{_BOX_CELL_LIMIT}"
-            )
+        cells = np.empty((box_cell_count(box), len(box)), dtype=np.int64)
         # the whole box: each axis's coordinates broadcast over the others
-        cells = np.empty((*sizes, len(box)), dtype=np.int64)
+        grid = cells.reshape(*sizes, len(box))
         for axis, ((lo, _), size) in enumerate(zip(box, sizes)):
             shape = [1] * len(box)
             shape[axis] = size
-            cells[..., axis] = (lo + np.arange(size, dtype=np.int64)).reshape(shape)
-        return cells.reshape(-1, len(box))
+            grid[..., axis] = (lo + np.arange(size, dtype=np.int64)).reshape(shape)
+        return cells
     cells = np.empty((len(at), len(box)), dtype=np.int64)
     for axis, offsets in enumerate(np.unravel_index(at, sizes)):
         np.add(offsets, box[axis][0], out=cells[:, axis])

@@ -256,12 +256,11 @@ def _checked_hook(
                 f"{name} returned an array of dtype {answer.dtype} and shape "
                 f"{answer.shape}, expected bool and {labels.shape}"
             )
-        corners = np.arange(len(at))
+        corner = np.ones(len(at), dtype=bool)
         for axis, (lo, hi) in enumerate(box):
-            side = cells[corners, axis]
-            corners = corners[(side == lo) | (side == hi)]
-        strided = np.arange(-start % _SAMPLE_STRIDE, len(at), _SAMPLE_STRIDE)
-        for i in np.union1d(corners, strided).tolist():
+            corner &= (cells[:, axis] == lo) | (cells[:, axis] == hi)
+        sampled = corner | (np.arange(start, stop) % _SAMPLE_STRIDE == 0)
+        for i in np.flatnonzero(sampled).tolist():
             v = Vertex(tuple(cells[i].tolist()), int(labels[i]))
             if bool(scalar(v)) != answer[i]:
                 raise InternalInvariantError(

@@ -30,6 +30,7 @@ from .graphs import (
     Window,
     audit_symmetry,
     box_cell_array,
+    box_cell_count,
 )
 
 # Vertices of an induced box, which is solved densely, checked while its
@@ -177,19 +178,21 @@ def truncate(oracle: GraphOracle, box: Window, periodic_wrap: bool = False) -> B
     leaving the box re-enter modulo the box lengths.  Raises
     ``InternalInvariantError`` when the oracle's edges are not symmetric, or
     when an edge reaches a vertex in a box cell that ``vertices_in_cell`` does
-    not list, and ``InputError`` when ``box_cell_array`` refuses the box or an
+    not list, and ``InputError`` when ``box_cell_count`` refuses the box or an
     induced box lists more than ``_DENSE_LIMIT`` vertices, checked every
-    ``_CELL_CHUNK`` cells and before any ``out_edges`` call.
+    ``_CELL_CHUNK`` cells (each chunk listed by ``box_cell_array``) and before
+    any ``out_edges`` call.
     """
     for lo, hi in box:
         if lo > hi:
             raise EmptyBoxError(f"box side [{lo}, {hi}] is empty")
     if periodic_wrap and not isinstance(oracle, PeriodicOracle):
         raise InputError("periodic wrap needs a purely periodic oracle")
-    cells = box_cell_array(box)
+    count = box_cell_count(box)
     vertices: list[Vertex] = []
-    for start in range(0, len(cells), _CELL_CHUNK):
-        for c in map(tuple, cells[start : start + _CELL_CHUNK].tolist()):
+    for start in range(0, count, _CELL_CHUNK):
+        at = np.arange(start, min(start + _CELL_CHUNK, count))
+        for c in map(tuple, box_cell_array(box, at).tolist()):
             vertices += filter(oracle.contains, oracle.vertices_in_cell(c))
         if not periodic_wrap and len(vertices) > _DENSE_LIMIT:
             raise InputError(

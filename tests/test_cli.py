@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from periodic_spectra import band_grid, cli, get_entry, make_g11, weyl
 from periodic_spectra import graphs as graphs_module
+from periodic_spectra import truncation as truncation_module
 from periodic_spectra.cli import RunContext, _fmt, _format_columns, main
 from periodic_spectra.errors import InternalInvariantError
 from periodic_spectra.region import Region
@@ -535,6 +536,45 @@ class TestErrorPaths:
             "--n", "1", "--window", "0,5,0,5",
         ) == 2
 
+    @pytest.mark.parametrize(
+        "source, params, message",
+        [
+            ("perturbation", "p=abc,seed=1", "p must be a number, got 'abc'"),
+            ("perturbation", "p=0.5,seed=1.5", "seed must be an integer, got '1.5'"),
+            ("perturbation", "p=0.5,seed=1,dim=x", "dim must be an integer, got 'x'"),
+            ("graph", "p=abc,seed=1", "p must be a number, got 'abc'"),
+            ("graph", "p=0.5,seed=1.5", "seed must be an integer, got '1.5'"),
+            ("graph", "p=0.5,seed=1,dim=x", "dim must be an integer, got 'x'"),
+            ("file", {"p": "abc", "seed": 1}, "p must be a number, got 'abc'"),
+            ("file", {"p": 0.5, "seed": 1.5}, "seed must be an integer, got 1.5"),
+            ("file", {"p": 0.5, "seed": True}, "seed must be an integer, got True"),
+            ("file", {"p": 0.5, "seed": 1, "dim": "x"}, "dim must be an integer, got 'x'"),
+        ],
+    )
+    def test_malformed_pendant_parameter_exits_2(
+        self, tmp_path, capsys, source, params, message
+    ):
+        """A ``random_pendant`` parameter that does not parse as its type
+        exits 2 naming it, whether it comes from ``--graph``, from
+        ``--perturbation`` or from a perturbation file."""
+        if source == "graph":
+            graph = ["--graph", f"builtin:random_pendant,{params}"]
+        else:
+            graph = ["--graph", "builtin:lattice2", "--perturbation"]
+            if source == "file":
+                spec = tmp_path / "pert.json"
+                spec.write_text(json.dumps({"builtin": "random_pendant", **params}))
+                graph.append(str(spec))
+            else:
+                graph.append(f"builtin:random_pendant,{params}")
+        out = tmp_path / "out"
+        assert run(
+            tmp_path, "condition-p", *graph, "--n", "1", "--window", "0,5,0,5",
+            "--out", str(out / "o"),
+        ) == 2
+        assert f"random_pendant parameter {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_off_band_value_is_math_error(self, tmp_path):
         assert run(
             tmp_path,
@@ -688,6 +728,28 @@ class TestErrorPaths:
         assert "box lists more than 4000 vertices" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
         assert len(calls) <= 8000
+
+    def test_box_under_the_cell_cap_is_listed_in_chunks(self, tmp_path, capsys, monkeypatch):
+        """An induced box of 4096^2 cells is under the whole-box cap and far
+        over the dense one; refusing it lists one chunk of cells, never the
+        whole box."""
+        sizes = []
+        listed = truncation_module.box_cell_array
+
+        def counted(box, at=None):
+            cells = listed(box, at)
+            sizes.append(len(cells))
+            return cells
+
+        monkeypatch.setattr(truncation_module, "box_cell_array", counted)
+        assert run(
+            tmp_path,
+            "truncate", "--graph", "builtin:lattice2", "--box=0,4095,0,4095",
+            "--out", str(tmp_path / "o"),
+        ) == 2
+        assert "box lists more than 4000 vertices" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        assert sizes and max(sizes) <= 4096
 
     def test_box_at_the_cell_cap_runs(self, tmp_path, monkeypatch):
         """The cap is inclusive: with it lowered to 4^3 cells, a 3-D

@@ -368,5 +368,5 @@ def test_half_torus_equals_full_grid_union(name):
         half = essential_spectrum(graph, grid)
         full = _band_union(band_grid(graph, grid)[1], grid)
         assert len(half.intervals) == len(full.intervals)
-        assert np.max(np.abs(np.subtract(half.endpoints(), full.endpoints()))) <= 1e-15
+        assert np.max(np.abs(np.subtract(half.intervals, full.intervals))) <= 1e-15
         assert np.allclose(half.flat_points, full.flat_points, rtol=0, atol=1e-15)
