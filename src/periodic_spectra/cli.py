@@ -13,6 +13,7 @@ value, no clear box), 4 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import os
 import sys
@@ -200,15 +201,24 @@ class RunContext:
 
 
 def _resolve_threads(value: int | None) -> int:
-    if value is not None:
-        return max(1, value)
-    env = os.environ.get(ENV_THREADS)
-    if env:
+    """``--threads``, else ``PERIODIC_SPECTRA_THREADS``, else the number of
+    CPUs this process may run on.  A count below 1 is an ``InputError``."""
+    source = "--threads"
+    if value is None:
+        env = os.environ.get(ENV_THREADS)
+        if not env:
+            try:
+                return len(os.sched_getaffinity(0))
+            except AttributeError:
+                return os.cpu_count() or 1
+        source = ENV_THREADS
         try:
-            return max(1, int(env))
+            value = int(env)
         except ValueError:
             raise InputError(f"{ENV_THREADS} must be an integer, got {env!r}")
-    return os.cpu_count() or 1
+    if value < 1:
+        raise InputError(f"{source} must be at least 1, got {value}")
+    return value
 
 
 def _parse_builtin(text: str) -> tuple[str, dict]:
@@ -515,7 +525,11 @@ def _cmd_catalog(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one, so callers must not change it.  ``parse_args`` keeps no state
+    between calls: each returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="periodic-spectra",
         description=(

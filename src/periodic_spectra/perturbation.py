@@ -286,13 +286,21 @@ def _row_by_row(predicate: Callable[[Vertex], bool]) -> RowPredicate:
 def _finite_membership(vertices: Iterable[Vertex]) -> RowPredicate:
     """Array form of ``v in vertices`` for a finite vertex set.  A row whose
     ``cell_hash`` of ``(cell..., label)`` is a member's hash is a candidate,
+    found by one ``searchsorted`` in the members' hashes (sorted once here),
     and each candidate is then looked up exactly."""
     members = frozenset(vertices)
-    hashes = np.array([cell_hash(0, v.cell + (v.label,)) for v in members], dtype=np.uint64)
+    hashes = np.sort(
+        np.array([cell_hash(0, v.cell + (v.label,)) for v in members], dtype=np.uint64)
+    )
 
     def contains(cells: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        if not members:
+            return np.zeros(len(labels), dtype=bool)
         rows = np.column_stack([cells, labels])
-        out = np.isin(cell_hash_array(0, rows), hashes)
+        keys = cell_hash_array(0, rows)
+        # a key past the greatest hash is compared with the greatest
+        nearest = np.minimum(np.searchsorted(hashes, keys), len(hashes) - 1)
+        out = hashes[nearest] == keys
         at = np.flatnonzero(out)
         out[at] = [Vertex(tuple(r[:-1]), r[-1]) in members for r in rows[at].tolist()]
         return out

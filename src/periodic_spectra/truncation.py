@@ -439,7 +439,7 @@ def _count_boundary_modes(
     )
     sizes = np.diff(bounds)
     count = 0
-    for m in np.unique(sizes).tolist():
+    for m in sorted(set(sizes.tolist())):
         firsts = bounds[:-1][sizes == m]
         step = max(1, _GRAM_BATCH // (m * max(m, r)))
         for start in range(0, len(firsts), step):

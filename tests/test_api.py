@@ -185,6 +185,73 @@ def test_every_module_uses_what_it_imports():
     assert unused == []
 
 
+# numpy's set routines that import ``numpy.ma`` (10-20 ms once per process,
+# numpy 2.4): the ``isin`` family always, ``unique`` unless a ``return_*``
+# keyword is passed.
+NUMPY_MA_CALLS = ("isin", "in1d", "union1d", "intersect1d", "setdiff1d", "setxor1d")
+
+
+def test_package_calls_no_numpy_set_routine_that_imports_numpy_ma():
+    found = []
+    for path in sorted(Path(periodic_spectra.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in ("np", "numpy")
+            ):
+                continue
+            name = node.func.attr
+            plain_unique = name == "unique" and not any(
+                (k.arg or "").startswith("return_") for k in node.keywords
+            )
+            if name in NUMPY_MA_CALLS or plain_unique:
+                found.append(f"{path.name}:{node.lineno} np.{name}")
+    assert found == []
+
+
+# Every command once, in one fresh interpreter; ``lambda-set`` reads a patch
+# of 64 removed vertices, enough that ``np.isin`` would sort rather than loop.
+EVERY_COMMAND = """
+import json, sys
+from periodic_spectra.cli import main
+removed = [[[x, y], 1] for x in range(8) for y in range(8)]
+with open("removed.json", "w") as f:
+    json.dump({"patch": {"removed_vertices": removed}}, f)
+runs = [
+    ["bands", "--graph", "builtin:lattice2", "--grid", "4"],
+    ["sigma-ess", "--graph", "builtin:lattice2", "--grid", "4"],
+    ["lambda-set", "--graph", "builtin:lattice2", "--perturbation", "removed.json",
+     "--window=-20,20,-20,20"],
+    ["condition-p", "--graph", "builtin:lattice2", "--perturbation", "removed.json",
+     "--n", "1", "--window", "0,20,0,20"],
+    ["weyl-check", "--graph", "builtin:half_plane", "--lambda", "0.0", "--n-list", "2,4",
+     "--emit-plot-data"],
+    ["truncate", "--graph", "builtin:half_plane", "--box=-5,5,-5,5"],
+    ["truncate", "--graph", "builtin:cone", "--box=-5,5,-5,5"],
+    ["truncate", "--graph", "builtin:lattice2", "--box=0,5,0,5", "--wrap"],
+    ["random-trial", "--p", "0.5", "--n", "1", "--trials", "100", "--seed", "3"],
+    ["catalog"],
+]
+codes = [main(argv) for argv in runs]
+print(codes, "numpy.ma" in sys.modules)
+"""
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", EVERY_COMMAND],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == f"{[0] * 10} False"
+
+
 def test_spectra_report_runs(capsys):
     spec = importlib.util.spec_from_file_location("spectra_report", SCRIPTS / "spectra_report.py")
     module = importlib.util.module_from_spec(spec)

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -844,6 +846,34 @@ class TestResolution:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv, prefix", SMALL_RUNS, ids=[p for _, p in SMALL_RUNS])
+    @pytest.mark.parametrize(
+        "flag, env, message",
+        [
+            ("0", None, "--threads must be at least 1, got 0"),
+            ("-3", None, "--threads must be at least 1, got -3"),
+            (None, "0", "PERIODIC_SPECTRA_THREADS must be at least 1, got 0"),
+        ],
+    )
+    def test_thread_count_below_one_exits_2(
+        self, tmp_path, monkeypatch, capsys, argv, prefix, flag, env, message
+    ):
+        monkeypatch.delenv("PERIODIC_SPECTRA_THREADS", raising=False)
+        if env is not None:
+            monkeypatch.setenv("PERIODIC_SPECTRA_THREADS", env)
+        extra = ["--threads", flag] if flag is not None else []
+        assert run(tmp_path, *argv, *extra) == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_default_thread_count_is_the_affinity_mask(self, monkeypatch):
+        monkeypatch.delenv("PERIODIC_SPECTRA_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert cli._resolve_threads(None) == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert cli._resolve_threads(None) == 64
+
+    @pytest.mark.parametrize("argv, prefix", SMALL_RUNS, ids=[p for _, p in SMALL_RUNS])
     def test_default_prefix_is_the_command_name(self, tmp_path, argv, prefix):
         assert run(tmp_path, *argv) == 0
         assert (tmp_path / f"{prefix}.manifest.json").exists()
@@ -869,6 +899,67 @@ class TestResolution:
         )
         assert code == 0
         assert read_json(tmp_path / "rp_entry.json")["center"] is not None
+
+
+def _run_alone(directory, argv):
+    """``argv`` run by ``main`` in a fresh interpreter inside ``directory``."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if k != "PERIODIC_SPECTRA_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    code = "import sys; from periodic_spectra.cli import main; sys.exit(main(sys.argv[1:]))"
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        cwd=directory, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def _files(directory):
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+def test_shared_parser_carries_nothing_between_calls(tmp_path, monkeypatch, capsys):
+    """``main`` reuses one parser; a refused call, an optional flag given
+    and then left out, and a ``--perturbation`` given and then left out each
+    leave the next call's files as the same command writes alone."""
+    monkeypatch.delenv("PERIODIC_SPECTRA_THREADS", raising=False)
+
+    def help_texts():
+        texts = []
+        for argv in (["--help"], ["condition-p", "--help"], ["weyl-check", "--help"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 0
+            texts.append(capsys.readouterr().out)
+        return texts
+
+    before = help_texts()
+    with pytest.raises(SystemExit) as exit_info:
+        main(["condition-p", "--n", "1", "--window", "0,5,0,5"])
+    assert exit_info.value.code == 2
+    assert "--graph" in capsys.readouterr().err
+    patch = {"patch": {"removed_vertices": [[[x, 0], 1] for x in range(4)]}}
+    weyl_argv = ["weyl-check", "--graph", "builtin:lattice2", "--perturbation",
+                 "builtin:half_plane", "--lambda", "0.0", "--n-list", "2,4"]
+    runs = [
+        ["condition-p", "--graph", "builtin:lattice2", "--perturbation", "pert.json",
+         "--n", "1", "--window", "0,6,0,6"],
+        ["condition-p", "--graph", "builtin:half_plane", "--n", "1", "--window", "0,6,0,6"],
+        [*weyl_argv, "--emit-plot-data"],
+        weyl_argv,
+    ]
+    for step, argv in enumerate(runs):
+        shared, alone = tmp_path / f"shared{step}", tmp_path / f"alone{step}"
+        for directory in (shared, alone):
+            directory.mkdir()
+            (directory / "pert.json").write_text(json.dumps(patch))
+        assert run(shared, *argv) == 0
+        _run_alone(alone, argv)
+        assert _files(shared) == _files(alone)
+    assert read_json(tmp_path / "shared1" / "condition_p.manifest.json")["parameters"][
+        "perturbation"] is None
+    assert {p.suffix for p in (tmp_path / "shared3").iterdir()} == {".json", ".csv"}
+    assert help_texts() == before
 
 
 def test_graph_roundtrip(tmp_path):

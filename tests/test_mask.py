@@ -378,3 +378,62 @@ def test_lambda_set_csv_matches_scalar_route(tmp_path, monkeypatch, graph, pert,
     fast = _lambda_set(tmp_path, "fast", graph, pert, window)
     monkeypatch.setattr(UnperturbedSet, "mask", lambda self, box: scalar_mask(self._g, box))
     assert _lambda_set(tmp_path, "scalar", graph, pert, window) == fast
+
+
+def _membership_rows():
+    """Every vertex with labels 0..2 over cells -4..4 squared, plus a few
+    cells far outside it."""
+    cells = [(x, y) for x in range(-4, 5) for y in range(-4, 5)]
+    cells += [(100, -100), (-(2**40), 3)]
+    return [Vertex(c, a) for c in cells for a in range(3)]
+
+
+def _hash_of(v):
+    return perturbation.cell_hash(0, v.cell + (v.label,))
+
+
+def _check_membership(members, rows):
+    contains = perturbation._finite_membership(members)
+    cells = np.array([v.cell for v in rows], dtype=np.int64)
+    labels = np.array([v.label for v in rows], dtype=np.int64)
+    got = contains(cells, labels)
+    assert got.dtype == bool and got.shape == (len(rows),)
+    assert got.tolist() == [v in members for v in rows]
+
+
+def _fail_isin(*args, **kwargs):
+    raise AssertionError("the lookup must not sort both arrays with np.isin on every call")
+
+
+def test_finite_membership_answers_exactly(monkeypatch):
+    """The sorted-hash lookup of ``_finite_membership``: no member, one
+    member, the members of least and greatest hash (the two ends of the
+    sorted array ``searchsorted`` clips to) and a spread of 80 members."""
+    monkeypatch.setattr(np, "isin", _fail_isin)
+    rows = _membership_rows()
+    by_hash = sorted(rows, key=_hash_of)
+    least, greatest = by_hash[0], by_hash[-1]
+    for members in [
+        frozenset(),
+        frozenset([rows[7]]),
+        frozenset([least]),
+        frozenset([greatest]),
+        frozenset([least, greatest]),
+        frozenset(rows[::3][:80]),
+    ]:
+        _check_membership(members, rows)
+    _check_membership(frozenset([least]), [])
+
+
+def test_finite_membership_confirms_every_colliding_candidate(monkeypatch):
+    """With every hash forced to one value each row is a candidate, and the
+    answer still comes from the exact member test."""
+    monkeypatch.setattr(np, "isin", _fail_isin)
+    monkeypatch.setattr(perturbation, "cell_hash", lambda seed, key: 7)
+    monkeypatch.setattr(
+        perturbation, "cell_hash_array",
+        lambda seed, rows: np.full(len(rows), 7, dtype=np.uint64),
+    )
+    rows = _membership_rows()
+    for members in [frozenset([rows[0]]), frozenset([rows[-1], rows[40]]), frozenset(rows[::5])]:
+        _check_membership(members, rows)
