@@ -17,7 +17,6 @@ import functools
 import hashlib
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import asdict
 from pathlib import Path
@@ -488,7 +487,13 @@ def _cmd_random_trial(args) -> int:
         args.out,
     )
     expected = clear_box_probability(args.n, args.p, args.dim)
-    pool = ThreadPoolExecutor(max_workers=args.threads) if args.threads > 1 else None
+    pool = None
+    if args.threads > 1:
+        # imported here, as no other command starts threads: the import costs
+        # every process about 4 ms
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(max_workers=args.threads)
     try:
         estimate = clear_box_monte_carlo(
             args.n, args.p, args.dim, args.trials, args.seed, pool=pool

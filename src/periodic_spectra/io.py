@@ -4,7 +4,10 @@ Both formats are JSON.  A graph file holds ``dimension``, ``cell_size`` and
 ``edges`` as ``[origin_label, target_label, [index...]]`` triples; a
 perturbation file holds either ``{"builtin": name, ...params}`` or an
 explicit ``{"patch": {...}}`` with vertex/edge lists.  Labels are 1-based in
-files (and everywhere else user-facing); internally they are 0-based.
+files (and everywhere else user-facing); internally they are 0-based.  Every
+coordinate, label, edge index, ``dimension`` and ``cell_size`` is an integer
+or its decimal text: a bool or any other number raises ``ParseError``, and so
+does a cell or an index that is not a list.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ def graph_from_spec(data, source: str = "<graph>") -> PeriodicGraph:
     if not isinstance(data, dict):
         raise ParseError(f"{source}: expected a JSON object")
     try:
-        dim = int(data["dimension"])
-        cell_size = int(data["cell_size"])
+        dim = _integer(data["dimension"])
+        cell_size = _integer(data["cell_size"])
         raw_edges = data["edges"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{source}: missing or malformed field ({exc})") from None
@@ -37,7 +40,7 @@ def graph_from_spec(data, source: str = "<graph>") -> PeriodicGraph:
         try:
             origin, target, index = item
             edges.append(
-                FundEdge(int(origin) - 1, int(target) - 1, tuple(int(i) for i in index))
+                FundEdge(_integer(origin) - 1, _integer(target) - 1, _integers(index))
             )
         except (TypeError, ValueError) as exc:
             raise ParseError(f"{source}: edge {k} is malformed ({exc})") from None
@@ -61,10 +64,28 @@ def write_graph_file(path: str | Path, graph: PeriodicGraph) -> None:
     Path(path).write_text(json.dumps(graph_to_spec(graph), indent=2) + "\n")
 
 
+def _integer(value) -> int:
+    """``value`` as an int: an integer that is not a bool, or its decimal
+    text; anything else raises ``ValueError`` naming the value."""
+    if isinstance(value, str):
+        return int(value)
+    if type(value) is not int:
+        raise ValueError(f"{value!r} is not an integer")
+    return value
+
+
+def _integers(values) -> tuple[int, ...]:
+    """A cell or an edge index: a list of integers (``_integer``), not a
+    text, whose characters would be read one by one."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{values!r} is not a list")
+    return tuple(values) if set(map(type, values)) <= {int} else tuple(map(_integer, values))
+
+
 def _vertex_from_spec(obj, source: str) -> Vertex:
     try:
         cell, label = obj
-        return Vertex(tuple(int(c) for c in cell), int(label) - 1)
+        return Vertex(_integers(cell), _integer(label) - 1)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{source}: malformed vertex {obj!r} ({exc})") from None
 

@@ -15,7 +15,10 @@ everything outside that image.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -34,11 +37,11 @@ from .graphs import (
     PeriodicGraph,
     Vertex,
     Window,
-    box_cell_array,
+    _cell_sizes,
     periodic_oracle,
     propagation_length,
 )
-from .randomfield import cell_hash, cell_hash_array
+from .randomfield import cell_hash_array
 
 _NO_NEIGHBORS: tuple[Vertex, ...] = ()
 
@@ -212,16 +215,15 @@ class UnperturbedSet:
             )
         kept = _checked_hook(g._keep_array, g._keep, padded, s, "keep_array").reshape(shape)
         out = kept[tuple(slice(pad, pad + n) for n in sizes)].copy()
-        for e in base.oriented_edges():
-            ahead = tuple(slice(pad + i, pad + i + n) for i, n in zip(e.index, sizes))
-            out[..., e.origin] &= kept[ahead + (e.target,)]
-        for a, la, b, lb in g._removed_count or ():
-            u, v = Vertex(a, la), Vertex(b, lb)
-            if g._is_base_name(u) and v in g.base_oracle.out_edges(u):
-                for x in (u, v):
-                    at = tuple(c - lo for c, (lo, _) in zip(x.cell, box))
-                    if all(0 <= i < n for i, n in zip(at, sizes)):
-                        out[at + (x.label,)] = False
+        for label, at in enumerate(base.templates):
+            for index, target in at:
+                ahead = tuple(slice(pad + i, pad + i + n) for i, n in zip(index, sizes))
+                out[..., label] &= kept[ahead + (target,)]
+        if g._removed_ends is not None:
+            cells, labels = g._removed_ends[:, :-1], g._removed_ends[:, -1]
+            lows, highs = np.array(box, dtype=np.int64).T
+            inside = ((cells >= lows) & (cells <= highs)).all(axis=1)
+            out[tuple((cells[inside] - lows).T) + (labels[inside],)] = False
         flat = out.reshape(-1)
         rows = np.flatnonzero(flat)
         flat[rows] = ~_checked_hook(
@@ -238,37 +240,90 @@ def _checked_hook(
     name: str,
     rows: np.ndarray | None = None,
 ) -> np.ndarray:
-    """``hook`` at the vertices of ``box`` with positions ``rows`` (all by
-    default) in the order cells first, labels last, asked ``_HOOK_ROWS`` rows
-    at a time.  Each answer is compared with ``scalar`` at the rows whose cell
-    is a corner of ``box`` and at every ``_SAMPLE_STRIDE``-th row; the first
-    vertex where they differ raises ``InternalInvariantError``."""
-    total = math.prod(hi - lo + 1 for lo, hi in box) * s if rows is None else len(rows)
-    got = np.empty(total, dtype=bool)
-    for start in range(0, total, _HOOK_ROWS):
-        stop = min(start + _HOOK_ROWS, total)
-        at = np.arange(start, stop) if rows is None else rows[start:stop]
-        cell_at, labels = np.divmod(at, s)
-        cells = box_cell_array(box, cell_at)
-        answer = np.asarray(hook(cells, labels))
-        if answer.dtype != bool or answer.shape != labels.shape:
-            raise InternalInvariantError(
-                f"{name} returned an array of dtype {answer.dtype} and shape "
-                f"{answer.shape}, expected bool and {labels.shape}"
-            )
-        corner = np.ones(len(at), dtype=bool)
-        for axis, (lo, hi) in enumerate(box):
-            corner &= (cells[:, axis] == lo) | (cells[:, axis] == hi)
-        sampled = corner | (np.arange(start, stop) % _SAMPLE_STRIDE == 0)
-        for i in np.flatnonzero(sampled).tolist():
-            v = Vertex(tuple(cells[i].tolist()), int(labels[i]))
-            if bool(scalar(v)) != answer[i]:
+    """``hook`` at the vertices of ``box`` with sorted positions ``rows``
+    (all by default) in the order cells first, labels last.  It is asked per
+    block of at most ``_HOOK_ROWS`` box rows: the leading axes fixed, a run
+    of one axis and every later axis whole, so the block's cells are
+    broadcast from one coordinate range per axis.  Each answer is compared
+    with ``scalar`` at the rows whose cell is a corner of ``box`` and at
+    every ``_SAMPLE_STRIDE``-th row, positions found once per call; the first
+    vertex where they differ raises ``InternalInvariantError``.  A
+    coordinate past 64 bits raises ``InputError``."""
+    sizes, d = _cell_sizes(box), len(box)
+    count = math.prod(sizes) * s
+    if rows is not None and len(rows) == count:
+        rows = None  # sorted positions, as many as the box has: all of them
+    elif rows is not None:
+        count = len(rows)
+    got = np.empty(count, dtype=bool)
+    corners = []
+    for cell in itertools.product(*[(0, n - 1) for n in sizes]):
+        place = 0
+        for c, n in zip(cell, sizes):
+            place = place * n + c
+        corners += range(place * s, place * s + s)
+    if rows is not None:
+        found = np.searchsorted(rows, corners).tolist()
+        corners = [i for i, c in zip(found, corners) if i < count and rows[i] == c]
+    spots = sorted(set(corners).union(range(0, count, _SAMPLE_STRIDE)))
+
+    # blocks run along ``axis``, the first whose later axes hold few enough rows
+    axis = next((a for a in range(d) if math.prod(sizes[a + 1 :]) * s <= _HOOK_ROWS), d - 1)
+    unit = math.prod(sizes[axis + 1 :]) * s  # rows per cell of ``axis``
+    step = max(_HOOK_ROWS // unit, 1)
+    whole = [
+        (np.arange(sizes[a]) + box[a][0]).reshape((-1,) + (1,) * (d - a))
+        for a in range(axis + 1, d)
+    ]
+    for p, prefix in enumerate(itertools.product(*map(range, sizes[:axis]))):
+        for j0 in range(0, sizes[axis], step):
+            j1 = min(j0 + step, sizes[axis])
+            start = (p * sizes[axis] + j0) * unit
+            stop = (p * sizes[axis] + j1) * unit
+            if rows is not None:
+                first, last = np.searchsorted(rows, (start, stop)).tolist()
+                if first == last:
+                    continue
+            cells = np.empty((j1 - j0, *sizes[axis + 1 :], s, d), dtype=np.int64)
+            for a, c in enumerate(prefix):
+                cells[..., a] = box[a][0] + c
+            run = np.arange(j0, j1) + box[axis][0]
+            cells[..., axis] = run.reshape((-1,) + (1,) * (d - axis))
+            for a, coords in enumerate(whole, axis + 1):
+                cells[..., a] = coords
+            labels = np.empty(cells.shape[:-1], dtype=np.int64)
+            labels[:] = np.arange(s)
+            cells, labels = cells.reshape(-1, d), labels.reshape(-1)
+            if rows is not None:
+                pick = rows[first:last] - start
+                cells, labels = cells.take(pick, axis=0), labels.take(pick)
+                start, stop = first, last
+            answer = np.asarray(hook(cells, labels))
+            if answer.dtype != bool or answer.shape != labels.shape:
                 raise InternalInvariantError(
-                    f"{name} gives {bool(answer[i])} at {v}, its scalar predicate "
-                    f"{not answer[i]}"
+                    f"{name} returned an array of dtype {answer.dtype} and shape "
+                    f"{answer.shape}, expected bool and {labels.shape}"
                 )
-        got[start:stop] = answer
+            for i in spots[bisect.bisect_left(spots, start) : bisect.bisect_left(spots, stop)]:
+                v = Vertex(tuple(cells[i - start].tolist()), int(labels[i - start]))
+                if bool(scalar(v)) != answer[i - start]:
+                    raise InternalInvariantError(
+                        f"{name} gives {bool(answer[i - start])} at {v}, its scalar "
+                        f"predicate {not answer[i - start]}"
+                    )
+            got[start:stop] = answer
     return got
+
+
+def _int64_rows(rows: list[tuple[int, ...]], width: int) -> np.ndarray:
+    """The ``rows`` of ``width`` integers as an int64 array of shape
+    ``(m, width)``, leaving out any row with a value past 64 bits."""
+    try:
+        return np.array(rows, dtype=np.int64).reshape(len(rows), width)
+    except OverflowError:
+        limit = 1 << 63
+        fit = [r for r in rows if all(-limit <= x < limit for x in r)]
+        return np.array(fit, dtype=np.int64).reshape(len(fit), width)
 
 
 def _row_by_row(predicate: Callable[[Vertex], bool]) -> RowPredicate:
@@ -283,18 +338,19 @@ def _row_by_row(predicate: Callable[[Vertex], bool]) -> RowPredicate:
     return apply
 
 
-def _finite_membership(vertices: Iterable[Vertex]) -> RowPredicate:
-    """Array form of ``v in vertices`` for a finite vertex set.  A row whose
-    ``cell_hash`` of ``(cell..., label)`` is a member's hash is a candidate,
-    found by one ``searchsorted`` in the members' hashes (sorted once here),
-    and each candidate is then looked up exactly."""
+def _finite_membership(vertices: Iterable[Vertex], dim: int) -> RowPredicate:
+    """Array form of ``v in vertices`` for a finite vertex set, asked at
+    cells of ``dim`` coordinates.  A row whose ``cell_hash`` of
+    ``(cell..., label)`` is a member's hash is a candidate, found by one
+    ``searchsorted`` in the members' hashes (sorted once here), and each
+    candidate is then looked up exactly.  A member of another cell length,
+    or past 64 bits, is no such row and is left out of the hashes."""
     members = frozenset(vertices)
-    hashes = np.sort(
-        np.array([cell_hash(0, v.cell + (v.label,)) for v in members], dtype=np.uint64)
-    )
+    keys = [v.cell + (v.label,) for v in members if len(v.cell) == dim]
+    hashes = np.sort(cell_hash_array(0, _int64_rows(keys, dim + 1)))
 
     def contains(cells: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        if not members:
+        if not len(hashes):
             return np.zeros(len(labels), dtype=bool)
         rows = np.column_stack([cells, labels])
         keys = cell_hash_array(0, rows)
@@ -339,6 +395,7 @@ class PerturbedGraph:
             self._added_neighbors = patch.added_neighbors
             self._added_in_cell = patch.added_in_cell
             self._removed_count: dict | None = None
+            self._removed_ends = None
             self._keep_array = patch.keep_array or _row_by_row(patch.keep)
             self._has_added_array = patch.has_added_array or _row_by_row(self._has_added)
         self.oracle = PerturbedOracle(self)
@@ -355,8 +412,18 @@ class PerturbedGraph:
             if u not in removed_v and v not in removed_v
         ]
         self._removed_count = Counter(_pair_key(u, v) for u, v in removed_edges)
+        # the endpoints of removed base edges, which ``mask`` clears
+        moves = {(a, b, index) for a, at in enumerate(self.base.templates) for index, b in at}
+        ends = [
+            x.cell + (x.label,)
+            for u, v in removed_edges
+            if len(u.cell) == len(v.cell)
+            and (u.label, v.label, tuple(map(operator.sub, v.cell, u.cell))) in moves
+            for x in (u, v)
+        ]
+        self._removed_ends = _int64_rows(ends, self.base.dim + 1) if ends else None
         self._keep = lambda v: v not in removed_v
-        removed_at = _finite_membership(removed_v)
+        removed_at = _finite_membership(removed_v, self.base.dim)
         self._keep_array = lambda cells, labels: ~removed_at(cells, labels)
         added_v = set(patch.added_vertices)
         for v in added_v:
@@ -376,7 +443,7 @@ class PerturbedGraph:
         self._added_contains = lambda v: v in added_v
         self._added_neighbors = lambda v: frozen.get(v, _NO_NEIGHBORS)
         self._added_in_cell = lambda cell: frozen_cells.get(cell, ())
-        self._has_added_array = _finite_membership(frozen)
+        self._has_added_array = _finite_membership(frozen, self.base.dim)
 
     def _has_added(self, v: Vertex) -> bool:
         return bool(self._added_neighbors(v))

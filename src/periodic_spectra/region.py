@@ -8,48 +8,48 @@ and is compiled once per test state.  It has two sides:
   on it, padded with zeros by the propagation length, by one shift-and-add
   per oriented edge template, and asks no oracle;
 * the *perturbed side* lists, as rows, the kept box vertices (in grid
-  order) followed by every neighbour outside them, with CSR neighbour arrays
-  that keep only targets that are rows themselves.
+  order) followed by every neighbour outside them.
 
 One call of ``UnperturbedSet.mask`` over the box grown by the propagation
 length gives the unperturbed bit of every grid row, and with it the kept
-bits over the box grown twice, which decide the kept box rows.  One rule
-then fills every row, in the box or outside it:
+bits over the box grown twice, which decide the kept box rows.  The bit
+splits the rows in two kinds:
 
-* a row whose unperturbed bit is set has exactly its base edges, so its
-  entries come from one array shift per oriented edge template (in the
-  order of ``PeriodicGraph.templates``, which the oracle lists too) and its
-  degree is the base degree of its label;
-* every other row (a perturbed or added vertex, or a base name outside the
-  common subgraph) takes one ``out_edges`` call, and only its targets are
-  looked up by name.
+* a *stencil row* (bit set) has exactly its base edges and stores no
+  neighbours.  ``laplacian`` scatters the rows onto the twice-grown grid,
+  where a position that is no row holds 0, adds one shifted slice per
+  oriented template at each label (in ``PeriodicGraph.templates`` order,
+  which the oracle lists too) and reads the sums back at these rows;
+* a *CSR row* (a perturbed or added vertex, or a base name outside the
+  common subgraph) takes one ``out_edges`` call and keeps the targets that
+  are rows as CSR entries, which a small ``bincount`` sums.
 
-A row is known by its *key*: its position on the twice-grown grid when it is
-a kept base vertex there, otherwise a number given to its name.  The outside
-rows are the keys that the box rows list and that are not box rows, in the
-order of their first occurrence, which is the order in which ``out_edges``
-calls at the box rows in grid order would discover them.  ``Vertex`` names
-are built only on demand: for the rows that call ``out_edges``, for
-messages, and for ``names`` when something reads it.
+Both add a row's neighbour values in ``out_edges`` order from 0, so the sums
+have the bits one ``bincount`` over a full CSR gives.  A row is known by its
+*key*: its position on the twice-grown grid when it is a kept base vertex
+there, otherwise a number given to its name.  The outside rows are the keys
+that the box rows list and that are not box rows, in the order of their
+first occurrence; only CSR box rows and stencil box rows within the
+propagation length of a face can list one.  ``Vertex`` names are built only
+on demand.
 
-So a clear box with a clear ring asks the oracle only for its self-check,
-and any other box once more per row whose bit is clear.  Two checks run on
-every compile: the template-built rows at the corners of their block and at
-every 4096th of them are compared with ``out_edges``, and
-``graphs.audit_symmetry`` checks that the CSR lists every edge from both
-ends.  The unperturbed bits also zero the defect.  A row off the
-once-grown grid has no mask bit: it takes one ``out_edges`` call and is not
-in the unperturbed set, because only an added edge joins it to a box row
-and the audit makes it list that edge back.  The dict
-operators ``apply_laplacian``, ``weighted_norm``, ``embed_state``,
-``apply_defect`` and ``embedding_norm_bounds`` of ``tests/reference.py``
-compute the same quantities vertex by vertex and are the reference for this
-route; its ``state_vector`` reads a test state's rows back as such a dict.
+Three checks run on every compile: every oriented template has its
+reversal; the stencil rows at the corners of their block and at every
+4096th of them equal ``out_edges``; and ``graphs.audit_symmetry`` finds
+every CSR entry, and every stencil entry that lands on a CSR row, listed
+from both ends.  Two stencil rows list each other through a template and its
+reversal, so they need no audit.  A row off the once-grown grid has no mask
+bit: it is a CSR row, joined to the box only by an added edge that the audit
+makes it list back.  ``tests/reference.py`` holds the dict operators that
+compute the same quantities vertex by vertex, ``state_vector`` and
+``region_entries``, which lays out the full CSR of every row.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from functools import cached_property
 from operator import attrgetter
 from typing import Sequence
@@ -103,69 +103,71 @@ class Region:
         self._off_grid: dict[Vertex, int] = {}  # key of every name off the grid
         self._base_degrees = np.asarray(base.degrees, dtype=np.int64)
         self._shifts = _label_shifts(base, self._strides.tolist())
+        _check_reversals(self._shifts)
 
         inner = (slice(2 * pad, 2 * pad + side),) * dim
         box_keys = np.arange(kept.size).reshape(kept.shape)[inner].reshape(-1)
         self._kept_at = np.flatnonzero(self._kept_bits[box_keys])
         self.kept = len(self._kept_at)
-        counts = self._compile(box_keys[self._kept_at])
-        self._entry_rows = np.repeat(np.arange(self.size, dtype=np.intp), counts)
-        audit_symmetry(self.size, self._name, self._entry_rows, self.indices)
+        box_keys = box_keys[self._kept_at]
+        box_bits = self._member[box_keys]
+        # a stencil row at least ``pad`` cells inside every face lists box rows only
+        deep = np.zeros(self.shape, dtype=bool)
+        deep[(slice(pad, side - pad),) * dim] = True
+        lists = np.flatnonzero(~(box_bits & deep.reshape(-1)[self._kept_at]))
+        degrees, targets, asked = self._lists(box_keys[lists], box_bits[lists])
 
-        self.unperturbed = np.zeros(self.size, dtype=bool)
-        on = self._keys < self._grid_keys
-        self.unperturbed[on] = self._member[self._keys[on]]
-
-    def _compile(self, box_keys: np.ndarray) -> np.ndarray:
-        """Set the row keys, ``size``, ``degrees`` and ``indices`` from the
-        keys of the kept box rows, and return the CSR entries per row.  The
-        outside rows are the targets of the box rows that are not box rows,
-        in the order of their first occurrence."""
-        box_ptr, box_targets = self._entries(box_keys)
         row_at = np.full(self._grid_keys + len(self._off_grid), -1, dtype=np.intp)
         row_at[box_keys] = np.arange(self.kept)
-        outside = box_targets[row_at[box_targets] < 0]
+        outside = targets[row_at[targets] < 0]
         outside = outside[np.sort(np.unique(outside, return_index=True)[1])]
         self.size = self.kept + len(outside)
         row_at[outside] = np.arange(self.kept, self.size)
         self._keys = np.concatenate([box_keys, outside])
+        on = outside < self._grid_keys
+        outside_bits = np.zeros(len(outside), dtype=bool)
+        outside_bits[on] = self._member[outside[on]]
+        self.unperturbed = np.concatenate([box_bits, outside_bits])
 
-        out_ptr, out_targets = self._entries(outside)
-        cols = np.full(out_targets.size, -1, dtype=np.intp)
-        known = out_targets < row_at.size  # a name first met here is no row
-        cols[known] = row_at[out_targets[known]]
-        listed = cols >= 0
-        self.degrees = np.concatenate([np.diff(box_ptr), np.diff(out_ptr)])
-        owner = np.repeat(np.arange(len(outside)), self.degrees[self.kept:])
-        counts = self.degrees.copy()
-        counts[self.kept:] = np.bincount(owner[listed], minlength=len(outside))
-        self.indices = np.empty(int(counts.sum()), dtype=np.intp)
-        np.take(row_at, box_targets, out=self.indices[: box_targets.size])
-        self.indices[box_targets.size:] = cols[listed]
-        return counts
+        # CSR rows: the box rows asked above, then the outside rows asked here
+        outside_asked = np.flatnonzero(~outside_bits)
+        listed, counts = _ask(graph, self._names_of(outside[outside_asked]))
+        counts = np.concatenate([degrees[asked], counts])
+        csr_keys = np.concatenate(
+            [targets[np.repeat(~box_bits[lists], degrees)], self._keys_of(listed)]
+        )
+        cols = np.full(csr_keys.size, -1, dtype=np.intp)
+        known = csr_keys < row_at.size  # a name first met here is no row
+        cols[known] = row_at[csr_keys[known]]
+        self._csr_rows = np.concatenate([lists[asked], self.kept + outside_asked])
+        self._csr_owner = np.repeat(np.arange(len(counts)), counts)[cols >= 0]
+        self._csr_cols = cols[cols >= 0]
+        self.degrees = self._base_degrees[self._keys % s]
+        self.degrees[self._csr_rows] = counts
 
-    def _entries(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """CSR ``(indptr, target keys)`` of the rows with ``keys``, each row's
-        targets in ``out_edges`` order.  A row with its unperturbed bit set
-        takes them from the edge templates, every other row from one
-        ``out_edges`` call; the template-built rows are then checked."""
-        on = keys < self._grid_keys
-        at = np.where(on, keys, 0)
-        built = on & self._member[at]
-        labels = at % self.shape[-1]
-        degrees = np.where(built, self._base_degrees[labels], 0)
-        asked = np.flatnonzero(~built)
+        self._audit(row_at)
+        self._check_templates(row_at)
+
+    def _lists(
+        self, keys: np.ndarray, bits: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(degrees, target keys, asked)`` of the rows with ``keys``, each
+        row's targets in ``out_edges`` order.  A row whose bit in ``bits`` is
+        set takes them from the edge templates, every other row (listed in
+        ``asked``) from one ``out_edges`` call."""
+        labels = keys % self.shape[-1]
+        degrees = np.where(bits, self._base_degrees[labels], 0)
+        asked = np.flatnonzero(~bits)
         listed, asked_degrees = _ask(self.graph, self._names_of(keys[asked]))
         degrees[asked] = asked_degrees
         indptr = np.concatenate([[0], np.cumsum(degrees)])
         targets = np.empty(int(indptr[-1]), dtype=np.int64)
         for a, shifts in enumerate(self._shifts):
-            rows = np.flatnonzero(built & (labels == a))
+            rows = np.flatnonzero(bits & (labels == a))
             for j, shift in enumerate(shifts):
                 targets[indptr[rows] + j] = keys[rows] + shift
-        targets[_entry_slots(indptr[asked], degrees[asked])] = self._keys_of(listed)
-        self._check_templates(keys, np.flatnonzero(built), indptr, targets)
-        return indptr, targets
+        targets[_entry_slots(indptr[asked], asked_degrees)] = self._keys_of(listed)
+        return degrees, targets, asked
 
     def _keys_of(self, targets: Sequence[Vertex]) -> np.ndarray:
         """Key of every vertex in ``targets``: its grid position when it is a
@@ -200,24 +202,52 @@ class Region:
     def _name(self, row: int) -> Vertex:
         return self._names_of(self._keys[row : row + 1])[0]
 
-    def _check_templates(
-        self, keys: np.ndarray, built: np.ndarray, indptr: np.ndarray, targets: np.ndarray
-    ) -> None:
-        """Compare the template-built rows ``built`` at the corners of their
-        block and at every ``_SAMPLE_STRIDE``-th of them with ``out_edges``;
-        raise ``InternalInvariantError`` naming the first vertex where they
+    def _audit(self, row_at: np.ndarray) -> None:
+        """``audit_symmetry`` over the CSR entries and every stencil entry
+        that lands on a CSR row (``row_at`` maps keys to rows, -1 for none).
+        Such an entry ``p -> t`` is found from ``t``: ``p`` is ``t`` moved by
+        a template at ``t``'s label, whose reversal ``_check_reversals`` has
+        confirmed.  A move that leaves the grid or wraps round an axis lands
+        past the once-grown grid, where no bit is set."""
+        rows, cols = [self._csr_rows[self._csr_owner]], [self._csr_cols]
+        csr = self._csr_rows[self._keys[self._csr_rows] < self._grid_keys]
+        keys = self._keys[csr]
+        labels = keys % self.shape[-1]
+        for a, shifts in enumerate(self._shifts):
+            at, ends = keys[labels == a], csr[labels == a]
+            for shift in shifts:
+                p = at + shift
+                hit = (p >= 0) & (p < self._grid_keys)
+                hit[hit] = self._member[p[hit]]
+                found = row_at[p[hit]]
+                rows.append(found[found >= 0])
+                cols.append(ends[hit][found >= 0])
+        audit_symmetry(self.size, self._name, np.concatenate(rows), np.concatenate(cols))
+
+    def _check_templates(self, row_at: np.ndarray) -> None:
+        """Compare the stencil rows at the corners of their block (the box,
+        or the once-grown box for outside rows) and at every
+        ``_SAMPLE_STRIDE``-th of them with ``out_edges``; raise
+        ``InternalInvariantError`` naming the first vertex where they
         differ."""
-        at = np.unravel_index(keys[built] // self.shape[-1], self._grid_shape)
-        corner = np.ones(built.size, dtype=bool)
-        for axis in at:
-            if axis.size:
-                corner &= (axis == axis.min()) | (axis == axis.max())
-        sample = built[corner | (np.arange(built.size) % _SAMPLE_STRIDE == 0)]
-        names = self._names_of(keys[sample])
+        s, side, pad = self.shape[-1], self.shape[0], self._pad
+        strides = self._strides.tolist()
+        corners = [
+            sum(map(int.__mul__, cell, strides)) + label
+            for first, length in ((2 * pad, side), (pad, side + 2 * pad))
+            for cell in itertools.product((first, first + length - 1), repeat=len(strides))
+            for label in range(s)
+        ]
+        at = row_at[corners]
+        at = at[at >= 0]
+        sample = set(np.flatnonzero(self.unperturbed)[::_SAMPLE_STRIDE].tolist())
+        sample = np.array(sorted(sample.union(at[self.unperturbed[at]].tolist())), dtype=np.intp)
+        keys = self._keys[sample]
+        names = self._names_of(keys)
         listed, degrees = _ask(self.graph, names)
         wanted = np.split(self._keys_of(listed), np.cumsum(degrees)[:-1])
-        for v, r, want in zip(names, sample.tolist(), wanted):
-            have = targets[indptr[r]:indptr[r + 1]]
+        for v, key, want in zip(names, keys.tolist(), wanted):
+            have = np.add(key, self._shifts[key % s])
             if not np.array_equal(want, have):
                 raise InternalInvariantError(
                     f"edge templates give {v} the neighbours "
@@ -253,18 +283,34 @@ class Region:
         """Rows of the transplanted state: grid values move to the kept rows,
         removed vertices drop out and every other row carries zero."""
         out = np.zeros(self.size, dtype=grid.dtype)
-        out[: self.kept] = grid.reshape(-1)[self._kept_at]
+        flat = grid.reshape(-1)
+        out[: self.kept] = flat if self.kept == flat.size else flat[self._kept_at]
         return out
 
     def laplacian(self, rows: np.ndarray) -> np.ndarray:
-        """Perturbed Laplacian: each row averages its neighbours' values."""
-        n = self.size
-        real = np.bincount(self._entry_rows, weights=rows.real[self.indices], minlength=n)
-        imag = np.bincount(self._entry_rows, weights=rows.imag[self.indices], minlength=n)
-        acc = real + 1j * imag
-        out = np.zeros_like(acc)
-        np.divide(acc, self.degrees, out=out, where=self.degrees > 0)
-        return out
+        """Perturbed Laplacian: each row averages its neighbours' values.
+        The stencil runs over the once-grown grid, whose every position
+        moved by a template at its label stays on the twice-grown grid."""
+        grid = np.zeros(self._grid_keys + len(self._off_grid), dtype=complex)
+        grid[self._keys] = rows
+        sums = np.zeros_like(grid)
+        s = self.shape[-1]
+        first = self._pad * int(self._strides.sum())  # key of the once-grown grid's first row
+        stop = self._grid_keys - first
+        for a, shifts in enumerate(self._shifts):
+            out = sums[first + a : stop : s]
+            for shift in shifts:
+                out += grid[first + a + shift : stop + shift : s]
+        sums = sums[self._keys]
+        sums[self._csr_rows] = self._csr_sums(rows)
+        return _mean(sums, self.degrees)
+
+    def _csr_sums(self, rows: np.ndarray) -> np.ndarray:
+        """Sum of the listed neighbours' values at every CSR row."""
+        n = len(self._csr_rows)
+        real = np.bincount(self._csr_owner, weights=rows.real[self._csr_cols], minlength=n)
+        imag = np.bincount(self._csr_owner, weights=rows.imag[self._csr_cols], minlength=n)
+        return real + 1j * imag
 
     def norm(self, rows: np.ndarray) -> float:
         """Degree-weighted l2 norm in the perturbed graph."""
@@ -272,11 +318,27 @@ class Region:
 
     def defect(self, grid: np.ndarray) -> np.ndarray:
         """Defect operator on the rows: perturbed Laplacian after embedding
-        minus embedding after the base Laplacian, zero over the unperturbed
-        set."""
-        lifted = self.laplacian(self.embed(grid))
-        pushed = self.embed(self.base_laplacian(grid))
-        return np.where(self.unperturbed, 0.0, lifted - pushed)
+        minus embedding after the base Laplacian.  It is zero over the
+        unperturbed set, that is at every stencil row; at a CSR row it is
+        the average over its CSR entries minus, at a box row, the base
+        stencil's average over the grid, taken as zero outside the box.  The
+        stencil is read at those rows only: ``base_laplacian`` over the whole
+        grid would cost a 3-D n=64 ``residual_row`` about a fifth more."""
+        out = np.zeros(self.size, dtype=complex)
+        at = self._csr_rows
+        if at.size:
+            s, pad, side = self.shape[-1], self._pad, self.shape[0]
+            wide = np.zeros(self._grid_shape + (s,), dtype=complex)
+            wide[(slice(2 * pad, 2 * pad + side),) * len(self._grid_shape)] = grid
+            keys = self._keys[at[at < self.kept]]
+            labels = keys % s
+            sums = np.zeros(len(keys), dtype=complex)
+            for a, shifts in enumerate(self._shifts):
+                for shift in shifts:
+                    sums[labels == a] += wide.reshape(-1)[keys[labels == a] + shift]
+            out[at] = _mean(self._csr_sums(self.embed(grid)), self.degrees[at])
+            out[at[: len(keys)]] -= _mean(sums, self._base_degrees[labels])
+        return out
 
     def embedding_norm_bounds(self) -> tuple[float, float]:
         """Two-sided bounds ``(lower, upper)`` on the embedding's norm ratio
@@ -299,6 +361,12 @@ class Region:
         lower = float(np.sqrt(int(dprime.min()) / max(dbase)))
         upper = float(np.sqrt(int(dprime.max()) / min(dbase)))
         return lower, upper
+
+
+def _mean(sums: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """``sums / degrees`` in place; a row of degree 0 lists nothing, so its
+    sum stays 0."""
+    return np.divide(sums, degrees, out=sums, where=degrees > 0)
 
 
 def _ask(graph: PerturbedGraph, vertices: Sequence[Vertex]) -> tuple[list[Vertex], np.ndarray]:
@@ -325,9 +393,23 @@ def _label_shifts(base: PeriodicGraph, strides: list[int]) -> list[list[int]]:
     ]
 
 
+def _check_reversals(shifts: list[list[int]]) -> None:
+    """Raise ``InternalInvariantError`` unless every shift ``d`` at label
+    ``a`` has its reversal ``-d`` at the target's label ``(a + d) mod s``,
+    as often: then two stencil rows list each other equally often."""
+    s = len(shifts)
+    moves = [(a, d) for a, at in enumerate(shifts) for d in at]
+    unmatched = Counter(moves) - Counter(((a + d) % s, -d) for a, d in moves)
+    if unmatched:
+        a, d = next(iter(unmatched))
+        raise InternalInvariantError(
+            f"the edge template shift {d} at label {a + 1} has no reversal at "
+            f"label {(a + d) % s + 1}"
+        )
+
+
 def _entry_slots(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Positions ``starts[i], ..., starts[i] + counts[i] - 1`` of every row
     ``i`` in turn, as one array."""
     first = np.cumsum(counts) - counts
     return np.repeat(starts - first, counts) + np.arange(int(counts.sum()))
-

@@ -36,6 +36,26 @@ def region_vertices(region: Region) -> list[Vertex]:
     return [Vertex(cell, label) for cell in box_cells(region._box) for label in range(s)]
 
 
+def region_entries(region: Region) -> tuple[np.ndarray, np.ndarray]:
+    """The full CSR of ``region`` as ``(entry_rows, indices)``: every row's
+    neighbour rows in ``out_edges`` order, rows in turn.  A stencil row
+    lists its template targets that are rows; a CSR row its CSR entries."""
+    s = region.shape[-1]
+    row_of = {key: r for r, key in enumerate(region._keys.tolist())}
+    csr: dict[int, list[int]] = {r: [] for r in region._csr_rows.tolist()}
+    for owner, col in zip(region._csr_owner.tolist(), region._csr_cols.tolist()):
+        csr[int(region._csr_rows[owner])].append(col)
+    rows, cols = [], []
+    for r, key in enumerate(region._keys.tolist()):
+        if region.unperturbed[r]:
+            listed = [row_of[key + d] for d in region._shifts[key % s] if key + d in row_of]
+        else:
+            listed = csr[r]
+        rows += [r] * len(listed)
+        cols += listed
+    return np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
+
+
 def box_index(box_graph: BoxGraph) -> dict[Vertex, int]:
     """Row of every vertex of a truncated box."""
     return {v: i for i, v in enumerate(box_graph.vertices)}

@@ -213,9 +213,12 @@ def test_package_calls_no_numpy_set_routine_that_imports_numpy_ma():
 
 # Every command once, in one fresh interpreter; ``lambda-set`` reads a patch
 # of 64 removed vertices, enough that ``np.isin`` would sort rather than loop.
+# Importing the CLI must not import ``concurrent.futures`` (about 4 ms), which
+# only ``random-trial`` with more than one thread uses.
 EVERY_COMMAND = """
 import json, sys
 from periodic_spectra.cli import main
+pooled = "concurrent.futures" in sys.modules
 removed = [[[x, y], 1] for x in range(8) for y in range(8)]
 with open("removed.json", "w") as f:
     json.dump({"patch": {"removed_vertices": removed}}, f)
@@ -235,7 +238,7 @@ runs = [
     ["catalog"],
 ]
 codes = [main(argv) for argv in runs]
-print(codes, "numpy.ma" in sys.modules)
+print(codes, "numpy.ma" in sys.modules, pooled)
 """
 
 
@@ -249,7 +252,7 @@ def test_no_command_imports_numpy_ma(tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == f"{[0] * 10} False"
+    assert done.stdout.splitlines()[-1] == f"{[0] * 10} False False"
 
 
 def test_spectra_report_runs(capsys):

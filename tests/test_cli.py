@@ -18,9 +18,11 @@ from periodic_spectra import truncation as truncation_module
 from periodic_spectra.cli import RunContext, _fmt, _format_columns, main
 from periodic_spectra.errors import InternalInvariantError
 from periodic_spectra.region import Region
+from periodic_spectra.graphs import Vertex
 from periodic_spectra.io import (
     graph_to_spec,
     load_graph_file,
+    load_perturbation_file,
     write_graph_file,
 )
 
@@ -769,6 +771,82 @@ class TestErrorPaths:
             "--perturbation", "builtin:half_plane",
             "--n", "1", "--window", "0,5",
         ) == 2
+
+
+LATTICE2_FILE = {"dimension": 2, "cell_size": 1, "edges": [[1, 1, [1, 0]], [1, 1, [0, 1]]]}
+
+
+class TestIntegerFields:
+    """Every integer of a graph or patch file is an integer or its decimal
+    text: a bool or a non-integer number exits 2 naming the value instead of
+    being truncated."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("dimension", 2.0),
+            ("dimension", True),
+            ("cell_size", 1.5),
+            ("origin", 1.9),
+            ("target", True),
+            ("index", 1.5),
+            ("index", "10"),
+        ],
+    )
+    def test_graph_file(self, tmp_path, capsys, field, value):
+        spec = json.loads(json.dumps(LATTICE2_FILE))
+        if field in ("dimension", "cell_size"):
+            spec[field] = value
+        else:
+            edge = spec["edges"][0]
+            if field == "index" and isinstance(value, str):
+                edge[2] = value  # a text index, not a list
+            elif field == "index":
+                edge[2][0] = value
+            else:
+                edge[0 if field == "origin" else 1] = value
+        source = tmp_path / "graph.json"
+        source.write_text(json.dumps(spec))
+        assert run(tmp_path, "sigma-ess", "--graph", str(source), "--grid", "4") == 2
+        kind = "a list" if isinstance(value, str) else "an integer"
+        assert f"{value!r} is not {kind}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"removed_vertices": [[[0.7, 2], 1]]}, "0.7 is not an integer"),
+            ({"removed_vertices": [[[0, 2], True]]}, "True is not an integer"),
+            ({"removed_edges": [[[[0, 0], 1], [[1.0, 0], 1]]]}, "1.0 is not an integer"),
+            ({"added_vertices": [[[0, 0], 2.5]]}, "2.5 is not an integer"),
+            ({"removed_vertices": [["12", 1]]}, "'12' is not a list"),
+        ],
+    )
+    def test_patch_file(self, tmp_path, capsys, entry, message):
+        source = tmp_path / "patch.json"
+        source.write_text(json.dumps({"patch": entry}))
+        assert run(
+            tmp_path, "condition-p", "--graph", "builtin:lattice2",
+            "--perturbation", str(source), "--n", "1", "--window", "0,5,0,5",
+            "--out", str(tmp_path / "out"),
+        ) == 2
+        err = capsys.readouterr().err
+        assert "malformed vertex" in err and message in err
+        assert not (tmp_path / "out.json").exists()
+
+    def test_decimal_text_is_read(self, tmp_path):
+        spec = json.loads(json.dumps(LATTICE2_FILE))
+        spec["dimension"] = "2"
+        spec["edges"][0] = ["1", "1", ["1", "0"]]
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps(spec))
+        patch = tmp_path / "patch.json"
+        patch.write_text(json.dumps({"patch": {"removed_vertices": [[["0", "2"], "1"]]}}))
+        plain = tmp_path / "plain.json"
+        plain.write_text(json.dumps(LATTICE2_FILE))
+        base = load_graph_file(graph)
+        assert base == load_graph_file(plain)
+        perturbed = load_perturbation_file(patch, base)
+        assert perturbed.patch.removed_vertices == frozenset({Vertex((0, 2), 0)})
 
 
 class TestPerturbationFiles:

@@ -112,7 +112,7 @@ def without_hooks(graph):
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
-@pytest.mark.parametrize("origin", [-9, -EDGE - 3, EDGE - 3])
+@pytest.mark.parametrize("origin", [-9, -EDGE - 3, EDGE - 3, -(2**63) + 1, 2**63 - 14])
 def test_mask_equals_row_by_row_adapter_and_scalar_test(name, origin):
     graph = GRAPHS[name]
     box = [(origin, origin + (4 if graph.base.dim == 3 else 12))] * graph.base.dim
@@ -127,6 +127,30 @@ def test_mask_equals_row_by_row_adapter_and_scalar_test(name, origin):
         for x in (Vertex(c, a) for c in box_cells(box) for a in range(s))
     ]
     assert got.reshape(-1).tolist() == scalar
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+@pytest.mark.parametrize("rows", [1, 3, 40, 500])
+def test_mask_in_small_hook_blocks(monkeypatch, name, rows):
+    """Blocks of a few rows (a piece of one line, whole lines, whole planes)
+    give the same mask, and no hook call gets more rows than a block holds."""
+    graph = GRAPHS[name]
+    box = [(-9, 5)] + [(-3, 4)] * (graph.base.dim - 1)
+    whole = graph.unperturbed.mask(box)
+    asked = []
+
+    def counted(hook):
+        def apply(cells, labels):
+            asked.append(len(labels))
+            return hook(cells, labels)
+
+        return apply
+
+    monkeypatch.setattr(perturbation, "_HOOK_ROWS", rows)
+    monkeypatch.setattr(graph, "_keep_array", counted(graph._keep_array))
+    monkeypatch.setattr(graph, "_has_added_array", counted(graph._has_added_array))
+    assert np.array_equal(graph.unperturbed.mask(box), whole)
+    assert 0 < max(asked) <= max(rows, graph.base.cell_size)
 
 
 def wrong_at(hook, cell):

@@ -32,6 +32,7 @@ from periodic_spectra.cli import main
 from periodic_spectra.errors import InputError, VertexNotInGraphError
 from periodic_spectra.graphs import propagation_length
 from periodic_spectra.perturbation import UnperturbedSet, _pair_key
+from periodic_spectra.randomfield import cell_hash
 
 from reference import box_cells
 
@@ -389,11 +390,11 @@ def _membership_rows():
 
 
 def _hash_of(v):
-    return perturbation.cell_hash(0, v.cell + (v.label,))
+    return cell_hash(0, v.cell + (v.label,))
 
 
 def _check_membership(members, rows):
-    contains = perturbation._finite_membership(members)
+    contains = perturbation._finite_membership(members, 2)
     cells = np.array([v.cell for v in rows], dtype=np.int64)
     labels = np.array([v.label for v in rows], dtype=np.int64)
     got = contains(cells, labels)
@@ -408,7 +409,8 @@ def _fail_isin(*args, **kwargs):
 def test_finite_membership_answers_exactly(monkeypatch):
     """The sorted-hash lookup of ``_finite_membership``: no member, one
     member, the members of least and greatest hash (the two ends of the
-    sorted array ``searchsorted`` clips to) and a spread of 80 members."""
+    sorted array ``searchsorted`` clips to), a spread of 80 members and
+    members that no 2-D row can be."""
     monkeypatch.setattr(np, "isin", _fail_isin)
     rows = _membership_rows()
     by_hash = sorted(rows, key=_hash_of)
@@ -420,6 +422,9 @@ def test_finite_membership_answers_exactly(monkeypatch):
         frozenset([greatest]),
         frozenset([least, greatest]),
         frozenset(rows[::3][:80]),
+        # members no 2-D row can be: another cell length, a coordinate past 64 bits
+        frozenset([rows[7], Vertex((0, 0, 0), 0), Vertex((2**70, 0), 1)]),
+        frozenset([Vertex((1,), 0)]),
     ]:
         _check_membership(members, rows)
     _check_membership(frozenset([least]), [])
@@ -429,7 +434,6 @@ def test_finite_membership_confirms_every_colliding_candidate(monkeypatch):
     """With every hash forced to one value each row is a candidate, and the
     answer still comes from the exact member test."""
     monkeypatch.setattr(np, "isin", _fail_isin)
-    monkeypatch.setattr(perturbation, "cell_hash", lambda seed, key: 7)
     monkeypatch.setattr(
         perturbation, "cell_hash_array",
         lambda seed, rows: np.full(len(rows), 7, dtype=np.uint64),

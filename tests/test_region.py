@@ -51,6 +51,7 @@ from reference import (
     box_cells,
     embed_state,
     embedding_norm_bounds,
+    region_entries,
     region_vertices,
     state_vector,
     sup_norm,
@@ -294,6 +295,74 @@ def test_one_sided_added_edge_fails_the_audit():
         Region(graph, (0, 0), 2)
 
 
+def test_one_sided_added_edge_fails_the_audit_in_3d():
+    # (0,0,0) lists an added edge to the stencil row (1,1,1), which does
+    # not list it back
+    one_sided = {Vertex((0, 0, 0), 0): (Vertex((1, 1, 1), 0),)}
+    patch = PredicatePatch(keep=lambda v: True, added_neighbors=lambda v: one_sided.get(v, ()))
+    graph = PerturbedGraph(make_lattice(3), patch, name="one-sided")
+    message = "(0,0,0|v0) -> (1,1,1|v0) is listed 1 times, (1,1,1|v0) -> (0,0,0|v0) 0 times"
+    with pytest.raises(InternalInvariantError, match=re.escape(message)):
+        Region(graph, (0, 0, 0), 2)
+
+
+def test_csr_row_dropping_a_stencil_neighbour_fails_the_audit(monkeypatch):
+    """A stencil entry that lands on a CSR row is audited: the CSR row
+    (0,0,0), which has an added edge, stops listing its base neighbour
+    (1,0,0), whose stencil still lists it."""
+    x, y = Vertex((0, 0, 0), 0), Vertex((1, 0, 0), 0)
+    pendant = Vertex((0, 0, 0), 1)
+    patch = PredicatePatch(
+        keep=lambda v: True,
+        added_contains=lambda v: v == pendant,
+        added_neighbors=lambda v: {x: (pendant,), pendant: (x,)}.get(v, ()),
+    )
+    graph = PerturbedGraph(make_lattice(3), patch, name="dropped")
+    out_edges = PerturbedOracle.out_edges
+    monkeypatch.setattr(
+        PerturbedOracle, "out_edges",
+        lambda self, v: tuple(t for t in out_edges(self, v) if v != x or t != y),
+    )
+    message = f"{x} -> {y} is listed 0 times, {y} -> {x} 1 times"
+    with pytest.raises(InternalInvariantError, match=re.escape(message)):
+        Region(graph, (0, 0, 0), 2)
+
+
+def test_one_sided_edge_stops_weyl_check_with_exit_4(tmp_path, monkeypatch, capsys):
+    """The ring row (-6,0) below the clear box -8..-4 x 1..5 of half_plane
+    lists an edge into the box that the box row does not list back."""
+    out_edges = PerturbedOracle.out_edges
+    extra = {Vertex((-6, 0), 0): (Vertex((-6, 3), 0),)}
+    monkeypatch.setattr(
+        PerturbedOracle, "out_edges", lambda self, v: out_edges(self, v) + extra.get(v, ())
+    )
+    code = main([
+        "weyl-check", "--graph", "builtin:lattice2", "--perturbation", "builtin:half_plane",
+        "--lambda", "0.0", "--n-list", "2", "--out", str(tmp_path / "wc"),
+    ])
+    assert code == 4
+    assert "(-6,0|v0) -> (-6,3|v0) 1 times" in capsys.readouterr().err
+
+
+def test_clear_3d_box_stores_no_entries_for_its_stencil_rows():
+    graph = make_random_pendant(0.02, 5, dim=3).perturbation
+    report = find_unperturbed_box(graph, 3, ((0, 12),) * 3)
+    region = Region(graph, report.center.cell, report.box_bounds[1])
+    assert region.clear
+    # the CSR rows are exactly the rows whose bit is clear: no box row owns an entry
+    assert np.array_equal(region._csr_rows, np.flatnonzero(~region.unperturbed))
+    assert np.count_nonzero(region._csr_rows[region._csr_owner] < region.kept) == 0
+
+
+def test_template_without_reversal_fails_the_compile(monkeypatch):
+    shifts = region_module._label_shifts
+    monkeypatch.setattr(
+        region_module, "_label_shifts", lambda *args: [s[:-1] for s in shifts(*args)]
+    )
+    with pytest.raises(InternalInvariantError, match="has no reversal"):
+        Region(make_half_plane().perturbation, (0, 5), 2)
+
+
 def reference_region(graph, center, half):
     """The rows of ``Region`` from one ``in_common`` test per box vertex and
     one ``out_edges`` call per row: kept box vertices in grid order, then
@@ -339,10 +408,13 @@ def assert_compiles_like_reference(graph, center, half):
     got, ref = Region(graph, center, half), reference_region(graph, center, half)
     assert got.names == ref.names
     assert got.kept == ref.kept
-    for key in ("degrees", "indices", "unperturbed"):
+    for key in ("degrees", "unperturbed"):
         np.testing.assert_array_equal(getattr(got, key), getattr(ref, key), err_msg=key)
         assert getattr(got, key).dtype == getattr(ref, key).dtype, key
-    np.testing.assert_array_equal(got._entry_rows, ref.entry_rows)
+    entry_rows, indices = region_entries(got)
+    np.testing.assert_array_equal(entry_rows, ref.entry_rows)
+    np.testing.assert_array_equal(indices, ref.indices)
+    assert indices.dtype == ref.indices.dtype
 
 
 COMPILE_CASES = {name: make() for name, (make, _, _) in CATALOG_CASES.items()}
