@@ -94,7 +94,8 @@ def _format_columns(columns) -> list[tuple[np.ndarray, np.ndarray]]:
 
 def _json_text(obj, indent: int = 0) -> str:
     """Deterministic JSON writer: floats at 17 significant digits, keys in
-    insertion order."""
+    insertion order.  JSON has no ``nan`` or ``inf``, so a non-finite float
+    raises ``InternalInvariantError``."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):
@@ -117,6 +118,8 @@ def _json_text(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
+        if not np.isfinite(obj):
+            raise InternalInvariantError(f"cannot write the non-finite number {obj!r} as JSON")
         return _fmt(obj)
     if isinstance(obj, str):
         return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
@@ -313,12 +316,12 @@ def _cmd_bands(args) -> int:
 
 def _cmd_sigma_ess(args) -> int:
     base, _ = _resolve_graph(args.graph)
+    spectrum = essential_spectrum(base, args.grid, args.flat_tol)
     ctx = RunContext(
         "sigma-ess",
         {"graph": args.graph, "grid": args.grid, "flat_tol": args.flat_tol},
         args.out,
     )
-    spectrum = essential_spectrum(base, args.grid, args.flat_tol)
     ctx.write_manifest()
     ctx.write_json(
         {
@@ -395,6 +398,7 @@ def _cmd_weyl_check(args) -> int:
     ns = _parse_n_list(args.n_list)
     window_text = args.window or _default_window(base.dim, max(ns))
     window = _parse_window(window_text, base.dim)
+    rows = residual_sweep(perturbed, args.lam, ns, window, args.grid)
     ctx = RunContext(
         "weyl-check",
         {
@@ -407,7 +411,6 @@ def _cmd_weyl_check(args) -> int:
         },
         args.out,
     )
-    rows = residual_sweep(perturbed, args.lam, ns, window, args.grid)
     row_ns = [r.n for r in rows]
     residuals = [r.residual for r in rows]
     bounds = [r.bound for r in rows]
@@ -437,6 +440,8 @@ def _cmd_truncate(args) -> int:
     box = _parse_window(args.box, base.dim)
     eps = args.eps if args.eps is not None else (1e-9 if args.wrap else 0.02)
     grid = args.grid if args.grid is not None else (256 if base.dim == 1 else 64)
+    reference = essential_spectrum(base, grid)
+    check_eps(eps)
     ctx = RunContext(
         "truncate",
         {
@@ -449,8 +454,6 @@ def _cmd_truncate(args) -> int:
         },
         args.out,
     )
-    reference = essential_spectrum(base, grid)
-    check_eps(eps)
     if args.wrap:
         if perturbed is not None:
             raise InputError("--wrap applies to purely periodic graphs only")
@@ -475,6 +478,7 @@ def _cmd_truncate(args) -> int:
 
 
 def _cmd_random_trial(args) -> int:
+    expected = clear_box_probability(args.n, args.p, args.dim)
     ctx = RunContext(
         "random-trial",
         {
@@ -486,7 +490,6 @@ def _cmd_random_trial(args) -> int:
         },
         args.out,
     )
-    expected = clear_box_probability(args.n, args.p, args.dim)
     pool = None
     if args.threads > 1:
         # imported here, as no other command starts threads: the import costs

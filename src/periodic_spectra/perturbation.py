@@ -206,13 +206,7 @@ class UnperturbedSet:
             return empty, empty
         pad = propagation_length(base)
         padded = [(lo - pad, hi + pad) for lo, hi in box]
-        shape = tuple(n + 2 * pad for n in sizes) + (s,)
-        count = math.prod(shape)
-        if count > _MASK_LIMIT:
-            raise InputError(
-                f"box {list(box)} padded by {pad} has {count} vertices; "
-                f"the unperturbed-set mask is capped at {_MASK_LIMIT}"
-            )
+        shape = _capped_mask_shape(box, pad, s)
         kept = _checked_hook(g._keep_array, g._keep, padded, s, "keep_array").reshape(shape)
         out = kept[tuple(slice(pad, pad + n) for n in sizes)].copy()
         for label, at in enumerate(base.templates):
@@ -230,6 +224,20 @@ class UnperturbedSet:
             g._has_added_array, g._has_added, box, s, "has_added_array", rows
         )
         return kept, out
+
+
+def _capped_mask_shape(box: Window, pad: int, s: int) -> tuple[int, ...]:
+    """Shape of the kept grid over ``box`` padded by ``pad`` (labels last,
+    ``s`` of them); ``InputError`` when it holds more than ``_MASK_LIMIT``
+    vertices."""
+    shape = tuple(max(hi - lo + 1, 0) + 2 * pad for lo, hi in box) + (s,)
+    count = math.prod(shape)
+    if count > _MASK_LIMIT:
+        raise InputError(
+            f"box {list(box)} padded by {pad} has {count} vertices; "
+            f"the unperturbed-set mask is capped at {_MASK_LIMIT}"
+        )
+    return shape
 
 
 def _checked_hook(

@@ -4,9 +4,9 @@ A ``Region`` covers the box ``[c - h, c + h]^d`` around a centre cell ``c``
 and is compiled once per test state.  It has two sides:
 
 * the *base side* is the dense grid ``(2h+1, ..., 2h+1, cell_size)`` of base
-  vertices in lexicographic cell order, labels last.  The base Laplacian acts
-  on it, padded with zeros by the propagation length, by one shift-and-add
-  per oriented edge template, and asks no oracle;
+  vertices in lexicographic cell order, labels last.  ``base_laplacian``
+  sets it on the box of the twice-grown grid, zeros around it, and applies
+  the stencil below there; it asks no oracle;
 * the *perturbed side* lists, as rows, the kept box vertices (in grid
   order) followed by every neighbour outside them.
 
@@ -17,9 +17,10 @@ splits the rows in two kinds:
 
 * a *stencil row* (bit set) has exactly its base edges and stores no
   neighbours.  ``laplacian`` scatters the rows onto the twice-grown grid,
-  where a position that is no row holds 0, adds one shifted slice per
-  oriented template at each label (in ``PeriodicGraph.templates`` order,
-  which the oracle lists too) and reads the sums back at these rows;
+  where a position that is no row holds 0, applies the one base stencil
+  ``_stencil`` (a shifted slice per oriented template at each label, in
+  ``PeriodicGraph.templates`` order, which the oracle lists too) and reads
+  the sums back at these rows;
 * a *CSR row* (a perturbed or added vertex, or a base name outside the
   common subgraph) takes one ``out_edges`` call and keeps the targets that
   are rows as CSR entries, which a small ``bincount`` sums.
@@ -105,8 +106,8 @@ class Region:
         self._shifts = _label_shifts(base, self._strides.tolist())
         _check_reversals(self._shifts)
 
-        inner = (slice(2 * pad, 2 * pad + side),) * dim
-        box_keys = np.arange(kept.size).reshape(kept.shape)[inner].reshape(-1)
+        self._inner = (slice(2 * pad, 2 * pad + side),) * dim  # the box on that grid
+        box_keys = np.arange(kept.size).reshape(kept.shape)[self._inner].reshape(-1)
         self._kept_at = np.flatnonzero(self._kept_bits[box_keys])
         self.kept = len(self._kept_at)
         box_keys = box_keys[self._kept_at]
@@ -269,15 +270,12 @@ class Region:
     def base_laplacian(self, grid: np.ndarray) -> np.ndarray:
         """Base Laplacian of a grid state, taken as zero outside the box;
         exact on the box for states supported ``propagation_length`` cells
-        inside its faces.  The grid is padded by the propagation length, so
-        every edge template reads one full shifted slice of it."""
-        pad, side = self._pad, self.shape[0]
-        padded = np.pad(grid, [(pad, pad)] * (grid.ndim - 1) + [(0, 0)])
-        out = np.zeros_like(grid)
-        for e in self.graph.base.oriented_edges():
-            ahead = tuple(slice(pad + i, pad + i + side) for i in e.index)
-            out[..., e.origin] += padded[ahead + (e.target,)]
-        return out / self._base_degrees
+        inside its faces.  ``_stencil`` runs over the state set on the box of
+        the twice-grown grid, zeros around it."""
+        wide = np.zeros(self._grid_shape + grid.shape[-1:], dtype=grid.dtype)
+        wide[self._inner] = grid
+        sums = self._stencil(wide.reshape(-1)).reshape(wide.shape)[self._inner]
+        return sums / self._base_degrees
 
     def embed(self, grid: np.ndarray) -> np.ndarray:
         """Rows of the transplanted state: grid values move to the kept rows,
@@ -289,21 +287,29 @@ class Region:
 
     def laplacian(self, rows: np.ndarray) -> np.ndarray:
         """Perturbed Laplacian: each row averages its neighbours' values.
-        The stencil runs over the once-grown grid, whose every position
-        moved by a template at its label stays on the twice-grown grid."""
+        ``_stencil`` runs over the rows scattered onto the twice-grown grid;
+        the CSR rows take their own sums."""
         grid = np.zeros(self._grid_keys + len(self._off_grid), dtype=complex)
         grid[self._keys] = rows
-        sums = np.zeros_like(grid)
+        sums = self._stencil(grid)[self._keys]
+        sums[self._csr_rows] = self._csr_sums(rows)
+        return _mean(sums, self.degrees)
+
+    def _stencil(self, flat: np.ndarray) -> np.ndarray:
+        """Sums over the base edge templates of ``flat``, a state on the flat
+        twice-grown grid, at every position of the once-grown grid (which a
+        template keeps on the twice-grown grid): one shifted slice per
+        template at each label, added from 0 in ``PeriodicGraph.templates``
+        order, which the oracle lists too.  Every other key sums to 0."""
+        sums = np.zeros_like(flat)
         s = self.shape[-1]
         first = self._pad * int(self._strides.sum())  # key of the once-grown grid's first row
         stop = self._grid_keys - first
         for a, shifts in enumerate(self._shifts):
             out = sums[first + a : stop : s]
             for shift in shifts:
-                out += grid[first + a + shift : stop + shift : s]
-        sums = sums[self._keys]
-        sums[self._csr_rows] = self._csr_sums(rows)
-        return _mean(sums, self.degrees)
+                out += flat[first + a + shift : stop + shift : s]
+        return sums
 
     def _csr_sums(self, rows: np.ndarray) -> np.ndarray:
         """Sum of the listed neighbours' values at every CSR row."""
@@ -320,24 +326,16 @@ class Region:
         """Defect operator on the rows: perturbed Laplacian after embedding
         minus embedding after the base Laplacian.  It is zero over the
         unperturbed set, that is at every stencil row; at a CSR row it is
-        the average over its CSR entries minus, at a box row, the base
-        stencil's average over the grid, taken as zero outside the box.  The
-        stencil is read at those rows only: ``base_laplacian`` over the whole
-        grid would cost a 3-D n=64 ``residual_row`` about a fifth more."""
+        the average over its CSR entries minus, at a box row,
+        ``base_laplacian``.  A clear box has no CSR box row, so there the
+        defect is the CSR average alone and builds no grid."""
         out = np.zeros(self.size, dtype=complex)
         at = self._csr_rows
         if at.size:
-            s, pad, side = self.shape[-1], self._pad, self.shape[0]
-            wide = np.zeros(self._grid_shape + (s,), dtype=complex)
-            wide[(slice(2 * pad, 2 * pad + side),) * len(self._grid_shape)] = grid
-            keys = self._keys[at[at < self.kept]]
-            labels = keys % s
-            sums = np.zeros(len(keys), dtype=complex)
-            for a, shifts in enumerate(self._shifts):
-                for shift in shifts:
-                    sums[labels == a] += wide.reshape(-1)[keys[labels == a] + shift]
             out[at] = _mean(self._csr_sums(self.embed(grid)), self.degrees[at])
-            out[at[: len(keys)]] -= _mean(sums, self._base_degrees[labels])
+            box = at[at < self.kept]
+            if box.size:
+                out[box] -= self.base_laplacian(grid).reshape(-1)[self._kept_at[box]]
         return out
 
     def embedding_norm_bounds(self) -> tuple[float, float]:

@@ -23,8 +23,8 @@ from .errors import (
     NoClearBoxError,
 )
 from .floquet import fiber_matrices, locate_band_value
-from .graphs import PeriodicGraph, Vertex, Window
-from .perturbation import PerturbedGraph, WindowReport, find_unperturbed_box
+from .graphs import PeriodicGraph, Vertex, Window, propagation_length
+from .perturbation import PerturbedGraph, WindowReport, _capped_mask_shape, find_unperturbed_box
 from .region import Region
 
 _EIGENPAIR_TOL = 1e-9
@@ -114,6 +114,7 @@ class WeylState:
     embed_norm: float
     region: Region  # padded box the state was built on
     grid: np.ndarray  # translated, pre-embedding base-graph state on the region's grid
+    rows: np.ndarray  # the normalized transplanted state, one entry per region row
 
 
 def build_weyl_state(
@@ -137,7 +138,12 @@ def build_weyl_state(
 
 
 def _clear_box(graph: PerturbedGraph, n: int, window: Window) -> WindowReport:
-    """The first clear box of radius ``n`` in ``window``, or ``NoClearBoxError``."""
+    """The first clear box of radius ``n`` in ``window``, or ``NoClearBoxError``.
+    A state whose ``Region`` mask (its box of half-width ``n + pad - 1``,
+    grown by ``pad``) would pass the cap raises that ``InputError`` first."""
+    base, pad = graph.base, propagation_length(graph.base)
+    reach = n + 2 * pad - 1
+    _capped_mask_shape([(-reach, reach)] * base.dim, pad, base.cell_size)
     report = find_unperturbed_box(graph, n, window)
     if report.center is None:
         raise NoClearBoxError(
@@ -164,25 +170,16 @@ def _state_on_box(
     _, k0, xi0 = location
     region = Region(graph, report.center.cell, report.box_bounds[1])
     grid = _bloch_grid(region, np.asarray(k0, dtype=float), xi0, report.n)
-    return WeylState(
-        n=report.n,
-        center=report.center,
-        embed_norm=region.norm(region.embed(grid)),
-        region=region,
-        grid=grid,
-    )
-
-
-def _state_rows(state: WeylState) -> np.ndarray:
-    """The normalized transplanted state as a row vector of its region."""
-    return state.region.embed(state.grid) / state.embed_norm
+    rows = region.embed(grid)
+    embed_norm = region.norm(rows)
+    rows /= embed_norm
+    return WeylState(report.n, report.center, embed_norm, region, grid, rows)
 
 
 def residual(state: WeylState, lam: float) -> float:
     """Weighted norm of (perturbed Laplacian - lam) applied to the state."""
-    region = state.region
-    f = _state_rows(state)
-    return region.norm(region.laplacian(f) - lam * f)
+    f = state.rows
+    return state.region.norm(state.region.laplacian(f) - lam * f)
 
 
 def embedded_route_residual(state: WeylState, lam: float) -> float:
@@ -258,7 +255,7 @@ def residual_row(state: WeylState, lam: float) -> ResidualRow:
         n=state.n,
         center=state.center,
         residual=residual(state, lam),
-        sup_norm=float(np.max(np.abs(_state_rows(state)))),
+        sup_norm=float(np.max(np.abs(state.rows))),
         bound=residual_bound(state),
         route_residual=embedded_route_residual(state, lam),
         defect_sup=float(np.max(np.abs(state.region.defect(state.grid)))),
@@ -310,10 +307,10 @@ def residual_sweep(
 
 def fit_loglog_slope(ns: Sequence[int], values: Sequence[float]) -> float | None:
     """Least-squares slope of log(value) against log(n), or None when fewer
-    than two distinct n leave the slope undetermined."""
-    if len(set(ns)) < 2:
+    than two distinct n leave the slope undetermined or some value is not
+    finite and > 0, so has no logarithm."""
+    y = np.asarray(values, dtype=float)
+    if len(set(ns)) < 2 or not np.all(np.isfinite(y) & (y > 0)):
         return None
-    x = np.log(np.asarray(ns, dtype=float))
-    y = np.log(np.asarray(values, dtype=float))
-    slope, _ = np.polyfit(x, y, 1)
+    slope, _ = np.polyfit(np.log(np.asarray(ns, dtype=float)), np.log(y), 1)
     return float(slope)

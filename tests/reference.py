@@ -20,7 +20,7 @@ from periodic_spectra.graphs import Cell, GraphOracle, PeriodicGraph, State, Ver
 from periodic_spectra.perturbation import PerturbedGraph
 from periodic_spectra.region import Region
 from periodic_spectra.truncation import BoxGraph
-from periodic_spectra.weyl import WeylState, _check_eigenpair, _state_rows, tent_norm_sq
+from periodic_spectra.weyl import WeylState, _check_eigenpair, tent_norm_sq
 
 
 def box_cells(box: Sequence[tuple[int, int]]) -> Iterator[Cell]:
@@ -64,7 +64,7 @@ def box_index(box_graph: BoxGraph) -> dict[Vertex, int]:
 def state_vector(state: WeylState) -> State:
     """The normalized transplanted test state on its kept box vertices as a
     dict, zeros dropped, in row order."""
-    rows = _state_rows(state)[: state.region.kept]
+    rows = state.rows[: state.region.kept]
     names = state.region.names
     return {names[r]: complex(rows[r]) for r in np.flatnonzero(rows).tolist()}
 

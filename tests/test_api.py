@@ -103,11 +103,11 @@ def test_unread_fields_and_arguments_stay_deleted(tmp_path):
     for name in CERTIFICATE:
         assert "graph" not in inspect.signature(getattr(weyl, name)).parameters, name
     assert [f.name for f in dataclasses.fields(weyl.WeylState)] == [
-        "n", "center", "embed_norm", "region", "grid",
+        "n", "center", "embed_norm", "region", "grid", "rows",
     ]
     for module, name in [
         (floquet, "BandSample"), (graphs, "edge_index"), (perturbation, "box_is_clear"),
-        (weyl, "rayleigh_value"), (periodic_spectra, "BandSample"),
+        (weyl, "rayleigh_value"), (weyl, "_state_rows"), (periodic_spectra, "BandSample"),
         (periodic_spectra, "edge_index"), (periodic_spectra, "box_is_clear"),
     ]:
         assert not hasattr(module, name), (module.__name__, name)

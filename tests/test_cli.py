@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import os
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from periodic_spectra import band_grid, cli, get_entry, make_g11, weyl
 from periodic_spectra import graphs as graphs_module
 from periodic_spectra import truncation as truncation_module
-from periodic_spectra.cli import RunContext, _fmt, _format_columns, main
+from periodic_spectra.cli import RunContext, _fmt, _format_columns, _json_text, main
 from periodic_spectra.errors import InternalInvariantError
 from periodic_spectra.region import Region
 from periodic_spectra.graphs import Vertex
@@ -331,6 +332,13 @@ class TestColumnFormatter:
             _format_columns([np.array([True, False])])
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), np.float64("-inf")])
+def test_json_writer_refuses_non_finite_numbers(value):
+    with pytest.raises(InternalInvariantError, match="non-finite"):
+        _json_text({"rows": [{"slope": value}]})
+    assert _json_text({"slope": 1.5, "none": None}) == '{\n  "slope": 1.5,\n  "none": null\n}'
+
+
 class TestLambdaSet:
     def test_cone_bitmap(self, tmp_path):
         run(
@@ -394,15 +402,33 @@ class TestWeylCheck:
             assert row["residual"] <= row["bound"]
             assert row["defect_sup"] == 0.0
 
-    @pytest.mark.parametrize("n_list", ["8", "8,8"])
-    def test_one_distinct_n_has_no_slope(self, tmp_path, n_list):
-        code = run(
-            tmp_path,
-            "weyl-check", "--graph", "builtin:lattice2",
-            "--perturbation", "builtin:half_plane",
-            "--lambda", "0.0", "--n-list", n_list,
-            "--out", str(tmp_path / "wc"),
+    @pytest.mark.parametrize(
+        "graph, perturbation, lam, n_list",
+        [
+            pytest.param("builtin:lattice2", "builtin:half_plane", "0.0", "8", id="8"),
+            pytest.param("builtin:lattice2", "builtin:half_plane", "0.0", "8,8", id="8,8"),
+            # cells joined by no edge: every residual is 0, which has no logarithm
+            pytest.param("cells.json", "pendant.json", "1", "2,4,8", id="zero-residuals"),
+        ],
+    )
+    def test_undetermined_slope_is_null(self, tmp_path, graph, perturbation, lam, n_list):
+        (tmp_path / "cells.json").write_text(
+            json.dumps({"dimension": 1, "cell_size": 2, "edges": [[1, 2, [0]]]})
         )
+        (tmp_path / "pendant.json").write_text(
+            json.dumps({"patch": {"removed_vertices": [[[0], 1]]}})
+        )
+        warns = (
+            pytest.warns(UserWarning, match="all edge indices are zero")
+            if graph == "cells.json"
+            else contextlib.nullcontext()
+        )
+        with warns:
+            code = run(
+                tmp_path,
+                "weyl-check", "--graph", graph, "--perturbation", perturbation,
+                "--lambda", lam, "--n-list", n_list, "--out", str(tmp_path / "wc"),
+            )
         assert code == 0
         payload = read_json(tmp_path / "wc.json")
         assert payload["slope"] is None
@@ -621,6 +647,24 @@ class TestErrorPaths:
             command, "--graph", "builtin:lattice2",
             "--perturbation", "builtin:random_pendant,p=0.5,seed=7",
             *extra, f"--window={axis},{axis}", "--out", str(tmp_path / "big"),
+        ) == 2
+        assert "unperturbed-set mask is capped at" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_state_beyond_the_mask_cap_is_refused_before_the_search(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # n=5000 would search the default 20005^2 window, with a summed-area
+        # table past 1 GiB, before its region met the cap
+        def no_search(*args):
+            raise AssertionError("the box search ran")
+
+        monkeypatch.setattr(weyl, "find_unperturbed_box", no_search)
+        assert run(
+            tmp_path,
+            "weyl-check", "--graph", "builtin:lattice2",
+            "--perturbation", "builtin:half_plane",
+            "--lambda", "0", "--n-list", "5000", "--out", str(tmp_path / "big"),
         ) == 2
         assert "unperturbed-set mask is capped at" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []

@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,7 @@ from periodic_spectra import weyl
 from periodic_spectra.cli import main
 from periodic_spectra.errors import BadEigenpairError, NoClearBoxError
 from periodic_spectra.graphs import vert
+from periodic_spectra.region import Region
 from periodic_spectra.weyl import _symmetric_pair, embedded_route_residual, sup_norm_bound
 
 from reference import (
@@ -263,6 +265,32 @@ class TestResidual:
     def test_lambda_matches_rayleigh(self, g21):
         band, k0, xi0 = locate_band_value(g21.base, 0.0, 64)
         assert abs(_symmetric_pair(g21.base, k0, xi0)[2]) <= 1e-8
+
+
+def test_one_row_embeds_three_times_and_applies_the_base_laplacian_once(
+    half_plane, monkeypatch
+):
+    """The state, the route residual and the defect embed; the box is flush
+    against the half plane, so the defect has CSR rows, but none in the box."""
+    calls = Counter()
+    for name in ("embed", "base_laplacian"):
+
+        def counted(self, grid, method=getattr(Region, name), name=name):
+            calls[name] += 1
+            return method(self, grid)
+
+        monkeypatch.setattr(Region, name, counted)
+    (row,) = residual_sweep(half_plane.perturbation, 0.3, [8], ((-40, 40), (-40, 40)))
+    assert row.defect_sup == 0.0
+    assert calls == {"embed": 3, "base_laplacian": 1}
+
+
+@pytest.mark.parametrize(
+    "values", [[0.0, 1.0], [1.0, -1.0], [float("nan"), 1.0], [1.0, float("inf")]]
+)
+def test_no_slope_through_a_value_without_logarithm(values):
+    assert fit_loglog_slope([2, 4], values) is None
+    assert fit_loglog_slope([2, 4], [1.0, 0.5]) == pytest.approx(-1.0)
 
 
 class TestDefectVanishing:
