@@ -9,7 +9,11 @@ with lengths ``L`` is the quotient ``Z^d / L Z^d`` of the periodic graph, and
 Bloch variables block-diagonalize it exactly, so ``spectrum_of_box`` solves it
 from the fiber matrices at ``k = 2 pi m / L``.  A wrap is therefore not an
 independent cross-check of the fiber route: the tests compare wraps with the
-dense ``eigvalsh`` of ``normalized_symmetric()``.
+dense ``eigvalsh`` of ``normalized_symmetric()``.  An induced box is split
+the same way by its own mirror symmetries (axis reflections and axis swaps
+of the box that map its vertices and edges onto themselves): each character
+of the group they generate gives one sector, solved by an SVD when the box
+is bipartite and by ``eigh`` otherwise.
 """
 
 from __future__ import annotations
@@ -60,6 +64,11 @@ _HALF_TOL = 1e-9
 # ``_DENSE_LIMIT``; on catalog boxes of up to 40,000 vertices the misses are
 # below ``5e-15 * n``.
 _MOMENT_TOL = 1e-12
+
+# Residual and orthonormality allowance of the eigenpair check, per vertex,
+# on about ``_EIGENPAIR_SAMPLES`` sampled columns of an induced box's vectors.
+_EIGENPAIR_TOL = 1e-12
+_EIGENPAIR_SAMPLES = 30
 
 # Entries of one batch of cluster Gram inputs in the boundary count.
 _GRAM_BATCH = 1 << 22
@@ -272,29 +281,62 @@ def spectrum_of_box(box_graph: BoxGraph, with_vectors: bool = False):
       ``[0, L)``, from one batched ``eigh`` (or ``eigvalsh``) of
       ``fiber_matrices``.  The vectors come back as ``BlochVectors``, with no
       ``n x n`` array and no ``_DENSE_LIMIT``.
-    - A bipartite induced box (``BoxGraph.sides`` is not None) orders its
-      vertices as sides ``P`` and ``Q``; there the symmetric form is
-      ``[[0, B], [B^T, 0]]`` with ``B = D_P^-1/2 A[P, Q] D_Q^-1/2``, so its
-      spectrum is ``-s``, then ``|p - q|`` zeros, then ``s`` ascending, for
-      the singular values ``s`` of ``B``.  The eigenvector of ``-+s_i`` is
-      ``[u_i; -+v_i] / sqrt(2)`` and the extra zero modes are the remaining
-      columns of ``U`` (or ``V``), an ``(n, n)`` array.
+    - A bipartite induced box (``BoxGraph.sides`` is not None) orders the
+      orbits of each sector (below) as sides ``P`` and ``Q``; there the
+      sector's block is ``[[0, B], [B^T, 0]]``, so its spectrum is ``-s``,
+      then ``|p - q|`` zeros, then ``s`` ascending, for the singular values
+      ``s`` of ``B``.  The eigenvector of ``-+s_i`` is ``[u_i; -+v_i] /
+      sqrt(2)`` and the extra zero modes are the remaining columns of ``U``
+      (or ``V``).
     - Every other induced box (loops, odd cycles: ``cone`` boxes over its
-      glued arcs) takes ``eigh``/``eigvalsh`` of ``normalized_symmetric()``.
+      glued arcs) takes ``eigh``/``eigvalsh`` of each sector's dense block.
 
-    Every solve is checked by ``_check_moments`` (exit code 4 on a miss).
+    An induced box is solved by sectors.  The ``k`` mirror symmetries that
+    ``_mirror_symmetries`` accepts generate a group of ``2^k`` commuting
+    involutions, and each character ``chi`` of it spans a sector:
+    every orbit contributes the basis vector ``chi(g) / sqrt(|orbit|)`` at
+    the vertex ``g`` carries the orbit's least vertex to, unless ``chi`` is
+    -1 on its stabilizer (Fassler & Stiefel, *Group Theoretical Methods and
+    Their Applications*, 1992).  The form leaves each sector invariant, so
+    each sector's block (``_Sector.block``, from the edges alone) is solved on
+    its own.  A box without an accepted symmetry is one sector whose block
+    is the whole form, built and solved as it always was, so its outputs
+    keep their bits.  The sectors' values are merged by one stable
+    ``argsort``, and each sector's vectors are lifted to the vertices and
+    written straight into the ``(n, n)`` array at the merged columns, one
+    write per group element.
+
+    Every solve is checked by ``_check_moments``, and every induced solve
+    with vectors by ``_check_eigenpairs`` (exit code 4 on a miss).
     ``zero_mode_count`` calls this function again for the values: the
     benchmark's self-test expects two solves per ``truncate`` command."""
     if box_graph.wrapped:
         solved = _bloch_solve(box_graph, with_vectors)
+        _check_moments(box_graph, solved[0] if with_vectors else solved)
+        return solved
+    sides = box_graph.sides()
+    split = _sectors(_mirror_symmetries(box_graph, sides), len(box_graph))
+    if sides is None:
+        parts = [_dense_solve(box_graph, sector, with_vectors) for sector in split]
     else:
-        sides = box_graph.sides()
-        if sides is None:
-            solved = _dense_solve(box_graph, with_vectors)
-        else:
-            solved = _bipartite_solve(box_graph, sides, with_vectors)
-    _check_moments(box_graph, solved[0] if with_vectors else solved)
-    return solved
+        parts = [_bipartite_solve(box_graph, sector, sides, with_vectors) for sector in split]
+    lam = np.concatenate([part[0] if with_vectors else part for part in parts])
+    order = np.argsort(lam, kind="stable")
+    lam = lam[order]
+    _check_moments(box_graph, lam)
+    if not with_vectors:
+        return lam
+    n = len(box_graph)
+    column = np.empty(n, dtype=np.intp)
+    column[order] = np.arange(n)
+    vec = np.zeros((n, n))
+    start = 0
+    for sector in split:
+        _, y = parts.pop(0)
+        sector.lift(y, vec, column[start : start + len(y)])
+        start += len(y)
+    _check_eigenpairs(box_graph, lam, vec)
+    return lam, vec
 
 
 def _check_moments(box_graph: BoxGraph, lam: np.ndarray) -> None:
@@ -318,6 +360,33 @@ def _check_moments(box_graph: BoxGraph, lam: np.ndarray) -> None:
         )
 
 
+def _check_eigenpairs(box_graph: BoxGraph, lam: np.ndarray, vec: np.ndarray) -> None:
+    """Raise ``InternalInvariantError`` unless the sampled columns ``S`` of
+    ``vec`` (the first, the last and every ``ceil(n / 30)``-th) are
+    eigenvectors of their values and orthonormal to every column:
+    ``|H v - lam v|`` and ``|V^T V[:, S] - I[:, S]|`` at most
+    ``n * _EIGENPAIR_TOL`` in every entry.  ``H v`` is one ``bincount`` over
+    the edges per sampled column, so the one product with ``n x n`` terms is
+    ``V[:, S]^T V``."""
+    n = len(box_graph)
+    sample = np.append(np.arange(0, n - 1, -(-n // _EIGENPAIR_SAMPLES)), n - 1)
+    v = vec[:, sample].T
+    inv_sqrt = 1.0 / np.sqrt(box_graph.degrees.astype(float))
+    rows, cols = box_graph.rows, box_graph.cols
+    weights = inv_sqrt[rows] * inv_sqrt[cols]
+    hv = np.array([np.bincount(rows, weights * x[cols], minlength=n) for x in v])
+    gram = v @ vec
+    gram[np.arange(len(sample)), sample] -= 1.0
+    misses = (float(np.max(np.abs(hv - lam[sample, None] * v))), float(np.max(np.abs(gram))))
+    allowance = n * _EIGENPAIR_TOL
+    if max(misses) > allowance:
+        raise InternalInvariantError(
+            f"box eigenvectors miss their checks on {len(sample)} sampled columns: "
+            f"|Hv - lam v| = {misses[0]:.3e}, |V^T V - I| = {misses[1]:.3e}, "
+            f"allowance {allowance:.3e}"
+        )
+
+
 def _bloch_solve(box_graph: BoxGraph, with_vectors: bool):
     """``spectrum_of_box`` of a wrapped box from its fiber matrices."""
     lengths = tuple(hi - lo + 1 for lo, hi in box_graph.box)
@@ -332,27 +401,146 @@ def _bloch_solve(box_graph: BoxGraph, with_vectors: bool):
     return lam.reshape(-1)[order], BlochVectors(lengths, np.repeat(modes, s, axis=0)[order], fibers)
 
 
-def _dense_solve(box_graph: BoxGraph, with_vectors: bool):
-    """``spectrum_of_box`` of any box from its dense symmetric form."""
-    h = box_graph.normalized_symmetric()
+def _mirror_symmetries(box_graph: BoxGraph, sides: np.ndarray | None) -> list[np.ndarray]:
+    """Commuting mirror symmetries of an induced box, as vertex permutations.
+
+    The candidates, in this order, are the reflection of each axis about the
+    bounding box of the vertex cells (``x_j -> lo_j + hi_j - x_j``, labels
+    kept), then the swap of each two axes of equal extent.  One is accepted
+    when it maps the vertex keys onto themselves (one ``searchsorted`` in the
+    ``(cell, label)`` order ``truncate`` lists the vertices in), maps the
+    sorted edge keys ``rows * n + cols`` onto themselves (so loops and
+    multiplicities too), is not in the group the accepted ones generate (the
+    identity included), commutes with each of them and, when ``sides`` is
+    given, keeps it.  A box listed in another order may have a symmetry
+    refused, never a wrong one accepted."""
+    n = len(box_graph)
+    rows, cols, labels = box_graph.rows, box_graph.cols, box_graph.labels
+    cells = box_graph.offsets - box_graph.offsets.min(axis=0)
+    extents = cells.max(axis=0)
+    radix = (*(extents + 1).tolist(), int(labels.max()) + 1)
+    keys = np.ravel_multi_index((*cells.T, labels), radix)
+    edges = np.sort(rows * n + cols)
+    candidates = []
+    for j in range(len(extents)):
+        image = cells.copy()
+        image[:, j] = extents[j] - cells[:, j]
+        candidates.append(image)
+    for i in range(len(extents)):
+        for j in range(i + 1, len(extents)):
+            if extents[i] == extents[j]:
+                image = cells.copy()
+                image[:, [i, j]] = cells[:, [j, i]]
+                candidates.append(image)
+    accepted, group = [], [np.arange(n)]
+    for image in candidates:
+        mapped = np.ravel_multi_index((*image.T, labels), radix)
+        perm = np.minimum(np.searchsorted(keys, mapped), n - 1)
+        if (
+            np.array_equal(keys[perm], mapped)
+            and not any(np.array_equal(perm, g) for g in group)
+            and all(np.array_equal(perm[g], g[perm]) for g in accepted)
+            and (sides is None or np.array_equal(sides[perm], sides))
+            and np.array_equal(np.sort(perm[rows] * n + perm[cols]), edges)
+        ):
+            accepted.append(perm)
+            group += [perm[g] for g in group]
+    return accepted
+
+
+class _Sector:
+    """The orbits of one character ``chi`` of an induced box's symmetry group
+    whose basis vector is not zero, from ``images[e, a]``, orbit ``a``'s least
+    vertex under group element ``e``, and ``odd[e]``, whether ``chi(e)`` is
+    -1.  The basis vector of orbit ``a`` is ``chi(e) / sqrt(sizes[a])`` at
+    ``images[e, a]``.  Per vertex ``i``, ``local[i]`` is the position of its
+    orbit, or ``len(reps)`` off the sector, and ``sign[i]`` is that
+    ``chi(e)``."""
+
+    def __init__(self, images: np.ndarray, odd: np.ndarray, n: int):
+        self.images, self.odd = images, odd
+        self.reps = images[0]
+        self.sizes = len(images) // (images == self.reps).sum(axis=0)
+        self.local = np.full(n, len(self.reps))
+        self.sign = np.zeros(n)
+        for rows, negated in zip(images, odd):
+            self.local[rows] = np.arange(len(self.reps))
+            self.sign[rows] = -1.0 if negated else 1.0
+
+    def block(self, box_graph: BoxGraph, at_rows: np.ndarray, at_cols: np.ndarray):
+        """The block of the sector's matrix between its orbits ``at_rows`` and
+        ``at_cols`` (ascending positions): one ``np.add.at`` of the sign
+        products over the box's edges between them, then the rows and columns
+        scaled by ``1 / sqrt(degree * size)`` of their orbits."""
+        rows, cols = box_graph.rows, box_graph.cols
+        k = len(self.reps)
+        row_of, col_of = np.full(k + 1, -1), np.full(k + 1, -1)
+        row_of[at_rows] = np.arange(len(at_rows))
+        col_of[at_cols] = np.arange(len(at_cols))
+        i, j = row_of[self.local[rows]], col_of[self.local[cols]]
+        keep = (i >= 0) & (j >= 0)
+        block = np.zeros((len(at_rows), len(at_cols)))
+        np.add.at(block, (i[keep], j[keep]), self.sign[rows[keep]] * self.sign[cols[keep]])
+        scale = 1.0 / np.sqrt(box_graph.degrees[self.reps] * self.sizes)
+        block *= scale[at_rows, None]
+        block *= scale[None, at_cols]
+        return block
+
+    def lift(self, y: np.ndarray, vec: np.ndarray, columns: np.ndarray) -> None:
+        """Write the sector's vectors ``y`` (one row per orbit) into the
+        columns ``columns`` of the box's ``(n, n)`` array ``vec``, one scatter
+        per group element; ``y`` is scaled in place, and no temporary of its
+        size is made."""
+        y *= 1.0 / np.sqrt(self.sizes[:, None])
+        for rows in self.images[~self.odd]:
+            vec[rows[:, None], columns] = y
+        if self.odd.any():
+            np.negative(y, out=y)
+        for rows in self.images[self.odd]:
+            vec[rows[:, None], columns] = y
+
+
+def _sectors(generators: list[np.ndarray], n: int) -> list[_Sector]:
+    """The sectors of the group the commuting involutions ``generators`` on
+    ``n`` vertices generate, one per character ``chi`` in ``{+-1}^k`` that is
+    1 on the stabilizer of some orbit; with no generator, the whole box.
+
+    Element ``e`` of the group is the product of the generators whose bits
+    are set in ``e``, and ``chi_c(e)`` is ``-1`` to the number of bits
+    ``c`` and ``e`` share."""
+    group = [np.arange(n)]
+    for g in generators:
+        group += [g[h] for h in group]
+    images = np.array(group)  # images[e, i]: vertex i under element e
+    least = np.flatnonzero(images.min(axis=0) == np.arange(n))  # one vertex per orbit
+    fixes = images[:, least] == least
+    m = len(group)
+    odd = np.array([[bin(c & e).count("1") % 2 for e in range(m)] for c in range(m)])
+    found = []
+    for c in range(m):
+        inside = (odd[c] @ fixes) == 0
+        if inside.any():
+            found.append(_Sector(images[:, least[inside]], odd[c] == 1, n))
+    return found
+
+
+def _dense_solve(box_graph: BoxGraph, sector: _Sector, with_vectors: bool):
+    """Values (and vectors) of one sector by ``eigh`` of its dense block."""
+    every = np.arange(len(sector.reps))
+    h = sector.block(box_graph, every, every)
     return np.linalg.eigh(h) if with_vectors else np.linalg.eigvalsh(h)
 
 
-def _bipartite_solve(box_graph: BoxGraph, sides: np.ndarray, with_vectors: bool):
-    """``spectrum_of_box`` of a bipartite box from the SVD of its block."""
-    n = len(box_graph)
-    at_p, at_q = np.flatnonzero(~sides), np.flatnonzero(sides)
-    p, q = len(at_p), len(at_q)
-    position = np.empty(n, dtype=np.intp)
-    position[at_p] = np.arange(p)
-    position[at_q] = np.arange(q)
-    from_p = ~sides[box_graph.rows]
-    rows, cols = box_graph.rows[from_p], box_graph.cols[from_p]
-    b = np.zeros((p, q))
-    np.add.at(b, (position[rows], position[cols]), 1.0)
-    inv_sqrt = 1.0 / np.sqrt(box_graph.degrees.astype(float))
-    b *= inv_sqrt[at_p, None]
-    b *= inv_sqrt[None, at_q]
+def _bipartite_solve(
+    box_graph: BoxGraph, sector: _Sector, sides: np.ndarray, with_vectors: bool
+):
+    """Values (and vectors) of one sector of a bipartite box from the SVD of
+    its ``P x Q`` block."""
+    n = len(sector.reps)
+    on_q = sides[sector.reps]
+    at_p, at_q = np.flatnonzero(~on_q), np.flatnonzero(on_q)
+    p = len(at_p)
+    b = sector.block(box_graph, at_p, at_q)
     if not with_vectors:
         s = np.linalg.svd(b, compute_uv=False)
         return np.concatenate([-s, np.zeros(n - 2 * len(s)), s[::-1]])
@@ -365,8 +553,8 @@ def _bipartite_solve(box_graph: BoxGraph, sides: np.ndarray, with_vectors: bool)
     vec = np.zeros((n, n))
     vec[at_p, :r] = u[:, :r]
     vec[at_q, :r] = -vt[:r].T
-    vec[at_p, n - r :] = u[:, r - 1 :: -1]
-    vec[at_q, n - r :] = vt[r - 1 :: -1].T
+    vec[at_p, n - r :] = u[:, :r][:, ::-1]
+    vec[at_q, n - r :] = vt[:r][::-1].T
     if p > r:
         vec[at_p, r : n - r] = u[:, r:]
     else:

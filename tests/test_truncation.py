@@ -513,40 +513,75 @@ def test_bipartite_split_equals_dense_solve(case):
     assert np.max(np.abs(np.conj(basis.T) @ basis - np.eye(len(got)))) <= 1e-12
     assert np.max(np.abs(h @ basis - basis * lam)) <= 1e-12
     assert zero_mode_count(got) == int(np.sum(np.abs(reference) <= 1e-12))
-    if sides is None and not wrap:
+    if sides is None and not wrap and not truncation._mirror_symmetries(got, None):
         dense_lam, dense_vecs = np.linalg.eigh(h)
         assert np.array_equal(lam, dense_lam) and np.array_equal(vecs, dense_vecs)
 
 
+def svd_of_the_form(h, sides):
+    """The SVD route on the dense form ``h``: the singular values ``s`` of its
+    ``P x Q`` block give ``-s``, the zeros, then ``s`` reversed, with vectors
+    ``[u; -+v] / sqrt(2)`` and the remaining columns of ``U`` or ``V``."""
+    at_p, at_q = np.flatnonzero(~sides), np.flatnonzero(sides)
+    n = len(sides)
+    b = h[np.ix_(at_p, at_q)]
+    values = np.linalg.svd(b, compute_uv=False)
+    u, s, vt = np.linalg.svd(b)
+    r = len(s)
+    lam = np.concatenate([-s, np.zeros(n - 2 * r), s[::-1]])
+    vec = np.zeros((n, n))
+    vec[at_p, :r] = u[:, :r] * np.sqrt(0.5)
+    vec[at_q, :r] = -(vt[:r] * np.sqrt(0.5)).T
+    vec[at_p, n - r :] = (u[:, :r] * np.sqrt(0.5))[:, ::-1]
+    vec[at_q, n - r :] = (vt[:r] * np.sqrt(0.5)).T[:, ::-1]
+    if len(at_p) > r:
+        vec[at_p, r : n - r] = u[:, r:]
+    else:
+        vec[at_q, r : n - r] = vt[r:].T
+    return np.concatenate([-values, np.zeros(n - 2 * r), values[::-1]]), lam, vec
+
+
 @pytest.mark.parametrize(
-    "make_box, vector_solvers, value_solver",
+    "make_box, vector_solvers, value_solvers",
     [
+        # x -> 50 - x keeps the sides; y -> 25 - y swaps them
         (lambda: truncate(make_half_plane().perturbation.oracle, ((0, 50), (-25, 25))),
-         ["svd"], "svd"),
+         ["svd", "svd"], ["svd", "svd"]),
+        # both reflections swap the sides: one sector
+        (lambda: truncate(make_half_plane().perturbation.oracle, ((0, 49), (-25, 25))),
+         ["svd"], ["svd"]),
         (lambda: truncate(periodic_oracle(make_lattice(1)), ((0, 5),), True),
-         ["eigh of fibers"], "eigvalsh of fibers"),
+         ["eigh of fibers"], ["eigvalsh of fibers"]),
         # p = 100, q = 200: a 100-dimensional zero space
-        (lambda: truncate(periodic_oracle(make_g21().base), ((0, 99),)), ["svd"], "svd"),
+        (lambda: truncate(periodic_oracle(make_g21().base), ((0, 99),)), ["svd"], ["svd"]),
         # cos(a) + cos(b) = 0 on the 6 x 6 torus: a degenerate zero space
         (lambda: truncate(periodic_oracle(make_lattice(2)), ((0, 5), (0, 5)), True),
-         ["eigh of fibers"], "eigvalsh of fibers"),
+         ["eigh of fibers"], ["eigvalsh of fibers"]),
+        # the swap x <-> y
         (lambda: truncate(make_cone().perturbation.oracle, ((-5, 12), (-5, 12))),
-         ["eigh"], "eigvalsh"),
+         ["eigh", "eigh"], ["eigvalsh", "eigvalsh"]),
+        (lambda: truncate(make_cone().perturbation.oracle, ((-5, 12), (-5, 9))),
+         ["eigh"], ["eigvalsh"]),
         (lambda: truncate(periodic_oracle(make_lattice(2)), ((0, 4), (0, 5)), True),
-         ["eigh of fibers"], "eigvalsh of fibers"),
+         ["eigh of fibers"], ["eigvalsh of fibers"]),
         (lambda: truncate(periodic_oracle(make_lattice(1)), ((0, 0),), True),
-         ["eigh of fibers"], "eigvalsh of fibers"),
+         ["eigh of fibers"], ["eigvalsh of fibers"]),
     ],
-    ids=["half_plane", "even_ring", "g21", "even_torus", "cone", "odd_wrap", "loop"],
+    ids=["half_plane", "half_plane_asymmetric", "even_ring", "g21", "even_torus", "cone",
+         "cone_asymmetric", "odd_wrap", "loop"],
 )
-def test_route_of_catalog_boxes(make_box, vector_solvers, value_solver, monkeypatch):
+def test_route_of_catalog_boxes(make_box, vector_solvers, value_solvers, monkeypatch):
     """Wraps, even or odd, take one batched solve of their fiber matrices;
-    bipartite induced boxes take the SVD, whatever their zero space; induced
-    cone boxes take the dense ``eigh`` and return its exact output."""
+    bipartite induced boxes take one SVD per sector, whatever their zero
+    space; induced cone boxes take one dense ``eigh`` per sector.  A box
+    with one sector returns exactly the output of the whole form's ``eigh``,
+    or of the SVD of its ``P x Q`` block."""
     box = make_box()
     h = box.normalized_symmetric()
     dense_lam, dense_vecs = np.linalg.eigh(h)
     dense_values = np.linalg.eigvalsh(h)
+    if vector_solvers == ["svd"]:
+        svd_values, svd_lam, svd_vecs = svd_of_the_form(h, box.sides())
     calls = []
 
     def counted(name):
@@ -564,11 +599,14 @@ def test_route_of_catalog_boxes(make_box, vector_solvers, value_solver, monkeypa
     assert calls == vector_solvers
     calls.clear()
     values = spectrum_of_box(box)
-    assert calls == [value_solver]
+    assert calls == value_solvers
     if vector_solvers == ["eigh"]:
         assert np.array_equal(lam, dense_lam) and np.array_equal(vecs, dense_vecs)
-    if value_solver == "eigvalsh":
+    if value_solvers == ["eigvalsh"]:
         assert np.array_equal(values, dense_values)
+    if vector_solvers == ["svd"]:
+        assert np.array_equal(lam, svd_lam) and np.array_equal(vecs, svd_vecs)
+        assert np.array_equal(values, svd_values)
     basis = dense_basis(box, vecs)
     assert np.max(np.abs(values - dense_values)) <= 1e-12
     assert np.max(np.abs(lam - dense_values)) <= 1e-12
@@ -779,3 +817,184 @@ def test_truncate_json_is_the_same_for_any_blas_thread_count(tmp_path, argv, cou
         texts.append(out.with_suffix(".json").read_text())
     assert texts[0] == texts[1]
     assert json.loads(texts[0])["boundary_count"] == count
+
+
+def loops_and_parallel_edges():
+    """``Z^2`` with every x-edge doubled and a loop at every vertex: mirror
+    symmetric in each axis, but not under the swap, which would map the
+    doubled x-edges onto the single y-edges."""
+    return build_periodic(
+        2, 1, [FundEdge(0, 0, (1, 0)), FundEdge(0, 0, (1, 0)), FundEdge(0, 0, (0, 1)),
+               FundEdge(0, 0, (0, 0))],
+    )
+
+
+@st.composite
+def mirror_symmetric_boxes(draw):
+    """Induced boxes that a reflection or the swap maps onto themselves: any
+    box of ``lattice1/2/3``, ``g11`` and the looped lattice, a box of
+    ``half_plane`` that starts at or below its cut, and a square box of
+    ``cone`` (the swap).  ``g21`` boxes are drawn too: the reflection that
+    keeps labels is not a symmetry of its chain, so they stay one sector.
+    Returns the oracle, the box, and whether some symmetry must be found."""
+    name = draw(st.sampled_from(
+        ["lattice1", "lattice2", "lattice3", "half_plane", "cone", "g11", "g21", "loops"]
+    ))
+    if name == "half_plane":
+        lo, length = draw(st.integers(-3, 3)), draw(st.integers(2, 9))
+        box = ((lo, lo + length - 1), (draw(st.integers(-3, 0)), draw(st.integers(0, 6))))
+        return make_half_plane().perturbation.oracle, box, True
+    if name == "cone":
+        lo = draw(st.integers(-3, 1))
+        hi = draw(st.integers(max(lo + 1, 1), 9))
+        return make_cone().perturbation.oracle, ((lo, hi), (lo, hi)), True
+    graph = {
+        "lattice1": make_lattice(1), "lattice2": make_lattice(2), "lattice3": make_lattice(3),
+        "g11": make_g11().base, "g21": make_g21().base, "loops": loops_and_parallel_edges(),
+    }[name]
+    longest = {1: 30, 2: 8, 3: 4}[graph.dim]
+    box = []
+    for axis in range(graph.dim):  # a first side of 2 or more keeps an edge
+        lo = draw(st.integers(-3, 3))
+        box.append((lo, lo + draw(st.integers(1 if axis else 2, longest)) - 1))
+    return periodic_oracle(graph), tuple(box), name != "g21"
+
+
+@given(mirror_symmetric_boxes())
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_sectors_equal_the_dense_solve(case):
+    """Split by its mirror symmetries, a box has the values, zero modes and
+    boundary count of the dense ``eigh`` of its form, and its vectors are
+    orthonormal eigenvectors."""
+    oracle, box, symmetric = case
+    got = truncate(oracle, box)
+    if symmetric:
+        assert truncation._mirror_symmetries(got, None)
+    h = got.normalized_symmetric()
+    reference = np.linalg.eigvalsh(h)
+    lam, vecs = spectrum_of_box(got, with_vectors=True)
+    assert np.max(np.abs(spectrum_of_box(got) - reference)) <= 1e-12
+    assert np.max(np.abs(lam - reference)) <= 1e-12
+    assert np.max(np.abs(h @ vecs - vecs * lam)) <= 1e-12
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(len(got)))) <= 1e-12
+    assert zero_mode_count(got) == int(np.sum(np.abs(reference) <= 1e-12))
+    near = _near_boundary_mask(got, 2)
+    assert boundary_count(got) == reference_boundary_count(h, near)
+
+
+def mirror_images(box, *maps):
+    """The vertex permutation of each cell map in ``maps``, labels kept."""
+    index = box_index(box)
+    return [np.array([index[Vertex(f(v.cell), v.label)] for v in box.vertices]) for f in maps]
+
+
+@pytest.mark.parametrize(
+    "make_box, maps",
+    [
+        # odd sides: both reflections keep the sides, the swap then fails to commute
+        (lambda: truncate(periodic_oracle(make_lattice(2)), ((-3, 3), (-3, 3))),
+         [lambda c: (-c[0], c[1]), lambda c: (c[0], -c[1])]),
+        # even sides: both reflections swap the sides, and only the swap is left
+        (lambda: truncate(periodic_oracle(make_lattice(2)), ((0, 5), (0, 5))),
+         [lambda c: (c[1], c[0])]),
+        (lambda: truncate(make_cone().perturbation.oracle, ((-4, 6), (-4, 6))),
+         [lambda c: (c[1], c[0])]),
+        (lambda: truncate(periodic_oracle(loops_and_parallel_edges()), ((0, 4), (0, 4))),
+         [lambda c: (4 - c[0], c[1]), lambda c: (c[0], 4 - c[1])]),
+        # the listed cells of half_plane start at its cut, y = 0
+        (lambda: truncate(make_half_plane().perturbation.oracle, ((-2, 2), (-3, 4))),
+         [lambda c: (-c[0], c[1]), lambda c: (c[0], 4 - c[1])]),
+    ],
+    ids=["lattice2_odd", "lattice2_even", "cone", "loops", "half_plane"],
+)
+def test_accepted_symmetries(make_box, maps):
+    box = make_box()
+    accepted = truncation._mirror_symmetries(box, box.sides())
+    assert len(accepted) == len(maps)
+    for perm, expected in zip(accepted, mirror_images(box, *maps)):
+        assert np.array_equal(perm, expected)
+
+
+def symmetry_breakers():
+    """Perturbations of ``Z^2`` on the box ``-3..3``^2, each of which breaks
+    both reflections and the swap."""
+    lattice = make_lattice(2)
+    return [
+        PerturbedGraph(lattice, Patch(removed_edges=((vert(-3, -3), vert(-2, -3)),))),
+        # an edge across two steps closes triangles: the dense route
+        PerturbedGraph(lattice, Patch(added_edges=((vert(-3, -2), vert(-1, -2)),))),
+        PerturbedGraph(lattice, PredicatePatch(keep=lambda v: v.cell != (-3, -2))),
+    ]
+
+
+@pytest.mark.parametrize("graph", symmetry_breakers(), ids=["removed", "added", "predicate"])
+def test_a_broken_symmetry_keeps_the_single_block_bits(graph):
+    box = truncate(graph.oracle, ((-3, 3), (-3, 3)))
+    sides = box.sides()
+    assert truncation._mirror_symmetries(box, None) == []
+    h = box.normalized_symmetric()
+    lam, vecs = spectrum_of_box(box, with_vectors=True)
+    values = spectrum_of_box(box)
+    if sides is None:
+        dense_lam, dense_vecs = np.linalg.eigh(h)
+        assert np.array_equal(lam, dense_lam) and np.array_equal(vecs, dense_vecs)
+        assert np.array_equal(values, np.linalg.eigvalsh(h))
+    else:
+        svd_values, svd_lam, svd_vecs = svd_of_the_form(h, sides)
+        assert np.array_equal(lam, svd_lam) and np.array_equal(vecs, svd_vecs)
+        assert np.array_equal(values, svd_values)
+
+
+def _swap_first_columns(y):
+    y[:, [0, 1]] = y[:, [1, 0]]
+
+
+def _flip_one_entry(y):
+    i = np.argmax(np.abs(y[:, 0]))
+    y[i, 0] = -y[i, 0]
+
+
+def _scale_first_column(y):
+    y[:, 0] *= 1.0 + 1e-6
+
+
+@pytest.mark.parametrize(
+    "fault", [_swap_first_columns, _flip_one_entry, _scale_first_column],
+    ids=["swap", "flip", "scale"],
+)
+@pytest.mark.parametrize(
+    "route, name, box, sectors",
+    [
+        ("_bipartite_solve", "half_plane", ((0, 10), (-5, 5)), 2),
+        ("_bipartite_solve", "half_plane", ((0, 9), (-5, 5)), 1),
+        ("_dense_solve", "cone", ((-5, 8), (-5, 8)), 2),
+        ("_dense_solve", "cone", ((-5, 8), (-5, 7)), 1),
+    ],
+    ids=["svd_sectors", "svd_one_sector", "eigh_sectors", "eigh_one_sector"],
+)
+def test_eigenpair_check_exits_4(route, name, box, sectors, fault, tmp_path, monkeypatch):
+    """A fault planted in every sector's first column reaches the merged first
+    column, which the eigenpair check samples."""
+    graph = {"half_plane": make_half_plane, "cone": make_cone}[name]().perturbation
+    got = truncate(graph.oracle, box)
+    found = truncation._mirror_symmetries(got, got.sides())
+    assert len(truncation._sectors(found, len(got))) == sectors
+    argv = ["truncate", "--graph", "builtin:lattice2", "--perturbation", f"builtin:{name}",
+            "--box=" + ",".join(str(x) for side in box for x in side),
+            "--out", str(tmp_path / "t")]
+    assert main(argv) == 0
+    solve = getattr(truncation, route)
+
+    def tampered(*args):
+        solved = solve(*args)
+        if not isinstance(solved, tuple):
+            return solved
+        lam, y = solved
+        y = y.copy()
+        fault(y)
+        return lam, y
+
+    monkeypatch.setattr(truncation, route, tampered)
+    assert main(argv) == 4
+    with pytest.raises(InternalInvariantError, match="eigenvectors miss"):
+        spectrum_of_box(got, with_vectors=True)
