@@ -300,11 +300,11 @@ def spectrum_of_box(box_graph: BoxGraph, with_vectors: bool = False):
     Their Applications*, 1992).  The form leaves each sector invariant, so
     each sector's block (``_Sector.block``, from the edges alone) is solved on
     its own.  A box without an accepted symmetry is one sector whose block
-    is the whole form, built and solved as it always was, so its outputs
-    keep their bits.  The sectors' values are merged by one stable
-    ``argsort``, and each sector's vectors are lifted to the vertices and
-    written straight into the ``(n, n)`` array at the merged columns, one
-    write per group element.
+    is the whole form, built and solved as it always was and returned as
+    the solver gives it, so its outputs keep their bits.  Otherwise the
+    sectors' values are merged by one stable ``argsort``, and each sector's
+    vectors are lifted to the vertices and written straight into the
+    ``(n, n)`` array at the merged columns, one write per group element.
 
     Every solve is checked by ``_check_moments``, and every induced solve
     with vectors by ``_check_eigenpairs`` (exit code 4 on a miss).
@@ -320,6 +320,22 @@ def spectrum_of_box(box_graph: BoxGraph, with_vectors: bool = False):
         parts = [_dense_solve(box_graph, sector, with_vectors) for sector in split]
     else:
         parts = [_bipartite_solve(box_graph, sector, sides, with_vectors) for sector in split]
+    if len(split) > 1:
+        return _merge(box_graph, split, parts, with_vectors)
+    solved = parts[0]  # no symmetry: the solve is ascending and in vertex order
+    _check_moments(box_graph, solved[0] if with_vectors else solved)
+    if with_vectors:
+        miss = _gram_miss(solved[1], _eigenpair_sample(len(box_graph)))
+        _check_eigenpairs(box_graph, *solved, miss)
+    return solved
+
+
+def _merge(box_graph: BoxGraph, split: list[_Sector], parts: list, with_vectors: bool):
+    """The sectors' values merged by one stable ``argsort`` and checked by
+    ``_check_moments``; with ``with_vectors``, each sector's vectors checked
+    by ``_gram_miss`` at the sampled merged columns, then lifted into one
+    ``(n, n)`` array at the merged columns, which ``_check_eigenpairs``
+    checks."""
     lam = np.concatenate([part[0] if with_vectors else part for part in parts])
     order = np.argsort(lam, kind="stable")
     lam = lam[order]
@@ -329,13 +345,17 @@ def spectrum_of_box(box_graph: BoxGraph, with_vectors: bool = False):
     n = len(box_graph)
     column = np.empty(n, dtype=np.intp)
     column[order] = np.arange(n)
+    sampled = np.zeros(n, dtype=bool)
+    sampled[_eigenpair_sample(n)] = True
     vec = np.zeros((n, n))
-    start = 0
+    miss, start = 0.0, 0
     for sector in split:
         _, y = parts.pop(0)
-        sector.lift(y, vec, column[start : start + len(y)])
+        at = column[start : start + len(y)]
+        miss = max(miss, _gram_miss(y, np.flatnonzero(sampled[at])))
+        sector.lift(y, vec, at)
         start += len(y)
-    _check_eigenpairs(box_graph, lam, vec)
+    _check_eigenpairs(box_graph, lam, vec, miss)
     return lam, vec
 
 
@@ -360,24 +380,44 @@ def _check_moments(box_graph: BoxGraph, lam: np.ndarray) -> None:
         )
 
 
-def _check_eigenpairs(box_graph: BoxGraph, lam: np.ndarray, vec: np.ndarray) -> None:
-    """Raise ``InternalInvariantError`` unless the sampled columns ``S`` of
-    ``vec`` (the first, the last and every ``ceil(n / 30)``-th) are
-    eigenvectors of their values and orthonormal to every column:
-    ``|H v - lam v|`` and ``|V^T V[:, S] - I[:, S]|`` at most
-    ``n * _EIGENPAIR_TOL`` in every entry.  ``H v`` is one ``bincount`` over
-    the edges per sampled column, so the one product with ``n x n`` terms is
-    ``V[:, S]^T V``."""
+def _eigenpair_sample(n: int) -> np.ndarray:
+    """The columns the eigenpair check samples: the first, the last and
+    every ``ceil(n / _EIGENPAIR_SAMPLES)``-th."""
+    return np.append(np.arange(0, n - 1, -(-n // _EIGENPAIR_SAMPLES)), n - 1)
+
+
+def _gram_miss(y: np.ndarray, columns: np.ndarray) -> float:
+    """``max |Y^T Y[:, columns] - I[:, columns]|`` of one solve's vectors
+    ``y``, 0 with no column.  The sector bases are orthonormal and the
+    sectors orthogonal, so over the sectors of a box this is the
+    orthonormality miss of the sampled columns of its lifted vectors, at
+    a quarter to a sixteenth of the products."""
+    gram = y[:, columns].T @ y
+    gram[np.arange(len(columns)), columns] -= 1.0
+    return float(np.max(np.abs(gram), initial=0.0))
+
+
+def _check_eigenpairs(
+    box_graph: BoxGraph, lam: np.ndarray, vec: np.ndarray, gram_miss: float
+) -> None:
+    """Raise ``InternalInvariantError`` unless the sampled columns
+    (``_eigenpair_sample``) of ``vec`` are unit eigenvectors of their values
+    and ``gram_miss``, their orthonormality miss from ``_gram_miss``, is
+    small: ``|H v - lam v|``, ``|v^T v - 1|`` and ``gram_miss`` at most
+    ``n * _EIGENPAIR_TOL``.  ``H v`` is one ``bincount`` over the edges per
+    sampled column, with no ``n x n`` product."""
     n = len(box_graph)
-    sample = np.append(np.arange(0, n - 1, -(-n // _EIGENPAIR_SAMPLES)), n - 1)
+    sample = _eigenpair_sample(n)
     v = vec[:, sample].T
     inv_sqrt = 1.0 / np.sqrt(box_graph.degrees.astype(float))
     rows, cols = box_graph.rows, box_graph.cols
     weights = inv_sqrt[rows] * inv_sqrt[cols]
     hv = np.array([np.bincount(rows, weights * x[cols], minlength=n) for x in v])
-    gram = v @ vec
-    gram[np.arange(len(sample)), sample] -= 1.0
-    misses = (float(np.max(np.abs(hv - lam[sample, None] * v))), float(np.max(np.abs(gram))))
+    norms = np.einsum("ij,ij->i", v, v)
+    misses = (
+        float(np.max(np.abs(hv - lam[sample, None] * v))),
+        max(float(np.max(np.abs(norms - 1.0))), gram_miss),
+    )
     allowance = n * _EIGENPAIR_TOL
     if max(misses) > allowance:
         raise InternalInvariantError(

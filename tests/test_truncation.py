@@ -836,28 +836,41 @@ def mirror_symmetric_boxes(draw):
     ``half_plane`` that starts at or below its cut, and a square box of
     ``cone`` (the swap).  ``g21`` boxes are drawn too: the reflection that
     keeps labels is not a symmetry of its chain, so they stay one sector.
-    Returns the oracle, the box, and whether some symmetry must be found."""
+    On the SVD route a mirror is refused when it swaps the two sides, which
+    the x reflection does on a bipartite box with an even first side; with
+    ``split`` drawn the first side is odd, so the solve must take more than
+    one sector.  Returns the oracle, the box and ``split``."""
     name = draw(st.sampled_from(
         ["lattice1", "lattice2", "lattice3", "half_plane", "cone", "g11", "g21", "loops"]
     ))
+    split = name in ("cone", "loops") or (name != "g21" and draw(st.booleans()))
+
+    def first_side(longest):
+        """A first side of 2 or more (so the box keeps an edge), odd with
+        ``split``."""
+        if split:
+            return 2 * draw(st.integers(1, (longest - 1) // 2)) + 1
+        return draw(st.integers(2, longest))
+
     if name == "half_plane":
-        lo, length = draw(st.integers(-3, 3)), draw(st.integers(2, 9))
+        lo, length = draw(st.integers(-3, 3)), first_side(9)
         box = ((lo, lo + length - 1), (draw(st.integers(-3, 0)), draw(st.integers(0, 6))))
-        return make_half_plane().perturbation.oracle, box, True
+        return make_half_plane().perturbation.oracle, box, split
     if name == "cone":
         lo = draw(st.integers(-3, 1))
         hi = draw(st.integers(max(lo + 1, 1), 9))
-        return make_cone().perturbation.oracle, ((lo, hi), (lo, hi)), True
+        return make_cone().perturbation.oracle, ((lo, hi), (lo, hi)), split
     graph = {
         "lattice1": make_lattice(1), "lattice2": make_lattice(2), "lattice3": make_lattice(3),
         "g11": make_g11().base, "g21": make_g21().base, "loops": loops_and_parallel_edges(),
     }[name]
     longest = {1: 30, 2: 8, 3: 4}[graph.dim]
-    box = []
-    for axis in range(graph.dim):  # a first side of 2 or more keeps an edge
+    lo = draw(st.integers(-3, 3))
+    box = [(lo, lo + first_side(longest) - 1)]
+    for _ in range(1, graph.dim):
         lo = draw(st.integers(-3, 3))
-        box.append((lo, lo + draw(st.integers(1 if axis else 2, longest)) - 1))
-    return periodic_oracle(graph), tuple(box), name != "g21"
+        box.append((lo, lo + draw(st.integers(1, longest)) - 1))
+    return periodic_oracle(graph), tuple(box), split
 
 
 @given(mirror_symmetric_boxes())
@@ -865,11 +878,13 @@ def mirror_symmetric_boxes(draw):
 def test_sectors_equal_the_dense_solve(case):
     """Split by its mirror symmetries, a box has the values, zero modes and
     boundary count of the dense ``eigh`` of its form, and its vectors are
-    orthonormal eigenvectors."""
-    oracle, box, symmetric = case
+    orthonormal eigenvectors.  The split is read on the route the solve
+    takes, with ``sides`` on the SVD route."""
+    oracle, box, split = case
     got = truncate(oracle, box)
-    if symmetric:
-        assert truncation._mirror_symmetries(got, None)
+    if split:
+        found = truncation._mirror_symmetries(got, got.sides())
+        assert len(truncation._sectors(found, len(got))) > 1
     h = got.normalized_symmetric()
     reference = np.linalg.eigvalsh(h)
     lam, vecs = spectrum_of_box(got, with_vectors=True)
