@@ -11,9 +11,11 @@ from the fiber matrices at ``k = 2 pi m / L``.  A wrap is therefore not an
 independent cross-check of the fiber route: the tests compare wraps with the
 dense ``eigvalsh`` of ``normalized_symmetric()``.  An induced box is split
 the same way by its own mirror symmetries (axis reflections and axis swaps
-of the box that map its vertices and edges onto themselves): each character
-of the group they generate gives one sector, solved by an SVD when the box
-is bipartite and by ``eigh`` otherwise.
+of the box that map its vertices and edges onto themselves; ``symmetry``):
+each character of the group they generate gives one sector, solved by an
+SVD when the box is bipartite and every accepted mirror keeps its two sides,
+and by ``eigh`` otherwise; when a mirror swaps the sides of a bipartite box,
+the sectors pair up and one ``eigh`` solves both sectors of a pair.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .graphs import (
     box_cell_array,
     box_cell_count,
 )
+from .symmetry import Sector, mirror_symmetries, sectors
 
 # Vertices of an induced box, which is solved densely, checked while its
 # cells are listed, ``_CELL_CHUNK`` at a time; a wrap is solved by fibers and
@@ -72,6 +75,10 @@ _EIGENPAIR_SAMPLES = 30
 
 # Entries of one batch of cluster Gram inputs in the boundary count.
 _GRAM_BATCH = 1 << 22
+
+# Entries of the rows whose columns one step of the merge permutes (512 KiB,
+# so that a step's rows and their buffer stay in cache).
+_PERMUTE_ENTRIES = 1 << 16
 
 
 class BoxGraph:
@@ -146,6 +153,7 @@ class BoxGraph:
         a *= inv_sqrt[None, :]
         return a
 
+    @cached_property
     def sides(self) -> np.ndarray | None:
         """Side (False or True) of every vertex such that each edge joins the
         two sides, or None when an edge joins two vertices of one side (a loop
@@ -281,68 +289,91 @@ def spectrum_of_box(box_graph: BoxGraph, with_vectors: bool = False):
       ``[0, L)``, from one batched ``eigh`` (or ``eigvalsh``) of
       ``fiber_matrices``.  The vectors come back as ``BlochVectors``, with no
       ``n x n`` array and no ``_DENSE_LIMIT``.
-    - A bipartite induced box (``BoxGraph.sides`` is not None) orders the
-      orbits of each sector (below) as sides ``P`` and ``Q``; there the
-      sector's block is ``[[0, B], [B^T, 0]]``, so its spectrum is ``-s``,
-      then ``|p - q|`` zeros, then ``s`` ascending, for the singular values
-      ``s`` of ``B``.  The eigenvector of ``-+s_i`` is ``[u_i; -+v_i] /
-      sqrt(2)`` and the extra zero modes are the remaining columns of ``U``
-      (or ``V``).
-    - Every other induced box (loops, odd cycles: ``cone`` boxes over its
-      glued arcs) takes ``eigh``/``eigvalsh`` of each sector's dense block.
+    - A bipartite induced box (``BoxGraph.sides`` is not None) whose accepted
+      mirrors all keep its sides orders the orbits of each sector (below) as
+      sides ``P`` and ``Q``; there the sector's block is ``[[0, B], [B^T,
+      0]]``, so its spectrum is ``-s``, then ``|p - q|`` zeros, then ``s``
+      ascending, for the singular values ``s`` of ``B``.  The eigenvector of
+      ``-+s_i`` is ``[u_i; -+v_i] / sqrt(2)`` and the extra zero modes are
+      the remaining columns of ``U`` (or ``V``).
+    - Every other induced box takes ``eigh``/``eigvalsh`` of each sector's
+      dense block: boxes with loops or odd cycles (``cone`` boxes over its
+      glued arcs), and bipartite boxes with a mirror that swaps the sides,
+      where only one sector of each pair (below) is solved.
 
-    An induced box is solved by sectors.  The ``k`` mirror symmetries that
-    ``_mirror_symmetries`` accepts generate a group of ``2^k`` commuting
-    involutions, and each character ``chi`` of it spans a sector:
-    every orbit contributes the basis vector ``chi(g) / sqrt(|orbit|)`` at
-    the vertex ``g`` carries the orbit's least vertex to, unless ``chi`` is
-    -1 on its stabilizer (Fassler & Stiefel, *Group Theoretical Methods and
-    Their Applications*, 1992).  The form leaves each sector invariant, so
-    each sector's block (``_Sector.block``, from the edges alone) is solved on
-    its own.  A box without an accepted symmetry is one sector whose block
-    is the whole form, built and solved as it always was and returned as
-    the solver gives it, so its outputs keep their bits.  Otherwise the
-    sectors' values are merged by one stable ``argsort``, and each sector's
-    vectors are lifted to the vertices and written straight into the
-    ``(n, n)`` array at the merged columns, one write per group element.
+    An induced box is solved by the sectors of its mirror symmetries
+    (``symmetry.sectors``): the form leaves each sector invariant, so each
+    sector's block (``Sector.block``, from the edges alone) is solved on its
+    own.  On a bipartite box, ``Z`` (+1 on ``P``, -1 on ``Q``) anticommutes
+    with the form, so its spectrum is symmetric about 0 (Cvetkovic, Doob &
+    Sachs, *Spectra of Graphs*, 1980); a mirror ``g`` that swaps the sides
+    has ``g Z g = -Z``, so ``Z`` maps the sector of ``chi`` onto that of
+    ``chi psi``, where ``psi(g)`` is -1 exactly when ``g`` swaps the sides.
+    When some accepted mirror does, only the first sector of each such pair
+    is solved: its ``Sector.twin`` takes ``-lam`` reversed as values and
+    ``Z(reps) y`` with the columns reversed as vectors.
 
-    Every solve is checked by ``_check_moments``, and every induced solve
-    with vectors by ``_check_eigenpairs`` (exit code 4 on a miss).
+    A box without an accepted symmetry is one sector whose block is the
+    whole form, built and solved as it always was and returned as the
+    solver gives it, so its outputs keep their bits.  Otherwise ``_merge``
+    checks each solved block's moments, merges the values by one stable
+    ``argsort`` and lifts the vectors into one ``(n, n)`` array.
+
+    Every solve is checked by ``_check_moments``, and every solve with
+    vectors by ``_check_eigenpairs`` (exit code 4 on a miss).
     ``zero_mode_count`` calls this function again for the values: the
     benchmark's self-test expects two solves per ``truncate`` command."""
     if box_graph.wrapped:
         solved = _bloch_solve(box_graph, with_vectors)
-        _check_moments(box_graph, solved[0] if with_vectors else solved)
+        _check_moments(solved[0] if with_vectors else solved, len(box_graph), box_graph.moments)
+        if with_vectors:
+            _check_eigenpairs(box_graph, *solved, 0.0)
         return solved
-    sides = box_graph.sides()
-    split = _sectors(_mirror_symmetries(box_graph, sides), len(box_graph))
-    if sides is None:
+    sides = box_graph.sides
+    split = sectors(mirror_symmetries(box_graph, sides), len(box_graph), sides)
+    if sides is None or split[0].twin is not None:
         parts = [_dense_solve(box_graph, sector, with_vectors) for sector in split]
     else:
         parts = [_bipartite_solve(box_graph, sector, sides, with_vectors) for sector in split]
-    if len(split) > 1:
-        return _merge(box_graph, split, parts, with_vectors)
+    if len(split) > 1 or split[0].twin is not None:
+        return _merge(box_graph, split, parts, sides, with_vectors)
     solved = parts[0]  # no symmetry: the solve is ascending and in vertex order
-    _check_moments(box_graph, solved[0] if with_vectors else solved)
+    _check_moments(solved[0] if with_vectors else solved, len(box_graph), box_graph.moments)
     if with_vectors:
         miss = _gram_miss(solved[1], _eigenpair_sample(len(box_graph)))
         _check_eigenpairs(box_graph, *solved, miss)
     return solved
 
 
-def _merge(box_graph: BoxGraph, split: list[_Sector], parts: list, with_vectors: bool):
-    """The sectors' values merged by one stable ``argsort`` and checked by
-    ``_check_moments``; with ``with_vectors``, each sector's vectors checked
-    by ``_gram_miss`` at the sampled merged columns, then lifted into one
-    ``(n, n)`` array at the merged columns, which ``_check_eigenpairs``
-    checks."""
-    lam = np.concatenate([part[0] if with_vectors else part for part in parts])
+def _merge(
+    box_graph: BoxGraph, split: list[Sector], parts: list, sides: np.ndarray | None,
+    with_vectors: bool,
+):
+    """The values of each solved block checked by ``_check_moments`` against
+    the block's own moments (a twin copies any fault of its sector, so the
+    whole box's moments cannot see one), each twin's ``-lam`` reversed put
+    after its sector's, all merged by one stable ``argsort`` and checked as
+    a whole.  With ``with_vectors``, each sector's vectors are checked by
+    ``_gram_miss`` at the sampled merged columns and lifted into the next
+    contiguous block of columns of one ``(n, n)`` array; a twin's vectors are
+    built from its sector's just before that sector's lift scales them in
+    place.  The columns are then put in merged order in place,
+    ``_PERMUTE_ENTRIES`` entries of rows at a time, and ``_check_eigenpairs``
+    checks the result."""
+    values = []
+    for sector, part in zip(split, parts):
+        lam = part[0] if with_vectors else part
+        _check_moments(lam, len(sector.reps), sector.moments(box_graph), "sector")
+        values.append(lam)
+        if sector.twin is not None:
+            values.append(-lam[::-1])
+    lam = np.concatenate(values)
     order = np.argsort(lam, kind="stable")
     lam = lam[order]
-    _check_moments(box_graph, lam)
+    n = len(box_graph)
+    _check_moments(lam, n, box_graph.moments)
     if not with_vectors:
         return lam
-    n = len(box_graph)
     column = np.empty(n, dtype=np.intp)
     column[order] = np.arange(n)
     sampled = np.zeros(n, dtype=bool)
@@ -351,31 +382,46 @@ def _merge(box_graph: BoxGraph, split: list[_Sector], parts: list, with_vectors:
     miss, start = 0.0, 0
     for sector in split:
         _, y = parts.pop(0)
-        at = column[start : start + len(y)]
-        miss = max(miss, _gram_miss(y, np.flatnonzero(sampled[at])))
-        sector.lift(y, vec, at)
-        start += len(y)
+        blocks = [(sector, y)]
+        if sector.twin is not None:  # built before ``lift`` scales ``y`` in place
+            z = np.where(sides[sector.reps], -1.0, 1.0)
+            blocks.append((sector.twin, z[:, None] * y[:, ::-1]))
+        for block, y in blocks:
+            stop = start + len(y)
+            miss = max(miss, _gram_miss(y, np.flatnonzero(sampled[column[start:stop]])))
+            block.lift(y, vec, start)
+            start = stop
+    step = max(1, _PERMUTE_ENTRIES // n)
+    buffer = np.empty((step, n))
+    for first in range(0, n, step):
+        rows = vec[first : first + step]
+        # ``order`` is a permutation: "clip" changes no index and, unlike
+        # "raise", writes ``out`` without buffering it
+        np.take(rows, order, axis=1, out=buffer[: len(rows)], mode="clip")
+        rows[...] = buffer[: len(rows)]
     _check_eigenpairs(box_graph, lam, vec, miss)
     return lam, vec
 
 
-def _check_moments(box_graph: BoxGraph, lam: np.ndarray) -> None:
-    """Raise ``InternalInvariantError`` unless ``lam`` has one value per
-    vertex, ``sum(lam)`` equals the trace of the symmetric form and
-    ``sum(lam**2)`` its squared Frobenius norm, both to ``n * _MOMENT_TOL``.
-    A missing, extra, negated or rescaled value fails; a permuted spectrum
-    passes, as it has the same moments."""
-    n = len(box_graph)
-    trace, square = box_graph.moments
+def _check_moments(
+    lam: np.ndarray, n: int, moments: tuple[float, float], what: str = "box"
+) -> None:
+    """Raise ``InternalInvariantError`` unless ``lam`` has ``n`` values,
+    ``sum(lam)`` equals the trace ``moments[0]`` of the symmetric form (of a
+    box, or of a sector's block) and ``sum(lam**2)`` its squared Frobenius
+    norm ``moments[1]``, both to ``n * _MOMENT_TOL``.  A missing, extra,
+    negated or rescaled value fails; a permuted spectrum passes, as it has
+    the same moments."""
+    trace, square = moments
     allowance = n * _MOMENT_TOL
     if lam.shape != (n,):
         raise InternalInvariantError(
-            f"box solve gave {lam.shape} eigenvalues for {n} vertices"
+            f"{what} solve gave {lam.shape} eigenvalues for a form of order {n}"
         )
     misses = (abs(float(lam.sum()) - trace), abs(float(np.dot(lam, lam)) - square))
     if max(misses) > allowance:
         raise InternalInvariantError(
-            f"box eigenvalues miss their moments: |sum(lam) - trace| = {misses[0]:.3e}, "
+            f"{what} eigenvalues miss their moments: |sum(lam) - trace| = {misses[0]:.3e}, "
             f"|sum(lam^2) - |H|_F^2| = {misses[1]:.3e}, allowance {allowance:.3e}"
         )
 
@@ -398,22 +444,30 @@ def _gram_miss(y: np.ndarray, columns: np.ndarray) -> float:
 
 
 def _check_eigenpairs(
-    box_graph: BoxGraph, lam: np.ndarray, vec: np.ndarray, gram_miss: float
+    box_graph: BoxGraph, lam: np.ndarray, vec: np.ndarray | BlochVectors, gram_miss: float
 ) -> None:
     """Raise ``InternalInvariantError`` unless the sampled columns
     (``_eigenpair_sample``) of ``vec`` are unit eigenvectors of their values
     and ``gram_miss``, their orthonormality miss from ``_gram_miss``, is
-    small: ``|H v - lam v|``, ``|v^T v - 1|`` and ``gram_miss`` at most
-    ``n * _EIGENPAIR_TOL``.  ``H v`` is one ``bincount`` over the edges per
-    sampled column, with no ``n x n`` product."""
+    small: ``|H v - lam v|``, ``|v^H v - 1|`` and ``gram_miss`` at most
+    ``n * _EIGENPAIR_TOL``.  For an ``(n, n)`` array, ``H v`` is one
+    ``bincount`` over the edges per sampled column, with no ``n x n``
+    product.  For ``BlochVectors`` each sampled column is checked as its
+    fiber pair ``(u, H(k) u)``, with ``H(k)`` assembled again by
+    ``fiber_matrices`` at the sampled modes only."""
     n = len(box_graph)
     sample = _eigenpair_sample(n)
-    v = vec[:, sample].T
-    inv_sqrt = 1.0 / np.sqrt(box_graph.degrees.astype(float))
-    rows, cols = box_graph.rows, box_graph.cols
-    weights = inv_sqrt[rows] * inv_sqrt[cols]
-    hv = np.array([np.bincount(rows, weights * x[cols], minlength=n) for x in v])
-    norms = np.einsum("ij,ij->i", v, v)
+    if isinstance(vec, BlochVectors):
+        v = vec.fibers[sample]
+        ks = 2.0 * np.pi * vec.modes[sample] / np.array(vec.lengths)
+        hv = (fiber_matrices(box_graph.periodic, ks) @ v[:, :, None])[:, :, 0]
+    else:
+        v = vec[:, sample].T
+        inv_sqrt = 1.0 / np.sqrt(box_graph.degrees.astype(float))
+        rows, cols = box_graph.rows, box_graph.cols
+        weights = inv_sqrt[rows] * inv_sqrt[cols]
+        hv = np.array([np.bincount(rows, weights * x[cols], minlength=n) for x in v])
+    norms = np.einsum("ij,ij->i", np.conj(v), v)
     misses = (
         float(np.max(np.abs(hv - lam[sample, None] * v))),
         max(float(np.max(np.abs(norms - 1.0))), gram_miss),
@@ -422,7 +476,7 @@ def _check_eigenpairs(
     if max(misses) > allowance:
         raise InternalInvariantError(
             f"box eigenvectors miss their checks on {len(sample)} sampled columns: "
-            f"|Hv - lam v| = {misses[0]:.3e}, |V^T V - I| = {misses[1]:.3e}, "
+            f"|Hv - lam v| = {misses[0]:.3e}, |V^H V - I| = {misses[1]:.3e}, "
             f"allowance {allowance:.3e}"
         )
 
@@ -441,130 +495,7 @@ def _bloch_solve(box_graph: BoxGraph, with_vectors: bool):
     return lam.reshape(-1)[order], BlochVectors(lengths, np.repeat(modes, s, axis=0)[order], fibers)
 
 
-def _mirror_symmetries(box_graph: BoxGraph, sides: np.ndarray | None) -> list[np.ndarray]:
-    """Commuting mirror symmetries of an induced box, as vertex permutations.
-
-    The candidates, in this order, are the reflection of each axis about the
-    bounding box of the vertex cells (``x_j -> lo_j + hi_j - x_j``, labels
-    kept), then the swap of each two axes of equal extent.  One is accepted
-    when it maps the vertex keys onto themselves (one ``searchsorted`` in the
-    ``(cell, label)`` order ``truncate`` lists the vertices in), maps the
-    sorted edge keys ``rows * n + cols`` onto themselves (so loops and
-    multiplicities too), is not in the group the accepted ones generate (the
-    identity included), commutes with each of them and, when ``sides`` is
-    given, keeps it.  A box listed in another order may have a symmetry
-    refused, never a wrong one accepted."""
-    n = len(box_graph)
-    rows, cols, labels = box_graph.rows, box_graph.cols, box_graph.labels
-    cells = box_graph.offsets - box_graph.offsets.min(axis=0)
-    extents = cells.max(axis=0)
-    radix = (*(extents + 1).tolist(), int(labels.max()) + 1)
-    keys = np.ravel_multi_index((*cells.T, labels), radix)
-    edges = np.sort(rows * n + cols)
-    candidates = []
-    for j in range(len(extents)):
-        image = cells.copy()
-        image[:, j] = extents[j] - cells[:, j]
-        candidates.append(image)
-    for i in range(len(extents)):
-        for j in range(i + 1, len(extents)):
-            if extents[i] == extents[j]:
-                image = cells.copy()
-                image[:, [i, j]] = cells[:, [j, i]]
-                candidates.append(image)
-    accepted, group = [], [np.arange(n)]
-    for image in candidates:
-        mapped = np.ravel_multi_index((*image.T, labels), radix)
-        perm = np.minimum(np.searchsorted(keys, mapped), n - 1)
-        if (
-            np.array_equal(keys[perm], mapped)
-            and not any(np.array_equal(perm, g) for g in group)
-            and all(np.array_equal(perm[g], g[perm]) for g in accepted)
-            and (sides is None or np.array_equal(sides[perm], sides))
-            and np.array_equal(np.sort(perm[rows] * n + perm[cols]), edges)
-        ):
-            accepted.append(perm)
-            group += [perm[g] for g in group]
-    return accepted
-
-
-class _Sector:
-    """The orbits of one character ``chi`` of an induced box's symmetry group
-    whose basis vector is not zero, from ``images[e, a]``, orbit ``a``'s least
-    vertex under group element ``e``, and ``odd[e]``, whether ``chi(e)`` is
-    -1.  The basis vector of orbit ``a`` is ``chi(e) / sqrt(sizes[a])`` at
-    ``images[e, a]``.  Per vertex ``i``, ``local[i]`` is the position of its
-    orbit, or ``len(reps)`` off the sector, and ``sign[i]`` is that
-    ``chi(e)``."""
-
-    def __init__(self, images: np.ndarray, odd: np.ndarray, n: int):
-        self.images, self.odd = images, odd
-        self.reps = images[0]
-        self.sizes = len(images) // (images == self.reps).sum(axis=0)
-        self.local = np.full(n, len(self.reps))
-        self.sign = np.zeros(n)
-        for rows, negated in zip(images, odd):
-            self.local[rows] = np.arange(len(self.reps))
-            self.sign[rows] = -1.0 if negated else 1.0
-
-    def block(self, box_graph: BoxGraph, at_rows: np.ndarray, at_cols: np.ndarray):
-        """The block of the sector's matrix between its orbits ``at_rows`` and
-        ``at_cols`` (ascending positions): one ``np.add.at`` of the sign
-        products over the box's edges between them, then the rows and columns
-        scaled by ``1 / sqrt(degree * size)`` of their orbits."""
-        rows, cols = box_graph.rows, box_graph.cols
-        k = len(self.reps)
-        row_of, col_of = np.full(k + 1, -1), np.full(k + 1, -1)
-        row_of[at_rows] = np.arange(len(at_rows))
-        col_of[at_cols] = np.arange(len(at_cols))
-        i, j = row_of[self.local[rows]], col_of[self.local[cols]]
-        keep = (i >= 0) & (j >= 0)
-        block = np.zeros((len(at_rows), len(at_cols)))
-        np.add.at(block, (i[keep], j[keep]), self.sign[rows[keep]] * self.sign[cols[keep]])
-        scale = 1.0 / np.sqrt(box_graph.degrees[self.reps] * self.sizes)
-        block *= scale[at_rows, None]
-        block *= scale[None, at_cols]
-        return block
-
-    def lift(self, y: np.ndarray, vec: np.ndarray, columns: np.ndarray) -> None:
-        """Write the sector's vectors ``y`` (one row per orbit) into the
-        columns ``columns`` of the box's ``(n, n)`` array ``vec``, one scatter
-        per group element; ``y`` is scaled in place, and no temporary of its
-        size is made."""
-        y *= 1.0 / np.sqrt(self.sizes[:, None])
-        for rows in self.images[~self.odd]:
-            vec[rows[:, None], columns] = y
-        if self.odd.any():
-            np.negative(y, out=y)
-        for rows in self.images[self.odd]:
-            vec[rows[:, None], columns] = y
-
-
-def _sectors(generators: list[np.ndarray], n: int) -> list[_Sector]:
-    """The sectors of the group the commuting involutions ``generators`` on
-    ``n`` vertices generate, one per character ``chi`` in ``{+-1}^k`` that is
-    1 on the stabilizer of some orbit; with no generator, the whole box.
-
-    Element ``e`` of the group is the product of the generators whose bits
-    are set in ``e``, and ``chi_c(e)`` is ``-1`` to the number of bits
-    ``c`` and ``e`` share."""
-    group = [np.arange(n)]
-    for g in generators:
-        group += [g[h] for h in group]
-    images = np.array(group)  # images[e, i]: vertex i under element e
-    least = np.flatnonzero(images.min(axis=0) == np.arange(n))  # one vertex per orbit
-    fixes = images[:, least] == least
-    m = len(group)
-    odd = np.array([[bin(c & e).count("1") % 2 for e in range(m)] for c in range(m)])
-    found = []
-    for c in range(m):
-        inside = (odd[c] @ fixes) == 0
-        if inside.any():
-            found.append(_Sector(images[:, least[inside]], odd[c] == 1, n))
-    return found
-
-
-def _dense_solve(box_graph: BoxGraph, sector: _Sector, with_vectors: bool):
+def _dense_solve(box_graph: BoxGraph, sector: Sector, with_vectors: bool):
     """Values (and vectors) of one sector by ``eigh`` of its dense block."""
     every = np.arange(len(sector.reps))
     h = sector.block(box_graph, every, every)
@@ -572,7 +503,7 @@ def _dense_solve(box_graph: BoxGraph, sector: _Sector, with_vectors: bool):
 
 
 def _bipartite_solve(
-    box_graph: BoxGraph, sector: _Sector, sides: np.ndarray, with_vectors: bool
+    box_graph: BoxGraph, sector: Sector, sides: np.ndarray, with_vectors: bool
 ):
     """Values (and vectors) of one sector of a bipartite box from the SVD of
     its ``P x Q`` block."""

@@ -5,7 +5,8 @@ The reference below folds oriented counts into an ``(i, j)`` pair dict
 (loops halved), builds wrapped boxes separately from the edge templates, and
 finds the near-boundary ring by a set-based search.  ``spectrum_of_box``
 solves a wrap from its fiber matrices and a bipartite induced box by one SVD
-of its off-diagonal block; the dense ``eigh``/``eigvalsh`` of
+of its off-diagonal block, or, when a mirror swaps its sides, by one
+``eigh`` per pair of sectors; the dense ``eigh``/``eigvalsh`` of
 ``normalized_symmetric()`` and a two-colouring over the dense adjacency are
 the reference for both routes, and for the boundary count.
 """
@@ -46,7 +47,7 @@ from periodic_spectra import (
 )
 from periodic_spectra.errors import EmptyBoxError, InputError, InternalInvariantError
 from periodic_spectra.graphs import FundEdge, Vertex, vert
-from periodic_spectra import truncation
+from periodic_spectra import symmetry, truncation
 from periodic_spectra.cli import main
 from periodic_spectra.truncation import _near_boundary_mask
 
@@ -500,7 +501,7 @@ def test_bipartite_split_equals_dense_solve(case):
         got = truncate(oracle, box, periodic_wrap=wrap)
     except EmptyBoxError:
         return
-    sides, expected = got.sides(), reference_sides(got)
+    sides, expected = got.sides, reference_sides(got)
     assert (sides is None) == (expected is None)
     if sides is not None:
         assert np.array_equal(sides, expected)
@@ -513,7 +514,7 @@ def test_bipartite_split_equals_dense_solve(case):
     assert np.max(np.abs(np.conj(basis.T) @ basis - np.eye(len(got)))) <= 1e-12
     assert np.max(np.abs(h @ basis - basis * lam)) <= 1e-12
     assert zero_mode_count(got) == int(np.sum(np.abs(reference) <= 1e-12))
-    if sides is None and not wrap and not truncation._mirror_symmetries(got, None):
+    if sides is None and not wrap and not symmetry.mirror_symmetries(got, None):
         dense_lam, dense_vecs = np.linalg.eigh(h)
         assert np.array_equal(lam, dense_lam) and np.array_equal(vecs, dense_vecs)
 
@@ -544,12 +545,15 @@ def svd_of_the_form(h, sides):
 @pytest.mark.parametrize(
     "make_box, vector_solvers, value_solvers",
     [
-        # x -> 50 - x keeps the sides; y -> 25 - y swaps them
+        # x -> 50 - x keeps the sides; y -> 25 - y swaps them: two pairs of sectors
         (lambda: truncate(make_half_plane().perturbation.oracle, ((0, 50), (-25, 25))),
-         ["svd", "svd"], ["svd", "svd"]),
-        # both reflections swap the sides: one sector
+         ["eigh", "eigh"], ["eigvalsh", "eigvalsh"]),
+        # both reflections swap the sides, their product keeps them: two pairs
         (lambda: truncate(make_half_plane().perturbation.oracle, ((0, 49), (-25, 25))),
-         ["svd"], ["svd"]),
+         ["eigh", "eigh"], ["eigvalsh", "eigvalsh"]),
+        # both reflections keep the sides: four sectors
+        (lambda: truncate(make_half_plane().perturbation.oracle, ((0, 50), (-25, 24))),
+         ["svd"] * 4, ["svd"] * 4),
         (lambda: truncate(periodic_oracle(make_lattice(1)), ((0, 5),), True),
          ["eigh of fibers"], ["eigvalsh of fibers"]),
         # p = 100, q = 200: a 100-dimensional zero space
@@ -567,21 +571,23 @@ def svd_of_the_form(h, sides):
         (lambda: truncate(periodic_oracle(make_lattice(1)), ((0, 0),), True),
          ["eigh of fibers"], ["eigvalsh of fibers"]),
     ],
-    ids=["half_plane", "half_plane_asymmetric", "even_ring", "g21", "even_torus", "cone",
-         "cone_asymmetric", "odd_wrap", "loop"],
+    ids=["half_plane", "half_plane_both_swap", "half_plane_both_keep", "even_ring", "g21",
+         "even_torus", "cone", "cone_asymmetric", "odd_wrap", "loop"],
 )
 def test_route_of_catalog_boxes(make_box, vector_solvers, value_solvers, monkeypatch):
     """Wraps, even or odd, take one batched solve of their fiber matrices;
-    bipartite induced boxes take one SVD per sector, whatever their zero
-    space; induced cone boxes take one dense ``eigh`` per sector.  A box
-    with one sector returns exactly the output of the whole form's ``eigh``,
-    or of the SVD of its ``P x Q`` block."""
+    bipartite induced boxes whose mirrors keep the sides take one SVD per
+    sector, whatever their zero space, and those with a mirror that swaps
+    them one dense ``eigh`` per pair of sectors; induced cone boxes take one
+    dense ``eigh`` per sector.  A box with one sector returns exactly the
+    output of the whole form's ``eigh``, or of the SVD of its ``P x Q``
+    block."""
     box = make_box()
     h = box.normalized_symmetric()
     dense_lam, dense_vecs = np.linalg.eigh(h)
     dense_values = np.linalg.eigvalsh(h)
     if vector_solvers == ["svd"]:
-        svd_values, svd_lam, svd_vecs = svd_of_the_form(h, box.sides())
+        svd_values, svd_lam, svd_vecs = svd_of_the_form(h, box.sides)
     calls = []
 
     def counted(name):
@@ -677,16 +683,27 @@ def _negating(solve):
 @pytest.mark.parametrize(
     "route, make_box",
     [
+        # both reflections keep the sides
         ("_bipartite_solve", lambda: truncate(make_half_plane().perturbation.oracle,
-                                              ((0, 10), (-5, 5)))),
+                                              ((0, 10), (-5, 4)))),
         ("_dense_solve", lambda: truncate(make_cone().perturbation.oracle, ((-5, 8), (-5, 8)))),
         ("_bloch_solve", lambda: truncate(periodic_oracle(make_g11().base), ((0, 40),), True)),
+        # the x reflection keeps the sides, the y reflection swaps them
+        ("_dense_solve", lambda: truncate(make_half_plane().perturbation.oracle,
+                                          ((0, 10), (-5, 5)))),
+        # both reflections swap the sides
+        ("_dense_solve", lambda: truncate(make_half_plane().perturbation.oracle,
+                                          ((0, 9), (-5, 5)))),
     ],
-    ids=["svd", "eigh", "bloch"],
+    ids=["svd", "eigh", "bloch", "paired", "paired_both_swap"],
 )
 @pytest.mark.parametrize("with_vectors", [False, True])
 def test_moment_certificate_rejects_a_tampered_solve(route, make_box, tamper, with_vectors,
                                                      monkeypatch):
+    """On a paired box the twin of a solved sector copies its fault: a
+    negated value of the sector is a negated value of the twin too, which
+    leaves the whole box's moments as they were, so only the check of the
+    solved block's own moments sees it."""
     box = make_box()
     spectrum_of_box(box, with_vectors=with_vectors)  # the honest solve passes
     monkeypatch.setattr(truncation, route, tamper(getattr(truncation, route)))
@@ -836,24 +853,17 @@ def mirror_symmetric_boxes(draw):
     ``half_plane`` that starts at or below its cut, and a square box of
     ``cone`` (the swap).  ``g21`` boxes are drawn too: the reflection that
     keeps labels is not a symmetry of its chain, so they stay one sector.
-    On the SVD route a mirror is refused when it swaps the two sides, which
-    the x reflection does on a bipartite box with an even first side; with
-    ``split`` drawn the first side is odd, so the solve must take more than
-    one sector.  Returns the oracle, the box and ``split``."""
+    The first side has 2 or more cells, so that the box keeps an edge and
+    the x reflection is not the identity: on a bipartite box it keeps the
+    sides when that side is odd and swaps them when it is even, and is
+    accepted either way.  Returns the oracle, the box and ``split``,
+    whether the solve must take more than one sector."""
     name = draw(st.sampled_from(
         ["lattice1", "lattice2", "lattice3", "half_plane", "cone", "g11", "g21", "loops"]
     ))
-    split = name in ("cone", "loops") or (name != "g21" and draw(st.booleans()))
-
-    def first_side(longest):
-        """A first side of 2 or more (so the box keeps an edge), odd with
-        ``split``."""
-        if split:
-            return 2 * draw(st.integers(1, (longest - 1) // 2)) + 1
-        return draw(st.integers(2, longest))
-
+    split = name != "g21"
     if name == "half_plane":
-        lo, length = draw(st.integers(-3, 3)), first_side(9)
+        lo, length = draw(st.integers(-3, 3)), draw(st.integers(2, 9))
         box = ((lo, lo + length - 1), (draw(st.integers(-3, 0)), draw(st.integers(0, 6))))
         return make_half_plane().perturbation.oracle, box, split
     if name == "cone":
@@ -866,7 +876,7 @@ def mirror_symmetric_boxes(draw):
     }[name]
     longest = {1: 30, 2: 8, 3: 4}[graph.dim]
     lo = draw(st.integers(-3, 3))
-    box = [(lo, lo + first_side(longest) - 1)]
+    box = [(lo, lo + draw(st.integers(2, longest)) - 1)]
     for _ in range(1, graph.dim):
         lo = draw(st.integers(-3, 3))
         box.append((lo, lo + draw(st.integers(1, longest)) - 1))
@@ -878,13 +888,15 @@ def mirror_symmetric_boxes(draw):
 def test_sectors_equal_the_dense_solve(case):
     """Split by its mirror symmetries, a box has the values, zero modes and
     boundary count of the dense ``eigh`` of its form, and its vectors are
-    orthonormal eigenvectors.  The split is read on the route the solve
-    takes, with ``sides`` on the SVD route."""
+    orthonormal eigenvectors.  The split is read with the box's ``sides``,
+    as the solve reads it: more than one solved sector, or one with a
+    twin."""
     oracle, box, split = case
     got = truncate(oracle, box)
     if split:
-        found = truncation._mirror_symmetries(got, got.sides())
-        assert len(truncation._sectors(found, len(got))) > 1
+        found = symmetry.mirror_symmetries(got, got.sides)
+        sectors = symmetry.sectors(found, len(got), got.sides)
+        assert len(sectors) > 1 or sectors[0].twin is not None
     h = got.normalized_symmetric()
     reference = np.linalg.eigvalsh(h)
     lam, vecs = spectrum_of_box(got, with_vectors=True)
@@ -895,6 +907,67 @@ def test_sectors_equal_the_dense_solve(case):
     assert zero_mode_count(got) == int(np.sum(np.abs(reference) <= 1e-12))
     near = _near_boundary_mask(got, 2)
     assert boundary_count(got) == reference_boundary_count(h, near)
+
+
+@st.composite
+def side_swapping_boxes(draw):
+    """Bipartite induced boxes with a mirror that swaps their two sides: a
+    box of ``lattice1/2/3`` or ``g11`` whose first side has an even number
+    of cells, and a ``half_plane`` box whose x range has an even number."""
+    name = draw(st.sampled_from(["lattice1", "lattice2", "lattice3", "g11", "half_plane"]))
+    if name == "half_plane":
+        lo = draw(st.integers(-3, 3))
+        box = ((lo, lo + 2 * draw(st.integers(1, 5)) - 1),
+               (draw(st.integers(-3, 0)), draw(st.integers(0, 7))))
+        return make_half_plane().perturbation.oracle, box
+    graph = {"lattice1": make_lattice(1), "lattice2": make_lattice(2),
+             "lattice3": make_lattice(3), "g11": make_g11().base}[name]
+    longest = {1: 30, 2: 8, 3: 4}[graph.dim]
+    lo = draw(st.integers(-3, 3))
+    box = [(lo, lo + 2 * draw(st.integers(1, longest // 2)) - 1)]
+    for _ in range(1, graph.dim):
+        lo = draw(st.integers(-3, 3))
+        box.append((lo, lo + draw(st.integers(1, longest)) - 1))
+    return periodic_oracle(graph), tuple(box)
+
+
+@given(side_swapping_boxes())
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_paired_sectors_equal_the_one_sector_svd(case):
+    """A box solved by pairs of sectors, one ``eigh`` per pair, has the
+    values of the dense ``eigvalsh`` of its form to ``n * 1e-12``, and the
+    zero count and boundary count of the SVD of the dense form's ``P x Q``
+    block."""
+    oracle, box = case
+    got = truncate(oracle, box)
+    sectors = symmetry.sectors(symmetry.mirror_symmetries(got, got.sides), len(got),
+                               got.sides)
+    assert got.sides is not None and all(s.twin is not None for s in sectors)
+    n = len(got)
+    h = got.normalized_symmetric()
+    svd_values, svd_lam, svd_vecs = svd_of_the_form(h, got.sides)
+    values = spectrum_of_box(got)
+    lam, vecs = spectrum_of_box(got, with_vectors=True)
+    assert np.max(np.abs(values - np.linalg.eigvalsh(h))) <= n * 1e-12
+    assert np.max(np.abs(lam - np.linalg.eigvalsh(h))) <= n * 1e-12
+    assert zero_mode_count(got) == int(np.sum(np.abs(svd_values) <= 1e-12))
+    band = SpectrumApprox(((-1.0, 1.0),), (), 2, 1e-8)
+    assert (compare_spectra(lam, band, 1.0, got, vecs).boundary_count
+            == compare_spectra(svd_lam, band, 1.0, got, svd_vecs).boundary_count)
+
+
+def test_a_mirror_that_keeps_one_component_and_swaps_another_is_refused():
+    """``0..6`` of ``Z`` without the edges 1-2 and 4-5: the reflection maps
+    the components ``{0, 1}`` and ``{5, 6}`` onto each other with their
+    sides swapped, and ``{2, 3, 4}`` onto itself with its sides kept, so no
+    ``psi`` pairs its sectors and it is refused on the bipartite route."""
+    patch = Patch(removed_edges=((vert(1), vert(2)), (vert(4), vert(5))))
+    box = truncate(PerturbedGraph(make_lattice(1), patch).oracle, ((0, 6),))
+    assert box.sides is not None
+    assert symmetry.mirror_symmetries(box, box.sides) == []
+    assert len(symmetry.mirror_symmetries(box, None)) == 1
+    lam, _ = spectrum_of_box(box, with_vectors=True)
+    assert np.max(np.abs(lam - dense_eigs(box))) <= 1e-12
 
 
 def mirror_images(box, *maps):
@@ -909,9 +982,9 @@ def mirror_images(box, *maps):
         # odd sides: both reflections keep the sides, the swap then fails to commute
         (lambda: truncate(periodic_oracle(make_lattice(2)), ((-3, 3), (-3, 3))),
          [lambda c: (-c[0], c[1]), lambda c: (c[0], -c[1])]),
-        # even sides: both reflections swap the sides, and only the swap is left
+        # even sides: both reflections swap the sides, the swap then fails to commute
         (lambda: truncate(periodic_oracle(make_lattice(2)), ((0, 5), (0, 5))),
-         [lambda c: (c[1], c[0])]),
+         [lambda c: (5 - c[0], c[1]), lambda c: (c[0], 5 - c[1])]),
         (lambda: truncate(make_cone().perturbation.oracle, ((-4, 6), (-4, 6))),
          [lambda c: (c[1], c[0])]),
         (lambda: truncate(periodic_oracle(loops_and_parallel_edges()), ((0, 4), (0, 4))),
@@ -924,7 +997,7 @@ def mirror_images(box, *maps):
 )
 def test_accepted_symmetries(make_box, maps):
     box = make_box()
-    accepted = truncation._mirror_symmetries(box, box.sides())
+    accepted = symmetry.mirror_symmetries(box, box.sides)
     assert len(accepted) == len(maps)
     for perm, expected in zip(accepted, mirror_images(box, *maps)):
         assert np.array_equal(perm, expected)
@@ -945,8 +1018,8 @@ def symmetry_breakers():
 @pytest.mark.parametrize("graph", symmetry_breakers(), ids=["removed", "added", "predicate"])
 def test_a_broken_symmetry_keeps_the_single_block_bits(graph):
     box = truncate(graph.oracle, ((-3, 3), (-3, 3)))
-    sides = box.sides()
-    assert truncation._mirror_symmetries(box, None) == []
+    sides = box.sides
+    assert symmetry.mirror_symmetries(box, None) == []
     h = box.normalized_symmetric()
     lam, vecs = spectrum_of_box(box, with_vectors=True)
     values = spectrum_of_box(box)
@@ -978,22 +1051,35 @@ def _scale_first_column(y):
     ids=["swap", "flip", "scale"],
 )
 @pytest.mark.parametrize(
-    "route, name, box, sectors",
+    "route, name, box, sectors, twins",
     [
-        ("_bipartite_solve", "half_plane", ((0, 10), (-5, 5)), 2),
-        ("_bipartite_solve", "half_plane", ((0, 9), (-5, 5)), 1),
-        ("_dense_solve", "cone", ((-5, 8), (-5, 8)), 2),
-        ("_dense_solve", "cone", ((-5, 8), (-5, 7)), 1),
+        ("_bipartite_solve", "half_plane", ((0, 10), (-5, 4)), 4, 0),
+        ("_bipartite_solve", "random_pendant,p=0.3,seed=4", ((-4, 4), (-4, 4)), 1, 0),
+        ("_dense_solve", "cone", ((-5, 8), (-5, 8)), 2, 0),
+        ("_dense_solve", "cone", ((-5, 8), (-5, 7)), 1, 0),
+        # the x reflection keeps the sides, the y reflection swaps them
+        ("_dense_solve", "half_plane", ((0, 10), (-5, 5)), 2, 2),
+        # both reflections swap the sides
+        ("_dense_solve", "half_plane", ((0, 9), (-5, 5)), 2, 2),
     ],
-    ids=["svd_sectors", "svd_one_sector", "eigh_sectors", "eigh_one_sector"],
+    ids=["svd_sectors", "svd_one_sector", "eigh_sectors", "eigh_one_sector", "paired",
+         "paired_both_swap"],
 )
-def test_eigenpair_check_exits_4(route, name, box, sectors, fault, tmp_path, monkeypatch):
-    """A fault planted in every sector's first column reaches the merged first
-    column, which the eigenpair check samples."""
-    graph = {"half_plane": make_half_plane, "cone": make_cone}[name]().perturbation
+def test_eigenpair_check_exits_4(route, name, box, sectors, twins, fault, tmp_path,
+                                 monkeypatch):
+    """A fault planted in every solved sector's first column reaches the
+    merged first column, which the eigenpair check samples.  On a paired box
+    the fault goes into the last column instead: the sector of the trivial
+    character holds the top value 1 there, and its twin's first column,
+    ``Z`` times that column, holds the box's lowest value -1."""
+    graph = {
+        "half_plane": make_half_plane, "cone": make_cone,
+        "random_pendant,p=0.3,seed=4": lambda: make_random_pendant(0.3, seed=4),
+    }[name]().perturbation
     got = truncate(graph.oracle, box)
-    found = truncation._mirror_symmetries(got, got.sides())
-    assert len(truncation._sectors(found, len(got))) == sectors
+    split = symmetry.sectors(symmetry.mirror_symmetries(got, got.sides), len(got),
+                             got.sides)
+    assert (len(split), sum(s.twin is not None for s in split)) == (sectors, twins)
     argv = ["truncate", "--graph", "builtin:lattice2", "--perturbation", f"builtin:{name}",
             "--box=" + ",".join(str(x) for side in box for x in side),
             "--out", str(tmp_path / "t")]
@@ -1006,10 +1092,40 @@ def test_eigenpair_check_exits_4(route, name, box, sectors, fault, tmp_path, mon
             return solved
         lam, y = solved
         y = y.copy()
-        fault(y)
+        fault(y[:, ::-1] if twins else y)
         return lam, y
 
     monkeypatch.setattr(truncation, route, tampered)
     assert main(argv) == 4
     with pytest.raises(InternalInvariantError, match="eigenvectors miss"):
         spectrum_of_box(got, with_vectors=True)
+
+
+@pytest.mark.parametrize(
+    "fault", [_swap_first_columns, _flip_one_entry, _scale_first_column],
+    ids=["swap", "flip", "scale"],
+)
+def test_fiber_eigenpair_check_exits_4(fault, tmp_path, monkeypatch):
+    """A wrap's first Bloch column, checked as its fiber pair, is the lowest
+    value -1 of ``g11`` at ``k = pi`` (simple, as the wrap has even length):
+    swapping it with the next fiber, flipping the sign of one entry of it or
+    scaling it by ``1 + 1e-6`` exits 4."""
+    argv = ["truncate", "--graph", "builtin:g11", "--box=0,39", "--wrap",
+            "--out", str(tmp_path / "t")]
+    assert main(argv) == 0
+    solve = truncation._bloch_solve
+
+    def tampered(*args):
+        solved = solve(*args)
+        if not isinstance(solved, tuple):
+            return solved
+        lam, vectors = solved
+        fibers = vectors.fibers.copy()
+        fault(fibers.T)  # column j of the box is fiber j
+        return lam, BlochVectors(vectors.lengths, vectors.modes, fibers)
+
+    monkeypatch.setattr(truncation, "_bloch_solve", tampered)
+    assert main(argv) == 4
+    wrap = truncate(periodic_oracle(make_g11().base), ((0, 39),), True)
+    with pytest.raises(InternalInvariantError, match="eigenvectors miss"):
+        spectrum_of_box(wrap, with_vectors=True)
