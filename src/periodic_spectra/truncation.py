@@ -331,11 +331,12 @@ def spectrum_of_box(box_graph: BoxGraph, with_vectors: bool = False):
         return solved
     sides = box_graph.sides
     split = sectors(mirror_symmetries(box_graph, sides), len(box_graph), sides)
-    if sides is None or split[0].twin is not None:
+    paired = split[0].twin is not None  # then every sector has a twin
+    if sides is None or paired:
         parts = [_dense_solve(box_graph, sector, with_vectors) for sector in split]
     else:
         parts = [_bipartite_solve(box_graph, sector, sides, with_vectors) for sector in split]
-    if len(split) > 1 or split[0].twin is not None:
+    if len(split) > 1 or paired:
         return _merge(box_graph, split, parts, sides, with_vectors)
     solved = parts[0]  # no symmetry: the solve is ascending and in vertex order
     _check_moments(solved[0] if with_vectors else solved, len(box_graph), box_graph.moments)
