@@ -9,7 +9,8 @@ Stiefel, *Group Theoretical Methods and Their Applications*, 1992), so
 ``Sector.block`` builds a sector's block from the box's edges and
 ``Sector.lift`` writes its vectors back at the vertices.  On a bipartite box
 a mirror that swaps the two sides pairs the sector of ``chi`` with that of
-``chi psi`` (``Sector.twin``), and only the first of each pair is solved.
+``chi psi``, and only the first of each pair is solved: ``Sector.twin``
+gives the other's values and vectors from that solve.
 """
 
 from __future__ import annotations
@@ -82,11 +83,14 @@ class Sector:
     -1.  The basis vector of orbit ``a`` is ``chi(e) / sqrt(sizes[a])`` at
     ``images[e, a]``.  Per vertex ``i``, ``local[i]`` is the position of its
     orbit, or ``len(reps)`` off the sector, and ``sign[i]`` is that
-    ``chi(e)``.  ``twin`` is the sector of ``chi psi`` when ``sectors``
-    pairs it with this one, else None."""
+    ``chi(e)``.  When ``sectors`` pairs this sector with that of ``chi psi``
+    (its twin, on the same orbits), ``twin_odd`` is the twin's ``odd``, else
+    None."""
 
-    def __init__(self, images: np.ndarray, odd: np.ndarray, n: int):
-        self.images, self.odd = images, odd
+    def __init__(
+        self, images: np.ndarray, odd: np.ndarray, n: int, twin_odd: np.ndarray | None = None
+    ):
+        self.images, self.odd, self.twin_odd = images, odd, twin_odd
         self.reps = images[0]
         self.sizes = len(images) // (images == self.reps).sum(axis=0)
         self.local = np.full(n, len(self.reps))
@@ -94,7 +98,6 @@ class Sector:
         for rows, negated in zip(images, odd):
             self.local[rows] = np.arange(len(self.reps))
             self.sign[rows] = -1.0 if negated else 1.0
-        self.twin: Sector | None = None
 
     def block(self, box_graph: BoxGraph, at_rows: np.ndarray, at_cols: np.ndarray):
         """The block of the sector's matrix between its orbits ``at_rows`` and
@@ -129,20 +132,34 @@ class Sector:
         entries = np.bincount(inverse, signs) * scale[a] * scale[b]
         return float(entries[a == b].sum()), float(np.dot(entries, entries))
 
-    def lift(self, y: np.ndarray, vec: np.ndarray, start: int) -> None:
-        """Write the sector's vectors ``y`` (one row per orbit) into the
-        contiguous columns ``start:start + len(y)`` of the box's ``(n, n)``
-        array ``vec``, one row-indexed write ``vec[rows, start:stop] = y`` per
-        group element, which copies each row as one contiguous run; ``y`` is
-        scaled (and negated for the elements where ``chi`` is -1) in place,
-        and no temporary of its size is made."""
+    def twin(
+        self, lam: np.ndarray, y: np.ndarray | None, sides: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """The twin's values and, unless ``y`` is None, its vectors (one row
+        per orbit) from this sector's solve ``(lam, y)``: ``-lam`` reversed,
+        and ``Z(reps) y`` with the columns reversed, ``Z`` being +1 on the
+        side ``sides`` marks False and -1 on the other.  The vectors are a
+        new array, so build them before ``lift`` scales ``y`` in place."""
+        if y is None:
+            return -lam[::-1], None
+        return -lam[::-1], np.where(sides[self.reps], -1.0, 1.0)[:, None] * y[:, ::-1]
+
+    def lift(self, y: np.ndarray, vec: np.ndarray, start: int, twin: bool = False) -> None:
+        """Write the vectors ``y`` (one row per orbit) of the sector, or with
+        ``twin`` of its twin, into the contiguous columns ``start:start +
+        len(y)`` of the box's ``(n, n)`` array ``vec``, one row-indexed write
+        ``vec[rows, start:stop] = y`` per group element, which copies each
+        row as one contiguous run; ``y`` is scaled (and negated for the
+        elements where the character is -1) in place, and no temporary of its
+        size is made."""
+        odd = self.twin_odd if twin else self.odd
         stop = start + len(y)
         y *= 1.0 / np.sqrt(self.sizes[:, None])
-        for rows in self.images[~self.odd]:
+        for rows in self.images[~odd]:
             vec[rows, start:stop] = y
-        if self.odd.any():
+        if odd.any():
             np.negative(y, out=y)
-        for rows in self.images[self.odd]:
+        for rows in self.images[odd]:
             vec[rows, start:stop] = y
 
 
@@ -161,7 +178,8 @@ def sectors(
     elements that swap the sides, and ``chi_c psi = chi_{c ^ swaps}``.  An
     element that fixes a vertex keeps its side, so the two characters have
     the same orbits; with ``swaps`` not 0 only the sector of the smaller of
-    ``c`` and ``c ^ swaps`` is listed, with the other as its ``twin``."""
+    ``c`` and ``c ^ swaps`` is listed, with the other's ``odd`` as its
+    ``twin_odd``."""
     group = [np.arange(n)]
     for g in generators:
         group += [g[h] for h in group]
@@ -177,7 +195,6 @@ def sectors(
     for c in range(m):
         inside = (odd[c] @ fixes) == 0
         if inside.any() and c <= c ^ swaps:
-            found.append(Sector(images[:, least[inside]], odd[c] == 1, n))
-            if swaps:
-                found[-1].twin = Sector(images[:, least[inside]], odd[c ^ swaps] == 1, n)
+            twin_odd = odd[c ^ swaps] == 1 if swaps else None
+            found.append(Sector(images[:, least[inside]], odd[c] == 1, n, twin_odd))
     return found

@@ -281,7 +281,7 @@ class BlochVectors:
 def spectrum_of_box(box_graph: BoxGraph, with_vectors: bool = False):
     """Ascending eigenvalues of the box operator, and with ``with_vectors``
     orthonormal eigenvectors of its symmetric form ``D^-1/2 A D^-1/2`` in the
-    same order.  One of three routes solves the box:
+    same order.  One of four routes solves the box:
 
     - A wrapped box with lengths ``L`` is the quotient ``Z^d / L Z^d``, which
       the discrete Fourier transform block-diagonalizes: its spectrum is the
@@ -296,10 +296,12 @@ def spectrum_of_box(box_graph: BoxGraph, with_vectors: bool = False):
       ascending, for the singular values ``s`` of ``B``.  The eigenvector of
       ``-+s_i`` is ``[u_i; -+v_i] / sqrt(2)`` and the extra zero modes are
       the remaining columns of ``U`` (or ``V``).
-    - Every other induced box takes ``eigh``/``eigvalsh`` of each sector's
-      dense block: boxes with loops or odd cycles (``cone`` boxes over its
-      glued arcs), and bipartite boxes with a mirror that swaps the sides,
-      where only one sector of each pair (below) is solved.
+    - A bipartite induced box with an accepted mirror that swaps the sides
+      takes ``eigh``/``eigvalsh`` of the block of only one sector of each
+      pair (below).
+    - Every other induced box, one with loops or odd cycles (``cone`` boxes
+      over its glued arcs), takes ``eigh``/``eigvalsh`` of each sector's
+      dense block.
 
     An induced box is solved by the sectors of its mirror symmetries
     (``symmetry.sectors``): the form leaves each sector invariant, so each
@@ -310,8 +312,8 @@ def spectrum_of_box(box_graph: BoxGraph, with_vectors: bool = False):
     has ``g Z g = -Z``, so ``Z`` maps the sector of ``chi`` onto that of
     ``chi psi``, where ``psi(g)`` is -1 exactly when ``g`` swaps the sides.
     When some accepted mirror does, only the first sector of each such pair
-    is solved: its ``Sector.twin`` takes ``-lam`` reversed as values and
-    ``Z(reps) y`` with the columns reversed as vectors.
+    is solved: ``Sector.twin`` gives the other's values, ``-lam`` reversed,
+    and its vectors, ``Z(reps) y`` with the columns reversed.
 
     A box without an accepted symmetry is one sector whose block is the
     whole form, built and solved as it always was and returned as the
@@ -331,7 +333,7 @@ def spectrum_of_box(box_graph: BoxGraph, with_vectors: bool = False):
         return solved
     sides = box_graph.sides
     split = sectors(mirror_symmetries(box_graph, sides), len(box_graph), sides)
-    paired = split[0].twin is not None  # then every sector has a twin
+    paired = split[0].twin_odd is not None  # then every sector has a twin
     if sides is None or paired:
         parts = [_dense_solve(box_graph, sector, with_vectors) for sector in split]
     else:
@@ -366,8 +368,8 @@ def _merge(
         lam = part[0] if with_vectors else part
         _check_moments(lam, len(sector.reps), sector.moments(box_graph), "sector")
         values.append(lam)
-        if sector.twin is not None:
-            values.append(-lam[::-1])
+        if sector.twin_odd is not None:
+            values.append(sector.twin(lam, None, sides)[0])
     lam = np.concatenate(values)
     order = np.argsort(lam, kind="stable")
     lam = lam[order]
@@ -382,15 +384,14 @@ def _merge(
     vec = np.zeros((n, n))
     miss, start = 0.0, 0
     for sector in split:
-        _, y = parts.pop(0)
-        blocks = [(sector, y)]
-        if sector.twin is not None:  # built before ``lift`` scales ``y`` in place
-            z = np.where(sides[sector.reps], -1.0, 1.0)
-            blocks.append((sector.twin, z[:, None] * y[:, ::-1]))
-        for block, y in blocks:
+        part = parts.pop(0)
+        blocks = [(False, part[1])]
+        if sector.twin_odd is not None:  # built before ``lift`` scales ``y`` in place
+            blocks.append((True, sector.twin(*part, sides)[1]))
+        for twin, y in blocks:
             stop = start + len(y)
             miss = max(miss, _gram_miss(y, np.flatnonzero(sampled[column[start:stop]])))
-            block.lift(y, vec, start)
+            sector.lift(y, vec, start, twin)
             start = stop
     step = max(1, _PERMUTE_ENTRIES // n)
     buffer = np.empty((step, n))

@@ -896,7 +896,7 @@ def test_sectors_equal_the_dense_solve(case):
     if split:
         found = symmetry.mirror_symmetries(got, got.sides)
         sectors = symmetry.sectors(found, len(got), got.sides)
-        assert len(sectors) > 1 or sectors[0].twin is not None
+        assert len(sectors) > 1 or sectors[0].twin_odd is not None
     h = got.normalized_symmetric()
     reference = np.linalg.eigvalsh(h)
     lam, vecs = spectrum_of_box(got, with_vectors=True)
@@ -942,7 +942,7 @@ def test_paired_sectors_equal_the_one_sector_svd(case):
     got = truncate(oracle, box)
     sectors = symmetry.sectors(symmetry.mirror_symmetries(got, got.sides), len(got),
                                got.sides)
-    assert got.sides is not None and all(s.twin is not None for s in sectors)
+    assert got.sides is not None and all(s.twin_odd is not None for s in sectors)
     n = len(got)
     h = got.normalized_symmetric()
     svd_values, svd_lam, svd_vecs = svd_of_the_form(h, got.sides)
@@ -1079,7 +1079,7 @@ def test_eigenpair_check_exits_4(route, name, box, sectors, twins, fault, tmp_pa
     got = truncate(graph.oracle, box)
     split = symmetry.sectors(symmetry.mirror_symmetries(got, got.sides), len(got),
                              got.sides)
-    assert (len(split), sum(s.twin is not None for s in split)) == (sectors, twins)
+    assert (len(split), sum(s.twin_odd is not None for s in split)) == (sectors, twins)
     argv = ["truncate", "--graph", "builtin:lattice2", "--perturbation", f"builtin:{name}",
             "--box=" + ",".join(str(x) for side in box for x in side),
             "--out", str(tmp_path / "t")]
