@@ -45,9 +45,6 @@ from .perturbation import PerturbedGraph, find_unperturbed_box
 from .truncation import check_eps, compare_spectra, spectrum_of_box, truncate, zero_mode_count
 from .weyl import fit_loglog_slope, residual_sweep
 
-ENV_THREADS = "PERIODIC_SPECTRA_THREADS"
-
-
 # Rows written per chunk, so a large table never exists as one string.
 _CHUNK_ROWS = 65536
 
@@ -203,23 +200,15 @@ class RunContext:
 
 
 def _resolve_threads(value: int | None) -> int:
-    """``--threads``, else ``PERIODIC_SPECTRA_THREADS``, else the number of
-    CPUs this process may run on.  A count below 1 is an ``InputError``."""
-    source = "--threads"
+    """``--threads``, else the number of CPUs this process may run on.  A
+    count below 1 is an ``InputError``."""
     if value is None:
-        env = os.environ.get(ENV_THREADS)
-        if not env:
-            try:
-                return len(os.sched_getaffinity(0))
-            except AttributeError:
-                return os.cpu_count() or 1
-        source = ENV_THREADS
         try:
-            value = int(env)
-        except ValueError:
-            raise InputError(f"{ENV_THREADS} must be an integer, got {env!r}")
+            return len(os.sched_getaffinity(0))
+        except AttributeError:
+            return os.cpu_count() or 1
     if value < 1:
-        raise InputError(f"{source} must be at least 1, got {value}")
+        raise InputError(f"--threads must be at least 1, got {value}")
     return value
 
 

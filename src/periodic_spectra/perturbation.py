@@ -351,10 +351,10 @@ def _finite_membership(vertices: Iterable[Vertex], dim: int) -> RowPredicate:
     cells of ``dim`` coordinates.  A row whose ``cell_hash`` of
     ``(cell..., label)`` is a member's hash is a candidate, found by one
     ``searchsorted`` in the members' hashes (sorted once here), and each
-    candidate is then looked up exactly.  A member of another cell length,
-    or past 64 bits, is no such row and is left out of the hashes."""
+    candidate is then looked up exactly.  A member past 64 bits is no such
+    row and is left out of the hashes."""
     members = frozenset(vertices)
-    keys = [v.cell + (v.label,) for v in members if len(v.cell) == dim]
+    keys = [v.cell + (v.label,) for v in members]
     hashes = np.sort(cell_hash_array(0, _int64_rows(keys, dim + 1)))
 
     def contains(cells: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -435,6 +435,11 @@ class PerturbedGraph:
         self._keep_array = lambda cells, labels: ~removed_at(cells, labels)
         added_v = set(patch.added_vertices)
         for v in added_v:
+            if len(v.cell) != self.base.dim:
+                raise InputError(
+                    f"added vertex {v} has {len(v.cell)} coordinates, "
+                    f"the graph has dimension {self.base.dim}"
+                )
             if self.in_common(v):
                 raise InputError(f"added vertex {v} collides with a base vertex")
         neighbor_map: dict[Vertex, list[Vertex]] = {}

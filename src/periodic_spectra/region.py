@@ -1,49 +1,49 @@
-"""Array form of the padded box that carries one test state.
+"""Array form of the padded clear box that carries one test state.
 
 A ``Region`` covers the box ``[c - h, c + h]^d`` around a centre cell ``c``
-and is compiled once per test state.  It has two sides:
+and is compiled once per test state.  The box must lie inside the
+unperturbed set: a box vertex outside it raises ``InputError`` naming the
+first one.  A ``Region`` has two sides:
 
 * the *base side* is the dense grid ``(2h+1, ..., 2h+1, cell_size)`` of base
   vertices in lexicographic cell order, labels last.  ``base_laplacian``
   sets it on the box of the twice-grown grid, zeros around it, and applies
   the stencil below there; it asks no oracle;
-* the *perturbed side* lists, as rows, the kept box vertices (in grid
-  order) followed by every neighbour outside them.
+* the *perturbed side* lists, as rows, the box vertices in grid order, then
+  the *ring*: their neighbours outside the box, in the order of first
+  occurrence.
 
-One call of ``UnperturbedSet.mask`` over the box grown by the propagation
-length gives the unperturbed bit of every grid row, and with it the kept
-bits over the box grown twice, which decide the kept box rows.  The bit
+Every box vertex is kept and has exactly its base edges, so the box rows are
+the box slice of the grid grown twice by the propagation length, and every
+ring row is a kept base vertex of the box grown once.  One call of
+``UnperturbedSet.mask`` over the once-grown box gives the unperturbed bit of
+every row, and with it the kept bits of the twice-grown grid.  The bit
 splits the rows in two kinds:
 
-* a *stencil row* (bit set) has exactly its base edges and stores no
-  neighbours.  ``laplacian`` scatters the rows onto the twice-grown grid,
-  where a position that is no row holds 0, applies the one base stencil
-  ``_stencil`` (a shifted slice per oriented template at each label, in
-  ``PeriodicGraph.templates`` order, which the oracle lists too) and reads
-  the sums back at these rows;
-* a *CSR row* (a perturbed or added vertex, or a base name outside the
-  common subgraph) takes one ``out_edges`` call and keeps the targets that
-  are rows as CSR entries, which a small ``bincount`` sums.
+* a *stencil row* (bit set: every box row and most ring rows) stores no
+  neighbours.  ``laplacian`` writes the box rows into their slice of the
+  twice-grown grid and the ring rows at their positions, where any other
+  position holds 0, applies the one base stencil ``_stencil`` (a shifted
+  slice per oriented template at each label, in ``PeriodicGraph.templates``
+  order, which the oracle lists too) and reads the sums back;
+* a *CSR row* (a ring row whose bit is clear) takes one ``out_edges`` call
+  and keeps the targets that are rows as CSR entries, which a small
+  ``bincount`` sums.
 
 Both add a row's neighbour values in ``out_edges`` order from 0, so the sums
 have the bits one ``bincount`` over a full CSR gives.  A row is known by its
-*key*: its position on the twice-grown grid when it is a kept base vertex
-there, otherwise a number given to its name.  The outside rows are the keys
-that the box rows list and that are not box rows, in the order of their
-first occurrence; only CSR box rows and stencil box rows within the
-propagation length of a face can list one.  ``Vertex`` names are built only
-on demand.
+*key*, its position on the twice-grown grid; a name that is not a kept
+vertex of that grid is no row.  ``Vertex`` names are built only on demand.
 
-Three checks run on every compile: every oriented template has its
-reversal; the stencil rows at the corners of their block and at every
-4096th of them equal ``out_edges``; and ``graphs.audit_symmetry`` finds
-every CSR entry, and every stencil entry that lands on a CSR row, listed
-from both ends.  Two stencil rows list each other through a template and its
-reversal, so they need no audit.  A row off the once-grown grid has no mask
-bit: it is a CSR row, joined to the box only by an added edge that the audit
-makes it list back.  ``tests/reference.py`` holds the dict operators that
-compute the same quantities vertex by vertex, ``state_vector`` and
-``region_entries``, which lays out the full CSR of every row.
+Four checks run on every compile: the box is clear; every oriented template
+has its reversal; the stencil rows at the corners of their block and at
+every 4096th of them equal ``out_edges``; and ``graphs.audit_symmetry``
+finds every CSR entry, and every stencil entry that lands on a CSR row,
+listed from both ends.  Two stencil rows list each other through a template
+and its reversal, so they need no audit.  ``tests/reference.py`` holds the
+dict operators that compute the same quantities vertex by vertex,
+``state_vector`` and ``region_entries``, which lays out the full CSR of
+every row.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InternalInvariantError, VertexNotInCommonSubgraphError
+from .errors import InputError, InternalInvariantError
 from .graphs import (
     Cell,
     PeriodicGraph,
@@ -70,13 +70,13 @@ from .perturbation import _SAMPLE_STRIDE, PerturbedGraph
 
 
 class Region:
-    """Padded box of half-width ``half`` around ``center`` with both operators
-    in array form.
+    """Padded clear box of half-width ``half`` around ``center`` with both
+    operators in array form.
 
     Grid arrays have shape ``self.shape``; row arrays have length
-    ``self.size``.  ``laplacian`` is exact only for row vectors supported on
-    the kept box rows (the first ``self.kept`` rows), which is what ``embed``
-    produces.
+    ``self.size``, the box rows first (``self.kept`` of them).
+    ``laplacian`` is exact only for row vectors supported on the box rows,
+    which is what ``embed`` produces.
     """
 
     def __init__(self, graph: PerturbedGraph, center: Cell, half: int):
@@ -86,94 +86,72 @@ class Region:
         s, dim = base.cell_size, base.dim
         side = 2 * half + 1
         self.shape = (side,) * dim + (s,)
+        self.kept = math.prod(self.shape)
         self._box = [(c - half, c + half) for c in center]
         self._pad = pad = propagation_length(base)
         kept, members = graph.unperturbed._kept_and_mask(
             [(lo - pad, hi + pad) for lo, hi in self._box]
         )
-        # keys of grid rows are positions on ``kept``'s grid, the box grown twice
+        # keys of rows are positions on ``kept``'s grid, the box grown twice
         self._wide = [(lo - 2 * pad, hi + 2 * pad) for lo, hi in self._box]
         self._grid_shape = kept.shape[:-1]
         self._grid_keys = kept.size
         self._lo = np.array([lo for lo, _ in self._wide], dtype=np.int64)
         self._strides = s * self._grid_shape[0] ** np.arange(dim - 1, -1, -1, dtype=np.int64)
         self._kept_bits = kept.reshape(-1)
+        outside = np.flatnonzero(~members[(slice(pad, pad + side),) * dim].reshape(-1))
+        if outside.size:
+            raise InputError(
+                f"{self._names_of(self._box_keys(outside[:1]))[0]} is not in the "
+                f"unperturbed set: a Region needs a clear box"
+            )
         member = np.zeros(kept.shape, dtype=bool)  # no bit past the once-grown grid
         member[(slice(pad, pad + side + 2 * pad),) * dim] = members
         self._member = member.reshape(-1)
-        self._off_grid: dict[Vertex, int] = {}  # key of every name off the grid
         self._base_degrees = np.asarray(base.degrees, dtype=np.int64)
         self._shifts = _label_shifts(base, self._strides.tolist())
         _check_reversals(self._shifts)
 
         self._inner = (slice(2 * pad, 2 * pad + side),) * dim  # the box on that grid
-        box_keys = np.arange(kept.size).reshape(kept.shape)[self._inner].reshape(-1)
-        self._kept_at = np.flatnonzero(self._kept_bits[box_keys])
-        self.kept = len(self._kept_at)
-        box_keys = box_keys[self._kept_at]
-        box_bits = self._member[box_keys]
-        # a stencil row at least ``pad`` cells inside every face lists box rows only
-        deep = np.zeros(self.shape, dtype=bool)
-        deep[(slice(pad, side - pad),) * dim] = True
-        lists = np.flatnonzero(~(box_bits & deep.reshape(-1)[self._kept_at]))
-        degrees, targets, asked = self._lists(box_keys[lists], box_bits[lists])
+        # ``row_at[-1]`` is never a row: it answers the key -1 of ``_keys_of``
+        row_at = np.full(self._grid_keys + 1, -1, dtype=np.intp)
+        row_at[:-1].reshape(kept.shape)[self._inner] = np.arange(self.kept).reshape(self.shape)
+        # a box row at least ``pad`` cells inside every face lists box rows only
+        near = np.ones(self.shape, dtype=bool)
+        near[(slice(pad, side - pad),) * dim] = False
+        keys = self._box_keys(np.flatnonzero(near))
+        labels = keys % s
+        degrees = self._base_degrees[labels]
+        starts = np.cumsum(degrees) - degrees
+        targets = np.empty(int(degrees.sum()), dtype=np.int64)
+        for a, shifts in enumerate(self._shifts):
+            at = labels == a
+            for j, shift in enumerate(shifts):
+                targets[starts[at] + j] = keys[at] + shift
+        ring = targets[row_at[targets] < 0]
+        self._ring = ring[np.sort(np.unique(ring, return_index=True)[1])]
+        self.size = self.kept + len(self._ring)
+        row_at[self._ring] = np.arange(self.kept, self.size)
+        ring_bits = self._member[self._ring]
+        self.unperturbed = np.concatenate([np.ones(self.kept, dtype=bool), ring_bits])
 
-        row_at = np.full(self._grid_keys + len(self._off_grid), -1, dtype=np.intp)
-        row_at[box_keys] = np.arange(self.kept)
-        outside = targets[row_at[targets] < 0]
-        outside = outside[np.sort(np.unique(outside, return_index=True)[1])]
-        self.size = self.kept + len(outside)
-        row_at[outside] = np.arange(self.kept, self.size)
-        self._keys = np.concatenate([box_keys, outside])
-        on = outside < self._grid_keys
-        outside_bits = np.zeros(len(outside), dtype=bool)
-        outside_bits[on] = self._member[outside[on]]
-        self.unperturbed = np.concatenate([box_bits, outside_bits])
-
-        # CSR rows: the box rows asked above, then the outside rows asked here
-        outside_asked = np.flatnonzero(~outside_bits)
-        listed, counts = _ask(graph, self._names_of(outside[outside_asked]))
-        counts = np.concatenate([degrees[asked], counts])
-        csr_keys = np.concatenate(
-            [targets[np.repeat(~box_bits[lists], degrees)], self._keys_of(listed)]
-        )
-        cols = np.full(csr_keys.size, -1, dtype=np.intp)
-        known = csr_keys < row_at.size  # a name first met here is no row
-        cols[known] = row_at[csr_keys[known]]
-        self._csr_rows = np.concatenate([lists[asked], self.kept + outside_asked])
+        asked = np.flatnonzero(~ring_bits)
+        listed, counts = _ask(graph, self._names_of(self._ring[asked]))
+        cols = row_at[self._keys_of(listed)]
+        self._csr_rows = self.kept + asked
         self._csr_owner = np.repeat(np.arange(len(counts)), counts)[cols >= 0]
         self._csr_cols = cols[cols >= 0]
-        self.degrees = self._base_degrees[self._keys % s]
+        self.degrees = np.concatenate(
+            [np.tile(self._base_degrees, self.kept // s), self._base_degrees[self._ring % s]]
+        )
         self.degrees[self._csr_rows] = counts
 
         self._audit(row_at)
         self._check_templates(row_at)
 
-    def _lists(
-        self, keys: np.ndarray, bits: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(degrees, target keys, asked)`` of the rows with ``keys``, each
-        row's targets in ``out_edges`` order.  A row whose bit in ``bits`` is
-        set takes them from the edge templates, every other row (listed in
-        ``asked``) from one ``out_edges`` call."""
-        labels = keys % self.shape[-1]
-        degrees = np.where(bits, self._base_degrees[labels], 0)
-        asked = np.flatnonzero(~bits)
-        listed, asked_degrees = _ask(self.graph, self._names_of(keys[asked]))
-        degrees[asked] = asked_degrees
-        indptr = np.concatenate([[0], np.cumsum(degrees)])
-        targets = np.empty(int(indptr[-1]), dtype=np.int64)
-        for a, shifts in enumerate(self._shifts):
-            rows = np.flatnonzero(bits & (labels == a))
-            for j, shift in enumerate(shifts):
-                targets[indptr[rows] + j] = keys[rows] + shift
-        targets[_entry_slots(indptr[asked], asked_degrees)] = self._keys_of(listed)
-        return degrees, targets, asked
-
     def _keys_of(self, targets: Sequence[Vertex]) -> np.ndarray:
         """Key of every vertex in ``targets``: its grid position when it is a
-        kept base vertex on the grid, otherwise the number of its name (a
-        name met for the first time gets the next one)."""
+        kept base vertex on the grid, otherwise -1."""
         m, s = len(targets), self.shape[-1]
         labels = np.fromiter(map(attrgetter("label"), targets), dtype=np.int64, count=m)
         offsets = np.array(list(map(attrgetter("cell"), targets)), dtype=np.int64)
@@ -182,52 +160,54 @@ class Region:
         on &= ((offsets >= 0) & (offsets < self._grid_shape[0])).all(axis=1)
         keys = np.where(on, offsets @ self._strides + labels, 0)
         on[on] = self._kept_bits[keys[on]]
-        for k in np.flatnonzero(~on).tolist():
-            fresh = self._grid_keys + len(self._off_grid)
-            keys[k] = self._off_grid.setdefault(targets[k], fresh)
+        return np.where(on, keys, -1)
+
+    def _box_keys(self, rows: np.ndarray) -> np.ndarray:
+        """The key of every box row in ``rows``, from its place in the box."""
+        s = self.shape[-1]
+        return (box_cell_array(self._box, rows // s) - self._lo) @ self._strides + rows % s
+
+    def _row_keys(self, rows: np.ndarray) -> np.ndarray:
+        """The key of every row in ``rows``: box rows by their place in the
+        box, ring rows from the ring list."""
+        box = rows < self.kept
+        keys = np.empty(len(rows), dtype=np.int64)
+        keys[box] = self._box_keys(rows[box])
+        keys[~box] = self._ring[rows[~box] - self.kept]
         return keys
 
     def _names_of(self, keys: np.ndarray) -> list[Vertex]:
         """The vertex of every key in ``keys``."""
         s = self.shape[-1]
-        on = keys < self._grid_keys
-        at = keys[on]
-        cells = map(tuple, box_cell_array(self._wide, at // s).tolist())
-        grid = map(Vertex, cells, (at % s).tolist())
-        off = list(self._off_grid)
-        return [
-            next(grid) if o else off[k - self._grid_keys]
-            for o, k in zip(on.tolist(), keys.tolist())
-        ]
+        cells = map(tuple, box_cell_array(self._wide, keys // s).tolist())
+        return list(map(Vertex, cells, (keys % s).tolist()))
 
     def _name(self, row: int) -> Vertex:
-        return self._names_of(self._keys[row : row + 1])[0]
+        return self._names_of(self._row_keys(np.array([row])))[0]
 
     def _audit(self, row_at: np.ndarray) -> None:
         """``audit_symmetry`` over the CSR entries and every stencil entry
         that lands on a CSR row (``row_at`` maps keys to rows, -1 for none).
         Such an entry ``p -> t`` is found from ``t``: ``p`` is ``t`` moved by
         a template at ``t``'s label, whose reversal ``_check_reversals`` has
-        confirmed.  A move that leaves the grid or wraps round an axis lands
-        past the once-grown grid, where no bit is set."""
+        confirmed.  Every CSR row is a ring row, on the once-grown grid, so
+        the move stays on the twice-grown grid."""
         rows, cols = [self._csr_rows[self._csr_owner]], [self._csr_cols]
-        csr = self._csr_rows[self._keys[self._csr_rows] < self._grid_keys]
-        keys = self._keys[csr]
+        csr = self._csr_rows
+        keys = self._ring[csr - self.kept]
         labels = keys % self.shape[-1]
         for a, shifts in enumerate(self._shifts):
             at, ends = keys[labels == a], csr[labels == a]
             for shift in shifts:
                 p = at + shift
-                hit = (p >= 0) & (p < self._grid_keys)
-                hit[hit] = self._member[p[hit]]
-                found = row_at[p[hit]]
+                found = np.where(self._member[p], row_at[p], -1)
                 rows.append(found[found >= 0])
-                cols.append(ends[hit][found >= 0])
+                cols.append(ends[found >= 0])
         audit_symmetry(self.size, self._name, np.concatenate(rows), np.concatenate(cols))
 
     def _check_templates(self, row_at: np.ndarray) -> None:
         """Compare the stencil rows at the corners of their block (the box,
-        or the once-grown box for outside rows) and at every
+        or the once-grown box for ring rows) and at every
         ``_SAMPLE_STRIDE``-th of them with ``out_edges``; raise
         ``InternalInvariantError`` naming the first vertex where they
         differ."""
@@ -243,29 +223,23 @@ class Region:
         at = at[at >= 0]
         sample = set(np.flatnonzero(self.unperturbed)[::_SAMPLE_STRIDE].tolist())
         sample = np.array(sorted(sample.union(at[self.unperturbed[at]].tolist())), dtype=np.intp)
-        keys = self._keys[sample]
+        keys = self._row_keys(sample)
         names = self._names_of(keys)
         listed, degrees = _ask(self.graph, names)
-        wanted = np.split(self._keys_of(listed), np.cumsum(degrees)[:-1])
-        for v, key, want in zip(names, keys.tolist(), wanted):
+        wanted = self._keys_of(listed)
+        stops = np.cumsum(degrees).tolist()
+        for v, key, stop, d in zip(names, keys.tolist(), stops, degrees.tolist()):
             have = np.add(key, self._shifts[key % s])
-            if not np.array_equal(want, have):
+            if not np.array_equal(wanted[stop - d : stop], have):
                 raise InternalInvariantError(
                     f"edge templates give {v} the neighbours "
-                    f"{self._names_of(have)}, out_edges {self._names_of(want)}"
+                    f"{self._names_of(have)}, out_edges {listed[stop - d : stop]}"
                 )
 
     @cached_property
     def names(self) -> list[Vertex]:
         """The vertex of every row, built when first read."""
-        return self._names_of(self._keys)
-
-    @property
-    def clear(self) -> bool:
-        """Is every box vertex kept and inside the unperturbed set?"""
-        return self.kept == math.prod(self.shape) and bool(
-            self.unperturbed[: self.kept].all()
-        )
+        return self._names_of(self._row_keys(np.arange(self.size)))
 
     def base_laplacian(self, grid: np.ndarray) -> np.ndarray:
         """Base Laplacian of a grid state, taken as zero outside the box;
@@ -278,22 +252,27 @@ class Region:
         return sums / self._base_degrees
 
     def embed(self, grid: np.ndarray) -> np.ndarray:
-        """Rows of the transplanted state: grid values move to the kept rows,
-        removed vertices drop out and every other row carries zero."""
+        """Rows of the transplanted state: grid values move to the box rows
+        and every ring row carries zero."""
         out = np.zeros(self.size, dtype=grid.dtype)
-        flat = grid.reshape(-1)
-        out[: self.kept] = flat if self.kept == flat.size else flat[self._kept_at]
+        out[: self.kept] = grid.reshape(-1)
         return out
 
     def laplacian(self, rows: np.ndarray) -> np.ndarray:
         """Perturbed Laplacian: each row averages its neighbours' values.
-        ``_stencil`` runs over the rows scattered onto the twice-grown grid;
-        the CSR rows take their own sums."""
-        grid = np.zeros(self._grid_keys + len(self._off_grid), dtype=complex)
-        grid[self._keys] = rows
-        sums = self._stencil(grid)[self._keys]
-        sums[self._csr_rows] = self._csr_sums(rows)
-        return _mean(sums, self.degrees)
+        ``_stencil`` runs over the box rows set on their slice of the
+        twice-grown grid and the ring rows set at their keys; the CSR rows
+        take their own sums."""
+        wide = np.zeros(self._grid_shape + self.shape[-1:], dtype=complex)
+        wide[self._inner] = rows[: self.kept].reshape(self.shape)
+        flat = wide.reshape(-1)
+        flat[self._ring] = rows[self.kept :]
+        sums = self._stencil(flat)
+        out = np.empty(self.size, dtype=complex)
+        out[: self.kept].reshape(self.shape)[...] = sums.reshape(wide.shape)[self._inner]
+        out[self.kept :] = sums[self._ring]
+        out[self._csr_rows] = self._csr_sums(rows)
+        return _mean(out, self.degrees)
 
     def _stencil(self, flat: np.ndarray) -> np.ndarray:
         """Sums over the base edge templates of ``flat``, a state on the flat
@@ -324,40 +303,25 @@ class Region:
 
     def defect(self, grid: np.ndarray) -> np.ndarray:
         """Defect operator on the rows: perturbed Laplacian after embedding
-        minus embedding after the base Laplacian.  It is zero over the
-        unperturbed set, that is at every stencil row; at a CSR row it is
-        the average over its CSR entries minus, at a box row,
-        ``base_laplacian``.  A clear box has no CSR box row, so there the
-        defect is the CSR average alone and builds no grid."""
+        minus embedding after the base Laplacian, for a state supported
+        ``propagation_length`` cells inside the box's faces, whose base
+        Laplacian is zero on the ring.  It is zero over the unperturbed set,
+        that is at every stencil row; at a CSR row it is the average over
+        its CSR entries.  A box with no CSR row builds no rows."""
         out = np.zeros(self.size, dtype=complex)
         at = self._csr_rows
         if at.size:
             out[at] = _mean(self._csr_sums(self.embed(grid)), self.degrees[at])
-            box = at[at < self.kept]
-            if box.size:
-                out[box] -= self.base_laplacian(grid).reshape(-1)[self._kept_at[box]]
         return out
 
     def embedding_norm_bounds(self) -> tuple[float, float]:
         """Two-sided bounds ``(lower, upper)`` on the embedding's norm ratio
         over every box vertex: the square roots of the worst-case ratios of
-        perturbed to base degree.  A box vertex outside the common subgraph
-        raises ``VertexNotInCommonSubgraphError`` naming the first one."""
-        if self.kept != math.prod(self.shape):
-            # ``_kept_at`` is sorted, so the first box position it misses is
-            # the first i with ``_kept_at[i] != i``, or ``kept`` if none is
-            missing = np.flatnonzero(self._kept_at != np.arange(self.kept))
-            first = int(missing[0]) if missing.size else self.kept
-            s = self.shape[-1]
-            (cell,) = box_cell_array(self._box, np.array([first // s])).tolist()
-            x = Vertex(tuple(cell), first % s)
-            raise VertexNotInCommonSubgraphError(
-                f"{x} is not a vertex of the common subgraph"
-            )
-        dprime = self.degrees[: self.kept]
+        perturbed to base degree.  Every box vertex keeps its base degree,
+        and the box holds every label."""
         dbase = self.graph.base.degrees
-        lower = float(np.sqrt(int(dprime.min()) / max(dbase)))
-        upper = float(np.sqrt(int(dprime.max()) / min(dbase)))
+        lower = float(np.sqrt(min(dbase) / max(dbase)))
+        upper = float(np.sqrt(max(dbase) / min(dbase)))
         return lower, upper
 
 
@@ -404,10 +368,3 @@ def _check_reversals(shifts: list[list[int]]) -> None:
             f"the edge template shift {d} at label {a + 1} has no reversal at "
             f"label {(a + d) % s + 1}"
         )
-
-
-def _entry_slots(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Positions ``starts[i], ..., starts[i] + counts[i] - 1`` of every row
-    ``i`` in turn, as one array."""
-    first = np.cumsum(counts) - counts
-    return np.repeat(starts - first, counts) + np.arange(int(counts.sum()))

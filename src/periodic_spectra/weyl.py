@@ -112,7 +112,7 @@ class WeylState:
     n: int
     center: Vertex
     embed_norm: float
-    region: Region  # padded box the state was built on
+    region: Region  # the clear padded box the state was built on, and its ring
     grid: np.ndarray  # translated, pre-embedding base-graph state on the region's grid
     rows: np.ndarray  # the normalized transplanted state, one entry per region row
 
@@ -185,8 +185,8 @@ def residual(state: WeylState, lam: float) -> float:
 def embedded_route_residual(state: WeylState, lam: float) -> float:
     """The same residual computed through the base graph.
 
-    Applies (base Laplacian - lam) before transplanting; when the state's
-    padded box is clear this equals ``residual`` up to roundoff, because the
+    Applies (base Laplacian - lam) before transplanting; the state's padded
+    box is clear, so this equals ``residual`` up to roundoff, because the
     defect operator annihilates the state.
     """
     region = state.region
@@ -247,7 +247,7 @@ def residual_row(state: WeylState, lam: float) -> ResidualRow:
     Raises ``InternalInvariantError`` when the residual exceeds the bound or
     departs from the route residual, or the sup norm exceeds
     ``sup_norm_bound``, by more than 1e-12 * max(1, value), or when the
-    defect is nonzero on a clear box.  The bound gets the same roundoff
+    defect is nonzero.  The bound gets the same roundoff
     allowance because it is exactly 0 when no edge leaves the cell, while the
     measured residual of such a state is roundoff, not 0.
     """
@@ -276,7 +276,7 @@ def residual_row(state: WeylState, lam: float) -> ResidualRow:
             f"route residual {row.route_residual!r} differs from residual "
             f"{row.residual!r} {where}"
         )
-    if state.region.clear and row.defect_sup != 0.0:
+    if row.defect_sup != 0.0:
         raise InternalInvariantError(
             f"defect sup {row.defect_sup!r} is not 0 on the clear box {where}"
         )

@@ -31,7 +31,8 @@ def box_cells(box: Sequence[tuple[int, int]]) -> Iterator[Cell]:
 
 
 def region_vertices(region: Region) -> list[Vertex]:
-    """Every box vertex of ``region``, kept or not, in grid order."""
+    """Every box vertex of ``region`` in grid order, built from its box: the
+    vertices its first ``kept`` rows should name."""
     s = region.shape[-1]
     return [Vertex(cell, label) for cell in box_cells(region._box) for label in range(s)]
 
@@ -39,14 +40,16 @@ def region_vertices(region: Region) -> list[Vertex]:
 def region_entries(region: Region) -> tuple[np.ndarray, np.ndarray]:
     """The full CSR of ``region`` as ``(entry_rows, indices)``: every row's
     neighbour rows in ``out_edges`` order, rows in turn.  A stencil row
-    lists its template targets that are rows; a CSR row its CSR entries."""
+    lists its template targets that are rows; a CSR row (a ring row whose
+    bit is clear) its CSR entries."""
     s = region.shape[-1]
-    row_of = {key: r for r, key in enumerate(region._keys.tolist())}
+    keys = region._row_keys(np.arange(region.size)).tolist()
+    row_of = {key: r for r, key in enumerate(keys)}
     csr: dict[int, list[int]] = {r: [] for r in region._csr_rows.tolist()}
     for owner, col in zip(region._csr_owner.tolist(), region._csr_cols.tolist()):
         csr[int(region._csr_rows[owner])].append(col)
     rows, cols = [], []
-    for r, key in enumerate(region._keys.tolist()):
+    for r, key in enumerate(keys):
         if region.unperturbed[r]:
             listed = [row_of[key + d] for d in region._shifts[key % s] if key + d in row_of]
         else:
@@ -62,8 +65,8 @@ def box_index(box_graph: BoxGraph) -> dict[Vertex, int]:
 
 
 def state_vector(state: WeylState) -> State:
-    """The normalized transplanted test state on its kept box vertices as a
-    dict, zeros dropped, in row order."""
+    """The normalized transplanted test state on its box vertices as a dict,
+    zeros dropped, in row order."""
     rows = state.rows[: state.region.kept]
     names = state.region.names
     return {names[r]: complex(rows[r]) for r in np.flatnonzero(rows).tolist()}

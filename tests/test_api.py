@@ -112,6 +112,9 @@ def test_unread_fields_and_arguments_stay_deleted(tmp_path):
     ]:
         assert not hasattr(module, name), (module.__name__, name)
     assert not hasattr(truncation.BoxGraph, "index")
+    # a Region is built only on a clear box
+    region = Region(periodic_spectra.make_half_plane().perturbation, (0, 5), 2)
+    assert not any(hasattr(region, name) for name in ("clear", "_kept_at", "_off_grid"))
     assert not hasattr(perturbation.UnperturbedSet, "__contains__")
     assert "degree" not in graphs.PeriodicOracle.__dict__
     modules = [
@@ -126,12 +129,12 @@ def test_unread_fields_and_arguments_stay_deleted(tmp_path):
                     assert not set(CONSTANT_PARAMETERS) & set(taken), (owner, name)
 
 
-def test_every_public_function_has_a_caller():
-    """Every public top-level function and public method of a package module
-    (``__init__`` re-exports and is left out) is read as a name or an
-    attribute somewhere outside its own ``def``: in a package module or in
-    ``scripts/``.  Docstrings, comments and strings do not count.  A second
-    way to ask what another function answers shows up here."""
+def uncalled_functions(private: bool) -> set[str]:
+    """The top-level functions and methods of the package modules
+    (``__init__`` re-exports and is left out), public or private ones by
+    ``private`` with dunder methods left out, that are read as a name or an
+    attribute nowhere outside their own ``def``: not in a package module,
+    nor in ``scripts/``.  Docstrings, comments and strings do not count."""
     package = Path(periodic_spectra.__file__).parent
     trees = {
         path: ast.parse(path.read_text())
@@ -154,11 +157,28 @@ def test_every_public_function_has_a_caller():
         for node in tree.body:
             members = node.body if isinstance(node, ast.ClassDef) else [node]
             for member in members:
-                if not isinstance(member, ast.FunctionDef) or member.name.startswith("_"):
+                name = getattr(member, "name", "")
+                if not isinstance(member, ast.FunctionDef) or name.startswith("_") != private:
                     continue
-                if everywhere[member.name] == loads(member)[member.name]:
-                    uncalled.add(f"{path.stem}.{member.name}")
-    assert uncalled == UNCALLED
+                if name.startswith("__") and name.endswith("__"):
+                    continue
+                if everywhere[name] == loads(member)[name]:
+                    uncalled.add(f"{path.stem}.{name}")
+    return uncalled
+
+
+def test_every_public_function_has_a_caller():
+    """Every public function has a caller in the package or ``scripts/``
+    (``uncalled_functions``).  A second way to ask what another function
+    answers shows up here."""
+    assert uncalled_functions(private=False) == UNCALLED
+
+
+def test_every_private_function_has_a_caller():
+    """Every private function and method, dunder methods aside, has a caller
+    in the package or ``scripts/``: a helper left behind when its last
+    caller goes shows up here."""
+    assert uncalled_functions(private=True) == set()
 
 
 def test_every_module_uses_what_it_imports():

@@ -918,6 +918,31 @@ class TestPerturbationFiles:
         # a single extra pendant at 0: first clear box sits left of it
         assert payload["center"]["cell"] == [-20]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["weyl-check", "--lambda", "0.0", "--n-list", "2", "--window=2,2,0,0"],
+            ["truncate", "--box=-2,6,-2,2"],
+        ],
+        ids=["weyl-check", "truncate"],
+    )
+    def test_added_vertex_of_another_dimension_exits_2(self, tmp_path, capsys, argv):
+        # the 3-coordinate vertex sits next to the box of both commands
+        # through its added edge to (5, 0)
+        source = tmp_path / "patch.json"
+        source.write_text(json.dumps({"patch": {
+            "added_vertices": [[[0, 0, 0], 1]],
+            "added_edges": [[[[0, 0, 0], 1], [[5, 0], 1]]],
+        }}))
+        code = run(
+            tmp_path, argv[0], "--graph", "builtin:lattice2", "--perturbation", str(source),
+            *argv[1:], "--out", str(tmp_path / "out"),
+        )
+        assert code == 2
+        message = "added vertex (0,0,0|v0) has 3 coordinates, the graph has dimension 2"
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [source]
+
     def test_builtin_file_form(self, tmp_path):
         source = tmp_path / "pert.json"
         source.write_text(json.dumps({"builtin": "half_plane"}))
@@ -941,54 +966,14 @@ class TestCatalogCommand:
 
 
 class TestResolution:
-    def test_env_var_thread_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PERIODIC_SPECTRA_THREADS", "2")
-        code = run(
-            tmp_path,
-            "weyl-check", "--graph", "builtin:lattice2",
-            "--perturbation", "builtin:half_plane",
-            "--lambda", "0.0", "--n-list", "2,4",
-            "--out", str(tmp_path / "env"),
-        )
-        assert code == 0
-        monkeypatch.setenv("PERIODIC_SPECTRA_THREADS", "nope")
-        assert run(
-            tmp_path,
-            "weyl-check", "--graph", "builtin:lattice2",
-            "--perturbation", "builtin:half_plane",
-            "--lambda", "0.0", "--n-list", "2",
-            "--out", str(tmp_path / "env2"),
-        ) == 2
-
     @pytest.mark.parametrize("argv, prefix", SMALL_RUNS, ids=[p for _, p in SMALL_RUNS])
-    def test_bad_thread_variable_exits_2(self, tmp_path, monkeypatch, capsys, argv, prefix):
-        monkeypatch.setenv("PERIODIC_SPECTRA_THREADS", "nope")
-        assert run(tmp_path, *argv) == 2
-        assert "PERIODIC_SPECTRA_THREADS must be an integer" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("argv, prefix", SMALL_RUNS, ids=[p for _, p in SMALL_RUNS])
-    @pytest.mark.parametrize(
-        "flag, env, message",
-        [
-            ("0", None, "--threads must be at least 1, got 0"),
-            ("-3", None, "--threads must be at least 1, got -3"),
-            (None, "0", "PERIODIC_SPECTRA_THREADS must be at least 1, got 0"),
-        ],
-    )
-    def test_thread_count_below_one_exits_2(
-        self, tmp_path, monkeypatch, capsys, argv, prefix, flag, env, message
-    ):
-        monkeypatch.delenv("PERIODIC_SPECTRA_THREADS", raising=False)
-        if env is not None:
-            monkeypatch.setenv("PERIODIC_SPECTRA_THREADS", env)
-        extra = ["--threads", flag] if flag is not None else []
-        assert run(tmp_path, *argv, *extra) == 2
-        assert message in capsys.readouterr().err
+    @pytest.mark.parametrize("flag", ["0", "-3"])
+    def test_thread_count_below_one_exits_2(self, tmp_path, capsys, argv, prefix, flag):
+        assert run(tmp_path, *argv, "--threads", flag) == 2
+        assert f"--threads must be at least 1, got {flag}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_default_thread_count_is_the_affinity_mask(self, monkeypatch):
-        monkeypatch.delenv("PERIODIC_SPECTRA_THREADS", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert cli._resolve_threads(None) == 1
@@ -1026,7 +1011,7 @@ class TestResolution:
 def _run_alone(directory, argv):
     """``argv`` run by ``main`` in a fresh interpreter inside ``directory``."""
     src = Path(__file__).resolve().parent.parent / "src"
-    env = {k: v for k, v in os.environ.items() if k != "PERIODIC_SPECTRA_THREADS"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
     code = "import sys; from periodic_spectra.cli import main; sys.exit(main(sys.argv[1:]))"
     done = subprocess.run(
@@ -1044,7 +1029,6 @@ def test_shared_parser_carries_nothing_between_calls(tmp_path, monkeypatch, caps
     """``main`` reuses one parser; a refused call, an optional flag given
     and then left out, and a ``--perturbation`` given and then left out each
     leave the next call's files as the same command writes alone."""
-    monkeypatch.delenv("PERIODIC_SPECTRA_THREADS", raising=False)
 
     def help_texts():
         texts = []

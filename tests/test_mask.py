@@ -409,8 +409,8 @@ def _fail_isin(*args, **kwargs):
 def test_finite_membership_answers_exactly(monkeypatch):
     """The sorted-hash lookup of ``_finite_membership``: no member, one
     member, the members of least and greatest hash (the two ends of the
-    sorted array ``searchsorted`` clips to), a spread of 80 members and
-    members that no 2-D row can be."""
+    sorted array ``searchsorted`` clips to), a spread of 80 members and a
+    member past 64 bits, which no row can be."""
     monkeypatch.setattr(np, "isin", _fail_isin)
     rows = _membership_rows()
     by_hash = sorted(rows, key=_hash_of)
@@ -422,9 +422,8 @@ def test_finite_membership_answers_exactly(monkeypatch):
         frozenset([greatest]),
         frozenset([least, greatest]),
         frozenset(rows[::3][:80]),
-        # members no 2-D row can be: another cell length, a coordinate past 64 bits
-        frozenset([rows[7], Vertex((0, 0, 0), 0), Vertex((2**70, 0), 1)]),
-        frozenset([Vertex((1,), 0)]),
+        # a member no row can be: a coordinate past 64 bits
+        frozenset([rows[7], Vertex((2**70, 0), 1)]),
     ]:
         _check_membership(members, rows)
     _check_membership(frozenset([least]), [])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -352,9 +354,11 @@ class TestExplicitPatch:
         index = box_index(box)
         assert box.degrees[index[vert(1, 0)]] == 4
         assert box.degrees[index[x]] == 1
-        region = Region(graph, (0, 0), 2)
-        assert x in region.names[region.kept:]
-        assert not region.unperturbed[region.names.index(x)]
+        # the box is not clear: its first vertex outside the unperturbed set
+        # is the neighbour (-1, 0) of the removed vertex
+        message = "(-1,0|v0) is not in the unperturbed set"
+        with pytest.raises(InputError, match=re.escape(message)):
+            Region(graph, (0, 0), 2)
 
     def test_removed_vertex_prunes_incident_removed_edges(self, lattice1):
         patch = Patch(

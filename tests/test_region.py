@@ -3,8 +3,10 @@
 ``build_weyl_state`` and ``residual_row`` evaluate a row on a compiled
 ``Region``; the dict operators of ``reference.py`` compute the same
 quantities vertex by vertex.  Both must agree to 1e-12 relative, with
-the defect exactly zero on clear boxes.  ``Region`` itself must compile
-exactly what ``reference_region``, one ``out_edges`` call per row, compiles.
+the defect exactly zero.  ``Region`` itself must compile exactly what
+``reference_region``, one ``out_edges`` call per row, compiles, on clear
+boxes that often lie flush against the perturbation, so that ring rows ask
+the oracle; a box that is not clear is refused.
 """
 
 import re
@@ -39,8 +41,8 @@ from periodic_spectra import (
 )
 from periodic_spectra import region as region_module
 from periodic_spectra import weyl as weyl_module
-from periodic_spectra.errors import InternalInvariantError, VertexNotInCommonSubgraphError
-from periodic_spectra.perturbation import PerturbedOracle
+from periodic_spectra.errors import InputError, InternalInvariantError
+from periodic_spectra.perturbation import PerturbedOracle, _box_sums
 from periodic_spectra.cli import main
 from periodic_spectra.region import Region
 from periodic_spectra.weyl import embedded_route_residual, sup_norm_bound
@@ -227,6 +229,21 @@ def test_explicit_patch_routes_agree(graph, u, n):
     assert_routes_agree(graph, _band_value(graph, u), n, window)
 
 
+def nearest_clear_center(graph, center, half, reach=16):
+    """The centre nearest ``center`` (by squared distance, then in
+    lexicographic order) whose box of half-width ``half`` lies inside the
+    unperturbed set, looked for within ``reach`` cells per axis.  Unless the
+    box at ``center`` is clear, the box found lies flush against the
+    perturbation: the next centre towards ``center`` is blocked by a ring
+    vertex of it, which is kept (a box next to a removed vertex is not clear)
+    and so a CSR row."""
+    window = [(c - reach - half, c + reach + half) for c in center]
+    blocked = ~graph.unperturbed.mask(window).all(axis=-1)
+    offsets = np.argwhere(_box_sums(blocked, 2 * half + 1) == 0) - reach
+    best = min(map(tuple, offsets.tolist()), key=lambda o: (sum(x * x for x in o), o))
+    return tuple(c + o for c, o in zip(center, best))
+
+
 @given(
     graph=explicit_patches(),
     n=st.integers(1, 3),
@@ -234,24 +251,20 @@ def test_explicit_patch_routes_agree(graph, u, n):
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_region_operators_match_dict_operators_on_any_box(graph, n, offset, seed):
-    """Boxes that overlap the patch: the operators still match the dict ones."""
+def test_region_operators_match_dict_operators_on_flush_boxes(graph, n, offset, seed):
+    """Clear boxes next to the patch, whose ring rows ask the oracle: the
+    operators still match the dict ones."""
     base = graph.base
-    center = (offset,) * base.dim
-    region = Region(graph, center, n)
+    region = Region(graph, nearest_clear_center(graph, (offset,) * base.dim, n), n)
     rng = np.random.default_rng(seed)
     grid = rng.normal(size=region.shape) + 1j * rng.normal(size=region.shape)
     inner = tuple(slice(1, -1) for _ in range(base.dim))
     support = np.zeros(region.shape, dtype=bool)
     support[inner] = True  # one cell inside the faces, where base_laplacian is exact
     grid[~support] = 0.0
-    flat = grid.reshape(-1)
     vertices = region_vertices(region)
-    for i, x in enumerate(vertices):
-        # the dict Laplacian divides by the degree: isolated vertices carry no value
-        if graph.in_common(x) and graph.oracle.degree(x) == 0:
-            flat[i] = 0.0
-    psi = {v: complex(x) for v, x in zip(vertices, flat) if x != 0}
+    assert region.names[: region.kept] == vertices
+    psi = {v: complex(x) for v, x in zip(vertices, grid.reshape(-1)) if x != 0}
     rows = region.embed(grid)
 
     def as_dict(values):
@@ -274,43 +287,63 @@ def test_region_operators_match_dict_operators_on_any_box(graph, n, offset, seed
         assert abs(lap[i] - base_lap.get(x, 0.0)) <= REL * max(1.0, abs(lap[i]))
     for name, member in zip(region.names, region.unperturbed):
         assert member == (graph.in_common(name) and graph.unperturbed.contains(name))
-    assert region.clear == all(
-        graph.in_common(x) and graph.unperturbed.contains(x) for x in vertices
-    )
-    if region.kept == len(vertices):
-        assert region.embedding_norm_bounds() == embedding_norm_bounds(graph, vertices)
+    assert region.embedding_norm_bounds() == embedding_norm_bounds(graph, vertices)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_box_outside_the_unperturbed_set_is_refused(data):
+    """A box with a vertex outside the unperturbed set raises ``InputError``
+    naming the first such vertex in grid order; a clear box compiles."""
+    catalog = st.sampled_from(sorted(COMPILE_CASES)).map(lambda name: COMPILE_CASES[name][0])
+    graph = data.draw(catalog | explicit_patches())
+    dim, s = graph.base.dim, graph.base.cell_size
+    center = data.draw(st.tuples(*[st.integers(-R - 2, R + 2)] * dim))
+    half = data.draw(st.integers(0, 3))
+    vertices = [
+        Vertex(cell, label)
+        for cell in box_cells([(c - half, c + half) for c in center])
+        for label in range(s)
+    ]
+    outside = [
+        x for x in vertices if not (graph.in_common(x) and graph.unperturbed.contains(x))
+    ]
+    if outside:
+        message = f"{outside[0]} is not in the unperturbed set"
+        with pytest.raises(InputError, match=re.escape(message)):
+            Region(graph, center, half)
     else:
-        first = next(x for x in vertices if not graph.in_common(x))
-        with pytest.raises(VertexNotInCommonSubgraphError, match=re.escape(f"{first} is not")):
-            region.embedding_norm_bounds()
+        assert Region(graph, center, half).names[: len(vertices)] == vertices
 
 
-def test_one_sided_added_edge_fails_the_audit():
-    # (0, 0) lists an added edge to (2, 1), which does not list it back
-    one_sided = {Vertex((0, 0), 0): (Vertex((2, 1), 0),)}
+def test_one_sided_added_edge_at_a_ring_row_fails_the_audit():
+    # the ring row (3, 0) of the clear box -2..2 x -2..2 lists an added edge
+    # to the ring row (3, 2), which does not list it back
+    one_sided = {Vertex((3, 0), 0): (Vertex((3, 2), 0),)}
     patch = PredicatePatch(keep=lambda v: True, added_neighbors=lambda v: one_sided.get(v, ()))
     graph = PerturbedGraph(make_lattice(2), patch, name="one-sided")
-    message = "(0,0|v0) -> (2,1|v0) is listed 1 times, (2,1|v0) -> (0,0|v0) 0 times"
+    message = "(3,0|v0) -> (3,2|v0) is listed 1 times, (3,2|v0) -> (3,0|v0) 0 times"
     with pytest.raises(InternalInvariantError, match=re.escape(message)):
         Region(graph, (0, 0), 2)
 
 
-def test_one_sided_added_edge_fails_the_audit_in_3d():
-    # (0,0,0) lists an added edge to the stencil row (1,1,1), which does
-    # not list it back
-    one_sided = {Vertex((0, 0, 0), 0): (Vertex((1, 1, 1), 0),)}
+def test_one_sided_added_edge_at_a_ring_row_fails_the_audit_in_3d():
+    # the ring row (3,0,0) of the clear box -2..2 per axis lists an added
+    # edge to the stencil ring row (3,1,1), which does not list it back
+    one_sided = {Vertex((3, 0, 0), 0): (Vertex((3, 1, 1), 0),)}
     patch = PredicatePatch(keep=lambda v: True, added_neighbors=lambda v: one_sided.get(v, ()))
     graph = PerturbedGraph(make_lattice(3), patch, name="one-sided")
-    message = "(0,0,0|v0) -> (1,1,1|v0) is listed 1 times, (1,1,1|v0) -> (0,0,0|v0) 0 times"
+    message = "(3,0,0|v0) -> (3,1,1|v0) is listed 1 times, (3,1,1|v0) -> (3,0,0|v0) 0 times"
     with pytest.raises(InternalInvariantError, match=re.escape(message)):
         Region(graph, (0, 0, 0), 2)
 
 
 def test_csr_row_dropping_a_stencil_neighbour_fails_the_audit(monkeypatch):
-    """A stencil entry that lands on a CSR row is audited: the CSR row
-    (0,0,0), which has an added edge, stops listing its base neighbour
-    (1,0,0), whose stencil still lists it."""
-    x, y = Vertex((0, 0, 0), 0), Vertex((1, 0, 0), 0)
+    """A stencil entry that lands on a CSR row is audited: the ring row
+    (0,0,0) of the clear box -5..-1 x -2..2 x -2..2, a CSR row as it has an
+    added edge, stops listing its base neighbour, the box row (-1,0,0),
+    whose stencil still lists it."""
+    x, y = Vertex((0, 0, 0), 0), Vertex((-1, 0, 0), 0)
     pendant = Vertex((0, 0, 0), 1)
     patch = PredicatePatch(
         keep=lambda v: True,
@@ -323,9 +356,9 @@ def test_csr_row_dropping_a_stencil_neighbour_fails_the_audit(monkeypatch):
         PerturbedOracle, "out_edges",
         lambda self, v: tuple(t for t in out_edges(self, v) if v != x or t != y),
     )
-    message = f"{x} -> {y} is listed 0 times, {y} -> {x} 1 times"
+    message = f"{y} -> {x} is listed 1 times, {x} -> {y} 0 times"
     with pytest.raises(InternalInvariantError, match=re.escape(message)):
-        Region(graph, (0, 0, 0), 2)
+        Region(graph, (-3, 0, 0), 2)
 
 
 def test_one_sided_edge_stops_weyl_check_with_exit_4(tmp_path, monkeypatch, capsys):
@@ -348,10 +381,10 @@ def test_clear_3d_box_stores_no_entries_for_its_stencil_rows():
     graph = make_random_pendant(0.02, 5, dim=3).perturbation
     report = find_unperturbed_box(graph, 3, ((0, 12),) * 3)
     region = Region(graph, report.center.cell, report.box_bounds[1])
-    assert region.clear
-    # the CSR rows are exactly the rows whose bit is clear: no box row owns an entry
+    assert region.unperturbed[: region.kept].all()
+    # the CSR rows are exactly the rows whose bit is clear, all of them ring rows
     assert np.array_equal(region._csr_rows, np.flatnonzero(~region.unperturbed))
-    assert np.count_nonzero(region._csr_rows[region._csr_owner] < region.kept) == 0
+    assert np.count_nonzero(region._csr_rows < region.kept) == 0
 
 
 def test_template_without_reversal_fails_the_compile(monkeypatch):
@@ -364,18 +397,13 @@ def test_template_without_reversal_fails_the_compile(monkeypatch):
 
 
 def reference_region(graph, center, half):
-    """The rows of ``Region`` from one ``in_common`` test per box vertex and
-    one ``out_edges`` call per row: kept box vertices in grid order, then
-    their outside neighbours in the order the rows list them."""
+    """The rows of ``Region`` from one ``out_edges`` call per row: the box
+    vertices in grid order, then their neighbours outside the box in the
+    order the rows list them."""
     s = graph.base.cell_size
     box = [(c - half, c + half) for c in center]
-    vertices = [Vertex(cell, label) for cell in box_cells(box) for label in range(s)]
-    names, row_of, kept_at = [], {}, []
-    for i, x in enumerate(vertices):
-        if graph.in_common(x):
-            row_of[x] = len(names)
-            names.append(x)
-            kept_at.append(i)
+    names = [Vertex(cell, label) for cell in box_cells(box) for label in range(s)]
+    row_of = {x: r for r, x in enumerate(names)}
     kept = len(names)
     indptr, indices, degrees = [0], [], []
     for r in range(kept):
@@ -392,8 +420,7 @@ def reference_region(graph, center, half):
         indices.extend(row_of[t] for t in targets if t in row_of)
         degrees.append(len(targets))
         indptr.append(len(indices))
-    mask = graph.unperturbed.mask(box).reshape(-1)[kept_at].tolist()
-    mask += [graph.in_common(v) and graph.unperturbed._contains_known(v) for v in names[kept:]]
+    mask = [graph.in_common(v) and graph.unperturbed._contains_known(v) for v in names]
     return SimpleNamespace(
         names=names,
         kept=kept,
@@ -405,6 +432,9 @@ def reference_region(graph, center, half):
 
 
 def assert_compiles_like_reference(graph, center, half):
+    """``Region`` and ``reference_region`` agree on the clear box nearest
+    ``center``."""
+    center = nearest_clear_center(graph, center, half)
     got, ref = Region(graph, center, half), reference_region(graph, center, half)
     assert got.names == ref.names
     assert got.kept == ref.kept
@@ -417,25 +447,23 @@ def assert_compiles_like_reference(graph, center, half):
     assert indices.dtype == ref.indices.dtype
 
 
-COMPILE_CASES = {name: make() for name, (make, _, _) in CATALOG_CASES.items()}
+COMPILE_CASES = {name: (make(), n_max) for name, (make, _, n_max) in CATALOG_CASES.items()}
 
 
 @given(data=st.data())
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_catalog_region_compiles_like_reference(data):
-    """Boxes near the origin, where the catalog perturbations have their
-    boundaries, so clear, partly clear and fully perturbed boxes all occur."""
-    graph = COMPILE_CASES[data.draw(st.sampled_from(sorted(COMPILE_CASES)))]
-    dim = graph.base.dim
-    center = data.draw(st.tuples(*[st.integers(-6, 6)] * dim))
-    half = data.draw(st.integers(0, 2 if dim == 3 else 5))
-    assert_compiles_like_reference(graph, center, half)
+    """Clear boxes nearest a centre near the origin, where the catalog
+    perturbations have their boundaries, so most lie flush against them."""
+    graph, n_max = COMPILE_CASES[data.draw(st.sampled_from(sorted(COMPILE_CASES)))]
+    center = data.draw(st.tuples(*[st.integers(-6, 6)] * graph.base.dim))
+    assert_compiles_like_reference(graph, center, data.draw(st.integers(0, n_max)))
 
 
 @given(graph=explicit_patches(), offset=st.integers(-R - 3, R + 3), half=st.integers(0, 4))
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_explicit_patch_region_compiles_like_reference(graph, offset, half):
-    """Boxes that overlap the patch, with removed base vertices added back
+    """Clear boxes next to the patch, with removed base vertices added back
     under their base name."""
     assert_compiles_like_reference(graph, (offset,) * graph.base.dim, half)
 
@@ -449,7 +477,6 @@ def test_clear_box_asks_the_oracle_only_on_the_ring(monkeypatch):
         PerturbedOracle, "out_edges", lambda self, v: calls.append(v) or out_edges(self, v)
     )
     region = Region(graph, (0, h + 1), h)
-    assert region.clear
     side, pad = 2 * h + 1, 1
     interior = (side - 2 * pad) ** 2
     ring = side**2 - interior
@@ -486,19 +513,20 @@ def test_clear_box_asks_the_oracle_only_for_the_self_check(monkeypatch):
     graph = make_half_plane().perturbation
     # y >= 1 is the unperturbed set: the outside rows are in it too
     region, calls = count_oracle_calls(monkeypatch, graph, (0, 72), 70)
-    assert region.clear and region.unperturbed.all()
+    assert region.unperturbed.all()
     assert region.kept == 141**2 and region.size - region.kept == 4 * 141
     assert sum(calls.values()) <= self_check_samples(region)
 
 
-def test_perturbed_box_asks_the_oracle_once_per_clear_bit_row(monkeypatch):
+def test_flush_box_asks_the_oracle_once_per_clear_bit_row(monkeypatch):
     graph = make_half_plane().perturbation
-    region, calls = count_oracle_calls(monkeypatch, graph, (0, 0), 10)
+    # the box -10..10 x 1..21 lies flush against the edge y = 0
+    region, calls = count_oracle_calls(monkeypatch, graph, (0, 11), 10)
     bits = dict(zip(region.names, region.unperturbed.tolist()))
     clear_bit = [v for v, bit in bits.items() if not bit]
-    # the box row on the edge y = 0 and the two outside rows beside it
+    # the ring rows on the edge y = 0
     assert sorted(clear_bit, key=repr) == sorted(
-        [Vertex((x, 0), 0) for x in range(-11, 12)], key=repr
+        [Vertex((x, 0), 0) for x in range(-10, 11)], key=repr
     )
     assert set(calls) <= set(bits) and set(calls.values()) == {1}
     sampled = [v for v in calls if bits[v]]
@@ -520,7 +548,6 @@ def test_residual_sweep_builds_no_names(monkeypatch):
     residual_sweep(graph, lam, [n], window, GRID)
     (state,) = states
     region, center = state.region, state.center.cell
-    assert region.clear
     assert "names" not in vars(region)
     assert region.names == reference_region(graph, center, region.half).names
     band, k0, xi0 = locate_band_value(graph.base, lam, GRID)
