@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -17,7 +18,7 @@ from periodic_spectra import band_grid, cli, get_entry, make_g11, weyl
 from periodic_spectra import graphs as graphs_module
 from periodic_spectra import truncation as truncation_module
 from periodic_spectra.cli import RunContext, _fmt, _format_columns, _json_text, main
-from periodic_spectra.errors import InternalInvariantError
+from periodic_spectra.errors import InternalInvariantError, ParseError
 from periodic_spectra.region import Region
 from periodic_spectra.graphs import Vertex
 from periodic_spectra.io import (
@@ -893,6 +894,14 @@ class TestIntegerFields:
         assert perturbed.patch.removed_vertices == frozenset({Vertex((0, 2), 0)})
 
 
+    def test_added_vertex_of_another_dimension_is_a_parse_error(self, tmp_path):
+        patch = tmp_path / "patch.json"
+        patch.write_text(json.dumps({"patch": {"added_vertices": [[[0, 0, 0], 1]]}}))
+        message = "added vertex (0,0,0|v0) has 3 coordinates, the graph has dimension 2"
+        with pytest.raises(ParseError, match=re.escape(f"{patch}: {message}")):
+            load_perturbation_file(patch, get_entry("lattice2").base)
+
+
 class TestPerturbationFiles:
     def test_patch_file(self, tmp_path):
         source = tmp_path / "patch.json"
@@ -979,6 +988,21 @@ class TestResolution:
         assert cli._resolve_threads(None) == 1
         monkeypatch.delattr(os, "sched_getaffinity")
         assert cli._resolve_threads(None) == 64
+
+    @pytest.mark.parametrize("value", ["nope", "0", "2"])
+    def test_thread_variable_sets_no_default(self, monkeypatch, value):
+        # PERIODIC_SPECTRA_THREADS is no longer read: only --threads and the
+        # affinity mask set the count
+        monkeypatch.setenv("PERIODIC_SPECTRA_THREADS", value)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert cli._resolve_threads(None) == 3
+
+    @pytest.mark.parametrize("argv, prefix", SMALL_RUNS, ids=[p for _, p in SMALL_RUNS])
+    def test_thread_variable_is_not_read(self, tmp_path, monkeypatch, capsys, argv, prefix):
+        monkeypatch.setenv("PERIODIC_SPECTRA_THREADS", "nope")
+        assert run(tmp_path, *argv) == 0
+        assert "PERIODIC_SPECTRA_THREADS" not in capsys.readouterr().err
+        assert (tmp_path / f"{prefix}.manifest.json").exists()
 
     @pytest.mark.parametrize("argv, prefix", SMALL_RUNS, ids=[p for _, p in SMALL_RUNS])
     def test_default_prefix_is_the_command_name(self, tmp_path, argv, prefix):

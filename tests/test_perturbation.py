@@ -333,6 +333,13 @@ class TestExplicitPatch:
                 Patch(added_edges=((vert(0), vert(0, label=3)),)),
             )
 
+    @pytest.mark.parametrize("cell", [(0,), (0, 0, 0)], ids=["1-coordinate", "3-coordinate"])
+    def test_added_vertex_of_another_dimension_rejected(self, lattice2, cell):
+        x = Vertex(cell, 0)
+        message = f"added vertex {x} has {len(cell)} coordinates, the graph has dimension 2"
+        with pytest.raises(InputError, match=re.escape(message)):
+            PerturbedGraph(lattice2, Patch(added_vertices=frozenset({x})))
+
     def test_removed_vertex_added_back(self, lattice2):
         # (0, 0) loses its base edges and returns as an added vertex with one
         # added edge to (1, 0)
