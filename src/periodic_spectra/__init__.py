@@ -27,6 +27,7 @@ from .floquet import (
     SpectrumApprox,
     band_eigensystem,
     band_grid,
+    band_values,
     essential_spectrum,
     fiber_matrices,
     locate_band_value,
@@ -92,6 +93,7 @@ __all__ = [
     "WindowReport",
     "band_eigensystem",
     "band_grid",
+    "band_values",
     "build_periodic",
     "build_weyl_state",
     "clear_box_monte_carlo",

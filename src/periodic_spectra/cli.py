@@ -20,6 +20,7 @@ import sys
 from contextlib import ExitStack
 from dataclasses import asdict
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,23 +39,35 @@ from .errors import (
     ParseError,
     PeriodicSpectraError,
 )
-from .floquet import DEFAULT_FLAT_TOL, band_grid, essential_spectrum
+from .floquet import DEFAULT_FLAT_TOL, band_values, essential_spectrum
 from .graphs import PeriodicGraph, Vertex, box_cell_array, periodic_oracle
 from .io import load_graph_file, load_perturbation_file, perturbation_from_spec
 from .perturbation import PerturbedGraph, find_unperturbed_box
 from .truncation import check_eps, compare_spectra, spectrum_of_box, truncate, zero_mode_count
 from .weyl import fit_loglog_slope, residual_sweep
 
-# Rows written per chunk, so a large table never exists as one string.
-_CHUNK_ROWS = 65536
+# Rows written per chunk, so a large table never exists as one string; at
+# 16,384 rows a chunk of a 3-D ``bands`` grid's text is about 1 MiB.
+_CHUNK_ROWS = 16384
 
 
 def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+class Lookup(NamedTuple):
+    """A table column given as ``values[index]``: the column's ``values``
+    and, per row, the integer position of its value among them.  The values
+    are formatted once each, and no pass over the rows looks for the
+    distinct ones."""
+
+    values: np.ndarray
+    index: np.ndarray
+
+
 def _format_columns(columns) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The cell texts of a table given as one-dimensional columns.
+    """The cell texts of a table given as one-dimensional columns or as
+    ``Lookup`` columns.
 
     Each column comes back as ``(texts, inverse)``: cell texts as an object
     array and, per row, the index of the row's text, in the smallest unsigned
@@ -65,10 +78,15 @@ def _format_columns(columns) -> list[tuple[np.ndarray, np.ndarray]]:
     column whose values span fewer numbers than it has rows takes the texts
     of every integer from its least to its greatest value instead, some of
     which may not occur, and ``inverse`` is the value minus the least one:
-    no sort is needed.
+    no sort is needed.  A ``Lookup`` column formats its ``values`` by these
+    rules and maps its ``index`` through their ``inverse``.
     """
     out = []
     for column in columns:
+        if isinstance(column, Lookup):
+            ((texts, inverse),) = _format_columns([column.values])
+            out.append((texts, inverse[column.index]))
+            continue
         arr = np.asarray(column)
         kind = arr.dtype.kind
         if kind == "f":
@@ -293,13 +311,18 @@ def _vertex_json(v: Vertex | None):
 def _cmd_bands(args) -> int:
     base, _ = _resolve_graph(args.graph)
     ctx = RunContext("bands", {"graph": args.graph, "grid": args.grid}, args.out)
-    ks, lambdas = band_grid(base, args.grid)
+    lambdas = band_values(base, args.grid)
+    # grid row m has k_j = 2 pi m_j / grid: each k column is one axis of
+    # values, looked up by the rows' grid coordinates
+    axis = 2.0 * np.pi * np.arange(args.grid) / args.grid
+    coordinates = np.indices((args.grid,) * base.dim, dtype=np.min_scalar_type(args.grid - 1))
+    ks = [Lookup(axis, m.reshape(-1)) for m in coordinates]
     header = [f"k_{j + 1}" for j in range(base.dim)] + [
         f"lambda_{i + 1}" for i in range(base.cell_size)
     ]
     ctx.write_manifest()
     extensions = (".csv", ".dat") if args.emit_plot_data else (".csv",)
-    ctx.write_table(header, [*ks.T, *lambdas.T], extensions)
+    ctx.write_table(header, [*ks, *lambdas.T], extensions)
     return 0
 
 
@@ -429,8 +452,8 @@ def _cmd_truncate(args) -> int:
     box = _parse_window(args.box, base.dim)
     eps = args.eps if args.eps is not None else (1e-9 if args.wrap else 0.02)
     grid = args.grid if args.grid is not None else (256 if base.dim == 1 else 64)
-    reference = essential_spectrum(base, grid)
     check_eps(eps)
+    reference = essential_spectrum(base, grid)
     ctx = RunContext(
         "truncate",
         {

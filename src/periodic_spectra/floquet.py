@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, InputError, NotInSpectrumError
-from .graphs import PeriodicGraph, box_cell_array
+from .graphs import PeriodicGraph, box_cell_array, box_cell_count
 
 _MERGE_TOL = 1e-10
 DEFAULT_FLAT_TOL = 1e-8
@@ -100,28 +100,63 @@ def band_eigensystem(graph: PeriodicGraph, k) -> tuple[np.ndarray, np.ndarray]:
     return lambdas[0], u[0] / np.sqrt(np.asarray(graph.degrees, dtype=float))[:, None]
 
 
-def grid_points(dim: int, grid_per_axis: int) -> np.ndarray:
-    """All grid quasimomenta ``2 pi m / grid`` in lexicographic axis order,
-    shape (grid^dim, dim); raises ``InputError`` unless ``grid_per_axis`` is
-    even and at least 2."""
+def _grid_box(dim: int, grid_per_axis: int) -> list[tuple[int, int]]:
+    """The box ``{0, ..., grid-1}^dim`` of grid coordinates; raises
+    ``InputError`` unless ``grid_per_axis`` is even and at least 2."""
     if grid_per_axis < 2 or grid_per_axis % 2 != 0:
         raise InputError(
             "the grid must be an even integer >= 2 so that it hits both k=0 "
             f"and k=pi exactly, got {grid_per_axis}"
         )
-    cells = box_cell_array([(0, grid_per_axis - 1)] * dim)
+    return [(0, grid_per_axis - 1)] * dim
+
+
+def grid_points(dim: int, grid_per_axis: int) -> np.ndarray:
+    """All grid quasimomenta ``2 pi m / grid`` in lexicographic axis order,
+    shape (grid^dim, dim); raises ``InputError`` unless ``grid_per_axis`` is
+    even and at least 2."""
+    cells = box_cell_array(_grid_box(dim, grid_per_axis))
     return 2.0 * np.pi * cells / grid_per_axis
+
+
+# Grid rows assembled and diagonalized per batch, so the fiber temporaries
+# grow with a slab and not with the grid.
+_SLAB_ROWS = 4096
+
+
+def band_values(graph: PeriodicGraph, grid_per_axis: int, rows: int | None = None) -> np.ndarray:
+    """The sorted band values at the grid points of ``grid_points``, shape
+    (M, s), or at its first ``rows`` points only.
+
+    The points are taken ``_SLAB_ROWS`` at a time: each slab's cells, its
+    quasimomenta, fiber matrices and ``eigvalsh`` are built and dropped
+    before the next, and no array the size of the grid is built but the
+    result.  Each matrix is diagonalized on its own, so the values are those
+    of one batch over the whole grid, bit for bit.  Raises ``InputError``
+    unless ``grid_per_axis`` is even and at least 2, or when the whole grid
+    has more cells than ``box_cell_count`` allows.
+    """
+    box = _grid_box(graph.dim, grid_per_axis)
+    total = box_cell_count(box)
+    rows = total if rows is None else rows
+    assemble = _fiber_assembler(graph)
+    lambdas = np.empty((rows, graph.cell_size))
+    for start in range(0, rows, _SLAB_ROWS):
+        at = np.arange(start, min(start + _SLAB_ROWS, rows))
+        ks = 2.0 * np.pi * box_cell_array(box, at=at) / grid_per_axis
+        lambdas[start:start + len(at)] = np.linalg.eigvalsh(assemble(ks))
+    return lambdas
 
 
 def band_grid(graph: PeriodicGraph, grid_per_axis: int) -> tuple[np.ndarray, np.ndarray]:
     """Sample every band over the full grid.
 
     Returns ``(K, lambdas)`` where K has shape (M, d) and lambdas (M, s),
-    rows ascending.  The fiber matrices are assembled and diagonalized in one
-    batch; the grid ordering is fixed, so results are deterministic.
+    rows ascending: ``grid_points`` and ``band_values``.  The grid ordering
+    is fixed, so results are deterministic.
     """
     ks = grid_points(graph.dim, grid_per_axis)
-    return ks, np.linalg.eigvalsh(fiber_matrices(graph, ks))
+    return ks, band_values(graph, grid_per_axis)
 
 
 def _merge_intervals(raw: list[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
@@ -152,10 +187,8 @@ def essential_spectrum(
     """
     if not (math.isfinite(flat_tol) and flat_tol >= 0):
         raise InputError(f"flat_tol must be finite and >= 0, got {flat_tol}")
-    ks = grid_points(graph.dim, grid_per_axis)
     half = (grid_per_axis // 2 + 1) * grid_per_axis ** (graph.dim - 1)
-    lambdas = np.linalg.eigvalsh(fiber_matrices(graph, ks[:half]))
-    return _band_union(lambdas, grid_per_axis, flat_tol)
+    return _band_union(band_values(graph, grid_per_axis, half), grid_per_axis, flat_tol)
 
 
 def _band_union(

@@ -151,11 +151,18 @@ class Region:
 
     def _keys_of(self, targets: Sequence[Vertex]) -> np.ndarray:
         """Key of every vertex in ``targets``: its grid position when it is a
-        kept base vertex on the grid, otherwise -1."""
-        m, s = len(targets), self.shape[-1]
+        kept base vertex on the grid, otherwise -1.  A vertex whose cell has
+        another number of coordinates than the grid raises ``InputError``."""
+        m, s, d = len(targets), self.shape[-1], len(self._lo)
+        wrong = next((v for v in targets if len(v.cell) != d), None)
+        if wrong is not None:
+            raise InputError(
+                f"the graph lists {wrong}, whose cell has {len(wrong.cell)} coordinates, "
+                f"as a neighbour in a {d}-dimensional graph"
+            )
         labels = np.fromiter(map(attrgetter("label"), targets), dtype=np.int64, count=m)
         offsets = np.array(list(map(attrgetter("cell"), targets)), dtype=np.int64)
-        offsets = offsets.reshape(m, len(self._lo)) - self._lo
+        offsets = offsets.reshape(m, d) - self._lo
         on = (labels >= 0) & (labels < s)
         on &= ((offsets >= 0) & (offsets < self._grid_shape[0])).all(axis=1)
         keys = np.where(on, offsets @ self._strides + labels, 0)

@@ -594,7 +594,7 @@ def _count_boundary_modes(
     if isinstance(vectors, BlochVectors):
         grams = _bloch_grams(box_graph, near, vectors)
     else:
-        grams = _dense_grams(vectors[near])
+        grams = _dense_grams(vectors, np.flatnonzero(near))
     bounds = np.concatenate(
         [[0], np.flatnonzero(np.diff(eigenvalues) > _CLUSTER_GAP) + 1, [len(eigenvalues)]]
     )
@@ -609,13 +609,15 @@ def _count_boundary_modes(
     return count
 
 
-def _dense_grams(near_rows: np.ndarray):
-    """Cluster Grams from the near rows of an ``(n, n)`` eigenvector array:
-    columns ``(c, m)`` give ``c`` Grams of size ``min(m, r)``."""
+def _dense_grams(vectors: np.ndarray, near: np.ndarray):
+    """Cluster Grams from the rows ``near`` of an ``(n, n)`` eigenvector
+    array: columns ``(c, m)`` give ``c`` Grams of size ``min(m, r)``.  Each
+    batch reads its ``(r, c, m)`` block straight from ``vectors``, so the
+    ``r`` near rows are never copied whole."""
 
     def grams(columns: np.ndarray) -> np.ndarray:
-        w = np.moveaxis(near_rows[:, columns], 0, 1)  # (c, r, m)
-        if columns.shape[1] <= near_rows.shape[0]:
+        w = np.moveaxis(vectors[near[:, None, None], columns[None]], 0, 1)  # (c, r, m)
+        if columns.shape[1] <= len(near):
             return np.conj(np.swapaxes(w, 1, 2)) @ w
         return w @ np.conj(np.swapaxes(w, 1, 2))
 

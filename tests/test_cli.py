@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from periodic_spectra import band_grid, cli, get_entry, make_g11, weyl
 from periodic_spectra import graphs as graphs_module
 from periodic_spectra import truncation as truncation_module
-from periodic_spectra.cli import RunContext, _fmt, _format_columns, _json_text, main
+from periodic_spectra.cli import Lookup, RunContext, _fmt, _format_columns, _json_text, main
 from periodic_spectra.errors import InternalInvariantError, ParseError
 from periodic_spectra.region import Region
 from periodic_spectra.graphs import Vertex
@@ -162,6 +163,20 @@ class TestBands:
         assert (tmp_path / "b.csv").read_bytes() == csv.encode()
         assert (tmp_path / "b.dat").read_bytes() == dat.encode()
 
+    def test_memory_grows_with_a_slab(self, tmp_path):
+        """The 262,144 rows of a 3-D grid of 64 are solved by slabs and
+        written by chunks, with the k columns looked up from one axis: no
+        whole-grid quasimomenta, cells or fiber matrices are built.  Whole
+        grid arrays and 65,536-row chunks trace a 31.9 MiB peak here."""
+        argv = ["bands", "--graph", "builtin:lattice3", "--grid", "64", "--emit-plot-data"]
+        tracemalloc.start()
+        try:
+            assert run(tmp_path, *argv, "--out", str(tmp_path / "b")) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * 2**20
+
     def test_manifest_hash_stamped_everywhere(self, tmp_path):
         run(
             tmp_path,
@@ -218,6 +233,17 @@ def tables(draw):
     return out
 
 
+@st.composite
+def lookups(draw):
+    """(values, index) of a ``Lookup`` column: a few values of one kind, and
+    rows that repeat them in any order, in an unsigned or a signed index."""
+    kind = draw(st.sampled_from(sorted(CELLS)))
+    values = draw(st.lists(CELLS[kind], min_size=1, max_size=6))
+    values = np.array(values, dtype={"float": float, "int": np.int64, "text": str}[kind])
+    rows = draw(st.lists(st.integers(0, len(values) - 1), max_size=30))
+    return values, np.array(rows, dtype=draw(st.sampled_from([np.uint8, np.uint16, np.int64])))
+
+
 def write_both(cols, chunk_rows):
     header = [f"c{j}" for j in range(len(cols))]
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_CHUNK_ROWS", chunk_rows):
@@ -262,12 +288,45 @@ class TestColumnFormatter:
             both_csv, both_dat = (path.read_text() for path in paths)
         assert (both_csv, both_dat) == (csv, dat)
 
+    @given(lookup=lookups(), chunk_rows=st.integers(1, 8))
+    @settings(max_examples=100, deadline=None)
+    def test_lookup_column_writes_the_column_it_stands_for(self, lookup, chunk_rows):
+        values, index = lookup
+        rows = np.arange(len(index))
+        plain = write_both([("int", rows), ("any", values[index])], chunk_rows)
+        assert write_both([("int", rows), ("lookup", Lookup(values, index))], chunk_rows) == plain
+
+    def test_lookup_formats_each_value_once(self, monkeypatch):
+        """A lookup column's texts are its values' texts, each formatted
+        once; no set routine reads its rows."""
+        axis = 2.0 * np.pi * np.arange(64) / 64
+        index = np.indices((64, 64, 64), dtype=np.uint8)[1].reshape(-1)
+        formatted, unique = [], np.unique
+
+        def axis_unique(values, **kwargs):
+            assert np.size(values) <= len(axis), "np.unique read the rows"
+            return unique(values, **kwargs)
+
+        monkeypatch.setattr(cli, "_fmt", lambda x: formatted.append(x) or _fmt(x))
+        monkeypatch.setattr(np, "unique", axis_unique)
+        ((texts, inverse),) = _format_columns([Lookup(axis, index)])
+        assert sorted(formatted) == axis.tolist()
+        assert texts[inverse].tolist() == [_fmt(x) for x in axis[index]]
+
     @pytest.mark.parametrize("text, plot_data", [("a,b", False), ("a,b", True), ("a b", True)])
     def test_cell_holding_a_separator_rejected(self, tmp_path, text, plot_data):
         ctx = RunContext("table", {}, str(tmp_path / "t"))
         extensions = (".csv", ".dat") if plot_data else (".csv",)
         with pytest.raises(InternalInvariantError, match="separator"):
             ctx.write_table(["n", "label"], [np.array([1, 2]), [text, "c"]], extensions)
+
+    @pytest.mark.parametrize("text, plot_data", [("a,b", False), ("a,b", True), ("a b", True)])
+    def test_lookup_text_holding_a_separator_rejected(self, tmp_path, text, plot_data):
+        ctx = RunContext("table", {}, str(tmp_path / "t"))
+        extensions = (".csv", ".dat") if plot_data else (".csv",)
+        labels = Lookup(np.array(["c", text]), np.array([1, 0], dtype=np.uint8))
+        with pytest.raises(InternalInvariantError, match="separator"):
+            ctx.write_table(["n", "label"], [np.array([1, 2]), labels], extensions)
 
     def test_space_in_a_csv_only_table_accepted(self, tmp_path):
         ctx = RunContext("table", {}, str(tmp_path / "t"))
@@ -725,6 +784,16 @@ class TestErrorPaths:
         monkeypatch.setattr(cli, "truncate", refuse_box)  # flags are checked first
         assert run(tmp_path, *command, f"{flag}={value}", "--out", str(tmp_path / "o")) == 2
         assert f"{message}, got {value}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("wrap", [[], ["--wrap"]], ids=["induced", "wrap"])
+    def test_bad_eps_exits_2_before_the_reference_spectrum(self, tmp_path, monkeypatch, wrap):
+        def refuse_reference(*args, **kwargs):
+            raise AssertionError("the reference spectrum was sampled before --eps was checked")
+
+        monkeypatch.setattr(cli, "essential_spectrum", refuse_reference)
+        argv = ["truncate", "--graph", "builtin:g11", "--box=0,5", *wrap, "--eps=-1"]
+        assert run(tmp_path, *argv, "--out", str(tmp_path / "o")) == 2
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

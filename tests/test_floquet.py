@@ -1,4 +1,6 @@
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from periodic_spectra import (
     band_eigensystem,
     band_grid,
+    band_values,
     essential_spectrum,
     fiber_matrices,
     get_entry,
@@ -15,6 +18,7 @@ from periodic_spectra import (
     propagation_length,
 )
 from periodic_spectra.errors import DimensionMismatchError, InputError, NotInSpectrumError
+from periodic_spectra import floquet
 from periodic_spectra.catalog import entry_names
 from periodic_spectra.floquet import _band_union, _fiber_assembler, grid_points
 
@@ -370,3 +374,52 @@ def test_half_torus_equals_full_grid_union(name):
         assert len(half.intervals) == len(full.intervals)
         assert np.max(np.abs(np.subtract(half.intervals, full.intervals))) <= 1e-15
         assert np.allclose(half.flat_points, full.flat_points, rtol=0, atol=1e-15)
+
+
+def catalog_base(name):
+    params = {"p": 0.5, "seed": 7} if name == "random_pendant" else {}
+    return get_entry(name, **params).base
+
+
+@given(
+    name=st.sampled_from(entry_names()),
+    grid=st.sampled_from([2, 4, 6, 10, 16]),
+    slab=st.sampled_from([1, 3, 7, 1 << 20]),
+)
+@settings(max_examples=120, deadline=None)
+def test_slabs_give_the_bits_of_one_batch(name, grid, slab):
+    """Band values taken ``_SLAB_ROWS`` grid rows at a time, and the
+    intervals and flat points of ``essential_spectrum``, have the bits of
+    one ``eigvalsh`` over the fiber matrices of the whole grid."""
+    graph = catalog_base(name)
+    grid = min(grid, 6) if graph.dim == 3 else grid
+    ks = grid_points(graph.dim, grid)
+    whole = np.linalg.eigvalsh(fiber_matrices(graph, ks))
+    half = (grid // 2 + 1) * grid ** (graph.dim - 1)
+    expected = _band_union(whole[:half], grid)
+    with mock.patch.object(floquet, "_SLAB_ROWS", slab):
+        values = band_values(graph, grid)
+        sampled_ks, sampled = band_grid(graph, grid)
+        spec = essential_spectrum(graph, grid)
+    for got in (values, sampled):
+        assert got.shape == whole.shape
+        assert np.array_equal(got.view(np.uint64), whole.view(np.uint64))
+    assert np.array_equal(sampled_ks.view(np.uint64), ks.view(np.uint64))
+    for got, want in [(spec.intervals, expected.intervals),
+                      (spec.flat_points, expected.flat_points)]:
+        assert np.array_equal(
+            np.array(got, dtype=float).view(np.uint64), np.array(want, dtype=float).view(np.uint64)
+        )
+
+
+def test_essential_spectrum_memory_grows_with_a_slab(g21):
+    """The 65,537 half-torus rows of grid 131,072 are diagonalized a slab at
+    a time.  One batch over all of them traces a 20.8 MiB peak, its fiber
+    matrices and their Hermitian average; in slabs the peak is about 3 MiB."""
+    tracemalloc.start()
+    try:
+        essential_spectrum(g21.base, 131072)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2**20

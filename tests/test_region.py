@@ -327,6 +327,21 @@ def test_one_sided_added_edge_at_a_ring_row_fails_the_audit():
         Region(graph, (0, 0), 2)
 
 
+def test_added_neighbour_of_another_dimension_is_refused():
+    """An added edge from the ring row (3, 0) of the clear box -2..2 x -2..2
+    to a vertex with three coordinates is an input fault, not a numpy
+    error."""
+    stray = Vertex((0, 0, 0), 0)
+    patch = PredicatePatch(
+        keep=lambda v: True,
+        added_neighbors=lambda v: (stray,) if v == Vertex((3, 0), 0) else (),
+    )
+    graph = PerturbedGraph(make_lattice(2), patch, name="stray")
+    message = "the graph lists (0,0,0|v0), whose cell has 3 coordinates"
+    with pytest.raises(InputError, match=re.escape(message)):
+        Region(graph, (0, 0), 2)
+
+
 def test_one_sided_added_edge_at_a_ring_row_fails_the_audit_in_3d():
     # the ring row (3,0,0) of the clear box -2..2 per axis lists an added
     # edge to the stencil ring row (3,1,1), which does not list it back
