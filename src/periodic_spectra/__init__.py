@@ -53,6 +53,7 @@ from .region import Region
 from .truncation import (
     BlochVectors,
     BoxGraph,
+    SectorVectors,
     TruncationReport,
     compare_spectra,
     spectrum_of_box,
@@ -86,6 +87,7 @@ __all__ = [
     "PredicatePatch",
     "Region",
     "ResidualRow",
+    "SectorVectors",
     "SpectrumApprox",
     "TruncationReport",
     "Vertex",

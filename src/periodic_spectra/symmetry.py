@@ -6,15 +6,16 @@ involutions.  Each character ``chi`` of the group spans a sector
 (``sectors``), which the box's symmetric form leaves invariant (Fassler &
 Stiefel, *Group Theoretical Methods and Their Applications*, 1992), so
 ``truncation.spectrum_of_box`` solves an induced box one sector at a time:
-``Sector.block`` builds a sector's block from the box's edges and
-``Sector.lift`` writes its vectors back at the vertices.  On a bipartite box
-a mirror that swaps the two sides pairs the sector of ``chi`` with that of
-``chi psi``, and only the first of each pair is solved: ``Sector.twin``
-gives the other's values and vectors from that solve.
+``Sector.block`` builds a sector's block from the box's edges, and
+``SectorVectors`` keeps the solves and lifts their vectors where asked.
+On a bipartite box a mirror that swaps the two sides pairs the sector of
+``chi`` with that of ``chi psi``, and only the first of each pair is
+solved: the other's values and vectors come from that solve.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -132,35 +133,52 @@ class Sector:
         entries = np.bincount(inverse, signs) * scale[a] * scale[b]
         return float(entries[a == b].sum()), float(np.dot(entries, entries))
 
-    def twin(
-        self, lam: np.ndarray, y: np.ndarray | None, sides: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """The twin's values and, unless ``y`` is None, its vectors (one row
-        per orbit) from this sector's solve ``(lam, y)``: ``-lam`` reversed,
-        and ``Z(reps) y`` with the columns reversed, ``Z`` being +1 on the
-        side ``sides`` marks False and -1 on the other.  The vectors are a
-        new array, so build them before ``lift`` scales ``y`` in place."""
-        if y is None:
-            return -lam[::-1], None
-        return -lam[::-1], np.where(sides[self.reps], -1.0, 1.0)[:, None] * y[:, ::-1]
 
-    def lift(self, y: np.ndarray, vec: np.ndarray, start: int, twin: bool = False) -> None:
-        """Write the vectors ``y`` (one row per orbit) of the sector, or with
-        ``twin`` of its twin, into the contiguous columns ``start:start +
-        len(y)`` of the box's ``(n, n)`` array ``vec``, one row-indexed write
-        ``vec[rows, start:stop] = y`` per group element, which copies each
-        row as one contiguous run; ``y`` is scaled (and negated for the
-        elements where the character is -1) in place, and no temporary of its
-        size is made."""
-        odd = self.twin_odd if twin else self.odd
-        stop = start + len(y)
-        y *= 1.0 / np.sqrt(self.sizes[:, None])
-        for rows in self.images[~odd]:
-            vec[rows, start:stop] = y
-        if odd.any():
-            np.negative(y, out=y)
-        for rows in self.images[odd]:
-            vec[rows, start:stop] = y
+@dataclass(frozen=True)
+class SectorVectors:
+    """Orthonormal eigenvectors of a split box's form, one per value of
+    ``truncation.spectrum_of_box`` in order: the solve ``y`` (one row per
+    orbit) of each ``sectors[s]`` in ``solves[s]``, then its twin's ``Z(reps)
+    y[:, ::-1]`` if any (``Z`` -1 where ``sides`` is True), position ``p``
+    being merged column ``column[p]``.  ``rows`` and ``columns`` lift these."""
+
+    sectors: list[Sector]
+    solves: list[np.ndarray]
+    sides: np.ndarray | None
+    column: np.ndarray
+
+    def rows(self, vertices: np.ndarray) -> np.ndarray:
+        """The rows ``vertices`` of every column, shape ``(len(vertices), n)``."""
+        return self._lift(vertices, np.arange(len(self.column)))
+
+    def columns(self, columns: np.ndarray) -> np.ndarray:
+        """The merged columns ``columns`` at every vertex, shape ``(n, len(columns))``."""
+        return self._lift(np.arange(len(self.column)), columns)
+
+    def _lift(self, vertices: np.ndarray, columns: np.ndarray) -> np.ndarray:
+        """Entries at ``vertices`` and merged ``columns``: ``y[a, j]`` times
+        ``sign / sqrt(sizes[a])`` at the vertex, and for a twin times ``Z``
+        there, which is ``Z(reps)`` times ``psi`` of the element that maps there."""
+        slot = np.full(len(self.column), -1)
+        slot[columns] = np.arange(len(columns))
+        out = np.zeros((len(vertices), len(columns)))
+        start = 0
+        for sector, y in zip(self.sectors, self.solves):
+            on = np.flatnonzero(sector.local[vertices] < len(y))
+            a = sector.local[vertices[on]]
+            scale = sector.sign[vertices[on], None] / np.sqrt(sector.sizes[a, None])
+            blocks = [(y, scale)]
+            if sector.twin_odd is not None:
+                blocks.append((y[:, ::-1], np.where(self.sides[vertices[on], None], -scale, scale)))
+            for block, scale in blocks:
+                at = slot[self.column[start : start + len(y)]]
+                j = np.flatnonzero(at >= 0)
+                lifted = block[np.ix_(a, j)]
+                lifted *= scale
+                out[np.ix_(on, at[j])] = lifted
+                del lifted  # before the next block's is gathered
+                start += len(y)
+        return out
 
 
 def sectors(

@@ -38,7 +38,7 @@ from .graphs import (
     box_cell_array,
     box_cell_count,
 )
-from .symmetry import Sector, mirror_symmetries, sectors
+from .symmetry import Sector, SectorVectors, mirror_symmetries, sectors
 
 # Vertices of an induced box, which is solved densely, checked while its
 # cells are listed, ``_CELL_CHUNK`` at a time; a wrap is solved by fibers and
@@ -73,12 +73,9 @@ _MOMENT_TOL = 1e-12
 _EIGENPAIR_TOL = 1e-12
 _EIGENPAIR_SAMPLES = 30
 
-# Entries of one batch of cluster Gram inputs in the boundary count.
-_GRAM_BATCH = 1 << 22
-
-# Entries of the rows whose columns one step of the merge permutes (512 KiB,
-# so that a step's rows and their buffer stay in cache).
-_PERMUTE_ENTRIES = 1 << 16
+# Entries of one batch of cluster Gram inputs in the boundary count (512 KiB,
+# so that a batch and its transpose stay well below the near rows ``W``).
+_GRAM_BATCH = 1 << 16
 
 
 class BoxGraph:
@@ -278,6 +275,9 @@ class BlochVectors:
         return np.exp(2j * np.pi * turns) * amplitude / np.sqrt(lengths.prod())
 
 
+Eigenvectors = np.ndarray | BlochVectors | SectorVectors
+
+
 def spectrum_of_box(box_graph: BoxGraph, with_vectors: bool = False):
     """Ascending eigenvalues of the box operator, and with ``with_vectors``
     orthonormal eigenvectors of its symmetric form ``D^-1/2 A D^-1/2`` in the
@@ -312,38 +312,37 @@ def spectrum_of_box(box_graph: BoxGraph, with_vectors: bool = False):
     has ``g Z g = -Z``, so ``Z`` maps the sector of ``chi`` onto that of
     ``chi psi``, where ``psi(g)`` is -1 exactly when ``g`` swaps the sides.
     When some accepted mirror does, only the first sector of each such pair
-    is solved: ``Sector.twin`` gives the other's values, ``-lam`` reversed,
-    and its vectors, ``Z(reps) y`` with the columns reversed.
+    is solved: the other's values are ``-lam`` reversed, and its vectors
+    ``Z(reps) y`` with the columns reversed.
 
     A box without an accepted symmetry is one sector whose block is the
     whole form, built and solved as it always was and returned as the
     solver gives it, so its outputs keep their bits.  Otherwise ``_merge``
     checks each solved block's moments, merges the values by one stable
-    ``argsort`` and lifts the vectors into one ``(n, n)`` array.
+    ``argsort`` and returns the vectors as ``SectorVectors``.
 
     Every solve is checked by ``_check_moments``, and every solve with
     vectors by ``_check_eigenpairs`` (exit code 4 on a miss).
     ``zero_mode_count`` calls this function again for the values: the
     benchmark's self-test expects two solves per ``truncate`` command."""
+    n = len(box_graph)
     if box_graph.wrapped:
-        solved = _bloch_solve(box_graph, with_vectors)
-        _check_moments(solved[0] if with_vectors else solved, len(box_graph), box_graph.moments)
-        if with_vectors:
-            _check_eigenpairs(box_graph, *solved, 0.0)
-        return solved
-    sides = box_graph.sides
-    split = sectors(mirror_symmetries(box_graph, sides), len(box_graph), sides)
-    paired = split[0].twin_odd is not None  # then every sector has a twin
-    if sides is None or paired:
-        parts = [_dense_solve(box_graph, sector, with_vectors) for sector in split]
+        solved, miss = _bloch_solve(box_graph, with_vectors), 0.0
     else:
-        parts = [_bipartite_solve(box_graph, sector, sides, with_vectors) for sector in split]
-    if len(split) > 1 or paired:
-        return _merge(box_graph, split, parts, sides, with_vectors)
-    solved = parts[0]  # no symmetry: the solve is ascending and in vertex order
-    _check_moments(solved[0] if with_vectors else solved, len(box_graph), box_graph.moments)
+        sides = box_graph.sides
+        split = sectors(mirror_symmetries(box_graph, sides), n, sides)
+        paired = split[0].twin_odd is not None  # then every sector has a twin
+        if sides is None or paired:
+            parts = [_dense_solve(box_graph, sector, with_vectors) for sector in split]
+        else:
+            parts = [_bipartite_solve(box_graph, sector, sides, with_vectors) for sector in split]
+        if len(split) > 1 or paired:
+            solved, miss = _merge(box_graph, split, parts, sides, with_vectors)
+        else:  # no symmetry: the solve is ascending and in vertex order
+            solved = parts[0]
+            miss = _gram_miss(solved[1], _eigenpair_sample(n)) if with_vectors else 0.0
+    _check_moments(solved[0] if with_vectors else solved, n, box_graph.moments)
     if with_vectors:
-        miss = _gram_miss(solved[1], _eigenpair_sample(len(box_graph)))
         _check_eigenpairs(box_graph, *solved, miss)
     return solved
 
@@ -352,57 +351,36 @@ def _merge(
     box_graph: BoxGraph, split: list[Sector], parts: list, sides: np.ndarray | None,
     with_vectors: bool,
 ):
-    """The values of each solved block checked by ``_check_moments`` against
-    the block's own moments (a twin copies any fault of its sector, so the
-    whole box's moments cannot see one), each twin's ``-lam`` reversed put
-    after its sector's, all merged by one stable ``argsort`` and checked as
-    a whole.  With ``with_vectors``, each sector's vectors are checked by
-    ``_gram_miss`` at the sampled merged columns and lifted into the next
-    contiguous block of columns of one ``(n, n)`` array; a twin's vectors are
-    built from its sector's just before that sector's lift scales them in
-    place.  The columns are then put in merged order in place,
-    ``_PERMUTE_ENTRIES`` entries of rows at a time, and ``_check_eigenpairs``
-    checks the result."""
+    """The merged solve and its orthonormality miss: each solved block's
+    values checked against its own moments (a twin copies any fault of its
+    sector, which the box's moments cannot see), each twin's ``-lam``
+    reversed put after its sector's, all merged by one stable ``argsort``;
+    the ``_gram_miss`` of each sector's vectors at the columns that lift to
+    sampled ones, its own or, reversed, its twin's (``Z`` changes no product)."""
     values = []
     for sector, part in zip(split, parts):
         lam = part[0] if with_vectors else part
         _check_moments(lam, len(sector.reps), sector.moments(box_graph), "sector")
         values.append(lam)
         if sector.twin_odd is not None:
-            values.append(sector.twin(lam, None, sides)[0])
+            values.append(-lam[::-1])
     lam = np.concatenate(values)
     order = np.argsort(lam, kind="stable")
     lam = lam[order]
-    n = len(box_graph)
-    _check_moments(lam, n, box_graph.moments)
     if not with_vectors:
-        return lam
-    column = np.empty(n, dtype=np.intp)
-    column[order] = np.arange(n)
-    sampled = np.zeros(n, dtype=bool)
-    sampled[_eigenpair_sample(n)] = True
-    vec = np.zeros((n, n))
+        return lam, 0.0
+    column = np.argsort(order)  # the merged column of each position
+    sampled = np.zeros(len(lam), dtype=bool)
+    sampled[order[_eigenpair_sample(len(lam))]] = True  # at the positions of sampled columns
     miss, start = 0.0, 0
-    for sector in split:
-        part = parts.pop(0)
-        blocks = [(False, part[1])]
-        if sector.twin_odd is not None:  # built before ``lift`` scales ``y`` in place
-            blocks.append((True, sector.twin(*part, sides)[1]))
-        for twin, y in blocks:
-            stop = start + len(y)
-            miss = max(miss, _gram_miss(y, np.flatnonzero(sampled[column[start:stop]])))
-            sector.lift(y, vec, start, twin)
-            start = stop
-    step = max(1, _PERMUTE_ENTRIES // n)
-    buffer = np.empty((step, n))
-    for first in range(0, n, step):
-        rows = vec[first : first + step]
-        # ``order`` is a permutation: "clip" changes no index and, unlike
-        # "raise", writes ``out`` without buffering it
-        np.take(rows, order, axis=1, out=buffer[: len(rows)], mode="clip")
-        rows[...] = buffer[: len(rows)]
-    _check_eigenpairs(box_graph, lam, vec, miss)
-    return lam, vec
+    for sector, (_, y) in zip(split, parts):
+        at = sampled[start : start + len(y)]
+        start += len(y)
+        if sector.twin_odd is not None:
+            at = at | sampled[start : start + len(y)][::-1]
+            start += len(y)
+        miss = max(miss, _gram_miss(y, np.flatnonzero(at)))
+    return (lam, SectorVectors(split, [y for _, y in parts], sides, column)), miss
 
 
 def _check_moments(
@@ -446,15 +424,15 @@ def _gram_miss(y: np.ndarray, columns: np.ndarray) -> float:
 
 
 def _check_eigenpairs(
-    box_graph: BoxGraph, lam: np.ndarray, vec: np.ndarray | BlochVectors, gram_miss: float
+    box_graph: BoxGraph, lam: np.ndarray, vec: Eigenvectors, gram_miss: float
 ) -> None:
     """Raise ``InternalInvariantError`` unless the sampled columns
     (``_eigenpair_sample``) of ``vec`` are unit eigenvectors of their values
     and ``gram_miss``, their orthonormality miss from ``_gram_miss``, is
     small: ``|H v - lam v|``, ``|v^H v - 1|`` and ``gram_miss`` at most
-    ``n * _EIGENPAIR_TOL``.  For an ``(n, n)`` array, ``H v`` is one
-    ``bincount`` over the edges per sampled column, with no ``n x n``
-    product.  For ``BlochVectors`` each sampled column is checked as its
+    ``n * _EIGENPAIR_TOL``.  For an ``(n, n)`` array or ``SectorVectors``,
+    ``H v`` is one ``bincount`` over the edges per sampled column, with no
+    ``n x n`` product.  For ``BlochVectors`` each sampled column is checked as its
     fiber pair ``(u, H(k) u)``, with ``H(k)`` assembled again by
     ``fiber_matrices`` at the sampled modes only."""
     n = len(box_graph)
@@ -464,7 +442,7 @@ def _check_eigenpairs(
         ks = 2.0 * np.pi * vec.modes[sample] / np.array(vec.lengths)
         hv = (fiber_matrices(box_graph.periodic, ks) @ v[:, :, None])[:, :, 0]
     else:
-        v = vec[:, sample].T
+        v = (vec.columns(sample) if isinstance(vec, SectorVectors) else vec[:, sample]).T
         inv_sqrt = 1.0 / np.sqrt(box_graph.degrees.astype(float))
         rows, cols = box_graph.rows, box_graph.cols
         weights = inv_sqrt[rows] * inv_sqrt[cols]
@@ -546,7 +524,7 @@ def compare_spectra(
     reference: SpectrumApprox,
     eps: float,
     box_graph: BoxGraph | None = None,
-    vectors: np.ndarray | BlochVectors | None = None,
+    vectors: Eigenvectors | None = None,
 ) -> TruncationReport:
     """Fraction of eigenvalues within ``eps`` of the reference intervals.
 
@@ -571,7 +549,7 @@ def compare_spectra(
 
 
 def _count_boundary_modes(
-    box_graph: BoxGraph, eigenvalues: np.ndarray, vectors: np.ndarray | BlochVectors
+    box_graph: BoxGraph, eigenvalues: np.ndarray, vectors: Eigenvectors
 ) -> int:
     """Number of boundary modes, a function of the box alone.
 
@@ -593,6 +571,8 @@ def _count_boundary_modes(
         return 0
     if isinstance(vectors, BlochVectors):
         grams = _bloch_grams(box_graph, near, vectors)
+    elif isinstance(vectors, SectorVectors):
+        grams = _dense_grams(vectors.rows(np.flatnonzero(near)), np.arange(r))
     else:
         grams = _dense_grams(vectors, np.flatnonzero(near))
     bounds = np.concatenate(

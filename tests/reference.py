@@ -3,6 +3,10 @@
 States are finitely supported dicts ``Vertex -> complex``; norms and inner
 products are degree-weighted, ``<f, g> = sum conj(f(x)) g(x) deg(x)``.  The
 tests compare the package's array route (``region.Region``) against them.
+
+``sector_basis`` is the reference for ``truncation.SectorVectors``: it
+lifts every sector solve of an induced box into one ``(n, n)`` array, group
+element by group element, and puts its columns in merged order.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from periodic_spectra.errors import (
 from periodic_spectra.graphs import Cell, GraphOracle, PeriodicGraph, State, Vertex
 from periodic_spectra.perturbation import PerturbedGraph
 from periodic_spectra.region import Region
-from periodic_spectra.truncation import BoxGraph
+from periodic_spectra.truncation import BoxGraph, SectorVectors
 from periodic_spectra.weyl import WeylState, _check_eigenpair, tent_norm_sq
 
 
@@ -250,3 +254,33 @@ def windowed_bloch_state(
             if val != 0:
                 psi[Vertex(cell, label)] = complex(val)
     return psi
+
+
+def sector_basis(vectors: SectorVectors) -> np.ndarray:
+    """The ``(n, n)`` eigenvector array of ``vectors``.  Each sector's
+    vectors ``y``, then its twin's (``Z(reps) y`` with the columns reversed,
+    built before ``y`` is scaled), are written into the next contiguous
+    columns: ``y`` scaled by ``1 / sqrt(sizes)`` in place, written at
+    ``images[e]`` for every element ``e`` where the character is 1, negated
+    in place and written at the others.  The columns are then put in merged
+    order, position ``p`` at column ``column[p]``."""
+    n = len(vectors.column)
+    vec = np.zeros((n, n))
+    start = 0
+    for sector, solve in zip(vectors.sectors, vectors.solves):
+        blocks = [(sector.odd, solve.copy())]
+        if sector.twin_odd is not None:
+            z = np.where(vectors.sides[sector.reps], -1.0, 1.0)
+            blocks.append((sector.twin_odd, z[:, None] * solve[:, ::-1]))
+        for odd, y in blocks:
+            stop = start + len(y)
+            y *= 1.0 / np.sqrt(sector.sizes[:, None])
+            for rows in sector.images[~odd]:
+                vec[rows, start:stop] = y
+            np.negative(y, out=y)
+            for rows in sector.images[odd]:
+                vec[rows, start:stop] = y
+            start = stop
+    merged = np.empty_like(vec)
+    merged[:, vectors.column] = vec
+    return merged

@@ -15,7 +15,7 @@ from collections import Counter
 from pathlib import Path
 
 import periodic_spectra
-from periodic_spectra import floquet, graphs, perturbation, truncation, weyl
+from periodic_spectra import floquet, graphs, perturbation, symmetry, truncation, weyl
 from periodic_spectra.cli import RunContext
 from periodic_spectra.graphs import Vertex
 from periodic_spectra.region import Region
@@ -29,7 +29,7 @@ REFERENCE_ONLY = (
     "apply_laplacian", "weighted_norm", "weighted_inner", "translate_state", "sup_norm",
     "_sorted_items", "embed_state", "apply_defect", "embedding_norm_bounds",
     "_support_degrees", "in_unperturbed_set", "windowed_bloch_state", "TentCutoff",
-    "tent_value", "box_cells",
+    "tent_value", "box_cells", "sector_basis",
 )
 
 # The certificate of a test state: each reads the graph from the state.
@@ -58,6 +58,8 @@ def test_all_names_resolve():
     missing = [name for name in periodic_spectra.__all__ if not hasattr(periodic_spectra, name)]
     assert missing == []
     assert len(set(periodic_spectra.__all__)) == len(periodic_spectra.__all__)
+    # the eigenvectors ``spectrum_of_box`` returns for a wrap and for a split box
+    assert {"BlochVectors", "SectorVectors"} <= set(periodic_spectra.__all__)
 
 
 def test_every_public_import_is_exported():
@@ -112,6 +114,9 @@ def test_unread_fields_and_arguments_stay_deleted(tmp_path):
     ]:
         assert not hasattr(module, name), (module.__name__, name)
     assert not hasattr(truncation.BoxGraph, "index")
+    # a split box keeps its sector solves: no lift into an ``(n, n)`` array
+    assert not hasattr(symmetry.Sector, "lift") and not hasattr(symmetry.Sector, "twin")
+    assert not hasattr(truncation, "_PERMUTE_ENTRIES")
     # a Region is built only on a clear box
     region = Region(periodic_spectra.make_half_plane().perturbation, (0, 5), 2)
     assert not any(hasattr(region, name) for name in ("clear", "_kept_at", "_off_grid"))

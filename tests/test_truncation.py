@@ -8,7 +8,9 @@ solves a wrap from its fiber matrices and a bipartite induced box by one SVD
 of its off-diagonal block, or, when a mirror swaps its sides, by one
 ``eigh`` per pair of sectors; the dense ``eigh``/``eigvalsh`` of
 ``normalized_symmetric()`` and a two-colouring over the dense adjacency are
-the reference for both routes, and for the boundary count.
+the reference for both routes, and for the boundary count.  The vectors of a
+split box, kept as its sector solves, are compared bit for bit with the
+whole-array lift of ``reference.sector_basis``.
 """
 
 import itertools
@@ -17,6 +19,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +32,7 @@ from periodic_spectra import (
     Patch,
     PerturbedGraph,
     PredicatePatch,
+    SectorVectors,
     SpectrumApprox,
     band_grid,
     build_periodic,
@@ -51,7 +55,7 @@ from periodic_spectra import symmetry, truncation
 from periodic_spectra.cli import main
 from periodic_spectra.truncation import _near_boundary_mask
 
-from reference import box_cells, box_index
+from reference import box_cells, box_index, sector_basis
 from test_graphs import small_graphs
 from test_region import explicit_patches
 
@@ -68,9 +72,12 @@ def dense_eigs(box):
 
 def dense_basis(box, vecs):
     """The eigenvectors ``spectrum_of_box`` gave as an ``(n, n)`` array: a
-    wrap's ``BlochVectors`` evaluated at every vertex."""
+    wrap's ``BlochVectors`` evaluated at every vertex, and a split box's
+    ``SectorVectors`` lifted at every vertex."""
     if isinstance(vecs, BlochVectors):
         return vecs.rows(box.offsets, box.labels, np.arange(len(box)))
+    if isinstance(vecs, SectorVectors):
+        return vecs.rows(np.arange(len(box)))
     return vecs
 
 
@@ -516,7 +523,7 @@ def test_bipartite_split_equals_dense_solve(case):
     assert zero_mode_count(got) == int(np.sum(np.abs(reference) <= 1e-12))
     if sides is None and not wrap and not symmetry.mirror_symmetries(got, None):
         dense_lam, dense_vecs = np.linalg.eigh(h)
-        assert np.array_equal(lam, dense_lam) and np.array_equal(vecs, dense_vecs)
+        assert np.array_equal(lam, dense_lam) and np.array_equal(basis, dense_vecs)
 
 
 def svd_of_the_form(h, sides):
@@ -606,14 +613,14 @@ def test_route_of_catalog_boxes(make_box, vector_solvers, value_solvers, monkeyp
     calls.clear()
     values = spectrum_of_box(box)
     assert calls == value_solvers
+    basis = dense_basis(box, vecs)
     if vector_solvers == ["eigh"]:
-        assert np.array_equal(lam, dense_lam) and np.array_equal(vecs, dense_vecs)
+        assert np.array_equal(lam, dense_lam) and np.array_equal(basis, dense_vecs)
     if value_solvers == ["eigvalsh"]:
         assert np.array_equal(values, dense_values)
     if vector_solvers == ["svd"]:
-        assert np.array_equal(lam, svd_lam) and np.array_equal(vecs, svd_vecs)
+        assert np.array_equal(lam, svd_lam) and np.array_equal(basis, svd_vecs)
         assert np.array_equal(values, svd_values)
-    basis = dense_basis(box, vecs)
     assert np.max(np.abs(values - dense_values)) <= 1e-12
     assert np.max(np.abs(lam - dense_values)) <= 1e-12
     assert np.max(np.abs(h @ basis - basis * lam)) <= 1e-12
@@ -806,7 +813,7 @@ def test_count_on_a_simple_spectrum_is_the_column_rule(make_box):
     lam, vecs = spectrum_of_box(box, with_vectors=True)
     assert np.min(np.diff(lam)) > 1e-9  # simple: every cluster is one column
     near = _near_boundary_mask(box, 2)
-    assert boundary_count(box) == column_rule_count(vecs, near)
+    assert boundary_count(box) == column_rule_count(dense_basis(box, vecs), near)
 
 
 @pytest.mark.parametrize(
@@ -900,13 +907,120 @@ def test_sectors_equal_the_dense_solve(case):
     h = got.normalized_symmetric()
     reference = np.linalg.eigvalsh(h)
     lam, vecs = spectrum_of_box(got, with_vectors=True)
+    basis = dense_basis(got, vecs)
     assert np.max(np.abs(spectrum_of_box(got) - reference)) <= 1e-12
     assert np.max(np.abs(lam - reference)) <= 1e-12
-    assert np.max(np.abs(h @ vecs - vecs * lam)) <= 1e-12
-    assert np.max(np.abs(vecs.T @ vecs - np.eye(len(got)))) <= 1e-12
+    assert np.max(np.abs(h @ basis - basis * lam)) <= 1e-12
+    assert np.max(np.abs(basis.T @ basis - np.eye(len(got)))) <= 1e-12
+    if isinstance(vecs, SectorVectors):
+        assert_lifts_bit_for_bit(got, vecs)
     assert zero_mode_count(got) == int(np.sum(np.abs(reference) <= 1e-12))
     near = _near_boundary_mask(got, 2)
     assert boundary_count(got) == reference_boundary_count(h, near)
+
+
+def assert_lifts_bit_for_bit(box, vecs):
+    """``SectorVectors.rows`` at the rows near the boundary and ``columns``
+    at the sampled columns equal those rows and columns of the ``(n, n)``
+    array the reference lift builds, bit for bit."""
+    basis = sector_basis(vecs)
+    near = np.flatnonzero(_near_boundary_mask(box, 2))
+    sample = truncation._eigenpair_sample(len(box))
+    rows, columns = vecs.rows(near), vecs.columns(sample)
+    assert rows.shape == (len(near), len(box)) and rows.tobytes() == basis[near].tobytes()
+    assert columns.shape == (len(box), len(sample))
+    assert columns.tobytes() == basis[:, sample].tobytes()
+
+
+@pytest.mark.parametrize(
+    "make_box",
+    [
+        # x keeps the sides, y swaps them: two pairs of sectors
+        lambda: truncate(make_half_plane().perturbation.oracle, ((-25, 25), (0, 25))),
+        # both reflections keep the sides: four sectors
+        lambda: truncate(make_half_plane().perturbation.oracle, ((-40, 40), (-40, 40))),
+        # both reflections swap the sides: two pairs
+        lambda: truncate(make_half_plane().perturbation.oracle, ((-40, 39), (-40, 39))),
+        # the swap x <-> y: two sectors
+        lambda: truncate(make_cone().perturbation.oracle, ((0, 30), (0, 30))),
+        lambda: truncate(make_cone().perturbation.oracle, ((0, 56), (0, 56))),
+        lambda: truncate(make_cone().perturbation.oracle, ((-5, 30), (-5, 30))),
+        # three reflections and the axis swaps of a cube
+        lambda: truncate(periodic_oracle(make_lattice(3)), ((0, 4), (0, 4), (0, 4))),
+    ],
+    ids=["half_plane_paired", "half_plane_four", "half_plane_both_swap", "cone_30", "cone_56",
+         "cone_shifted", "lattice3_cube"],
+)
+def test_sector_vectors_equal_the_reference_lift(make_box):
+    box = make_box()
+    lam, vecs = spectrum_of_box(box, with_vectors=True)
+    assert isinstance(vecs, SectorVectors)
+    assert_lifts_bit_for_bit(box, vecs)
+
+
+def test_a_split_box_builds_no_n_by_n_array():
+    """The vector solve and the boundary count of the benchmark's 1,326-vertex
+    half-plane box peak below ``4 n^2`` bytes, half of one ``(n, n)`` float64
+    array: the sector solves, the near rows and one batch of Gram inputs."""
+    box = truncate(make_half_plane().perturbation.oracle, ((-25, 25), (-25, 25)))
+    band = SpectrumApprox(((-1.0, 1.0),), (), 2, 1e-8)
+    n = len(box)
+    tracemalloc.start()
+    try:
+        lam, vecs = spectrum_of_box(box, with_vectors=True)
+        compare_spectra(lam, band, 1.0, box, vecs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(vecs, SectorVectors)
+    assert peak < 4 * n * n
+
+
+def first_block(vectors, twin):
+    """The merged columns of the first solved sector, or of its twin."""
+    m = len(vectors.solves[0])
+    return vectors.column[m : 2 * m] if twin else vectors.column[:m]
+
+
+@pytest.mark.parametrize(
+    "box, twin",
+    [
+        # the x reflection keeps the sides, the y reflection swaps them: two pairs
+        (((0, 10), (-5, 5)), False),
+        (((0, 10), (-5, 5)), True),
+        # both reflections keep the sides: four sectors, no twin
+        (((0, 10), (-5, 4)), False),
+    ],
+    ids=["sector_of_a_pair", "twin", "sector"],
+)
+def test_a_fault_in_a_lifted_column_exits_4(box, twin, tmp_path, monkeypatch):
+    """Flipping the sign of the largest entry of a sampled column as
+    ``SectorVectors`` lifts it, a column of the first solved sector or of its
+    twin, exits 4."""
+    got = truncate(make_half_plane().perturbation.oracle, box)
+    _, vecs = spectrum_of_box(got, with_vectors=True)
+    paired = vecs.sectors[0].twin_odd is not None
+    assert (len(vecs.sectors), paired) == ((2, True) if box[1] == (-5, 5) else (4, False))
+    sample = truncation._eigenpair_sample(len(got))
+    assert np.intersect1d(first_block(vecs, twin), sample).size
+    argv = ["truncate", "--graph", "builtin:lattice2", "--perturbation", "builtin:half_plane",
+            "--box=" + ",".join(str(x) for side in box for x in side),
+            "--out", str(tmp_path / "t")]
+    assert main(argv) == 0
+    lift = SectorVectors._lift
+
+    def planted(vectors, vertices, columns):
+        out = lift(vectors, vertices, columns)
+        hit = np.isin(columns, np.intersect1d(first_block(vectors, twin), sample))
+        for k in np.flatnonzero(hit)[:1]:
+            i = np.argmax(np.abs(out[:, k]))
+            out[i, k] = -out[i, k]
+        return out
+
+    monkeypatch.setattr(SectorVectors, "_lift", planted)
+    assert main(argv) == 4
+    with pytest.raises(InternalInvariantError, match="eigenvectors miss"):
+        spectrum_of_box(got, with_vectors=True)
 
 
 @st.composite
@@ -1022,14 +1136,15 @@ def test_a_broken_symmetry_keeps_the_single_block_bits(graph):
     assert symmetry.mirror_symmetries(box, None) == []
     h = box.normalized_symmetric()
     lam, vecs = spectrum_of_box(box, with_vectors=True)
+    basis = dense_basis(box, vecs)
     values = spectrum_of_box(box)
     if sides is None:
         dense_lam, dense_vecs = np.linalg.eigh(h)
-        assert np.array_equal(lam, dense_lam) and np.array_equal(vecs, dense_vecs)
+        assert np.array_equal(lam, dense_lam) and np.array_equal(basis, dense_vecs)
         assert np.array_equal(values, np.linalg.eigvalsh(h))
     else:
         svd_values, svd_lam, svd_vecs = svd_of_the_form(h, sides)
-        assert np.array_equal(lam, svd_lam) and np.array_equal(vecs, svd_vecs)
+        assert np.array_equal(lam, svd_lam) and np.array_equal(basis, svd_vecs)
         assert np.array_equal(values, svd_values)
 
 
