@@ -477,11 +477,14 @@ def find_unperturbed_box(
 
     ``searched`` is the center's rank plus one, or the number of centers in
     the window with ``center=None`` when none is clear.  Centers are taken
-    in slabs of 1, 2, 4, ... rows along the first axis; each row of the
-    membership mask is computed once, and a summed-area table counts the
-    clear cells of every box in a slab at once.  Mask rows are asked in
-    pieces along the first axis that stay within ``_MASK_LIMIT``; only a
-    window whose single padded row is past the cap raises ``InputError``.
+    in slabs of 1, 2, 4, ... rows along the first axis, and the cell rows
+    they need are read once, in order, from ``mask`` calls of at most
+    ``_MASK_LIMIT`` vertices; only a window whose single padded row is past
+    the cap raises ``InputError``.  Each piece of rows is eroded across the
+    lateral axes, and an int32 counter per lateral center holds how many
+    eroded rows in a row are clear: center row ``r`` is clear where it
+    reaches the box side at cell row ``r + half``.  A box side past 2**31 - 1
+    cells raises ``InputError``.
     """
     if n < 1:
         raise InputError(f"box radius must be >= 1, got {n}")
@@ -492,57 +495,49 @@ def find_unperturbed_box(
     pad = propagation_length(graph.base)
     half = n + pad - 1
     side = 2 * half + 1
+    if side > np.iinfo(np.int32).max:
+        raise InputError(f"box side {side} is past the int32 run counter of the search")
     bounds = (-half, half)
     (lo, hi), rest = window[0], window[1:]
     across = [(a - half, b + half) for a, b in rest]
-    per_row = int(np.prod([max(b - a + 1, 0) for a, b in rest]))
+    per_row = math.prod(max(b - a + 1, 0) for a, b in rest)
     if hi < lo or per_row == 0:
         return WindowReport(n, None, 0, bounds)
     padded_row = math.prod(b - a + 1 + 2 * pad for a, b in across) * graph.base.cell_size
     piece = max(_MASK_LIMIT // padded_row - 2 * pad, 1)
-
-    def clear_cells(first: int, last: int) -> np.ndarray:
-        """Clear cells of the cell rows ``first .. last`` across the window,
-        from one ``mask`` call per ``piece`` rows."""
-        starts = range(first, last + 1, piece) if last - first >= piece else (first,)
-        pieces = [
-            graph.unperturbed.mask([(a, min(a + piece - 1, last))] + across).all(axis=-1)
-            for a in starts
-        ]
-        return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-
-    # rows holds the clear cells of the window's cell rows first - half ..
-    # first + half - 1; a slab of centres needs them up to last + half
-    rows = clear_cells(lo - half, lo + half - 1)
-    first, slab = lo, 1
+    run = np.int32(0)  # clear rows in a row, per lateral center once a piece is read
+    top, first, slab = lo - half, lo, 1  # top: the next cell row to read
     while first <= hi:
         last = min(first + slab - 1, hi)
-        fresh = clear_cells(first + half, last + half)
-        rows = np.concatenate([rows[len(rows) - 2 * half :], fresh])
-        clear = _box_sums(rows, side) == side ** len(window)
-        hits = np.flatnonzero(clear)
-        if hits.size:
-            at = np.unravel_index(hits[0], clear.shape)
-            origin = (first,) + tuple(a for a, _ in rest)
-            cell = tuple(int(i) + c for i, c in zip(at, origin))
-            searched = (first - lo) * per_row + int(hits[0]) + 1
-            return WindowReport(n, Vertex(cell, 0), searched, bounds)
-        first, slab = last + 1, 2 * slab
+        for a in range(top, last + half + 1, piece):
+            b = min(a + piece - 1, last + half)
+            clear = _eroded(graph.unperturbed.mask([(a, b)] + across).all(axis=-1), side)
+            # run at piece row i: i minus the last blocked row at or before i,
+            # which is -1 - run when no row of the piece is blocked yet
+            at = np.arange(b - a + 1, dtype=np.int32).reshape((-1,) + (1,) * len(rest))
+            runs = np.where(clear, -1 - run, at)
+            np.subtract(at, np.maximum.accumulate(runs, axis=0, out=runs), out=runs)
+            hits = np.flatnonzero(runs >= side)
+            if hits.size:
+                index = np.unravel_index(hits[0], runs.shape)
+                origin = (a - half,) + tuple(c for c, _ in rest)
+                cell = tuple(int(i) + c for i, c in zip(index, origin))
+                searched = (a - half - lo) * per_row + int(hits[0]) + 1
+                return WindowReport(n, Vertex(cell, 0), searched, bounds)
+            run = np.minimum(runs[-1], side)
+        top, first, slab = last + half + 1, last + 1, 2 * slab
     return WindowReport(n, None, (hi - lo + 1) * per_row, bounds)
 
 
-def _box_sums(cells: np.ndarray, side: int) -> np.ndarray:
-    """Number of true entries in every box of ``side`` cells per axis that
-    fits inside ``cells``: a summed-area table built one axis at a time (a
-    cumulative sum with a leading zero), differenced ``side`` apart.  No sum
-    exceeds the number of cells, so it is counted in int32 unless there are
-    2**31 cells or more."""
-    dtype = np.int32 if cells.size < 2**31 else np.int64
-    sums = cells.astype(dtype)
-    for axis in range(sums.ndim):
+def _eroded(clear: np.ndarray, side: int) -> np.ndarray:
+    """True at each position whose box of ``side`` cells along every axis
+    but the first, starting there, is all true: per axis, a cumulative count
+    of false cells with a leading zero, differenced ``side`` apart."""
+    for axis in range(1, clear.ndim):
         lead = (slice(None),) * axis
-        table = np.cumsum(sums, axis=axis, dtype=dtype)
-        zero = np.zeros_like(table[lead + (slice(0, 1),)])
-        table = np.concatenate([zero, table], axis=axis)
-        sums = table[lead + (slice(side, None),)] - table[lead + (slice(None, -side),)]
-    return sums
+        shape = list(clear.shape)
+        shape[axis] += 1
+        blocked = np.zeros(shape, dtype=np.int32)
+        np.cumsum(~clear, axis=axis, dtype=np.int32, out=blocked[lead + (slice(1, None),)])
+        clear = blocked[lead + (slice(side, None),)] == blocked[lead + (slice(None, -side),)]
+    return clear

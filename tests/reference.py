@@ -34,6 +34,15 @@ def box_cells(box: Sequence[tuple[int, int]]) -> Iterator[Cell]:
     return itertools.product(*(range(lo, hi + 1) for lo, hi in box))
 
 
+def clear_box_corners(clear: np.ndarray, side: int) -> np.ndarray:
+    """The first corner of every box of ``side`` cells per axis inside
+    ``clear`` whose cells are all true, box by box in lexicographic order, as
+    an int ``(m, d)`` array."""
+    corners = itertools.product(*(range(m - side + 1) for m in clear.shape))
+    found = [at for at in corners if clear[tuple(slice(a, a + side) for a in at)].all()]
+    return np.array(found, dtype=int).reshape(len(found), clear.ndim)
+
+
 def region_vertices(region: Region) -> list[Vertex]:
     """Every box vertex of ``region`` in grid order, built from its box: the
     vertices its first ``kept`` rows should name."""

@@ -711,11 +711,24 @@ class TestErrorPaths:
         assert "unperturbed-set mask is capped at" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_window_of_2_to_the_64_centres_per_row(self, tmp_path, capsys):
+        # 2**32 centres on each lateral axis: their product, 2**64 centres
+        # per row, must not wrap to 0 and report an empty window
+        assert run(
+            tmp_path,
+            "condition-p", "--graph", "builtin:lattice3",
+            "--perturbation", "builtin:random_pendant,p=0.01,seed=3,dim=3",
+            "--n", "2", "--window=0,0,0,4294967295,0,4294967295",
+            "--out", str(tmp_path / "big"),
+        ) == 2
+        assert "unperturbed-set mask is capped at" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_state_beyond_the_mask_cap_is_refused_before_the_search(
         self, tmp_path, capsys, monkeypatch
     ):
-        # n=5000 would search the default 20005^2 window, with a summed-area
-        # table past 1 GiB, before its region met the cap
+        # n=5000 is refused from the size of its region, before the search
+        # reads the 10,001 cell rows of the default 20005^2 window
         def no_search(*args):
             raise AssertionError("the box search ran")
 

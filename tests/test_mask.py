@@ -1,13 +1,15 @@
 """The window-wide membership mask and the box search against scalar routes.
 
 ``UnperturbedSet.mask`` answers membership for a whole box at once and
-``find_unperturbed_box`` searches its slabs with a summed-area table.  The
-references here are the per-vertex test ``in_common(x) and
+``find_unperturbed_box`` streams its cell rows once, eroding each piece
+across the lateral axes and counting clear rows in a row per lateral
+centre.  The references here are the per-vertex test ``in_common(x) and
 _contains_known(x)`` and the lexicographic centre-by-centre scan built on it;
 both routes must agree exactly.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -304,19 +306,19 @@ def across(graph, n, window):
 
 def slab_calls(graph, n, window, stop):
     """The boxes a search asks ``mask`` for when every slab fits under the
-    cap: the ``2 half`` cell rows before the first centre row, then the rows
-    of slabs of 1, 2, 4, ... centre rows, up to the slab that holds centre
-    row ``stop`` (every slab when ``stop`` is None)."""
+    cap: the ``2 half + 1`` cell rows of the first centre row, then the new
+    rows of slabs of 2, 4, ... centre rows, each cell row once and in order,
+    up to the slab that holds centre row ``stop`` (every slab when ``stop``
+    is None)."""
     half, rest = across(graph, n, window)
     lo, hi = window[0]
-    calls = [[(lo - half, lo + half - 1)] + rest]
-    first, slab = lo, 1
+    calls, top, first, slab = [], lo - half, lo, 1
     while first <= hi:
         last = min(first + slab - 1, hi)
-        calls.append([(first + half, last + half)] + rest)
+        calls.append([(top, last + half)] + rest)
         if stop is not None and first <= stop <= last:
             break
-        first, slab = last + 1, 2 * slab
+        top, first, slab = last + half + 1, last + 1, 2 * slab
     return calls
 
 
@@ -341,6 +343,49 @@ def test_search_in_pieces_under_a_small_cap(monkeypatch, name, n, window, rows):
     assert find_unperturbed_box(graph, n, window) == whole
     assert all(padded_size(graph, box) <= limit for box in calls)
     assert all(hi - lo + 1 <= rows for (lo, hi), *_ in calls)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG) + ["explicit"])
+@given(data=st.data())
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_search_in_pieces_of_one_to_three_rows_matches_reference_scan(name, data):
+    """The run counter carries across pieces: with the cap shrunk to 1-3
+    rows per ``mask`` call the search still finds the scan's centre."""
+    if name == "explicit":
+        graph = data.draw(explicit_patches())
+        window = data.draw(boxes(graph.base.dim, reach=R + 3, width=2 * R + 4))
+    else:
+        graph = GRAPHS[name]
+        window = data.draw(boxes(graph.base.dim, reach=10, width=3 if graph.base.dim == 3 else 12))
+    n = data.draw(st.integers(1, 2 if graph.base.dim == 3 else 4))
+    rows = data.draw(st.integers(1, 3))
+    limit = padded_size(graph, [(0, rows - 1)] + across(graph, n, window)[1])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(perturbation, "_MASK_LIMIT", limit)
+        assert find_unperturbed_box(graph, n, window) == scan_reference(graph, n, window)
+
+
+def test_search_keeps_no_rows_of_the_box(monkeypatch):
+    """One centre at n=1000 needs 2001 cell rows of 2003 padded cells; under
+    a cap of 2**16 vertices each piece is dropped before the next is read,
+    so the traced peak stays near one piece, not the 4M cells of the box."""
+    monkeypatch.setattr(perturbation, "_MASK_LIMIT", 2**16)
+    tracemalloc.start()
+    try:
+        report = find_unperturbed_box(GRAPHS["half_plane"], 1000, ((0, 0), (0, 0)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report == WindowReport(1000, None, 1, (-1000, 1000))
+    assert peak < 8 * 10**6
+
+
+def test_search_refuses_a_box_side_past_the_run_counter():
+    graph = PerturbedGraph(make_lattice(1), Patch())
+    n = 2**30 - 1  # half n, side 2**31 - 1: the greatest int32
+    assert find_unperturbed_box(graph, n, ((0, -1),)).searched == 0
+    with pytest.raises(InputError, match="int32 run counter"):
+        find_unperturbed_box(graph, n + 1, ((0, 0),))
 
 
 def test_search_refuses_a_single_row_past_the_cap(tmp_path, monkeypatch):

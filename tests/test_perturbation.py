@@ -19,7 +19,7 @@ from periodic_spectra.errors import (
     VertexNotInCommonSubgraphError,
 )
 from periodic_spectra.graphs import Vertex
-from periodic_spectra.perturbation import _box_sums
+from periodic_spectra.perturbation import _eroded
 from periodic_spectra.region import Region
 
 from reference import (
@@ -135,15 +135,19 @@ class TestConditionSearch:
         with pytest.raises(InputError):
             find_unperturbed_box(cone.perturbation, 0, ((0, 5), (0, 5)))
 
-    @pytest.mark.parametrize("shape", [(1,), (9,), (5, 7), (4, 1, 6)])
-    def test_box_sums_count_every_box_in_int32(self, shape, rng):
-        cells = rng.random(shape) < 0.6
-        for side in range(1, min(shape) + 1):
-            sums = _box_sums(cells, side)
-            assert sums.dtype == np.int32
-            starts = np.ndindex(*(m - side + 1 for m in shape))
-            want = [cells[tuple(slice(a, a + side) for a in at)].sum() for at in starts]
-            assert sums.reshape(-1).tolist() == want
+    @pytest.mark.parametrize("shape", [(9,), (5, 7), (4, 1, 6), (3, 5, 4)])
+    def test_eroded_is_clear_where_every_lateral_box_is(self, shape, rng):
+        """Brute force, box by box: no lateral axis (nothing to erode), 2-D,
+        3-D, and every side up to the full width of the narrowest axis."""
+        cells = rng.random(shape) < 0.9
+        for side in range(1, min(shape[1:], default=1) + 1):
+            got = _eroded(cells, side)
+            assert got.dtype == bool
+            starts = np.ndindex(shape[0], *(m - side + 1 for m in shape[1:]))
+            want = [
+                cells[(t,) + tuple(slice(a, a + side) for a in at)].all() for t, *at in starts
+            ]
+            assert got.reshape(-1).tolist() == want
 
 
 class TestEmbedding:

@@ -42,7 +42,7 @@ from periodic_spectra import (
 from periodic_spectra import region as region_module
 from periodic_spectra import weyl as weyl_module
 from periodic_spectra.errors import InputError, InternalInvariantError
-from periodic_spectra.perturbation import PerturbedOracle, _box_sums
+from periodic_spectra.perturbation import PerturbedOracle
 from periodic_spectra.cli import main
 from periodic_spectra.region import Region
 from periodic_spectra.weyl import embedded_route_residual, sup_norm_bound
@@ -51,6 +51,7 @@ from reference import (
     apply_defect,
     apply_laplacian,
     box_cells,
+    clear_box_corners,
     embed_state,
     embedding_norm_bounds,
     region_entries,
@@ -238,8 +239,8 @@ def nearest_clear_center(graph, center, half, reach=16):
     vertex of it, which is kept (a box next to a removed vertex is not clear)
     and so a CSR row."""
     window = [(c - reach - half, c + reach + half) for c in center]
-    blocked = ~graph.unperturbed.mask(window).all(axis=-1)
-    offsets = np.argwhere(_box_sums(blocked, 2 * half + 1) == 0) - reach
+    clear = graph.unperturbed.mask(window).all(axis=-1)
+    offsets = clear_box_corners(clear, 2 * half + 1) - reach
     best = min(map(tuple, offsets.tolist()), key=lambda o: (sum(x * x for x in o), o))
     return tuple(c + o for c, o in zip(center, best))
 
