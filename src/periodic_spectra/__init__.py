@@ -26,7 +26,6 @@ from .catalog import (
 from .floquet import (
     SpectrumApprox,
     band_eigensystem,
-    band_grid,
     band_values,
     essential_spectrum,
     fiber_matrices,
@@ -94,7 +93,6 @@ __all__ = [
     "WeylState",
     "WindowReport",
     "band_eigensystem",
-    "band_grid",
     "band_values",
     "build_periodic",
     "build_weyl_state",

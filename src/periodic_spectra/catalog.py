@@ -249,14 +249,11 @@ def _check_box(n: int, dim: int) -> None:
         raise InputError(f"dimension must be >= 1, got {dim}")
 
 
+_TRIAL_CHUNK = 65536  # trials per chunk of ``clear_box_monte_carlo``
+
+
 def clear_box_monte_carlo(
-    n: int,
-    p: float,
-    dim: int,
-    trials: int,
-    seed: int,
-    pool=None,
-    chunk: int = 65536,
+    n: int, p: float, dim: int, trials: int, seed: int, pool=None
 ) -> float:
     """Monte Carlo estimate of ``clear_box_probability``.
 
@@ -266,9 +263,9 @@ def clear_box_monte_carlo(
     offset in ``box_cell_array`` order, hashes only those boxes' cells and
     drops each box at its first pendant, stopping when none is left.  A
     cell's bit does not depend on when it is hashed, so the survivors are
-    exactly the clear boxes.  Chunks are evaluated independently and reduced
-    by integer sum, so the estimate is identical for any ``chunk`` and any
-    pool size.
+    exactly the clear boxes.  Chunks of ``_TRIAL_CHUNK`` trials are evaluated
+    independently and reduced by integer sum, so the estimate is identical
+    for any chunk size and any pool size.
     """
     _check_box(n, dim)
     if trials < 1:
@@ -292,9 +289,7 @@ def clear_box_monte_carlo(
             first = first[~bernoulli_array(seed, cells, p)]
         return len(first)
 
-    bounds = [
-        (lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)
-    ]
+    bounds = [(lo, min(lo + _TRIAL_CHUNK, trials)) for lo in range(0, trials, _TRIAL_CHUNK)]
     if pool is None:
         hits = [count_chunk(b) for b in bounds]
     else:

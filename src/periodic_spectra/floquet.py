@@ -111,22 +111,14 @@ def _grid_box(dim: int, grid_per_axis: int) -> list[tuple[int, int]]:
     return [(0, grid_per_axis - 1)] * dim
 
 
-def grid_points(dim: int, grid_per_axis: int) -> np.ndarray:
-    """All grid quasimomenta ``2 pi m / grid`` in lexicographic axis order,
-    shape (grid^dim, dim); raises ``InputError`` unless ``grid_per_axis`` is
-    even and at least 2."""
-    cells = box_cell_array(_grid_box(dim, grid_per_axis))
-    return 2.0 * np.pi * cells / grid_per_axis
-
-
 # Grid rows assembled and diagonalized per batch, so the fiber temporaries
 # grow with a slab and not with the grid.
 _SLAB_ROWS = 4096
 
 
 def band_values(graph: PeriodicGraph, grid_per_axis: int, rows: int | None = None) -> np.ndarray:
-    """The sorted band values at the grid points of ``grid_points``, shape
-    (M, s), or at its first ``rows`` points only.
+    """The sorted band values at ``k = 2 pi m / grid``, ``m`` in ``_grid_box``
+    in lexicographic order, shape (M, s), or at its first ``rows`` points only.
 
     The points are taken ``_SLAB_ROWS`` at a time: each slab's cells, its
     quasimomenta, fiber matrices and ``eigvalsh`` are built and dropped
@@ -146,17 +138,6 @@ def band_values(graph: PeriodicGraph, grid_per_axis: int, rows: int | None = Non
         ks = 2.0 * np.pi * box_cell_array(box, at=at) / grid_per_axis
         lambdas[start:start + len(at)] = np.linalg.eigvalsh(assemble(ks))
     return lambdas
-
-
-def band_grid(graph: PeriodicGraph, grid_per_axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sample every band over the full grid.
-
-    Returns ``(K, lambdas)`` where K has shape (M, d) and lambdas (M, s),
-    rows ascending: ``grid_points`` and ``band_values``.  The grid ordering
-    is fixed, so results are deterministic.
-    """
-    ks = grid_points(graph.dim, grid_per_axis)
-    return ks, band_values(graph, grid_per_axis)
 
 
 def _merge_intervals(raw: list[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
@@ -194,7 +175,7 @@ def essential_spectrum(
 def _band_union(
     lambdas: np.ndarray, grid_per_axis: int, flat_tol: float = DEFAULT_FLAT_TOL
 ) -> SpectrumApprox:
-    """Interval rule of ``essential_spectrum`` applied to ``band_grid`` samples."""
+    """Interval rule of ``essential_spectrum`` applied to ``band_values`` samples."""
     raw = []
     flats = []
     for i in range(lambdas.shape[1]):
@@ -242,16 +223,16 @@ def locate_band_value(
 ) -> tuple[int, np.ndarray, np.ndarray]:
     """Find a band index h and quasimomentum k with band_h(k) = target.
 
-    Scans the grid for the closest band sample, then refines coordinate by
-    coordinate with golden-section searches over one grid cell until the
-    band value matches ``target`` to ``_REFINE_TOL``.  Raises
+    Scans ``band_values`` for the closest band sample, then refines
+    coordinate by coordinate with golden-section searches over one grid cell
+    until the band value matches ``target`` to ``_REFINE_TOL``.  Raises
     ``NotInSpectrumError`` when no band sample comes within ``_MATCH_TOL`` or
     when the refined band value still misses ``target`` by more than
     ``_REFINE_TOL``, and ``InputError`` when ``target`` is not finite.
     """
     if not math.isfinite(target):
         raise InputError(f"the band value must be finite, got {target}")
-    ks, lambdas = band_grid(graph, grid_per_axis)
+    lambdas = band_values(graph, grid_per_axis)
     gaps = np.abs(lambdas - target).reshape(-1)
     idx = int(np.argmin(gaps))
     row, band = divmod(idx, graph.cell_size)
@@ -259,7 +240,8 @@ def locate_band_value(
         _band_union(lambdas, grid_per_axis).distance(target) > _MATCH_TOL
     ):
         raise NotInSpectrumError(f"{target} is not within {_MATCH_TOL} of any band")
-    k = np.array(ks[row], dtype=float)
+    box = _grid_box(graph.dim, grid_per_axis)
+    k = 2.0 * np.pi * box_cell_array(box, at=[row])[0] / grid_per_axis
     step = 2.0 * np.pi / grid_per_axis
     assemble = _fiber_assembler(graph)
     probe = np.empty((1, graph.dim))

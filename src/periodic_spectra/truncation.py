@@ -15,7 +15,9 @@ of the box that map its vertices and edges onto themselves; ``symmetry``):
 each character of the group they generate gives one sector, solved by an
 SVD when the box is bipartite and every accepted mirror keeps its two sides,
 and by ``eigh`` otherwise; when a mirror swaps the sides of a bipartite box,
-the sectors pair up and one ``eigh`` solves both sectors of a pair.
+the sectors pair up and one ``eigh`` solves both sectors of a pair.  A box
+with no accepted mirror is the one identity sector: every induced box returns
+``SectorVectors``, every wrap ``BlochVectors``.
 """
 
 from __future__ import annotations
@@ -72,6 +74,9 @@ _MOMENT_TOL = 1e-12
 # on about ``_EIGENPAIR_SAMPLES`` sampled columns of an induced box's vectors.
 _EIGENPAIR_TOL = 1e-12
 _EIGENPAIR_SAMPLES = 30
+
+# The boundary count's near rows lie within this graph distance of a box face.
+_NEAR_RADIUS = 2
 
 # Entries of one batch of cluster Gram inputs in the boundary count (512 KiB,
 # so that a batch and its transpose stay well below the near rows ``W``).
@@ -275,7 +280,7 @@ class BlochVectors:
         return np.exp(2j * np.pi * turns) * amplitude / np.sqrt(lengths.prod())
 
 
-Eigenvectors = np.ndarray | BlochVectors | SectorVectors
+Eigenvectors = BlochVectors | SectorVectors
 
 
 def spectrum_of_box(box_graph: BoxGraph, with_vectors: bool = False):
@@ -315,11 +320,11 @@ def spectrum_of_box(box_graph: BoxGraph, with_vectors: bool = False):
     is solved: the other's values are ``-lam`` reversed, and its vectors
     ``Z(reps) y`` with the columns reversed.
 
-    A box without an accepted symmetry is one sector whose block is the
-    whole form, built and solved as it always was and returned as the
-    solver gives it, so its outputs keep their bits.  Otherwise ``_merge``
-    checks each solved block's moments, merges the values by one stable
-    ``argsort`` and returns the vectors as ``SectorVectors``.
+    A box without an accepted symmetry is the identity sector, whose block
+    is the whole form.  ``_merge`` checks each solved block's moments, merges
+    the values by one stable ``argsort`` and returns ``SectorVectors``; on
+    the identity sector the merge is the identity and the lift multiplies by
+    exactly 1.0, so the outputs have the bits of the whole form's solve.
 
     Every solve is checked by ``_check_moments``, and every solve with
     vectors by ``_check_eigenpairs`` (exit code 4 on a miss).
@@ -331,16 +336,11 @@ def spectrum_of_box(box_graph: BoxGraph, with_vectors: bool = False):
     else:
         sides = box_graph.sides
         split = sectors(mirror_symmetries(box_graph, sides), n, sides)
-        paired = split[0].twin_odd is not None  # then every sector has a twin
-        if sides is None or paired:
+        if sides is None or split[0].twin_odd is not None:  # odd cycles, or paired sectors
             parts = [_dense_solve(box_graph, sector, with_vectors) for sector in split]
         else:
             parts = [_bipartite_solve(box_graph, sector, sides, with_vectors) for sector in split]
-        if len(split) > 1 or paired:
-            solved, miss = _merge(box_graph, split, parts, sides, with_vectors)
-        else:  # no symmetry: the solve is ascending and in vertex order
-            solved = parts[0]
-            miss = _gram_miss(solved[1], _eigenpair_sample(n)) if with_vectors else 0.0
+        solved, miss = _merge(box_graph, split, parts, sides, with_vectors)
     _check_moments(solved[0] if with_vectors else solved, n, box_graph.moments)
     if with_vectors:
         _check_eigenpairs(box_graph, *solved, miss)
@@ -430,9 +430,9 @@ def _check_eigenpairs(
     (``_eigenpair_sample``) of ``vec`` are unit eigenvectors of their values
     and ``gram_miss``, their orthonormality miss from ``_gram_miss``, is
     small: ``|H v - lam v|``, ``|v^H v - 1|`` and ``gram_miss`` at most
-    ``n * _EIGENPAIR_TOL``.  For an ``(n, n)`` array or ``SectorVectors``,
-    ``H v`` is one ``bincount`` over the edges per sampled column, with no
-    ``n x n`` product.  For ``BlochVectors`` each sampled column is checked as its
+    ``n * _EIGENPAIR_TOL``.  For ``SectorVectors``, ``H v`` is one
+    ``bincount`` over the edges per sampled column, with no ``n x n``
+    product.  For ``BlochVectors`` each sampled column is checked as its
     fiber pair ``(u, H(k) u)``, with ``H(k)`` assembled again by
     ``fiber_matrices`` at the sampled modes only."""
     n = len(box_graph)
@@ -442,7 +442,7 @@ def _check_eigenpairs(
         ks = 2.0 * np.pi * vec.modes[sample] / np.array(vec.lengths)
         hv = (fiber_matrices(box_graph.periodic, ks) @ v[:, :, None])[:, :, 0]
     else:
-        v = (vec.columns(sample) if isinstance(vec, SectorVectors) else vec[:, sample]).T
+        v = vec.columns(sample).T
         inv_sqrt = 1.0 / np.sqrt(box_graph.degrees.astype(float))
         rows, cols = box_graph.rows, box_graph.cols
         weights = inv_sqrt[rows] * inv_sqrt[cols]
@@ -529,9 +529,9 @@ def compare_spectra(
     """Fraction of eigenvalues within ``eps`` of the reference intervals.
 
     When the box and the eigenvectors ``spectrum_of_box`` gave with the
-    (ascending) eigenvalues are supplied, ``boundary_count`` counts the
-    boundary modes, as ``_count_boundary_modes`` defines them.  An ``eps``
-    that is not positive and finite raises ``InputError``.
+    (ascending) eigenvalues are supplied (``BlochVectors`` or ``SectorVectors``),
+    ``boundary_count`` counts the boundary modes (``_count_boundary_modes``).
+    An ``eps`` that is not positive and finite raises ``InputError``.
     """
     check_eps(eps)
     eigs = np.asarray(eigenvalues, dtype=np.float64)
@@ -555,9 +555,9 @@ def _count_boundary_modes(
 
     The ascending eigenvalues split into clusters at gaps above
     ``_CLUSTER_GAP``.  For a cluster whose eigenvectors have the rows ``W``
-    at the vertices within graph distance 2 of the box's geometric boundary,
-    the count adds the eigenvalues of ``W^H W`` that are at least 1/2 (less
-    ``_HALF_TOL``, so that an exact half does not follow roundoff): the
+    at the vertices within graph distance ``_NEAR_RADIUS`` of the box's
+    faces, the count adds the eigenvalues of ``W^H W`` that are at least 1/2
+    (less ``_HALF_TOL``, so that an exact half does not follow roundoff): the
     squared cosines of the principal angles between the cluster's eigenspace
     and those coordinates.  They do not depend on the basis of the cluster or
     on the order of the vertices, and on a simple eigenvalue the count is
@@ -565,16 +565,14 @@ def _count_boundary_modes(
     When a cluster has more columns than there are near rows, ``W W^H``
     (the same nonzero eigenvalues) is taken instead.
     """
-    near = _near_boundary_mask(box_graph, radius=2)
+    near = _near_boundary_mask(box_graph)
     r = int(near.sum())
     if r == 0:
         return 0
     if isinstance(vectors, BlochVectors):
         grams = _bloch_grams(box_graph, near, vectors)
-    elif isinstance(vectors, SectorVectors):
-        grams = _dense_grams(vectors.rows(np.flatnonzero(near)), np.arange(r))
     else:
-        grams = _dense_grams(vectors, np.flatnonzero(near))
+        grams = _dense_grams(vectors.rows(np.flatnonzero(near)))
     bounds = np.concatenate(
         [[0], np.flatnonzero(np.diff(eigenvalues) > _CLUSTER_GAP) + 1, [len(eigenvalues)]]
     )
@@ -589,15 +587,14 @@ def _count_boundary_modes(
     return count
 
 
-def _dense_grams(vectors: np.ndarray, near: np.ndarray):
-    """Cluster Grams from the rows ``near`` of an ``(n, n)`` eigenvector
-    array: columns ``(c, m)`` give ``c`` Grams of size ``min(m, r)``.  Each
-    batch reads its ``(r, c, m)`` block straight from ``vectors``, so the
-    ``r`` near rows are never copied whole."""
+def _dense_grams(near_rows: np.ndarray):
+    """Cluster Grams from the ``(r, n)`` near rows of a split box's lifted
+    eigenvectors: columns ``(c, m)`` give ``c`` Grams of size ``min(m, r)``,
+    each batch reading its ``(r, c, m)`` block from ``near_rows``."""
 
     def grams(columns: np.ndarray) -> np.ndarray:
-        w = np.moveaxis(vectors[near[:, None, None], columns[None]], 0, 1)  # (c, r, m)
-        if columns.shape[1] <= len(near):
+        w = np.moveaxis(near_rows[:, columns], 0, 1)  # (c, r, m)
+        if columns.shape[1] <= len(near_rows):
             return np.conj(np.swapaxes(w, 1, 2)) @ w
         return w @ np.conj(np.swapaxes(w, 1, 2))
 
@@ -634,11 +631,11 @@ def _bloch_grams(box_graph: BoxGraph, near: np.ndarray, vectors: BlochVectors):
     return grams
 
 
-def _near_boundary_mask(box_graph: BoxGraph, radius: int) -> np.ndarray:
+def _near_boundary_mask(box_graph: BoxGraph) -> np.ndarray:
     lengths = np.array([hi - lo for lo, hi in box_graph.box])
     offsets = box_graph.offsets
     near = np.any((offsets == 0) | (offsets == lengths), axis=1)
-    for _ in range(radius):
+    for _ in range(_NEAR_RADIUS):
         near[box_graph.cols[near[box_graph.rows]]] = True
     return near
 

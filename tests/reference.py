@@ -7,6 +7,13 @@ tests compare the package's array route (``region.Region``) against them.
 ``sector_basis`` is the reference for ``truncation.SectorVectors``: it
 lifts every sector solve of an induced box into one ``(n, n)`` array, group
 element by group element, and puts its columns in merged order.
+``identity_vectors`` goes the other way for a box with no symmetry: it
+wraps an ``(n, n)`` eigenvector array as the vectors of the identity sector.
+
+``band_grid`` samples every band over the whole grid from one
+``fiber_matrices`` and one ``eigvalsh``, the reference for the slabs of
+``floquet.band_values``, and ``locate_on_whole_grid`` is
+``floquet.locate_band_value`` started from it.
 """
 
 from __future__ import annotations
@@ -17,12 +24,18 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from periodic_spectra import floquet
 from periodic_spectra.errors import (
-    EmptySupportError, InputError, VertexNotInCommonSubgraphError, VertexNotInGraphError,
+    EmptySupportError, InputError, NotInSpectrumError, VertexNotInCommonSubgraphError,
+    VertexNotInGraphError,
 )
-from periodic_spectra.graphs import Cell, GraphOracle, PeriodicGraph, State, Vertex
+from periodic_spectra.floquet import band_eigensystem, fiber_matrices
+from periodic_spectra.graphs import (
+    Cell, GraphOracle, PeriodicGraph, State, Vertex, box_cell_array,
+)
 from periodic_spectra.perturbation import PerturbedGraph
 from periodic_spectra.region import Region
+from periodic_spectra.symmetry import sectors
 from periodic_spectra.truncation import BoxGraph, SectorVectors
 from periodic_spectra.weyl import WeylState, _check_eigenpair, tent_norm_sq
 
@@ -293,3 +306,57 @@ def sector_basis(vectors: SectorVectors) -> np.ndarray:
     merged = np.empty_like(vec)
     merged[:, vectors.column] = vec
     return merged
+
+
+def identity_vectors(basis: np.ndarray) -> SectorVectors:
+    """The real ``(n, n)`` eigenvector array ``basis`` as ``SectorVectors``
+    of the one identity sector, columns in their order: what
+    ``spectrum_of_box`` returns for a box with no accepted symmetry."""
+    n = len(basis)
+    return SectorVectors(sectors([], n, None), [basis], None, np.arange(n))
+
+
+def grid_points(dim: int, grid: int) -> np.ndarray:
+    """Every grid quasimomentum ``2 pi m / grid``, ``m`` in ``{0, ...,
+    grid-1}^dim`` in lexicographic order, shape ``(grid^dim, dim)``."""
+    return 2.0 * np.pi * box_cell_array([(0, grid - 1)] * dim) / grid
+
+
+def band_grid(graph: PeriodicGraph, grid: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(ks, lambdas)``: ``grid_points`` and the sorted band values there,
+    from one ``eigvalsh`` over the fiber matrices of the whole grid."""
+    ks = grid_points(graph.dim, grid)
+    return ks, np.linalg.eigvalsh(fiber_matrices(graph, ks))
+
+
+def locate_on_whole_grid(
+    graph: PeriodicGraph, target: float, grid: int
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """``floquet.locate_band_value`` started from the whole-grid ``band_grid``:
+    the closest band sample, then golden-section refinement coordinate by
+    coordinate over one grid step, at most 8 sweeps."""
+    ks, lambdas = band_grid(graph, grid)
+    gaps = np.abs(lambdas - target).reshape(-1)
+    idx = int(np.argmin(gaps))
+    row, band = divmod(idx, graph.cell_size)
+    if gaps[idx] > floquet._MATCH_TOL and (
+        floquet._band_union(lambdas, grid).distance(target) > floquet._MATCH_TOL
+    ):
+        raise NotInSpectrumError(f"{target} is not within {floquet._MATCH_TOL} of any band")
+    k = np.array(ks[row], dtype=float)
+    step = 2.0 * np.pi / grid
+    assemble = floquet._fiber_assembler(graph)
+
+    def mismatch_along(axis: int, x: float) -> float:
+        probe = k[None, :].copy()
+        probe[0, axis] = x
+        return abs(float(np.linalg.eigvalsh(assemble(probe))[0, band]) - target)
+
+    for _ in range(8):
+        for axis in range(graph.dim):
+            k[axis] = floquet._golden_refine(
+                lambda x: mismatch_along(axis, x), k[axis] - step, k[axis] + step
+            )
+        if mismatch_along(0, k[0]) <= floquet._REFINE_TOL:
+            return band, k, band_eigensystem(graph, k)[1][:, band]
+    raise NotInSpectrumError(f"band {band} misses {target} after refinement")

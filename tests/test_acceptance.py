@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from periodic_spectra import (
-    band_grid,
     build_weyl_state,
     clear_box_monte_carlo,
     clear_box_probability,
@@ -36,7 +35,7 @@ from periodic_spectra import (
 from periodic_spectra.cli import main as cli_main
 from periodic_spectra.graphs import Vertex
 
-from reference import apply_defect, box_index
+from reference import apply_defect, band_grid, box_index
 from test_weyl import base_vector
 
 

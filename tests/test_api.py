@@ -24,12 +24,13 @@ from periodic_spectra.truncation import TruncationReport
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
 
-# The vertex-by-vertex operators and the cell iterator of ``reference.py``.
+# The vertex-by-vertex operators, the cell iterator and the whole-grid band
+# sampler of ``reference.py``.
 REFERENCE_ONLY = (
     "apply_laplacian", "weighted_norm", "weighted_inner", "translate_state", "sup_norm",
     "_sorted_items", "embed_state", "apply_defect", "embedding_norm_bounds",
     "_support_degrees", "in_unperturbed_set", "windowed_bloch_state", "TentCutoff",
-    "tent_value", "box_cells", "sector_basis",
+    "tent_value", "box_cells", "sector_basis", "identity_vectors", "grid_points", "band_grid",
 )
 
 # The certificate of a test state: each reads the graph from the state.
@@ -51,7 +52,7 @@ UNCALLED = {
 }
 
 # Parameter names that only ever took their default and are constants now.
-CONSTANT_PARAMETERS = ("match_tol", "refine_tol", "tol")
+CONSTANT_PARAMETERS = ("match_tol", "refine_tol", "tol", "chunk", "radius")
 
 
 def test_all_names_resolve():

@@ -170,9 +170,10 @@ class TestClearBoxProbability:
         se = np.sqrt(expected * (1 - expected) / 200_000)
         assert abs(estimate - expected) <= 3.0 * se
 
-    def test_monte_carlo_chunking_invariant(self):
-        a = clear_box_monte_carlo(1, 0.5, 2, 50_000, seed=11, chunk=1024)
-        b = clear_box_monte_carlo(1, 0.5, 2, 50_000, seed=11, chunk=65536)
+    def test_monte_carlo_chunking_invariant(self, monkeypatch):
+        b = clear_box_monte_carlo(1, 0.5, 2, 50_000, seed=11)
+        monkeypatch.setattr(catalog, "_TRIAL_CHUNK", 1024)
+        a = clear_box_monte_carlo(1, 0.5, 2, 50_000, seed=11)
         assert a == b
 
     @pytest.mark.parametrize("side,dim", [(1, 1), (3, 1), (3, 2), (5, 3)])
@@ -214,9 +215,10 @@ class TestClearBoxProbability:
     @settings(max_examples=40, deadline=None)
     def test_monte_carlo_matches_every_cell_reference(self, n, dim, p, trials, seed, chunk):
         assume(chunk == 1 or trials % chunk)
-        assert clear_box_monte_carlo(n, p, dim, trials, seed, chunk=chunk) == (
-            every_cell_estimate(n, p, dim, trials, seed)
-        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(catalog, "_TRIAL_CHUNK", chunk)
+            estimate = clear_box_monte_carlo(n, p, dim, trials, seed)
+        assert estimate == every_cell_estimate(n, p, dim, trials, seed)
 
     @pytest.mark.parametrize("n, dim", [(1, 1), (1, 2), (2, 2), (1, 3)])
     def test_monte_carlo_hashes_until_the_first_pendant(self, monkeypatch, n, dim):
@@ -227,12 +229,13 @@ class TestClearBoxProbability:
             return bernoulli_array(seed, cells, p)
 
         monkeypatch.setattr(catalog, "bernoulli_array", counted)
+        monkeypatch.setattr(catalog, "_TRIAL_CHUNK", 300)
         trials = 1000
-        assert clear_box_monte_carlo(n, 1.0, dim, trials, seed=4, chunk=300) == 0.0
+        assert clear_box_monte_carlo(n, 1.0, dim, trials, seed=4) == 0.0
         # one call per chunk: a chunk stops once no box is left
         assert hashed == [300, 300, 300, 100]
         hashed.clear()
-        assert clear_box_monte_carlo(n, 0.0, dim, trials, seed=4, chunk=300) == 1.0
+        assert clear_box_monte_carlo(n, 0.0, dim, trials, seed=4) == 1.0
         assert sum(hashed) == trials * (2 * n + 1) ** dim
 
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from periodic_spectra import band_grid, cli, get_entry, make_g11, weyl
+from periodic_spectra import cli, get_entry, make_g11, weyl
 from periodic_spectra import graphs as graphs_module
 from periodic_spectra import truncation as truncation_module
 from periodic_spectra.cli import Lookup, RunContext, _fmt, _format_columns, _json_text, main
@@ -28,6 +28,8 @@ from periodic_spectra.io import (
     load_perturbation_file,
     write_graph_file,
 )
+
+from reference import band_grid
 
 
 def run(tmp_path, *argv):
@@ -592,6 +594,9 @@ class TestRandomTrial:
             ("--dim", "0", "dimension must be >= 1, got 0"),
             ("--dim", "-1", "dimension must be >= 1, got -1"),
             ("--n", "0", "box radius must be >= 1, got 0"),
+            # (2n + 1)^2 overflows a float in the closed form: refused before it
+            pytest.param("--n", str(10**200), "has coordinates outside the 64-bit range",
+                         id="n-10**200"),
         ],
     )
     def test_bad_box_exits_2(self, tmp_path, capsys, flag, value, message):
@@ -830,8 +835,12 @@ class TestErrorPaths:
             ["truncate", "--graph", "builtin:lattice2", "--box=0,4096,0,4096", "--wrap"],
             ["random-trial", "--p", "0.5", "--n", "100000", "--dim", "3", "--trials", "1",
              "--seed", "0"],
+            # (2n + 1)^20 overflows a float: refused before the closed form
+            ["random-trial", "--p", "0.5", "--n", str(10**18), "--dim", "20", "--trials", "1",
+             "--seed", "0"],
         ],
-        ids=["bands", "sigma-ess", "weyl-check", "truncate", "truncate-wrap", "random-trial"],
+        ids=["bands", "sigma-ess", "weyl-check", "truncate", "truncate-wrap", "random-trial",
+             "random-trial-overflow"],
     )
     def test_box_beyond_the_cell_cap_exits_2(self, tmp_path, capsys, argv):
         assert run(tmp_path, *argv, "--out", str(tmp_path / "o")) == 2

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from periodic_spectra import (
     band_eigensystem,
-    band_grid,
     band_values,
     essential_spectrum,
     fiber_matrices,
@@ -20,8 +19,9 @@ from periodic_spectra import (
 from periodic_spectra.errors import DimensionMismatchError, InputError, NotInSpectrumError
 from periodic_spectra import floquet
 from periodic_spectra.catalog import entry_names
-from periodic_spectra.floquet import _band_union, _fiber_assembler, grid_points
+from periodic_spectra.floquet import _band_union, _fiber_assembler
 
+from reference import band_grid, grid_points, locate_on_whole_grid
 from test_graphs import small_graphs
 
 
@@ -333,6 +333,28 @@ class TestLocate:
             lambdas, _ = band_eigensystem(g21.base, k)
             assert abs(lambdas[band] - target) <= 1e-8
 
+    @pytest.mark.parametrize("grid", [8, 64])
+    @pytest.mark.parametrize("name", ["lattice2", "g21", "lattice3"])
+    def test_equals_the_whole_grid_route_bit_for_bit(self, name, grid):
+        """Started from ``band_values`` and the k of its best row alone, the
+        located band, k and eigenvector have the bits of the route that
+        starts from the whole grid's ``band_grid``, and a miss is a miss on
+        both."""
+        graph = get_entry(name).base
+        located = 0
+        for target in (-0.9, -1.0 / 3.0, 0.0, 0.45, 0.8, 1.2):
+            try:
+                band, k, xi = locate_on_whole_grid(graph, target, grid)
+            except NotInSpectrumError:
+                with pytest.raises(NotInSpectrumError):
+                    locate_band_value(graph, target, grid)
+                continue
+            got = locate_band_value(graph, target, grid)
+            assert got[0] == band
+            assert got[1].tobytes() == k.tobytes() and got[2].tobytes() == xi.tobytes()
+            located += 1
+        assert located >= 3
+
 
 @given(small_graphs(), st.floats(0.0, 2 * np.pi))
 @settings(max_examples=80, deadline=None)
@@ -393,18 +415,14 @@ def test_slabs_give_the_bits_of_one_batch(name, grid, slab):
     one ``eigvalsh`` over the fiber matrices of the whole grid."""
     graph = catalog_base(name)
     grid = min(grid, 6) if graph.dim == 3 else grid
-    ks = grid_points(graph.dim, grid)
-    whole = np.linalg.eigvalsh(fiber_matrices(graph, ks))
+    whole = band_grid(graph, grid)[1]
     half = (grid // 2 + 1) * grid ** (graph.dim - 1)
     expected = _band_union(whole[:half], grid)
     with mock.patch.object(floquet, "_SLAB_ROWS", slab):
         values = band_values(graph, grid)
-        sampled_ks, sampled = band_grid(graph, grid)
         spec = essential_spectrum(graph, grid)
-    for got in (values, sampled):
-        assert got.shape == whole.shape
-        assert np.array_equal(got.view(np.uint64), whole.view(np.uint64))
-    assert np.array_equal(sampled_ks.view(np.uint64), ks.view(np.uint64))
+    assert values.shape == whole.shape
+    assert np.array_equal(values.view(np.uint64), whole.view(np.uint64))
     for got, want in [(spec.intervals, expected.intervals),
                       (spec.flat_points, expected.flat_points)]:
         assert np.array_equal(

@@ -9,7 +9,6 @@ from periodic_spectra import (
     PerturbedGraph,
     PredicatePatch,
     band_eigensystem,
-    band_grid,
     build_periodic,
     build_weyl_state,
     essential_spectrum,
@@ -21,7 +20,7 @@ from periodic_spectra import (
 )
 from periodic_spectra.graphs import FundEdge, Vertex
 
-from reference import apply_laplacian
+from reference import apply_laplacian, band_grid
 from test_floquet import pulled_back
 from test_graphs import small_graphs
 

@@ -34,7 +34,6 @@ from periodic_spectra import (
     PredicatePatch,
     SectorVectors,
     SpectrumApprox,
-    band_grid,
     build_periodic,
     compare_spectra,
     essential_spectrum,
@@ -55,7 +54,7 @@ from periodic_spectra import symmetry, truncation
 from periodic_spectra.cli import main
 from periodic_spectra.truncation import _near_boundary_mask
 
-from reference import box_cells, box_index, sector_basis
+from reference import band_grid, box_cells, box_index, identity_vectors, sector_basis
 from test_graphs import small_graphs
 from test_region import explicit_patches
 
@@ -76,9 +75,7 @@ def dense_basis(box, vecs):
     ``SectorVectors`` lifted at every vertex."""
     if isinstance(vecs, BlochVectors):
         return vecs.rows(box.offsets, box.labels, np.arange(len(box)))
-    if isinstance(vecs, SectorVectors):
-        return vecs.rows(np.arange(len(box)))
-    return vecs
+    return vecs.rows(np.arange(len(box)))
 
 
 def reference_boundary_count(h, near):
@@ -453,7 +450,7 @@ def test_edge_list_equals_pair_counts(case):
     assert got.dropped == dropped
     assert np.array_equal(got.degrees, adjacency.sum(axis=1).astype(np.int64))
     assert np.array_equal(got.adjacency(), adjacency)
-    assert np.array_equal(_near_boundary_mask(got, 2), near)
+    assert np.array_equal(_near_boundary_mask(got), near)
     eigs, vecs = spectrum_of_box(got, with_vectors=True)
     inv_sqrt = 1.0 / np.sqrt(adjacency.sum(axis=1))
     expected = reference_boundary_count(adjacency * np.outer(inv_sqrt, inv_sqrt), near)
@@ -515,6 +512,7 @@ def test_bipartite_split_equals_dense_solve(case):
     h = got.normalized_symmetric()
     reference = np.linalg.eigvalsh(h)
     lam, vecs = spectrum_of_box(got, with_vectors=True)
+    assert isinstance(vecs, BlochVectors if wrap else SectorVectors)
     basis = dense_basis(got, vecs)
     assert np.max(np.abs(spectrum_of_box(got) - reference)) <= 1e-12
     assert np.max(np.abs(lam - reference)) <= 1e-12
@@ -650,7 +648,7 @@ def test_bloch_wrap_equals_dense_solve(graph, box):
     assert np.max(np.abs(lam - reference)) <= 1e-12
     assert np.max(np.abs(spectrum_of_box(wrap) - reference)) <= 1e-12
     assert zero_mode_count(wrap) == int(np.sum(np.abs(reference) <= 1e-12))
-    near = _near_boundary_mask(wrap, 2)
+    near = _near_boundary_mask(wrap)
     expected = reference_boundary_count(wrap.normalized_symmetric(), near)
     assert boundary_count(wrap) == expected
 
@@ -757,7 +755,10 @@ def boundary_count(box):
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_boundary_count_is_invariant(case, random):
     """The count does not change when the vertices are listed in another
-    order, or when each cluster's basis is rotated."""
+    order, or when each cluster's basis is rotated.  The rotated basis is
+    passed as the vectors of the identity sector; for a wrap it is the real
+    basis of the dense ``eigh`` of its form, as a rotation of the complex
+    Bloch basis would not be real."""
     oracle, box, wrap = case
     try:
         got = truncate(oracle, box, periodic_wrap=wrap)
@@ -767,15 +768,18 @@ def test_boundary_count_is_invariant(case, random):
     order = list(range(len(got)))
     random.shuffle(order)
     assert boundary_count(permuted(got, np.array(order))) == count
-    lam, vecs = spectrum_of_box(got, with_vectors=True)
-    basis = dense_basis(got, vecs)
+    if wrap:
+        lam, basis = np.linalg.eigh(got.normalized_symmetric())
+    else:
+        lam, vecs = spectrum_of_box(got, with_vectors=True)
+        basis = dense_basis(got, vecs)
     rng = np.random.default_rng(random.getrandbits(32))
     cuts = [0, *(np.flatnonzero(np.diff(lam) > 1e-9) + 1).tolist(), len(lam)]
     for start, end in zip(cuts, cuts[1:]):
         q, _ = np.linalg.qr(rng.standard_normal((end - start, end - start)))
         basis[:, start:end] = basis[:, start:end] @ q
     band = SpectrumApprox(((-1.0, 1.0),), (), 2, 1e-8)
-    assert compare_spectra(lam, band, 1.0, got, basis).boundary_count == count
+    assert compare_spectra(lam, band, 1.0, got, identity_vectors(basis)).boundary_count == count
 
 
 def test_modes_with_half_their_mass_near_the_boundary_count():
@@ -790,7 +794,7 @@ def test_modes_with_half_their_mass_near_the_boundary_count():
     )
     box = truncate(PerturbedGraph(make_lattice(1), patch).oracle, ((-2, 2),))
     assert box.vertices == (vert(-1), vert(-1, label=1), vert(0), vert(1), vert(2))
-    near = _near_boundary_mask(box, 2)
+    near = _near_boundary_mask(box)
     assert near.tolist() == [False, False, True, True, True]
     assert reference_boundary_count(box.normalized_symmetric(), near) == 5
     orders = itertools.permutations(range(len(box)))
@@ -812,7 +816,7 @@ def test_count_on_a_simple_spectrum_is_the_column_rule(make_box):
     box = make_box()
     lam, vecs = spectrum_of_box(box, with_vectors=True)
     assert np.min(np.diff(lam)) > 1e-9  # simple: every cluster is one column
-    near = _near_boundary_mask(box, 2)
+    near = _near_boundary_mask(box)
     assert boundary_count(box) == column_rule_count(dense_basis(box, vecs), near)
 
 
@@ -912,10 +916,9 @@ def test_sectors_equal_the_dense_solve(case):
     assert np.max(np.abs(lam - reference)) <= 1e-12
     assert np.max(np.abs(h @ basis - basis * lam)) <= 1e-12
     assert np.max(np.abs(basis.T @ basis - np.eye(len(got)))) <= 1e-12
-    if isinstance(vecs, SectorVectors):
-        assert_lifts_bit_for_bit(got, vecs)
+    assert_lifts_bit_for_bit(got, vecs)
     assert zero_mode_count(got) == int(np.sum(np.abs(reference) <= 1e-12))
-    near = _near_boundary_mask(got, 2)
+    near = _near_boundary_mask(got)
     assert boundary_count(got) == reference_boundary_count(h, near)
 
 
@@ -924,7 +927,7 @@ def assert_lifts_bit_for_bit(box, vecs):
     at the sampled columns equal those rows and columns of the ``(n, n)``
     array the reference lift builds, bit for bit."""
     basis = sector_basis(vecs)
-    near = np.flatnonzero(_near_boundary_mask(box, 2))
+    near = np.flatnonzero(_near_boundary_mask(box))
     sample = truncation._eigenpair_sample(len(box))
     rows, columns = vecs.rows(near), vecs.columns(sample)
     assert rows.shape == (len(near), len(box)) and rows.tobytes() == basis[near].tobytes()
@@ -1067,7 +1070,7 @@ def test_paired_sectors_equal_the_one_sector_svd(case):
     assert zero_mode_count(got) == int(np.sum(np.abs(svd_values) <= 1e-12))
     band = SpectrumApprox(((-1.0, 1.0),), (), 2, 1e-8)
     assert (compare_spectra(lam, band, 1.0, got, vecs).boundary_count
-            == compare_spectra(svd_lam, band, 1.0, got, svd_vecs).boundary_count)
+            == compare_spectra(svd_lam, band, 1.0, got, identity_vectors(svd_vecs)).boundary_count)
 
 
 def test_a_mirror_that_keeps_one_component_and_swaps_another_is_refused():
@@ -1148,6 +1151,38 @@ def test_a_broken_symmetry_keeps_the_single_block_bits(graph):
         assert np.array_equal(values, svd_values)
 
 
+@pytest.mark.parametrize(
+    "make_box, bipartite",
+    [
+        (lambda: truncate(make_cone().perturbation.oracle, ((-5, 12), (-5, 9))), False),
+        (lambda: truncate(make_random_pendant(0.3, seed=4).perturbation.oracle,
+                          ((-4, 4), (-4, 4))), True),
+    ],
+    ids=["cone_eigh", "random_pendant_svd"],
+)
+def test_a_box_without_symmetry_is_the_identity_sector(make_box, bipartite):
+    """A box with no accepted mirror is solved as the one identity sector:
+    its values, and its ``SectorVectors`` lifted at every column or at every
+    row, have the bits of the whole form's ``eigh`` (a box with odd cycles)
+    or of the ``(n, n)`` array of its one ``_bipartite_solve``."""
+    box = make_box()
+    n = len(box)
+    every = np.arange(n)
+    assert (box.sides is not None) == bipartite
+    [sector] = symmetry.sectors(symmetry.mirror_symmetries(box, box.sides), n, box.sides)
+    assert np.array_equal(sector.reps, every) and sector.twin_odd is None
+    assert np.all(sector.sizes == 1) and np.all(sector.sign == 1.0)
+    if bipartite:
+        want_lam, want = truncation._bipartite_solve(box, sector, box.sides, True)
+    else:
+        want_lam, want = np.linalg.eigh(box.normalized_symmetric())
+    lam, vecs = spectrum_of_box(box, with_vectors=True)
+    assert isinstance(vecs, SectorVectors)
+    assert lam.tobytes() == want_lam.tobytes()
+    assert vecs.columns(every).tobytes() == want.tobytes()
+    assert vecs.rows(every).tobytes() == want.tobytes()
+
+
 def _swap_first_columns(y):
     y[:, [0, 1]] = y[:, [1, 0]]
 
@@ -1183,7 +1218,8 @@ def _scale_first_column(y):
 def test_eigenpair_check_exits_4(route, name, box, sectors, twins, fault, tmp_path,
                                  monkeypatch):
     """A fault planted in every solved sector's first column reaches the
-    merged first column, which the eigenpair check samples.  On a paired box
+    merged first column, which the eigenpair check samples.  A box of one
+    sector has no accepted mirror: that sector is the identity sector.  On a paired box
     the fault goes into the last column instead: the sector of the trivial
     character holds the top value 1 there, and its twin's first column,
     ``Z`` times that column, holds the box's lowest value -1."""
