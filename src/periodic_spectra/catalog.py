@@ -106,8 +106,8 @@ def make_half_plane() -> CatalogEntry:
     base = make_lattice(2)
     patch = PredicatePatch(
         keep=lambda v: v.cell[1] >= 0,
-        keep_array=lambda cells, labels: cells[:, 1] >= 0,
-        has_added_array=lambda cells, labels: np.zeros(len(labels), dtype=bool),
+        keep_grid=lambda x, labels: x[1] >= 0,
+        has_added_grid=lambda x, labels: np.zeros((), dtype=bool),
     )
     graph = PerturbedGraph(base, patch, name="half_plane")
     return CatalogEntry(
@@ -138,15 +138,15 @@ def make_cone() -> CatalogEntry:
             return (Vertex((x2, 0), 0),)
         return ()
 
-    def has_added_array(cells: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        x1, x2 = cells[:, 0], cells[:, 1]
+    def has_added_grid(x: tuple[np.ndarray, ...], labels: np.ndarray) -> np.ndarray:
+        x1, x2 = x
         return (labels == 0) & (((x2 == 0) & (x1 >= 1)) | ((x1 == 0) & (x2 >= 1)))
 
     patch = PredicatePatch(
         keep=lambda v: v.cell[0] >= 0 and v.cell[1] >= 0,
         added_neighbors=added_neighbors,
-        keep_array=lambda cells, labels: (cells >= 0).all(axis=1),
-        has_added_array=has_added_array,
+        keep_grid=lambda x, labels: (x[0] >= 0) & (x[1] >= 0),
+        has_added_grid=has_added_grid,
     )
     graph = PerturbedGraph(base, patch, name="cone")
     return CatalogEntry(
@@ -160,11 +160,11 @@ def make_cone() -> CatalogEntry:
 
 
 def _pendants(
-    label: int, where: Callable[[Cell], bool], where_array: Callable[[np.ndarray], np.ndarray]
+    label: int, where: Callable[[Cell], bool], where_grid: Callable[[tuple], np.ndarray]
 ) -> PredicatePatch:
     """Keep every base vertex and hang one added vertex of ``label`` on the
-    label-0 vertex of each cell where ``where`` holds; ``where_array`` is its
-    array form over int64 cells of shape ``(m, d)``."""
+    label-0 vertex of each cell where ``where`` holds; ``where_grid`` is its
+    grid form over a tuple of broadcasting int64 coordinate arrays."""
 
     def added_neighbors(v: Vertex) -> tuple[Vertex, ...]:
         if not where(v.cell):
@@ -178,10 +178,8 @@ def _pendants(
         added_contains=lambda v: v.label == label and where(v.cell),
         added_neighbors=added_neighbors,
         added_in_cell=lambda cell: (Vertex(cell, label),) if where(cell) else (),
-        keep_array=lambda cells, labels: np.ones(len(labels), dtype=bool),
-        has_added_array=lambda cells, labels: (
-            ((labels == 0) | (labels == label)) & where_array(cells)
-        ),
+        keep_grid=lambda x, labels: np.ones((), dtype=bool),
+        has_added_grid=lambda x, labels: ((labels == 0) | (labels == label)) & where_grid(x),
     )
 
 
@@ -196,7 +194,7 @@ def make_random_pendant(p: float, seed: int, dim: int = 2) -> CatalogEntry:
         raise InputError(f"pendant probability must be in [0, 1], got {p}")
     base = make_lattice(dim)
     patch = _pendants(
-        1, lambda cell: bernoulli(seed, cell, p), lambda cells: bernoulli_array(seed, cells, p)
+        1, lambda cell: bernoulli(seed, cell, p), lambda x: bernoulli_array(seed, x, p)
     )
     graph = PerturbedGraph(base, patch, name=f"random_pendant(p={p}, seed={seed})")
     return CatalogEntry(
@@ -218,7 +216,7 @@ def make_counterexample() -> CatalogEntry:
     x >= 0 (those keep their degree and their only edge).
     """
     base = make_g11().base
-    patch = _pendants(2, lambda cell: cell[0] >= 0, lambda cells: cells[:, 0] >= 0)
+    patch = _pendants(2, lambda cell: cell[0] >= 0, lambda x: x[0] >= 0)
     graph = PerturbedGraph(base, patch, name="counterexample")
     return CatalogEntry(
         name="counterexample",
@@ -282,11 +280,7 @@ def clear_box_monte_carlo(
         for off in offsets:
             if not len(first):
                 break
-            # column-major, so the hash reads each coordinate contiguously
-            cells = np.empty((len(first), dim), dtype=np.int64, order="F")
-            np.add(first, off[0], out=cells[:, 0])
-            cells[:, 1:] = off[1:]
-            first = first[~bernoulli_array(seed, cells, p)]
+            first = first[~bernoulli_array(seed, (first + off[0], *off[1:]), p)]
         return len(first)
 
     bounds = [(lo, min(lo + _TRIAL_CHUNK, trials)) for lo in range(0, trials, _TRIAL_CHUNK)]

@@ -15,12 +15,11 @@ self-adjoint.
 
 from __future__ import annotations
 
-import math
 import operator
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -159,23 +158,29 @@ _BOX_CELL_LIMIT = 1 << 24
 
 def box_cell_count(box: Sequence[tuple[int, int]]) -> int:
     """The number of cells of ``box``; raises ``InputError`` when a
-    coordinate does not fit in 64 bits or there are more than
-    ``_BOX_CELL_LIMIT``."""
-    count = math.prod(_cell_sizes(box))
-    if count > _BOX_CELL_LIMIT:
-        raise InputError(
-            f"box {list(box)} has {count} cells; a whole box is capped at "
-            f"{_BOX_CELL_LIMIT}"
-        )
+    coordinate does not fit in 64 bits or, as soon as the product of the
+    axes so far passes it, when there are more than ``_BOX_CELL_LIMIT``."""
+    count = 1
+    for n in _cell_sizes(box):
+        count *= n
+        if count > _BOX_CELL_LIMIT:
+            raise InputError(
+                f"a box of {len(box)} axes has too many cells: a whole box is "
+                f"capped at {_BOX_CELL_LIMIT}"
+            )
     return count
 
 
-def _cell_sizes(box: Sequence[tuple[int, int]]) -> list[int]:
-    """Cells per axis of ``box``, once every coordinate fits in 64 bits."""
+def _cell_sizes(box: Sequence[tuple[int, int]]) -> Iterator[int]:
+    """Cells per axis of ``box``, each once the axis's coordinates fit in 64
+    bits."""
     limit = 1 << 63
-    if any(lo < -limit or hi >= limit for lo, hi in box if lo <= hi):
-        raise InputError(f"box {list(box)} has coordinates outside the 64-bit range")
-    return [max(hi - lo + 1, 0) for lo, hi in box]
+    for axis, (lo, hi) in enumerate(box):
+        if lo <= hi and (lo < -limit or hi >= limit):
+            raise InputError(
+                f"box axis {axis} [{lo}, {hi}] has coordinates outside the 64-bit range"
+            )
+        yield max(hi - lo + 1, 0)
 
 
 def box_cell_array(box: Sequence[tuple[int, int]], at: np.ndarray | None = None) -> np.ndarray:
@@ -184,7 +189,7 @@ def box_cell_array(box: Sequence[tuple[int, int]], at: np.ndarray | None = None)
     positions ``at`` of that order; raises ``InputError`` when a coordinate
     does not fit in 64 bits, or when the whole box is asked for and
     ``box_cell_count`` refuses it."""
-    sizes = _cell_sizes(box)
+    sizes = list(_cell_sizes(box))
     if at is None:
         cells = np.empty((box_cell_count(box), len(box)), dtype=np.int64)
         # the whole box: each axis's coordinates broadcast over the others

@@ -15,7 +15,6 @@ everything outside that image.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import operator
@@ -45,8 +44,10 @@ from .randomfield import cell_hash_array
 
 _NO_NEIGHBORS: tuple[Vertex, ...] = ()
 
-# Array form of a vertex predicate: int64 cells (m, d), labels (m,) -> bool (m,).
-RowPredicate = Callable[[np.ndarray, np.ndarray], np.ndarray]
+# Grid form of a vertex predicate: one int64 coordinate array per axis and the
+# label array, broadcasting over a block of vertices -> a bool array that
+# broadcasts to that block.
+GridPredicate = Callable[[tuple[np.ndarray, ...], np.ndarray], np.ndarray]
 
 # Vertices of the padded box of one ``UnperturbedSet.mask`` call, checked
 # before allocating: the mask holds about 13 bytes per such vertex (measured
@@ -54,10 +55,10 @@ RowPredicate = Callable[[np.ndarray, np.ndarray], np.ndarray]
 # 2001 x 2001 or 255^3 window room to run.
 _MASK_LIMIT = 1 << 24
 
-# Besides the box corners, ``mask`` checks every this many rows of a hook's
-# answer against the scalar predicate.
+# Besides the box corners, ``mask`` checks every this many box vertices of a
+# hook's answer against the scalar predicate.
 _SAMPLE_STRIDE = 4096
-# Rows per hook call, so a hook's temporaries stay small and in cache.
+# Vertices per hook call, so a hook's temporaries stay small and in cache.
 _HOOK_ROWS = 1 << 16
 
 
@@ -91,16 +92,18 @@ class PredicatePatch:
     with multiplicity); ``added_in_cell`` lists the added vertices of a cell.
     These scalar callables are the contract.
 
-    ``keep_array`` and ``has_added_array`` are optional array forms that
-    ``UnperturbedSet.mask`` calls instead, on 65,536 rows at a time.  Each
-    takes an int64 array ``cells`` of shape ``(m, d)`` and a label array
-    ``labels`` of shape ``(m,)`` and returns a bool array of shape ``(m,)``:
-    ``keep_array`` is
-    ``keep`` row by row, ``has_added_array`` is true where ``added_neighbors``
-    lists anything (it is asked only about kept base vertices).  A missing
-    hook is replaced by the scalar callable applied row by row.  Every
-    ``mask`` call checks both hooks against the scalar callables on the rows
-    at the box corners and every 4096th row, and raises
+    ``keep_grid`` and ``has_added_grid`` are optional grid forms that
+    ``UnperturbedSet.mask`` calls instead, on blocks of at most 65,536
+    vertices.  Each takes a tuple ``x`` of int64 coordinate arrays, one per
+    axis, and a label array ``labels``, all shaped to broadcast over the
+    block ``(run, later axes..., labels)``, and returns a bool array that
+    broadcasts to the block (a 0-d answer covers all of it): ``keep_grid``
+    is ``keep`` vertex by vertex, ``has_added_grid`` is true where
+    ``added_neighbors`` lists anything (its answer off the common subgraph
+    is not read).  A missing hook is replaced by the scalar callable applied
+    vertex by vertex.  Every ``mask`` call checks both hooks against the
+    scalar callables at the box corners and every 4096th box vertex (for
+    ``has_added_grid``, those that kept all of their base edges), and raises
     ``InternalInvariantError`` naming the first vertex where they differ.
     """
 
@@ -108,8 +111,8 @@ class PredicatePatch:
     added_contains: Callable[[Vertex], bool] = lambda v: False
     added_neighbors: Callable[[Vertex], tuple[Vertex, ...]] = lambda v: _NO_NEIGHBORS
     added_in_cell: Callable[[Cell], tuple[Vertex, ...]] = lambda cell: _NO_NEIGHBORS
-    keep_array: RowPredicate | None = None
-    has_added_array: RowPredicate | None = None
+    keep_grid: GridPredicate | None = None
+    has_added_grid: GridPredicate | None = None
 
 
 class PerturbedOracle(GraphOracle):
@@ -181,13 +184,13 @@ class UnperturbedSet:
         ``(sizes..., cell_size)``, cells in lexicographic order and labels
         last; an entry is ``in_common(x) and _contains_known(x)``.
 
-        The kept grid (``keep_array``) over the box padded by the propagation
+        The kept grid (``keep_grid``) over the box padded by the propagation
         length is ANDed with itself shifted by every oriented edge template,
         and the endpoints of removed base edges are cleared.  A vertex that
         survives has all of its base edges, so it belongs iff
-        ``has_added_array`` is false at it.  A padded box of more than
-        ``_MASK_LIMIT`` vertices raises ``InputError`` before anything is
-        allocated.
+        ``has_added_grid``, asked over the whole box, is false at it.  A
+        padded box of more than ``_MASK_LIMIT`` vertices raises
+        ``InputError`` before anything is allocated.
         """
         return self._kept_and_mask(box)[1]
 
@@ -206,8 +209,8 @@ class UnperturbedSet:
             return empty, empty
         pad = propagation_length(base)
         padded = [(lo - pad, hi + pad) for lo, hi in box]
-        shape = _capped_mask_shape(box, pad, s)
-        kept = _checked_hook(g._keep_array, g._keep, padded, s, "keep_array").reshape(shape)
+        _check_mask_cap(box, pad, s)
+        kept = _checked_hook(g._keep_grid, g._keep, padded, s, "keep_grid")
         out = kept[tuple(slice(pad, pad + n) for n in sizes)].copy()
         for label, at in enumerate(base.templates):
             for index, target in at:
@@ -218,108 +221,78 @@ class UnperturbedSet:
             lows, highs = np.array(box, dtype=np.int64).T
             inside = ((cells >= lows) & (cells <= highs)).all(axis=1)
             out[tuple((cells[inside] - lows).T) + (labels[inside],)] = False
-        flat = out.reshape(-1)
-        rows = np.flatnonzero(flat)
-        flat[rows] = ~_checked_hook(
-            g._has_added_array, g._has_added, box, s, "has_added_array", rows
-        )
+        out &= ~_checked_hook(g._has_added_grid, g._has_added, box, s, "has_added_grid", out)
         return kept, out
 
 
-def _capped_mask_shape(box: Window, pad: int, s: int) -> tuple[int, ...]:
-    """Shape of the kept grid over ``box`` padded by ``pad`` (labels last,
-    ``s`` of them); ``InputError`` when it holds more than ``_MASK_LIMIT``
-    vertices."""
-    shape = tuple(max(hi - lo + 1, 0) + 2 * pad for lo, hi in box) + (s,)
-    count = math.prod(shape)
+def _check_mask_cap(box: Window, pad: int, s: int) -> None:
+    """``InputError`` when ``box`` padded by ``pad``, ``s`` labels per cell,
+    holds more than ``_MASK_LIMIT`` vertices."""
+    count = math.prod(max(hi - lo + 1, 0) + 2 * pad for lo, hi in box) * s
     if count > _MASK_LIMIT:
         raise InputError(
             f"box {list(box)} padded by {pad} has {count} vertices; "
             f"the unperturbed-set mask is capped at {_MASK_LIMIT}"
         )
-    return shape
 
 
 def _checked_hook(
-    hook: RowPredicate,
+    hook: GridPredicate,
     scalar: Callable[[Vertex], bool],
     box: Window,
     s: int,
     name: str,
-    rows: np.ndarray | None = None,
+    where: np.ndarray | None = None,
 ) -> np.ndarray:
-    """``hook`` at the vertices of ``box`` with sorted positions ``rows``
-    (all by default) in the order cells first, labels last.  It is asked per
-    block of at most ``_HOOK_ROWS`` box rows: the leading axes fixed, a run
-    of one axis and every later axis whole, so the block's cells are
-    broadcast from one coordinate range per axis.  Each answer is compared
-    with ``scalar`` at the rows whose cell is a corner of ``box`` and at
-    every ``_SAMPLE_STRIDE``-th row, positions found once per call; the first
-    vertex where they differ raises ``InternalInvariantError``.  A
-    coordinate past 64 bits raises ``InputError``."""
-    sizes, d = _cell_sizes(box), len(box)
-    count = math.prod(sizes) * s
-    if rows is not None and len(rows) == count:
-        rows = None  # sorted positions, as many as the box has: all of them
-    elif rows is not None:
-        count = len(rows)
-    got = np.empty(count, dtype=bool)
-    corners = []
-    for cell in itertools.product(*[(0, n - 1) for n in sizes]):
-        place = 0
-        for c, n in zip(cell, sizes):
-            place = place * n + c
-        corners += range(place * s, place * s + s)
-    if rows is not None:
-        found = np.searchsorted(rows, corners).tolist()
-        corners = [i for i, c in zip(found, corners) if i < count and rows[i] == c]
-    spots = sorted(set(corners).union(range(0, count, _SAMPLE_STRIDE)))
-
-    # blocks run along ``axis``, the first whose later axes hold few enough rows
+    """``hook`` at every vertex of ``box`` as a bool array of shape
+    ``(sizes..., s)``.  It is asked per block of at most ``_HOOK_ROWS``
+    vertices: the leading axes fixed (0-d coordinates), a run of one axis
+    and every later axis whole, each axis one coordinate range shaped to
+    broadcast over the block.  The answer is compared with ``scalar`` at the
+    box corners and at every ``_SAMPLE_STRIDE``-th vertex, only where
+    ``where`` (of the same shape) is set if it is given; the first vertex
+    where they differ raises ``InternalInvariantError``, as does an answer
+    that is not a bool array broadcasting to its block.  A coordinate past
+    64 bits raises ``InputError``."""
+    sizes, d = list(_cell_sizes(box)), len(box)
+    got = np.empty((*sizes, s), dtype=bool)
+    # blocks run along ``axis``, the first whose later axes hold few enough vertices
     axis = next((a for a in range(d) if math.prod(sizes[a + 1 :]) * s <= _HOOK_ROWS), d - 1)
-    unit = math.prod(sizes[axis + 1 :]) * s  # rows per cell of ``axis``
-    step = max(_HOOK_ROWS // unit, 1)
+    step = max(_HOOK_ROWS // (math.prod(sizes[axis + 1 :]) * s), 1)
     whole = [
         (np.arange(sizes[a]) + box[a][0]).reshape((-1,) + (1,) * (d - a))
         for a in range(axis + 1, d)
     ]
-    for p, prefix in enumerate(itertools.product(*map(range, sizes[:axis]))):
+    labels = np.arange(s)
+    for prefix in itertools.product(*map(range, sizes[:axis])):
+        fixed = [np.array(box[a][0] + c, dtype=np.int64) for a, c in enumerate(prefix)]
         for j0 in range(0, sizes[axis], step):
             j1 = min(j0 + step, sizes[axis])
-            start = (p * sizes[axis] + j0) * unit
-            stop = (p * sizes[axis] + j1) * unit
-            if rows is not None:
-                first, last = np.searchsorted(rows, (start, stop)).tolist()
-                if first == last:
-                    continue
-            cells = np.empty((j1 - j0, *sizes[axis + 1 :], s, d), dtype=np.int64)
-            for a, c in enumerate(prefix):
-                cells[..., a] = box[a][0] + c
-            run = np.arange(j0, j1) + box[axis][0]
-            cells[..., axis] = run.reshape((-1,) + (1,) * (d - axis))
-            for a, coords in enumerate(whole, axis + 1):
-                cells[..., a] = coords
-            labels = np.empty(cells.shape[:-1], dtype=np.int64)
-            labels[:] = np.arange(s)
-            cells, labels = cells.reshape(-1, d), labels.reshape(-1)
-            if rows is not None:
-                pick = rows[first:last] - start
-                cells, labels = cells.take(pick, axis=0), labels.take(pick)
-                start, stop = first, last
-            answer = np.asarray(hook(cells, labels))
-            if answer.dtype != bool or answer.shape != labels.shape:
+            run = (np.arange(j0, j1) + box[axis][0]).reshape((-1,) + (1,) * (d - axis))
+            block = got[prefix + (slice(j0, j1),)]
+            answer = hook((*fixed, run, *whole), labels)
+            shape = getattr(answer, "shape", ())
+            if getattr(answer, "dtype", None) != bool or len(shape) > block.ndim or any(
+                n not in (1, m) for n, m in zip(shape[::-1], block.shape[::-1])
+            ):
                 raise InternalInvariantError(
-                    f"{name} returned an array of dtype {answer.dtype} and shape "
-                    f"{answer.shape}, expected bool and {labels.shape}"
+                    f"{name} returned a {type(answer).__name__} of dtype "
+                    f"{getattr(answer, 'dtype', None)} and shape {shape}, expected a bool "
+                    f"array that broadcasts to {block.shape}"
                 )
-            for i in spots[bisect.bisect_left(spots, start) : bisect.bisect_left(spots, stop)]:
-                v = Vertex(tuple(cells[i - start].tolist()), int(labels[i - start]))
-                if bool(scalar(v)) != answer[i - start]:
-                    raise InternalInvariantError(
-                        f"{name} gives {bool(answer[i - start])} at {v}, its scalar "
-                        f"predicate {not answer[i - start]}"
-                    )
-            got[start:stop] = answer
+            block[...] = answer
+
+    # the sample as index tuples, which sort in grid order
+    corners = itertools.product(*[(0, n - 1) for n in sizes], range(s))
+    strided = np.unravel_index(np.arange(0, got.size, _SAMPLE_STRIDE), got.shape)
+    for at in sorted(set(corners).union(zip(*(a.tolist() for a in strided)))):
+        if where is not None and not where[at]:
+            continue
+        v = Vertex(tuple(lo + c for (lo, _), c in zip(box, at)), at[-1])
+        if bool(scalar(v)) != got[at]:
+            raise InternalInvariantError(
+                f"{name} gives {bool(got[at])} at {v}, its scalar predicate {not got[at]}"
+            )
     return got
 
 
@@ -334,39 +307,42 @@ def _int64_rows(rows: list[tuple[int, ...]], width: int) -> np.ndarray:
         return np.array(fit, dtype=np.int64).reshape(len(fit), width)
 
 
-def _row_by_row(predicate: Callable[[Vertex], bool]) -> RowPredicate:
-    """Array form of a scalar vertex predicate: one call per row."""
+def _row_by_row(predicate: Callable[[Vertex], bool]) -> GridPredicate:
+    """Grid form of a scalar vertex predicate: one call per vertex of the
+    coordinates' broadcast block."""
 
-    def apply(cells: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        rows = zip(map(tuple, cells.tolist()), labels.tolist())
-        return np.fromiter(
-            (bool(predicate(Vertex(c, a))) for c, a in rows), dtype=bool, count=len(labels)
+    def apply(x: tuple[np.ndarray, ...], labels: np.ndarray) -> np.ndarray:
+        *cells, labels = np.broadcast_arrays(*x, labels)
+        rows = zip(zip(*(c.reshape(-1).tolist() for c in cells)), labels.reshape(-1).tolist())
+        got = np.fromiter(
+            (bool(predicate(Vertex(c, a))) for c, a in rows), dtype=bool, count=labels.size
         )
+        return got.reshape(labels.shape)
 
     return apply
 
 
-def _finite_membership(vertices: Iterable[Vertex], dim: int) -> RowPredicate:
-    """Array form of ``v in vertices`` for a finite vertex set, asked at
-    cells of ``dim`` coordinates.  A row whose ``cell_hash`` of
+def _finite_membership(vertices: Iterable[Vertex], dim: int) -> GridPredicate:
+    """Grid form of ``v in vertices`` for a finite vertex set, asked at
+    cells of ``dim`` coordinates.  A vertex whose ``cell_hash`` of
     ``(cell..., label)`` is a member's hash is a candidate, found by one
     ``searchsorted`` in the members' hashes (sorted once here), and each
     candidate is then looked up exactly.  A member past 64 bits is no such
-    row and is left out of the hashes."""
+    vertex and is left out of the hashes."""
     members = frozenset(vertices)
     keys = [v.cell + (v.label,) for v in members]
-    hashes = np.sort(cell_hash_array(0, _int64_rows(keys, dim + 1)))
+    hashes = np.sort(cell_hash_array(0, _int64_rows(keys, dim + 1).T))
 
-    def contains(cells: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    def contains(x: tuple[np.ndarray, ...], labels: np.ndarray) -> np.ndarray:
         if not len(hashes):
-            return np.zeros(len(labels), dtype=bool)
-        rows = np.column_stack([cells, labels])
-        keys = cell_hash_array(0, rows)
+            return np.zeros((), dtype=bool)
+        keys = cell_hash_array(0, (*x, labels))
         # a key past the greatest hash is compared with the greatest
         nearest = np.minimum(np.searchsorted(hashes, keys), len(hashes) - 1)
         out = hashes[nearest] == keys
-        at = np.flatnonzero(out)
-        out[at] = [Vertex(tuple(r[:-1]), r[-1]) in members for r in rows[at].tolist()]
+        at = np.nonzero(out)
+        *cells, labels = (np.broadcast_to(c, out.shape)[at].tolist() for c in (*x, labels))
+        out[at] = [Vertex(c, a) in members for c, a in zip(zip(*cells), labels)]
         return out
 
     return contains
@@ -404,8 +380,8 @@ class PerturbedGraph:
             self._added_in_cell = patch.added_in_cell
             self._removed_count: dict | None = None
             self._removed_ends = None
-            self._keep_array = patch.keep_array or _row_by_row(patch.keep)
-            self._has_added_array = patch.has_added_array or _row_by_row(self._has_added)
+            self._keep_grid = patch.keep_grid or _row_by_row(patch.keep)
+            self._has_added_grid = patch.has_added_grid or _row_by_row(self._has_added)
         self.oracle = PerturbedOracle(self)
         self.unperturbed = UnperturbedSet(self)
 
@@ -432,7 +408,7 @@ class PerturbedGraph:
         self._removed_ends = _int64_rows(ends, self.base.dim + 1) if ends else None
         self._keep = lambda v: v not in removed_v
         removed_at = _finite_membership(removed_v, self.base.dim)
-        self._keep_array = lambda cells, labels: ~removed_at(cells, labels)
+        self._keep_grid = lambda x, labels: ~removed_at(x, labels)
         added_v = set(patch.added_vertices)
         for v in added_v:
             if len(v.cell) != self.base.dim:
@@ -456,10 +432,12 @@ class PerturbedGraph:
         self._added_contains = lambda v: v in added_v
         self._added_neighbors = lambda v: frozen.get(v, _NO_NEIGHBORS)
         self._added_in_cell = lambda cell: frozen_cells.get(cell, ())
-        self._has_added_array = _finite_membership(frozen, self.base.dim)
+        self._has_added_grid = _finite_membership(frozen, self.base.dim)
 
     def _has_added(self, v: Vertex) -> bool:
-        return bool(self._added_neighbors(v))
+        """Does a kept base vertex ``v`` have added edges?  False off the
+        common subgraph, where ``added_neighbors`` is not asked."""
+        return self.in_common(v) and bool(self._added_neighbors(v))
 
     def _is_base_name(self, v: Vertex) -> bool:
         return len(v.cell) == self.base.dim and 0 <= v.label < self.base.cell_size

@@ -10,6 +10,9 @@ for bit.
 
 from __future__ import annotations
 
+import math
+from typing import Iterable
+
 import numpy as np
 
 _MASK = (1 << 64) - 1
@@ -39,32 +42,44 @@ def bernoulli(seed: int, cell: tuple[int, ...], p: float) -> bool:
     return (cell_hash(seed, cell) >> 11) * 2.0**-53 < p
 
 
-def cell_hash_array(seed: int, cells: np.ndarray) -> np.ndarray:
-    """Vectorized ``cell_hash`` over an ``(m, d)`` integer array of cells (a
-    1-D array is ``m`` cells of one coordinate).
+def cell_hash_array(seed: int, coords: Iterable[np.ndarray]) -> np.ndarray:
+    """Vectorized ``cell_hash`` over a sequence of integer coordinate arrays,
+    one per axis, that broadcast together (a caller holding an ``(m, d)``
+    array of cells passes ``cells.T``).
 
-    The bits equal ``cell_hash`` row by row.  The input is left unchanged: one
-    state array and one scratch buffer are allocated per call, each
-    coordinate column is XORed in through a ``uint64`` view of its int64
-    values (two's complement, the scalar ``coord & _MASK``), and every mix
-    step runs in place.
+    The bits equal ``cell_hash`` cell by cell over the broadcast shape.  The
+    hash is a chain, ``state_j = mix(state_{j-1} ^ c_j)``, so the state is
+    mixed axis by axis on the shape broadcast so far: an axis that adds no
+    dimension costs no more than the cells it has, and only the last axes of
+    a grid touch every cell.  Each coordinate is XORed in through a
+    ``uint64`` view of its int64 values (two's complement, the scalar
+    ``coord & _MASK``), every mix step runs in place, and the inputs are
+    left unchanged.
     """
-    cells = np.asarray(cells, dtype=np.int64)
-    if cells.ndim == 1:
-        cells = cells[:, None]
-    state = np.full(cells.shape[0], _mix(int(seed) & _MASK), dtype=np.uint64)
+    state = np.full((), _mix(int(seed) & _MASK), dtype=np.uint64)
     scratch = np.empty_like(state)
-    for j in range(cells.shape[1]):
-        state ^= cells[:, j].view(np.uint64)
+    for coord in coords:
+        coord = np.asarray(coord, dtype=np.int64).view(np.uint64)
+        shape = np.broadcast(state, coord).shape
+        if shape == state.shape:
+            state ^= coord
+        else:  # the state spreads over the new axes
+            state = np.bitwise_xor(state, coord, out=np.empty(shape, np.uint64))
+            scratch = np.empty_like(state)
         _mix_u64(state, scratch)
     return state
 
 
-def bernoulli_array(seed: int, cells: np.ndarray, p: float) -> np.ndarray:
-    """Vectorized ``bernoulli`` over an ``(m, d)`` integer array of cells."""
-    state = cell_hash_array(seed, cells)
+def bernoulli_array(seed: int, coords: Iterable[np.ndarray], p: float) -> np.ndarray:
+    """Vectorized ``bernoulli`` over coordinate arrays as in
+    ``cell_hash_array``.  For an integer ``x < 2**53``, ``x * 2.0**-53 < p``
+    exactly when ``x < ceil(p * 2**53)`` (scaling by a power of two is
+    exact), so the top 53 bits of each hash are compared with that integer
+    and no float array is made; ``p`` at or below 0, or NaN, gives 0."""
+    limit = math.ceil(min(p, 1.0) * 2.0**53) if p > 0 else 0
+    state = cell_hash_array(seed, coords)
     state >>= np.uint64(11)
-    return state.astype(np.float64) * 2.0**-53 < p
+    return state < np.uint64(limit)
 
 
 def _mix_u64(state: np.ndarray, scratch: np.ndarray) -> None:

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .floquet import fiber_matrices, locate_band_value
 from .graphs import PeriodicGraph, Vertex, Window, propagation_length
-from .perturbation import PerturbedGraph, WindowReport, _capped_mask_shape, find_unperturbed_box
+from .perturbation import PerturbedGraph, WindowReport, _check_mask_cap, find_unperturbed_box
 from .region import Region
 
 _EIGENPAIR_TOL = 1e-9
@@ -143,7 +143,7 @@ def _clear_box(graph: PerturbedGraph, n: int, window: Window) -> WindowReport:
     grown by ``pad``) would pass the cap raises that ``InputError`` first."""
     base, pad = graph.base, propagation_length(graph.base)
     reach = n + 2 * pad - 1
-    _capped_mask_shape([(-reach, reach)] * base.dim, pad, base.cell_size)
+    _check_mask_cap([(-reach, reach)] * base.dim, pad, base.cell_size)
     report = find_unperturbed_box(graph, n, window)
     if report.center is None:
         raise NoClearBoxError(

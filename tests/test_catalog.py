@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from periodic_spectra import (
     make_random_pendant,
     vert,
 )
-from periodic_spectra import catalog
+from periodic_spectra import catalog, randomfield
 from periodic_spectra.catalog import entry_names
 from periodic_spectra.errors import InputError
 from periodic_spectra.graphs import box_cell_array
@@ -128,7 +129,7 @@ class TestRandomField:
     def test_scalar_vector_agree(self, rng):
         cells = rng.integers(-10**6, 10**6, size=(500, 3)).astype(np.int64)
         for p in (0.1, 0.5, 0.9):
-            vector = bernoulli_array(777, cells, p)
+            vector = bernoulli_array(777, cells.T, p)
             scalar = np.array(
                 [bernoulli(777, tuple(int(c) for c in row), p) for row in cells]
             )
@@ -143,15 +144,77 @@ class TestRandomField:
         cells = np.array(list(itertools.product(edge, repeat=2)), dtype=np.int64)
         kept = cells.copy()
         for seed in (0, -3, 2**63 - 1, -(2**63)):
-            got = cell_hash_array(seed, cells)
+            got = cell_hash_array(seed, cells.T)
             assert got.dtype == np.uint64
             assert got.tolist() == [cell_hash(seed, tuple(map(int, c))) for c in kept]
             assert np.array_equal(cells, kept)
             column = kept[:, 0].copy()
-            assert cell_hash_array(seed, column).tolist() == [
+            assert cell_hash_array(seed, [column]).tolist() == [
                 cell_hash(seed, (int(c),)) for c in kept[:, 0]
             ]
             assert np.array_equal(column, kept[:, 0])
+
+
+    @given(case=st.data(), seed=st.integers(-(2**63), 2**63 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_array_hash_equals_the_scalar_hash_cell_by_cell(self, case, seed):
+        """No axis, or coordinate arrays of mixed shapes that broadcast to one
+        block: 0-d values, ranges along one block axis and arrays of drawn
+        values, negative, near +-2**62 and at the int64 edges."""
+        block = case.draw(st.lists(st.integers(1, 3), max_size=3))
+        axes = case.draw(st.integers(0, 4))
+        coords = [case.draw(broadcast_coordinates(block)) for _ in range(axes)]
+        kept = [c.copy() for c in coords]
+        got = cell_hash_array(seed, coords)
+        shape = np.broadcast_shapes(*(c.shape for c in coords))
+        assert got.dtype == np.uint64 and got.shape == shape
+        grids = np.broadcast_arrays(*coords)
+        expected = [cell_hash(seed, tuple(int(g[i]) for g in grids)) for i in np.ndindex(shape)]
+        assert got.reshape(-1).tolist() == expected
+        assert all(np.array_equal(c, k) for c, k in zip(coords, kept))
+
+    def test_array_draws_compare_the_top_53_bits_as_integers(self, monkeypatch):
+        """``bernoulli_array`` against the float rule of ``bernoulli`` at the
+        thresholds ``p = k * 2**-53``, each with both float neighbours, and at
+        0, 1, NaN and outside [0, 1]: hashes are planted so that the top 53
+        bits sit at ``k - 1``, ``k`` and ``k + 1``."""
+        ks = [1, 2, 3, 2**52, 2**53 - 1]
+        tops = sorted({t for k in ks for t in (k - 1, k, k + 1) if t < 2**53})
+        hashes = np.array([(t << 11) | low for t in tops for low in (0, 2047)], dtype=np.uint64)
+        monkeypatch.setattr(randomfield, "cell_hash", lambda seed, cell: int(hashes[cell[0]]))
+        monkeypatch.setattr(randomfield, "cell_hash_array", lambda seed, coords: hashes[coords[0]])
+        ps = [0.0, -0.0, 1.0, 5e-324, float("nan"), -0.5, 1.5, float("inf"), float("-inf")]
+        for k in ks:
+            p = k * 2.0**-53
+            ps += [p, float(np.nextafter(p, 0.0)), float(np.nextafter(p, 2.0))]
+        index = np.arange(len(hashes))
+        for p in ps:
+            got = bernoulli_array(0, (index,), p)
+            assert got.tolist() == [bernoulli(0, (i,), p) for i in range(len(hashes))], p
+
+
+@st.composite
+def broadcast_coordinates(draw, block):
+    """An int64 array that broadcasts to ``block``: a 0-d value, a range
+    along one block axis, or drawn values on a trailing part of the block
+    with some axes of length 1."""
+    values = st.one_of(
+        st.integers(-20, 20),
+        st.integers(-(2**62) - 3, -(2**62) + 3),
+        st.integers(2**62 - 3, 2**62 + 3),
+        st.integers(-(2**63), -(2**63) + 3),
+        st.integers(2**63 - 4, 2**63 - 1),
+    )
+    kind = draw(st.sampled_from(["0-d", "range", "values"]))
+    if kind == "0-d" or not block:
+        return np.array(draw(values), dtype=np.int64)
+    if kind == "range":
+        axis = draw(st.integers(0, len(block) - 1))
+        start = min(draw(values), 2**63 - block[axis])
+        return (start + np.arange(block[axis])).reshape((-1,) + (1,) * (len(block) - axis - 1))
+    shape = [n if draw(st.booleans()) else 1 for n in block[draw(st.integers(0, len(block))) :]]
+    drawn = draw(st.lists(values, min_size=math.prod(shape), max_size=math.prod(shape)))
+    return np.array(drawn, dtype=np.int64).reshape(shape)
 
 
 class TestClearBoxProbability:
@@ -224,9 +287,9 @@ class TestClearBoxProbability:
     def test_monte_carlo_hashes_until_the_first_pendant(self, monkeypatch, n, dim):
         hashed = []
 
-        def counted(seed, cells, p):
-            hashed.append(len(cells))
-            return bernoulli_array(seed, cells, p)
+        def counted(seed, coords, p):
+            hashed.append(np.broadcast(*coords).size)
+            return bernoulli_array(seed, coords, p)
 
         monkeypatch.setattr(catalog, "bernoulli_array", counted)
         monkeypatch.setattr(catalog, "_TRIAL_CHUNK", 300)

@@ -838,13 +838,17 @@ class TestErrorPaths:
             # (2n + 1)^20 overflows a float: refused before the closed form
             ["random-trial", "--p", "0.5", "--n", str(10**18), "--dim", "20", "--trials", "1",
              "--seed", "0"],
+            # a count of over 4300 digits, past Python's int-to-str limit
+            ["random-trial", "--p", "0.5", "--n", "1", "--dim", "10000", "--trials", "10",
+             "--seed", "1"],
         ],
         ids=["bands", "sigma-ess", "weyl-check", "truncate", "truncate-wrap", "random-trial",
-             "random-trial-overflow"],
+             "random-trial-overflow", "random-trial-axes"],
     )
     def test_box_beyond_the_cell_cap_exits_2(self, tmp_path, capsys, argv):
         assert run(tmp_path, *argv, "--out", str(tmp_path / "o")) == 2
-        assert "a whole box is capped at 16777216" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "a whole box is capped at 16777216" in err and len(err) < 100
         assert list(tmp_path.iterdir()) == []
 
     def test_oversized_induced_box_is_refused_while_listed(

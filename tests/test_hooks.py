@@ -1,16 +1,18 @@
-"""Array hooks of the unperturbed-set mask against their scalar predicates.
+"""Grid hooks of the unperturbed-set mask against their scalar predicates.
 
-``UnperturbedSet.mask`` asks a perturbed graph's array forms ``_keep_array``
-and ``_has_added_array``: the catalog's ``PredicatePatch`` hooks, the arrays
-an explicit ``Patch`` derives from its finite sets, or the row-by-row adapter
-of a hookless ``PredicatePatch``.  Each must equal its scalar predicate row
-by row, also at coordinates near -2**62 and 2**62, where the pendant field's
-hash wraps around 64 bits.  A hook that disagrees with its scalar predicate
-on a sampled row makes ``mask`` raise ``InternalInvariantError``.
+``UnperturbedSet.mask`` asks a perturbed graph's grid forms ``_keep_grid``
+and ``_has_added_grid``: the catalog's ``PredicatePatch`` hooks, the grids
+an explicit ``Patch`` derives from its finite sets, or the vertex-by-vertex
+adapter of a hookless ``PredicatePatch``.  Each must equal its scalar
+predicate vertex by vertex, also at coordinates near -2**62 and 2**62, where
+the pendant field's hash wraps around 64 bits.  A hook that disagrees with
+its scalar predicate on a sampled vertex makes ``mask`` raise
+``InternalInvariantError``.
 """
 
 import dataclasses
 import re
+import time
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ from periodic_spectra import (
     perturbation,
 )
 from periodic_spectra.errors import InputError, InternalInvariantError
-from periodic_spectra.graphs import box_cell_array
+from periodic_spectra.graphs import box_cell_array, box_cell_count
 
 from reference import box_cells
 
@@ -59,11 +61,13 @@ def vertex_rows(dim, labels):
 
 
 def assert_hooks_match_scalar(graph, vertices):
+    """Both hooks asked about ``vertices`` as columns, one array per axis."""
     cells = np.array([v.cell for v in vertices], dtype=np.int64).reshape(-1, graph.base.dim)
     labels = np.array([v.label for v in vertices], dtype=np.int64)
-    keep = graph._keep_array(cells, labels)
-    has_added = graph._has_added_array(cells, labels)
+    keep = graph._keep_grid(tuple(cells.T), labels)
+    has_added = graph._has_added_grid(tuple(cells.T), labels)
     assert keep.dtype == bool and has_added.dtype == bool
+    keep, has_added = np.broadcast_arrays(keep, has_added, labels)[:2]
     assert keep.tolist() == [bool(graph._keep(v)) for v in vertices]
     assert has_added.tolist() == [bool(graph._added_neighbors(v)) for v in vertices]
 
@@ -106,14 +110,16 @@ def test_patch_arrays_match_scalar_predicates(case):
 def without_hooks(graph):
     return PerturbedGraph(
         graph.base,
-        dataclasses.replace(graph.patch, keep_array=None, has_added_array=None),
-        name="row by row",
+        dataclasses.replace(graph.patch, keep_grid=None, has_added_grid=None),
+        name="vertex by vertex",
     )
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
 @pytest.mark.parametrize("origin", [-9, -EDGE - 3, EDGE - 3, -(2**63) + 1, 2**63 - 14])
 def test_mask_equals_row_by_row_adapter_and_scalar_test(name, origin):
+    """The mask from the catalog hooks, from the adapter that asks the scalar
+    callables vertex by vertex, and from the scalar membership test."""
     graph = GRAPHS[name]
     box = [(origin, origin + (4 if graph.base.dim == 3 else 12))] * graph.base.dim
     if origin == -9:  # the catalog boundaries sit at the origin
@@ -132,72 +138,125 @@ def test_mask_equals_row_by_row_adapter_and_scalar_test(name, origin):
 @pytest.mark.parametrize("name", sorted(CATALOG))
 @pytest.mark.parametrize("rows", [1, 3, 40, 500])
 def test_mask_in_small_hook_blocks(monkeypatch, name, rows):
-    """Blocks of a few rows (a piece of one line, whole lines, whole planes)
-    give the same mask, and no hook call gets more rows than a block holds."""
+    """Blocks of a few vertices (a piece of one line, whole lines, whole
+    planes) give the same mask, and no hook call gets a block of more
+    vertices than ``_HOOK_ROWS`` allows."""
     graph = GRAPHS[name]
     box = [(-9, 5)] + [(-3, 4)] * (graph.base.dim - 1)
     whole = graph.unperturbed.mask(box)
     asked = []
 
     def counted(hook):
-        def apply(cells, labels):
-            asked.append(len(labels))
-            return hook(cells, labels)
+        def apply(x, labels):
+            asked.append(np.broadcast(*x, labels).size)
+            return hook(x, labels)
 
         return apply
 
     monkeypatch.setattr(perturbation, "_HOOK_ROWS", rows)
-    monkeypatch.setattr(graph, "_keep_array", counted(graph._keep_array))
-    monkeypatch.setattr(graph, "_has_added_array", counted(graph._has_added_array))
+    monkeypatch.setattr(graph, "_keep_grid", counted(graph._keep_grid))
+    monkeypatch.setattr(graph, "_has_added_grid", counted(graph._has_added_grid))
     assert np.array_equal(graph.unperturbed.mask(box), whole)
     assert 0 < max(asked) <= max(rows, graph.base.cell_size)
 
 
 def wrong_at(hook, cell):
-    """``hook`` with its answer flipped at every row of ``cell``."""
+    """``hook`` with its answer flipped at every vertex of ``cell``."""
 
-    def flipped(cells, labels):
-        return hook(cells, labels) ^ np.all(cells == cell, axis=1)
+    def flipped(x, labels):
+        at = np.ones((), dtype=bool)
+        for coords, c in zip(x, cell):
+            at = at & (coords == c)
+        return hook(x, labels) ^ at
 
     return flipped
 
 
 def test_keep_hook_wrong_at_a_box_corner_raises():
     patch = make_half_plane().perturbation.patch
-    wrong = dataclasses.replace(patch, keep_array=wrong_at(patch.keep_array, (5, 5)))
+    wrong = dataclasses.replace(patch, keep_grid=wrong_at(patch.keep_grid, (5, 5)))
     graph = PerturbedGraph(make_lattice(2), wrong)
     # (5, 5) is a corner of the box (0..4)^2 padded by one cell
-    message = re.escape("keep_array gives False at (5,5|v0)")
+    message = re.escape("keep_grid gives False at (5,5|v0)")
     with pytest.raises(InternalInvariantError, match=message):
         graph.unperturbed.mask(((0, 4), (0, 4)))
 
 
 def test_has_added_hook_wrong_at_a_sampled_row_raises():
     patch = make_random_pendant(0.5, 7).perturbation.patch
-    # random_pendant removes nothing, so every row of the box (0..69)^2
-    # survives and is asked about, and row 4096 is cell (58, 36)
+    # random_pendant removes nothing, so every vertex of the box (0..69)^2
+    # survives, and box vertex 4096 is cell (58, 36)
     assert divmod(4096, 70) == (58, 36)
-    wrong = dataclasses.replace(
-        patch, has_added_array=wrong_at(patch.has_added_array, (58, 36))
-    )
+    wrong = dataclasses.replace(patch, has_added_grid=wrong_at(patch.has_added_grid, (58, 36)))
     graph = PerturbedGraph(make_lattice(2), wrong)
-    with pytest.raises(InternalInvariantError, match=re.escape("has_added_array gives")):
+    with pytest.raises(InternalInvariantError, match=re.escape("has_added_grid gives")):
         graph.unperturbed.mask(((0, 69), (0, 69)))
+
+
+def test_has_added_hook_is_checked_only_at_survivors():
+    """On the half plane the corner (0, 0) of the box (0..4)^2 is kept but
+    has lost its edge to (0, -1): a ``has_added_grid`` wrong there is not
+    read, while one wrong at the surviving corner (4, 4) raises."""
+    graph = make_half_plane().perturbation
+    patch = graph.patch
+    box = ((0, 4), (0, 4))
+    off = dataclasses.replace(patch, has_added_grid=wrong_at(patch.has_added_grid, (0, 0)))
+    assert np.array_equal(PerturbedGraph(make_lattice(2), off).unperturbed.mask(box),
+                          graph.unperturbed.mask(box))
+    on = dataclasses.replace(patch, has_added_grid=wrong_at(patch.has_added_grid, (4, 4)))
+    message = re.escape("has_added_grid gives True at (4,4|v0)")
+    with pytest.raises(InternalInvariantError, match=message):
+        PerturbedGraph(make_lattice(2), on).unperturbed.mask(box)
 
 
 @pytest.mark.parametrize(
     "answer",
     [
-        lambda cells, labels: np.ones(len(labels), dtype=np.int64),
-        lambda cells, labels: np.ones(len(labels) + 1, dtype=bool),
-        lambda cells, labels: True,
+        lambda x, labels: np.ones((), dtype=np.int64),
+        lambda x, labels: np.ones(len(labels) + 1, dtype=bool),
+        lambda x, labels: True,
+        # as many vertices as the block (6, 6, 1) of the box (0..3)^2 padded
+        # by one cell, in shapes that do not broadcast to it
+        lambda x, labels: np.ones(36, dtype=bool),
+        lambda x, labels: np.ones((1, 6, 6, 1), dtype=bool),
     ],
 )
 def test_hook_of_wrong_type_or_shape_raises(answer):
-    patch = PredicatePatch(keep=lambda v: True, keep_array=answer)
+    patch = PredicatePatch(keep=lambda v: True, keep_grid=answer)
     graph = PerturbedGraph(make_lattice(2), patch)
-    with pytest.raises(InternalInvariantError, match="keep_array returned"):
+    with pytest.raises(InternalInvariantError, match="keep_grid returned"):
         graph.unperturbed.mask(((0, 3), (0, 3)))
+
+
+def test_hookless_patch_is_not_asked_off_the_common_subgraph():
+    """``has_added`` is asked over the whole box, but a hookless patch's
+    ``added_neighbors`` is only called about kept base vertices, its
+    contract."""
+
+    def added_neighbors(v):
+        assert v.cell[1] >= 0, f"asked about {v}"
+        return ()
+
+    patch = PredicatePatch(keep=lambda v: v.cell[1] >= 0, added_neighbors=added_neighbors)
+    mask = PerturbedGraph(make_lattice(2), patch).unperturbed.mask(((-3, 3), (-3, 3)))
+    assert mask[..., 0].tolist() == [[y >= 1 for y in range(-3, 4)]] * 7
+
+
+def test_row_by_row_adapter_answers_every_vertex_of_the_block():
+    """The adapter of a hookless patch calls its scalar predicate once per
+    vertex of the broadcast block, 0-d coordinates included."""
+    asked = []
+
+    def keep(v):
+        asked.append(v)
+        return v.cell[1] > v.cell[0]
+
+    adapter = perturbation._row_by_row(keep)
+    x = (np.array(7, dtype=np.int64), np.arange(5, 9).reshape(-1, 1))
+    got = adapter(x, np.arange(2))
+    assert got.dtype == bool and got.shape == (4, 2)
+    assert got.tolist() == [[y > 7] * 2 for y in range(5, 9)]
+    assert asked == [Vertex((7, y), a) for y in range(5, 9) for a in range(2)]
 
 
 @pytest.mark.parametrize(
@@ -228,8 +287,26 @@ def test_box_cell_array_follows_box_cells(box):
     assert np.array_equal(box_cell_array(box, at), cells[at])
 
 
+def test_box_cell_count_refuses_at_the_first_axis_past_the_cap():
+    """The running product stops at the first axis past the cap, so a box
+    of a million axes is refused at once, by a message that names the axis
+    count and the cap and neither the box nor a count of thousands of
+    digits."""
+    start = time.perf_counter()
+    message = "^a box of 1000000 axes has too many cells: a whole box is capped at 16777216$"
+    with pytest.raises(InputError, match=message):
+        box_cell_count([(0, 2)] * 10**6)
+    assert time.perf_counter() - start < 0.5
+    assert box_cell_count([(0, 255)] * 3) == 2**24
+    assert box_cell_count([(0, 9), (3, 2), (0, 9)]) == 0
+
+
 def test_box_cell_array_rejects_coordinates_beyond_64_bits():
     assert box_cell_array([(2**63 - 2, 2**63 - 1)]).tolist() == [[2**63 - 2], [2**63 - 1]]
     for box in ([(2**63 - 1, 2**63)], [(-(2**63) - 1, 0)]):
         with pytest.raises(InputError, match="64-bit"):
             box_cell_array(box)
+    # the refusal names the axis, not the whole box
+    message = r"^box axis 1 \[0, 9223372036854775808\] has coordinates outside the 64-bit range$"
+    with pytest.raises(InputError, match=message):
+        box_cell_array([(0, 1), (0, 2**63)] + [(0, 1)] * 1000)

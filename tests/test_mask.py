@@ -440,11 +440,11 @@ def _hash_of(v):
 
 def _check_membership(members, rows):
     contains = perturbation._finite_membership(members, 2)
-    cells = np.array([v.cell for v in rows], dtype=np.int64)
+    cells = np.array([v.cell for v in rows], dtype=np.int64).reshape(-1, 2)
     labels = np.array([v.label for v in rows], dtype=np.int64)
-    got = contains(cells, labels)
-    assert got.dtype == bool and got.shape == (len(rows),)
-    assert got.tolist() == [v in members for v in rows]
+    got = contains(tuple(cells.T), labels)
+    assert got.dtype == bool
+    assert np.broadcast_to(got, labels.shape).tolist() == [v in members for v in rows]
 
 
 def _fail_isin(*args, **kwargs):
@@ -480,7 +480,7 @@ def test_finite_membership_confirms_every_colliding_candidate(monkeypatch):
     monkeypatch.setattr(np, "isin", _fail_isin)
     monkeypatch.setattr(
         perturbation, "cell_hash_array",
-        lambda seed, rows: np.full(len(rows), 7, dtype=np.uint64),
+        lambda seed, coords: np.full(np.broadcast(*coords).shape, 7, dtype=np.uint64),
     )
     rows = _membership_rows()
     for members in [frozenset([rows[0]]), frozenset([rows[-1], rows[40]]), frozenset(rows[::5])]:
