@@ -122,7 +122,6 @@ def build_periodic(dim: int, cell_size: int, edges: Iterable[FundEdge]) -> Perio
     if cell_size < 1:
         raise IsolatedVertexError(f"cell size must be >= 1, got {cell_size}")
     stored = []
-    degrees = [0] * cell_size
     for e in edges:
         if len(e.index) != dim:
             raise DimensionMismatchError(
@@ -132,13 +131,17 @@ def build_periodic(dim: int, cell_size: int, edges: Iterable[FundEdge]) -> Perio
             raise VertexNotInGraphError(
                 f"edge {e} references labels outside 0..{cell_size - 1}"
             )
-        c = e.canonical()
-        stored.append(c)
+        stored.append(e.canonical())
+    # the first label with no edge, found before ``cell_size`` degrees are
+    # listed: the scan passes at most two labels per edge
+    ends = {label for c in stored for label in (c.origin, c.target)}
+    isolated = next((label for label in range(cell_size) if label not in ends), None)
+    if isolated is not None:
+        raise IsolatedVertexError(f"label {isolated} has no incident edges")
+    degrees = [0] * cell_size
+    for c in stored:
         degrees[c.origin] += 1
         degrees[c.target] += 1
-    for label, deg in enumerate(degrees):
-        if deg == 0:
-            raise IsolatedVertexError(f"label {label} has no incident edges")
     if stored and all(not e.is_bridge for e in stored):
         warnings.warn(
             "all edge indices are zero: the graph does not propagate between "
@@ -203,6 +206,15 @@ def box_cell_array(box: Sequence[tuple[int, int]], at: np.ndarray | None = None)
     for axis, offsets in enumerate(np.unravel_index(at, sizes)):
         np.add(offsets, box[axis][0], out=cells[:, axis])
     return cells
+
+
+def _foreign_neighbour(v: Vertex, dim: int) -> InputError:
+    """The refusal of a graph that lists ``v``, whose cell has another
+    number of coordinates than ``dim``, as a neighbour."""
+    return InputError(
+        f"the graph lists {v}, whose cell has {len(v.cell)} coordinates, "
+        f"as a neighbour in a {dim}-dimensional graph"
+    )
 
 
 def propagation_length(graph: PeriodicGraph) -> int:

@@ -227,13 +227,16 @@ class UnperturbedSet:
 
 def _check_mask_cap(box: Window, pad: int, s: int) -> None:
     """``InputError`` when ``box`` padded by ``pad``, ``s`` labels per cell,
-    holds more than ``_MASK_LIMIT`` vertices."""
-    count = math.prod(max(hi - lo + 1, 0) + 2 * pad for lo, hi in box) * s
-    if count > _MASK_LIMIT:
-        raise InputError(
-            f"box {list(box)} padded by {pad} has {count} vertices; "
-            f"the unperturbed-set mask is capped at {_MASK_LIMIT}"
-        )
+    holds more than ``_MASK_LIMIT`` vertices, as soon as the product of the
+    axes so far passes it; the message prints no size of the box."""
+    count = s
+    for lo, hi in box:
+        count *= max(hi - lo + 1, 0) + 2 * pad
+        if count > _MASK_LIMIT:
+            raise InputError(
+                f"a box of {len(box)} axes padded by {pad}, {s} labels per cell, has "
+                f"too many vertices: the unperturbed-set mask is capped at {_MASK_LIMIT}"
+            )
 
 
 def _checked_hook(
@@ -462,7 +465,8 @@ def find_unperturbed_box(
     lateral axes, and an int32 counter per lateral center holds how many
     eroded rows in a row are clear: center row ``r`` is clear where it
     reaches the box side at cell row ``r + half``.  A box side past 2**31 - 1
-    cells raises ``InputError``.
+    cells, or a window coordinate outside 64 bits, raises ``InputError``
+    before any ``mask`` call.
     """
     if n < 1:
         raise InputError(f"box radius must be >= 1, got {n}")
@@ -476,10 +480,11 @@ def find_unperturbed_box(
     if side > np.iinfo(np.int32).max:
         raise InputError(f"box side {side} is past the int32 run counter of the search")
     bounds = (-half, half)
+    rows, *lateral = _cell_sizes(window)
     (lo, hi), rest = window[0], window[1:]
     across = [(a - half, b + half) for a, b in rest]
-    per_row = math.prod(max(b - a + 1, 0) for a, b in rest)
-    if hi < lo or per_row == 0:
+    per_row = math.prod(lateral)
+    if rows == 0 or per_row == 0:
         return WindowReport(n, None, 0, bounds)
     padded_row = math.prod(b - a + 1 + 2 * pad for a, b in across) * graph.base.cell_size
     piece = max(_MASK_LIMIT // padded_row - 2 * pad, 1)

@@ -10,8 +10,8 @@ first one.  A ``Region`` has two sides:
   sets it on the box of the twice-grown grid, zeros around it, and applies
   the stencil below there; it asks no oracle;
 * the *perturbed side* lists, as rows, the box vertices in grid order, then
-  the *ring*: their neighbours outside the box, in the order of first
-  occurrence.
+  the *ring*: their neighbours outside the box, which ``_stencil`` run over
+  the box's bits finds, in grid order.
 
 Every box vertex is kept and has exactly its base edges, so the box rows are
 the box slice of the grid grown twice by the propagation length, and every
@@ -62,6 +62,7 @@ from .graphs import (
     Cell,
     PeriodicGraph,
     Vertex,
+    _foreign_neighbour,
     audit_symmetry,
     box_cell_array,
     propagation_length,
@@ -105,9 +106,6 @@ class Region:
                 f"{self._names_of(self._box_keys(outside[:1]))[0]} is not in the "
                 f"unperturbed set: a Region needs a clear box"
             )
-        member = np.zeros(kept.shape, dtype=bool)  # no bit past the once-grown grid
-        member[(slice(pad, pad + side + 2 * pad),) * dim] = members
-        self._member = member.reshape(-1)
         self._base_degrees = np.asarray(base.degrees, dtype=np.int64)
         self._shifts = _label_shifts(base, self._strides.tolist())
         _check_reversals(self._shifts)
@@ -116,23 +114,12 @@ class Region:
         # ``row_at[-1]`` is never a row: it answers the key -1 of ``_keys_of``
         row_at = np.full(self._grid_keys + 1, -1, dtype=np.intp)
         row_at[:-1].reshape(kept.shape)[self._inner] = np.arange(self.kept).reshape(self.shape)
-        # a box row at least ``pad`` cells inside every face lists box rows only
-        near = np.ones(self.shape, dtype=bool)
-        near[(slice(pad, side - pad),) * dim] = False
-        keys = self._box_keys(np.flatnonzero(near))
-        labels = keys % s
-        degrees = self._base_degrees[labels]
-        starts = np.cumsum(degrees) - degrees
-        targets = np.empty(int(degrees.sum()), dtype=np.int64)
-        for a, shifts in enumerate(self._shifts):
-            at = labels == a
-            for j, shift in enumerate(shifts):
-                targets[starts[at] + j] = keys[at] + shift
-        ring = targets[row_at[targets] < 0]
-        self._ring = ring[np.sort(np.unique(ring, return_index=True)[1])]
+        box = row_at[:-1] >= 0
+        self._ring = np.flatnonzero(self._stencil(box) & ~box)  # bool sums are ORs
         self.size = self.kept + len(self._ring)
         row_at[self._ring] = np.arange(self.kept, self.size)
-        ring_bits = self._member[self._ring]
+        *cell, label = np.unravel_index(self._ring, kept.shape)
+        ring_bits = members[tuple(c - pad for c in cell) + (label,)]
         self.unperturbed = np.concatenate([np.ones(self.kept, dtype=bool), ring_bits])
 
         asked = np.flatnonzero(~ring_bits)
@@ -156,10 +143,7 @@ class Region:
         m, s, d = len(targets), self.shape[-1], len(self._lo)
         wrong = next((v for v in targets if len(v.cell) != d), None)
         if wrong is not None:
-            raise InputError(
-                f"the graph lists {wrong}, whose cell has {len(wrong.cell)} coordinates, "
-                f"as a neighbour in a {d}-dimensional graph"
-            )
+            raise _foreign_neighbour(wrong, d)
         labels = np.fromiter(map(attrgetter("label"), targets), dtype=np.int64, count=m)
         offsets = np.array(list(map(attrgetter("cell"), targets)), dtype=np.int64)
         offsets = offsets.reshape(m, d) - self._lo
@@ -206,10 +190,10 @@ class Region:
         for a, shifts in enumerate(self._shifts):
             at, ends = keys[labels == a], csr[labels == a]
             for shift in shifts:
-                p = at + shift
-                found = np.where(self._member[p], row_at[p], -1)
-                rows.append(found[found >= 0])
-                cols.append(ends[found >= 0])
+                r = row_at[at + shift]
+                found = (r >= 0) & self.unperturbed[r]
+                rows.append(r[found])
+                cols.append(ends[found])
         audit_symmetry(self.size, self._name, np.concatenate(rows), np.concatenate(cols))
 
     def _check_templates(self, row_at: np.ndarray) -> None:

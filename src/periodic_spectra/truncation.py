@@ -36,6 +36,7 @@ from .graphs import (
     PeriodicOracle,
     Vertex,
     Window,
+    _foreign_neighbour,
     audit_symmetry,
     box_cell_array,
     box_cell_count,
@@ -197,10 +198,11 @@ def truncate(oracle: GraphOracle, box: Window, periodic_wrap: bool = False) -> B
     leaving the box re-enter modulo the box lengths.  Raises
     ``InternalInvariantError`` when the oracle's edges are not symmetric, or
     when an edge reaches a vertex in a box cell that ``vertices_in_cell`` does
-    not list, and ``InputError`` when ``box_cell_count`` refuses the box or an
-    induced box lists more than ``_DENSE_LIMIT`` vertices, checked every
+    not list, and ``InputError`` when ``box_cell_count`` refuses the box, when
+    an induced box lists more than ``_DENSE_LIMIT`` vertices, checked every
     ``_CELL_CHUNK`` cells (each chunk listed by ``box_cell_array``) and before
-    any ``out_edges`` call.
+    any ``out_edges`` call, or when an edge reaches a vertex whose cell has
+    another number of coordinates than the box.
     """
     for lo, hi in box:
         if lo > hi:
@@ -227,6 +229,8 @@ def truncate(oracle: GraphOracle, box: Window, periodic_wrap: bool = False) -> B
     for i, v in enumerate(vertices):
         for t in oracle.out_edges(v):
             j = index.get(t)
+            if j is None and len(t.cell) != len(box):
+                raise _foreign_neighbour(t, len(box))
             if j is None and periodic_wrap:  # re-enter modulo the box lengths
                 cell = tuple(lo + (c - lo) % ln for c, (lo, ln) in zip(t.cell, sides))
                 j = index[Vertex(cell, t.label)]

@@ -20,6 +20,7 @@ from periodic_spectra import graphs as graphs_module
 from periodic_spectra import truncation as truncation_module
 from periodic_spectra.cli import Lookup, RunContext, _fmt, _format_columns, _json_text, main
 from periodic_spectra.errors import InternalInvariantError, ParseError
+from periodic_spectra.perturbation import UnperturbedSet
 from periodic_spectra.region import Region
 from periodic_spectra.graphs import Vertex
 from periodic_spectra.io import (
@@ -623,6 +624,16 @@ class TestErrorPaths:
         bad.write_text("{not json")
         assert run(tmp_path, "sigma-ess", "--graph", str(bad), "--grid", "8") == 2
 
+    def test_cell_size_past_twice_the_edges_is_parse_error(self, tmp_path, capsys):
+        # refused before a list of 10**12 degrees is made
+        source = tmp_path / "graph.json"
+        spec = {"dimension": 1, "cell_size": 10**12, "edges": [[1, 1, [1]]]}
+        source.write_text(json.dumps(spec))
+        out = str(tmp_path / "b")
+        assert run(tmp_path, "bands", "--graph", str(source), "--grid", "2", "--out", out) == 2
+        assert f"{source}: label 1 has no incident edges" in capsys.readouterr().err
+        assert not (tmp_path / "b.csv").exists()
+
     def test_malformed_builtin_params(self, tmp_path):
         assert run(
             tmp_path,
@@ -714,6 +725,44 @@ class TestErrorPaths:
             *extra, f"--window={axis},{axis}", "--out", str(tmp_path / "big"),
         ) == 2
         assert "unperturbed-set mask is capped at" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("lambda-set", ["--window={0},{1},{0},{1}"]),
+            ("weyl-check", ["--lambda", "0.2", "--n-list", "{1}"]),
+        ],
+    )
+    def test_window_of_2200_digits(self, tmp_path, capsys, command, extra):
+        # the padded box has about 4,400 digits of vertices, past the
+        # 4,300 digits Python converts to text
+        huge = str(10**2200)
+        assert run(
+            tmp_path,
+            command, "--graph", "builtin:lattice2", "--perturbation", "builtin:half_plane",
+            *[x.format(0, huge) for x in extra], "--out", str(tmp_path / "big"),
+        ) == 2
+        err = capsys.readouterr().err
+        assert "unperturbed-set mask is capped at" in err and len(err) < 200
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("condition-p", ["--n", "1"]), ("weyl-check", ["--lambda", "0.2", "--n-list", "1"])],
+    )
+    def test_search_window_beyond_64_bits(self, tmp_path, capsys, monkeypatch, command, extra):
+        # refused before the search asks for the first of 10**20 cell rows
+        def no_mask(*args):
+            raise AssertionError("the search asked for a mask")
+
+        monkeypatch.setattr(UnperturbedSet, "mask", no_mask)
+        assert run(
+            tmp_path,
+            command, "--graph", "builtin:lattice2", "--perturbation", "builtin:half_plane",
+            *extra, "--window=0,100000000000000000000,0,0", "--out", str(tmp_path / "big"),
+        ) == 2
+        assert "outside the 64-bit range" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_window_of_2_to_the_64_centres_per_row(self, tmp_path, capsys):

@@ -44,6 +44,11 @@ class TestBuildPeriodic:
         with pytest.raises(IsolatedVertexError):
             build_periodic(1, 2, [FundEdge(0, 0, (1,))])
 
+    def test_huge_cell_size_rejected_before_allocating(self):
+        # a list of 10**12 degrees would need 8 TB; one edge covers label 0 only
+        with pytest.raises(IsolatedVertexError, match="^label 1 has no incident edges$"):
+            build_periodic(1, 10**12, [FundEdge(0, 0, (1,))])
+
     def test_wrong_index_length_rejected(self):
         with pytest.raises(DimensionMismatchError):
             build_periodic(2, 1, [FundEdge(0, 0, (1,))])

@@ -388,6 +388,33 @@ def test_search_refuses_a_box_side_past_the_run_counter():
         find_unperturbed_box(graph, n + 1, ((0, 0),))
 
 
+def test_search_refuses_a_window_past_64_bits_before_any_mask(monkeypatch):
+    """Rows of the window are read one slab at a time, so a window row past
+    2**63 would be reached only after about 10**20 rows."""
+
+    def no_mask(*args):
+        raise AssertionError("the search asked for a mask")
+
+    monkeypatch.setattr(UnperturbedSet, "mask", no_mask)
+    for window in [((0, 10**20), (0, 0)), ((0, 0), (-(10**20), 0))]:
+        with pytest.raises(InputError, match="outside the 64-bit range"):
+            find_unperturbed_box(GRAPHS["half_plane"], 1, window)
+
+
+def test_mask_cap_stops_at_the_first_axis_past_it():
+    """The cap's product stops at the first axis past it and its message
+    prints no size, so a window of 10**2200 cells per axis is refused with
+    ``InputError`` rather than Python's 4300-digit conversion limit."""
+    huge = 10**2200
+    message = (
+        "a box of 2 axes padded by 1, 1 labels per cell, has too many vertices: "
+        f"the unperturbed-set mask is capped at {perturbation._MASK_LIMIT}"
+    )
+    with pytest.raises(InputError) as refused:
+        GRAPHS["half_plane"].unperturbed.mask(((0, huge), (0, huge)))
+    assert str(refused.value) == message
+
+
 def test_search_refuses_a_single_row_past_the_cap(tmp_path, monkeypatch):
     graph = GRAPHS["half_plane"]
     window = ((-3, 3), (3, 9))

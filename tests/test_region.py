@@ -414,25 +414,19 @@ def test_template_without_reversal_fails_the_compile(monkeypatch):
 
 def reference_region(graph, center, half):
     """The rows of ``Region`` from one ``out_edges`` call per row: the box
-    vertices in grid order, then their neighbours outside the box in the
-    order the rows list them."""
+    vertices in grid order, then their neighbours outside the box sorted by
+    ``(cell, label)``."""
     s = graph.base.cell_size
     box = [(c - half, c + half) for c in center]
     names = [Vertex(cell, label) for cell in box_cells(box) for label in range(s)]
-    row_of = {x: r for r, x in enumerate(names)}
     kept = len(names)
+    inside = set(names)
+    ring = {t for x in names for t in graph.oracle.out_edges(x) if t not in inside}
+    names += sorted(ring, key=lambda v: (v.cell, v.label))
+    row_of = {x: r for r, x in enumerate(names)}
     indptr, indices, degrees = [0], [], []
-    for r in range(kept):
-        targets = graph.oracle.out_edges(names[r])
-        for t in targets:
-            if t not in row_of:
-                row_of[t] = len(names)
-                names.append(t)
-            indices.append(row_of[t])
-        degrees.append(len(targets))
-        indptr.append(len(indices))
-    for r in range(kept, len(names)):
-        targets = graph.oracle.out_edges(names[r])
+    for x in names:
+        targets = graph.oracle.out_edges(x)
         indices.extend(row_of[t] for t in targets if t in row_of)
         degrees.append(len(targets))
         indptr.append(len(indices))

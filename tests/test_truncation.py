@@ -345,6 +345,23 @@ class TestSymmetryAudit:
             truncate(oracle, ((-2, 2), (-2, 2)))
 
 
+    @pytest.mark.parametrize("cell", [(5,), (0,), (1, 1, 1), (0, 0, 7)])
+    def test_neighbour_of_another_dimension_rejected(self, lattice2, cell):
+        """An added edge from (0,0) to a vertex with another number of
+        coordinates is an input fault, refused as ``Region`` refuses it, not
+        dropped as outside the box nor reported as an unlisted box vertex."""
+        stray = Vertex(cell, 0)
+        patch = PredicatePatch(
+            keep=lambda v: True,
+            added_neighbors=lambda v: (stray,) if v == vert(0, 0) else (),
+        )
+        oracle = PerturbedGraph(lattice2, patch, name="stray").oracle
+        message = f"the graph lists {stray}, whose cell has {len(cell)} coordinates, "
+        message += "as a neighbour in a 2-dimensional graph"
+        with pytest.raises(InputError, match=re.escape(message)):
+            truncate(oracle, ((-2, 2), (-2, 2)))
+
+
 def reference_truncate(oracle, box, periodic_wrap):
     """Vertices, pair counts ``{(i, j): c}`` with ``i <= j`` (a loop counted
     once) and the number of dropped vertices."""
