@@ -16,7 +16,15 @@ import numpy as np
 
 from .errors import InputError
 from .floquet import DEFAULT_FLAT_TOL, SpectrumApprox
-from .graphs import Cell, FundEdge, PeriodicGraph, Vertex, box_cell_array, build_periodic
+from .graphs import (
+    Cell,
+    FundEdge,
+    PeriodicGraph,
+    Vertex,
+    box_cell_array,
+    box_cell_count,
+    build_periodic,
+)
 from .perturbation import PerturbedGraph, PredicatePatch
 from .randomfield import bernoulli, bernoulli_array
 
@@ -249,6 +257,25 @@ def _check_box(n: int, dim: int) -> None:
 
 _TRIAL_CHUNK = 65536  # trials per chunk of ``clear_box_monte_carlo``
 
+# Box cells of all trials of ``clear_box_monte_carlo``, checked before any is
+# hashed: 2,000,000 trials of a 3 x 3 box are 1.8 * 10^7 cells, and hashing
+# 2^32 would take minutes.
+_TRIAL_CELL_LIMIT = 1 << 32
+
+
+def _check_trials(n: int, dim: int, trials: int) -> None:
+    """``InputError`` when ``box_cell_count`` refuses the box of radius
+    ``n`` in ``dim`` axes, when ``trials`` is below 1, or when the
+    ``trials`` boxes hold more than ``_TRIAL_CELL_LIMIT`` cells."""
+    cells = box_cell_count([(0, 2 * n)] * dim)
+    if trials < 1:
+        raise InputError(f"trials must be >= 1, got {trials}")
+    if trials * cells > _TRIAL_CELL_LIMIT:
+        raise InputError(
+            f"{trials} trials of a box of radius {n} in {dim} axes have too many "
+            f"cells: the Monte Carlo is capped at {_TRIAL_CELL_LIMIT}"
+        )
+
 
 def clear_box_monte_carlo(
     n: int, p: float, dim: int, trials: int, seed: int, pool=None
@@ -263,31 +290,27 @@ def clear_box_monte_carlo(
     cell's bit does not depend on when it is hashed, so the survivors are
     exactly the clear boxes.  Chunks of ``_TRIAL_CHUNK`` trials are evaluated
     independently and reduced by integer sum, so the estimate is identical
-    for any chunk size and any pool size.
+    for any chunk size and any pool size.  ``_check_trials`` refuses a run
+    of more than ``_TRIAL_CELL_LIMIT`` box cells.
     """
     _check_box(n, dim)
-    if trials < 1:
-        raise InputError(f"trials must be >= 1, got {trials}")
+    _check_trials(n, dim, trials)
     side = 2 * n + 1
     offsets = box_cell_array([(0, side - 1)] * dim)
 
-    def count_chunk(bounds: tuple[int, int]) -> int:
-        lo, hi = bounds
+    def count_chunk(lo: int) -> int:
         # boxes tile along the first axis, spaced one box apart: box t starts
         # at cell (t * side, 0, ..., 0), so a start is kept as its first
         # coordinate
-        first = np.arange(lo, hi, dtype=np.int64) * side
+        first = np.arange(lo, min(lo + _TRIAL_CHUNK, trials), dtype=np.int64) * side
         for off in offsets:
             if not len(first):
                 break
             first = first[~bernoulli_array(seed, (first + off[0], *off[1:]), p)]
         return len(first)
 
-    bounds = [(lo, min(lo + _TRIAL_CHUNK, trials)) for lo in range(0, trials, _TRIAL_CHUNK)]
-    if pool is None:
-        hits = [count_chunk(b) for b in bounds]
-    else:
-        hits = list(pool.map(count_chunk, bounds))
+    starts = range(0, trials, _TRIAL_CHUNK)
+    hits = map(count_chunk, starts) if pool is None else pool.map(count_chunk, starts)
     return sum(hits) / trials
 
 

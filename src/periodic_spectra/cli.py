@@ -27,6 +27,7 @@ import numpy as np
 from . import __version__
 from .catalog import (
     CatalogEntry,
+    _check_trials,
     clear_box_monte_carlo,
     clear_box_probability,
     entry_names,
@@ -40,7 +41,7 @@ from .errors import (
     PeriodicSpectraError,
 )
 from .floquet import DEFAULT_FLAT_TOL, band_values, essential_spectrum
-from .graphs import PeriodicGraph, Vertex, box_cell_array, box_cell_count, periodic_oracle
+from .graphs import PeriodicGraph, Vertex, box_cell_array, periodic_oracle
 from .io import load_graph_file, load_perturbation_file, perturbation_from_spec
 from .perturbation import PerturbedGraph, find_unperturbed_box
 from .truncation import check_eps, compare_spectra, spectrum_of_box, truncate, zero_mode_count
@@ -490,8 +491,9 @@ def _cmd_truncate(args) -> int:
 
 
 def _cmd_random_trial(args) -> int:
-    # the Monte Carlo's box cap comes first: the closed form's power can overflow
-    box_cell_count([(0, 2 * args.n)] * args.dim)
+    # the Monte Carlo's caps come first: the closed form's power can overflow,
+    # and they refuse a run before its pool starts
+    _check_trials(args.n, args.dim, args.trials)
     expected = clear_box_probability(args.n, args.p, args.dim)
     ctx = RunContext(
         "random-trial",

@@ -55,6 +55,11 @@ GridPredicate = Callable[[tuple[np.ndarray, ...], np.ndarray], np.ndarray]
 # 2001 x 2001 or 255^3 window room to run.
 _MASK_LIMIT = 1 << 24
 
+# Cells of a search window padded by the box half-width on every side, checked
+# before the search reads any: the 3-D n=96 default window, 389 cells per axis
+# padded by 96, is 581^3, about 2 * 10^8 cells; reading 2^32 would take minutes.
+_SEARCH_LIMIT = 1 << 32
+
 # Besides the box corners, ``mask`` checks every this many box vertices of a
 # hook's answer against the scalar predicate.
 _SAMPLE_STRIDE = 4096
@@ -465,8 +470,9 @@ def find_unperturbed_box(
     lateral axes, and an int32 counter per lateral center holds how many
     eroded rows in a row are clear: center row ``r`` is clear where it
     reaches the box side at cell row ``r + half``.  A box side past 2**31 - 1
-    cells, or a window coordinate outside 64 bits, raises ``InputError``
-    before any ``mask`` call.
+    cells, a window coordinate outside 64 bits, a padded row past the mask
+    cap, or a window of more than ``_SEARCH_LIMIT`` cells padded by ``half``,
+    raises ``InputError`` before any ``mask`` call.
     """
     if n < 1:
         raise InputError(f"box radius must be >= 1, got {n}")
@@ -486,7 +492,15 @@ def find_unperturbed_box(
     per_row = math.prod(lateral)
     if rows == 0 or per_row == 0:
         return WindowReport(n, None, 0, bounds)
-    padded_row = math.prod(b - a + 1 + 2 * pad for a, b in across) * graph.base.cell_size
+    s = graph.base.cell_size
+    # a padded row past the mask cap is refused as the first ``mask`` call would
+    _check_mask_cap([(0, 0)] + across, pad, s)
+    if (rows + 2 * half) * math.prod(b - a + 1 for a, b in across) > _SEARCH_LIMIT:
+        raise InputError(
+            f"a window of {len(window)} axes padded by {half} has too many cells: the "
+            f"box search is capped at {_SEARCH_LIMIT}"
+        )
+    padded_row = math.prod(b - a + 1 + 2 * pad for a, b in across) * s
     piece = max(_MASK_LIMIT // padded_row - 2 * pad, 1)
     run = np.int32(0)  # clear rows in a row, per lateral center once a piece is read
     top, first, slab = lo - half, lo, 1  # top: the next cell row to read

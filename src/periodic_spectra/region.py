@@ -3,55 +3,51 @@
 A ``Region`` covers the box ``[c - h, c + h]^d`` around a centre cell ``c``
 and is compiled once per test state.  The box must lie inside the
 unperturbed set: a box vertex outside it raises ``InputError`` naming the
-first one.  A ``Region`` has two sides:
+first one.  Every array of a ``Region`` is indexed by *key*, a position on
+the box grown twice by the propagation length, in lexicographic cell order
+with labels last.  A key that is not a kept base vertex of that grid names
+no vertex.  ``Vertex`` names are built only on demand.
 
-* the *base side* is the dense grid ``(2h+1, ..., 2h+1, cell_size)`` of base
-  vertices in lexicographic cell order, labels last.  ``base_laplacian``
-  sets it on the box of the twice-grown grid, zeros around it, and applies
-  the stencil below there; it asks no oracle;
-* the *perturbed side* lists, as rows, the box vertices in grid order, then
-  the *ring*: their neighbours outside the box, which ``_stencil`` run over
-  the box's bits finds, in grid order.
+A state on the perturbed side is a flat array over the keys, zero off the
+box; ``embed`` sets a grid state (shape ``(2h+1, ..., 2h+1, cell_size)``) on
+the box slice, as ``base_laplacian`` does before it applies the stencil
+below.  The operators read the box keys and the *ring*: the neighbours of
+the box outside it, which ``_stencil`` run over the box's bits finds, in
+key order.  Every box vertex is kept and has exactly its base edges, so
+every ring key is a kept base vertex of the box grown once.  One call of
+``UnperturbedSet.mask`` over the once-grown box gives the unperturbed bit
+of every box and ring key, and with it the kept bits of the twice-grown
+grid.  The bit splits the keys in two kinds:
 
-Every box vertex is kept and has exactly its base edges, so the box rows are
-the box slice of the grid grown twice by the propagation length, and every
-ring row is a kept base vertex of the box grown once.  One call of
-``UnperturbedSet.mask`` over the once-grown box gives the unperturbed bit of
-every row, and with it the kept bits of the twice-grown grid.  The bit
-splits the rows in two kinds:
+* a *stencil key* (bit set: every box key and most ring keys) stores no
+  neighbours.  ``laplacian`` applies the one base stencil ``_stencil`` (a
+  shifted slice per oriented template at each label, in
+  ``PeriodicGraph.templates`` order, which the oracle lists too) to the
+  state and divides by each label's base degree;
+* a *CSR key* (a ring key whose bit is clear) takes one ``out_edges`` call
+  and keeps the targets that are box or ring keys as CSR entries, which a
+  small ``bincount`` sums; ``laplacian`` overwrites the stencil sum there.
 
-* a *stencil row* (bit set: every box row and most ring rows) stores no
-  neighbours.  ``laplacian`` writes the box rows into their slice of the
-  twice-grown grid and the ring rows at their positions, where any other
-  position holds 0, applies the one base stencil ``_stencil`` (a shifted
-  slice per oriented template at each label, in ``PeriodicGraph.templates``
-  order, which the oracle lists too) and reads the sums back;
-* a *CSR row* (a ring row whose bit is clear) takes one ``out_edges`` call
-  and keeps the targets that are rows as CSR entries, which a small
-  ``bincount`` sums.
-
-Both add a row's neighbour values in ``out_edges`` order from 0, so the sums
-have the bits one ``bincount`` over a full CSR gives.  A row is known by its
-*key*, its position on the twice-grown grid; a name that is not a kept
-vertex of that grid is no row.  ``Vertex`` names are built only on demand.
+Both add a key's neighbour values in ``out_edges`` order from 0, so the sums
+have the bits one ``bincount`` over a full CSR gives.  ``norm`` sums the box
+keys in grid order, then the ring, so every norm has the bits of one sum
+over that list.
 
 Four checks run on every compile: the box is clear; every oriented template
-has its reversal; the stencil rows at the corners of their block and at
+has its reversal; the stencil keys at the corners of their block and at
 every 4096th of them equal ``out_edges``; and ``graphs.audit_symmetry``
-finds every CSR entry, and every stencil entry that lands on a CSR row,
-listed from both ends.  Two stencil rows list each other through a template
+finds every CSR entry, and every stencil entry that lands on a CSR key,
+listed from both ends.  Two stencil keys list each other through a template
 and its reversal, so they need no audit.  ``tests/reference.py`` holds the
 dict operators that compute the same quantities vertex by vertex,
 ``state_vector`` and ``region_entries``, which lays out the full CSR of
-every row.
+every box and ring key.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from collections import Counter
-from functools import cached_property
 from operator import attrgetter
 from typing import Sequence
 
@@ -74,10 +70,9 @@ class Region:
     """Padded clear box of half-width ``half`` around ``center`` with both
     operators in array form.
 
-    Grid arrays have shape ``self.shape``; row arrays have length
-    ``self.size``, the box rows first (``self.kept`` of them).
-    ``laplacian`` is exact only for row vectors supported on the box rows,
-    which is what ``embed`` produces.
+    Grid arrays have shape ``self.shape``; perturbed-side states are flat
+    arrays over the keys.  ``laplacian`` is exact only for states supported
+    on the box, which is what ``embed`` produces.
     """
 
     def __init__(self, graph: PerturbedGraph, center: Cell, half: int):
@@ -87,54 +82,53 @@ class Region:
         s, dim = base.cell_size, base.dim
         side = 2 * half + 1
         self.shape = (side,) * dim + (s,)
-        self.kept = math.prod(self.shape)
         self._box = [(c - half, c + half) for c in center]
         self._pad = pad = propagation_length(base)
         kept, members = graph.unperturbed._kept_and_mask(
             [(lo - pad, hi + pad) for lo, hi in self._box]
         )
-        # keys of rows are positions on ``kept``'s grid, the box grown twice
+        inside = members[(slice(pad, pad + side),) * dim]
+        if not inside.all():
+            *offset, label = np.unravel_index(int(np.argmin(inside)), self.shape)
+            cell = tuple(lo + int(i) for (lo, _), i in zip(self._box, offset))
+            raise InputError(
+                f"{Vertex(cell, int(label))} is not in the unperturbed set: a Region "
+                f"needs a clear box"
+            )
+        # keys are positions on ``kept``'s grid, the box grown twice
         self._wide = [(lo - 2 * pad, hi + 2 * pad) for lo, hi in self._box]
-        self._grid_shape = kept.shape[:-1]
+        self._grid_shape = kept.shape
         self._grid_keys = kept.size
         self._lo = np.array([lo for lo, _ in self._wide], dtype=np.int64)
-        self._strides = s * self._grid_shape[0] ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+        self._strides = s * kept.shape[0] ** np.arange(dim - 1, -1, -1, dtype=np.int64)
         self._kept_bits = kept.reshape(-1)
-        outside = np.flatnonzero(~members[(slice(pad, pad + side),) * dim].reshape(-1))
-        if outside.size:
-            raise InputError(
-                f"{self._names_of(self._box_keys(outside[:1]))[0]} is not in the "
-                f"unperturbed set: a Region needs a clear box"
-            )
         self._base_degrees = np.asarray(base.degrees, dtype=np.int64)
         self._shifts = _label_shifts(base, self._strides.tolist())
         _check_reversals(self._shifts)
 
         self._inner = (slice(2 * pad, 2 * pad + side),) * dim  # the box on that grid
-        # ``row_at[-1]`` is never a row: it answers the key -1 of ``_keys_of``
-        row_at = np.full(self._grid_keys + 1, -1, dtype=np.intp)
-        row_at[:-1].reshape(kept.shape)[self._inner] = np.arange(self.kept).reshape(self.shape)
-        box = row_at[:-1] >= 0
-        self._ring = np.flatnonzero(self._stencil(box) & ~box)  # bool sums are ORs
-        self.size = self.kept + len(self._ring)
-        row_at[self._ring] = np.arange(self.kept, self.size)
+        # the box and ring keys; ``member[-1]`` answers the key -1 of ``_keys_of``
+        member = np.zeros(self._grid_keys + 1, dtype=bool)
+        member[:-1].reshape(kept.shape)[self._inner] = True
+        self._ring = np.flatnonzero(self._stencil(member[:-1]) & ~member[:-1])  # bool sums are ORs
+        member[self._ring] = True
         *cell, label = np.unravel_index(self._ring, kept.shape)
         ring_bits = members[tuple(c - pad for c in cell) + (label,)]
-        self.unperturbed = np.concatenate([np.ones(self.kept, dtype=bool), ring_bits])
 
         asked = np.flatnonzero(~ring_bits)
-        listed, counts = _ask(graph, self._names_of(self._ring[asked]))
-        cols = row_at[self._keys_of(listed)]
-        self._csr_rows = self.kept + asked
-        self._csr_owner = np.repeat(np.arange(len(counts)), counts)[cols >= 0]
-        self._csr_cols = cols[cols >= 0]
-        self.degrees = np.concatenate(
-            [np.tile(self._base_degrees, self.kept // s), self._base_degrees[self._ring % s]]
-        )
-        self.degrees[self._csr_rows] = counts
+        self._csr_keys = self._ring[asked]
+        listed, self._csr_degrees = _ask(graph, self._names_of(self._csr_keys))
+        keys = self._keys_of(listed)
+        found = member[keys]
+        self._csr_owner = np.repeat(np.arange(len(asked)), self._csr_degrees)[found]
+        self._csr_cols = keys[found]
+        self._ring_degrees = self._base_degrees[self._ring % s]
+        self._ring_degrees[asked] = self._csr_degrees
+        member[self._csr_keys] = False
+        self._member = member  # the member bits: set at the stencil keys
 
-        self._audit(row_at)
-        self._check_templates(row_at)
+        self._audit()
+        self._check_templates()
 
     def _keys_of(self, targets: Sequence[Vertex]) -> np.ndarray:
         """Key of every vertex in ``targets``: its grid position when it is a
@@ -153,52 +147,39 @@ class Region:
         on[on] = self._kept_bits[keys[on]]
         return np.where(on, keys, -1)
 
-    def _box_keys(self, rows: np.ndarray) -> np.ndarray:
-        """The key of every box row in ``rows``, from its place in the box."""
-        s = self.shape[-1]
-        return (box_cell_array(self._box, rows // s) - self._lo) @ self._strides + rows % s
-
-    def _row_keys(self, rows: np.ndarray) -> np.ndarray:
-        """The key of every row in ``rows``: box rows by their place in the
-        box, ring rows from the ring list."""
-        box = rows < self.kept
-        keys = np.empty(len(rows), dtype=np.int64)
-        keys[box] = self._box_keys(rows[box])
-        keys[~box] = self._ring[rows[~box] - self.kept]
-        return keys
-
     def _names_of(self, keys: np.ndarray) -> list[Vertex]:
         """The vertex of every key in ``keys``."""
         s = self.shape[-1]
         cells = map(tuple, box_cell_array(self._wide, keys // s).tolist())
         return list(map(Vertex, cells, (keys % s).tolist()))
 
-    def _name(self, row: int) -> Vertex:
-        return self._names_of(self._row_keys(np.array([row])))[0]
-
-    def _audit(self, row_at: np.ndarray) -> None:
+    def _audit(self) -> None:
         """``audit_symmetry`` over the CSR entries and every stencil entry
-        that lands on a CSR row (``row_at`` maps keys to rows, -1 for none).
-        Such an entry ``p -> t`` is found from ``t``: ``p`` is ``t`` moved by
-        a template at ``t``'s label, whose reversal ``_check_reversals`` has
-        confirmed.  Every CSR row is a ring row, on the once-grown grid, so
-        the move stays on the twice-grown grid."""
-        rows, cols = [self._csr_rows[self._csr_owner]], [self._csr_cols]
-        csr = self._csr_rows
-        keys = self._ring[csr - self.kept]
-        labels = keys % self.shape[-1]
+        that lands on a CSR key.  Such an entry ``p -> t`` is found from
+        ``t``: ``p`` is ``t`` moved by a template at ``t``'s label, whose
+        reversal ``_check_reversals`` has confirmed.  Every CSR key is a ring
+        key, on the once-grown grid, so the move stays on the twice-grown
+        grid."""
+        csr = self._csr_keys
+        keys, cols = [csr[self._csr_owner]], [self._csr_cols]
+        labels = csr % self.shape[-1]
         for a, shifts in enumerate(self._shifts):
-            at, ends = keys[labels == a], csr[labels == a]
+            ends = csr[labels == a]
             for shift in shifts:
-                r = row_at[at + shift]
-                found = (r >= 0) & self.unperturbed[r]
-                rows.append(r[found])
+                at = ends + shift
+                found = self._member[at]
+                keys.append(at[found])
                 cols.append(ends[found])
-        audit_symmetry(self.size, self._name, np.concatenate(rows), np.concatenate(cols))
+        audit_symmetry(
+            self._grid_keys,
+            lambda key: self._names_of(np.array([key]))[0],
+            np.concatenate(keys),
+            np.concatenate(cols),
+        )
 
-    def _check_templates(self, row_at: np.ndarray) -> None:
-        """Compare the stencil rows at the corners of their block (the box,
-        or the once-grown box for ring rows) and at every
+    def _check_templates(self) -> None:
+        """Compare the stencil keys at the corners of their block (the box,
+        or the once-grown box for ring keys) and at every
         ``_SAMPLE_STRIDE``-th of them with ``out_edges``; raise
         ``InternalInvariantError`` naming the first vertex where they
         differ."""
@@ -210,11 +191,9 @@ class Region:
             for cell in itertools.product((first, first + length - 1), repeat=len(strides))
             for label in range(s)
         ]
-        at = row_at[corners]
-        at = at[at >= 0]
-        sample = set(np.flatnonzero(self.unperturbed)[::_SAMPLE_STRIDE].tolist())
-        sample = np.array(sorted(sample.union(at[self.unperturbed[at]].tolist())), dtype=np.intp)
-        keys = self._row_keys(sample)
+        sample = set(np.flatnonzero(self._member)[::_SAMPLE_STRIDE].tolist())
+        sample.update(key for key in corners if self._member[key])
+        keys = np.array(sorted(sample), dtype=np.int64)
         names = self._names_of(keys)
         listed, degrees = _ask(self.graph, names)
         wanted = self._keys_of(listed)
@@ -227,43 +206,32 @@ class Region:
                     f"{self._names_of(have)}, out_edges {listed[stop - d : stop]}"
                 )
 
-    @cached_property
-    def names(self) -> list[Vertex]:
-        """The vertex of every row, built when first read."""
-        return self._names_of(self._row_keys(np.arange(self.size)))
-
     def base_laplacian(self, grid: np.ndarray) -> np.ndarray:
         """Base Laplacian of a grid state, taken as zero outside the box;
         exact on the box for states supported ``propagation_length`` cells
         inside its faces.  ``_stencil`` runs over the state set on the box of
-        the twice-grown grid, zeros around it."""
-        wide = np.zeros(self._grid_shape + grid.shape[-1:], dtype=grid.dtype)
+        the twice-grown grid, zeros around it, as ``embed`` sets it."""
+        wide = np.zeros(self._grid_shape, dtype=grid.dtype)
         wide[self._inner] = grid
         sums = self._stencil(wide.reshape(-1)).reshape(wide.shape)[self._inner]
         return sums / self._base_degrees
 
     def embed(self, grid: np.ndarray) -> np.ndarray:
-        """Rows of the transplanted state: grid values move to the box rows
-        and every ring row carries zero."""
-        out = np.zeros(self.size, dtype=grid.dtype)
-        out[: self.kept] = grid.reshape(-1)
-        return out
+        """The transplanted state by key: the grid on the box slice, zero at
+        every other key."""
+        wide = np.zeros(self._grid_shape, dtype=grid.dtype)
+        wide[self._inner] = grid
+        return wide.reshape(-1)
 
-    def laplacian(self, rows: np.ndarray) -> np.ndarray:
-        """Perturbed Laplacian: each row averages its neighbours' values.
-        ``_stencil`` runs over the box rows set on their slice of the
-        twice-grown grid and the ring rows set at their keys; the CSR rows
-        take their own sums."""
-        wide = np.zeros(self._grid_shape + self.shape[-1:], dtype=complex)
-        wide[self._inner] = rows[: self.kept].reshape(self.shape)
-        flat = wide.reshape(-1)
-        flat[self._ring] = rows[self.kept :]
-        sums = self._stencil(flat)
-        out = np.empty(self.size, dtype=complex)
-        out[: self.kept].reshape(self.shape)[...] = sums.reshape(wide.shape)[self._inner]
-        out[self.kept :] = sums[self._ring]
-        out[self._csr_rows] = self._csr_sums(rows)
-        return _mean(out, self.degrees)
+    def laplacian(self, state: np.ndarray) -> np.ndarray:
+        """Perturbed Laplacian of a state by key: each box and ring key
+        averages its neighbours' values.  One ``_stencil`` pass divided by
+        each label's base degree, then every CSR key takes its own sum."""
+        sums = self._stencil(state)
+        by_label = sums.reshape(-1, self.shape[-1])
+        by_label /= self._base_degrees
+        sums[self._csr_keys] = _mean(self._csr_sums(state), self._csr_degrees)
+        return sums
 
     def _stencil(self, flat: np.ndarray) -> np.ndarray:
         """Sums over the base edge templates of ``flat``, a state on the flat
@@ -281,28 +249,30 @@ class Region:
                 out += flat[first + a + shift : stop + shift : s]
         return sums
 
-    def _csr_sums(self, rows: np.ndarray) -> np.ndarray:
-        """Sum of the listed neighbours' values at every CSR row."""
-        n = len(self._csr_rows)
-        real = np.bincount(self._csr_owner, weights=rows.real[self._csr_cols], minlength=n)
-        imag = np.bincount(self._csr_owner, weights=rows.imag[self._csr_cols], minlength=n)
+    def _csr_sums(self, state: np.ndarray) -> np.ndarray:
+        """Sum of the listed neighbours' values at every CSR key."""
+        n = len(self._csr_keys)
+        real = np.bincount(self._csr_owner, weights=state.real[self._csr_cols], minlength=n)
+        imag = np.bincount(self._csr_owner, weights=state.imag[self._csr_cols], minlength=n)
         return real + 1j * imag
 
-    def norm(self, rows: np.ndarray) -> float:
-        """Degree-weighted l2 norm in the perturbed graph."""
-        return float(np.sqrt(np.sum(np.abs(rows) ** 2 * self.degrees)))
+    def norm(self, state: np.ndarray) -> float:
+        """Degree-weighted l2 norm in the perturbed graph: one sum over the
+        box keys in grid order, then the ring keys."""
+        box = np.abs(state.reshape(self._grid_shape)[self._inner]) ** 2 * self._base_degrees
+        ring = np.abs(state[self._ring]) ** 2 * self._ring_degrees
+        return float(np.sqrt(np.sum(np.concatenate([box.reshape(-1), ring]))))
 
     def defect(self, grid: np.ndarray) -> np.ndarray:
-        """Defect operator on the rows: perturbed Laplacian after embedding
-        minus embedding after the base Laplacian, for a state supported
+        """Defect operator by key: perturbed Laplacian after embedding minus
+        embedding after the base Laplacian, for a state supported
         ``propagation_length`` cells inside the box's faces, whose base
         Laplacian is zero on the ring.  It is zero over the unperturbed set,
-        that is at every stencil row; at a CSR row it is the average over
-        its CSR entries.  A box with no CSR row builds no rows."""
-        out = np.zeros(self.size, dtype=complex)
-        at = self._csr_rows
-        if at.size:
-            out[at] = _mean(self._csr_sums(self.embed(grid)), self.degrees[at])
+        that is at every stencil key; at a CSR key it is the average over
+        its CSR entries.  A box with no CSR key embeds nothing."""
+        out = np.zeros(self._grid_keys, dtype=complex)
+        if self._csr_keys.size:
+            out[self._csr_keys] = _mean(self._csr_sums(self.embed(grid)), self._csr_degrees)
         return out
 
     def embedding_norm_bounds(self) -> tuple[float, float]:
@@ -317,7 +287,7 @@ class Region:
 
 
 def _mean(sums: np.ndarray, degrees: np.ndarray) -> np.ndarray:
-    """``sums / degrees`` in place; a row of degree 0 lists nothing, so its
+    """``sums / degrees`` in place; a key of degree 0 lists nothing, so its
     sum stays 0."""
     return np.divide(sums, degrees, out=sums, where=degrees > 0)
 
@@ -349,7 +319,7 @@ def _label_shifts(base: PeriodicGraph, strides: list[int]) -> list[list[int]]:
 def _check_reversals(shifts: list[list[int]]) -> None:
     """Raise ``InternalInvariantError`` unless every shift ``d`` at label
     ``a`` has its reversal ``-d`` at the target's label ``(a + d) mod s``,
-    as often: then two stencil rows list each other equally often."""
+    as often: then two stencil keys list each other equally often."""
     s = len(shifts)
     moves = [(a, d) for a, at in enumerate(shifts) for d in at]
     unmatched = Counter(moves) - Counter(((a + d) % s, -d) for a, d in moves)

@@ -114,7 +114,7 @@ class WeylState:
     embed_norm: float
     region: Region  # the clear padded box the state was built on, and its ring
     grid: np.ndarray  # translated, pre-embedding base-graph state on the region's grid
-    rows: np.ndarray  # the normalized transplanted state, one entry per region row
+    rows: np.ndarray  # the normalized transplanted state, one entry per region key
 
 
 def build_weyl_state(

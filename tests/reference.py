@@ -58,29 +58,43 @@ def clear_box_corners(clear: np.ndarray, side: int) -> np.ndarray:
 
 def region_vertices(region: Region) -> list[Vertex]:
     """Every box vertex of ``region`` in grid order, built from its box: the
-    vertices its first ``kept`` rows should name."""
+    vertices its ``box_keys`` should name."""
     s = region.shape[-1]
     return [Vertex(cell, label) for cell in box_cells(region._box) for label in range(s)]
 
 
+def box_keys(region: Region) -> np.ndarray:
+    """The key of every box vertex of ``region``, in grid order: the box
+    slice of the twice-grown grid."""
+    keys = np.arange(region._grid_keys).reshape(region._grid_shape)
+    return keys[region._inner].reshape(-1)
+
+
+def region_keys(region: Region) -> np.ndarray:
+    """The box and ring keys of ``region`` in ascending order, which is the
+    ``(cell, label)`` order of their vertices."""
+    return np.union1d(box_keys(region), region._ring)
+
+
 def region_entries(region: Region) -> tuple[np.ndarray, np.ndarray]:
-    """The full CSR of ``region`` as ``(entry_rows, indices)``: every row's
-    neighbour rows in ``out_edges`` order, rows in turn.  A stencil row
-    lists its template targets that are rows; a CSR row (a ring row whose
-    bit is clear) its CSR entries."""
+    """The full CSR of ``region`` as ``(entry_keys, indices)``: every box
+    and ring key's neighbour keys in ``out_edges`` order, keys in
+    ``region_keys`` order.  A stencil key lists its template targets that
+    are box or ring keys; a CSR key (a ring key whose bit is clear) its CSR
+    entries."""
     s = region.shape[-1]
-    keys = region._row_keys(np.arange(region.size)).tolist()
-    row_of = {key: r for r, key in enumerate(keys)}
-    csr: dict[int, list[int]] = {r: [] for r in region._csr_rows.tolist()}
+    keys = region_keys(region).tolist()
+    known = set(keys)
+    csr: dict[int, list[int]] = {key: [] for key in region._csr_keys.tolist()}
     for owner, col in zip(region._csr_owner.tolist(), region._csr_cols.tolist()):
-        csr[int(region._csr_rows[owner])].append(col)
+        csr[int(region._csr_keys[owner])].append(col)
     rows, cols = [], []
-    for r, key in enumerate(keys):
-        if region.unperturbed[r]:
-            listed = [row_of[key + d] for d in region._shifts[key % s] if key + d in row_of]
+    for key in keys:
+        if region._member[key]:
+            listed = [key + d for d in region._shifts[key % s] if key + d in known]
         else:
-            listed = csr[r]
-        rows += [r] * len(listed)
+            listed = csr[key]
+        rows += [key] * len(listed)
         cols += listed
     return np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
 
@@ -92,10 +106,10 @@ def box_index(box_graph: BoxGraph) -> dict[Vertex, int]:
 
 def state_vector(state: WeylState) -> State:
     """The normalized transplanted test state on its box vertices as a dict,
-    zeros dropped, in row order."""
-    rows = state.rows[: state.region.kept]
-    names = state.region.names
-    return {names[r]: complex(rows[r]) for r in np.flatnonzero(rows).tolist()}
+    zeros dropped, in key order (the state is zero off the box)."""
+    keys = np.flatnonzero(state.rows)
+    names = state.region._names_of(keys)
+    return dict(zip(names, state.rows[keys].tolist()))
 
 
 def _sorted_items(psi: Mapping[Vertex, complex]):

@@ -51,6 +51,17 @@ UNCALLED = {
     "weyl.build_weyl_state",
 }
 
+# Attributes a package class assigns on ``self`` that nothing in the package
+# or in ``scripts/`` reads, each kept on purpose.
+UNREAD_FIELDS = {
+    # the orbit images and characters of a sector, which
+    # ``tests/reference.py::sector_basis`` lifts into the full eigenvector array
+    "Sector.images",
+    "Sector.odd",
+    # public: the patch a perturbed graph was built from, which tests read
+    "PerturbedGraph.patch",
+}
+
 # Parameter names that only ever took their default and are constants now.
 CONSTANT_PARAMETERS = ("match_tol", "refine_tol", "tol", "chunk", "radius")
 
@@ -122,6 +133,14 @@ def test_unread_fields_and_arguments_stay_deleted(tmp_path):
     region = Region(periodic_spectra.make_half_plane().perturbation, (0, 5), 2)
     assert not any(hasattr(region, name) for name in ("clear", "_kept_at", "_off_grid"))
     assert not hasattr(perturbation.UnperturbedSet, "__contains__")
+    # a Region has one index space, the keys of its twice-grown grid
+    assert not any(
+        hasattr(region, name)
+        for name in (
+            "row_at", "_box_keys", "_row_keys", "_name", "kept", "names", "size", "degrees",
+            "unperturbed",
+        )
+    )
     assert "degree" not in graphs.PeriodicOracle.__dict__
     modules = [
         importlib.import_module(f"periodic_spectra.{info.name}")
@@ -135,6 +154,17 @@ def test_unread_fields_and_arguments_stay_deleted(tmp_path):
                     assert not set(CONSTANT_PARAMETERS) & set(taken), (owner, name)
 
 
+def _package_and_script_trees() -> dict[Path, ast.Module]:
+    """The parsed package modules (``__init__`` re-exports and is left out)
+    and ``scripts/``, by path."""
+    package = Path(periodic_spectra.__file__).parent
+    return {
+        path: ast.parse(path.read_text())
+        for path in [*sorted(package.glob("*.py")), *sorted(SCRIPTS.glob("*.py"))]
+        if path.name != "__init__.py"
+    }
+
+
 def uncalled_functions(private: bool) -> set[str]:
     """The top-level functions and methods of the package modules
     (``__init__`` re-exports and is left out), public or private ones by
@@ -142,11 +172,7 @@ def uncalled_functions(private: bool) -> set[str]:
     attribute nowhere outside their own ``def``: not in a package module,
     nor in ``scripts/``.  Docstrings, comments and strings do not count."""
     package = Path(periodic_spectra.__file__).parent
-    trees = {
-        path: ast.parse(path.read_text())
-        for path in [*sorted(package.glob("*.py")), *sorted(SCRIPTS.glob("*.py"))]
-        if path.name != "__init__.py"
-    }
+    trees = _package_and_script_trees()
 
     def loads(tree) -> Counter:
         return Counter(
@@ -171,6 +197,43 @@ def uncalled_functions(private: bool) -> set[str]:
                 if everywhere[name] == loads(member)[name]:
                     uncalled.add(f"{path.stem}.{name}")
     return uncalled
+
+
+def unread_fields() -> set[str]:
+    """``Class.name`` for every attribute that a method of a package class
+    assigns on ``self`` and that no package module and no script reads as an
+    attribute of any object (the match is by name).  Docstrings, comments
+    and strings do not count."""
+    package = Path(periodic_spectra.__file__).parent
+    trees = _package_and_script_trees()
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = set()
+    for path, tree in trees.items():
+        if path.parent != package:
+            continue
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for node in ast.walk(cls):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"
+                    and node.attr not in read
+                ):
+                    unread.add(f"{cls.name}.{node.attr}")
+    return unread
+
+
+def test_every_field_is_read():
+    """Every attribute a package class assigns on ``self`` is read in the
+    package or ``scripts/`` (``unread_fields``): a field left behind when its
+    last reader goes shows up here."""
+    assert unread_fields() == UNREAD_FIELDS
 
 
 def test_every_public_function_has_a_caller():

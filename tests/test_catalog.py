@@ -302,6 +302,19 @@ class TestClearBoxProbability:
         assert sum(hashed) == trials * (2 * n + 1) ** dim
 
 
+    def test_monte_carlo_past_the_cell_cap_is_refused_before_any_hash(self, monkeypatch):
+        """2^32 cells are 477,218,588 trials of a 3 x 3 box and 4 cells more."""
+
+        def no_hash(*args):
+            raise AssertionError("a cell was hashed")
+
+        monkeypatch.setattr(catalog, "bernoulli_array", no_hash)
+        with pytest.raises(AssertionError, match="a cell was hashed"):
+            clear_box_monte_carlo(1, 0.5, 2, 477_218_588, seed=1)
+        with pytest.raises(InputError, match="the Monte Carlo is capped at 4294967296"):
+            clear_box_monte_carlo(1, 0.5, 2, 477_218_589, seed=1)
+
+
 def every_cell_estimate(n, p, dim, trials, seed):
     """The Monte Carlo estimate with every cell of every box drawn by the
     scalar ``bernoulli``: box ``t`` starts at cell ``(t * (2n + 1), 0, ...)``."""

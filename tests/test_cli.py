@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import tempfile
@@ -521,7 +522,7 @@ class TestWeylCheck:
             (weyl, "embedded_route_residual", lambda state, lam: 0.0, "differs from residual"),
             (weyl, "sup_norm_bound", lambda state: 0.0, "exceeds its bound"),
             (
-                Region, "defect", lambda self, grid: np.ones(len(self.names)),
+                Region, "defect", lambda self, grid: np.ones(self._grid_keys),
                 "is not 0 on the clear box",
             ),
         ],
@@ -763,6 +764,28 @@ class TestErrorPaths:
             *extra, "--window=0,100000000000000000000,0,0", "--out", str(tmp_path / "big"),
         ) == 2
         assert "outside the 64-bit range" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # no centre of half_plane is clear: the search would walk 2^62 rows
+            (["condition-p", "--graph", "builtin:lattice2", "--perturbation",
+              "builtin:half_plane", "--n", "1", "--window=0,4611686018427387903,0,0",
+              "--threads", "1"], "the box search is capped at 4294967296"),
+            (["random-trial", "--p", "0.5", "--n", "1", "--trials", "1000000000000",
+              "--seed", "1"], "the Monte Carlo is capped at 4294967296"),
+            (["truncate", "--graph", "builtin:lattice1", "--box=0,9999999", "--wrap"],
+             "a wrap is capped at 1048576"),
+        ],
+        ids=["condition-p", "random-trial", "truncate-wrap"],
+    )
+    def test_work_past_its_cap_exits_2_at_once(self, tmp_path, argv, message):
+        """Refused before the work starts, in a process whose address space
+        is capped, so neither a 10 s run nor a ``MemoryError`` passes."""
+        code, seconds, err = _run_capped(tmp_path, [*argv, "--out", str(tmp_path / "o")])
+        assert code == 2, err
+        assert message in err and seconds < 1.0
         assert list(tmp_path.iterdir()) == []
 
     def test_window_of_2_to_the_64_centres_per_row(self, tmp_path, capsys):
@@ -1187,6 +1210,38 @@ def _run_alone(directory, argv):
         cwd=directory, env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
+
+
+# A run of ``main`` that times itself; its last line of output is the time.
+_TIMED_MAIN = """
+import sys, time
+from periodic_spectra.cli import main
+start = time.perf_counter()
+code = main(sys.argv[1:])
+print(time.perf_counter() - start)
+sys.exit(code)
+"""
+
+
+def _run_capped(directory, argv):
+    """``argv`` run by ``main`` in a fresh interpreter inside ``directory``
+    with its address space capped at 2 GB (``ulimit -v 2000000``): the exit
+    code, the seconds ``main`` took (None if it printed none) and stderr.  A
+    run past 10 s raises ``subprocess.TimeoutExpired``."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    limit = 2_000_000 * 1024
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    done = subprocess.run(
+        [sys.executable, "-c", _TIMED_MAIN, *argv],
+        cwd=directory, env=env, capture_output=True, text=True, timeout=10, preexec_fn=cap,
+    )
+    lines = done.stdout.split()
+    return done.returncode, float(lines[-1]) if lines else None, done.stderr
 
 
 def _files(directory):

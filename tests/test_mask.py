@@ -401,6 +401,29 @@ def test_search_refuses_a_window_past_64_bits_before_any_mask(monkeypatch):
             find_unperturbed_box(GRAPHS["half_plane"], 1, window)
 
 
+def test_search_cap_is_checked_before_any_mask(monkeypatch):
+    """A window of more than ``_SEARCH_LIMIT`` cells, padded by the box
+    half-width on every side, is refused before any ``mask`` call; a window
+    at the cap, and the 3-D n=96 default window of 581^3 padded cells, reach
+    the first one."""
+
+    def no_mask(*args):
+        raise AssertionError("the search asked for a mask")
+
+    monkeypatch.setattr(UnperturbedSet, "mask", no_mask)
+    graph = GRAPHS["random_pendant_3d"]
+    with pytest.raises(AssertionError, match="asked for a mask"):
+        find_unperturbed_box(graph, 96, ((-194, 194),) * 3)
+    with pytest.raises(InputError, match="the box search is capped at 4294967296"):
+        find_unperturbed_box(GRAPHS["half_plane"], 1, ((0, 2**32), (0, 0)))
+    # half-width 1: (8 + 2) * (1 + 2) padded cells, then (9 + 2) * (1 + 2)
+    monkeypatch.setattr(perturbation, "_SEARCH_LIMIT", 30)
+    with pytest.raises(AssertionError, match="asked for a mask"):
+        find_unperturbed_box(GRAPHS["half_plane"], 1, ((0, 7), (0, 0)))
+    with pytest.raises(InputError, match="the box search is capped at 30"):
+        find_unperturbed_box(GRAPHS["half_plane"], 1, ((0, 8), (0, 0)))
+
+
 def test_mask_cap_stops_at_the_first_axis_past_it():
     """The cap's product stops at the first axis past it and its message
     prints no size, so a window of 10**2200 cells per axis is refused with

@@ -4,11 +4,14 @@
 ``Region``; the dict operators of ``reference.py`` compute the same
 quantities vertex by vertex.  Both must agree to 1e-12 relative, with
 the defect exactly zero.  ``Region`` itself must compile exactly what
-``reference_region``, one ``out_edges`` call per row, compiles, on clear
-boxes that often lie flush against the perturbation, so that ring rows ask
-the oracle; a box that is not clear is refused.
+``reference_region``, one ``out_edges`` call per vertex, compiles, on
+clear boxes that often lie flush against the perturbation, so that ring
+keys ask the oracle; a box that is not clear is refused.  A ``Region``
+indexes everything by key, so these tests read its arrays through the keys
+that ``reference.box_keys`` and ``reference.region_keys`` list.
 """
 
+import math
 import re
 from collections import Counter
 from types import SimpleNamespace
@@ -51,10 +54,12 @@ from reference import (
     apply_defect,
     apply_laplacian,
     box_cells,
+    box_keys,
     clear_box_corners,
     embed_state,
     embedding_norm_bounds,
     region_entries,
+    region_keys,
     region_vertices,
     state_vector,
     sup_norm,
@@ -237,7 +242,7 @@ def nearest_clear_center(graph, center, half, reach=16):
     box at ``center`` is clear, the box found lies flush against the
     perturbation: the next centre towards ``center`` is blocked by a ring
     vertex of it, which is kept (a box next to a removed vertex is not clear)
-    and so a CSR row."""
+    and so a CSR key."""
     window = [(c - reach - half, c + reach + half) for c in center]
     clear = graph.unperturbed.mask(window).all(axis=-1)
     offsets = clear_box_corners(clear, 2 * half + 1) - reach
@@ -253,7 +258,7 @@ def nearest_clear_center(graph, center, half, reach=16):
 )
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_region_operators_match_dict_operators_on_flush_boxes(graph, n, offset, seed):
-    """Clear boxes next to the patch, whose ring rows ask the oracle: the
+    """Clear boxes next to the patch, whose ring vertices ask the oracle: the
     operators still match the dict ones."""
     base = graph.base
     region = Region(graph, nearest_clear_center(graph, (offset,) * base.dim, n), n)
@@ -264,12 +269,13 @@ def test_region_operators_match_dict_operators_on_flush_boxes(graph, n, offset, 
     support[inner] = True  # one cell inside the faces, where base_laplacian is exact
     grid[~support] = 0.0
     vertices = region_vertices(region)
-    assert region.names[: region.kept] == vertices
+    assert region._names_of(box_keys(region)) == vertices
     psi = {v: complex(x) for v, x in zip(vertices, grid.reshape(-1)) if x != 0}
-    rows = region.embed(grid)
+    state = region.embed(grid)
 
     def as_dict(values):
-        return {region.names[r]: complex(x) for r, x in enumerate(values) if x != 0}
+        keys = np.flatnonzero(values)
+        return dict(zip(region._names_of(keys), values[keys].tolist()))
 
     def assert_same(values, reference):
         got = as_dict(values)
@@ -278,15 +284,16 @@ def test_region_operators_match_dict_operators_on_flush_boxes(graph, n, offset, 
             assert abs(got.get(v, 0.0) - ref) <= REL * max(1.0, abs(ref)), v
 
     embedded = embed_state(graph, psi)
-    assert_same(rows, embedded)
-    assert close(region.norm(rows), weighted_norm(embedded, graph.oracle))
-    assert_same(region.laplacian(rows), apply_laplacian(embedded, graph.oracle))
+    assert_same(state, embedded)
+    assert close(region.norm(state), weighted_norm(embedded, graph.oracle))
+    assert_same(region.laplacian(state), apply_laplacian(embedded, graph.oracle))
     assert_same(region.defect(grid), apply_defect(graph, psi))
     base_lap = apply_laplacian(psi, graph.base_oracle)
     lap = region.base_laplacian(grid).reshape(-1)
     for i, x in enumerate(vertices):
         assert abs(lap[i] - base_lap.get(x, 0.0)) <= REL * max(1.0, abs(lap[i]))
-    for name, member in zip(region.names, region.unperturbed):
+    keys = region_keys(region)
+    for name, member in zip(region._names_of(keys), region._member[keys]):
         assert member == (graph.in_common(name) and graph.unperturbed.contains(name))
     assert region.embedding_norm_bounds() == embedding_norm_bounds(graph, vertices)
 
@@ -314,12 +321,13 @@ def test_box_outside_the_unperturbed_set_is_refused(data):
         with pytest.raises(InputError, match=re.escape(message)):
             Region(graph, center, half)
     else:
-        assert Region(graph, center, half).names[: len(vertices)] == vertices
+        region = Region(graph, center, half)
+        assert region._names_of(box_keys(region)) == vertices
 
 
 def test_one_sided_added_edge_at_a_ring_row_fails_the_audit():
-    # the ring row (3, 0) of the clear box -2..2 x -2..2 lists an added edge
-    # to the ring row (3, 2), which does not list it back
+    # the ring vertex (3, 0) of the clear box -2..2 x -2..2 lists an added edge
+    # to the ring vertex (3, 2), which does not list it back
     one_sided = {Vertex((3, 0), 0): (Vertex((3, 2), 0),)}
     patch = PredicatePatch(keep=lambda v: True, added_neighbors=lambda v: one_sided.get(v, ()))
     graph = PerturbedGraph(make_lattice(2), patch, name="one-sided")
@@ -329,7 +337,7 @@ def test_one_sided_added_edge_at_a_ring_row_fails_the_audit():
 
 
 def test_added_neighbour_of_another_dimension_is_refused():
-    """An added edge from the ring row (3, 0) of the clear box -2..2 x -2..2
+    """An added edge from the ring vertex (3, 0) of the clear box -2..2 x -2..2
     to a vertex with three coordinates is an input fault, not a numpy
     error."""
     stray = Vertex((0, 0, 0), 0)
@@ -344,8 +352,8 @@ def test_added_neighbour_of_another_dimension_is_refused():
 
 
 def test_one_sided_added_edge_at_a_ring_row_fails_the_audit_in_3d():
-    # the ring row (3,0,0) of the clear box -2..2 per axis lists an added
-    # edge to the stencil ring row (3,1,1), which does not list it back
+    # the ring vertex (3,0,0) of the clear box -2..2 per axis lists an added
+    # edge to the stencil ring vertex (3,1,1), which does not list it back
     one_sided = {Vertex((3, 0, 0), 0): (Vertex((3, 1, 1), 0),)}
     patch = PredicatePatch(keep=lambda v: True, added_neighbors=lambda v: one_sided.get(v, ()))
     graph = PerturbedGraph(make_lattice(3), patch, name="one-sided")
@@ -355,9 +363,9 @@ def test_one_sided_added_edge_at_a_ring_row_fails_the_audit_in_3d():
 
 
 def test_csr_row_dropping_a_stencil_neighbour_fails_the_audit(monkeypatch):
-    """A stencil entry that lands on a CSR row is audited: the ring row
-    (0,0,0) of the clear box -5..-1 x -2..2 x -2..2, a CSR row as it has an
-    added edge, stops listing its base neighbour, the box row (-1,0,0),
+    """A stencil entry that lands on a CSR key is audited: the ring vertex
+    (0,0,0) of the clear box -5..-1 x -2..2 x -2..2, a CSR key as it has an
+    added edge, stops listing its base neighbour, the box vertex (-1,0,0),
     whose stencil still lists it."""
     x, y = Vertex((0, 0, 0), 0), Vertex((-1, 0, 0), 0)
     pendant = Vertex((0, 0, 0), 1)
@@ -378,8 +386,8 @@ def test_csr_row_dropping_a_stencil_neighbour_fails_the_audit(monkeypatch):
 
 
 def test_one_sided_edge_stops_weyl_check_with_exit_4(tmp_path, monkeypatch, capsys):
-    """The ring row (-6,0) below the clear box -8..-4 x 1..5 of half_plane
-    lists an edge into the box that the box row does not list back."""
+    """The ring vertex (-6,0) below the clear box -8..-4 x 1..5 of half_plane
+    lists an edge into the box that the box vertex does not list back."""
     out_edges = PerturbedOracle.out_edges
     extra = {Vertex((-6, 0), 0): (Vertex((-6, 3), 0),)}
     monkeypatch.setattr(
@@ -390,17 +398,20 @@ def test_one_sided_edge_stops_weyl_check_with_exit_4(tmp_path, monkeypatch, caps
         "--lambda", "0.0", "--n-list", "2", "--out", str(tmp_path / "wc"),
     ])
     assert code == 4
-    assert "(-6,0|v0) -> (-6,3|v0) 1 times" in capsys.readouterr().err
+    message = "(-6,0|v0) -> (-6,3|v0) is listed 1 times, (-6,3|v0) -> (-6,0|v0) 0 times"
+    assert message in capsys.readouterr().err
 
 
 def test_clear_3d_box_stores_no_entries_for_its_stencil_rows():
     graph = make_random_pendant(0.02, 5, dim=3).perturbation
     report = find_unperturbed_box(graph, 3, ((0, 12),) * 3)
     region = Region(graph, report.center.cell, report.box_bounds[1])
-    assert region.unperturbed[: region.kept].all()
-    # the CSR rows are exactly the rows whose bit is clear, all of them ring rows
-    assert np.array_equal(region._csr_rows, np.flatnonzero(~region.unperturbed))
-    assert np.count_nonzero(region._csr_rows < region.kept) == 0
+    assert region._member[box_keys(region)].all()
+    # the CSR keys are exactly the box and ring keys whose bit is clear, all
+    # of them ring keys
+    keys = region_keys(region)
+    assert np.array_equal(region._csr_keys, keys[~region._member[keys]])
+    assert np.intersect1d(region._csr_keys, box_keys(region)).size == 0
 
 
 def test_template_without_reversal_fails_the_compile(monkeypatch):
@@ -413,16 +424,15 @@ def test_template_without_reversal_fails_the_compile(monkeypatch):
 
 
 def reference_region(graph, center, half):
-    """The rows of ``Region`` from one ``out_edges`` call per row: the box
-    vertices in grid order, then their neighbours outside the box sorted by
-    ``(cell, label)``."""
+    """The box and ring of ``Region`` from one ``out_edges`` call per
+    vertex: the box vertices and their neighbours outside the box, sorted
+    by ``(cell, label)``, each with its degree, its unperturbed bit and its
+    neighbours' places in that list."""
     s = graph.base.cell_size
     box = [(c - half, c + half) for c in center]
-    names = [Vertex(cell, label) for cell in box_cells(box) for label in range(s)]
-    kept = len(names)
-    inside = set(names)
-    ring = {t for x in names for t in graph.oracle.out_edges(x) if t not in inside}
-    names += sorted(ring, key=lambda v: (v.cell, v.label))
+    inside = {Vertex(cell, label) for cell in box_cells(box) for label in range(s)}
+    ring = {t for x in inside for t in graph.oracle.out_edges(x) if t not in inside}
+    names = sorted(inside | ring, key=lambda v: (v.cell, v.label))
     row_of = {x: r for r, x in enumerate(names)}
     indptr, indices, degrees = [0], [], []
     for x in names:
@@ -433,7 +443,6 @@ def reference_region(graph, center, half):
     mask = [graph.in_common(v) and graph.unperturbed._contains_known(v) for v in names]
     return SimpleNamespace(
         names=names,
-        kept=kept,
         degrees=np.array(degrees, dtype=np.int64),
         indices=np.array(indices, dtype=np.intp),
         entry_rows=np.repeat(np.arange(len(names)), np.diff(indptr)),
@@ -446,14 +455,20 @@ def assert_compiles_like_reference(graph, center, half):
     ``center``."""
     center = nearest_clear_center(graph, center, half)
     got, ref = Region(graph, center, half), reference_region(graph, center, half)
-    assert got.names == ref.names
-    assert got.kept == ref.kept
-    for key in ("degrees", "unperturbed"):
-        np.testing.assert_array_equal(getattr(got, key), getattr(ref, key), err_msg=key)
-        assert getattr(got, key).dtype == getattr(ref, key).dtype, key
-    entry_rows, indices = region_entries(got)
-    np.testing.assert_array_equal(entry_rows, ref.entry_rows)
-    np.testing.assert_array_equal(indices, ref.indices)
+    keys = region_keys(got)
+    assert got._names_of(keys) == ref.names
+    # a box key has its label's base degree, a ring key its own
+    degrees = np.empty(len(keys), dtype=np.int64)
+    degrees[np.searchsorted(keys, box_keys(got))] = np.tile(
+        got._base_degrees, math.prod(got.shape[:-1])
+    )
+    degrees[np.searchsorted(keys, got._ring)] = got._ring_degrees
+    np.testing.assert_array_equal(degrees, ref.degrees)
+    assert got._ring_degrees.dtype == ref.degrees.dtype
+    np.testing.assert_array_equal(got._member[keys], ref.unperturbed)
+    entry_keys, indices = region_entries(got)
+    np.testing.assert_array_equal(np.searchsorted(keys, entry_keys), ref.entry_rows)
+    np.testing.assert_array_equal(np.searchsorted(keys, indices), ref.indices)
     assert indices.dtype == ref.indices.dtype
 
 
@@ -490,13 +505,13 @@ def test_clear_box_asks_the_oracle_only_on_the_ring(monkeypatch):
     side, pad = 2 * h + 1, 1
     interior = (side - 2 * pad) ** 2
     ring = side**2 - interior
-    outside = len(region.names) - region.kept
+    outside = len(region._ring)
     samples = 2**2 + interior // 4096 + 1  # corners of the interior block, every 4096th row
     assert outside == 4 * side
-    # one call per ring and outside row (whose unperturbed bit reuses the
+    # one call per ring and outside vertex (whose unperturbed bit reuses the
     # degree of that call) and the self-check's samples
     assert len(calls) <= ring + outside + samples
-    assert 4 * len(calls) < side**2  # O(h^(d-1)) calls for side^2 box rows
+    assert 4 * len(calls) < side**2  # O(h^(d-1)) calls for side^2 box vertices
 
 
 def count_oracle_calls(monkeypatch, graph, center, half):
@@ -512,19 +527,19 @@ def count_oracle_calls(monkeypatch, graph, center, half):
 
 
 def self_check_samples(region) -> int:
-    """Most rows the template self-check asks: the corners of the block of
-    the box rows and of the outside rows, and every 4096th row of each."""
+    """Most vertices the template self-check asks: the corners of the block
+    of the box keys and of the ring keys, and every 4096th key of each."""
     corners = 2 ** region.graph.base.dim * region.shape[-1]
-    outside = region.size - region.kept
-    return 2 * corners + -(-region.kept // 4096) + -(-outside // 4096)
+    inside, outside = math.prod(region.shape), len(region._ring)
+    return 2 * corners + -(-inside // 4096) + -(-outside // 4096)
 
 
 def test_clear_box_asks_the_oracle_only_for_the_self_check(monkeypatch):
     graph = make_half_plane().perturbation
     # y >= 1 is the unperturbed set: the outside rows are in it too
     region, calls = count_oracle_calls(monkeypatch, graph, (0, 72), 70)
-    assert region.unperturbed.all()
-    assert region.kept == 141**2 and region.size - region.kept == 4 * 141
+    assert region._member[region_keys(region)].all()
+    assert math.prod(region.shape) == 141**2 and len(region._ring) == 4 * 141
     assert sum(calls.values()) <= self_check_samples(region)
 
 
@@ -532,9 +547,10 @@ def test_flush_box_asks_the_oracle_once_per_clear_bit_row(monkeypatch):
     graph = make_half_plane().perturbation
     # the box -10..10 x 1..21 lies flush against the edge y = 0
     region, calls = count_oracle_calls(monkeypatch, graph, (0, 11), 10)
-    bits = dict(zip(region.names, region.unperturbed.tolist()))
+    keys = region_keys(region)
+    bits = dict(zip(region._names_of(keys), region._member[keys].tolist()))
     clear_bit = [v for v, bit in bits.items() if not bit]
-    # the ring rows on the edge y = 0
+    # the ring vertices on the edge y = 0
     assert sorted(clear_bit, key=repr) == sorted(
         [Vertex((x, 0), 0) for x in range(-10, 11)], key=repr
     )
@@ -547,19 +563,25 @@ def test_flush_box_asks_the_oracle_once_per_clear_bit_row(monkeypatch):
 def test_residual_sweep_builds_no_names(monkeypatch):
     graph = make_half_plane().perturbation
     lam, n, window = 0.3, 6, ((-3, 3), (-3, 12))
-    states = []
-    row = weyl_module.residual_row
+    states, named = [], []
+    row, names_of = weyl_module.residual_row, Region._names_of
 
     def keep_state(state, lam):
         states.append(state)
         return row(state, lam)
 
     monkeypatch.setattr(weyl_module, "residual_row", keep_state)
+    monkeypatch.setattr(
+        Region, "_names_of", lambda self, keys: named.append(len(keys)) or names_of(self, keys)
+    )
     residual_sweep(graph, lam, [n], window, GRID)
     (state,) = states
     region, center = state.region, state.center.cell
-    assert "names" not in vars(region)
-    assert region.names == reference_region(graph, center, region.half).names
+    # the compile names its CSR keys and its self-check samples, not the box
+    assert sum(named) <= len(region._ring) + self_check_samples(region)
+    assert sum(named) < math.prod(region.shape)
+    keys = region_keys(region)
+    assert region._names_of(keys) == reference_region(graph, center, region.half).names
     band, k0, xi0 = locate_band_value(graph.base, lam, GRID)
     psi = windowed_bloch_state(graph.base, band, k0, xi0, n)
     embedded = embed_state(graph, translate_state(psi, center))
@@ -583,4 +605,5 @@ def test_tampered_template_fails_the_self_check(tmp_path, monkeypatch, capsys):
     ])
     assert code == 4
     err = capsys.readouterr().err
-    assert "edge templates give (-8,1|v0) the neighbours" in err
+    # the first sample in key order is the ring vertex left of the box -8..-4 x 1..5
+    assert "edge templates give (-9,1|v0) the neighbours" in err

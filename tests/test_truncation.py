@@ -132,6 +132,22 @@ class TestTruncate:
         with pytest.raises(EmptyBoxError):
             truncate(periodic_oracle(lattice1), ((5, 4),))
 
+    def test_wrap_past_the_cap_is_refused_before_any_cell_is_listed(self, g11, monkeypatch):
+        """The cap counts cells times labels: 2 labels per cell of g11."""
+        oracle = periodic_oracle(g11.base)
+
+        def unlisted(self, cell):
+            raise AssertionError("a cell was listed")
+
+        with monkeypatch.context() as m:
+            m.setattr(type(oracle), "vertices_in_cell", unlisted)
+            with pytest.raises(InputError, match="a wrap is capped at 1048576"):
+                truncate(oracle, ((0, 2**19),), periodic_wrap=True)
+        monkeypatch.setattr(truncation, "_WRAP_LIMIT", 8)
+        assert len(truncate(oracle, ((0, 3),), periodic_wrap=True)) == 8
+        with pytest.raises(InputError, match="a wrap is capped at 8"):
+            truncate(oracle, ((0, 4),), periodic_wrap=True)
+
     def test_wrap_needs_periodic_oracle(self, half_plane):
         with pytest.raises(InputError):
             truncate(
