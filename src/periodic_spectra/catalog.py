@@ -21,6 +21,8 @@ from .graphs import (
     FundEdge,
     PeriodicGraph,
     Vertex,
+    _AXIS_LIMIT,
+    _too_many_cells,
     box_cell_array,
     box_cell_count,
     build_periodic,
@@ -200,6 +202,11 @@ def make_random_pendant(p: float, seed: int, dim: int = 2) -> CatalogEntry:
     """
     if not 0.0 <= p <= 1.0:
         raise InputError(f"pendant probability must be in [0, 1], got {p}")
+    if dim > _AXIS_LIMIT:
+        raise InputError(
+            f"random_pendant dimension {dim} is past {_AXIS_LIMIT}: a whole box of two "
+            f"cells per axis would pass the cell cap"
+        )
     base = make_lattice(dim)
     patch = _pendants(
         1, lambda cell: bernoulli(seed, cell, p), lambda x: bernoulli_array(seed, x, p)
@@ -264,9 +271,14 @@ _TRIAL_CELL_LIMIT = 1 << 32
 
 
 def _check_trials(n: int, dim: int, trials: int) -> None:
-    """``InputError`` when ``box_cell_count`` refuses the box of radius
-    ``n`` in ``dim`` axes, when ``trials`` is below 1, or when the
-    ``trials`` boxes hold more than ``_TRIAL_CELL_LIMIT`` cells."""
+    """``InputError`` when ``_check_box`` or ``box_cell_count`` refuses the
+    box of radius ``n`` in ``dim`` axes, when ``trials`` is below 1, or when
+    the ``trials`` boxes hold more than ``_TRIAL_CELL_LIMIT`` cells.  Past
+    ``_AXIS_LIMIT`` axes of three or more cells the box is refused before
+    its axes are listed."""
+    _check_box(n, dim)
+    if dim > _AXIS_LIMIT:
+        raise _too_many_cells(dim)
     cells = box_cell_count([(0, 2 * n)] * dim)
     if trials < 1:
         raise InputError(f"trials must be >= 1, got {trials}")
@@ -293,7 +305,6 @@ def clear_box_monte_carlo(
     for any chunk size and any pool size.  ``_check_trials`` refuses a run
     of more than ``_TRIAL_CELL_LIMIT`` box cells.
     """
-    _check_box(n, dim)
     _check_trials(n, dim, trials)
     side = 2 * n + 1
     offsets = box_cell_array([(0, side - 1)] * dim)

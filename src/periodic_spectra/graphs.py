@@ -111,11 +111,18 @@ class PeriodicGraph:
         return tuple(map(tuple, out))
 
 
+# The largest edge index component: the float64 phase ``k.x`` of a fiber
+# matrix is off by about 2^-52 * 2 pi * |x|, which stays under 1.5e-9 here,
+# below the band refinement's tolerance.
+_INDEX_LIMIT = 1 << 20
+
+
 def build_periodic(dim: int, cell_size: int, edges: Iterable[FundEdge]) -> PeriodicGraph:
     """Validate edge templates, canonicalize orientations and derive degrees.
 
-    Raises ``DimensionMismatchError`` for index vectors of the wrong length
-    and ``IsolatedVertexError`` if some label ends up with degree zero.
+    Raises ``DimensionMismatchError`` for index vectors of the wrong length,
+    ``InputError`` for an index component past ``_INDEX_LIMIT`` and
+    ``IsolatedVertexError`` if some label ends up with degree zero.
     """
     if dim < 1:
         raise DimensionMismatchError(f"dimension must be >= 1, got {dim}")
@@ -130,6 +137,11 @@ def build_periodic(dim: int, cell_size: int, edges: Iterable[FundEdge]) -> Perio
         if not (0 <= e.origin < cell_size and 0 <= e.target < cell_size):
             raise VertexNotInGraphError(
                 f"edge {e} references labels outside 0..{cell_size - 1}"
+            )
+        if any(abs(x) > _INDEX_LIMIT for x in e.index):
+            raise InputError(
+                f"edge {e} has an index component past {_INDEX_LIMIT}, where the "
+                f"float64 phase k.x of a fiber matrix loses its accuracy"
             )
         stored.append(e.canonical())
     # the first label with no edge, found before ``cell_size`` degrees are
@@ -157,6 +169,8 @@ Window = tuple[tuple[int, int], ...]  # inclusive ``(lo, hi)`` per axis
 # allocating.  The size of the unperturbed-set mask cap: 256^3 cells (the
 # ``bands`` grid 256 of a 3-D graph) sit exactly at it.
 _BOX_CELL_LIMIT = 1 << 24
+# The most axes of a whole box of two or more cells per axis under that cap.
+_AXIS_LIMIT = _BOX_CELL_LIMIT.bit_length() - 1
 
 
 def box_cell_count(box: Sequence[tuple[int, int]]) -> int:
@@ -167,11 +181,14 @@ def box_cell_count(box: Sequence[tuple[int, int]]) -> int:
     for n in _cell_sizes(box):
         count *= n
         if count > _BOX_CELL_LIMIT:
-            raise InputError(
-                f"a box of {len(box)} axes has too many cells: a whole box is "
-                f"capped at {_BOX_CELL_LIMIT}"
-            )
+            raise _too_many_cells(len(box))
     return count
+
+
+def _too_many_cells(axes: int) -> InputError:
+    return InputError(
+        f"a box of {axes} axes has too many cells: a whole box is capped at {_BOX_CELL_LIMIT}"
+    )
 
 
 def _cell_sizes(box: Sequence[tuple[int, int]]) -> Iterator[int]:
@@ -195,6 +212,8 @@ def box_cell_array(box: Sequence[tuple[int, int]], at: np.ndarray | None = None)
     sizes = list(_cell_sizes(box))
     if at is None:
         cells = np.empty((box_cell_count(box), len(box)), dtype=np.int64)
+        if not len(cells):
+            return cells  # an empty axis, whose ends may pass 64 bits
         # the whole box: each axis's coordinates broadcast over the others
         grid = cells.reshape(*sizes, len(box))
         for axis, ((lo, _), size) in enumerate(zip(box, sizes)):

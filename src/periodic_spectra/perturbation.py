@@ -57,8 +57,9 @@ _MASK_LIMIT = 1 << 24
 
 # Cells of a search window padded by the box half-width on every side, checked
 # before the search reads any: the 3-D n=96 default window, 389 cells per axis
-# padded by 96, is 581^3, about 2 * 10^8 cells; reading 2^32 would take minutes.
-_SEARCH_LIMIT = 1 << 32
+# padded by 96, is 581^3, about 2 * 10^8 cells; a 1-D search reads 2^28 cells
+# in about 13 s on a 2-vCPU host, and 2^31 would take minutes.
+_SEARCH_LIMIT = 1 << 28
 
 # Besides the box corners, ``mask`` checks every this many box vertices of a
 # hook's answer against the scalar predicate.
@@ -209,12 +210,12 @@ class UnperturbedSet:
             raise InputError(f"box has {len(box)} axes, graph has dimension {base.dim}")
         s = base.cell_size
         sizes = tuple(max(hi - lo + 1, 0) for lo, hi in box)
+        pad = propagation_length(base)
+        _check_mask_cap(box, pad, s)
         if 0 in sizes:
             empty = np.zeros(sizes + (s,), dtype=bool)
             return empty, empty
-        pad = propagation_length(base)
         padded = [(lo - pad, hi + pad) for lo, hi in box]
-        _check_mask_cap(box, pad, s)
         kept = _checked_hook(g._keep_grid, g._keep, padded, s, "keep_grid")
         out = kept[tuple(slice(pad, pad + n) for n in sizes)].copy()
         for label, at in enumerate(base.templates):
@@ -423,6 +424,11 @@ class PerturbedGraph:
                 raise InputError(
                     f"added vertex {v} has {len(v.cell)} coordinates, "
                     f"the graph has dimension {self.base.dim}"
+                )
+            if v.label < 0:
+                raise InputError(
+                    f"added vertex {v} has the label {v.label}: labels start at 0 "
+                    f"(at 1 in a file)"
                 )
             if self.in_common(v):
                 raise InputError(f"added vertex {v} collides with a base vertex")

@@ -8,25 +8,26 @@ the box grown twice by the propagation length, in lexicographic cell order
 with labels last.  A key that is not a kept base vertex of that grid names
 no vertex.  ``Vertex`` names are built only on demand.
 
-A state on the perturbed side is a flat array over the keys, zero off the
-box; ``embed`` sets a grid state (shape ``(2h+1, ..., 2h+1, cell_size)``) on
-the box slice, as ``base_laplacian`` does before it applies the stencil
-below.  The operators read the box keys and the *ring*: the neighbours of
-the box outside it, which ``_stencil`` run over the box's bits finds, in
-key order.  Every box vertex is kept and has exactly its base edges, so
-every ring key is a kept base vertex of the box grown once.  One call of
-``UnperturbedSet.mask`` over the once-grown box gives the unperturbed bit
-of every box and ring key, and with it the kept bits of the twice-grown
-grid.  The bit splits the keys in two kinds:
+A state is a flat array over the keys, zero off the box.  ``embed`` is the
+one method that takes a grid state (shape ``(2h+1, ..., 2h+1, cell_size)``):
+it sets it on the box slice.  The operators read the box keys and the
+*ring*: the neighbours of the box outside it, which ``_stencil`` run over
+the box's bits finds, in key order.  Every box vertex is kept and has
+exactly its base edges, so every ring key is a kept base vertex of the box
+grown once.  One call of ``UnperturbedSet.mask`` over the once-grown box
+gives the unperturbed bit of every box and ring key, and with it the kept
+bits of the twice-grown grid.  The bit splits the keys in two kinds:
 
 * a *stencil key* (bit set: every box key and most ring keys) stores no
-  neighbours.  ``laplacian`` applies the one base stencil ``_stencil`` (a
+  neighbours.  ``_averages`` applies the one base stencil ``_stencil`` (a
   shifted slice per oriented template at each label, in
   ``PeriodicGraph.templates`` order, which the oracle lists too) to the
   state and divides by each label's base degree;
 * a *CSR key* (a ring key whose bit is clear) takes one ``out_edges`` call
   and keeps the targets that are box or ring keys as CSR entries, which a
-  small ``bincount`` sums; ``laplacian`` overwrites the stencil sum there.
+  small ``bincount`` sums; ``laplacian`` overwrites the averages there, and
+  ``defect`` returns them alone.  ``base_laplacian`` keeps the averages on
+  the box and sets the ring to 0.
 
 Both add a key's neighbour values in ``out_edges`` order from 0, so the sums
 have the bits one ``bincount`` over a full CSR gives.  ``norm`` sums the box
@@ -206,16 +207,6 @@ class Region:
                     f"{self._names_of(have)}, out_edges {listed[stop - d : stop]}"
                 )
 
-    def base_laplacian(self, grid: np.ndarray) -> np.ndarray:
-        """Base Laplacian of a grid state, taken as zero outside the box;
-        exact on the box for states supported ``propagation_length`` cells
-        inside its faces.  ``_stencil`` runs over the state set on the box of
-        the twice-grown grid, zeros around it, as ``embed`` sets it."""
-        wide = np.zeros(self._grid_shape, dtype=grid.dtype)
-        wide[self._inner] = grid
-        sums = self._stencil(wide.reshape(-1)).reshape(wide.shape)[self._inner]
-        return sums / self._base_degrees
-
     def embed(self, grid: np.ndarray) -> np.ndarray:
         """The transplanted state by key: the grid on the box slice, zero at
         every other key."""
@@ -223,14 +214,27 @@ class Region:
         wide[self._inner] = grid
         return wide.reshape(-1)
 
+    def base_laplacian(self, state: np.ndarray) -> np.ndarray:
+        """Base Laplacian of a state by key, kept on the box and 0 at every
+        other key; a state supported ``propagation_length`` cells inside the
+        box's faces has its whole base Laplacian there."""
+        out = self._averages(state)
+        out[self._ring] = 0
+        return out
+
     def laplacian(self, state: np.ndarray) -> np.ndarray:
         """Perturbed Laplacian of a state by key: each box and ring key
-        averages its neighbours' values.  One ``_stencil`` pass divided by
-        each label's base degree, then every CSR key takes its own sum."""
+        averages its neighbours' values.  The base averages, then every CSR
+        key takes its own."""
+        out = self._averages(state)
+        out[self._csr_keys] = _mean(self._csr_sums(state), self._csr_degrees)
+        return out
+
+    def _averages(self, state: np.ndarray) -> np.ndarray:
+        """One ``_stencil`` pass, divided in place by each label's base degree."""
         sums = self._stencil(state)
         by_label = sums.reshape(-1, self.shape[-1])
         by_label /= self._base_degrees
-        sums[self._csr_keys] = _mean(self._csr_sums(state), self._csr_degrees)
         return sums
 
     def _stencil(self, flat: np.ndarray) -> np.ndarray:
@@ -263,16 +267,12 @@ class Region:
         ring = np.abs(state[self._ring]) ** 2 * self._ring_degrees
         return float(np.sqrt(np.sum(np.concatenate([box.reshape(-1), ring]))))
 
-    def defect(self, grid: np.ndarray) -> np.ndarray:
-        """Defect operator by key: perturbed Laplacian after embedding minus
-        embedding after the base Laplacian, for a state supported
-        ``propagation_length`` cells inside the box's faces, whose base
-        Laplacian is zero on the ring.  It is zero over the unperturbed set,
-        that is at every stencil key; at a CSR key it is the average over
-        its CSR entries.  A box with no CSR key embeds nothing."""
+    def defect(self, state: np.ndarray) -> np.ndarray:
+        """Defect operator by key, perturbed minus base Laplacian, of a state
+        supported ``propagation_length`` cells inside the box's faces: 0 at
+        every stencil key, the average over its CSR entries at a CSR key."""
         out = np.zeros(self._grid_keys, dtype=complex)
-        if self._csr_keys.size:
-            out[self._csr_keys] = _mean(self._csr_sums(self.embed(grid)), self._csr_degrees)
+        out[self._csr_keys] = _mean(self._csr_sums(state), self._csr_degrees)
         return out
 
     def embedding_norm_bounds(self) -> tuple[float, float]:

@@ -7,6 +7,9 @@ tents of half-width n, park it on a box that the perturbation does not touch,
 and transplant it.  The Laplacian residual of these states decays like 1/n,
 and the decay constant is controlled by an explicit bound evaluated here
 alongside the measurement.
+
+A state is held once, as the normalized key-indexed ``WeylState.rows`` of
+its ``Region``; the residual, the route residual and the defect all read it.
 """
 
 from __future__ import annotations
@@ -111,9 +114,7 @@ class WeylState:
 
     n: int
     center: Vertex
-    embed_norm: float
     region: Region  # the clear padded box the state was built on, and its ring
-    grid: np.ndarray  # translated, pre-embedding base-graph state on the region's grid
     rows: np.ndarray  # the normalized transplanted state, one entry per region key
 
 
@@ -169,11 +170,9 @@ def _state_on_box(
     ``(band, k0, xi0)``, built on the region of the box ``report`` found."""
     _, k0, xi0 = location
     region = Region(graph, report.center.cell, report.box_bounds[1])
-    grid = _bloch_grid(region, np.asarray(k0, dtype=float), xi0, report.n)
-    rows = region.embed(grid)
-    embed_norm = region.norm(rows)
-    rows /= embed_norm
-    return WeylState(report.n, report.center, embed_norm, region, grid, rows)
+    rows = region.embed(_bloch_grid(region, np.asarray(k0, dtype=float), xi0, report.n))
+    rows /= region.norm(rows)
+    return WeylState(report.n, report.center, region, rows)
 
 
 def residual(state: WeylState, lam: float) -> float:
@@ -185,13 +184,13 @@ def residual(state: WeylState, lam: float) -> float:
 def embedded_route_residual(state: WeylState, lam: float) -> float:
     """The same residual computed through the base graph.
 
-    Applies (base Laplacian - lam) before transplanting; the state's padded
-    box is clear, so this equals ``residual`` up to roundoff, because the
-    defect operator annihilates the state.
+    Applies (base Laplacian - lam) on the box before transplanting; the
+    state's padded box is clear, so the defect operator annihilates the
+    state and this equals ``residual``: bit for bit, since both sum the same
+    stencil in the same order.
     """
-    region = state.region
-    diff = region.base_laplacian(state.grid) - lam * state.grid
-    return region.norm(region.embed(diff)) / state.embed_norm
+    f = state.rows
+    return state.region.norm(state.region.base_laplacian(f) - lam * f)
 
 
 def sup_norm_bound(state: WeylState) -> float:
@@ -258,7 +257,7 @@ def residual_row(state: WeylState, lam: float) -> ResidualRow:
         sup_norm=float(np.max(np.abs(state.rows))),
         bound=residual_bound(state),
         route_residual=embedded_route_residual(state, lam),
-        defect_sup=float(np.max(np.abs(state.region.defect(state.grid)))),
+        defect_sup=float(np.max(np.abs(state.region.defect(state.rows)))),
     )
     where = f"at n={row.n}, centre {row.center}"
     roundoff = 1e-12 * max(1.0, row.residual)

@@ -15,7 +15,7 @@ from collections import Counter
 from pathlib import Path
 
 import periodic_spectra
-from periodic_spectra import floquet, graphs, perturbation, symmetry, truncation, weyl
+from periodic_spectra import cli, floquet, graphs, perturbation, symmetry, truncation, weyl
 from periodic_spectra.cli import RunContext
 from periodic_spectra.graphs import Vertex
 from periodic_spectra.region import Region
@@ -60,7 +60,16 @@ UNREAD_FIELDS = {
     "Sector.odd",
     # public: the patch a perturbed graph was built from, which tests read
     "PerturbedGraph.patch",
+    # the closed-form unperturbed set of a catalog graph, which
+    # ``perfbench/checks.py`` and the tests compare ``lambda-set`` against
+    "CatalogEntry.reference_lambda",
+    # the flat bands of a spectrum, which acceptance criterion 3 reads
+    "SpectrumApprox.flat_points",
 }
+
+# Records whose instances the package passes to ``dataclasses.asdict``, so
+# that every field is written out.
+DUMPED = {"ResidualRow", "TruncationReport"}
 
 # Parameter names that only ever took their default and are constants now.
 CONSTANT_PARAMETERS = ("match_tol", "refine_tol", "tol", "chunk", "radius")
@@ -116,8 +125,9 @@ def test_unread_fields_and_arguments_stay_deleted(tmp_path):
     assert "threads" not in inspect.signature(RunContext).parameters
     for name in CERTIFICATE:
         assert "graph" not in inspect.signature(getattr(weyl, name)).parameters, name
+    # a state is held once, by key
     assert [f.name for f in dataclasses.fields(weyl.WeylState)] == [
-        "n", "center", "embed_norm", "region", "grid", "rows",
+        "n", "center", "region", "rows",
     ]
     for module, name in [
         (floquet, "BandSample"), (graphs, "edge_index"), (perturbation, "box_is_clear"),
@@ -199,18 +209,34 @@ def uncalled_functions(private: bool) -> set[str]:
     return uncalled
 
 
+def _is_record(cls: ast.ClassDef) -> bool:
+    """Whether ``cls`` is a dataclass or a ``NamedTuple``, whose fields are
+    its annotated class attributes."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+    return any(
+        (isinstance(node, ast.Name) and node.id == name)
+        or (isinstance(node, ast.Attribute) and node.attr == name)
+        for nodes, name in ((decorators, "dataclass"), (cls.bases, "NamedTuple"))
+        for node in nodes
+    )
+
+
 def unread_fields() -> set[str]:
     """``Class.name`` for every attribute that a method of a package class
-    assigns on ``self`` and that no package module and no script reads as an
-    attribute of any object (the match is by name).  Docstrings, comments
-    and strings do not count."""
+    assigns on ``self``, and every field of a package dataclass or
+    ``NamedTuple`` not in ``DUMPED``, that no package module and no script
+    reads as an attribute of any object (the match is by name).  A read from
+    ``args``, the parsed command line, names an option and does not count,
+    nor do docstrings, comments and strings."""
     package = Path(periodic_spectra.__file__).parent
     trees = _package_and_script_trees()
     read = {
         node.attr
         for tree in trees.values()
         for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and not (isinstance(node.value, ast.Name) and node.value.id == "args")
     }
     unread = set()
     for path, tree in trees.items():
@@ -226,14 +252,49 @@ def unread_fields() -> set[str]:
                     and node.attr not in read
                 ):
                     unread.add(f"{cls.name}.{node.attr}")
+            if _is_record(cls) and cls.name not in DUMPED:
+                unread.update(
+                    f"{cls.name}.{node.target.id}"
+                    for node in cls.body
+                    if isinstance(node, ast.AnnAssign)
+                    and isinstance(node.target, ast.Name)
+                    and node.target.id not in read
+                )
     return unread
 
 
 def test_every_field_is_read():
-    """Every attribute a package class assigns on ``self`` is read in the
-    package or ``scripts/`` (``unread_fields``): a field left behind when its
-    last reader goes shows up here."""
+    """Every attribute a package class assigns on ``self``, and every field
+    of a package dataclass or ``NamedTuple``, is read in the package or
+    ``scripts/`` (``unread_fields``): a field left behind when its last
+    reader goes shows up here."""
     assert unread_fields() == UNREAD_FIELDS
+
+
+def test_dumped_records_are_what_asdict_is_given(tmp_path, monkeypatch):
+    """``DUMPED`` is the set of records ``cli`` passes to ``asdict``: the
+    package calls it at two places, which ``weyl-check`` and ``truncate``
+    reach."""
+    calls = [
+        node
+        for tree in _package_and_script_trees().values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "asdict"
+    ]
+    assert len(calls) == 2
+    given = set()
+
+    def recorded(record):
+        given.add(type(record).__name__)
+        return dataclasses.asdict(record)
+
+    monkeypatch.setattr(cli, "asdict", recorded)
+    for argv in (
+        ["weyl-check", "--graph", "builtin:half_plane", "--lambda", "0.0", "--n-list", "2"],
+        ["truncate", "--graph", "builtin:half_plane", "--box=-3,3,-3,3"],
+    ):
+        assert cli.main([*argv, "--out", str(tmp_path / argv[0])]) == 0
+    assert given == DUMPED
 
 
 def test_every_public_function_has_a_caller():

@@ -34,6 +34,14 @@ from periodic_spectra.io import (
 from reference import band_grid
 
 
+# A patch file whose added vertex has the label 0, and a graph file whose
+# edge index is past ``graphs._INDEX_LIMIT``.
+LABEL_0_PATCH = {
+    "patch": {"added_vertices": [[[0, 0], 0]], "added_edges": [[[[0, 0], 0], [[0, 0], 1]]]}
+}
+HUGE_INDEX_FILE = {"dimension": 1, "cell_size": 1, "edges": [[1, 1, [10**20]]]}
+
+
 def run(tmp_path, *argv):
     cwd = os.getcwd()
     os.chdir(tmp_path)
@@ -522,7 +530,7 @@ class TestWeylCheck:
             (weyl, "embedded_route_residual", lambda state, lam: 0.0, "differs from residual"),
             (weyl, "sup_norm_bound", lambda state: 0.0, "exceeds its bound"),
             (
-                Region, "defect", lambda self, grid: np.ones(self._grid_keys),
+                Region, "defect", lambda self, state: np.ones(self._grid_keys),
                 "is not 0 on the clear box",
             ),
         ],
@@ -728,6 +736,30 @@ class TestErrorPaths:
         assert "unperturbed-set mask is capped at" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_empty_window_past_the_mask_cap(self, tmp_path, capsys):
+        """An empty window is capped like any other: one axis of 2^31 cells
+        beside an empty one is refused, where the empty mask of that shape
+        raised ``ValueError``.  A small empty window writes an empty table,
+        also when the ends of its empty axis pass 64 bits."""
+        argv = ["lambda-set", "--graph", "builtin:lattice2", "--perturbation", "builtin:cone"]
+        out = str(tmp_path / "empty")
+        assert run(tmp_path, *argv, "--window=0,-1,0,2147483647", "--out", out) == 2
+        assert "unperturbed-set mask is capped at" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        for window in ("0,-1,0,5", f"{2**63 + 1},0,0,0"):
+            assert run(tmp_path, *argv, f"--window={window}", "--out", out) == 0
+            assert (tmp_path / "empty.csv").read_text().splitlines()[1:] == ["cell_1,cell_2,v1"]
+
+    @pytest.mark.parametrize("dim", ["25", "2147483647"])
+    def test_pendant_dimension_past_the_axis_limit(self, tmp_path, capsys, dim):
+        """``Z^dim`` is refused before its dim^2 template entries are built."""
+        assert run(
+            tmp_path, "lambda-set", "--graph", "builtin:lattice2",
+            "--perturbation", f"builtin:random_pendant,p=0,seed=0,dim={dim}", "--window=0,0",
+            "--out", str(tmp_path / "o"),
+        ) == 2
+        assert f"random_pendant dimension {dim} is past 24" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "command, extra",
         [
@@ -772,13 +804,17 @@ class TestErrorPaths:
             # no centre of half_plane is clear: the search would walk 2^62 rows
             (["condition-p", "--graph", "builtin:lattice2", "--perturbation",
               "builtin:half_plane", "--n", "1", "--window=0,4611686018427387903,0,0",
-              "--threads", "1"], "the box search is capped at 4294967296"),
+              "--threads", "1"], "the box search is capped at 268435456"),
+            # no centre of the counterexample at x >= 0 is clear: 2^31 cells
+            (["condition-p", "--graph", "builtin:g11", "--perturbation",
+              "builtin:counterexample", "--n", "1", "--window=0,2147483647", "--threads", "1"],
+             "the box search is capped at 268435456"),
             (["random-trial", "--p", "0.5", "--n", "1", "--trials", "1000000000000",
               "--seed", "1"], "the Monte Carlo is capped at 4294967296"),
             (["truncate", "--graph", "builtin:lattice1", "--box=0,9999999", "--wrap"],
              "a wrap is capped at 1048576"),
         ],
-        ids=["condition-p", "random-trial", "truncate-wrap"],
+        ids=["condition-p", "condition-p-1d", "random-trial", "truncate-wrap"],
     )
     def test_work_past_its_cap_exits_2_at_once(self, tmp_path, argv, message):
         """Refused before the work starts, in a process whose address space
@@ -913,9 +949,12 @@ class TestErrorPaths:
             # a count of over 4300 digits, past Python's int-to-str limit
             ["random-trial", "--p", "0.5", "--n", "1", "--dim", "10000", "--trials", "10",
              "--seed", "1"],
+            # refused before 2^31 axes are listed
+            ["random-trial", "--p", "0.5", "--n", "1", "--dim", "2147483647", "--trials", "10",
+             "--seed", "1"],
         ],
         ids=["bands", "sigma-ess", "weyl-check", "truncate", "truncate-wrap", "random-trial",
-             "random-trial-overflow", "random-trial-axes"],
+             "random-trial-overflow", "random-trial-axes", "random-trial-axes-2^31"],
     )
     def test_box_beyond_the_cell_cap_exits_2(self, tmp_path, capsys, argv):
         assert run(tmp_path, *argv, "--out", str(tmp_path / "o")) == 2
@@ -1069,7 +1108,33 @@ class TestIntegerFields:
             load_perturbation_file(patch, get_entry("lattice2").base)
 
 
+    def test_index_past_the_phase_limit_is_a_parse_error(self, tmp_path, capsys):
+        """A float64 phase ``k.x`` loses about 2^-52 * 2 pi * |x|: with an index
+        of 10^20 every band value is 1, yet the phases gave other values."""
+        source = tmp_path / "graph.json"
+        source.write_text(json.dumps(HUGE_INDEX_FILE))
+        for command in ("bands", "sigma-ess"):
+            assert run(tmp_path, command, "--graph", str(source), "--grid", "4") == 2
+            assert "has an index component past 1048576" in capsys.readouterr().err
+        spec = {"dimension": 1, "cell_size": 1, "edges": [[1, 1, [-(1 << 20)]]]}
+        source.write_text(json.dumps(spec))
+        assert run(tmp_path, "bands", "--graph", str(source), "--grid", "4") == 0
+
+
 class TestPerturbationFiles:
+    def test_added_vertex_of_label_0_exits_2(self, tmp_path, capsys):
+        """File labels are 1-based, so label 0 is the internal label -1,
+        which ``Vertex`` does not give a vertex."""
+        source = tmp_path / "patch.json"
+        source.write_text(json.dumps(LABEL_0_PATCH))
+        code = run(
+            tmp_path, "truncate", "--graph", "builtin:lattice2", "--perturbation", str(source),
+            "--box=-1,1,-1,1", "--out", str(tmp_path / "out"),
+        )
+        assert code == 2
+        assert "added vertex (0,0|v-1) has the label -1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [source]
+
     def test_patch_file(self, tmp_path):
         source = tmp_path / "patch.json"
         source.write_text(

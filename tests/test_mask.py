@@ -414,8 +414,8 @@ def test_search_cap_is_checked_before_any_mask(monkeypatch):
     graph = GRAPHS["random_pendant_3d"]
     with pytest.raises(AssertionError, match="asked for a mask"):
         find_unperturbed_box(graph, 96, ((-194, 194),) * 3)
-    with pytest.raises(InputError, match="the box search is capped at 4294967296"):
-        find_unperturbed_box(GRAPHS["half_plane"], 1, ((0, 2**32), (0, 0)))
+    with pytest.raises(InputError, match="the box search is capped at 268435456"):
+        find_unperturbed_box(GRAPHS["half_plane"], 1, ((0, 2**28), (0, 0)))
     # half-width 1: (8 + 2) * (1 + 2) padded cells, then (9 + 2) * (1 + 2)
     monkeypatch.setattr(perturbation, "_SEARCH_LIMIT", 30)
     with pytest.raises(AssertionError, match="asked for a mask"):

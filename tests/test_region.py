@@ -105,8 +105,8 @@ def dict_route(graph, lam, n, window):
     return {
         "center": report.center,
         "vector": vector,
-        "base_vector": moved,
-        "norm": norm,
+        "base_vector": {v: x / norm for v, x in moved.items()},
+        "norm": weighted_norm(vector, graph.oracle),
         "residual": weighted_norm(diff, graph.oracle),
         "route_residual": weighted_norm(embed_state(graph, base_diff), graph.oracle) / norm,
         "bound": float(bound),
@@ -123,7 +123,7 @@ def region_route(graph, lam, n, window):
         "center": state.center,
         "vector": state_vector(state),
         "base_vector": base_vector(state),
-        "norm": state.embed_norm,
+        "norm": state.region.norm(state.rows),
         "residual": residual(state, lam),
         "route_residual": embedded_route_residual(state, lam),
         "bound": residual_bound(state),
@@ -287,11 +287,14 @@ def test_region_operators_match_dict_operators_on_flush_boxes(graph, n, offset, 
     assert_same(state, embedded)
     assert close(region.norm(state), weighted_norm(embedded, graph.oracle))
     assert_same(region.laplacian(state), apply_laplacian(embedded, graph.oracle))
-    assert_same(region.defect(grid), apply_defect(graph, psi))
+    assert_same(region.defect(state), apply_defect(graph, psi))
     base_lap = apply_laplacian(psi, graph.base_oracle)
-    lap = region.base_laplacian(grid).reshape(-1)
-    for i, x in enumerate(vertices):
-        assert abs(lap[i] - base_lap.get(x, 0.0)) <= REL * max(1.0, abs(lap[i]))
+    lap = region.base_laplacian(state)
+    on_box = box_keys(region)
+    for x, value in zip(vertices, lap[on_box].tolist()):
+        assert abs(value - base_lap.get(x, 0.0)) <= REL * max(1.0, abs(value))
+    lap[on_box] = 0.0
+    assert not lap.any()  # 0 at every key off the box
     keys = region_keys(region)
     for name, member in zip(region._names_of(keys), region._member[keys]):
         assert member == (graph.in_common(name) and graph.unperturbed.contains(name))

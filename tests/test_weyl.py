@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from periodic_spectra import (
     build_weyl_state,
     fit_loglog_slope,
     locate_band_value,
+    make_random_pendant,
     residual,
     residual_row,
     residual_sweep,
@@ -30,6 +32,7 @@ from periodic_spectra.weyl import _symmetric_pair, embedded_route_residual, sup_
 from reference import (
     TentCutoff,
     apply_defect,
+    box_keys,
     region_vertices,
     state_vector,
     tent_value,
@@ -39,12 +42,11 @@ from reference import (
 
 
 def base_vector(state) -> dict:
-    """The translated, pre-embedding base-graph state of ``state``: its grid
-    keyed by the region's vertices, zeros dropped."""
-    vertices = region_vertices(state.region)
-    return {
-        vertices[i]: complex(val) for i, val in enumerate(state.grid.reshape(-1)) if val != 0
-    }
+    """The translated base-graph state of ``state``, normalized as ``rows``
+    is: the box slice of ``rows`` keyed by the region's vertices, zeros
+    dropped."""
+    values = state.rows[box_keys(state.region)].tolist()
+    return {v: val for v, val in zip(region_vertices(state.region), values) if val != 0}
 
 
 def identity_perturbation(graph):
@@ -267,22 +269,44 @@ class TestResidual:
         assert abs(_symmetric_pair(g21.base, k0, xi0)[2]) <= 1e-8
 
 
-def test_one_row_embeds_three_times_and_applies_the_base_laplacian_once(
-    half_plane, monkeypatch
-):
-    """The state, the route residual and the defect embed; the box is flush
-    against the half plane, so the defect has CSR rows, but none in the box."""
+def test_one_row_embeds_once_and_applies_the_base_laplacian_once(half_plane, monkeypatch):
+    """Only the state embeds: the route residual and the defect read its
+    keys.  The box is flush against the half plane, so the defect has CSR
+    keys, but none in the box."""
     calls = Counter()
     for name in ("embed", "base_laplacian"):
 
-        def counted(self, grid, method=getattr(Region, name), name=name):
+        def counted(self, values, method=getattr(Region, name), name=name):
             calls[name] += 1
-            return method(self, grid)
+            return method(self, values)
 
         monkeypatch.setattr(Region, name, counted)
     (row,) = residual_sweep(half_plane.perturbation, 0.3, [8], ((-40, 40), (-40, 40)))
     assert row.defect_sup == 0.0
-    assert calls == {"embed": 3, "base_laplacian": 1}
+    assert calls == {"embed": 1, "base_laplacian": 1}
+
+
+def test_a_state_is_held_once():
+    """A 3-D state at n=32 (its key array is 5.0 MiB), in key-array sizes
+    under tracemalloc: the state keeps its normalized keys and its
+    ``Region``, not the Bloch grid as well, and a row's operators read the
+    keys without a grid-shaped copy of the state."""
+    graph = make_random_pendant(1e-6, 3, dim=3).perturbation
+    report = weyl._clear_box(graph, 32, ((-66, -66),) * 3)
+    location = weyl._band_location(graph.base, 0.3, 64)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        state = weyl._state_on_box(graph, report, location)
+        held = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.reset_peak()
+        residual_row(state, 0.3)
+        peak = tracemalloc.get_traced_memory()[1] - before - held
+    finally:
+        tracemalloc.stop()
+    size = state.rows.nbytes
+    assert held <= 1.5 * size
+    assert peak <= 2.5 * size
 
 
 @pytest.mark.parametrize(
