@@ -56,6 +56,11 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+def _fmt_many(values: list[float]) -> list[str]:
+    """``_fmt`` of every value in ``values``, from one ``%`` call."""
+    return ("%.17g\n" * len(values) % tuple(values)).split("\n")[:-1]
+
+
 class Lookup(NamedTuple):
     """A table column given as ``values[index]``: the column's ``values``
     and, per row, the integer position of its value among them.  The values
@@ -72,7 +77,7 @@ def _format_columns(columns) -> list[tuple[np.ndarray, np.ndarray]]:
 
     Each column comes back as ``(texts, inverse)``: cell texts as an object
     array and, per row, the index of the row's text, in the smallest unsigned
-    dtype that holds it.  Floats are written by ``_fmt``, integers by ``str``
+    dtype that holds it.  Floats are written by ``_fmt_many``, integers by ``str``
     and text passes through unchanged.  The texts are the column's distinct
     values, each formatted once; floats are told apart by bit pattern, so
     ``-0.0``, ``0.0``, ``nan`` and ``±inf`` keep their own texts.  An integer
@@ -93,7 +98,7 @@ def _format_columns(columns) -> list[tuple[np.ndarray, np.ndarray]]:
         if kind == "f":
             bits = np.ascontiguousarray(arr, dtype=np.float64).view(np.uint64)
             keys, inverse = np.unique(bits, return_inverse=True)
-            texts = [_fmt(x) for x in keys.view(np.float64).tolist()]
+            texts = _fmt_many(keys.view(np.float64).tolist())
         elif kind in "iu" and arr.size and int(arr.max()) - int(arr.min()) < arr.size:
             low = int(arr.min())
             texts = [str(x) for x in range(low, int(arr.max()) + 1)]

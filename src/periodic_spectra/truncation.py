@@ -22,9 +22,13 @@ with no accepted mirror is the one identity sector: every induced box returns
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -41,6 +45,7 @@ from .graphs import (
     box_cell_array,
     box_cell_count,
 )
+from .perturbation import _SAMPLE_STRIDE, PerturbedGraph, PerturbedOracle, _checked_hook
 from .symmetry import Sector, SectorVectors, mirror_symmetries, sectors
 
 # Vertices of an induced box, which is solved densely, checked while its
@@ -89,6 +94,9 @@ _GRAM_BATCH = 1 << 16
 class BoxGraph:
     """Finite restriction of a graph to a lattice box.
 
+    The vertices are held as arrays in ``(cell, label)`` order: ``offsets``,
+    each vertex's cell minus the box's low corner, shape ``(n, d)``, and
+    ``labels``; ``vertices`` builds their ``Vertex`` names when asked.
     ``rows`` and ``cols`` list the box's oriented edges as row-index pairs,
     exactly as ``out_edges`` gives them: every edge in both orientations,
     loops twice, parallel edges once per copy.  ``periodic`` is the periodic
@@ -97,45 +105,41 @@ class BoxGraph:
 
     def __init__(
         self,
-        vertices: list[Vertex],
+        offsets: np.ndarray,
+        labels: np.ndarray,
         rows: np.ndarray,
         cols: np.ndarray,
         box: Window,
         periodic: PeriodicGraph | None,
         dropped: int,
     ):
-        self.vertices = tuple(vertices)
+        self.offsets = offsets
+        self.labels = labels
         self.rows = rows
         self.cols = cols
         self.box = box
         self.periodic = periodic
         self.dropped = dropped
-        self.degrees = np.bincount(rows, minlength=len(self.vertices))
+        self.degrees = np.bincount(rows, minlength=len(labels))
 
     def __len__(self) -> int:
-        return len(self.vertices)
+        return len(self.labels)
 
     @property
     def wrapped(self) -> bool:
         return self.periodic is not None
 
     @cached_property
-    def offsets(self) -> np.ndarray:
-        """Each vertex's cell minus the box's low corner, shape ``(n, d)``."""
-        cells = np.array([v.cell for v in self.vertices], dtype=np.int64)
-        return cells - np.array([lo for lo, _ in self.box], dtype=np.int64)
-
-    @cached_property
-    def labels(self) -> np.ndarray:
-        """Each vertex's label."""
-        return np.array([v.label for v in self.vertices], dtype=np.intp)
+    def vertices(self) -> tuple[Vertex, ...]:
+        """Every vertex's name, in row order."""
+        return _names(self.box, self.offsets, self.labels)
 
     @cached_property
     def moments(self) -> tuple[float, float]:
         """``(trace, squared Frobenius norm)`` of the symmetric form, that is
         ``sum_i A_ii / d_i`` and ``sum_ij A_ij**2 / (d_i d_j)``, from one
         ``np.unique`` over the ``(row, col)`` pair keys."""
-        n = len(self.vertices)
+        n = len(self)
         keys, counts = np.unique(self.rows * n + self.cols, return_counts=True)
         i, j = np.divmod(keys, n)
         d = self.degrees.astype(float)
@@ -144,7 +148,7 @@ class BoxGraph:
 
     def adjacency(self) -> np.ndarray:
         """Dense symmetric adjacency with multiplicities (loops doubled)."""
-        n = len(self.vertices)
+        n = len(self)
         a = np.zeros((n, n), dtype=float)
         np.add.at(a, (self.rows, self.cols), 1.0)
         return a
@@ -166,7 +170,7 @@ class BoxGraph:
         vertex, on a CSR of the edges built by one ``argsort``."""
         targets = self.cols[np.argsort(self.rows, kind="stable")].tolist()
         bounds = [0, *np.cumsum(self.degrees).tolist()]
-        side = [-1] * len(self.vertices)
+        side = [-1] * len(self)
         for start in range(len(side)):
             if side[start] >= 0:
                 continue
@@ -183,6 +187,12 @@ class BoxGraph:
         return np.array(side, dtype=bool)
 
 
+def _names(box: Window, offsets: np.ndarray, labels: np.ndarray) -> tuple[Vertex, ...]:
+    """The ``Vertex`` of every ``(offset, label)`` row of a box."""
+    cells = map(tuple, (offsets + np.array([lo for lo, _ in box], dtype=np.int64)).tolist())
+    return tuple(map(Vertex, cells, labels.tolist()))
+
+
 @dataclass(frozen=True)
 class TruncationReport:
     """Comparison of box eigenvalues against a reference spectrum."""
@@ -192,77 +202,310 @@ class TruncationReport:
 
 
 def truncate(oracle: GraphOracle, box: Window, periodic_wrap: bool = False) -> BoxGraph:
-    """Restrict the graph to cells inside ``box``.
+    """Restrict the graph of a ``PeriodicOracle`` or a ``PerturbedOracle`` to
+    the cells inside ``box``.
 
     Without ``periodic_wrap`` the induced subgraph is taken, degrees
     recomputed, and vertices left isolated are dropped (their number is
     recorded on the result).  With it (purely periodic graphs only) edges
-    leaving the box re-enter modulo the box lengths.  Raises
-    ``InternalInvariantError`` when the oracle's edges are not symmetric, or
-    when an edge reaches a vertex in a box cell that ``vertices_in_cell`` does
-    not list, and ``InputError`` when ``box_cell_count`` refuses the box, when
-    a wrap has more than ``_WRAP_LIMIT`` vertices (cells times labels),
-    checked before any cell is listed, when an induced box lists more than
-    ``_DENSE_LIMIT`` vertices, checked every ``_CELL_CHUNK`` cells (each chunk
-    listed by ``box_cell_array``) and before any ``out_edges`` call, or when
-    an edge reaches a vertex whose cell has another number of coordinates
-    than the box.
+    leaving the box re-enter modulo the box lengths.
+
+    The box is built from arrays (``_BoxBuilder``): a kept base vertex with
+    no added and no removed edge takes the entries of its label's edge
+    templates whose target is a box vertex; an added vertex, a vertex with
+    added edges and an end of a removed ``Patch`` edge take one
+    ``out_edges`` call each; and a sample of template rows is compared with
+    ``out_edges``.
+
+    Raises ``InternalInvariantError`` when the oracle's edges are not
+    symmetric, when a sampled template row or hook answer differs from the
+    oracle, when an edge reaches a vertex in a box cell that is not a box
+    vertex, or when ``added_in_cell`` breaks its contract.  Raises
+    ``InputError`` for another kind of oracle or number of axes, when
+    ``box_cell_count`` refuses the box, when a wrap has more than
+    ``_WRAP_LIMIT`` vertices (checked before any cell is listed), when an
+    induced box lists more than ``_DENSE_LIMIT`` vertices (checked after
+    every ``_CELL_CHUNK`` cells, before any ``out_edges`` call), or when an
+    edge reaches a vertex whose cell has another number of coordinates.
     """
     for lo, hi in box:
         if lo > hi:
             raise EmptyBoxError(f"box side [{lo}, {hi}] is empty")
     if periodic_wrap and not isinstance(oracle, PeriodicOracle):
         raise InputError("periodic wrap needs a purely periodic oracle")
+    if isinstance(oracle, PerturbedOracle):
+        graph, base = oracle._g, oracle._g.base
+    elif isinstance(oracle, PeriodicOracle):
+        graph, base = None, oracle.graph
+    else:
+        raise InputError(f"cannot truncate a {type(oracle).__name__}")
+    if len(box) != base.dim:
+        raise InputError(f"box has {len(box)} axes, graph has dimension {base.dim}")
     count = box_cell_count(box)
-    if periodic_wrap and count * oracle.graph.cell_size > _WRAP_LIMIT:
+    if periodic_wrap and count * base.cell_size > _WRAP_LIMIT:
         raise InputError(
-            f"a wrap of {count} cells, {oracle.graph.cell_size} labels per cell, has too "
+            f"a wrap of {count} cells, {base.cell_size} labels per cell, has too "
             f"many vertices: a wrap is capped at {_WRAP_LIMIT}"
         )
-    vertices: list[Vertex] = []
-    for start in range(0, count, _CELL_CHUNK):
-        at = np.arange(start, min(start + _CELL_CHUNK, count))
-        for c in map(tuple, box_cell_array(box, at).tolist()):
-            vertices += filter(oracle.contains, oracle.vertices_in_cell(c))
-        if not periodic_wrap and len(vertices) > _DENSE_LIMIT:
-            raise InputError(
-                f"box lists more than {_DENSE_LIMIT} vertices; dense solves are "
-                f"capped at {_DENSE_LIMIT}"
-            )
-    if not vertices:
-        raise EmptyBoxError("box contains no vertices of the graph")
-    vertices.sort(key=lambda v: (v.cell, v.label))
-    index = {v: i for i, v in enumerate(vertices)}
-    sides = [(lo, hi - lo + 1) for lo, hi in box]
-    rows, cols = [], []
-    for i, v in enumerate(vertices):
-        for t in oracle.out_edges(v):
-            j = index.get(t)
-            if j is None and len(t.cell) != len(box):
-                raise _foreign_neighbour(t, len(box))
-            if j is None and periodic_wrap:  # re-enter modulo the box lengths
-                cell = tuple(lo + (c - lo) % ln for c, (lo, ln) in zip(t.cell, sides))
-                j = index[Vertex(cell, t.label)]
-            elif j is None and all(lo <= c <= hi for c, (lo, hi) in zip(t.cell, box)):
-                raise InternalInvariantError(
-                    f"{v} has an edge to {t}, which lies in a box cell but is not "
-                    f"listed by vertices_in_cell"
+    return _BoxBuilder(oracle, graph, base, box, periodic_wrap).build()
+
+
+class _BoxBuilder:
+    """The arrays of one ``truncate`` call.
+
+    The box's rows are its vertices in ``(cell, label)`` order.  The kept
+    base vertices are also numbered by *ordinal* among themselves and named
+    by *key*, ``position * cell_size + label`` with ``position`` the cell's
+    place in the box's lexicographic order; ordinals and keys ascend
+    together.  ``_row[k]`` is the row of ordinal ``k``, and ``_added_at``
+    the row of each added vertex."""
+
+    def __init__(
+        self,
+        oracle: GraphOracle,
+        graph: PerturbedGraph | None,
+        base: PeriodicGraph,
+        box: Window,
+        wrap: bool,
+    ):
+        self.oracle, self.graph, self.base, self.box, self.wrap = oracle, graph, base, box, wrap
+        self.s = base.cell_size
+        self.lows = np.array([lo for lo, _ in box], dtype=np.int64)
+        self.lengths = np.array([hi - lo + 1 for lo, hi in box], dtype=np.int64)
+        # cell strides of the box's lexicographic order
+        self.strides = np.append(np.cumprod(self.lengths[:0:-1])[::-1], 1)
+        self._lengths, self._strides = self.lengths.tolist(), self.strides.tolist()
+
+    def build(self) -> BoxGraph:
+        keys, offsets, marked, added = self._list()
+        self._merge(keys, offsets, added)
+        n = len(self.labels)
+        template = ~marked
+        at, labels = offsets[template], keys[template] % self.s
+        table = self._template_table(at, labels)
+        asked = np.ones(n, dtype=bool)
+        asked[self._row[template]] = False
+        listed = [
+            self._columns(v)[1] for v in _names(self.box, self.offsets[asked], self.labels[asked])
+        ]
+        self._check_templates(table, at, labels)
+        rows, cols = _entries(table, asked, listed)
+        audit_symmetry(n, self._name, rows, cols)
+
+        keep = np.bincount(rows, minlength=n) > 0
+        if not keep.any():
+            raise EmptyBoxError("every vertex in the box is isolated")
+        dropped = n - int(keep.sum())
+        offsets, labels = self.offsets, self.labels
+        if dropped:
+            remap = np.cumsum(keep) - 1
+            rows, cols = remap[rows], remap[cols]
+            offsets, labels = offsets[keep], labels[keep]
+        periodic = self.base if self.wrap else None
+        return BoxGraph(offsets, labels, rows, cols, self.box, periodic, dropped)
+
+    def _list(self):
+        """The kept base vertices as ascending keys with their offsets, and
+        whether each is *marked* (takes an ``out_edges`` call: it has added
+        edges or ends a removed edge); and the added vertices as ``(vertex,
+        cell position)`` pairs.  The box is listed one chunk (``_chunks``)
+        at a time, and an induced box of more than ``_DENSE_LIMIT`` vertices
+        is refused after the chunk that passes it."""
+        s, g = self.s, self.graph
+        keys, offsets, marked, added = [], [], [], []
+        listed, start = 0, 0
+        for sub in _chunks(self.box):
+            cells = box_cell_array(sub)
+            positions = np.arange(start, start + len(cells))
+            start += len(cells)
+            chunk_keys = (positions[:, None] * s + np.arange(s)).reshape(-1)
+            chunk_offsets = np.repeat(cells - self.lows, s, axis=0)
+            if g is None:
+                kept = np.ones(len(chunk_keys), dtype=bool)
+                has_added = np.zeros(len(chunk_keys), dtype=bool)
+            else:
+                grid = _checked_hook(g._keep_grid, g._keep, sub, s, "keep_grid")
+                has_added = _checked_hook(
+                    g._has_added_grid, g._has_added, sub, s, "has_added_grid", grid
+                ).reshape(-1)
+                kept = grid.reshape(-1)
+                for cell, p in zip(map(tuple, cells.tolist()), positions.tolist()):
+                    for v in g._added_in_cell(cell):
+                        if v.cell != cell:
+                            raise InternalInvariantError(
+                                f"added_in_cell lists {v} for the cell {cell}"
+                            )
+                        if self.oracle.contains(v):
+                            added.append((v, p))
+            keys.append(chunk_keys[kept])
+            offsets.append(chunk_offsets[kept])
+            marked.append(has_added[kept])
+            listed += len(keys[-1])
+            if not self.wrap and listed + len(added) > _DENSE_LIMIT:
+                raise InputError(
+                    f"box lists more than {_DENSE_LIMIT} vertices; dense solves are "
+                    f"capped at {_DENSE_LIMIT}"
                 )
-            if j is not None:  # None: outside an induced box
-                rows.append(i)
+        keys, marked = np.concatenate(keys), np.concatenate(marked)
+        if g is not None and g._removed_ends is not None:
+            ends = self._ordinals(
+                g._removed_ends[:, :-1] - self.lows, g._removed_ends[:, -1], keys
+            )
+            marked[ends[ends >= 0]] = True
+        return keys, np.concatenate(offsets), marked, added
+
+    def _ordinals(self, offsets: np.ndarray, labels: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """The ordinal of every base vertex ``(offset, label)`` among ``keys``,
+        -1 where it is outside the box or not kept."""
+        inside = ((offsets >= 0) & (offsets < self.lengths)).all(axis=1)
+        inside &= (labels >= 0) & (labels < self.s)
+        key = np.where(inside, offsets @ self.strides * self.s + labels, 0)
+        if self.graph is None:  # every vertex of every cell, in key order
+            return np.where(inside, key, -1)
+        if not len(keys):
+            return np.full(len(key), -1)
+        ordinal = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+        return np.where(inside & (keys[ordinal] == key), ordinal, -1)
+
+    def _merge(self, keys: np.ndarray, offsets: np.ndarray, added: list) -> None:
+        """Merge the added vertices, sorted by name, into the kept base
+        vertices: ``self.offsets`` and ``self.labels`` in row order."""
+        if not len(keys) + len(added):
+            raise EmptyBoxError("box contains no vertices of the graph")
+        added.sort(key=lambda pair: (pair[1], pair[0].label))
+        s = self.s
+        # an added vertex goes before the first base vertex of a greater name
+        placed = np.array([p * s + min(max(v.label, 0), s) for v, p in added], dtype=np.int64)
+        before = np.searchsorted(keys, placed)
+        at = (before + np.arange(len(added))).tolist()
+        self._added_at = {v: j for (v, _), j in zip(added, at)}
+        if len(self._added_at) < len(added):
+            raise InternalInvariantError("added_in_cell lists a vertex twice")
+        for (v, _), k, q in zip(added, before.tolist(), placed.tolist()):
+            if 0 <= v.label < s and k < len(keys) and keys[k] == q:
+                raise InternalInvariantError(f"added_in_cell lists {v}, a kept base vertex")
+        self._keys = keys
+        self._key_list = None if self.graph is None else keys.tolist()
+        self._row = np.arange(len(keys)) + np.searchsorted(before, np.arange(len(keys)), "right")
+        n = len(keys) + len(added)
+        self.labels = np.empty(n, dtype=np.intp)
+        self.offsets = np.empty((n, len(self.box)), dtype=np.int64)
+        self.labels[self._row] = keys % s
+        self.offsets[self._row] = offsets
+        for (v, _), j in zip(added, at):
+            self.labels[j] = v.label
+            self.offsets[j] = np.subtract(v.cell, self.lows)
+
+    def _template_table(self, offsets: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """The entries of the template rows ``(offsets, labels)``, one row
+        each: at column ``k``, the row of the target of the ``k``-th template
+        at the label, or -1 where that target is no box vertex (or there is
+        no ``k``-th template)."""
+        templates = self.base.templates
+        table = np.full((len(labels), max(map(len, templates))), -1, dtype=np.intp)
+        for a, at in enumerate(templates):
+            rows = np.flatnonzero(labels == a)
+            here = offsets[rows]
+            for k, (index, target) in enumerate(at):
+                there = here + np.array(index, dtype=np.int64)
+                if self.wrap:
+                    there %= self.lengths
+                ordinal = self._ordinals(there, np.full(len(rows), target), self._keys)
+                table[rows, k] = np.where(ordinal >= 0, self._row[ordinal], -1)
+        return table
+
+    def _check_templates(self, table: np.ndarray, offsets: np.ndarray, labels: np.ndarray):
+        """Compare the template rows at the first and last ``2 * cell_size``
+        places and at every ``_SAMPLE_STRIDE``-th with ``out_edges``; raise
+        ``InternalInvariantError`` naming the first vertex where they
+        differ."""
+        m, edge = len(table), 2 * self.s
+        sample = sorted({*range(min(edge, m)), *range(max(m - edge, 0), m),
+                         *range(0, m, _SAMPLE_STRIDE)})
+        names = _names(self.box, offsets[sample], labels[sample])
+        for v, entries in zip(names, table[sample]):
+            have = entries[entries >= 0]
+            targets, cols = self._columns(v)
+            if cols != have.tolist():
+                raise InternalInvariantError(
+                    f"edge templates give {v} the neighbours "
+                    f"{[self._name(j) for j in have.tolist()]}, out_edges {list(targets)}"
+                )
+
+    def _columns(self, v: Vertex) -> tuple[tuple[Vertex, ...], list[int]]:
+        """``out_edges(v)`` and the row of each target, target by target: a
+        target outside an induced box is dropped, one outside a wrap
+        re-enters modulo the box lengths."""
+        targets = self.oracle.out_edges(v)
+        cols = []
+        for t in targets:
+            j = self._added_at.get(t)
+            if j is None:
+                j = self._base_row(v, t)
+            if j is not None:
                 cols.append(j)
-    rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
-    audit_symmetry(len(vertices), vertices.__getitem__, rows, cols)
-    keep = np.bincount(rows, minlength=len(vertices)) > 0
-    if not keep.any():
-        raise EmptyBoxError("every vertex in the box is isolated")
-    dropped = len(vertices) - int(keep.sum())
-    if dropped:
-        remap = np.cumsum(keep) - 1
-        rows, cols = remap[rows], remap[cols]
-        vertices = [v for v, k in zip(vertices, keep) if k]
-    periodic = oracle.graph if periodic_wrap else None
-    return BoxGraph(vertices, rows, cols, box, periodic, dropped)
+        return targets, cols
+
+    def _base_row(self, v: Vertex, t: Vertex) -> int | None:
+        """The row of the target ``t`` of ``v`` if it is a kept base vertex
+        of the box (reduced modulo the lengths on a wrap), None if it lies
+        outside an induced box; in Python integers, as a target may lie
+        past 64 bits."""
+        d = len(self.box)
+        if len(t.cell) != d:
+            raise _foreign_neighbour(t, d)
+        offset = [c - lo for c, (lo, _) in zip(t.cell, self.box)]
+        if not all(0 <= o < n for o, n in zip(offset, self._lengths)):
+            if not self.wrap:
+                return None
+            offset = [o % n for o, n in zip(offset, self._lengths)]
+        key = sum(map(operator.mul, offset, self._strides)) * self.s + t.label
+        ordinal = -1
+        if 0 <= t.label < self.s:
+            # a periodic box holds every key from 0, and keeps no list of them
+            keys = range(len(self._keys)) if self._key_list is None else self._key_list
+            ordinal = bisect.bisect_left(keys, key)
+        if not 0 <= ordinal < len(self._keys) or self._keys[ordinal] != key:
+            raise InternalInvariantError(
+                f"{v} has an edge to {t}, which lies in a box cell but is not a box vertex"
+            )
+        return int(self._row[ordinal])
+
+    def _name(self, row: int) -> Vertex:
+        return _names(self.box, self.offsets[row : row + 1], self.labels[row : row + 1])[0]
+
+
+def _chunks(box: Window) -> Iterator[Window]:
+    """Sub-boxes of at most ``_CELL_CHUNK`` cells that give the cells of
+    ``box`` once each, in its lexicographic order: the leading axes fixed,
+    a run of one axis and every later axis whole."""
+    sizes = [hi - lo + 1 for lo, hi in box]
+    axis = next(a for a in range(len(box)) if math.prod(sizes[a + 1 :]) <= _CELL_CHUNK)
+    step = _CELL_CHUNK // math.prod(sizes[axis + 1 :])
+    lo, hi = box[axis]
+    for prefix in itertools.product(*(range(a, b + 1) for a, b in box[:axis])):
+        for first in range(lo, hi + 1, step):
+            yield (*((c, c) for c in prefix), (first, min(first + step - 1, hi)), *box[axis + 1 :])
+
+
+def _entries(
+    table: np.ndarray, asked: np.ndarray, listed: list[list[int]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``rows`` and ``cols`` of every entry, row by row: the template rows
+    (``~asked``, in row order) from ``table``, the other rows from their
+    ``listed`` columns."""
+    present = table >= 0
+    degrees = np.zeros(len(asked), dtype=np.intp)
+    degrees[~asked] = present.sum(axis=1)
+    degrees[asked] = [len(c) for c in listed]
+    rows = np.repeat(np.arange(len(asked)), degrees)
+    if not listed:
+        return rows, table[present]
+    cols = np.empty(len(rows), dtype=np.intp)
+    from_table = np.repeat(~asked, degrees)
+    cols[from_table] = table[present]
+    cols[~from_table] = [j for c in listed for j in c]
+    return rows, cols
 
 
 @dataclass(frozen=True)
@@ -593,7 +836,13 @@ def _count_boundary_modes(
     count = 0
     for m in sorted(set(sizes.tolist())):
         firsts = bounds[:-1][sizes == m]
-        step = max(1, _GRAM_BATCH // (m * max(m, r)))
+        # a batch reads ``m * width`` numbers per cluster: its near rows, or
+        # for Bloch vectors with no more columns than near rows, ``m`` factor
+        # entries per label for each column
+        width = max(m, r)
+        if isinstance(vectors, BlochVectors) and m <= r:
+            width = m * vectors.fibers.shape[1]
+        step = max(1, _GRAM_BATCH // (m * width))
         for start in range(0, len(firsts), step):
             columns = firsts[start : start + step, None] + np.arange(m)
             count += int(np.sum(np.linalg.eigvalsh(grams(columns)) >= 0.5 - _HALF_TOL))
@@ -607,9 +856,10 @@ def _dense_grams(near_rows: np.ndarray):
 
     def grams(columns: np.ndarray) -> np.ndarray:
         w = np.moveaxis(near_rows[:, columns], 0, 1)  # (c, r, m)
+        # ``.conj()`` of a real batch is the batch itself, not a copy
         if columns.shape[1] <= len(near_rows):
-            return np.conj(np.swapaxes(w, 1, 2)) @ w
-        return w @ np.conj(np.swapaxes(w, 1, 2))
+            return np.swapaxes(w, 1, 2).conj() @ w
+        return w @ np.swapaxes(w, 1, 2).conj()
 
     return grams
 

@@ -105,7 +105,14 @@ def _bloch_grid(region: Region, k0: np.ndarray, xi0: np.ndarray, n: int) -> np.n
     for k in k0:
         tent = np.multiply.outer(tent, _tent_array(n, offsets))
         phase = np.add.outer(phase, k * offsets)
-    return np.multiply.outer(np.exp(1j * phase) * tent, xi0)
+    # the exponential and the tent go into one complex grid in place, and each
+    # input grid is dropped once read, so no more than two grids are held
+    grid = 1j * phase
+    del phase
+    np.exp(grid, out=grid)
+    grid *= tent
+    del tent
+    return np.multiply.outer(grid, xi0)
 
 
 @dataclass(frozen=True)

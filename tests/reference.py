@@ -10,6 +10,10 @@ element by group element, and puts its columns in merged order.
 ``identity_vectors`` goes the other way for a box with no symmetry: it
 wraps an ``(n, n)`` eigenvector array as the vectors of the identity sector.
 
+``truncate_vertex_by_vertex`` is the reference for ``truncation.truncate``:
+the box listed cell by cell and built with one ``out_edges`` call per
+vertex, the builder the array form replaced.
+
 ``band_grid`` samples every band over the whole grid from one
 ``fiber_matrices`` and one ``eigvalsh``, the reference for the slabs of
 ``floquet.band_values``, and ``locate_on_whole_grid`` is
@@ -26,8 +30,8 @@ import numpy as np
 
 from periodic_spectra import floquet
 from periodic_spectra.errors import (
-    EmptySupportError, InputError, NotInSpectrumError, VertexNotInCommonSubgraphError,
-    VertexNotInGraphError,
+    EmptyBoxError, EmptySupportError, InputError, NotInSpectrumError,
+    VertexNotInCommonSubgraphError, VertexNotInGraphError,
 )
 from periodic_spectra.floquet import band_eigensystem, fiber_matrices
 from periodic_spectra.graphs import (
@@ -97,6 +101,42 @@ def region_entries(region: Region) -> tuple[np.ndarray, np.ndarray]:
         rows += [key] * len(listed)
         cols += listed
     return np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
+
+
+def truncate_vertex_by_vertex(
+    oracle: GraphOracle, box: Sequence[tuple[int, int]], periodic_wrap: bool = False
+) -> tuple[list[Vertex], np.ndarray, np.ndarray, int]:
+    """The box ``truncation.truncate`` builds, one vertex at a time: one
+    ``vertices_in_cell`` call per cell, one ``out_edges`` call per vertex
+    and one dict lookup per target.  Returns the vertices in ``(cell,
+    label)`` order, ``rows`` and ``cols`` in the order ``out_edges`` lists
+    the targets (a target outside an induced box dropped, one outside a wrap
+    reduced modulo the box lengths), and the number of isolated vertices
+    dropped; raises ``EmptyBoxError`` as ``truncate`` does.  It makes none
+    of ``truncate``'s caps and checks."""
+    vertices = [
+        v for c in box_cells(box) for v in oracle.vertices_in_cell(c) if oracle.contains(v)
+    ]
+    if not vertices:
+        raise EmptyBoxError("box contains no vertices of the graph")
+    vertices.sort(key=lambda v: (v.cell, v.label))
+    index = {v: i for i, v in enumerate(vertices)}
+    rows, cols = [], []
+    for i, v in enumerate(vertices):
+        for t in oracle.out_edges(v):
+            j = index.get(t)
+            if j is None and periodic_wrap:
+                cell = tuple(lo + (c - lo) % (hi - lo + 1) for c, (lo, hi) in zip(t.cell, box))
+                j = index[Vertex(cell, t.label)]
+            if j is not None:
+                rows.append(i)
+                cols.append(j)
+    keep = np.bincount(rows, minlength=len(vertices)) > 0
+    if not keep.any():
+        raise EmptyBoxError("every vertex in the box is isolated")
+    remap = np.cumsum(keep) - 1
+    kept = [v for v, k in zip(vertices, keep) if k]
+    return kept, remap[rows], remap[cols], len(vertices) - len(kept)
 
 
 def box_index(box_graph: BoxGraph) -> dict[Vertex, int]:

@@ -49,6 +49,10 @@ UNCALLED = {
     "graphs.vert",
     # the entry point of the README quickstart
     "weyl.build_weyl_state",
+    # the oracles' scalar listing of a cell, which ``truncate`` reads in array
+    # form and ``tests/reference.py::reference_truncate`` reads vertex by vertex
+    "graphs.vertices_in_cell",
+    "perturbation.vertices_in_cell",
 }
 
 # Attributes a package class assigns on ``self`` that nothing in the package

@@ -19,7 +19,9 @@ from hypothesis import strategies as st
 from periodic_spectra import cli, get_entry, make_g11, weyl
 from periodic_spectra import graphs as graphs_module
 from periodic_spectra import truncation as truncation_module
-from periodic_spectra.cli import Lookup, RunContext, _fmt, _format_columns, _json_text, main
+from periodic_spectra.cli import (
+    Lookup, RunContext, _fmt, _fmt_many, _format_columns, _json_text, main,
+)
 from periodic_spectra.errors import InternalInvariantError, ParseError
 from periodic_spectra.perturbation import UnperturbedSet
 from periodic_spectra.region import Region
@@ -319,7 +321,7 @@ class TestColumnFormatter:
             assert np.size(values) <= len(axis), "np.unique read the rows"
             return unique(values, **kwargs)
 
-        monkeypatch.setattr(cli, "_fmt", lambda x: formatted.append(x) or _fmt(x))
+        monkeypatch.setattr(cli, "_fmt_many", lambda xs: formatted.extend(xs) or _fmt_many(xs))
         monkeypatch.setattr(np, "unique", axis_unique)
         ((texts, inverse),) = _format_columns([Lookup(axis, index)])
         assert sorted(formatted) == axis.tolist()
@@ -370,6 +372,20 @@ class TestColumnFormatter:
             "0", "-0", "nan", "inf", "-inf", "0", "-0", "4.9406564584124654e-324"
         ]
         assert len(texts) == 6 and inverse.dtype == np.uint8
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e308, -1e308],
+            [0.1, 1.0 / 3.0, 2.0**-1074 * 3, 1.7976931348623157e308, 1e-300, 123456789.0],
+            [],
+        ],
+    )
+    def test_float_texts_are_those_of_fmt(self, values):
+        """The one ``%`` call writes each float as ``_fmt`` does."""
+        assert _fmt_many(values) == [_fmt(x) for x in values]
+        ((texts, inverse),) = _format_columns([np.array(values, dtype=float)])
+        assert texts[inverse].tolist() == [_fmt(x) for x in values]
 
     @pytest.mark.parametrize(
         "values",
@@ -967,14 +983,14 @@ class TestErrorPaths:
     ):
         """An induced box past the dense cap exits 2 once it has listed more
         than 4000 vertices, not after listing all 250,000."""
-        calls = []
-        listed = graphs_module.PeriodicOracle.vertices_in_cell
+        cells = []
+        listed = truncation_module.box_cell_array
 
-        def counted(self, cell):
-            calls.append(cell)
-            return listed(self, cell)
+        def counted(box, at=None):
+            cells.extend(listed(box, at).tolist())
+            return listed(box, at)
 
-        monkeypatch.setattr(graphs_module.PeriodicOracle, "vertices_in_cell", counted)
+        monkeypatch.setattr(truncation_module, "box_cell_array", counted)
         assert run(
             tmp_path,
             "truncate", "--graph", "builtin:lattice2", "--box=0,499,0,499",
@@ -982,7 +998,7 @@ class TestErrorPaths:
         ) == 2
         assert "box lists more than 4000 vertices" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
-        assert len(calls) <= 8000
+        assert 4000 < len(cells) <= 8000
 
     def test_box_under_the_cell_cap_is_listed_in_chunks(self, tmp_path, capsys, monkeypatch):
         """An induced box of 4096^2 cells is under the whole-box cap and far

@@ -13,6 +13,7 @@ split box, kept as its sector solves, are compared bit for bit with the
 whole-array lift of ``reference.sector_basis``.
 """
 
+import dataclasses
 import itertools
 import json
 import os
@@ -40,6 +41,7 @@ from periodic_spectra import (
     make_cone,
     make_g11,
     make_g21,
+    make_counterexample,
     make_half_plane,
     make_lattice,
     make_random_pendant,
@@ -50,11 +52,13 @@ from periodic_spectra import (
 )
 from periodic_spectra.errors import EmptyBoxError, InputError, InternalInvariantError
 from periodic_spectra.graphs import FundEdge, Vertex, vert
-from periodic_spectra import symmetry, truncation
+from periodic_spectra import catalog, graphs, symmetry, truncation
 from periodic_spectra.cli import main
 from periodic_spectra.truncation import _near_boundary_mask
 
-from reference import band_grid, box_cells, box_index, identity_vectors, sector_basis
+from reference import (
+    band_grid, box_cells, box_index, identity_vectors, sector_basis, truncate_vertex_by_vertex,
+)
 from test_graphs import small_graphs
 from test_region import explicit_patches
 
@@ -136,11 +140,11 @@ class TestTruncate:
         """The cap counts cells times labels: 2 labels per cell of g11."""
         oracle = periodic_oracle(g11.base)
 
-        def unlisted(self, cell):
+        def unlisted(box, at=None):
             raise AssertionError("a cell was listed")
 
         with monkeypatch.context() as m:
-            m.setattr(type(oracle), "vertices_in_cell", unlisted)
+            m.setattr(truncation, "box_cell_array", unlisted)
             with pytest.raises(InputError, match="a wrap is capped at 1048576"):
                 truncate(oracle, ((0, 2**19),), periodic_wrap=True)
         monkeypatch.setattr(truncation, "_WRAP_LIMIT", 8)
@@ -378,6 +382,74 @@ class TestSymmetryAudit:
             truncate(oracle, ((-2, 2), (-2, 2)))
 
 
+@pytest.mark.parametrize(
+    "listed, message",
+    [
+        ((vert(1, label=1),), "added_in_cell lists (1|v1) for the cell (0,)"),
+        ((vert(0),), "added_in_cell lists (0|v0), a kept base vertex"),
+        ((vert(0, label=1), vert(0, label=1)), "added_in_cell lists a vertex twice"),
+    ],
+    ids=["another_cell", "kept_base_vertex", "twice"],
+)
+def test_added_in_cell_that_breaks_its_contract_is_refused(lattice1, listed, message):
+    """``added_in_cell(cell)`` lists the added vertices of ``cell``, each
+    once; a patch whose listing breaks that raises, not builds a box with a
+    row twice or out of order."""
+    patch = PredicatePatch(
+        keep=lambda v: True,
+        added_contains=lambda v: True,
+        added_in_cell=lambda cell: listed if cell == (0,) else (),
+    )
+    oracle = PerturbedGraph(lattice1, patch, name="listing").oracle
+    with pytest.raises(InternalInvariantError, match=re.escape(message)):
+        truncate(oracle, ((-2, 2),))
+
+
+def test_a_keep_grid_that_disagrees_with_keep_exits_4(tmp_path, monkeypatch, capsys):
+    """A half_plane whose ``keep_grid`` also keeps the row x2 = -1, which
+    ``keep`` drops: the hook's sample at the box corner (-3,-1) sees it
+    before any row is built."""
+    argv = ["truncate", "--graph", "builtin:lattice2", "--perturbation", "builtin:half_plane",
+            "--box=-3,3,-1,3", "--out", str(tmp_path / "t")]
+    assert main(argv) == 0
+    entry = make_half_plane()
+    patch = dataclasses.replace(entry.perturbation.patch, keep_grid=lambda x, labels: x[1] >= -1)
+    graph = PerturbedGraph(entry.base, patch, name="half_plane")
+    monkeypatch.setitem(
+        catalog._PLAIN_BUILDERS, "half_plane", lambda: dataclasses.replace(entry, perturbation=graph)
+    )
+    assert main(argv) == 4
+    assert "keep_grid gives True at (-3,-1|v0), its scalar predicate False" in (
+        capsys.readouterr().err
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--graph", "builtin:lattice2", "--box=0,9,0,9", "--wrap"],
+        ["--graph", "builtin:lattice2", "--perturbation", "builtin:half_plane", "--box=0,9,0,9"],
+    ],
+    ids=["wrap", "induced"],
+)
+def test_a_template_row_that_out_edges_disagrees_with_exits_4(argv, tmp_path, monkeypatch,
+                                                              capsys):
+    """An oracle that lists (0,0) of lattice2 without its neighbour (1,0),
+    which no ``out_edges`` call of the build asks: (0,0) is the box's first
+    template row, which the sample compares with ``out_edges``."""
+    argv = ["truncate", *argv, "--out", str(tmp_path / "t")]
+    assert main(argv) == 0
+    out_edges = graphs.PeriodicOracle.out_edges
+    monkeypatch.setattr(
+        graphs.PeriodicOracle, "out_edges",
+        lambda self, v: tuple(t for t in out_edges(self, v) if (v, t) != (vert(0, 0), vert(1, 0))),
+    )
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    templates, listed = err.split("edge templates give (0,0|v0) the neighbours ")[1].split(", out")
+    assert "(1,0|v0)" in templates and "(1,0|v0)" not in listed
+
+
 def reference_truncate(oracle, box, periodic_wrap):
     """Vertices, pair counts ``{(i, j): c}`` with ``i <= j`` (a loop counted
     once) and the number of dropped vertices."""
@@ -447,11 +519,22 @@ def reference_near_mask(vertices, pairs, box, radius):
     return np.isin(np.arange(len(vertices)), list(seen))
 
 
+# the catalog's graphs: periodic, perturbed by predicates with grid hooks,
+# with added vertices (random_pendant, counterexample) and added edges (cone)
+CATALOG = [
+    make_lattice(1), make_lattice(2), make_g11().base, make_g21().base,
+    *(entry.perturbation for entry in (
+        make_half_plane(), make_cone(), make_random_pendant(0.3, 4), make_counterexample(),
+    )),
+]
+
+
 @st.composite
 def boxes_to_truncate(draw):
-    """Induced boxes over random periodic graphs and explicit patches, and
-    wrapped boxes over their base graphs with a first axis of length 1 or 2."""
-    graph = draw(st.one_of(small_graphs(), explicit_patches()))
+    """Induced boxes over random periodic graphs, explicit patches and the
+    catalog graphs, and wrapped boxes over their base graphs with a first
+    axis of length 1 or 2."""
+    graph = draw(st.one_of(small_graphs(), explicit_patches(), st.sampled_from(CATALOG)))
     base = getattr(graph, "base", graph)
     wrap = draw(st.booleans())
     if wrap or base is graph:
@@ -467,16 +550,28 @@ def boxes_to_truncate(draw):
 
 
 @given(boxes_to_truncate())
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_edge_list_equals_pair_counts(case):
+    """The array builder gives the vertices, the ordered ``rows`` and
+    ``cols`` and the dropped count of the vertex-by-vertex builder, and the
+    adjacency and boundary count of the pair counts."""
     oracle, box, wrap = case
     try:
         vertices, pairs, dropped = reference_truncate(oracle, box, wrap)
     except EmptyBoxError:
         with pytest.raises(EmptyBoxError):
+            truncate_vertex_by_vertex(oracle, box, wrap)
+        with pytest.raises(EmptyBoxError):
             truncate(oracle, box, periodic_wrap=wrap)
         return
     got = truncate(oracle, box, periodic_wrap=wrap)
+    listed, rows, cols, listed_dropped = truncate_vertex_by_vertex(oracle, box, wrap)
+    assert got.vertices == tuple(listed)
+    assert np.array_equal(got.rows, rows) and np.array_equal(got.cols, cols)
+    assert got.rows.dtype == got.cols.dtype == np.intp
+    assert got.dropped == listed_dropped
+    assert np.array_equal(got.offsets, [np.subtract(v.cell, [lo for lo, _ in box]) for v in listed])
+    assert np.array_equal(got.labels, [v.label for v in listed])
     adjacency = reference_adjacency(len(vertices), pairs)
     near = reference_near_mask(vertices, pairs, box, radius=2)
     assert got.vertices == tuple(vertices)
@@ -773,7 +868,7 @@ def permuted(box, order):
     position = np.empty(len(order), dtype=np.intp)
     position[order] = np.arange(len(order))
     return truncation.BoxGraph(
-        [box.vertices[i] for i in order], position[box.rows], position[box.cols],
+        box.offsets[order], box.labels[order], position[box.rows], position[box.cols],
         box.box, box.periodic, box.dropped,
     )
 
@@ -851,6 +946,69 @@ def test_count_on_a_simple_spectrum_is_the_column_rule(make_box):
     assert np.min(np.diff(lam)) > 1e-9  # simple: every cluster is one column
     near = _near_boundary_mask(box)
     assert boundary_count(box) == column_rule_count(dense_basis(box, vecs), near)
+
+
+@pytest.mark.parametrize(
+    "make_box",
+    [
+        lambda: truncate(periodic_oracle(make_lattice(2)), ((0, 9), (0, 9)), True),
+        lambda: truncate(periodic_oracle(make_g11().base), ((0, 7),), True),
+        lambda: truncate(periodic_oracle(make_g21().base), ((0, 39),), True),
+        lambda: truncate(make_half_plane().perturbation.oracle, ((-6, 6), (-2, 8))),
+        lambda: truncate(make_cone().perturbation.oracle, ((-3, 9), (-3, 9))),
+    ],
+    ids=["lattice2_wrap", "g11_wrap", "g21_wrap_with_rows", "half_plane", "cone"],
+)
+def test_boundary_count_is_the_same_at_any_batch_size(make_box, monkeypatch):
+    """Each Gram's ``eigvalsh`` is solved apart from the rest of its batch,
+    so one cluster per batch, the default batches and one batch per cluster
+    size count alike.  The flat band of the ``g21`` wrap is a cluster of 40
+    columns over 11 near rows, so it builds its rows."""
+    box = make_box()
+    lam, vecs = spectrum_of_box(box, with_vectors=True)
+    counts = []
+    for batch in (1, truncation._GRAM_BATCH, 1 << 40):
+        monkeypatch.setattr(truncation, "_GRAM_BATCH", batch)
+        counts.append(truncation._count_boundary_modes(box, lam, vecs))
+    assert counts[0] == counts[1] == counts[2] > 0
+
+
+def test_bloch_batches_are_sized_by_their_factor_entries(monkeypatch):
+    """A Bloch batch with no rows built reads ``m * m * cell_size`` factor
+    entries per cluster of ``m`` columns, not ``m`` times the 684 near rows
+    of this 60 x 60 wrap: each of its 8 cluster sizes fits in one batch
+    (45 batches when sized by the near rows)."""
+    box = truncate(periodic_oracle(make_lattice(2)), ((0, 59), (0, 59)), True)
+    lam, vecs = spectrum_of_box(box, with_vectors=True)
+    shapes, solve = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or solve(a))
+    truncation._count_boundary_modes(box, lam, vecs)
+    sizes = np.diff(np.flatnonzero(np.diff(lam, prepend=-2.0, append=2.0) > 1e-9))
+    assert sorted(m for _, m, _ in shapes) == sorted(set(sizes.tolist()))
+    assert all(c * m * m <= truncation._GRAM_BATCH for c, m, _ in shapes)
+
+
+@pytest.mark.parametrize("m", [2, 300])
+def test_a_real_gram_batch_is_not_copied(m):
+    """The Grams of a real batch multiply it by its own transposed view:
+    the traced peak is the batch gathered from the near rows (512 KiB, or
+    600 KiB) and the Grams, with no conjugated copy of the batch.  With more columns than
+    near rows (``m`` = 300) the Grams are ``W W^H``."""
+    rng = np.random.default_rng(1)
+    near_rows = rng.standard_normal((256, 1024))
+    columns = np.arange(max(256 // m, 1) * m).reshape(-1, m)
+    grams = truncation._dense_grams(near_rows)
+    tracemalloc.start()
+    try:
+        got = grams(columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    w = np.moveaxis(near_rows[:, columns], 0, 1)
+    batch = w.nbytes
+    assert peak <= batch + got.nbytes + 64 * 1024
+    wt = np.swapaxes(w, 1, 2)
+    assert np.allclose(got, wt @ w if m <= 256 else w @ wt)
 
 
 @pytest.mark.parametrize(
