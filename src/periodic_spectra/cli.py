@@ -512,12 +512,15 @@ def _cmd_random_trial(args) -> int:
         args.out,
     )
     pool = None
-    if args.threads > 1:
+    # no more threads than the CPUs the process may run on: the pool starts
+    # one per chunk up to its size, and --threads has no upper bound
+    workers = min(args.threads, _resolve_threads(None))
+    if workers > 1:
         # imported here, as no other command starts threads: the import costs
         # every process about 4 ms
         from concurrent.futures import ThreadPoolExecutor
 
-        pool = ThreadPoolExecutor(max_workers=args.threads)
+        pool = ThreadPoolExecutor(max_workers=workers)
     try:
         estimate = clear_box_monte_carlo(
             args.n, args.p, args.dim, args.trials, args.seed, pool=pool

@@ -8,7 +8,8 @@ batches and in the symmetric form ``D^{-1/2} A(k) D^{-1/2}`` (D the label
 degrees), which is Hermitian and similar to the row-normalized operator
 ``D^{-1} A(k)``.  Band grids, band location and eigenpairs all diagonalize
 its output; an eigenvector u of the symmetric form is pulled back to the
-row-normalized operator's eigenvector ``u / sqrt(deg)``.
+row-normalized operator's eigenvector ``u / sqrt(deg)``.  Band location
+evaluates the candidate points of four golden-section steps in one batch.
 """
 
 from __future__ import annotations
@@ -194,27 +195,50 @@ def _band_union(
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_STEPS = 40
+# Golden-section steps whose possible points one call of ``_golden_refine``'s
+# function evaluates: 2**_SPECULATE - 1 points per call.
+_SPECULATE = 4
 
 # How close ``locate_band_value`` needs a band sample, then the refined value.
 _MATCH_TOL = 1e-6
 _REFINE_TOL = 1e-8
 
 
+def _golden_step(a, b, c, d, left: bool) -> tuple:
+    """``(a, b, c, d, left)`` after one golden-section step: keeping ``[a,
+    d]`` with its new inner point ``c`` when ``left``, else ``[c, b]`` with
+    its new ``d``."""
+    if left:
+        return a, d, d - _INVPHI * (d - a), c, left
+    return c, b, d, c + _INVPHI * (b - c), left
+
+
 def _golden_refine(f, lo: float, hi: float) -> float:
-    """Golden-section minimizer of a scalar function on [lo, hi], ``_GOLDEN_STEPS`` steps."""
+    """Golden-section minimizer on [lo, hi] over ``_GOLDEN_STEPS`` steps of
+    ``f``, which maps an array of points to their values.
+
+    A step compares the values at its two inner points and adds one point,
+    whose place depends on the outcomes before it.  So the points that the
+    next ``_SPECULATE`` steps could add form a binary tree known before any
+    of their values, and one ``f`` call evaluates the whole tree; the walk
+    down it makes the comparisons of the search that evaluates one point per
+    step, with the same floats, and returns its result bit for bit.
+    """
     a, b = lo, hi
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(_GOLDEN_STEPS):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
+    fc, fd = f(np.array([c, d]))
+    for done in range(0, _GOLDEN_STEPS, _SPECULATE):
+        # node i is a step's outcome; nodes 2i + 1 and 2i + 2 follow it left and right
+        nodes = [_golden_step(a, b, c, d, fc < fd)]
+        for i in range(2 ** (min(_SPECULATE, _GOLDEN_STEPS - done) - 1) - 1):
+            nodes += [_golden_step(*nodes[i][:4], left) for left in (True, False)]
+        values = f(np.array([p if left else q for _, _, p, q, left in nodes]))
+        i = 0
+        while i < len(nodes):
+            a, b, c, d, left = nodes[i]
+            fc, fd = (values[i], fc) if left else (fd, values[i])
+            i = 2 * i + (1 if fc < fd else 2)
     return c if fc < fd else d
 
 
@@ -244,20 +268,20 @@ def locate_band_value(
     k = 2.0 * np.pi * box_cell_array(box, at=[row])[0] / grid_per_axis
     step = 2.0 * np.pi / grid_per_axis
     assemble = _fiber_assembler(graph)
-    probe = np.empty((1, graph.dim))
 
-    def mismatch_along(axis: int, x: float) -> float:
-        """|band value - target| at k with its coordinate ``axis`` set to x."""
-        probe[0] = k
-        probe[0, axis] = x
-        return abs(float(np.linalg.eigvalsh(assemble(probe))[0, band]) - target)
+    def mismatch_along(axis: int, x: np.ndarray) -> np.ndarray:
+        """|band value - target| at k with its coordinate ``axis`` set to
+        each x, one fiber matrix per x in one batch."""
+        probe = np.repeat(k[None, :], len(x), axis=0)
+        probe[:, axis] = x
+        return np.abs(np.linalg.eigvalsh(assemble(probe))[:, band] - target)
 
     for _ in range(8):
         for axis in range(graph.dim):
             k[axis] = _golden_refine(
                 lambda x: mismatch_along(axis, x), k[axis] - step, k[axis] + step
             )
-        mismatch = mismatch_along(0, k[0])
+        mismatch = mismatch_along(0, k[:1])[0]
         if mismatch <= _REFINE_TOL:
             break
     else:

@@ -534,13 +534,15 @@ def find_unperturbed_box(
 
 def _eroded(clear: np.ndarray, side: int) -> np.ndarray:
     """True at each position whose box of ``side`` cells along every axis
-    but the first, starting there, is all true: per axis, a cumulative count
-    of false cells with a leading zero, differenced ``side`` apart."""
+    but the first, starting there, is all true: per axis, the AND of the
+    array with itself shifted by 1, 2, 4, ... cells, the last shift
+    overlapping the one before so that the widths reach ``side`` exactly."""
     for axis in range(1, clear.ndim):
         lead = (slice(None),) * axis
-        shape = list(clear.shape)
-        shape[axis] += 1
-        blocked = np.zeros(shape, dtype=np.int32)
-        np.cumsum(~clear, axis=axis, dtype=np.int32, out=blocked[lead + (slice(1, None),)])
-        clear = blocked[lead + (slice(side, None),)] == blocked[lead + (slice(None, -side),)]
+        width = 1  # a position is true when the ``width`` cells from it are
+        while width < side:
+            shift = min(width, side - width)
+            stop = max(clear.shape[axis] - shift, 0)
+            clear = clear[lead + (slice(0, stop),)] & clear[lead + (slice(shift, None),)]
+            width += shift
     return clear

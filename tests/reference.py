@@ -10,6 +10,9 @@ element by group element, and puts its columns in merged order.
 ``identity_vectors`` goes the other way for a box with no symmetry: it
 wraps an ``(n, n)`` eigenvector array as the vectors of the identity sector.
 
+``eroded_by_counts`` is the cumulative-count form of the box search's
+lateral erosion, the reference for its doubling shifts.
+
 ``truncate_vertex_by_vertex`` is the reference for ``truncation.truncate``:
 the box listed cell by cell and built with one ``out_edges`` call per
 vertex, the builder the array form replaced.
@@ -17,7 +20,10 @@ vertex, the builder the array form replaced.
 ``band_grid`` samples every band over the whole grid from one
 ``fiber_matrices`` and one ``eigvalsh``, the reference for the slabs of
 ``floquet.band_values``, and ``locate_on_whole_grid`` is
-``floquet.locate_band_value`` started from it.
+``floquet.locate_band_value`` started from it and refined by
+``golden_refine``, the golden-section search that evaluates one point per
+step, the reference for the speculative batches of
+``floquet._golden_refine``.
 """
 
 from __future__ import annotations
@@ -58,6 +64,21 @@ def clear_box_corners(clear: np.ndarray, side: int) -> np.ndarray:
     corners = itertools.product(*(range(m - side + 1) for m in clear.shape))
     found = [at for at in corners if clear[tuple(slice(a, a + side) for a in at)].all()]
     return np.array(found, dtype=int).reshape(len(found), clear.ndim)
+
+
+def eroded_by_counts(clear: np.ndarray, side: int) -> np.ndarray:
+    """``perturbation._eroded`` by cumulative counts: per lateral axis, an
+    int32 running count of false cells with a leading zero, differenced
+    ``side`` apart, is zero where the ``side`` cells from a position are all
+    true."""
+    for axis in range(1, clear.ndim):
+        lead = (slice(None),) * axis
+        shape = list(clear.shape)
+        shape[axis] += 1
+        blocked = np.zeros(shape, dtype=np.int32)
+        np.cumsum(~clear, axis=axis, dtype=np.int32, out=blocked[lead + (slice(1, None),)])
+        clear = blocked[lead + (slice(side, None),)] == blocked[lead + (slice(None, -side),)]
+    return clear
 
 
 def region_vertices(region: Region) -> list[Vertex]:
@@ -408,9 +429,34 @@ def locate_on_whole_grid(
 
     for _ in range(8):
         for axis in range(graph.dim):
-            k[axis] = floquet._golden_refine(
+            k[axis] = golden_refine(
                 lambda x: mismatch_along(axis, x), k[axis] - step, k[axis] + step
             )
-        if mismatch_along(0, k[0]) <= floquet._REFINE_TOL:
+        mismatch = mismatch_along(0, k[0])
+        if mismatch <= floquet._REFINE_TOL:
             return band, k, band_eigensystem(graph, k)[1][:, band]
-    raise NotInSpectrumError(f"band {band} misses {target} after refinement")
+    raise NotInSpectrumError(
+        f"band {band} misses {target} by {mismatch:.3e} at k = {tuple(k.tolist())} "
+        f"after refinement (refine_tol {floquet._REFINE_TOL})"
+    )
+
+
+def golden_refine(f, lo: float, hi: float) -> float:
+    """Golden-section minimizer of a scalar function on [lo, hi] over
+    ``floquet._GOLDEN_STEPS`` steps, one point per step: the reference for
+    the speculative batches of ``floquet._golden_refine``."""
+    invphi = floquet._INVPHI
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(floquet._GOLDEN_STEPS):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return c if fc < fd else d

@@ -614,6 +614,38 @@ class TestRandomTrial:
             )
         assert (tmp_path / "s.json").read_bytes() == (tmp_path / "p.json").read_bytes()
 
+    def test_pool_is_capped_at_the_cpus(self, tmp_path, monkeypatch):
+        """``--threads`` has no upper bound and a pool starts a thread per
+        chunk up to its size, so the pool asks for no more workers than the
+        CPUs the process may run on.  The executor here records its size and
+        maps serially: no thread starts."""
+        import concurrent.futures
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        for label, threads in (("one", "1"), ("two", "2"), ("many", "100000")):
+            code = run(
+                tmp_path, "random-trial", "--p", "0.5", "--n", "1", "--trials", "50000",
+                "--seed", "7", "--out", str(tmp_path / label), "--threads", threads,
+            )
+            assert code == 0
+        assert sizes == [2, 3]
+        one = (tmp_path / "one.json").read_bytes()
+        assert (tmp_path / "two.json").read_bytes() == one
+        assert (tmp_path / "many.json").read_bytes() == one
+
     @pytest.mark.parametrize(
         "flag, value, message",
         [

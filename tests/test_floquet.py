@@ -21,7 +21,7 @@ from periodic_spectra import floquet
 from periodic_spectra.catalog import entry_names
 from periodic_spectra.floquet import _band_union, _fiber_assembler
 
-from reference import band_grid, grid_points, locate_on_whole_grid
+from reference import band_grid, golden_refine, grid_points, locate_on_whole_grid
 from test_graphs import small_graphs
 
 
@@ -143,8 +143,16 @@ def test_paired_phases_match_exp_per_template(graph, rng):
         -grid_points(graph.dim, 4),
     ])
     assert_same_bits(graph, ks)
-    for row in ks[::17]:
-        assert_same_bits(graph, row[None, :])
+    # the batches of locate_band_value's probes: one row, the first pair of
+    # a golden-section search and its 15-point trees, each row with the bits
+    # it has alone
+    assemble = _fiber_assembler(graph)
+    for rows in (1, 2, 15):
+        for start in range(0, len(ks) - rows + 1, 17):
+            batch = ks[start:start + rows]
+            assert_same_bits(graph, batch)
+            alone = np.concatenate([assemble(row[None, :]) for row in batch])
+            assert assemble(batch).tobytes() == alone.tobytes()
 
 
 @given(
@@ -333,20 +341,24 @@ class TestLocate:
             lambdas, _ = band_eigensystem(g21.base, k)
             assert abs(lambdas[band] - target) <= 1e-8
 
-    @pytest.mark.parametrize("grid", [8, 64])
-    @pytest.mark.parametrize("name", ["lattice2", "g21", "lattice3"])
+    @pytest.mark.parametrize("grid", [2, 8, 64])
+    @pytest.mark.parametrize("name", entry_names())
     def test_equals_the_whole_grid_route_bit_for_bit(self, name, grid):
-        """Started from ``band_values`` and the k of its best row alone, the
-        located band, k and eigenvector have the bits of the route that
-        starts from the whole grid's ``band_grid``, and a miss is a miss on
-        both."""
-        graph = get_entry(name).base
+        """Started from ``band_values`` and the k of its best row alone, and
+        refined in speculative batches, the located band, k and eigenvector
+        have the bits of the route that starts from the whole grid's
+        ``band_grid`` and evaluates one point per golden-section step, and a
+        miss is the same miss on both.  1.2 misses every band; 1.0000005,
+        where the band top is 1, takes all 8 sweeps and misses in the
+        refinement, and its message, which prints the last k, is compared
+        whole."""
+        graph = catalog_base(name)
         located = 0
-        for target in (-0.9, -1.0 / 3.0, 0.0, 0.45, 0.8, 1.2):
+        for target in (-0.9, -1.0 / 3.0, 0.0, 0.292189, 0.45, 0.8, 1.0000005, 1.2):
             try:
                 band, k, xi = locate_on_whole_grid(graph, target, grid)
-            except NotInSpectrumError:
-                with pytest.raises(NotInSpectrumError):
+            except NotInSpectrumError as miss:
+                with pytest.raises(NotInSpectrumError, match=re.escape(str(miss))):
                     locate_band_value(graph, target, grid)
                 continue
             got = locate_band_value(graph, target, grid)
@@ -354,6 +366,71 @@ class TestLocate:
             assert got[1].tobytes() == k.tobytes() and got[2].tobytes() == xi.tobytes()
             located += 1
         assert located >= 3
+
+    @pytest.mark.parametrize(
+        "name, target, grid, sweeps",
+        [("lattice2", 0.292189, 64, 1), ("g11", 1.0 / 3.0, 64, 1),
+         ("lattice2", 1.0000005, 64, 8), ("lattice1", 1.0000005, 2, 8)],
+    )
+    def test_eleven_fiber_solves_per_axis_per_sweep(self, name, target, grid, sweeps):
+        """A deterministic guard on the cost of a location, in ``eigvalsh``
+        calls rather than wall time: after the grid's slabs, each axis of a
+        sweep takes one call for the first pair of points and one per
+        ``_SPECULATE`` = 4 steps (11, where one point per step took 42), and
+        each sweep then checks the refined value with one more.  A target
+        past the band top takes all 8 sweeps and misses."""
+        graph = get_entry(name).base
+        eigvalsh = np.linalg.eigvalsh
+        batches = []
+
+        def counted(h):
+            batches.append(len(h))
+            return eigvalsh(h)
+
+        with mock.patch.object(np.linalg, "eigvalsh", counted):
+            try:
+                locate_band_value(graph, target, grid)
+            except NotInSpectrumError:
+                assert sweeps == 8
+        slabs = -(-grid ** graph.dim // floquet._SLAB_ROWS)
+        per_axis = [2] + [15] * 10
+        assert batches[slabs:] == (per_axis * graph.dim + [1]) * sweeps
+
+
+@given(
+    coefficients=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=6),
+    folded=st.booleans(),
+    lo=st.floats(-10.0, 10.0),
+    width=st.floats(1e-9, 20.0),
+    depth=st.integers(1, 7),
+)
+@settings(max_examples=300, deadline=None)
+def test_speculative_golden_section_has_the_bits_of_one_point_per_step(
+    coefficients, folded, lo, width, depth
+):
+    """On random polynomials, and on their absolute values as the band
+    mismatch is, the search that evaluates a tree of ``_SPECULATE`` steps per
+    call returns the float of the one that evaluates a point per step, for
+    any depth; a constant draws every comparison as a tie."""
+
+    def values(x):
+        y = 0.0 * x
+        for a in coefficients:
+            y = y * x + a
+        return np.abs(y) if folded else y
+
+    calls = []
+
+    def batched(x):
+        calls.append(len(x))
+        return values(x)
+
+    with mock.patch.object(floquet, "_SPECULATE", depth):
+        got = floquet._golden_refine(batched, lo, lo + width)
+    want = golden_refine(values, lo, lo + width)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    steps = floquet._GOLDEN_STEPS
+    assert calls == [2] + [2 ** min(depth, steps - done) - 1 for done in range(0, steps, depth)]
 
 
 @given(small_graphs(), st.floats(0.0, 2 * np.pi))

@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from periodic_spectra import (
     Patch,
@@ -28,6 +30,7 @@ from reference import (
     box_index,
     embed_state,
     embedding_norm_bounds,
+    eroded_by_counts,
     weighted_norm,
 )
 from test_weyl import base_vector
@@ -148,6 +151,25 @@ class TestConditionSearch:
                 cells[(t,) + tuple(slice(a, a + side) for a in at)].all() for t, *at in starts
             ]
             assert got.reshape(-1).tolist() == want
+
+    @given(
+        shape=st.lists(st.integers(0, 12), min_size=0, max_size=2).map(lambda s: (3, *s)),
+        density=st.sampled_from([0.5, 0.9, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_eroded_by_doubling_equals_the_cumulative_count(self, shape, density, seed):
+        """The doubling shifts give the bools of the cumulative-count form,
+        shape included, for every side from 1 past the widest lateral axis;
+        the input is left as it was."""
+        cells = np.random.default_rng(seed).random(shape) < density
+        before = cells.copy()
+        for side in range(1, max(shape[1:], default=1) + 2):
+            got = _eroded(cells, side)
+            want = eroded_by_counts(cells, side)
+            assert got.dtype == bool and got.shape == want.shape
+            assert np.array_equal(got, want)
+        assert np.array_equal(cells, before)
 
 
 class TestEmbedding:
